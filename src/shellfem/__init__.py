@@ -3,8 +3,9 @@ midsurfaces: a mixed (stress-assisted) method robust in the bending-dominated
 regime, a penalized one-field method for membrane/shear-dominated and
 intermediate shells, and an asymptotic-regime detector."""
 
-from .assembly import (AssemblyConfig, FormAssembler, LoadSpec, Material,
-                       calibrate_penalty, green_identity_check)
+from .assembly import (AssemblyConfig, CalibrationError, FormAssembler,
+                       LoadSpec, Material, calibrate_penalty,
+                       green_identity_check)
 from .driver import ShellProblem
 from .expr import (EvalDomainError, ExprError, differentiate, evaluate,
                    parse, simplify, to_string)

@@ -12,17 +12,23 @@ the stress coupling block has shape (n_block3, n_primal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from . import strain
 from .fe_space import LAM, eval_monos, grad_monos
 from .geometry import eval_elastic
 from .mesh import edge_normal
 from .quadrature import interval_rule, triangle_rule
+from .solve import SolverError
+
+
+class CalibrationError(SolverError):
+    """No penalty constant within the doublings made A(1) positive definite."""
 
 
 @dataclass
@@ -35,7 +41,6 @@ class Material:
 @dataclass
 class AssemblyConfig:
     penalty_C: float = 100.0
-    theta_param: float = 1.0
     quad_tri_degree: int = 8
     quad_edge_points: int = 5
     epsilon: float = 0.1
@@ -263,7 +268,7 @@ class FormAssembler:
                 Mten, xiv = _aux_tensors(pv)
                 Bloc = (np.einsum("q,qmab,qkab->mk", wfac, Mten, st.gamma)
                         + np.einsum("q,qma,qka->mk", wfac, xiv, st.tau))
-                adofs = _aux_dofs(layout, mesh.triangles[t])
+                adofs = _aux_dofs(mesh.triangles[t])
                 add("B", adofs[:, None], dofs[None, :], Bloc)
                 comp = e.elastic.compliance[t]
                 Cloc = (np.einsum("q,qabcd,qmcd,qnab->mn", wfac, comp, Mten, Mten)
@@ -383,7 +388,7 @@ class FormAssembler:
             pv = np.stack([1 - ed.te, ed.te], axis=1)    # P1 trace at (p, q)
             Mten, xiv = _aux_tensors(pv)
             verts = np.array([p, q])
-            adofs = _aux_dofs(self.layout, verts)
+            adofs = _aux_dofs(verts)
             Bloc = -(np.einsum("q,qmab,qia,b->mi", wsa, Mten, ju, nbar)
                      + np.einsum("q,qma,qi,a->mi", wsa, xiv, jw, nbar))
             add("B", adofs[:, None], dofs[None, :], Bloc)
@@ -402,10 +407,8 @@ class FormAssembler:
         f = self.forms()
         return f["T"] + self.config.penalty_C * f["T_pen"]
 
-    def a_theta(self, theta_param=None):
+    def a_theta(self, theta_param):
         """A(theta) = rho_h + theta*(gamma_h + tau_h)."""
-        if theta_param is None:
-            theta_param = self.config.theta_param
         return (self.rho_matrix()
                 + theta_param * (self.gamma_matrix() + self.tau_matrix()))
 
@@ -471,8 +474,8 @@ class FormAssembler:
 
 def _aux_tensors(pv):
     """Membrane-stress and shear-stress basis tensors for the 5 auxiliary
-    components per vertex; pv is (nq, nv) of P1 vertex values.  DOF order is
-    vertex-major: (vertex, comp) -> nv*comp? No: comp-major per vertex below."""
+    components per vertex; pv is (nq, nv) of P1 vertex values.  Local DOF
+    5*vi + c is component c (M11, M22, M12, xi1, xi2) of vertex vi."""
     nq, nv = pv.shape
     nm = 5 * nv
     Mten = np.zeros((nq, nm, 2, 2))
@@ -487,7 +490,7 @@ def _aux_tensors(pv):
     return Mten, xiv
 
 
-def _aux_dofs(layout, vertex_ids):
+def _aux_dofs(vertex_ids):
     """Block-local stress DOF indices (relative to the stress block)."""
     return np.array([5 * v + c for v in vertex_ids for c in range(5)])
 
@@ -533,22 +536,52 @@ def green_identity_check(tri_coords, chart, f_exprs,
     return abs(volume - boundary)
 
 
+def _inertia_probe(K):
+    """Positive-definiteness of the symmetric matrix K by Sylvester's law of
+    inertia: K = L D L^T is PD iff every pivot in D is positive.  SuperLU in
+    symmetric mode with diagonal pivoting yields U = D L^T whenever it keeps
+    the diagonal pivots (perm_r == perm_c); None when it did not."""
+    try:
+        lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError:                 # exactly singular
+        return False
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return bool(np.all(lu.U.diagonal() > 0))
+
+
+def _positive_definite(K) -> bool:
+    """Probe K + 1e-12 tr(K)/n I; dense Cholesky only if the sparse inertia
+    probe cannot decide."""
+    n = K.shape[0]
+    K = K + (1e-12 * K.diagonal().sum() / n) * sps.identity(n, format="csr")
+    pd = _inertia_probe(K)
+    if pd is not None:
+        return pd
+    try:
+        np.linalg.cholesky(K.toarray())
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
 def calibrate_penalty(mesh, chart, layout, material: Material,
-                      config: AssemblyConfig, max_doublings: int = 10) -> float:
+                      config: AssemblyConfig, max_doublings: int = 10,
+                      assembler: FormAssembler = None) -> float:
     """Default penalty constant: scale with the geometry magnitude, then
-    double until A(1) passes a positive-definiteness probe."""
+    double until A(1) passes a positive-definiteness probe.  Each probe only
+    rescales the penalty blocks of `assembler`'s forms (a new assembler over
+    `layout` when None); its config keeps the constant returned."""
     e = chart.evaluate(mesh.vertices)
     bsup = float(np.abs(e.b_cov).max() + np.abs(e.b_mix).max()) / 2.0
     gsup = float(np.abs(e.christoffel).max())
     C = 10.0 * material.mu * (1.0 + bsup ** 2 + gsup ** 2)
-    asm = FormAssembler(mesh, chart, layout, material, config)
+    asm = assembler or FormAssembler(mesh, chart, layout, material, config)
     for _ in range(max_doublings + 1):
-        asm.config = AssemblyConfig(**{**config.__dict__, "penalty_C": C})
-        K = asm.a_theta(1.0).toarray()
-        try:
-            np.linalg.cholesky(K + 1e-12 * np.trace(K) / len(K) * np.eye(len(K)))
+        asm.config = replace(asm.config, penalty_C=C)
+        if _positive_definite(asm.a_theta(1.0)):
             return C
-        except np.linalg.LinAlgError:
-            C *= 2.0
-    raise RuntimeError("penalty calibration failed: matrix not positive "
-                       "definite after doubling the penalty constant")
+        C *= 2.0
+    raise CalibrationError("penalty calibration failed: matrix not positive "
+                           "definite after doubling the penalty constant")

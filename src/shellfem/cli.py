@@ -9,10 +9,9 @@ error, 4 solver error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +35,24 @@ class ConfigError(ValueError):
 
 # --------------------------------------------------------------- config parsing
 
+LOAD_KEYS = ("p1", "p2", "p3", "c1", "c2", "r1", "r2", "q1", "q2", "q3")
+# The keys of each section; anything else is rejected, so that a typo cannot
+# silently run with a default value.
+SCHEMA = {
+    "chart": {"kind", "radius", "coeff", "domain", "x", "y", "z"},
+    "mesh": {"file", "rect", "nx", "ny", "tags", "grading_ratio",
+             "grading_toward"},
+    "material": {"lambda", "mu", "kappa", "epsilon"},
+    "loads": set(LOAD_KEYS),
+    "manufactured": set(FIELDS),
+    "assembly": {"penalty_c", "quad_degree", "edge_points"},
+    "study": {"method", "levels", "epsilons"},
+}
+
+
 def parse_config(text: str) -> dict:
-    """Parse `[section]` / `key = value` text into nested dicts."""
+    """Parse `[section]` / `key = value` text into nested dicts, rejecting
+    sections and keys outside SCHEMA."""
     sections = {}
     current = None
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -48,6 +63,8 @@ def parse_config(text: str) -> dict:
             if not line.endswith("]") or len(line) < 3:
                 raise ConfigError(f"line {ln}: malformed section header {raw!r}")
             current = line[1:-1].strip().lower()
+            if current not in SCHEMA:
+                raise ConfigError(f"line {ln}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -58,6 +75,8 @@ def parse_config(text: str) -> dict:
         key = key.strip().lower()
         if not key:
             raise ConfigError(f"line {ln}: empty key")
+        if key not in SCHEMA[current]:
+            raise ConfigError(f"line {ln}: unknown key {key!r} in [{current}]")
         sections[current][key] = value.strip()
     return sections
 
@@ -105,7 +124,6 @@ class ProblemSpec:
     config: AssemblyConfig = field(default_factory=AssemblyConfig)
     levels: int = 3
     epsilons: tuple = (1e-2, 1e-3, 1e-4)
-    theta_override: float = None
     penalty_user: float = None
 
 
@@ -180,9 +198,7 @@ def build_spec(sections: dict) -> ProblemSpec:
         raise ConfigError("[material] epsilon must be > 0")
     load_sec = sections.get("loads", {})
     try:
-        loads = LoadSpec(**{k: _load_fn(load_sec, k)
-                            for k in ("p1", "p2", "p3", "c1", "c2",
-                                      "r1", "r2", "q1", "q2", "q3")})
+        loads = LoadSpec(**{k: _load_fn(load_sec, k) for k in LOAD_KEYS})
     except exprmod.ExprError as exc:
         raise ConfigError(f"[loads]: {exc}")
     manufactured = None
@@ -206,37 +222,26 @@ def build_spec(sections: dict) -> ProblemSpec:
     method = study_sec.get("method", "both").lower()
     if method not in ("mixed", "dg", "both"):
         raise ConfigError(f"[study] method must be mixed|dg|both, got {method!r}")
-    theta_override = (_get_float(asm_sec, "theta_param")
-                      if "theta_param" in asm_sec else None)
     return ProblemSpec(
         chart=chart, mesh=mesh, material=material, epsilon=epsilon,
         loads=loads, manufactured_fields=manufactured, method=method,
         config=config, levels=_get_int(study_sec, "levels", 3),
         epsilons=_get_floats(study_sec, "epsilons", (1e-2, 1e-3, 1e-4)),
-        theta_override=theta_override, penalty_user=penalty_user)
+        penalty_user=penalty_user)
 
 
 def _methods(spec: ProblemSpec):
     return ("mixed", "dg") if spec.method == "both" else (spec.method,)
 
 
-def _make_problem(spec: ProblemSpec, mesh=None, epsilon=None,
-                  loads=None) -> ShellProblem:
-    return ShellProblem(chart=spec.chart, mesh=mesh or spec.mesh,
-                        material=spec.material,
-                        epsilon=spec.epsilon if epsilon is None else epsilon,
-                        loads=loads or spec.loads, config=spec.config,
+def _make_problem(spec: ProblemSpec) -> ShellProblem:
+    """The study's problem on the base mesh; it calibrates the penalty on
+    first use unless the config gives one, and every thickness and
+    refinement of the study shares that constant."""
+    return ShellProblem(chart=spec.chart, mesh=spec.mesh,
+                        material=spec.material, epsilon=spec.epsilon,
+                        loads=spec.loads, config=spec.config,
                         penalty_C=spec.penalty_user)
-
-
-def _calibrate_spec(spec: ProblemSpec) -> ProblemSpec:
-    """Calibrate the penalty once on the base mesh and freeze it for every
-    solve of the study (explicit user values pass through)."""
-    if spec.penalty_user is not None:
-        return spec
-    p = _make_problem(spec)
-    p._config(spec.epsilon)
-    return replace(spec, penalty_user=p.penalty_C)
 
 
 def _manufactured_for(spec: ProblemSpec, method: str,
@@ -367,18 +372,15 @@ def _meshcond_rows(spec: ProblemSpec, meshes):
 
 # -------------------------------------------------------------------- studies
 
-def run_solve(spec: ProblemSpec, out: Path, jobs: int = 1):
-    spec = _calibrate_spec(spec)
+def run_solve(spec: ProblemSpec, out: Path):
     problem = _make_problem(spec)
     rows = []
     for method in _methods(spec):
+        loads = None
         if spec.manufactured_fields is not None:
-            mfd = _manufactured_for(spec, method, spec.epsilon)
-            problem_m = _make_problem(spec, loads=mfd.load_spec())
-        else:
-            problem_m = problem
-        sol = problem_m.solve(method)
-        eng = problem_m.norm_engine(method)
+            loads = _manufactured_for(spec, method, spec.epsilon).load_spec()
+        sol = problem.solve(method, loads=loads)
+        eng = problem.norm_engine(method)
         rep = eng.discrete_norms(sol.primal, aux=sol.aux)
         row = {"method": method, "epsilon": spec.epsilon,
                "rho_norm": rep.rho_norm, "gamma_norm": rep.gamma_norm,
@@ -390,23 +392,22 @@ def run_solve(spec: ProblemSpec, out: Path, jobs: int = 1):
         rows.append(row)
         write_vtk(out / (f"fields.vtk" if len(_methods(spec)) == 1
                          else f"fields_{method}.vtk"),
-                  problem_m, method, sol.primal)
+                  problem, method, sol.primal)
     write_csv(out / "norms.csv", rows, list(rows[0].keys()))
     write_csv(out / "meshcond.csv", _meshcond_rows(spec, [spec.mesh]),
               ["level", "n_triangles", "h", "mixed_error_factor", "geometry_resolution",
                "geometry_resolved"])
 
 
-def _convergence_errors(spec, method, problems, jobs):
+def _convergence_errors(spec, method, problems):
     """Per-level H_h errors for one method; returns rows without orders."""
     manufactured = spec.manufactured_fields is not None
+    if manufactured:
+        mfd = _manufactured_for(spec, method, spec.epsilon)
 
     def solve_level(problem):
         if manufactured:
-            mfd = _manufactured_for(spec, method, spec.epsilon)
-            problem = _make_problem(spec, mesh=problem.mesh,
-                                    loads=mfd.load_spec())
-            sol = problem.solve(method)
+            sol = problem.solve(method, loads=mfd.load_spec())
             eng = problem.norm_engine(method)
             err = eng.error_norms(sol.primal, mfd)
             ref = eng.error_norms(np.zeros_like(sol.primal), mfd)
@@ -414,11 +415,7 @@ def _convergence_errors(spec, method, problems, jobs):
         sol = problem.solve(method)
         return problem, sol, None, None
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(jobs) as ex:
-            solved = list(ex.map(solve_level, problems))
-    else:
-        solved = [solve_level(p) for p in problems]
+    solved = [solve_level(p) for p in problems]
 
     rows = []
     for level, (problem, sol, err, rel) in enumerate(solved):
@@ -445,8 +442,7 @@ def _convergence_errors(spec, method, problems, jobs):
     return rows
 
 
-def run_convergence(spec: ProblemSpec, out: Path, jobs: int = 1):
-    spec = _calibrate_spec(spec)
+def run_convergence(spec: ProblemSpec, out: Path):
     problems = [_make_problem(spec)]
     extra = 0 if spec.manufactured_fields is not None else 1
     for _ in range(spec.levels - 1 + extra):
@@ -454,7 +450,7 @@ def run_convergence(spec: ProblemSpec, out: Path, jobs: int = 1):
     rows = []
     for method in _methods(spec):
         rows.extend(_convergence_errors(spec, method,
-                                        problems[:spec.levels + extra], jobs))
+                                        problems[:spec.levels + extra]))
     write_csv(out / "convergence.csv", rows,
               ["method", "level", "h", "n_dofs", "err_H", "rel_err_H",
                "order", "mode"])
@@ -464,19 +460,17 @@ def run_convergence(spec: ProblemSpec, out: Path, jobs: int = 1):
                "geometry_resolved"])
 
 
-def run_locking(spec: ProblemSpec, out: Path, jobs: int = 1):
-    spec = _calibrate_spec(spec)
+def run_locking(spec: ProblemSpec, out: Path):
+    """Every thickness reuses the problem's one assembly per method; only
+    manufactured loads, which depend on epsilon, are integrated anew."""
+    problem = _make_problem(spec)
     manufactured = spec.manufactured_fields is not None
-    tasks = [(eps, method) for eps in spec.epsilons
-             for method in _methods(spec)]
 
-    def run_one(task):
-        eps, method = task
+    def run_one(eps, method):
+        eng = problem.norm_engine(method)
         if manufactured:
             mfd = _manufactured_for(spec, method, eps)
-            problem = _make_problem(spec, epsilon=eps, loads=mfd.load_spec())
-            sol = problem.solve(method, epsilon=eps)
-            eng = problem.norm_engine(method, eps)
+            sol = problem.solve(method, epsilon=eps, loads=mfd.load_spec())
             err = eng.error_norms(sol.primal, mfd)
             ref = eng.error_norms(np.zeros_like(sol.primal), mfd)
             rel = np.sqrt((err["rho"] ** 2 + err["gamma"] ** 2
@@ -484,27 +478,20 @@ def run_locking(spec: ProblemSpec, out: Path, jobs: int = 1):
                           / (ref["rho"] ** 2 + ref["gamma"] ** 2
                              + ref["tau"] ** 2))
         else:
-            problem = _make_problem(spec, epsilon=eps)
             sol = problem.solve(method, epsilon=eps)
-            eng = problem.norm_engine(method, eps)
             rel = ""
         rep = eng.discrete_norms(sol.primal, aux=sol.aux, epsilon=eps)
         return {"epsilon": eps, "method": method, "H_h_norm": rep.H_h_norm,
                 "a_norm": rep.a_norm, "rel_energy_err": rel}
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(jobs) as ex:
-            rows = list(ex.map(run_one, tasks))
-    else:
-        rows = [run_one(t) for t in tasks]
+    rows = [run_one(eps, method) for eps in spec.epsilons
+            for method in _methods(spec)]
     write_csv(out / "locking.csv", rows,
               ["epsilon", "method", "H_h_norm", "a_norm", "rel_energy_err"])
 
 
-def run_regime(spec: ProblemSpec, out: Path, jobs: int = 1):
-    spec = _calibrate_spec(spec)
-    problem = _make_problem(spec)
-    report = detect_regime(problem)
+def run_regime(spec: ProblemSpec, out: Path):
+    report = detect_regime(_make_problem(spec))
     (out / "regime.txt").write_text(report.to_text() + "\n")
     row = report.to_csv_row()
     write_csv(out / "regime.csv", [row], list(row.keys()))
@@ -521,7 +508,6 @@ def main(argv=None) -> int:
         description="Shell finite-element studies from a config file")
     parser.add_argument("study", choices=sorted(STUDIES))
     parser.add_argument("config", help="path to the config file")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=".")
     args = parser.parse_args(argv)
     try:
@@ -533,14 +519,14 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         spec = build_spec(parse_config(text))
-        STUDIES[args.study](spec, out, jobs=max(1, args.jobs))
+        STUDIES[args.study](spec, out)
     except (ConfigError, exprmod.ExprError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (MeshError, GeometryError) as exc:
         print(f"mesh/geometry error: {exc}", file=sys.stderr)
         return 3
-    except (SolverError, RuntimeError) as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -1,6 +1,6 @@
 """Problem bundle tying a chart, mesh, material, loads, and solver choices
-together, with penalty calibration shared across refinements of the same
-problem."""
+together, with penalty calibration shared across thicknesses and refinements
+of the same problem."""
 
 from __future__ import annotations
 
@@ -30,54 +30,53 @@ class ShellProblem:
         self._cache = {}
 
     # ------------------------------------------------------------- components
+    # Nothing below depends on the thickness: one assembler, load vector and
+    # norm engine per method serve every epsilon.
 
-    def _layout(self, method: str):
-        key = ("layout", method)
+    def _assembler(self, method: str) -> FormAssembler:
+        key = ("asm", method)
         if key not in self._cache:
-            enrich = method == "mixed"
-            self._cache[key] = build_dof_layout(self.mesh, self.chart,
-                                                enrichment=enrich)
+            layout = build_dof_layout(self.mesh, self.chart,
+                                      enrichment=method == "mixed")
+            self._cache[key] = FormAssembler(
+                self.mesh, self.chart, layout, self.material,
+                replace(self.config, epsilon=self.epsilon,
+                        penalty_C=self.penalty_C))
         return self._cache[key]
 
-    def _config(self, epsilon: float) -> AssemblyConfig:
+    def calibrate(self) -> float:
+        """The penalty constant: the given one, or one calibrated once on the
+        forms of the problem's own mixed assembler, which keeps it."""
         if self.penalty_C is None:
-            layout = self._layout("mixed")
-            base = replace(self.config, epsilon=self.epsilon)
-            self.penalty_C = calibrate_penalty(self.mesh, self.chart, layout,
-                                               self.material, base)
-        return replace(self.config, penalty_C=self.penalty_C, epsilon=epsilon)
+            asm = self._assembler("mixed")
+            self.penalty_C = calibrate_penalty(self.mesh, self.chart,
+                                               asm.layout, self.material,
+                                               asm.config, assembler=asm)
+        return self.penalty_C
 
-    def assembler(self, method: str, epsilon: float = None) -> FormAssembler:
-        if epsilon is None:
-            epsilon = self.epsilon
-        key = ("asm", method, float(epsilon))
-        if key not in self._cache:
-            self._cache[key] = FormAssembler(self.mesh, self.chart,
-                                             self._layout(method),
-                                             self.material,
-                                             self._config(epsilon))
-        return self._cache[key]
+    def assembler(self, method: str) -> FormAssembler:
+        self.calibrate()
+        return self._assembler(method)
 
-    def rhs(self, method: str, epsilon: float = None) -> np.ndarray:
+    def rhs(self, method: str) -> np.ndarray:
         if self.loads is None:
             raise ValueError("problem has no loads")
-        asm = self.assembler(method, epsilon)
-        key = ("rhs", method, float(asm.config.epsilon))
+        key = ("rhs", method)
         if key not in self._cache:
-            self._cache[key] = asm.load_vector(self.loads)
+            self._cache[key] = self.assembler(method).load_vector(self.loads)
         return self._cache[key]
 
     # ----------------------------------------------------------------- solving
 
     def solve(self, method: str, epsilon: float = None,
-              via_theta: bool = False) -> ShellSolution:
+              via_theta: bool = False, loads: LoadSpec = None) -> ShellSolution:
         """Solve with the mixed enriched method or the penalized one-field
         method; `via_theta` routes both through the single parameterized
-        assembly."""
+        assembly.  `loads` replaces the problem's loads for this solve."""
         if epsilon is None:
             epsilon = self.epsilon
-        asm = self.assembler(method, epsilon)
-        f = self.rhs(method, epsilon)
+        asm = self.assembler(method)
+        f = self.rhs(method) if loads is None else asm.load_vector(loads)
         if via_theta or method == "mixed":
             sol = realize_via_theta(asm, method, epsilon, loads_rhs=f)
         elif method == "dg":
@@ -88,19 +87,17 @@ class ShellProblem:
         sol.meta.setdefault("penalty_C", asm.config.penalty_C)
         return sol
 
-    def norm_engine(self, method: str, epsilon: float = None) -> NormEngine:
-        asm = self.assembler(method, epsilon)
-        key = ("norms", method, float(asm.config.epsilon))
+    def norm_engine(self, method: str) -> NormEngine:
+        key = ("norms", method)
         if key not in self._cache:
-            self._cache[key] = NormEngine(asm)
+            self._cache[key] = NormEngine(self.assembler(method))
         return self._cache[key]
 
     # --------------------------------------------------------------- refinement
 
     def refined(self) -> "ShellProblem":
         """Uniform refinement sharing the calibrated penalty constant."""
-        self._config(self.epsilon)          # make sure calibration happened
         return ShellProblem(chart=self.chart, mesh=refine_uniform(self.mesh),
                             material=self.material, epsilon=self.epsilon,
                             loads=self.loads, config=self.config,
-                            penalty_C=self.penalty_C)
+                            penalty_C=self.calibrate())

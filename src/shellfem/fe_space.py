@@ -77,7 +77,7 @@ _EDGE_VERTS = ((1, 2), (2, 0), (0, 1))  # local edge k is opposite vertex k
 
 @dataclass
 class LocalBasis:
-    kind: str                      # P1 | Pe | Pv | P2 | P3
+    kind: str                      # P1 | Pe | Pv
     coeffs: np.ndarray             # (nf, N_MONO)
     free_edges: tuple = ()
     # moment data for projection / unisolvence (physical, sqrt(a)-weighted)
@@ -122,7 +122,7 @@ def _moment_rows(basis_coeffs, vol_lam, vol_w, edge_data):
     return np.array(rows)
 
 
-def build_local_basis(tri_coords, chart, free_edges=(), full_poly=False) -> LocalBasis:
+def build_local_basis(tri_coords, chart, free_edges=()) -> LocalBasis:
     """Construct the local displacement basis for one element.
 
     free_edges: sorted tuple of local edge indices lying on the free boundary.
@@ -163,19 +163,6 @@ def build_local_basis(tri_coords, chart, free_edges=(), full_poly=False) -> Loca
 
     if not free_edges:
         kind, extra = "P1", []
-    elif full_poly:
-        if len(free_edges) == 1:
-            kind = "P2"
-            # quadratic span beyond P1: the three edge bubbles l_i l_j
-            extra = [poly_mul(LAM[i], LAM[j]) for (i, j) in
-                     ((1, 2), (2, 0), (0, 1))]
-        else:
-            kind = "P3"
-            extra = [poly_mul(LAM[i], LAM[j]) for (i, j) in
-                     ((1, 2), (2, 0), (0, 1))]
-            extra += [poly_mul(poly_mul(LAM[0], LAM[1]), LAM[2])]
-            extra += [poly_mul(poly_mul(LAM[i], LAM[i]), LAM[j]) for (i, j) in
-                      ((0, 1), (1, 2), (2, 0))]
     elif len(free_edges) == 1:
         kind = "Pe"
         k = free_edges[0]
@@ -194,11 +181,7 @@ def build_local_basis(tri_coords, chart, free_edges=(), full_poly=False) -> Loca
     coeffs = np.vstack([LAM] + [np.asarray(c)[None, :] for c in extra]) \
         if extra else LAM.copy()
     lb = LocalBasis(kind, coeffs, free_edges, vol_pts, vol_w, vol_lam, edge_data)
-    if kind in ("P1", "Pe", "Pv"):
-        M = _moment_rows(coeffs, vol_lam, vol_w, edge_data)
-    else:
-        vals = eval_monos(vol_lam) @ coeffs.T
-        M = np.einsum("q,qi,qj->ij", vol_w, vals, vals)
+    M = _moment_rows(coeffs, vol_lam, vol_w, edge_data)
     if M.shape[0] != M.shape[1]:
         raise SpaceError("moment system is not square")
     if np.linalg.cond(M) > 1e10:
@@ -255,8 +238,8 @@ class DofLayout:
         return 15 + 3 * self.extra_counts[t]
 
 
-def build_dof_layout(mesh, chart, enrichment: bool, with_aux: bool = None,
-                     full_poly: bool = False) -> DofLayout:
+def build_dof_layout(mesh, chart, enrichment: bool,
+                     with_aux: bool = None) -> DofLayout:
     if with_aux is None:
         with_aux = enrichment
     nt = mesh.n_triangles
@@ -264,7 +247,7 @@ def build_dof_layout(mesh, chart, enrichment: bool, with_aux: bool = None,
     extra_counts = np.zeros(nt, dtype=int)
     for t in range(nt):
         free = mesh.free_local_edges(t) if enrichment else ()
-        lb = build_local_basis(mesh.triangle_coords(t), chart, free, full_poly)
+        lb = build_local_basis(mesh.triangle_coords(t), chart, free)
         bases.append(lb)
         extra_counts[t] = lb.n_funcs - 3
     extra_offsets = np.zeros(nt, dtype=int)
@@ -293,16 +276,11 @@ def project_primal(fields: dict, mesh, chart, layout: DofLayout) -> np.ndarray:
                 coeffs = np.linalg.solve(M, rhs)
                 out[layout.field_dofs(t, f)[:3]] = coeffs
                 continue
-            if lb.kind in ("Pe", "Pv"):
-                rhs = list(np.einsum("q,qi->i", lb.vol_w * fvals, lamv))
-                for (pts, w, te, _lam12) in lb.edge_data:
-                    fe = fn(pts)
-                    rhs.append(w @ fe)
-                    rhs.append(w @ (te * fe))
-                coeffs = np.linalg.solve(lb.moment_matrix, np.array(rhs))
-            else:  # P2/P3: plain weighted L2 projection
-                vals = eval_monos(lb.vol_lam) @ lb.coeffs.T
-                rhs = np.einsum("q,qi->i", lb.vol_w * fvals, vals)
-                coeffs = np.linalg.solve(lb.moment_matrix, rhs)
+            rhs = list(np.einsum("q,qi->i", lb.vol_w * fvals, lamv))
+            for (pts, w, te, _lam12) in lb.edge_data:
+                fe = fn(pts)
+                rhs.append(w @ fe)
+                rhs.append(w @ (te * fe))
+            coeffs = np.linalg.solve(lb.moment_matrix, np.array(rhs))
             out[layout.field_dofs(t, f)] = coeffs
     return out

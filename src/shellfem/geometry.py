@@ -239,8 +239,7 @@ class ExpressionChart(Chart):
     def position(self, points):
         points = np.asarray(points, dtype=float)
         self.check_domain(points)
-        x1, x2 = points[..., 0], points[..., 1]
-        return np.stack([exprmod.evaluate(a, x1, x2) for a in self._asts], axis=-1)
+        return self._position_unchecked(points)
 
     def _position_unchecked(self, points):
         x1, x2 = points[..., 0], points[..., 1]
@@ -327,10 +326,6 @@ def make_chart(kind: str, *, radius: float = 1.0, coeff: float = 1.0,
             raise GeometryError("expression chart needs 3 coordinate expressions")
         return ExpressionChart("expression", components, domain, h_fd)
     raise GeometryError(f"unknown chart kind {kind!r}")
-
-
-def eval_geometry(chart: Chart, point) -> GeometryEval:
-    return chart.evaluate(point)
 
 
 def eval_elastic(geom: GeometryEval, lam: float, mu: float,

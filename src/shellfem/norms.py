@@ -76,7 +76,7 @@ class NormEngine:
                 Mten, xiv = _aux_tensors(e.bary)
                 loc = (np.einsum("q,qmab,qnab->mn", w, Mten, Mten)
                        + np.einsum("q,qma,qna->mn", w, xiv, xiv))
-                adofs = _aux_dofs(layout, asm.mesh.triangles[t])
+                adofs = _aux_dofs(asm.mesh.triangles[t])
                 vrows.append(np.broadcast_to(adofs[:, None], loc.shape).ravel())
                 vcols.append(np.broadcast_to(adofs[None, :], loc.shape).ravel())
                 vvals.append(loc.ravel())

@@ -94,8 +94,8 @@ def detect_regime(problem: ShellProblem, thresholds: dict = None,
     sol_dg = problem.solve("dg", epsilon=eps)
     extrap = (4.0 * sol_half.primal - sol_eps.primal) / 3.0
 
-    eng_mixed = problem.norm_engine("mixed", eps)
-    eng_dg = problem.norm_engine("dg", eps)
+    eng_mixed = problem.norm_engine("mixed")
+    eng_dg = problem.norm_engine("dg")
     n_eps = eng_mixed.quad_norm("H", sol_eps.primal)
     n_half = eng_mixed.quad_norm("H", sol_half.primal)
     n_ext = eng_mixed.quad_norm("H", extrap)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
-from shellfem.assembly import (AssemblyConfig, FormAssembler, LoadSpec,
-                               Material, calibrate_penalty,
-                               green_identity_check)
+from shellfem.assembly import (AssemblyConfig, CalibrationError,
+                               FormAssembler, LoadSpec, Material,
+                               _inertia_probe, _positive_definite,
+                               calibrate_penalty, green_identity_check)
 from shellfem.fe_space import build_dof_layout
 from shellfem.geometry import make_chart
 from shellfem.mesh import generate_rect_mesh
+from shellfem.solve import SolverError
 
 
 def make_assembler(chart_kind="cylinder", nx=2, ny=2, enrichment=True,
@@ -157,3 +160,83 @@ def test_b_and_c_shapes():
     assert B.shape == (n3, asm.layout.n_primal)
     assert C.shape == (n3, n3)
     assert min_eig(C) > 0  # weighted mass matrix of the stress block
+
+
+# The sphere patch above, the free-edge cylinder of the README example, and
+# a hypar whose calibration doubles the initial constant once.
+PROBE_CASES = {
+    "sphere-2x2": ("sphere", (0.6, 1.4, 0.0, 0.8), 2, ("D", "D", "D", "D")),
+    "cylinder-8x8": ("cylinder", (0.0, 1.0, 0.0, 1.0), 8,
+                     ("D", "F", "F", "F")),
+    "hypar-4x4": ("hypar", (0.0, 1.0, 0.0, 1.0), 4, ("D", "F", "D", "F")),
+}
+
+
+def probe_case(name):
+    kind, rect, n, tags = PROBE_CASES[name]
+    chart = make_chart(kind)
+    mesh = generate_rect_mesh(rect, n, n, tags=tags)
+    layout = build_dof_layout(mesh, chart, enrichment=True)
+    return mesh, chart, layout
+
+
+def dense_pd(K):
+    """The dense positive-definiteness probe on the shifted matrix."""
+    K = K.toarray()
+    try:
+        np.linalg.cholesky(K + 1e-12 * np.trace(K) / len(K) * np.eye(len(K)))
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+def dense_calibration(mesh, chart, layout, max_doublings=10):
+    """Reference calibration: a fresh assembler per constant, dense probe."""
+    e = chart.evaluate(mesh.vertices)
+    bsup = float(np.abs(e.b_cov).max() + np.abs(e.b_mix).max()) / 2.0
+    gsup = float(np.abs(e.christoffel).max())
+    C = 10.0 * Material().mu * (1.0 + bsup ** 2 + gsup ** 2)
+    for _ in range(max_doublings + 1):
+        asm = FormAssembler(mesh, chart, layout, Material(),
+                            AssemblyConfig(penalty_C=C))
+        if dense_pd(asm.a_theta(1.0)):
+            return C
+        C *= 2.0
+    raise AssertionError("reference calibration failed")
+
+
+@pytest.mark.parametrize("case", sorted(PROBE_CASES))
+def test_sparse_inertia_probe_agrees_with_dense(case):
+    mesh, chart, layout = probe_case(case)
+    asm = FormAssembler(mesh, chart, layout, Material(), AssemblyConfig())
+    C = calibrate_penalty(mesh, chart, layout, Material(), AssemblyConfig(),
+                          assembler=asm)
+    assert asm.config.penalty_C == C
+    verdicts = []
+    for c in (C / 2, C, 0.05):
+        asm.config = AssemblyConfig(penalty_C=c)
+        K = asm.a_theta(1.0)
+        n = K.shape[0]
+        shifted = K + 1e-12 * K.diagonal().sum() / n * sps.identity(n)
+        sparse = _inertia_probe(shifted)
+        assert sparse is not None          # decided without the dense path
+        assert sparse == dense_pd(K) == _positive_definite(K)
+        verdicts.append(sparse)
+    assert verdicts == [False, True, False]
+
+
+@pytest.mark.parametrize("case", sorted(PROBE_CASES))
+def test_calibrated_penalty_equals_dense_path(case):
+    mesh, chart, layout = probe_case(case)
+    C = calibrate_penalty(mesh, chart, layout, Material(), AssemblyConfig())
+    assert C == dense_calibration(mesh, chart, layout)
+    if case == "hypar-4x4":
+        assert C == 45.0                   # 22.5, doubled once
+
+
+def test_calibration_error_when_doublings_run_out():
+    mesh, chart, layout = probe_case("hypar-4x4")
+    with pytest.raises(CalibrationError):
+        calibrate_penalty(mesh, chart, layout, Material(), AssemblyConfig(),
+                          max_doublings=0)
+    assert issubclass(CalibrationError, SolverError)

@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from shellfem import assembly, cli
 from shellfem.cli import (ConfigError, STUDIES, build_spec, main,
                           parse_config)
 
@@ -53,6 +57,10 @@ def test_parse_config_sections_and_comments():
     ("kind = plate", "outside any"),
     ("[chart]\nno equals sign here", "key = value"),
     ("[chart]\n= plate", "empty key"),
+    ("[chart]\nkind = plate\n\n[material]\nepsilson = 0.1",
+     "line 5: unknown key 'epsilson' in [material]"),
+    ("[assembly]\ntheta_param = 1.0", "line 2: unknown key 'theta_param'"),
+    ("[chart]\nkind = plate\n[solver]\ntol = 1", "line 3: unknown section"),
 ])
 def test_parse_config_errors_carry_line_info(text, fragment):
     with pytest.raises(ConfigError) as exc:
@@ -175,3 +183,53 @@ def test_csv_output_deterministic(tmp_path):
 
 def test_study_registry():
     assert set(STUDIES) == {"solve", "converge", "locking", "regime"}
+
+
+def test_exit_code_unknown_key(tmp_path, capsys):
+    cfg = write(tmp_path, GOOD.replace("epsilon = 0.1", "epsilson = 0.1"))
+    assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
+    assert "line 16: unknown key 'epsilson'" in capsys.readouterr().err
+
+
+def test_exit_code_calibration_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(assembly, "_positive_definite", lambda K: False)
+    cfg = write(tmp_path, GOOD)
+    assert main(["regime", cfg, "--out", str(tmp_path)]) == 4
+    assert "penalty calibration failed" in capsys.readouterr().err
+
+
+def test_programming_errors_are_not_solver_errors(tmp_path, monkeypatch):
+    def broken(problem):
+        raise RuntimeError("a bug, not a solver failure")
+    monkeypatch.setattr(cli, "detect_regime", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["regime", write(tmp_path, GOOD), "--out", str(tmp_path)])
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_config_block_builds():
+    """The README config block is valid as written, and so is each optional
+    `# key = value` line in it once uncommented."""
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    build_spec(parse_config(block))
+    lines = block.splitlines()
+    optional = [i for i, line in enumerate(lines)
+                if re.match(r"#\s*\w+\s*=", line)]
+    assert len(optional) >= 5
+    for i in optional:
+        variant = lines.copy()
+        variant[i] = lines[i].lstrip("# ")
+        build_spec(parse_config("\n".join(variant)))
+
+
+@pytest.mark.parametrize("manufactured", [False, True])
+def test_locking_builds_forms_once_per_method(tmp_path, form_builds,
+                                              manufactured):
+    text = (MANUFACTURED if manufactured else GOOD) \
+        + "\n[study]\nepsilons = 0.1, 0.01, 0.001\n"
+    out = tmp_path / "out"
+    assert main(["locking", write(tmp_path, text), "--out", str(out)]) == 0
+    assert len((out / "locking.csv").read_text().strip().splitlines()) == 7
+    assert sorted(form_builds) == ["dg", "mixed"]

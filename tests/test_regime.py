@@ -87,3 +87,11 @@ def test_custom_thresholds_can_force_inconclusive():
                         thresholds={"T_big": 1e9, "T_zero": 1e-12,
                                     "stabilize_rel": 1e-12})
     assert rep.verdict == VERDICT_INCONCLUSIVE
+
+
+def test_forms_built_once_per_method(form_builds):
+    prob = cylinder_problem(epsilon=1e-2, tags=("D", "F", "F", "F"))
+    detect_regime(prob)
+    # calibration, both thicknesses of the mixed method and the norms share
+    # one mixed assembly; the one-field method has its own
+    assert sorted(form_builds) == ["dg", "mixed"]
