@@ -43,7 +43,6 @@ class AssemblyConfig:
     penalty_C: float = 100.0
     quad_tri_degree: int = 8
     quad_edge_points: int = 5
-    epsilon: float = 0.1
 
 
 @dataclass
@@ -536,48 +535,33 @@ def green_identity_check(tri_coords, chart, f_exprs,
     return abs(volume - boundary)
 
 
-def _inertia_probe(K):
-    """Positive-definiteness of the symmetric matrix K by Sylvester's law of
-    inertia: K = L D L^T is PD iff every pivot in D is positive.  SuperLU in
-    symmetric mode with diagonal pivoting yields U = D L^T whenever it keeps
-    the diagonal pivots (perm_r == perm_c); None when it did not."""
+def _positive_definite(K) -> bool:
+    """Positive-definiteness of the symmetric matrix K, probed on
+    K + 1e-12 tr(K)/n I, by Sylvester's law of inertia: K = L D L^T is PD iff
+    every pivot in D is positive.  SuperLU in symmetric mode with diagonal
+    pivoting yields U = D L^T while it keeps the diagonal pivots; it leaves
+    the diagonal (or finds the factor singular) only at an exactly zero
+    pivot, a singular leading minor, so K is then not PD."""
+    n = K.shape[0]
+    K = K + (1e-12 * K.diagonal().sum() / n) * sps.identity(n, format="csr")
     try:
         lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError:                 # exactly singular
         return False
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    return bool(np.all(lu.U.diagonal() > 0))
+    return bool(np.array_equal(lu.perm_r, lu.perm_c)
+                and np.all(lu.U.diagonal() > 0))
 
 
-def _positive_definite(K) -> bool:
-    """Probe K + 1e-12 tr(K)/n I; dense Cholesky only if the sparse inertia
-    probe cannot decide."""
-    n = K.shape[0]
-    K = K + (1e-12 * K.diagonal().sum() / n) * sps.identity(n, format="csr")
-    pd = _inertia_probe(K)
-    if pd is not None:
-        return pd
-    try:
-        np.linalg.cholesky(K.toarray())
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def calibrate_penalty(mesh, chart, layout, material: Material,
-                      config: AssemblyConfig, max_doublings: int = 10,
-                      assembler: FormAssembler = None) -> float:
-    """Default penalty constant: scale with the geometry magnitude, then
-    double until A(1) passes a positive-definiteness probe.  Each probe only
-    rescales the penalty blocks of `assembler`'s forms (a new assembler over
-    `layout` when None); its config keeps the constant returned."""
-    e = chart.evaluate(mesh.vertices)
+def calibrate_assembler(asm: FormAssembler, max_doublings: int = 10) -> float:
+    """Default penalty constant for the forms of `asm`: scale with the
+    geometry magnitude, then double until A(1) is positive definite.  Each
+    probe only rescales the penalty blocks of the assembled forms; `asm`'s
+    config keeps the constant returned."""
+    e = asm.chart.evaluate(asm.mesh.vertices)
     bsup = float(np.abs(e.b_cov).max() + np.abs(e.b_mix).max()) / 2.0
     gsup = float(np.abs(e.christoffel).max())
-    C = 10.0 * material.mu * (1.0 + bsup ** 2 + gsup ** 2)
-    asm = assembler or FormAssembler(mesh, chart, layout, material, config)
+    C = 10.0 * asm.material.mu * (1.0 + bsup ** 2 + gsup ** 2)
     for _ in range(max_doublings + 1):
         asm.config = replace(asm.config, penalty_C=C)
         if _positive_definite(asm.a_theta(1.0)):
@@ -585,3 +569,10 @@ def calibrate_penalty(mesh, chart, layout, material: Material,
         C *= 2.0
     raise CalibrationError("penalty calibration failed: matrix not positive "
                            "definite after doubling the penalty constant")
+
+
+def calibrate_penalty(mesh, chart, layout, material: Material,
+                      config: AssemblyConfig, max_doublings: int = 10) -> float:
+    """`calibrate_assembler` on a new assembler over `layout`."""
+    return calibrate_assembler(
+        FormAssembler(mesh, chart, layout, material, config), max_doublings)

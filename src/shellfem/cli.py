@@ -216,8 +216,7 @@ def build_spec(sections: dict) -> ProblemSpec:
                     if "penalty_c" in asm_sec else None)
     config = AssemblyConfig(
         quad_tri_degree=_get_int(asm_sec, "quad_degree", 8),
-        quad_edge_points=_get_int(asm_sec, "edge_points", 5),
-        epsilon=epsilon)
+        quad_edge_points=_get_int(asm_sec, "edge_points", 5))
     study_sec = sections.get("study", {})
     method = study_sec.get("method", "both").lower()
     if method not in ("mixed", "dg", "both"):
@@ -381,7 +380,8 @@ def run_solve(spec: ProblemSpec, out: Path):
             loads = _manufactured_for(spec, method, spec.epsilon).load_spec()
         sol = problem.solve(method, loads=loads)
         eng = problem.norm_engine(method)
-        rep = eng.discrete_norms(sol.primal, aux=sol.aux)
+        rep = eng.discrete_norms(sol.primal, aux=sol.aux,
+                                 epsilon=spec.epsilon)
         row = {"method": method, "epsilon": spec.epsilon,
                "rho_norm": rep.rho_norm, "gamma_norm": rep.gamma_norm,
                "tau_norm": rep.tau_norm, "a_norm": rep.a_norm,

@@ -145,8 +145,8 @@ class NormEngine:
         Q = self.grams()[key]
         return float(np.sqrt(max(vec @ (Q @ vec), 0.0)))
 
-    def discrete_norms(self, primal: np.ndarray, aux: np.ndarray = None,
-                       epsilon: float = None) -> NormReport:
+    def discrete_norms(self, primal: np.ndarray, aux: np.ndarray = None, *,
+                       epsilon: float) -> NormReport:
         g = self.grams()
         rho = self.quad_norm("rho", primal)
         gam = self.quad_norm("gamma", primal)
@@ -156,8 +156,6 @@ class NormEngine:
         V = None
         if aux is not None and "V" in g:
             V = float(np.sqrt(max(aux @ (g["V"] @ aux), 0.0)))
-        if epsilon is None:
-            epsilon = self.asm.config.epsilon
         eb = float(primal @ (self.asm.rho_matrix() @ primal))
         em = float(primal @ (self.asm.gamma_matrix() @ primal))
         es = float(primal @ (self.asm.tau_matrix() @ primal))
@@ -265,12 +263,10 @@ class NormEngine:
 
 
 def consistency_residual(manufactured, assembler: FormAssembler, method: str,
-                         epsilon: float = None) -> float:
+                         epsilon: float) -> float:
     """Dual-norm residual of the discrete equations at the interpolant of an
     exact smooth solution whose loads are manufactured consistently."""
     from .fe_space import project_primal
-    if epsilon is None:
-        epsilon = assembler.config.epsilon
     layout = assembler.layout
     engine = NormEngine(assembler)
     xi = project_primal(manufactured.fields_dict(), assembler.mesh,

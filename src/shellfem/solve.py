@@ -90,13 +90,11 @@ def solve_dg(R, G, T, f, epsilon: float, scaling: str = "auto",
     return out
 
 
-def realize_via_theta(assembler, mode: str, epsilon: float = None,
+def realize_via_theta(assembler, mode: str, epsilon: float,
                       loads_rhs: np.ndarray = None) -> ShellSolution:
     """Single-program path: one assembled parameterized primal matrix yields
     the mixed method (theta=1, full saddle point) or the penalized method
     (theta = eps^-2, leading unenriched-primal submatrix)."""
-    if epsilon is None:
-        epsilon = assembler.config.epsilon
     layout = assembler.layout
     f = loads_rhs if loads_rhs is not None else np.zeros(layout.n_primal)
     if mode == "mixed":

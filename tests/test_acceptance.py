@@ -135,14 +135,14 @@ def test_criterion_04_consistency():
     worst = 0.0
     lay_mixed = build_dof_layout(mesh, chart, enrichment=True)
     cal = calibrate_penalty(mesh, chart, lay_mixed, Material(),
-                            AssemblyConfig(epsilon=eps))
+                            AssemblyConfig())
     for method in ("mixed", "dg"):
         layout = build_dof_layout(mesh, chart, enrichment=(method == "mixed"))
         total = eps ** -2 + (1.0 if method == "mixed" else 0.0)
         mfd = ManufacturedSolution(fields, chart, Material(), total)
         for C in (1.0, 10.0, cal):
             asm = FormAssembler(mesh, chart, layout, Material(),
-                                AssemblyConfig(penalty_C=C, epsilon=eps))
+                                AssemblyConfig(penalty_C=C))
             worst = max(worst, consistency_residual(mfd, asm, method, eps))
     ok_a = worst < 1e-10
 
@@ -160,7 +160,7 @@ def test_criterion_04_consistency():
             layout = build_dof_layout(mesh, chart,
                                       enrichment=(method == "mixed"))
             asm = FormAssembler(mesh, chart, layout, Material(),
-                                AssemblyConfig(penalty_C=20.0, epsilon=eps))
+                                AssemblyConfig(penalty_C=20.0))
             res.append(consistency_residual(mfd, asm, method, eps))
             hs.append(max(mesh.h_tau))
             mesh = refine_uniform(mesh)
@@ -184,7 +184,7 @@ def test_criterion_05_convergence_rates():
 
     lay0 = build_dof_layout(mesh0, chart, enrichment=True)
     cal = calibrate_penalty(mesh0, chart, lay0, Material(),
-                            AssemblyConfig(epsilon=eps))
+                            AssemblyConfig())
     orders = {}
     for method in ("mixed", "dg"):
         total = eps ** -2 + (1.0 if method == "mixed" else 0.0)
@@ -305,7 +305,7 @@ def test_criterion_09_cross_path_equality():
     # mixed: the two construction paths are the same code path -> bitwise
     lay_m = build_dof_layout(mesh, chart, enrichment=True)
     asm_m = FormAssembler(mesh, chart, lay_m, Material(),
-                          AssemblyConfig(penalty_C=20.0, epsilon=eps))
+                          AssemblyConfig(penalty_C=20.0))
     f_m = asm_m.load_vector(loads)
     direct = solve_mixed(asm_m.a_theta(1.0), asm_m.b_matrix(),
                          asm_m.c_matrix(), f_m, eps)
@@ -316,7 +316,7 @@ def test_criterion_09_cross_path_equality():
     # one-field: parameterized assembly vs standalone penalized system
     lay_d = build_dof_layout(mesh, chart, enrichment=False)
     asm_d = FormAssembler(mesh, chart, lay_d, Material(),
-                          AssemblyConfig(penalty_C=20.0, epsilon=eps))
+                          AssemblyConfig(penalty_C=20.0))
     f_d = asm_d.load_vector(loads)
     dg_direct = solve_dg(asm_d.rho_matrix(), asm_d.gamma_matrix(),
                          asm_d.tau_matrix(), f_d, eps, scaling="original")

@@ -4,7 +4,7 @@ import scipy.sparse as sps
 
 from shellfem.assembly import (AssemblyConfig, CalibrationError,
                                FormAssembler, LoadSpec, Material,
-                               _inertia_probe, _positive_definite,
+                               _positive_definite, calibrate_assembler,
                                calibrate_penalty, green_identity_check)
 from shellfem.fe_space import build_dof_layout
 from shellfem.geometry import make_chart
@@ -209,20 +209,25 @@ def dense_calibration(mesh, chart, layout, max_doublings=10):
 def test_sparse_inertia_probe_agrees_with_dense(case):
     mesh, chart, layout = probe_case(case)
     asm = FormAssembler(mesh, chart, layout, Material(), AssemblyConfig())
-    C = calibrate_penalty(mesh, chart, layout, Material(), AssemblyConfig(),
-                          assembler=asm)
+    C = calibrate_assembler(asm)
     assert asm.config.penalty_C == C
     verdicts = []
     for c in (C / 2, C, 0.05):
         asm.config = AssemblyConfig(penalty_C=c)
         K = asm.a_theta(1.0)
-        n = K.shape[0]
-        shifted = K + 1e-12 * K.diagonal().sum() / n * sps.identity(n)
-        sparse = _inertia_probe(shifted)
-        assert sparse is not None          # decided without the dense path
-        assert sparse == dense_pd(K) == _positive_definite(K)
-        verdicts.append(sparse)
+        assert _positive_definite(K) == dense_pd(K)
+        verdicts.append(_positive_definite(K))
     assert verdicts == [False, True, False]
+
+
+@pytest.mark.parametrize("K, pd", [
+    ([[2.0, -1.0], [-1.0, 2.0]], True),
+    ([[1.0, 0.0], [0.0, -1.0]], False),       # negative diagonal pivot
+    ([[0.0, 1.0], [1.0, 0.0]], False),        # zero pivot: off the diagonal
+    ([[0.0, 0.0], [0.0, 0.0]], False),        # exactly singular
+])
+def test_inertia_probe_small_matrices(K, pd):
+    assert _positive_definite(sps.csr_matrix(K)) is pd
 
 
 @pytest.mark.parametrize("case", sorted(PROBE_CASES))

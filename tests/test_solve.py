@@ -10,11 +10,11 @@ from shellfem.solve import (ShellSolution, SolverError, realize_via_theta,
                             solve_dg, solve_mixed)
 
 
-def setup(enrichment, tags=("D", "D", "D", "D"), epsilon=0.1):
+def setup(enrichment, tags=("D", "D", "D", "D")):
     chart = make_chart("cylinder", radius=2.0)
     mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 2, 2, tags=tags)
     layout = build_dof_layout(mesh, chart, enrichment=enrichment)
-    config = AssemblyConfig(penalty_C=20.0, epsilon=epsilon)
+    config = AssemblyConfig(penalty_C=20.0)
     asm = FormAssembler(mesh, chart, layout, Material(), config)
     f = asm.load_vector(LoadSpec(p3=lambda p: np.cos(p[:, 0]) + p[:, 1]))
     return asm, f
