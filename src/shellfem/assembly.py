@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from . import strain
 from .fe_space import LAM, eval_monos, grad_monos
-from .geometry import eval_elastic
+from .geometry import batched, eval_elastic
 from .mesh import edge_normal
 from .quadrature import interval_rule, triangle_rule
 from .solve import SolverError
@@ -54,6 +54,9 @@ class LoadSpec:
     densities r1,r2 (moments on S and F) and q1,q2,q3 (forces on F), or a
     flux provider whose boundary_fluxes(points) returns the stress tensors
     (m (n,2,2), nmem (n,2,2), t (n,2)) to be contracted with the edge normal.
+    Each callable is called once per mesh, on all its quadrature points
+    (volume or S/F edge) as one (n,2) array; beyond geometry.POINT_BUDGET
+    points, once per slice of at most that many.
     """
     p1: object = None
     p2: object = None
@@ -68,8 +71,29 @@ class LoadSpec:
     flux_provider: object = None
 
 
-def _zero(pts):
-    return np.zeros(len(pts))
+def _load_values(fns, pts):
+    """The load callables `fns` (None reads zero) at all points pts (..., 2):
+    an array (len(fns),) + pts.shape[:-1]."""
+    def at(p):
+        return np.stack([np.zeros(len(p)) if f is None else f(p) for f in fns],
+                        axis=1)
+    return batched(at, pts.reshape(-1, 2)).T.reshape((len(fns),)
+                                                    + pts.shape[:-1])
+
+
+def _components(th, u, w):
+    """theta1, theta2, u1, u2, w of each local DOF: (q, nl, 5), from the
+    field arrays (th, u, w) = fields[::2] of `_field_arrays`."""
+    return np.concatenate([th, u, w[..., None]], axis=-1)
+
+
+def field_values(fields, x):
+    """Values (q, 5) and gradients (q, 5, 2) of theta1, theta2, u1, u2, w
+    from the field arrays of `_field_arrays` and local DOF values x."""
+    th, thg, u, ug, w, wg = fields
+    grads = np.concatenate([thg, ug, wg[..., None, :]], axis=-2)
+    return (np.einsum("qkc,k->qc", _components(th, u, w), x),
+            np.einsum("qkcd,k->qcd", grads, x))
 
 
 class FormAssembler:
@@ -100,7 +124,7 @@ class FormAssembler:
         J = np.stack([v0 - v2, v1 - v2], axis=-1)                   # (nt,2,2)
         Jinv = np.linalg.inv(J)
         qpts = np.einsum("qi,tix->tqx", bary, coords)               # (nt,nq,2)
-        geom = chart.evaluate(qpts)
+        geom = batched(chart.evaluate, qpts)
         elastic = eval_elastic(geom, self.material.lam, self.material.mu,
                                self.material.kappa)
         monos = eval_monos(bary[:, :2])                              # (nq,10)
@@ -116,16 +140,6 @@ class FormAssembler:
                                      geom=geom, elastic=elastic,
                                      vals=vals, grads=grads)
         return self._elem
-
-    def _geom_at(self, batch_geom, idx, extra_axis=True):
-        """Slice a batched GeometryEval and insert a broadcast axis for the
-        local-dof dimension."""
-        out = SimpleNamespace()
-        for name in ("a_cov", "a_con", "sqrt_a", "b_cov", "b_mix", "c_cov",
-                     "christoffel"):
-            arr = getattr(batch_geom, name)[idx]
-            out.__dict__[name] = arr[:, None] if extra_axis else arr
-        return out
 
     def _field_arrays(self, t, vals, grads):
         """Per-DOF field arrays on element t at points where the displacement
@@ -160,7 +174,7 @@ class FormAssembler:
             return self._strain_cache[t]
         e = self._elem_data()
         fields = self._field_arrays(t, e.vals[t], e.grads[t])
-        g = self._geom_at(e.geom, t)
+        g = e.geom[t, :, None]
         th, thg, u, ug, w, wg = fields
         rho, gam, tau = strain.strains(th, thg, u, ug, w, wg, g)
         out = SimpleNamespace(rho=rho, gamma=gam, tau=tau, fields=fields)
@@ -184,31 +198,30 @@ class FormAssembler:
     def _edge_data(self):
         if self._edges is not None:
             return self._edges
-        mesh, chart = self.mesh, self.chart
+        mesh, mat = self.mesh, self.material
         te, we = interval_rule(self.config.quad_edge_points)
-        interior, boundary = [], []
-        for k, e in enumerate(mesh.interior_edges):
-            p, q = mesh.vertices[list(e.vertices)]
-            pts = np.outer(1 - te, p) + np.outer(te, q)
-            geom = chart.evaluate(pts)
-            el = eval_elastic(geom, self.material.lam, self.material.mu,
-                              self.material.kappa)
-            nbar = edge_normal(mesh, e.vertices, e.left)
-            interior.append(SimpleNamespace(edge=e, pts=pts, te=te, we=we,
-                                            h=mesh.h_e_interior[k], geom=geom,
-                                            elastic=el, nbar=nbar))
-        for k, e in enumerate(mesh.boundary_edges):
-            p, q = mesh.vertices[list(e.vertices)]
-            pts = np.outer(1 - te, p) + np.outer(te, q)
-            geom = chart.evaluate(pts)
-            el = eval_elastic(geom, self.material.lam, self.material.mu,
-                              self.material.kappa)
-            nbar = edge_normal(mesh, e.vertices, e.triangle)
-            tang = (q - p) / np.linalg.norm(q - p)
-            arc = np.sqrt(np.einsum("qab,a,b->q", geom.a_cov, tang, tang))
-            boundary.append(SimpleNamespace(edge=e, pts=pts, te=te, we=we,
-                                            h=mesh.h_e_boundary[k], geom=geom,
-                                            elastic=el, nbar=nbar, arc=arc))
+
+        def sweep(edges, h, owner):
+            """Per-edge data, the geometry of all edges evaluated at once."""
+            ends = mesh.vertices[np.array([e.vertices for e in edges],
+                                          dtype=int).reshape(-1, 2)]
+            pts = (ends[:, None, 0] * (1 - te)[:, None]
+                   + ends[:, None, 1] * te[:, None])          # (ne,nq,2)
+            geom = batched(self.chart.evaluate, pts)
+            elastic = eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic
+            tang = ends[:, 1] - ends[:, 0]
+            tang /= np.linalg.norm(tang, axis=1)[:, None]
+            arc = np.sqrt(np.einsum("eqab,ea,eb->eq", geom.a_cov, tang, tang))
+            return [SimpleNamespace(edge=e, pts=pts[k], te=te, we=we, h=h[k],
+                                    geom=geom[k], elastic=elastic[k],
+                                    arc=arc[k],
+                                    nbar=edge_normal(mesh, e.vertices, owner(e)))
+                    for k, e in enumerate(edges)]
+
+        interior = sweep(mesh.interior_edges, mesh.h_e_interior,
+                         lambda e: e.left)
+        boundary = sweep(mesh.boundary_edges, mesh.h_e_boundary,
+                         lambda e: e.triangle)
         self._edges = (interior, boundary)
         return self._edges
 
@@ -216,9 +229,7 @@ class FormAssembler:
         """Traces, per-DOF strains on one side of an edge."""
         vals, grads = self._trace_at(t, pts)
         fields = self._field_arrays(t, vals, grads)
-        g = SimpleNamespace(**{k: v[:, None] for k, v in geom.__dict__.items()
-                               if k in ("a_cov", "a_con", "sqrt_a", "b_cov",
-                                        "b_mix", "c_cov", "christoffel")})
+        g = geom[:, None]
         th, thg, u, ug, w, wg = fields
         rho, gam, tau = strain.strains(th, thg, u, ug, w, wg, g)
         return SimpleNamespace(th=th, u=u, w=w, rho=rho, gamma=gam, tau=tau)
@@ -351,7 +362,7 @@ class FormAssembler:
         mu, kappa = self.material.mu, self.material.kappa
         wsa = ed.h * ed.we * g.sqrt_a                     # consistency weight
         wpen = ed.we                                      # penalty: h cancels
-        A = ed.elastic.elastic
+        A = ed.elastic
         nbar = ed.nbar
         rc = dofs[:, None], dofs[None, :]
         if rho_theta or rho_bu:
@@ -418,56 +429,46 @@ class FormAssembler:
         return self.forms()["C"]
 
     def load_vector(self, loads: LoadSpec) -> np.ndarray:
+        """Each load is evaluated once, on all volume or all S/F-edge
+        quadrature points; the element and edge loops only contract."""
         layout = self.layout
         rhs = np.zeros(layout.n_primal)
         e = self._elem_data()
-        vol = [loads.c1, loads.c2, loads.p1, loads.p2, loads.p3]
+        vol = (loads.c1, loads.c2, loads.p1, loads.p2, loads.p3)
         if any(f is not None for f in vol):
+            fv = (e.areas[:, None] * e.wq * e.geom.sqrt_a
+                  * _load_values(vol, e.qpts))               # (5,nt,nq)
             for t in range(self.mesh.n_triangles):
-                wfac = e.areas[t] * e.wq * e.geom.sqrt_a[t]
-                st = self._element_strains(t)
-                th, _, u, _, w, _ = st.fields
-                pts = e.qpts[t]
-                fv = [(_zero if f is None else f)(pts) for f in vol]
-                loc = (np.einsum("q,qi->i", wfac * fv[0], th[:, :, 0])
-                       + np.einsum("q,qi->i", wfac * fv[1], th[:, :, 1])
-                       + np.einsum("q,qi->i", wfac * fv[2], u[:, :, 0])
-                       + np.einsum("q,qi->i", wfac * fv[3], u[:, :, 1])
-                       + np.einsum("q,qi->i", wfac * fv[4], w))
-                rhs[layout.element_dofs(t)] += loc
-        _, boundary = self._edge_data()
-        for ed in boundary:
-            tag = ed.edge.tag
-            if tag == "D":
-                continue
+                comps = _components(*self._element_strains(t).fields[::2])
+                rhs[layout.element_dofs(t)] += np.einsum("cq,qic->i",
+                                                         fv[:, t], comps)
+        loaded = [ed for ed in self._edge_data()[1] if ed.edge.tag != "D"]
+        if not loaded:
+            return rhs
+        pts = np.array([ed.pts for ed in loaded])                # (ne,nq,2)
+        if loads.flux_provider is None:       # densities per arc length
+            dens = _load_values((loads.r1, loads.r2, loads.q1, loads.q2,
+                                 loads.q3), pts)                 # (5,ne,nq)
+            weight = np.array([ed.arc for ed in loaded])
+        else:   # r^a = m^ab n_b, q^g = (n^gb - b^g_a m^ab) n_b, q3 = t^a n_a
+            m, nmem, tsh = (f.reshape(pts.shape[:2] + f.shape[1:]) for f in
+                            batched(loads.flux_provider.boundary_fluxes,
+                                    pts.reshape(-1, 2)))
+            nbar = np.array([ed.nbar for ed in loaded])
+            bm = np.einsum("eqga,eqab->eqgb",
+                           np.array([ed.geom.b_mix for ed in loaded]), m)
+            dens = np.concatenate([np.einsum("eqab,eb->aeq", m, nbar),
+                                   np.einsum("eqgb,eb->geq", nmem - bm, nbar),
+                                   np.einsum("eqa,ea->eq", tsh, nbar)[None]])
+            weight = np.array([ed.geom.sqrt_a for ed in loaded])
+        # forces act on F edges only
+        dens[2:, np.array([ed.edge.tag == "S" for ed in loaded])] = 0.0
+        for k, ed in enumerate(loaded):
             t = ed.edge.triangle
-            vals, grads = self._trace_at(t, ed.pts)
-            th, _, u, _, w, _ = self._field_arrays(t, vals, grads)
-            dofs = layout.element_dofs(t)
-            loc = np.zeros(len(dofs))
-            if loads.flux_provider is not None:
-                m, nmem, tsh = loads.flux_provider.boundary_fluxes(ed.pts)
-                wsa = ed.h * ed.we * ed.geom.sqrt_a
-                rmom = np.einsum("qab,b->qa", m, ed.nbar)          # r^a
-                loc += np.einsum("q,qa,qia->i", wsa, rmom, th)
-                if tag == "F":
-                    bm = np.einsum("qga,qab->qgb", ed.geom.b_mix, m)
-                    qf = np.einsum("qgb,b->qg", nmem - bm, ed.nbar)
-                    q3 = np.einsum("qa,a->q", tsh, ed.nbar)
-                    loc += np.einsum("q,qg,qig->i", wsa, qf, u)
-                    loc += np.einsum("q,q,qi->i", wsa, q3, w)
-            else:
-                warc = ed.h * ed.we * ed.arc
-                r1 = _zero(ed.pts) if loads.r1 is None else loads.r1(ed.pts)
-                r2 = _zero(ed.pts) if loads.r2 is None else loads.r2(ed.pts)
-                loc += np.einsum("q,qi->i", warc * r1, th[:, :, 0])
-                loc += np.einsum("q,qi->i", warc * r2, th[:, :, 1])
-                if tag == "F":
-                    for f, arr in ((loads.q1, u[:, :, 0]), (loads.q2, u[:, :, 1]),
-                                   (loads.q3, w)):
-                        fv = _zero(ed.pts) if f is None else f(ed.pts)
-                        loc += np.einsum("q,qi->i", warc * fv, arr)
-            rhs[dofs] += loc
+            comps = _components(*self._field_arrays(
+                t, *self._trace_at(t, ed.pts))[::2])
+            rhs[layout.element_dofs(t)] += np.einsum(
+                "cq,qic->i", ed.h * ed.we * weight[k] * dens[:, k], comps)
         return rhs
 
 

@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as exprmod
-from .assembly import AssemblyConfig, LoadSpec, Material
+from .assembly import AssemblyConfig, LoadSpec, Material, field_values
 from .driver import ShellProblem
 from .fe_space import FIELDS
-from .geometry import GeometryError, make_chart
+from .geometry import POINT_BUDGET, GeometryError, batched, make_chart
 from .manufactured import ManufacturedSolution
 from .mesh import (MeshError, generate_rect_mesh, load_mesh,
                    mesh_condition_report)
@@ -255,7 +255,9 @@ def _manufactured_for(spec: ProblemSpec, method: str,
 class DiscreteField:
     """Evaluate one discrete solution at arbitrary parameter points (used as
     the reference in self-convergence mode).  Point location is brute-force
-    over triangles, adequate at study scale."""
+    over triangles, adequate at study scale.  Values and gradients come from
+    one pass over a point batch: `grads` on the batch `values` just saw (or
+    the reverse) reuses it."""
 
     def __init__(self, problem: ShellProblem, method: str,
                  primal: np.ndarray):
@@ -266,34 +268,36 @@ class DiscreteField:
         v0, v1, v2 = coords[:, 0], coords[:, 1], coords[:, 2]
         self._v2 = v2
         self._Jinv = np.linalg.inv(np.stack([v0 - v2, v1 - v2], axis=-1))
+        self._last = None          # (points, (values, grads)) of the last batch
 
     def _locate(self, pts):
-        lam12 = np.einsum("tij,qj->tqi", self._Jinv, pts - 0.0) \
-            - np.einsum("tij,tj->ti", self._Jinv, self._v2)[:, None]
-        lam3 = 1.0 - lam12.sum(axis=-1)
-        inside = (lam12 >= -1e-10).all(axis=-1) & (lam3 >= -1e-10)
-        owner = inside.argmax(axis=0)
-        if not inside.any(axis=0).all():
-            raise MeshError("reference-solution evaluation point outside mesh")
+        """Owner triangle of each point, over at most POINT_BUDGET
+        (triangle, point) pairs at a time."""
+        step = max(1, POINT_BUDGET // len(self._v2))
+        owner = np.empty(len(pts), dtype=int)
+        for i in range(0, len(pts), step):
+            lam12 = np.einsum("tij,qj->tqi", self._Jinv, pts[i:i + step]) \
+                - np.einsum("tij,tj->ti", self._Jinv, self._v2)[:, None]
+            lam3 = 1.0 - lam12.sum(axis=-1)
+            inside = (lam12 >= -1e-10).all(axis=-1) & (lam3 >= -1e-10)
+            if not inside.any(axis=0).all():
+                raise MeshError("reference-solution evaluation point outside "
+                                "mesh")
+            owner[i:i + step] = inside.argmax(axis=0)
         return owner
 
     def _eval(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if self._last is not None and np.array_equal(self._last[0], pts):
+            return self._last[1]
         owner = self._locate(pts)
-        layout = self.asm.layout
         vals = np.zeros((len(pts), 5))
         grads = np.zeros((len(pts), 5, 2))
         for t in np.unique(owner):
             sel = np.where(owner == t)[0]
-            bv, bg = self.asm._trace_at(t, pts[sel])
-            th, thg, u, ug, w, wg = self.asm._field_arrays(t, bv, bg)
-            x = self.primal[layout.element_dofs(t)]
-            vals[sel, 0:2] = np.einsum("qka,k->qa", th, x)
-            vals[sel, 2:4] = np.einsum("qka,k->qa", u, x)
-            vals[sel, 4] = np.einsum("qk,k->q", w, x)
-            grads[sel, 0:2] = np.einsum("qkab,k->qab", thg, x)
-            grads[sel, 2:4] = np.einsum("qkab,k->qab", ug, x)
-            grads[sel, 4] = np.einsum("qka,k->qa", wg, x)
+            vals[sel], grads[sel] = _element_fields(self.asm, self.primal, t,
+                                                    pts[sel])
+        self._last = (pts.copy(), (vals, grads))
         return vals, grads
 
     def values(self, pts):
@@ -301,6 +305,13 @@ class DiscreteField:
 
     def grads(self, pts):
         return self._eval(pts)[1]
+
+
+def _element_fields(asm, primal, t, pts):
+    """Values (q, 5) and gradients (q, 5, 2) of the discrete solution
+    `primal` on element t at parameter points pts (q, 2)."""
+    return field_values(asm._field_arrays(t, *asm._trace_at(t, pts)),
+                        primal[asm.layout.element_dofs(t)])
 
 
 # ------------------------------------------------------------------- emission
@@ -319,25 +330,10 @@ def write_vtk(path: Path, problem: ShellProblem, method: str,
     discontinuous fields are represented faithfully."""
     mesh = problem.mesh
     asm = problem.assembler(method)
-    layout = asm.layout
-    pts3d = []
-    data = {name: [] for name in FIELDS}
-    for t in range(mesh.n_triangles):
-        corners = mesh.vertices[mesh.triangles[t]]
-        geom = problem.chart.evaluate(corners)
-        pts3d.append(geom.position)
-        bv, bg = asm._trace_at(t, corners)
-        th, _, u, _, w, _ = asm._field_arrays(t, bv, bg)
-        x = primal[layout.element_dofs(t)]
-        thv = np.einsum("qka,k->qa", th, x)
-        uv = np.einsum("qka,k->qa", u, x)
-        wv = np.einsum("qk,k->q", w, x)
-        data["theta1"].append(thv[:, 0])
-        data["theta2"].append(thv[:, 1])
-        data["u1"].append(uv[:, 0])
-        data["u2"].append(uv[:, 1])
-        data["w"].append(wv)
-    pts3d = np.concatenate(pts3d, axis=0)
+    corners = mesh.vertices[mesh.triangles]                      # (nt,3,2)
+    pts3d = batched(problem.chart.position, corners).reshape(-1, 3)
+    data = np.concatenate([_element_fields(asm, primal, t, corners[t])[0]
+                           for t in range(mesh.n_triangles)])    # (3nt,5)
     nt = mesh.n_triangles
     lines = ["# vtk DataFile Version 3.0", "shell midsurface fields", "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {3 * nt} double"]
@@ -349,8 +345,7 @@ def write_vtk(path: Path, problem: ShellProblem, method: str,
     lines.append(f"CELL_TYPES {nt}")
     lines.extend(["5"] * nt)
     lines.append(f"POINT_DATA {3 * nt}")
-    for name in FIELDS:
-        arr = np.concatenate(data[name])
+    for name, arr in zip(FIELDS, data.T):
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
         lines.extend(f"{v:.9e}" for v in arr)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import batched
 from .quadrature import interval_rule, triangle_rule_dense
 
 MONO_EXPS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
@@ -91,13 +92,6 @@ class LocalBasis:
     def n_funcs(self):
         return len(self.coeffs)
 
-    def values(self, lam12: np.ndarray) -> np.ndarray:
-        return eval_monos(lam12) @ self.coeffs.T
-
-    def grads_bary(self, lam12: np.ndarray) -> np.ndarray:
-        g = grad_monos(lam12)   # (..., N_MONO, 2)
-        return np.einsum("...md,fm->...fd", g, self.coeffs)
-
 
 def _edge_lam12(k: int, t: np.ndarray) -> np.ndarray:
     """Barycentric (l1, l2) along local edge k parameterized by t in [0,1]."""
@@ -122,12 +116,25 @@ def _moment_rows(basis_coeffs, vol_lam, vol_w, edge_data):
     return np.array(rows)
 
 
-def build_local_basis(tri_coords, chart, free_edges=()) -> LocalBasis:
+def _basis_points(tri_coords, free_edges) -> np.ndarray:
+    """Where a local basis needs sqrt(a): the dense-rule points, then the 8
+    Gauss points of each free edge in turn."""
+    t_e, _ = interval_rule(8)
+    return np.concatenate(
+        [triangle_rule_dense()[0] @ tri_coords]
+        + [np.outer(1.0 - t_e, tri_coords[_EDGE_VERTS[k][0]])
+           + np.outer(t_e, tri_coords[_EDGE_VERTS[k][1]]) for k in free_edges])
+
+
+def build_local_basis(tri_coords, chart, free_edges=(),
+                      sqrt_a=None) -> LocalBasis:
     """Construct the local displacement basis for one element.
 
     free_edges: sorted tuple of local edge indices lying on the free boundary.
     The added bubble functions are orthogonal to P1 in the sqrt(a)-weighted
-    L2 product over the (curved) element.
+    L2 product over the (curved) element.  `sqrt_a` holds sqrt(a) at
+    `_basis_points(tri_coords, free_edges)` when the caller has evaluated
+    the chart there already.
     """
     tri_coords = np.asarray(tri_coords, dtype=float)
     free_edges = tuple(sorted(free_edges))
@@ -137,19 +144,22 @@ def build_local_basis(tri_coords, chart, free_edges=()) -> LocalBasis:
     d2 = tri_coords[2] - tri_coords[0]
     area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
     bary, w = triangle_rule_dense()
+    pts = _basis_points(tri_coords, free_edges)
+    if sqrt_a is None:
+        sqrt_a = chart.evaluate(pts).sqrt_a
+    nq = len(w)
     vol_lam = bary[:, :2]
-    vol_pts = bary @ tri_coords
-    sqrt_a = chart.evaluate(vol_pts).sqrt_a
-    vol_w = area * w * sqrt_a
+    vol_pts = pts[:nq]
+    vol_w = area * w * sqrt_a[:nq]
 
     t_e, w_e = interval_rule(8)
     edge_data = []
-    for k in free_edges:
+    for i, k in enumerate(free_edges):
         s, e = _EDGE_VERTS[k]
-        pts = np.outer(1.0 - t_e, tri_coords[s]) + np.outer(t_e, tri_coords[e])
         length = np.linalg.norm(tri_coords[e] - tri_coords[s])
-        sa = chart.evaluate(pts).sqrt_a
-        edge_data.append((pts, length * w_e * sa, t_e, _edge_lam12(k, t_e)))
+        on_edge = slice(nq + 8 * i, nq + 8 * (i + 1))
+        edge_data.append((pts[on_edge], length * w_e * sqrt_a[on_edge], t_e,
+                          _edge_lam12(k, t_e)))
 
     def p1_orthogonal(bubble, shift):
         """Solve for p in P1 with integral (bubble*p + shift) q = 0, q in P1."""
@@ -231,9 +241,6 @@ class DofLayout:
     def element_dofs(self, t: int) -> np.ndarray:
         return np.concatenate([self.field_dofs(t, f) for f in range(5)])
 
-    def aux_dof(self, vertex: int, comp: int) -> int:
-        return self.n_primal + 5 * vertex + comp
-
     def n_local(self, t: int) -> int:
         return 15 + 3 * self.extra_counts[t]
 
@@ -243,13 +250,14 @@ def build_dof_layout(mesh, chart, enrichment: bool,
     if with_aux is None:
         with_aux = enrichment
     nt = mesh.n_triangles
-    bases = []
-    extra_counts = np.zeros(nt, dtype=int)
-    for t in range(nt):
-        free = mesh.free_local_edges(t) if enrichment else ()
-        lb = build_local_basis(mesh.triangle_coords(t), chart, free)
-        bases.append(lb)
-        extra_counts[t] = lb.n_funcs - 3
+    free = [mesh.free_local_edges(t) if enrichment else () for t in range(nt)]
+    pts = [_basis_points(mesh.triangle_coords(t), free[t]) for t in range(nt)]
+    # sqrt(a) at the basis points of all elements in one pass
+    sqrt_a = batched(lambda p: chart.evaluate(p).sqrt_a, np.concatenate(pts))
+    ends = np.cumsum([len(p) for p in pts])
+    bases = [build_local_basis(mesh.triangle_coords(t), chart, free[t], sa)
+             for t, sa in enumerate(np.split(sqrt_a, ends[:-1]))]
+    extra_counts = np.array([lb.n_funcs - 3 for lb in bases], dtype=int)
     extra_offsets = np.zeros(nt, dtype=int)
     np.cumsum(3 * extra_counts[:-1], out=extra_offsets[1:])
     n_block1 = 15 * nt

@@ -17,7 +17,7 @@ Index conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import sympy as sp
@@ -25,6 +25,9 @@ import sympy as sp
 from . import expr as exprmod
 
 _DEGEN_TOL = 1e-12
+# The most points one batched evaluation takes; it bounds the transient
+# memory of evaluating charts, loads and exact fields over a whole mesh.
+POINT_BUDGET = 1 << 15
 
 
 class GeometryError(ValueError):
@@ -57,6 +60,17 @@ class GeometryEval:
     d_b_cov: np.ndarray       # (..., 2, 2, 2)
     d_b_mix: np.ndarray       # (..., 2, 2, 2)
     d_christoffel: np.ndarray  # (..., 2, 2, 2, 2)
+
+    def __getitem__(self, idx):
+        """The bundle at batch index `idx`, applied to every field."""
+        return GeometryEval(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+
+# Trailing shape of each GeometryEval field, in field order, and where each
+# field ends in SymbolicChart's flat list of coefficient values.
+_FIELD_TAILS = ((3,), (3,), (3,), (3,), (2, 2), (2, 2), (), (2, 2), (2, 2),
+                (2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2, 2))
+_FLAT_ENDS = np.cumsum([int(np.prod(tail)) for tail in _FIELD_TAILS])
 
 
 @dataclass
@@ -96,6 +110,28 @@ def _tensors_from_frame(a1, a2, da):
     b_mix = np.einsum("...cg,...gb->...cb", a_con, b_cov)
     c_cov = np.einsum("...ga,...gb->...ab", b_mix, b_cov)
     return a_cov, a_con, sqrt_a, a3, b_cov, b_mix, c_cov, christoffel
+
+
+def _join(parts):
+    if len(parts) == 1:
+        return parts[0]
+    first = parts[0]
+    if isinstance(first, tuple):
+        return tuple(_join(list(p)) for p in zip(*parts))
+    if is_dataclass(first):
+        return type(first)(*(_join([getattr(p, f.name) for p in parts])
+                             for f in fields(first)))
+    return np.concatenate(parts)
+
+
+def batched(fn, points):
+    """fn(points) over slices of the leading axis of `points` (..., 2) that
+    hold at most POINT_BUDGET points each (at least one row); the results,
+    arrays or tuples or dataclasses of arrays led by that axis, are joined."""
+    points = np.asarray(points, dtype=float)
+    step = max(1, POINT_BUDGET // max(1, int(np.prod(points.shape[1:-1]))))
+    return _join([fn(points[i:i + step])
+                  for i in range(0, max(len(points), 1), step)])
 
 
 class Chart:
@@ -150,78 +186,37 @@ class SymbolicChart(Chart):
         c_cov = sp.Matrix(2, 2, lambda a, b: sp.simplify(
             sum(b_mix[g, a] * b_cov[g, b] for g in range(2))))
 
-        flat = []
-        flat += [phi[i] for i in range(3)]
-        flat += [a1[i] for i in range(3)] + [a2[i] for i in range(3)]
-        flat += [a3[i] for i in range(3)]
-        flat += [a_cov[i, j] for i in range(2) for j in range(2)]
-        flat += [a_con[i, j] for i in range(2) for j in range(2)]
-        flat += [sqrt_a]
-        flat += [b_cov[i, j] for i in range(2) for j in range(2)]
-        flat += [b_mix[i, j] for i in range(2) for j in range(2)]
-        flat += [c_cov[i, j] for i in range(2) for j in range(2)]
-        flat += [gamma[c][a][b] for c in range(2) for a in range(2) for b in range(2)]
-        flat += [sp.diff(b_cov[a, b], x) for a in range(2) for b in range(2)
+        # the GeometryEval fields in order, matrices row-major
+        gammas = [gamma[c][a][b] for c in range(2) for a in range(2)
+                  for b in range(2)]
+        flat = [*phi, *a1, *a2, *a3, *a_cov, *a_con, sqrt_a, *b_cov, *b_mix,
+                *c_cov, *gammas]
+        flat += [sp.diff(f, x) for f in (*b_cov, *b_mix, *gammas)
                  for x in (_X1, _X2)]
-        flat += [sp.diff(b_mix[a, b], x) for a in range(2) for b in range(2)
-                 for x in (_X1, _X2)]
-        flat += [sp.diff(gamma[c][a][b], x) for c in range(2) for a in range(2)
-                 for b in range(2) for x in (_X1, _X2)]
-        self._n_flat = len(flat)
         self._flat_fn = sp.lambdify((_X1, _X2), flat, modules="numpy")
-        self._pos_fn = sp.lambdify((_X1, _X2), [phi[i] for i in range(3)],
-                                   modules="numpy")
-
-    def _eval_flat(self, x1, x2):
-        shape = np.broadcast(x1, x2).shape
-        vals = self._flat_fn(x1, x2)
-        out = np.empty(shape + (self._n_flat,))
-        for k, v in enumerate(vals):
-            out[..., k] = v
-        return out
+        self._pos_fn = sp.lambdify((_X1, _X2), [*phi], modules="numpy")
 
     def position(self, points):
         points = np.asarray(points, dtype=float)
         self.check_domain(points)
-        shape = points.shape[:-1]
-        vals = self._pos_fn(points[..., 0], points[..., 1])
-        out = np.empty(shape + (3,))
-        for k in range(3):
-            out[..., k] = vals[k]
-        return out
+        return _stack(self._pos_fn(points[..., 0], points[..., 1]),
+                      points.shape[:-1])
 
     def evaluate(self, points) -> GeometryEval:
         points = np.asarray(points, dtype=float)
         self.check_domain(points)
         shape = points.shape[:-1]
-        f = self._eval_flat(points[..., 0], points[..., 1])
-        k = 0
-
-        def take(n, tail):
-            nonlocal k
-            block = f[..., k:k + n].reshape(shape + tail)
-            k += n
-            return block
-
-        position = take(3, (3,))
-        a1 = take(3, (3,))
-        a2 = take(3, (3,))
-        a3 = take(3, (3,))
-        a_cov = take(4, (2, 2))
-        a_con = take(4, (2, 2))
-        sqrt_a = take(1, ()).reshape(shape)
-        if np.any(sqrt_a < _DEGEN_TOL):
+        flat = _stack(self._flat_fn(points[..., 0], points[..., 1]), shape)
+        g = GeometryEval(*(block.reshape(shape + tail) for block, tail in zip(
+            np.split(flat, _FLAT_ENDS[:-1], axis=-1), _FIELD_TAILS)))
+        if np.any(g.sqrt_a < _DEGEN_TOL):
             raise DegenerateChartError("tangent vectors are (nearly) linearly dependent")
-        b_cov = take(4, (2, 2))
-        b_mix = take(4, (2, 2))
-        c_cov = take(4, (2, 2))
-        christoffel = take(8, (2, 2, 2))
-        d_b_cov = take(8, (2, 2, 2))
-        d_b_mix = take(8, (2, 2, 2))
-        d_christoffel = take(16, (2, 2, 2, 2))
-        return GeometryEval(position, a1, a2, a3, a_cov, a_con, sqrt_a, b_cov,
-                            b_mix, c_cov, christoffel, d_b_cov, d_b_mix,
-                            d_christoffel)
+        return g
+
+
+def _stack(values, shape):
+    """Lambdified component values (arrays or constants) as (*shape, n)."""
+    return np.stack([np.broadcast_to(v, shape) for v in values], axis=-1)
 
 
 class ExpressionChart(Chart):
@@ -271,17 +266,17 @@ class ExpressionChart(Chart):
                  + self._position_unchecked(points - e1 - e2)) / (4 * h**2)
         da[..., 0, 1, :] = mixed
         da[..., 1, 0, :] = mixed
-        return a1, a2, da
+        return pc, a1, a2, da
 
     def _order0(self, points):
-        a1, a2, da = self._frame(points)
-        return _tensors_from_frame(a1, a2, da)
+        return _tensors_from_frame(*self._frame(points)[1:])
 
     def evaluate(self, points) -> GeometryEval:
         points = np.asarray(points, dtype=float)
         self.check_domain(points)
+        position, a1, a2, da = self._frame(points)
         (a_cov, a_con, sqrt_a, a3, b_cov, b_mix, c_cov,
-         christoffel) = self._order0(points)
+         christoffel) = _tensors_from_frame(a1, a2, da)
         # derivative fields by FD on the coefficient fields; larger step keeps
         # the inner second-difference noise from being amplified
         h2 = max(self.h_fd ** 0.5, 1e-4)
@@ -296,9 +291,9 @@ class ExpressionChart(Chart):
             d_b_cov[..., d] = (plus[4] - minus[4]) / (2 * h2)
             d_b_mix[..., d] = (plus[5] - minus[5]) / (2 * h2)
             d_christoffel[..., d] = (plus[7] - minus[7]) / (2 * h2)
-        return GeometryEval(self._position_unchecked(points), *self._frame(points)[:2],
-                            a3, a_cov, a_con, sqrt_a, b_cov, b_mix, c_cov,
-                            christoffel, d_b_cov, d_b_mix, d_christoffel)
+        return GeometryEval(position, a1, a2, a3, a_cov, a_con, sqrt_a, b_cov,
+                            b_mix, c_cov, christoffel, d_b_cov, d_b_mix,
+                            d_christoffel)
 
 
 def make_chart(kind: str, *, radius: float = 1.0, coeff: float = 1.0,
@@ -348,15 +343,31 @@ def eval_elastic(geom: GeometryEval, lam: float, mu: float,
 
 
 def _triangle_samples(tri_vertices: np.ndarray, n: int) -> np.ndarray:
-    """Barycentric lattice with n points per edge (n>=2 includes vertices)."""
-    pts = []
-    for i in range(n):
-        for j in range(n - i):
-            l1 = i / (n - 1)
-            l2 = j / (n - 1)
-            pts.append((l1, l2, 1.0 - l1 - l2))
-    lam = np.array(pts)
+    """Barycentric lattice with n points per edge (n>=2 includes vertices) on
+    each triangle of tri_vertices (..., 3, 2); returns (..., points, 2)."""
+    lam = np.array([(i / (n - 1), j / (n - 1), 1.0 - i / (n - 1) - j / (n - 1))
+                    for i in range(n) for j in range(n - i)])
     return lam @ tri_vertices
+
+
+def triangle_seminorms(g: GeometryEval, order: int) -> dict:
+    """`geometry_seminorms` of a batch of triangles from the geometry `g` at
+    their sample points (..., points); each value is an array over `...`."""
+    batch = g.sqrt_a.shape[:-1]
+    out = {}
+    if order == 0:
+        for key, arr in (("christoffel", g.christoffel), ("b_cov", g.b_cov),
+                         ("b_mix", g.b_mix)):
+            flat = np.abs(arr.reshape(batch + (arr.shape[len(batch)], -1)))
+            out[key] = flat.max(axis=-2).sum(axis=-1)
+        return out
+    for key, arr in (("christoffel", g.d_christoffel), ("b_cov", g.d_b_cov),
+                     ("b_mix", g.d_b_mix)):
+        # (..., pts, comps, dir)
+        flat = np.abs(arr.reshape(batch + (arr.shape[len(batch)], -1, 2)))
+        out[key] = flat.max(axis=(-3, -1)).sum(axis=-1)   # max over pts, dirs
+        out[key + "_sum_dirs"] = flat.max(axis=-3).sum(axis=(-2, -1))
+    return out
 
 
 def geometry_seminorms(chart: Chart, tri_vertices, order: int,
@@ -368,20 +379,6 @@ def geometry_seminorms(chart: Chart, tri_vertices, order: int,
     directions; 'sum_dirs' variants sum over the two directions instead.
     n_samples=3 gives the default 6-point rule (vertices + edge midpoints).
     """
-    tri_vertices = np.asarray(tri_vertices, dtype=float)
-    pts = _triangle_samples(tri_vertices, n_samples)
-    g = chart.evaluate(pts)
-    out = {}
-    if order == 0:
-        for key, arr in (("christoffel", g.christoffel), ("b_cov", g.b_cov),
-                         ("b_mix", g.b_mix)):
-            flat = arr.reshape(len(pts), -1)
-            out[key] = float(np.abs(flat).max(axis=0).sum())
-        return out
-    for key, arr in (("christoffel", g.d_christoffel), ("b_cov", g.d_b_cov),
-                     ("b_mix", g.d_b_mix)):
-        npts = len(pts)
-        flat = np.abs(arr.reshape(npts, -1, 2))        # (pts, comps, dir)
-        out[key] = float(flat.max(axis=(0, 2)).sum())   # max over pts and dirs
-        out[key + "_sum_dirs"] = float(flat.max(axis=0).sum())
-    return out
+    pts = _triangle_samples(np.asarray(tri_vertices, dtype=float), n_samples)
+    return {key: float(v) for key, v in
+            triangle_seminorms(chart.evaluate(pts), order).items()}

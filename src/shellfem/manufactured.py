@@ -264,9 +264,16 @@ class ManufacturedSolution:
                 "p1": force[..., 0], "p2": force[..., 1], "p3": p3}
 
     def load_spec(self) -> LoadSpec:
+        """Loads whose five volume callables share one `volume_loads`
+        evaluation per point array."""
+        last = {}
+
         def vol(name):
             def fn(pts):
-                return self.volume_loads(pts)[name]
+                if "pts" not in last or not np.array_equal(last["pts"], pts):
+                    last["pts"] = np.array(pts, dtype=float)
+                    last["loads"] = self.volume_loads(pts)
+                return last["loads"][name]
             return fn
         return LoadSpec(p1=vol("p1"), p2=vol("p2"), p3=vol("p3"),
                         c1=vol("c1"), c2=vol("c2"), flux_provider=self)
@@ -293,8 +300,3 @@ class ManufacturedSolution:
         out[base + 3] = xi[:, 0]
         out[base + 4] = xi[:, 1]
         return out
-
-
-def div_check(sol: ManufacturedSolution, pts) -> dict:
-    """Convenience for tests: loads at points (exposes the same dictionary)."""
-    return sol.volume_loads(np.asarray(pts, dtype=float))

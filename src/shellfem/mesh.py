@@ -121,10 +121,6 @@ def _signed_areas(v, tris):
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    return _signed_areas(mesh.vertices, mesh.triangles)
-
-
 def edge_normal(mesh: Mesh, vertex_pair, owner_tri: int):
     """Constant outward unit normal (in the parameter plane) of a straight
     edge, pointing out of the owner triangle."""
@@ -335,23 +331,29 @@ def save_mesh(mesh: Mesh) -> str:
     return "\n".join(out) + "\n"
 
 
-def mesh_condition_report(mesh: Mesh, chart, epsilon: float) -> dict:
+def geometry_resolution(mesh: Mesh, chart) -> tuple:
+    """The epsilon-free part of `mesh_condition_report`: the largest
+    h_tau^2-scaled first-order geometry seminorm over the triangles, with the
+    derivative directions maxed and with them summed.  The chart is evaluated
+    at all 6 samples of every triangle at once."""
+    from .geometry import _triangle_samples, batched, triangle_seminorms
+    samples = _triangle_samples(mesh.vertices[mesh.triangles], 3)
+    semi = triangle_seminorms(batched(chart.evaluate, samples), order=1)
+    s = semi["christoffel"] + semi["b_cov"] + semi["b_mix"]
+    s_sum = (semi["christoffel_sum_dirs"] + semi["b_cov_sum_dirs"]
+             + semi["b_mix_sum_dirs"])
+    h2 = mesh.h_tau ** 2
+    return float((h2 * s).max()), float((h2 * s_sum).max())
+
+
+def mesh_condition_report(mesh: Mesh, chart, epsilon: float,
+                          resolution: tuple = None) -> dict:
     """Geometry-resolution diagnostics: the refinement factor entering the
-    mixed-method error bound and the DG applicability check."""
-    from .geometry import geometry_seminorms
-    worst = 0.0
-    worst_sum = 0.0
-    for t in range(mesh.n_triangles):
-        semi = geometry_seminorms(chart, mesh.triangle_coords(t), order=1)
-        s = semi["christoffel"] + semi["b_cov"] + semi["b_mix"]
-        s_sum = (semi["christoffel_sum_dirs"] + semi["b_cov_sum_dirs"]
-                 + semi["b_mix_sum_dirs"])
-        h2 = mesh.h_tau[t] ** 2
-        worst = max(worst, h2 * s)
-        worst_sum = max(worst_sum, h2 * s_sum)
-    factor = 1.0 + worst / epsilon
+    mixed-method error bound and the DG applicability check.  `resolution`
+    is `geometry_resolution(mesh, chart)` when the caller already has it."""
+    worst, worst_sum = resolution or geometry_resolution(mesh, chart)
     return {
-        "mixed_error_factor": factor,
+        "mixed_error_factor": 1.0 + worst / epsilon,
         "geometry_resolution": worst_sum,
         "geometry_resolved": bool(worst_sum <= epsilon),
     }

@@ -15,7 +15,8 @@ import scipy.linalg
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .assembly import FormAssembler
+from .assembly import FormAssembler, _components, field_values
+from .geometry import batched
 
 
 @dataclass
@@ -199,65 +200,51 @@ class NormEngine:
 
     def error_norms(self, primal: np.ndarray, exact) -> dict:
         """H_h and strain norms of (discrete field - exact field); `exact`
-        provides values(pts)->(...,5) and grads(pts)->(...,5,2)."""
+        provides values(pts)->(n,5) and grads(pts)->(n,5,2), called on all
+        element quadrature points, then values on all non-free boundary-edge
+        points."""
         asm = self.asm
         layout = self.layout
         e = asm._elem_data()
+        nt, nq = e.qpts.shape[:2]
+        ev, eg = batched(lambda p: (exact.values(p), exact.grads(p)),
+                         e.qpts.reshape(-1, 2))
+        ev, eg = ev.reshape(nt, nq, 5), eg.reshape(nt, nq, 5, 2)
         H2 = 0.0
         rho2 = gam2 = tau2 = 0.0
         from . import strain as strain_mod
         for t in range(asm.mesh.n_triangles):
-            st = asm._element_strains(t)
-            th, thg, u, ug, wv, wg = st.fields
-            x = primal[layout.element_dofs(t)]
-            pts = e.qpts[t]
-            ev = exact.values(pts)
-            eg = exact.grads(pts)
-            dth = np.einsum("qka,k->qa", th, x) - ev[:, 0:2]
-            dthg = np.einsum("qkab,k->qab", thg, x) - eg[:, 0:2, :]
-            du = np.einsum("qka,k->qa", u, x) - ev[:, 2:4]
-            dug = np.einsum("qkab,k->qab", ug, x) - eg[:, 2:4, :]
-            dw = np.einsum("qk,k->q", wv, x) - ev[:, 4]
-            dwg = np.einsum("qka,k->qa", wg, x) - eg[:, 4, :]
+            v, g = field_values(asm._element_strains(t).fields,
+                                primal[layout.element_dofs(t)])
+            dv, dg = v - ev[t], g - eg[t]
             w = e.areas[t] * e.wq
-            H2 += float(w @ (np.sum(dth ** 2 + du ** 2, axis=-1)
-                             + np.sum(dthg ** 2 + dug ** 2, axis=(-2, -1))
-                             + dw ** 2 + np.sum(dwg ** 2, axis=-1)))
-            g = asm._geom_at(e.geom, t, extra_axis=False)
-            r, gm, ta = strain_mod.strains(dth, dthg, du, dug, dw, dwg, g)
+            H2 += float(w @ (np.sum(dv ** 2, axis=-1)
+                             + np.sum(dg ** 2, axis=(-2, -1))))
+            r, gm, ta = strain_mod.strains(dv[:, 0:2], dg[:, 0:2], dv[:, 2:4],
+                                           dg[:, 2:4], dv[:, 4], dg[:, 4],
+                                           e.geom[t])
             rho2 += float(w @ np.sum(r ** 2, axis=(-2, -1)))
             gam2 += float(w @ np.sum(gm ** 2, axis=(-2, -1)))
             tau2 += float(w @ np.sum(ta ** 2, axis=-1))
         # edge jumps: exact fields are continuous, so jumps of the difference
         # equal jumps of the discrete field; boundary traces subtract exact
         interior, boundary = asm._edge_data()
-        for ed in interior:
-            L, R = ed.edge.left, ed.edge.right
-            sL = asm._side_arrays(L, ed.pts, ed.geom)
-            sR = asm._side_arrays(R, ed.pts, ed.geom)
-            xL = primal[layout.element_dofs(L)]
-            xR = primal[layout.element_dofs(R)]
-            jth = (np.einsum("qka,k->qa", sL.th, xL)
-                   - np.einsum("qka,k->qa", sR.th, xR))
-            ju = (np.einsum("qka,k->qa", sL.u, xL)
-                  - np.einsum("qka,k->qa", sR.u, xR))
-            jw = (np.einsum("qk,k->q", sL.w, xL)
-                  - np.einsum("qk,k->q", sR.w, xR))
-            H2 += float(ed.we @ (np.sum(jth ** 2 + ju ** 2, axis=-1) + jw ** 2))
-        for ed in boundary:
-            tag = ed.edge.tag
-            if tag == "F":
-                continue
-            t = ed.edge.triangle
+        def trace(t, ed):
             s = asm._side_arrays(t, ed.pts, ed.geom)
-            x = primal[layout.element_dofs(t)]
-            ev = exact.values(ed.pts)
-            du = np.einsum("qka,k->qa", s.u, x) - ev[:, 2:4]
-            dw = np.einsum("qk,k->q", s.w, x) - ev[:, 4]
-            H2 += float(ed.we @ (np.sum(du ** 2, axis=-1) + dw ** 2))
-            if tag == "D":
-                dth = np.einsum("qka,k->qa", s.th, x) - ev[:, 0:2]
-                H2 += float(ed.we @ np.sum(dth ** 2, axis=-1))
+            return np.einsum("qkc,k->qc", _components(s.th, s.u, s.w),
+                             primal[layout.element_dofs(t)])
+
+        for ed in interior:
+            jump = trace(ed.edge.left, ed) - trace(ed.edge.right, ed)
+            H2 += float(ed.we @ np.sum(jump ** 2, axis=-1))
+        fixed = [ed for ed in boundary if ed.edge.tag != "F"]
+        bpts = np.array([ed.pts for ed in fixed]).reshape(-1, 2)
+        bv = batched(exact.values, bpts).reshape(
+            len(fixed), asm.config.quad_edge_points, 5)
+        for ed, edge_v in zip(fixed, bv):
+            d = trace(ed.edge.triangle, ed) - edge_v
+            first = 0 if ed.edge.tag == "D" else 2      # rotations only on D
+            H2 += float(ed.we @ np.sum(d[:, first:] ** 2, axis=-1))
         return {"H_h": float(np.sqrt(H2)), "rho": float(np.sqrt(rho2)),
                 "gamma": float(np.sqrt(gam2)), "tau": float(np.sqrt(tau2))}
 

@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assembly import field_values
 from .driver import ShellProblem
-from .mesh import mesh_condition_report
+from .mesh import geometry_resolution, mesh_condition_report
 from .solve import ShellSolution
 
 
@@ -66,14 +67,9 @@ def _element_H_map(engine, primal):
     e = asm._elem_data()
     out = np.zeros(asm.mesh.n_triangles)
     for t in range(asm.mesh.n_triangles):
-        st = asm._element_strains(t)
-        th, thg, u, ug, wv, wg = st.fields
-        x = primal[asm.layout.element_dofs(t)]
-        w = e.areas[t] * e.wq
-        dth = np.einsum("qka,k->qa", th, x)
-        du = np.einsum("qka,k->qa", u, x)
-        dw = np.einsum("qk,k->q", wv, x)
-        out[t] = float(w @ (np.sum(dth ** 2 + du ** 2, axis=-1) + dw ** 2))
+        vals, _ = field_values(asm._element_strains(t).fields,
+                               primal[asm.layout.element_dofs(t)])
+        out[t] = float((e.areas[t] * e.wq) @ np.sum(vals ** 2, axis=-1))
     return np.sqrt(out)
 
 
@@ -119,8 +115,9 @@ def detect_regime(problem: ShellProblem, thresholds: dict = None,
         verdict = VERDICT_INCONCLUSIVE
 
     cond = {}
+    resolution = geometry_resolution(problem.mesh, problem.chart)
     for label, e in (("eps", eps), ("half_eps", eps / 2)):
-        rep = mesh_condition_report(problem.mesh, problem.chart, e)
+        rep = mesh_condition_report(problem.mesh, problem.chart, e, resolution)
         cond[label] = rep
         if not rep.get("geometry_resolved", True):
             cond[f"{label}_warning"] = "mesh condition violated"

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from shellfem.assembly import FormAssembler
+from shellfem.geometry import ExpressionChart, SymbolicChart
 
 
 @pytest.fixture
@@ -16,3 +18,16 @@ def form_builds(monkeypatch):
         return forms(self)
     monkeypatch.setattr(FormAssembler, "forms", counting_forms)
     return builds
+
+
+@pytest.fixture
+def chart_evaluations(monkeypatch):
+    """List that records, in order, the number of points of every
+    `Chart.evaluate` call (on either chart class) during the test."""
+    calls = []
+    for cls in (SymbolicChart, ExpressionChart):
+        def counting_evaluate(self, points, _evaluate=cls.evaluate):
+            calls.append(np.asarray(points).size // 2)
+            return _evaluate(self, points)
+        monkeypatch.setattr(cls, "evaluate", counting_evaluate)
+    return calls

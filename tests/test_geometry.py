@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from shellfem.geometry import (DegenerateChartError, DomainError,
-                               ExpressionChart, eval_elastic,
+                               ExpressionChart, GeometryEval,
+                               _tensors_from_frame, eval_elastic,
                                geometry_seminorms, make_chart)
 
 
@@ -144,3 +145,46 @@ def test_seminorms_positive_on_sphere():
     tri = np.array([[0.8, 0.2], [1.2, 0.2], [0.9, 0.7]])
     sems = geometry_seminorms(chart, tri, order=1)
     assert any(v > 0.01 for v in sems.values())
+
+
+def _evaluate_twice_framed(chart, points):
+    """ExpressionChart.evaluate as it was before it reused its first pass:
+    the frame at `points` is built again for a1, a2 and the position is
+    evaluated again."""
+    def order0(p):
+        return _tensors_from_frame(*chart._frame(p)[1:])
+    (a_cov, a_con, sqrt_a, a3, b_cov, b_mix, c_cov,
+     christoffel) = order0(points)
+    h2 = max(chart.h_fd ** 0.5, 1e-4)
+    d_b_cov = np.empty(points.shape[:-1] + (2, 2, 2))
+    d_b_mix = np.empty_like(d_b_cov)
+    d_christoffel = np.empty(points.shape[:-1] + (2, 2, 2, 2))
+    for d in range(2):
+        step = np.zeros(2)
+        step[d] = h2
+        plus, minus = order0(points + step), order0(points - step)
+        d_b_cov[..., d] = (plus[4] - minus[4]) / (2 * h2)
+        d_b_mix[..., d] = (plus[5] - minus[5]) / (2 * h2)
+        d_christoffel[..., d] = (plus[7] - minus[7]) / (2 * h2)
+    return GeometryEval(chart._position_unchecked(points),
+                        *chart._frame(points)[1:3], a3, a_cov, a_con, sqrt_a,
+                        b_cov, b_mix, c_cov, christoffel, d_b_cov, d_b_mix,
+                        d_christoffel)
+
+
+def test_expression_evaluate_reuses_first_pass_bit_for_bit():
+    chart = make_chart("expression", components=(
+        "x1", "x2", "0.25 * sin(pi * x1) * sin(pi * x2)"))
+    pts = rand_pts(np.random.default_rng(3), 40).reshape(8, 5, 2)
+    got, want = chart.evaluate(pts), _evaluate_twice_framed(chart, pts)
+    for name in GeometryEval.__dataclass_fields__:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_geometry_eval_indexing_slices_every_field():
+    g = make_chart("sphere").evaluate(
+        rand_pts(np.random.default_rng(4), 12).reshape(3, 4, 2) + 0.3)
+    part = g[1, :, None]
+    for name in GeometryEval.__dataclass_fields__:
+        assert np.array_equal(getattr(part, name),
+                              getattr(g, name)[1, :, None]), name

@@ -4,7 +4,7 @@ import pytest
 from shellfem.assembly import LoadSpec
 from shellfem.driver import ShellProblem
 from shellfem.geometry import make_chart
-from shellfem.mesh import generate_rect_mesh
+from shellfem.mesh import generate_rect_mesh, mesh_condition_report
 from shellfem.regime import (VERDICT_BENDING, VERDICT_INCONCLUSIVE,
                              VERDICT_NON_BENDING, RegimeReport, detect_regime,
                              recommend_solution)
@@ -95,3 +95,16 @@ def test_forms_built_once_per_method(form_builds):
     # calibration, both thicknesses of the mixed method and the norms share
     # one mixed assembly; the one-field method has its own
     assert sorted(form_builds) == ["dg", "mixed"]
+
+
+def test_mesh_condition_sweeps_the_chart_once(chart_evaluations):
+    prob = cylinder_problem(tags=("D", "F", "F", "F"))
+    rep = detect_regime(prob)
+    # one evaluation at the 6 samples of every triangle serves both eps
+    assert chart_evaluations.count(6 * prob.mesh.n_triangles) == 1
+    want = {}
+    for label, eps in (("eps", prob.epsilon), ("half_eps", prob.epsilon / 2)):
+        want[label] = mesh_condition_report(prob.mesh, prob.chart, eps)
+        if not want[label]["geometry_resolved"]:
+            want[f"{label}_warning"] = "mesh condition violated"
+    assert rep.mesh_condition == want
