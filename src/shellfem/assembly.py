@@ -17,14 +17,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from . import strain
 from .fe_space import LAM, eval_monos, grad_monos
 from .geometry import batched, eval_elastic
 from .mesh import edge_normal
 from .quadrature import interval_rule, triangle_rule
-from .solve import SolverError
+from .solve import SolverError, factor
 
 
 class CalibrationError(SolverError):
@@ -546,8 +545,7 @@ def _positive_definite(K) -> bool:
     n = K.shape[0]
     K = K + (1e-12 * K.diagonal().sum() / n) * sps.identity(n, format="csr")
     try:
-        lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = factor(K)
     except RuntimeError:                 # exactly singular
         return False
     return bool(np.array_equal(lu.perm_r, lu.perm_c)

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from .assembly import FormAssembler, _components, field_values
 from .geometry import batched
+from .solve import factor
 
 
 @dataclass
@@ -186,7 +186,7 @@ class NormEngine:
 
     def _qh_solve(self, r: np.ndarray) -> np.ndarray:
         if self._qh_lu is None:
-            self._qh_lu = spla.splu(self.grams()["H"].tocsc())
+            self._qh_lu = factor(self.grams()["H"])
         return self._qh_lu.solve(r)
 
     def dual_H_norm(self, r: np.ndarray) -> float:

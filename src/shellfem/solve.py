@@ -1,6 +1,6 @@
 """Linear solvers for the mixed saddle-point system and the penalized
 (DG) system, plus the single-program realization that produces either
-method from one assembled parameterized matrix."""
+method from one assembled parameterized matrix, all on one solve core."""
 
 from __future__ import annotations
 
@@ -22,46 +22,57 @@ class ShellSolution:
     meta: dict = field(default_factory=dict)
 
 
-_RESIDUAL_TOL = 1e-10
+def factor(K):
+    """The package's one sparse LU spec, for symmetric K: minimum-degree order
+    of K + K^T, nonzero diagonal pivots.  RuntimeError if K is singular."""
+    return spla.splu(sps.csc_matrix(K), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def _direct_solve(K, b, refine_steps: int = 2):
-    """Sparse LU with iterative refinement; guards the relative residual."""
-    K = K.tocsc()
+# x is accepted when its normwise backward error ||b - Kx||_inf /
+# (||K||_inf ||x||_inf + ||b||_inf) is at most BACKWARD_ERROR_MULTIPLE n u:
+# x then solves exactly a system that close to K x = b, however ill-conditioned
+# K is (Rigal-Gaches 1967; Higham, Accuracy and Stability..., sec. 7.1).
+BACKWARD_ERROR_MULTIPLE = 10
+REFINE_STEPS = 2
+_U = np.finfo(float).eps
+
+
+def _factor_refine(K, b, n_primal: int, **meta) -> ShellSolution:
+    """Solve K x = b: factor once, refine up to REFINE_STEPS times until the
+    backward error reaches u, accept x on it and add the figures to meta."""
     try:
-        lu = spla.splu(K)
+        lu = factor(K)
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
-    x = lu.solve(b)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0.0
-    for _ in range(refine_steps):
-        r = b - K @ x
-        if np.linalg.norm(r) <= _RESIDUAL_TOL * bnorm:
-            break
+    k_inf, b_inf = spla.norm(K, np.inf), np.abs(b).max(initial=0)
+    x, r = np.zeros_like(b), b
+    for _ in range(REFINE_STEPS + 1):
         x = x + lu.solve(r)
-    rel = np.linalg.norm(b - K @ x) / bnorm
-    if not np.isfinite(rel) or rel > _RESIDUAL_TOL:
-        raise SolverError(f"relative residual {rel:.3e} exceeds "
-                          f"{_RESIDUAL_TOL:.0e}; the system may need a larger "
-                          "penalty constant or a finer mesh")
-    return x, float(rel)
+        r = b - K @ x
+        scale = k_inf * np.abs(x).max(initial=0) + b_inf
+        berr = np.abs(r).max(initial=0) / (scale or 1.0)
+        if berr <= _U:
+            break
+    bound = BACKWARD_ERROR_MULTIPLE * K.shape[0] * _U
+    if not berr <= bound:
+        raise SolverError(f"backward error {berr:.3e} exceeds the bound "
+                          f"{bound:.3e}: K is singular to working precision")
+    inv = spla.LinearOperator(K.shape, lu.solve, dtype=float,
+                              rmatvec=lambda y: lu.solve(y, trans="T"))
+    meta.update(residual=float(np.linalg.norm(r) / (np.linalg.norm(b) or 1)),
+                backward_error=float(berr), lu_fill=lu.nnz,
+                cond_est=float(spla.onenormest(inv, t=1) * spla.norm(K, 1)))
+    return ShellSolution(primal=x[:n_primal], meta=meta,
+                         aux=x[n_primal:] if len(x) > n_primal else None)
 
 
 def solve_mixed(A, B, C, f, epsilon: float, meta=None) -> ShellSolution:
     """Solve [[A, B^T], [B, -eps^2 C]] [x; m] = [f; 0]."""
-    n = A.shape[0]
-    n3 = C.shape[0]
     K = sps.bmat([[A, B.T], [B, -epsilon ** 2 * C]], format="csc")
-    b = np.concatenate([f, np.zeros(n3)])
-    x, rel = _direct_solve(K, b)
-    out = ShellSolution(primal=x[:n], aux=x[n:],
-                        meta={"method": "mixed", "epsilon": epsilon,
-                              "residual": rel})
-    if meta:
-        out.meta.update(meta)
-    return out
+    b = np.concatenate([f, np.zeros(C.shape[0])])
+    return _factor_refine(K, b, len(f), method="mixed", epsilon=epsilon,
+                          **(meta or {}))
 
 
 def solve_dg(R, G, T, f, epsilon: float, scaling: str = "auto",
@@ -74,20 +85,13 @@ def solve_dg(R, G, T, f, epsilon: float, scaling: str = "auto",
     if scaling == "auto":
         scaling = "scaled" if epsilon <= 1e-2 else "original"
     if scaling == "original":
-        K = (R + epsilon ** -2 * (G + T)).tocsc()
-        b = f
+        K, b = R + epsilon ** -2 * (G + T), f
     elif scaling == "scaled":
-        K = (epsilon ** 2 * R + G + T).tocsc()
-        b = epsilon ** 2 * f
+        K, b = epsilon ** 2 * R + G + T, epsilon ** 2 * f
     else:
         raise ValueError(f"unknown scaling {scaling!r}")
-    x, rel = _direct_solve(K, b)
-    out = ShellSolution(primal=x, aux=None,
-                        meta={"method": "dg", "epsilon": epsilon,
-                              "scaling": scaling, "residual": rel})
-    if meta:
-        out.meta.update(meta)
-    return out
+    return _factor_refine(K, b, len(f), method="dg", epsilon=epsilon,
+                          scaling=scaling, **(meta or {}))
 
 
 def realize_via_theta(assembler, mode: str, epsilon: float,
@@ -98,15 +102,11 @@ def realize_via_theta(assembler, mode: str, epsilon: float,
     layout = assembler.layout
     f = loads_rhs if loads_rhs is not None else np.zeros(layout.n_primal)
     if mode == "mixed":
-        A = assembler.a_theta(1.0)
-        return solve_mixed(A, assembler.b_matrix(), assembler.c_matrix(),
-                           f, epsilon, meta={"via": "theta"})
+        return solve_mixed(assembler.a_theta(1.0), assembler.b_matrix(),
+                           assembler.c_matrix(), f, epsilon, {"via": "theta"})
     if mode == "dg":
-        A = assembler.a_theta(epsilon ** -2).tocsr()
         n1 = layout.n_block1
-        K = A[:n1, :n1].tocsc()
-        x, rel = _direct_solve(K, f[:n1])
-        return ShellSolution(primal=x, aux=None,
-                             meta={"method": "dg", "epsilon": epsilon,
-                                   "via": "theta", "residual": rel})
+        K = assembler.a_theta(epsilon ** -2).tocsr()[:n1, :n1]
+        return _factor_refine(K, f[:n1], n1, method="dg", epsilon=epsilon,
+                              via="theta")
     raise ValueError(f"unknown mode {mode!r}")

@@ -284,14 +284,15 @@ def test_layout_bases_match_per_element_construction(chart):
     assert kinds == {"P1", "Pe", "Pv"}
 
 
-@pytest.mark.parametrize("method", ["mixed", "dg"])
+@pytest.mark.parametrize("method,tags", [
+    ("mixed", "DSFS"), ("dg", "DSFS"), ("mixed", "DFFF"), ("dg", "DFFF")],
+    ids=["mixed", "dg", "mixed-DFFF", "dg-DFFF"])
 def test_solve_chart_evaluations_do_not_grow_with_mesh(chart_evaluations,
-                                                       method):
+                                                       method, tags):
     chart = make_chart("cylinder")
     counts = []
     for n in (4, 8):
-        mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), n, n,
-                                  tags=("D", "S", "F", "S"))
+        mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), n, n, tags=tuple(tags))
         problem = ShellProblem(chart=chart, mesh=mesh, epsilon=1e-2,
                                loads=LoadSpec(p3=lambda p: np.ones(len(p))))
         chart_evaluations.clear()

@@ -7,6 +7,7 @@ import pytest
 from shellfem import assembly, cli
 from shellfem.cli import (ConfigError, STUDIES, build_spec, main,
                           parse_config)
+from shellfem.regime import VERDICT_BENDING
 
 GOOD = """
 # clamped cylindrical panel
@@ -222,6 +223,46 @@ def test_readme_config_block_builds():
         variant = lines.copy()
         variant[i] = lines[i].lstrip("# ")
         build_spec(parse_config("\n".join(variant)))
+
+
+def test_readme_python_example_runs_as_written(capsys):
+    """The README Python API example (8x8 cylinder, tags D,F,F,F,
+    eps = 1e-3) solves both methods and is bending-dominated (criterion
+    07a)."""
+    block = re.search(r"```python\n(.*?)```", README.read_text(),
+                      re.S).group(1)
+    scope = {}
+    exec(block, scope)
+    assert scope["verdict"].verdict == VERDICT_BENDING
+    assert scope["best"] is scope["sols"]["mixed_eps"]
+    assert capsys.readouterr().out
+
+
+# The README Python API example as a config file.
+README_REGIME = """
+[chart]
+kind = cylinder
+radius = 1.0
+
+[mesh]
+rect = 0, 1, 0, 1
+nx = 8
+ny = 8
+tags = D, F, F, F
+
+[material]
+epsilon = 0.001
+
+[loads]
+p3 = 1
+"""
+
+
+def test_readme_regime_study_exits_zero(tmp_path):
+    out = tmp_path / "out"
+    assert main(["regime", write(tmp_path, README_REGIME), "--out",
+                 str(out)]) == 0
+    assert f"verdict: {VERDICT_BENDING}" in (out / "regime.txt").read_text()
 
 
 @pytest.mark.parametrize("manufactured", [False, True])

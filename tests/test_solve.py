@@ -3,11 +3,13 @@ import pytest
 import scipy.sparse as sps
 
 from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec, Material
+from shellfem.driver import ShellProblem
 from shellfem.fe_space import build_dof_layout
 from shellfem.geometry import make_chart
 from shellfem.mesh import generate_rect_mesh
-from shellfem.solve import (ShellSolution, SolverError, realize_via_theta,
-                            solve_dg, solve_mixed)
+from shellfem.solve import (BACKWARD_ERROR_MULTIPLE, ShellSolution,
+                            SolverError, realize_via_theta, solve_dg,
+                            solve_mixed)
 
 
 def setup(enrichment, tags=("D", "D", "D", "D")):
@@ -112,14 +114,71 @@ def test_via_theta_dg_matches_standalone():
 
 
 def test_residual_guard_raises():
-    # a singular system violates the relative-residual guard
+    # an exactly singular system fails in the solve core's factorization
     n = 10
     K = sps.eye(n, format="lil")
     K[0, 0] = 0.0  # exactly singular row
+    zero = sps.csr_matrix((n, n))
+    with pytest.raises(SolverError, match="factorization failed"):
+        solve_dg(K.tocsr(), zero, zero, np.ones(n), 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_solution_fails_the_backward_error_bound():
+    n = 4
+    zero = sps.csr_matrix((n, n))
     b = np.ones(n)
-    with pytest.raises((SolverError, RuntimeError)):
-        from shellfem.solve import _direct_solve
-        _direct_solve(K.tocsc(), b)
+    b[1] = np.inf
+    with pytest.raises(SolverError, match="backward error nan exceeds"):
+        solve_dg(sps.identity(n, format="csr"), zero, zero, b, 1.0)
+
+
+@pytest.fixture(scope="module")
+def readme_problem():
+    """The README example: 8x8 cylinder, tags D,F,F,F, eps = 1e-3."""
+    chart = make_chart("cylinder", radius=1.0)
+    mesh = generate_rect_mesh((0, 1, 0, 1), 8, 8, tags=("D", "F", "F", "F"))
+    return ShellProblem(chart=chart, mesh=mesh, epsilon=1e-3,
+                        loads=LoadSpec(p3=lambda p: np.ones(len(p))))
+
+
+def bound(n):
+    return BACKWARD_ERROR_MULTIPLE * n * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 1e-3, 5e-4, 1e-4])
+def test_penalized_readme_solves_are_accepted(readme_problem, epsilon):
+    """Both penalized paths solve the README system at every thickness, with
+    a backward error below the bound and the same solution."""
+    direct = readme_problem.solve("dg", epsilon=epsilon)
+    via = readme_problem.solve("dg", epsilon=epsilon, via_theta=True)
+    n = len(direct.primal)
+    for sol in (direct, via):
+        assert sol.meta["backward_error"] <= bound(n)
+    scale = np.abs(direct.primal).max()
+    assert np.abs(direct.primal - via.primal).max() < 1e-8 * scale
+
+
+def test_residual_above_old_guard_is_accepted_on_backward_error(
+        readme_problem):
+    """The README dg system at eps = 1e-3 is ill-conditioned: its relative
+    residual exceeds 1e-10, yet x is backward stable and accepted."""
+    sol = readme_problem.solve("dg", epsilon=1e-3)
+    assert sol.meta["residual"] > 1e-10
+    assert sol.meta["backward_error"] < bound(len(sol.primal))
+    assert sol.meta["backward_error"] < 1e-15
+
+
+@pytest.mark.parametrize("method", ["mixed", "dg"])
+def test_meta_reports_the_solve(readme_problem, method):
+    sol = readme_problem.solve(method)
+    n = len(sol.primal) + (0 if sol.aux is None else len(sol.aux))
+    for key in ("residual", "backward_error", "lu_fill", "cond_est"):
+        assert np.isfinite(sol.meta[key]), key
+    assert sol.meta["backward_error"] <= bound(n)
+    assert sol.meta["lu_fill"] >= n
+    # the README system is ill-conditioned, and its condition estimate shows
+    assert sol.meta["cond_est"] > 1e6
 
 
 def test_solution_dataclass_meta():
