@@ -1,10 +1,17 @@
 """Global assembly of the shell bilinear forms and load functionals.
 
 The assembler precomputes geometry and basis data at all element and edge
-quadrature points, then builds each global sparse matrix in one pass over
-elements plus one pass over edges.  Penalty contributions are kept in
-separate matrices so the penalty constant can be recalibrated without
-reassembling anything.
+quadrature points once.  Every sweep then runs one batched kernel over
+groups: elements grouped by local size (15, 21 or 27 DOFs), interior edges
+by the local sizes of their two sides, boundary edges by local size and tag,
+and arbitrary points by the local size of their element.  Each group is cut
+into slices of at most geometry.POINT_BUDGET points, on which basis traces,
+field arrays and strains carry a leading element axis and each local matrix
+is one batched matmul.  The primal matrices share one CSR pattern (element
+blocks and interior-edge pair blocks); each is one bincount of its local
+entries into that pattern.  Penalty contributions are kept in separate
+matrices so the penalty constant can be recalibrated without reassembling
+anything.
 
 All square matrices are over the primal DOFs (blocks 1+2 of the layout);
 the stress coupling block has shape (n_block3, n_primal).
@@ -18,8 +25,8 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sps
 
-from . import strain
-from .fe_space import LAM, eval_monos, grad_monos
+from . import geometry, strain
+from .fe_space import N_MONO, eval_monos, grad_monos
 from .geometry import batched, eval_elastic
 from .mesh import edge_normal
 from .quadrature import interval_rule, triangle_rule
@@ -80,19 +87,78 @@ def _load_values(fns, pts):
                                                     + pts.shape[:-1])
 
 
-def _components(th, u, w):
-    """theta1, theta2, u1, u2, w of each local DOF: (q, nl, 5), from the
-    field arrays (th, u, w) = fields[::2] of `_field_arrays`."""
-    return np.concatenate([th, u, w[..., None]], axis=-1)
+def _groups(keys, npts):
+    """Row indices of the integer array `keys` (N, m) grouped by equal rows,
+    each group cut into slices of at most POINT_BUDGET points at `npts`
+    points a row."""
+    if not len(keys):
+        return
+    step = max(1, geometry.POINT_BUDGET // npts)
+    _, inv = np.unique(keys, axis=0, return_inverse=True)
+    inv = inv.ravel()
+    for g in range(inv.max() + 1):
+        rows = np.flatnonzero(inv == g)
+        for i in range(0, len(rows), step):
+            yield rows[i:i + step]
 
 
-def field_values(fields, x):
-    """Values (q, 5) and gradients (q, 5, 2) of theta1, theta2, u1, u2, w
-    from the field arrays of `_field_arrays` and local DOF values x."""
-    th, thg, u, ug, w, wg = fields
-    grads = np.concatenate([thg, ug, wg[..., None, :]], axis=-2)
-    return (np.einsum("qkc,k->qc", _components(th, u, w), x),
-            np.einsum("qkcd,k->qcd", grads, x))
+def _gram(w, x, y):
+    """(E, k, l) sums over points q and trailing components of
+    w[e, q] x[e, k, q, ...] y[e, l, q, ...]; w may be (q,), and x or y may
+    have a leading axis of length 1."""
+    wx = x * np.reshape(w, np.shape(w)[:-1] + (1, -1) + (1,) * (x.ndim - 3))
+    wx = wx.reshape(wx.shape[:2] + (-1,))
+    return wx @ np.swapaxes(y.reshape(y.shape[:2] + (-1,)), 1, 2)
+
+
+def _field_arrays(vals, grads):
+    """Values (E, nl, q, 5) and gradients (E, nl, q, 5, 2) of theta1, theta2,
+    u1, u2, w for every local DOF, from the displacement-basis values vals
+    (E, nf, q) and physical gradients grads (E, nf, q, 2).  Local DOF order:
+    theta1(3), theta2(3), u1(nf), u2(nf), w(nf); rotations are P1, the first
+    three basis functions."""
+    E, nf, nq = vals.shape
+    c = np.zeros((E, 6 + 3 * nf, nq, 5))
+    cg = np.zeros(c.shape + (2,))
+    for comp, start in enumerate((0, 3, 6, 6 + nf, 6 + 2 * nf)):
+        n = 3 if comp < 2 else nf
+        c[:, start:start + n, :, comp] = vals[:, :n]
+        cg[:, start:start + n, :, comp] = grads[:, :n]
+    return c, cg
+
+
+class _Pattern:
+    """CSR pattern of a union of dense blocks, rows x cols for each pair of
+    index arrays (E, m) and (E, l) in `blocks`.  Local block values are
+    summed into it with one bincount per matrix."""
+
+    def __init__(self, shape, blocks):
+        self.shape = shape
+        # sorted unique keys (np.unique hashes, which is far slower here)
+        keys = np.sort(np.concatenate([self._keys(r, c).ravel()
+                                       for r, c in blocks]
+                                      + [np.zeros(0, dtype=int)]))
+        self.keys = keys[np.diff(keys, prepend=-1) != 0]
+
+    def _keys(self, rows, cols):
+        return rows[:, :, None] * self.shape[1] + cols[:, None, :]
+
+    def slots(self, rows, cols):
+        """Data slot of every entry of the blocks rows x cols."""
+        return np.searchsorted(self.keys, self._keys(rows, cols))
+
+    def data(self, pieces):
+        """Sum of the local values of pieces [(slots, values), ...]."""
+        if not pieces:
+            return np.zeros(len(self.keys))
+        return np.bincount(np.concatenate([s.ravel() for s, _ in pieces]),
+                           np.concatenate([v.ravel() for _, v in pieces]),
+                           minlength=len(self.keys))
+
+    def csr(self, data):
+        rows, cols = np.divmod(self.keys, max(1, self.shape[1]))
+        indptr = np.searchsorted(rows, np.arange(self.shape[0] + 1))
+        return sps.csr_matrix((data, cols, indptr), shape=self.shape)
 
 
 class FormAssembler:
@@ -105,15 +171,15 @@ class FormAssembler:
         self.config = config
         self._elem = None
         self._edges = None
+        self._patterns = None
         self._forms = None
-        self._strain_cache = {}
 
     # ------------------------------------------------------------ element data
 
     def _elem_data(self):
         if self._elem is not None:
             return self._elem
-        mesh, chart = self.mesh, self.chart
+        mesh, chart, layout = self.mesh, self.chart, self.layout
         bary, wq = triangle_rule(self.config.quad_tri_degree)
         nt = mesh.n_triangles
         coords = mesh.vertices[mesh.triangles]                      # (nt,3,2)
@@ -121,117 +187,152 @@ class FormAssembler:
         d1, d2 = v1 - v0, v2 - v0
         areas = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         J = np.stack([v0 - v2, v1 - v2], axis=-1)                   # (nt,2,2)
-        Jinv = np.linalg.inv(J)
         qpts = np.einsum("qi,tix->tqx", bary, coords)               # (nt,nq,2)
         geom = batched(chart.evaluate, qpts)
         elastic = eval_elastic(geom, self.material.lam, self.material.mu,
                                self.material.kappa)
-        monos = eval_monos(bary[:, :2])                              # (nq,10)
-        gmonos = grad_monos(bary[:, :2])                             # (nq,10,2)
-        vals, grads = [], []
-        for t in range(nt):
-            cf = self.layout.bases[t].coeffs                         # (nf,10)
-            vals.append(monos @ cf.T)                                # (nq,nf)
-            gb = np.einsum("qmd,fm->qfd", gmonos, cf)
-            grads.append(np.einsum("qfd,di->qfi", gb, Jinv[t]))
+        # basis coefficients and DOFs, padded to the largest local size
+        nf = np.array([lb.n_funcs for lb in layout.bases])
+        coeffs = np.zeros((nt, nf.max(), N_MONO))
+        dofs = np.full((nt, 6 + 3 * nf.max()), -1)
+        for t, lb in enumerate(layout.bases):
+            coeffs[t, :nf[t]] = lb.coeffs
+            dofs[t, :6 + 3 * nf[t]] = layout.element_dofs(t)
+        aux = (5 * mesh.triangles[..., None] + np.arange(5)).reshape(nt, 15)
         self._elem = SimpleNamespace(bary=bary, wq=wq, coords=coords,
-                                     areas=areas, Jinv=Jinv, qpts=qpts,
-                                     geom=geom, elastic=elastic,
-                                     vals=vals, grads=grads)
+                                     areas=areas, Jinv=np.linalg.inv(J),
+                                     qpts=qpts, geom=geom, elastic=elastic,
+                                     nf=nf, coeffs=coeffs, dofs=dofs, aux=aux)
         return self._elem
 
-    def _field_arrays(self, t, vals, grads):
-        """Per-DOF field arrays on element t at points where the displacement
-        basis has values `vals` (nq,nf) and physical grads `grads` (nq,nf,2).
-        Local DOF order: theta1(3), theta2(3), u1(nf), u2(nf), w(nf)."""
-        nq, nf = vals.shape
-        nl = 6 + 3 * nf
-        p1v, p1g = vals[:, :3], grads[:, :3]
-        th = np.zeros((nq, nl, 2))
-        thg = np.zeros((nq, nl, 2, 2))
-        u = np.zeros((nq, nl, 2))
-        ug = np.zeros((nq, nl, 2, 2))
-        w = np.zeros((nq, nl))
-        wg = np.zeros((nq, nl, 2))
-        th[:, 0:3, 0] = p1v
-        th[:, 3:6, 1] = p1v
-        thg[:, 0:3, 0, :] = p1g
-        thg[:, 3:6, 1, :] = p1g
-        s1, s2, s3 = slice(6, 6 + nf), slice(6 + nf, 6 + 2 * nf), \
-            slice(6 + 2 * nf, 6 + 3 * nf)
-        u[:, s1, 0] = vals
-        u[:, s2, 1] = vals
-        ug[:, s1, 0, :] = grads
-        ug[:, s2, 1, :] = grads
-        w[:, s3] = vals
-        wg[:, s3, :] = grads
-        return th, thg, u, ug, w, wg
-
-    def _element_strains(self, t):
-        """Strain arrays per local DOF at the volume quadrature points."""
-        if t in self._strain_cache:
-            return self._strain_cache[t]
+    def _dofs(self, t):
+        """DOFs (E, nl) of the elements t (E,), all of one local size."""
         e = self._elem_data()
-        fields = self._field_arrays(t, e.vals[t], e.grads[t])
-        g = e.geom[t, :, None]
-        th, thg, u, ug, w, wg = fields
-        rho, gam, tau = strain.strains(th, thg, u, ug, w, wg, g)
-        out = SimpleNamespace(rho=rho, gamma=gam, tau=tau, fields=fields)
-        self._strain_cache[t] = out
-        return out
+        return e.dofs[t, :6 + 3 * e.nf[t[0]]]
+
+    def _local(self, t, pts=None):
+        """DOFs (E, nl) and the field arrays (c, cg) of `_field_arrays` of
+        the elements t (E,), all of one local size, at the volume quadrature
+        points or at parameter points pts (E, q, 2)."""
+        e = self._elem_data()
+        if pts is None:
+            lam12 = np.broadcast_to(e.bary[:, :2], (len(t), len(e.wq), 2))
+        else:
+            lam12 = np.einsum("eij,eqj->eqi", e.Jinv[t],
+                              pts - e.coords[t, None, 2])
+        cf = e.coeffs[t, :e.nf[t[0]]]                               # (E,nf,10)
+        vals = cf @ np.swapaxes(eval_monos(lam12), 1, 2)            # (E,nf,q)
+        gmonos = np.moveaxis(grad_monos(lam12), 2, 1)               # (E,10,q,2)
+        grads = ((cf @ gmonos.reshape(len(t), N_MONO, -1))
+                 .reshape(vals.shape + (2,)) @ e.Jinv[t, None])
+        return self._dofs(t), _field_arrays(vals, grads)
+
+    def _point_batches(self, owners, pts=None):
+        """(s, dofs, (c, cg)) per slice s of `owners` whose elements share a
+        local size: `_local` at pts[s], or at the volume points."""
+        e = self._elem_data()
+        nq = len(e.wq) if pts is None else pts.shape[1]
+        for s in _groups(e.nf[owners, None], nq):
+            yield (s,) + self._local(owners[s], None if pts is None
+                                     else pts[s])
+
+    def _element_batches(self):
+        """(t, dofs, (c, cg), (rho, gamma, tau)) per slice t of elements of
+        one local size, at the volume quadrature points."""
+        geom = self._elem_data().geom
+        for t, dofs, f in self._point_batches(np.arange(self.mesh.n_triangles)):
+            yield t, dofs, f, strain.field_strains(*f, geom[t, None])
+
+    def field_values(self, primal, owners, pts=None):
+        """Values (E, q, 5) and gradients (E, q, 5, 2) of theta1, theta2, u1,
+        u2, w of the primal vector on the elements owners (E,) at parameter
+        points pts (E, q, 2), or at the volume quadrature points."""
+        nq = len(self._elem_data().wq) if pts is None else pts.shape[1]
+        vals = np.empty((len(owners), nq, 5))
+        grads = np.empty((len(owners), nq, 5, 2))
+        for s, dofs, (c, cg) in self._point_batches(owners, pts):
+            vals[s] = np.einsum("ekqc,ek->eqc", c, primal[dofs])
+            grads[s] = np.einsum("ekqcd,ek->eqcd", cg, primal[dofs])
+        return vals, grads
 
     # --------------------------------------------------------------- edge data
 
-    def _trace_at(self, t, pts):
-        """Displacement-basis traces and physical gradients on element t at
-        arbitrary parameter points (from either side of an edge)."""
-        e = self._elem_data()
-        v2 = e.coords[t, 2]
-        lam12 = (pts - v2) @ e.Jinv[t].T
-        cf = self.layout.bases[t].coeffs
-        vals = eval_monos(lam12) @ cf.T
-        gb = np.einsum("qmd,fm->qfd", grad_monos(lam12), cf)
-        grads = np.einsum("qfd,di->qfi", gb, e.Jinv[t])
-        return vals, grads
-
     def _edge_data(self):
+        """Stacked data of the interior and of the boundary edges: points,
+        geometry and elastic tensors, h, normals pointing out of `left`, the
+        owners `left` and `right` (-1 on the boundary) and tags ("" inside)."""
         if self._edges is not None:
             return self._edges
         mesh, mat = self.mesh, self.material
         te, we = interval_rule(self.config.quad_edge_points)
 
-        def sweep(edges, h, owner):
-            """Per-edge data, the geometry of all edges evaluated at once."""
-            ends = mesh.vertices[np.array([e.vertices for e in edges],
-                                          dtype=int).reshape(-1, 2)]
+        def sweep(edges, h, left, right, tag):
+            """The geometry of all edges evaluated at once."""
+            verts = np.array([e.vertices for e in edges],
+                             dtype=int).reshape(-1, 2)
+            ends = mesh.vertices[verts]
             pts = (ends[:, None, 0] * (1 - te)[:, None]
                    + ends[:, None, 1] * te[:, None])          # (ne,nq,2)
             geom = batched(self.chart.evaluate, pts)
-            elastic = eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic
             tang = ends[:, 1] - ends[:, 0]
             tang /= np.linalg.norm(tang, axis=1)[:, None]
-            arc = np.sqrt(np.einsum("eqab,ea,eb->eq", geom.a_cov, tang, tang))
-            return [SimpleNamespace(edge=e, pts=pts[k], te=te, we=we, h=h[k],
-                                    geom=geom[k], elastic=elastic[k],
-                                    arc=arc[k],
-                                    nbar=edge_normal(mesh, e.vertices, owner(e)))
-                    for k, e in enumerate(edges)]
+            left = np.array(left, dtype=int)
+            return SimpleNamespace(
+                pts=pts, geom=geom, te=te, we=we, h=h, verts=verts, left=left,
+                right=np.array(right, dtype=int), tag=np.array(tag, dtype=str),
+                elastic=eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic,
+                arc=np.sqrt(np.einsum("eqab,ea,eb->eq", geom.a_cov, tang, tang)),
+                nbar=np.array([edge_normal(mesh, v, t) for v, t in
+                               zip(verts, left)]).reshape(-1, 2))
 
-        interior = sweep(mesh.interior_edges, mesh.h_e_interior,
-                         lambda e: e.left)
-        boundary = sweep(mesh.boundary_edges, mesh.h_e_boundary,
-                         lambda e: e.triangle)
-        self._edges = (interior, boundary)
+        inner, outer = mesh.interior_edges, mesh.boundary_edges
+        self._edges = (
+            sweep(inner, mesh.h_e_interior, [e.left for e in inner],
+                  [e.right for e in inner], [""] * len(inner)),
+            sweep(outer, mesh.h_e_boundary, [e.triangle for e in outer],
+                  [-1] * len(outer), [e.tag for e in outer]))
         return self._edges
 
-    def _side_arrays(self, t, pts, geom):
-        """Traces, per-DOF strains on one side of an edge."""
-        vals, grads = self._trace_at(t, pts)
-        fields = self._field_arrays(t, vals, grads)
-        g = geom[:, None]
-        th, thg, u, ug, w, wg = fields
-        rho, gam, tau = strain.strains(th, thg, u, ug, w, wg, g)
-        return SimpleNamespace(th=th, u=u, w=w, rho=rho, gamma=gam, tau=tau)
+    def _edge_batches(self, d):
+        """Per slice k of the edges of `d` not tagged F that share the local
+        sizes of their sides and their tag: (k, dofs, jumps, strains).  The
+        jumps are the values (E, nl, q, 5) of left minus right (one-sided on
+        the boundary), the strains (rho, gamma, tau) the mean of the sides."""
+        e = self._elem_data()
+        keys = np.stack([e.nf[d.left], np.where(d.right < 0, -1, e.nf[d.right]),
+                         np.unique(d.tag, return_inverse=True)[1]], axis=1)
+        rows = np.flatnonzero(d.tag != "F")
+        for k in (rows[s] for s in _groups(keys[rows], len(d.we))):
+            owners = [d.left[k]] + ([d.right[k]] if d.right[k[0]] >= 0 else [])
+            sides = [self._local(t, d.pts[k]) for t in owners]
+            strains = [strain.field_strains(*f, d.geom[k, None])
+                       for _, f in sides]
+            yield (k, np.concatenate([dofs for dofs, _ in sides], axis=1),
+                   np.concatenate([sign * c for sign, (_, (c, _)) in
+                                   zip((1.0, -1.0), sides)], axis=1),
+                   [np.concatenate(x, axis=1) / len(sides)
+                    for x in zip(*strains)])
+
+    def _pattern(self):
+        """CSR patterns of the primal matrices (element blocks and
+        interior-edge pair blocks), of B and of C (element blocks)."""
+        if self._patterns is None:
+            e = self._elem_data()
+            d = self._edge_data()[0]
+            n, n3 = self.layout.n_primal, self.layout.n_block3
+            groups = list(_groups(e.nf[:, None], 1))
+            blocks = [(self._dofs(t),) * 2 for t in groups]
+            for k in _groups(np.stack([e.nf[d.left], e.nf[d.right]], 1), 1):
+                pair = np.concatenate([self._dofs(d.left[k]),
+                                       self._dofs(d.right[k])], axis=1)
+                blocks.append((pair, pair))
+            aux = self.layout.with_aux
+            self._patterns = (
+                _Pattern((n, n), blocks),
+                _Pattern((n3, n), [(e.aux[t], self._dofs(t)) for t in groups]
+                         if aux else []),
+                _Pattern((n3, n3), [(e.aux, e.aux)] if aux else []))
+        return self._patterns
 
     # ----------------------------------------------------------- global forms
 
@@ -241,166 +342,74 @@ class FormAssembler:
         mass block."""
         if self._forms is not None:
             return self._forms
-        layout = self.layout
-        mesh = self.mesh
         mu, kappa = self.material.mu, self.material.kappa
-        n = layout.n_primal
-        n3 = layout.n_block3
-        acc = {key: ([], [], []) for key in
-               ("R", "Rp", "G", "Gp", "T", "Tp", "B")}
-
-        def add(key, rows, cols, vals):
-            r, c, v = acc[key]
-            r.append(np.broadcast_to(rows, vals.shape).ravel())
-            c.append(np.broadcast_to(cols, vals.shape).ravel())
-            v.append(vals.ravel())
-
+        aux = self.layout.with_aux
+        primal, coupling, stress = self._pattern()
+        pieces = {key: [] for key in
+                  ("R", "R_pen", "G", "G_pen", "T", "T_pen", "B", "C")}
         e = self._elem_data()
-        c_rows, c_cols, c_vals = [], [], []
-        for t in range(mesh.n_triangles):
-            st = self._element_strains(t)
-            wfac = e.areas[t] * e.wq * e.geom.sqrt_a[t]
+        S = _aux_basis(e.bary)[None]                        # (1,15,nq,6)
+        M, xi = S[..., :4].reshape(S.shape[:3] + (2, 2)), S[..., 4:]
+        for t, dofs, _, (rho, gam, tau) in self._element_batches():
+            wfac = e.areas[t, None] * e.wq * e.geom.sqrt_a[t]
             A = e.elastic.elastic[t]
-            dofs = layout.element_dofs(t)
-            arho = np.einsum("qabcd,qkcd->qkab", A, st.rho)
-            Rloc = (1.0 / 3.0) * np.einsum("q,qkab,qlab->kl", wfac, arho, st.rho)
-            agam = np.einsum("qabcd,qkcd->qkab", A, st.gamma)
-            Gloc = np.einsum("q,qkab,qlab->kl", wfac, agam, st.gamma)
-            Tloc = kappa * mu * np.einsum("q,qab,qka,qlb->kl", wfac,
-                                          e.geom.a_con[t], st.tau, st.tau)
-            rc = dofs[:, None], dofs[None, :]
-            add("R", *rc, vals=Rloc)
-            add("G", *rc, vals=Gloc)
-            add("T", *rc, vals=Tloc)
-            if layout.with_aux:
-                pv = e.bary                                       # (nq,3) P1
-                Mten, xiv = _aux_tensors(pv)
-                Bloc = (np.einsum("q,qmab,qkab->mk", wfac, Mten, st.gamma)
-                        + np.einsum("q,qma,qka->mk", wfac, xiv, st.tau))
-                adofs = _aux_dofs(mesh.triangles[t])
-                add("B", adofs[:, None], dofs[None, :], Bloc)
-                comp = e.elastic.compliance[t]
-                Cloc = (np.einsum("q,qabcd,qmcd,qnab->mn", wfac, comp, Mten, Mten)
-                        + (1.0 / (kappa * mu))
-                        * np.einsum("q,qab,qmb,qna->mn", wfac, e.geom.a_cov[t],
-                                    xiv, xiv))
-                c_rows.append(np.broadcast_to(adofs[:, None], Cloc.shape).ravel())
-                c_cols.append(np.broadcast_to(adofs[None, :], Cloc.shape).ravel())
-                c_vals.append(Cloc.ravel())
+            slots = primal.slots(dofs, dofs)
+            arho = np.einsum("eqabcd,ekqcd->ekqab", A, rho)
+            agam = np.einsum("eqabcd,ekqcd->ekqab", A, gam)
+            atau = np.einsum("eqab,ekqa->ekqb", e.geom.a_con[t], tau)
+            pieces["R"].append((slots, _gram(wfac, arho, rho) / 3.0))
+            pieces["G"].append((slots, _gram(wfac, agam, gam)))
+            pieces["T"].append((slots, kappa * mu * _gram(wfac, atau, tau)))
+            if aux:
+                gt = np.concatenate([gam.reshape(tau.shape[:3] + (4,)), tau],
+                                    axis=-1)
+                pieces["B"].append((coupling.slots(e.aux[t], dofs),
+                                    _gram(wfac, S, gt)))
+                cM = np.einsum("eqabcd,mqcd->emqab", e.elastic.compliance[t],
+                               M[0])
+                axi = np.einsum("eqab,mqb->emqa", e.geom.a_cov[t], xi[0])
+                pieces["C"].append((stress.slots(e.aux[t], e.aux[t]),
+                                    _gram(wfac, cM, M)
+                                    + _gram(wfac, axi, xi) / (kappa * mu)))
 
-        interior, boundary = self._edge_data()
-        for ed in interior:
-            L, R = ed.edge.left, ed.edge.right
-            sL = self._side_arrays(L, ed.pts, ed.geom)
-            sR = self._side_arrays(R, ed.pts, ed.geom)
-            dofs = np.concatenate([layout.element_dofs(L),
-                                   layout.element_dofs(R)])
-            sign = np.concatenate([np.ones(layout.n_local(L)),
-                                   -np.ones(layout.n_local(R))])
-            th = np.concatenate([sL.th, sR.th], axis=1)
-            u = np.concatenate([sL.u, sR.u], axis=1)
-            w = np.concatenate([sL.w, sR.w], axis=1)
-            rho = 0.5 * np.concatenate([sL.rho, sR.rho], axis=1)
-            gam = 0.5 * np.concatenate([sL.gamma, sR.gamma], axis=1)
-            tau = 0.5 * np.concatenate([sL.tau, sR.tau], axis=1)
-            jth = th * sign[None, :, None]
-            ju = u * sign[None, :, None]
-            jw = w * sign[None, :]
-            self._edge_terms(acc, add, ed, dofs, rho, gam, tau, jth, ju, jw,
-                             rho_theta=True, rho_bu=True, gam_on=True,
-                             tau_on=True, pen_theta=True, pen_u=True,
-                             pen_w=True, aux=layout.with_aux)
-        for ed in boundary:
-            tag = ed.edge.tag
-            if tag == "F":
-                continue
-            t = ed.edge.triangle
-            s = self._side_arrays(t, ed.pts, ed.geom)
-            dofs = layout.element_dofs(t)
-            self._edge_terms(acc, add, ed, dofs, s.rho, s.gamma, s.tau,
-                             s.th, s.u, s.w,
-                             rho_theta=(tag == "D"), rho_bu=True,
-                             gam_on=True, tau_on=True,
-                             pen_theta=(tag == "D"), pen_u=True, pen_w=True,
-                             aux=layout.with_aux)
+        for d in self._edge_data():
+            Se = _aux_basis(np.stack([1 - d.te, d.te], axis=1))[None]
+            for k, dofs, jump, (rho, gam, tau) in self._edge_batches(d):
+                jth, ju, jw = jump[..., :2], jump[..., 2:4], jump[..., 4]
+                g, A, nbar = d.geom[k], d.elastic[k], d.nbar[k]
+                wsa = d.h[k, None] * d.we * g.sqrt_a    # consistency weight
+                theta = d.tag[k[0]] != "S"              # rotations: not on S
+                slots = primal.slots(dofs, dofs)
+                arho = np.einsum("eqabcd,ekqcd,eb->ekqa", A, rho, nbar)
+                bju = np.einsum("eqda,ekqd->ekqa", g.b_mix, ju)
+                agam = np.einsum("eqdbag,ekqag,eb->ekqd", A, gam, nbar)
+                atau = np.einsum("eqab,ekqb,ea->ekq", g.a_con, tau, nbar)
+                for key, fac, x, y in (
+                        ("R", 1.0 / 3.0, bju - jth if theta else bju, arho),
+                        ("G", -1.0, ju, agam), ("T", -kappa * mu, jw, atau)):
+                    X = _gram(wsa, x, y)
+                    pieces[key].append((slots, fac * (X + np.swapaxes(X, 1, 2))))
+                # penalties: the h_e^{-1} weight cancels against h
+                if theta:
+                    pieces["R_pen"].append((slots, _gram(d.we, jth, jth)))
+                pen_w = _gram(d.we, jw, jw)
+                pieces["G_pen"].append((slots, _gram(d.we, ju, ju) + pen_w))
+                pieces["T_pen"].append((slots, pen_w))
+                if aux:
+                    # stress coupling -(M^{ab}[v_a]n_b + xi^a [z]n_a): the
+                    # products [u_a]n_b, [w]n_a match the components of Se
+                    un = jump[..., 2:, None] * nbar[:, None, None, None]
+                    rows = (5 * d.verts[k, :, None]
+                            + np.arange(5)).reshape(len(k), 10)
+                    pieces["B"].append((coupling.slots(rows, dofs),
+                                        -_gram(wsa, Se, un)))
 
-        def build(key, shape):
-            r, c, v = acc[key]
-            if not r:
-                return sps.csr_matrix(shape)
-            m = sps.coo_matrix(
-                (np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
-                shape=shape).tocsr()
-            m.sum_duplicates()
-            return m
-
-        forms = {
-            "R": build("R", (n, n)), "R_pen": build("Rp", (n, n)),
-            "G": build("G", (n, n)), "G_pen": build("Gp", (n, n)),
-            "T": build("T", (n, n)), "T_pen": build("Tp", (n, n)),
-            "B": build("B", (n3, n)),
-        }
-        if layout.with_aux:
-            forms["C"] = sps.coo_matrix(
-                (np.concatenate(c_vals),
-                 (np.concatenate(c_rows), np.concatenate(c_cols))),
-                shape=(n3, n3)).tocsr()
-        else:
-            forms["C"] = sps.csr_matrix((n3, n3))
+        forms = {key: primal.csr(primal.data(pieces.pop(key))) for key in
+                 ("R", "R_pen", "G", "G_pen", "T", "T_pen")}
+        forms["B"] = coupling.csr(coupling.data(pieces["B"]))
+        forms["C"] = stress.csr(stress.data(pieces["C"]))
         self._forms = forms
         return forms
-
-    def _edge_terms(self, acc, add, ed, dofs, rho, gam, tau, jth, ju, jw,
-                    rho_theta, rho_bu, gam_on, tau_on, pen_theta, pen_u,
-                    pen_w, aux):
-        """Consistency and penalty contributions of one edge.
-
-        rho/gam/tau carry the average factor already (interior edges) or the
-        one-sided values (boundary); jth/ju/jw are signed traces (jumps)."""
-        g = ed.geom
-        mu, kappa = self.material.mu, self.material.kappa
-        wsa = ed.h * ed.we * g.sqrt_a                     # consistency weight
-        wpen = ed.we                                      # penalty: h cancels
-        A = ed.elastic
-        nbar = ed.nbar
-        rc = dofs[:, None], dofs[None, :]
-        if rho_theta or rho_bu:
-            arho = np.einsum("qabcd,qkcd,b->qka", A, rho, nbar)
-        if rho_theta:
-            X = np.einsum("q,qja,qia->ij", wsa, arho, jth)
-            add("R", *rc, vals=-(1.0 / 3.0) * (X + X.T))
-        if rho_bu:
-            bju = np.einsum("qda,qid->qia", g.b_mix, ju)
-            X = np.einsum("q,qja,qia->ij", wsa, arho, bju)
-            add("R", *rc, vals=(1.0 / 3.0) * (X + X.T))
-        if gam_on:
-            agam = np.einsum("qdbag,qkag,b->qkd", A, gam, nbar)
-            X = np.einsum("q,qjd,qid->ij", wsa, agam, ju)
-            add("G", *rc, vals=-(X + X.T))
-        if tau_on:
-            atau = kappa * mu * np.einsum("qab,qkb,a->qk", g.a_con, tau, nbar)
-            X = np.einsum("q,qj,qi->ij", wsa, atau, jw)
-            add("T", *rc, vals=-(X + X.T))
-        if pen_theta:
-            P = np.einsum("q,qia,qja->ij", wpen, jth, jth)
-            add("Rp", *rc, vals=P)
-        if pen_u:
-            P = np.einsum("q,qia,qja->ij", wpen, ju, ju)
-            add("Gp", *rc, vals=P)
-        if pen_w:
-            P = np.einsum("q,qi,qj->ij", wpen, jw, jw)
-            add("Gp", *rc, vals=P)
-            add("Tp", *rc, vals=P)
-        if aux:
-            # stress coupling: -(M^{ab}[v_a]n_b + xi^a [z]n_a), M,xi continuous
-            p, q = ed.edge.vertices
-            pv = np.stack([1 - ed.te, ed.te], axis=1)    # P1 trace at (p, q)
-            Mten, xiv = _aux_tensors(pv)
-            verts = np.array([p, q])
-            adofs = _aux_dofs(verts)
-            Bloc = -(np.einsum("q,qmab,qia,b->mi", wsa, Mten, ju, nbar)
-                     + np.einsum("q,qma,qi,a->mi", wsa, xiv, jw, nbar))
-            add("B", adofs[:, None], dofs[None, :], Bloc)
 
     # ------------------------------------------------------------- public API
 
@@ -427,71 +436,63 @@ class FormAssembler:
     def c_matrix(self):
         return self.forms()["C"]
 
+    def _scatter(self, owners, pts, f):
+        """Primal vector of the integrals of f (E, q, 5), already weighted,
+        against theta1, theta2, u1, u2, w of every local DOF of owners (E,)
+        at points pts (E, q, 2) (or the volume points)."""
+        out = np.zeros(self.layout.n_primal)
+        for s, dofs, (c, _) in self._point_batches(owners, pts):
+            loc = np.einsum("ekqc,eqc->ek", c, f[s])
+            out += np.bincount(dofs.ravel(), loc.ravel(), minlength=len(out))
+        return out
+
     def load_vector(self, loads: LoadSpec) -> np.ndarray:
         """Each load is evaluated once, on all volume or all S/F-edge
-        quadrature points; the element and edge loops only contract."""
-        layout = self.layout
-        rhs = np.zeros(layout.n_primal)
+        quadrature points; the grouped kernel only contracts."""
+        rhs = np.zeros(self.layout.n_primal)
         e = self._elem_data()
         vol = (loads.c1, loads.c2, loads.p1, loads.p2, loads.p3)
         if any(f is not None for f in vol):
             fv = (e.areas[:, None] * e.wq * e.geom.sqrt_a
                   * _load_values(vol, e.qpts))               # (5,nt,nq)
-            for t in range(self.mesh.n_triangles):
-                comps = _components(*self._element_strains(t).fields[::2])
-                rhs[layout.element_dofs(t)] += np.einsum("cq,qic->i",
-                                                         fv[:, t], comps)
-        loaded = [ed for ed in self._edge_data()[1] if ed.edge.tag != "D"]
-        if not loaded:
+            rhs += self._scatter(np.arange(self.mesh.n_triangles), None,
+                                 np.moveaxis(fv, 0, -1))
+        d = self._edge_data()[1]
+        loaded = np.flatnonzero(d.tag != "D")
+        if not len(loaded):
             return rhs
-        pts = np.array([ed.pts for ed in loaded])                # (ne,nq,2)
+        pts = d.pts[loaded]                                      # (ne,nq,2)
         if loads.flux_provider is None:       # densities per arc length
             dens = _load_values((loads.r1, loads.r2, loads.q1, loads.q2,
                                  loads.q3), pts)                 # (5,ne,nq)
-            weight = np.array([ed.arc for ed in loaded])
+            weight = d.arc[loaded]
         else:   # r^a = m^ab n_b, q^g = (n^gb - b^g_a m^ab) n_b, q3 = t^a n_a
             m, nmem, tsh = (f.reshape(pts.shape[:2] + f.shape[1:]) for f in
                             batched(loads.flux_provider.boundary_fluxes,
                                     pts.reshape(-1, 2)))
-            nbar = np.array([ed.nbar for ed in loaded])
-            bm = np.einsum("eqga,eqab->eqgb",
-                           np.array([ed.geom.b_mix for ed in loaded]), m)
+            nbar, g = d.nbar[loaded], d.geom[loaded]
+            bm = np.einsum("eqga,eqab->eqgb", g.b_mix, m)
             dens = np.concatenate([np.einsum("eqab,eb->aeq", m, nbar),
                                    np.einsum("eqgb,eb->geq", nmem - bm, nbar),
                                    np.einsum("eqa,ea->eq", tsh, nbar)[None]])
-            weight = np.array([ed.geom.sqrt_a for ed in loaded])
+            weight = g.sqrt_a
         # forces act on F edges only
-        dens[2:, np.array([ed.edge.tag == "S" for ed in loaded])] = 0.0
-        for k, ed in enumerate(loaded):
-            t = ed.edge.triangle
-            comps = _components(*self._field_arrays(
-                t, *self._trace_at(t, ed.pts))[::2])
-            rhs[layout.element_dofs(t)] += np.einsum(
-                "cq,qic->i", ed.h * ed.we * weight[k] * dens[:, k], comps)
-        return rhs
+        dens[2:, d.tag[loaded] == "S"] = 0.0
+        f = d.h[loaded, None] * d.we * weight * dens
+        return rhs + self._scatter(d.left[loaded], pts, np.moveaxis(f, 0, -1))
 
 
-def _aux_tensors(pv):
-    """Membrane-stress and shear-stress basis tensors for the 5 auxiliary
-    components per vertex; pv is (nq, nv) of P1 vertex values.  Local DOF
-    5*vi + c is component c (M11, M22, M12, xi1, xi2) of vertex vi."""
+def _aux_basis(pv):
+    """Membrane- and shear-stress basis values of the 5 auxiliary components
+    per vertex, (5 nv, q, 6) with value components M^11, M^12, M^21, M^22,
+    xi^1, xi^2, from P1 vertex values pv (q, nv).  Local DOF 5*vi + c is
+    component c (M11, M22, M12, xi1, xi2) of vertex vi."""
     nq, nv = pv.shape
-    nm = 5 * nv
-    Mten = np.zeros((nq, nm, 2, 2))
-    xiv = np.zeros((nq, nm, 2))
-    for vi in range(nv):
-        Mten[:, 5 * vi + 0, 0, 0] = pv[:, vi]
-        Mten[:, 5 * vi + 1, 1, 1] = pv[:, vi]
-        Mten[:, 5 * vi + 2, 0, 1] = pv[:, vi]
-        Mten[:, 5 * vi + 2, 1, 0] = pv[:, vi]
-        xiv[:, 5 * vi + 3, 0] = pv[:, vi]
-        xiv[:, 5 * vi + 4, 1] = pv[:, vi]
-    return Mten, xiv
-
-
-def _aux_dofs(vertex_ids):
-    """Block-local stress DOF indices (relative to the stress block)."""
-    return np.array([5 * v + c for v in vertex_ids for c in range(5)])
+    S = np.zeros((nv, 5, nq, 6))
+    for c, comps in enumerate(((0,), (3,), (1, 2), (4,), (5,))):
+        for j in comps:
+            S[:, c, :, j] = pv.T
+    return S.reshape(5 * nv, nq, 6)
 
 
 def green_identity_check(tri_coords, chart, f_exprs,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as exprmod
-from .assembly import AssemblyConfig, LoadSpec, Material, field_values
+from .assembly import AssemblyConfig, LoadSpec, Material
 from .driver import ShellProblem
 from .fe_space import FIELDS
 from .geometry import POINT_BUDGET, GeometryError, batched, make_chart
@@ -263,21 +263,17 @@ class DiscreteField:
                  primal: np.ndarray):
         self.asm = problem.assembler(method)
         self.primal = primal
-        mesh = problem.mesh
-        coords = mesh.vertices[mesh.triangles]
-        v0, v1, v2 = coords[:, 0], coords[:, 1], coords[:, 2]
-        self._v2 = v2
-        self._Jinv = np.linalg.inv(np.stack([v0 - v2, v1 - v2], axis=-1))
         self._last = None          # (points, (values, grads)) of the last batch
 
     def _locate(self, pts):
         """Owner triangle of each point, over at most POINT_BUDGET
         (triangle, point) pairs at a time."""
-        step = max(1, POINT_BUDGET // len(self._v2))
+        e = self.asm._elem_data()
+        step = max(1, POINT_BUDGET // len(e.Jinv))
         owner = np.empty(len(pts), dtype=int)
         for i in range(0, len(pts), step):
-            lam12 = np.einsum("tij,qj->tqi", self._Jinv, pts[i:i + step]) \
-                - np.einsum("tij,tj->ti", self._Jinv, self._v2)[:, None]
+            lam12 = np.einsum("tij,qj->tqi", e.Jinv, pts[i:i + step]) \
+                - np.einsum("tij,tj->ti", e.Jinv, e.coords[:, 2])[:, None]
             lam3 = 1.0 - lam12.sum(axis=-1)
             inside = (lam12 >= -1e-10).all(axis=-1) & (lam3 >= -1e-10)
             if not inside.any(axis=0).all():
@@ -291,27 +287,15 @@ class DiscreteField:
         if self._last is not None and np.array_equal(self._last[0], pts):
             return self._last[1]
         owner = self._locate(pts)
-        vals = np.zeros((len(pts), 5))
-        grads = np.zeros((len(pts), 5, 2))
-        for t in np.unique(owner):
-            sel = np.where(owner == t)[0]
-            vals[sel], grads[sel] = _element_fields(self.asm, self.primal, t,
-                                                    pts[sel])
-        self._last = (pts.copy(), (vals, grads))
-        return vals, grads
+        vals, grads = self.asm.field_values(self.primal, owner, pts[:, None])
+        self._last = (pts.copy(), (vals[:, 0], grads[:, 0]))
+        return self._last[1]
 
     def values(self, pts):
         return self._eval(pts)[0]
 
     def grads(self, pts):
         return self._eval(pts)[1]
-
-
-def _element_fields(asm, primal, t, pts):
-    """Values (q, 5) and gradients (q, 5, 2) of the discrete solution
-    `primal` on element t at parameter points pts (q, 2)."""
-    return field_values(asm._field_arrays(t, *asm._trace_at(t, pts)),
-                        primal[asm.layout.element_dofs(t)])
 
 
 # ------------------------------------------------------------------- emission
@@ -332,9 +316,8 @@ def write_vtk(path: Path, problem: ShellProblem, method: str,
     asm = problem.assembler(method)
     corners = mesh.vertices[mesh.triangles]                      # (nt,3,2)
     pts3d = batched(problem.chart.position, corners).reshape(-1, 3)
-    data = np.concatenate([_element_fields(asm, primal, t, corners[t])[0]
-                           for t in range(mesh.n_triangles)])    # (3nt,5)
     nt = mesh.n_triangles
+    data = asm.field_values(primal, np.arange(nt), corners)[0].reshape(-1, 5)
     lines = ["# vtk DataFile Version 3.0", "shell midsurface fields", "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {3 * nt} double"]
     for p in pts3d:

@@ -3,7 +3,9 @@ form-level consistency residuals.
 
 All Sobolev pieces are plain (unweighted) integrals over the parameter
 domain; edge pieces carry h_e^{-1} weights on the edge sets spelled out per
-seminorm.  Gram matrices are assembled once per layout and reused.
+seminorm.  Gram matrices are assembled once per layout and reused, by the
+assembler's grouped kernel into its primal CSR pattern (see assembly.py);
+error norms evaluate the discrete field with the same kernel.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sps
 
-from .assembly import FormAssembler, _components, field_values
+from . import strain
+from .assembly import FormAssembler, _aux_basis, _gram
 from .geometry import batched
 from .solve import factor
 
@@ -41,104 +43,43 @@ class NormEngine:
         self._qh_lu = None
 
     def grams(self):
+        """Gram matrices of the seminorms, from the assembler's grouped
+        kernel, on its primal pattern (and, with aux, its stress pattern)."""
         if self._grams is not None:
             return self._grams
         asm = self.asm
-        layout = self.layout
-        n = layout.n_primal
-        acc = {k: ([], [], []) for k in ("rho", "gamma", "tau", "H")}
-
-        def add(key, dofs, vals):
-            r, c, v = acc[key]
-            r.append(np.broadcast_to(dofs[:, None], vals.shape).ravel())
-            c.append(np.broadcast_to(dofs[None, :], vals.shape).ravel())
-            v.append(vals.ravel())
-
+        primal, _, stress = asm._pattern()
+        pieces = {k: [] for k in ("rho", "gamma", "tau", "H", "V")}
         e = asm._elem_data()
-        vrows, vcols, vvals = [], [], []
-        for t in range(asm.mesh.n_triangles):
-            st = asm._element_strains(t)
-            w = e.areas[t] * e.wq                       # plain area element
-            dofs = layout.element_dofs(t)
-            add("rho", dofs, np.einsum("q,qkab,qlab->kl", w, st.rho, st.rho))
-            add("gamma", dofs, np.einsum("q,qkab,qlab->kl", w, st.gamma,
-                                         st.gamma))
-            add("tau", dofs, np.einsum("q,qka,qla->kl", w, st.tau, st.tau))
-            th, thg, u, ug, wv, wg = st.fields
-            H = (np.einsum("q,qka,qla->kl", w, th, th)
-                 + np.einsum("q,qkab,qlab->kl", w, thg, thg)
-                 + np.einsum("q,qka,qla->kl", w, u, u)
-                 + np.einsum("q,qkab,qlab->kl", w, ug, ug)
-                 + np.einsum("q,qk,ql->kl", w, wv, wv)
-                 + np.einsum("q,qka,qla->kl", w, wg, wg))
-            add("H", dofs, H)
-            if layout.with_aux:
-                from .assembly import _aux_tensors, _aux_dofs
-                Mten, xiv = _aux_tensors(e.bary)
-                loc = (np.einsum("q,qmab,qnab->mn", w, Mten, Mten)
-                       + np.einsum("q,qma,qna->mn", w, xiv, xiv))
-                adofs = _aux_dofs(asm.mesh.triangles[t])
-                vrows.append(np.broadcast_to(adofs[:, None], loc.shape).ravel())
-                vcols.append(np.broadcast_to(adofs[None, :], loc.shape).ravel())
-                vvals.append(loc.ravel())
+        S = _aux_basis(e.bary)[None]
+        for t, dofs, (c, cg), strains in asm._element_batches():
+            w = e.areas[t, None] * e.wq                 # plain area element
+            slots = primal.slots(dofs, dofs)
+            for key, x in zip(("rho", "gamma", "tau"), strains):
+                pieces[key].append((slots, _gram(w, x, x)))
+            pieces["H"].append((slots, _gram(w, c, c) + _gram(w, cg, cg)))
+            if self.layout.with_aux:
+                pieces["V"].append((stress.slots(e.aux[t], e.aux[t]),
+                                    _gram(w, S, S)))
+        # h_e^{-1} weight cancels against the edge length of plain ds
+        for d in asm._edge_data():
+            for k, dofs, jump, _ in asm._edge_batches(d):
+                slots = primal.slots(dofs, dofs)
+                if d.tag[k[0]] == "S":                   # rotations: not on S
+                    jump = jump * [0.0, 0.0, 1.0, 1.0, 1.0]
+                P = [_gram(d.we, j, j) for j in
+                     (jump[..., :2], jump[..., 2:4], jump[..., 4])]
+                for key, p in zip(("rho", "gamma", "tau"), P):
+                    pieces[key].append((slots, p))
+                pieces["H"].append((slots, P[0] + P[1] + P[2]))
 
-        interior, boundary = asm._edge_data()
-        for ed in interior:
-            L, R = ed.edge.left, ed.edge.right
-            sL = asm._side_arrays(L, ed.pts, ed.geom)
-            sR = asm._side_arrays(R, ed.pts, ed.geom)
-            dofs = np.concatenate([layout.element_dofs(L),
-                                   layout.element_dofs(R)])
-            sign = np.concatenate([np.ones(layout.n_local(L)),
-                                   -np.ones(layout.n_local(R))])
-            jth = np.concatenate([sL.th, sR.th], axis=1) * sign[None, :, None]
-            ju = np.concatenate([sL.u, sR.u], axis=1) * sign[None, :, None]
-            jw = np.concatenate([sL.w, sR.w], axis=1) * sign[None, :]
-            self._edge_grams(add, ed.we, dofs, jth, ju, jw,
-                             with_theta=True, with_u=True, with_w=True)
-        for ed in boundary:
-            tag = ed.edge.tag
-            if tag == "F":
-                continue
-            t = ed.edge.triangle
-            s = asm._side_arrays(t, ed.pts, ed.geom)
-            dofs = layout.element_dofs(t)
-            self._edge_grams(add, ed.we, dofs, s.th, s.u, s.w,
-                             with_theta=(tag == "D"), with_u=True, with_w=True)
-
-        def build(key):
-            r, c, v = acc[key]
-            m = sps.coo_matrix(
-                (np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
-                shape=(n, n)).tocsr()
-            m.sum_duplicates()
-            return m
-
-        grams = {k: build(k) for k in ("rho", "gamma", "tau", "H")}
-        grams["a"] = grams["rho"] + grams["gamma"] + grams["tau"]
-        if layout.with_aux:
-            grams["V"] = sps.coo_matrix(
-                (np.concatenate(vvals),
-                 (np.concatenate(vrows), np.concatenate(vcols))),
-                shape=(layout.n_block3, layout.n_block3)).tocsr()
+        data = {k: primal.data(pieces[k]) for k in ("rho", "gamma", "tau", "H")}
+        grams = {k: primal.csr(v) for k, v in data.items()}
+        grams["a"] = primal.csr(data["rho"] + data["gamma"] + data["tau"])
+        if self.layout.with_aux:
+            grams["V"] = stress.csr(stress.data(pieces["V"]))
         self._grams = grams
         return grams
-
-    def _edge_grams(self, add, we, dofs, jth, ju, jw, with_theta, with_u,
-                    with_w):
-        # h_e^{-1} weight cancels against the edge length of plain ds
-        if with_theta:
-            P = np.einsum("q,qia,qja->ij", we, jth, jth)
-            add("rho", dofs, P)
-            add("H", dofs, P)
-        if with_u:
-            P = np.einsum("q,qia,qja->ij", we, ju, ju)
-            add("gamma", dofs, P)
-            add("H", dofs, P)
-        if with_w:
-            P = np.einsum("q,qi,qj->ij", we, jw, jw)
-            add("tau", dofs, P)
-            add("H", dofs, P)
 
     # ------------------------------------------------------------- norm values
 
@@ -204,47 +145,31 @@ class NormEngine:
         element quadrature points, then values on all non-free boundary-edge
         points."""
         asm = self.asm
-        layout = self.layout
         e = asm._elem_data()
-        nt, nq = e.qpts.shape[:2]
         ev, eg = batched(lambda p: (exact.values(p), exact.grads(p)),
                          e.qpts.reshape(-1, 2))
-        ev, eg = ev.reshape(nt, nq, 5), eg.reshape(nt, nq, 5, 2)
-        H2 = 0.0
-        rho2 = gam2 = tau2 = 0.0
-        from . import strain as strain_mod
-        for t in range(asm.mesh.n_triangles):
-            v, g = field_values(asm._element_strains(t).fields,
-                                primal[layout.element_dofs(t)])
-            dv, dg = v - ev[t], g - eg[t]
-            w = e.areas[t] * e.wq
-            H2 += float(w @ (np.sum(dv ** 2, axis=-1)
-                             + np.sum(dg ** 2, axis=(-2, -1))))
-            r, gm, ta = strain_mod.strains(dv[:, 0:2], dg[:, 0:2], dv[:, 2:4],
-                                           dg[:, 2:4], dv[:, 4], dg[:, 4],
-                                           e.geom[t])
-            rho2 += float(w @ np.sum(r ** 2, axis=(-2, -1)))
-            gam2 += float(w @ np.sum(gm ** 2, axis=(-2, -1)))
-            tau2 += float(w @ np.sum(ta ** 2, axis=-1))
+        v, g = asm.field_values(primal, np.arange(asm.mesh.n_triangles))
+        dv, dg = v - ev.reshape(v.shape), g - eg.reshape(g.shape)
+        w = e.areas[:, None] * e.wq
+        r, gm, ta = strain.field_strains(dv, dg, e.geom)
+        H2 = np.sum(w * (np.sum(dv ** 2, axis=-1)
+                         + np.sum(dg ** 2, axis=(-2, -1))))
+        rho2 = np.sum(w * np.sum(r ** 2, axis=(-2, -1)))
+        gam2 = np.sum(w * np.sum(gm ** 2, axis=(-2, -1)))
+        tau2 = np.sum(w * np.sum(ta ** 2, axis=-1))
         # edge jumps: exact fields are continuous, so jumps of the difference
         # equal jumps of the discrete field; boundary traces subtract exact
         interior, boundary = asm._edge_data()
-        def trace(t, ed):
-            s = asm._side_arrays(t, ed.pts, ed.geom)
-            return np.einsum("qkc,k->qc", _components(s.th, s.u, s.w),
-                             primal[layout.element_dofs(t)])
-
-        for ed in interior:
-            jump = trace(ed.edge.left, ed) - trace(ed.edge.right, ed)
-            H2 += float(ed.we @ np.sum(jump ** 2, axis=-1))
-        fixed = [ed for ed in boundary if ed.edge.tag != "F"]
-        bpts = np.array([ed.pts for ed in fixed]).reshape(-1, 2)
-        bv = batched(exact.values, bpts).reshape(
-            len(fixed), asm.config.quad_edge_points, 5)
-        for ed, edge_v in zip(fixed, bv):
-            d = trace(ed.edge.triangle, ed) - edge_v
-            first = 0 if ed.edge.tag == "D" else 2      # rotations only on D
-            H2 += float(ed.we @ np.sum(d[:, first:] ** 2, axis=-1))
+        jump = (asm.field_values(primal, interior.left, interior.pts)[0]
+                - asm.field_values(primal, interior.right, interior.pts)[0])
+        H2 += np.sum(interior.we * np.sum(jump ** 2, axis=-1))
+        fixed = np.flatnonzero(boundary.tag != "F")
+        pts = boundary.pts[fixed]
+        d = (asm.field_values(primal, boundary.left[fixed], pts)[0]
+             - batched(exact.values, pts.reshape(-1, 2)).reshape(
+                 pts.shape[:2] + (5,)))
+        d[boundary.tag[fixed] == "S", :, :2] = 0.0      # rotations only on D
+        H2 += np.sum(boundary.we * np.sum(d ** 2, axis=-1))
         return {"H_h": float(np.sqrt(H2)), "rho": float(np.sqrt(rho2)),
                 "gamma": float(np.sqrt(gam2)), "tau": float(np.sqrt(tau2))}
 

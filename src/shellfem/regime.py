@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import field_values
 from .driver import ShellProblem
 from .mesh import geometry_resolution, mesh_condition_report
 from .solve import ShellSolution
@@ -65,12 +64,9 @@ def _element_H_map(engine, primal):
     inspection alongside the global verdict."""
     asm = engine.asm
     e = asm._elem_data()
-    out = np.zeros(asm.mesh.n_triangles)
-    for t in range(asm.mesh.n_triangles):
-        vals, _ = field_values(asm._element_strains(t).fields,
-                               primal[asm.layout.element_dofs(t)])
-        out[t] = float((e.areas[t] * e.wq) @ np.sum(vals ** 2, axis=-1))
-    return np.sqrt(out)
+    vals, _ = asm.field_values(primal, np.arange(asm.mesh.n_triangles))
+    return np.sqrt(np.sum(e.areas[:, None] * e.wq * np.sum(vals ** 2, axis=-1),
+                          axis=1))
 
 
 def detect_regime(problem: ShellProblem, thresholds: dict = None,

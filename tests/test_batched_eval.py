@@ -1,9 +1,15 @@
-"""Mesh-wide batched evaluation of charts, loads and exact fields, checked
-against per-element and per-edge reference loops written out here."""
+"""Mesh-wide batched evaluation of charts, loads and exact fields, and the
+grouped quadrature kernel of forms and Gram matrices, checked against
+per-element and per-edge reference loops written out here.  The loops take
+their basis traces from the kernel on one-element batches."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
+from shellfem import strain
 from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec, Material
 from shellfem.cli import DiscreteField
 from shellfem.driver import ShellProblem
@@ -48,6 +54,39 @@ def _at(f, pts):
     return np.zeros(len(pts)) if f is None else f(pts)
 
 
+def local_fields(asm, t, pts=None):
+    """Field arrays (th, thg, u, ug, w, wg), each (q, nl, ...), of element t
+    alone at its volume quadrature points or at points pts (q, 2)."""
+    _, (c, cg) = asm._local(np.array([t]), None if pts is None else pts[None])
+    c, cg = np.moveaxis(c[0], 0, 1), np.moveaxis(cg[0], 0, 1)
+    return (c[..., 0:2], cg[..., 0:2, :], c[..., 2:4], cg[..., 2:4, :],
+            c[..., 4], cg[..., 4, :])
+
+
+def element_strains(asm, t):
+    """Fields and strains of element t at its volume quadrature points."""
+    fields = local_fields(asm, t)
+    rho, gam, tau = strain.strains(*fields, asm._elem_data().geom[t, :, None])
+    return SimpleNamespace(rho=rho, gamma=gam, tau=tau, fields=fields)
+
+
+def edge_list(asm):
+    """One namespace per interior and per boundary edge, from the stacked
+    edge data."""
+    return [[SimpleNamespace(left=d.left[k], right=d.right[k], tag=d.tag[k],
+                             pts=d.pts[k], geom=d.geom[k],
+                             elastic=d.elastic[k], h=d.h[k], nbar=d.nbar[k],
+                             verts=d.verts[k], te=d.te, we=d.we)
+             for k in range(len(d.left))] for d in asm._edge_data()]
+
+
+def side_arrays(asm, t, ed):
+    """Traces and per-DOF strains of element t on edge ed."""
+    th, thg, u, ug, w, wg = local_fields(asm, t, ed.pts)
+    rho, gam, tau = strain.strains(th, thg, u, ug, w, wg, ed.geom[:, None])
+    return SimpleNamespace(th=th, u=u, w=w, rho=rho, gamma=gam, tau=tau)
+
+
 def reference_load_vector(asm, loads):
     """Every load on one element's or one edge's points at a time, with the
     edge geometry evaluated edge by edge."""
@@ -57,7 +96,7 @@ def reference_load_vector(asm, loads):
     vol = (loads.c1, loads.c2, loads.p1, loads.p2, loads.p3)
     for t in range(mesh.n_triangles):
         wfac = e.areas[t] * e.wq * e.geom.sqrt_a[t]
-        th, _, u, _, w, _ = asm._element_strains(t).fields
+        th, _, u, _, w, _ = local_fields(asm, t)
         fv = [wfac * _at(f, e.qpts[t]) for f in vol]
         rhs[layout.element_dofs(t)] += (
             fv[0] @ th[:, :, 0] + fv[1] @ th[:, :, 1] + fv[2] @ u[:, :, 0]
@@ -72,7 +111,7 @@ def reference_load_vector(asm, loads):
         geom = asm.chart.evaluate(pts)
         nbar = edge_normal(mesh, edge.vertices, t)
         h = mesh.h_e_boundary[k]
-        th, _, u, _, w, _ = asm._field_arrays(t, *asm._trace_at(t, pts))
+        th, _, u, _, w, _ = local_fields(asm, t, pts)
         if loads.flux_provider is not None:
             m, nmem, tsh = loads.flux_provider.boundary_fluxes(pts)
             wsa = h * we * geom.sqrt_a
@@ -101,9 +140,8 @@ def reference_error_norms(eng, primal, exact):
     asm, layout = eng.asm, eng.layout
     e = asm._elem_data()
     H2 = rho2 = gam2 = tau2 = 0.0
-    from shellfem import strain
     for t in range(asm.mesh.n_triangles):
-        th, thg, u, ug, wv, wg = asm._element_strains(t).fields
+        th, thg, u, ug, wv, wg = local_fields(asm, t)
         x = primal[layout.element_dofs(t)]
         ev, eg = exact.values(e.qpts[t]), exact.grads(e.qpts[t])
         dth = np.einsum("qka,k->qa", th, x) - ev[:, 0:2]
@@ -120,12 +158,12 @@ def reference_error_norms(eng, primal, exact):
         rho2 += w @ np.sum(r ** 2, axis=(-2, -1))
         gam2 += w @ np.sum(gm ** 2, axis=(-2, -1))
         tau2 += w @ np.sum(ta ** 2, axis=-1)
-    interior, boundary = asm._edge_data()
+    interior, boundary = edge_list(asm)
     for ed in interior:
-        sL = asm._side_arrays(ed.edge.left, ed.pts, ed.geom)
-        sR = asm._side_arrays(ed.edge.right, ed.pts, ed.geom)
-        xL = primal[layout.element_dofs(ed.edge.left)]
-        xR = primal[layout.element_dofs(ed.edge.right)]
+        sL = side_arrays(asm, ed.left, ed)
+        sR = side_arrays(asm, ed.right, ed)
+        xL = primal[layout.element_dofs(ed.left)]
+        xR = primal[layout.element_dofs(ed.right)]
         jth = np.einsum("qka,k->qa", sL.th, xL) - np.einsum("qka,k->qa",
                                                              sR.th, xR)
         ju = np.einsum("qka,k->qa", sL.u, xL) - np.einsum("qka,k->qa",
@@ -133,19 +171,204 @@ def reference_error_norms(eng, primal, exact):
         jw = sL.w @ xL - sR.w @ xR
         H2 += ed.we @ (np.sum(jth ** 2 + ju ** 2, axis=-1) + jw ** 2)
     for ed in boundary:
-        if ed.edge.tag == "F":
+        if ed.tag == "F":
             continue
-        s = asm._side_arrays(ed.edge.triangle, ed.pts, ed.geom)
-        x = primal[layout.element_dofs(ed.edge.triangle)]
+        s = side_arrays(asm, ed.left, ed)
+        x = primal[layout.element_dofs(ed.left)]
         ev = exact.values(ed.pts)
         du = np.einsum("qka,k->qa", s.u, x) - ev[:, 2:4]
         dw = s.w @ x - ev[:, 4]
         H2 += ed.we @ (np.sum(du ** 2, axis=-1) + dw ** 2)
-        if ed.edge.tag == "D":
+        if ed.tag == "D":
             dth = np.einsum("qka,k->qa", s.th, x) - ev[:, 0:2]
             H2 += ed.we @ np.sum(dth ** 2, axis=-1)
     return {"H_h": np.sqrt(H2), "rho": np.sqrt(rho2),
             "gamma": np.sqrt(gam2), "tau": np.sqrt(tau2)}
+
+
+def aux_tensors(pv):
+    """Membrane- and shear-stress basis tensors (q, 5 nv, 2, 2) and
+    (q, 5 nv, 2) of the auxiliary components from P1 vertex values pv."""
+    nq, nv = pv.shape
+    Mten = np.zeros((nq, 5 * nv, 2, 2))
+    xiv = np.zeros((nq, 5 * nv, 2))
+    for vi in range(nv):
+        Mten[:, 5 * vi + 0, 0, 0] = pv[:, vi]
+        Mten[:, 5 * vi + 1, 1, 1] = pv[:, vi]
+        Mten[:, 5 * vi + 2, 0, 1] = pv[:, vi]
+        Mten[:, 5 * vi + 2, 1, 0] = pv[:, vi]
+        xiv[:, 5 * vi + 3, 0] = pv[:, vi]
+        xiv[:, 5 * vi + 4, 1] = pv[:, vi]
+    return Mten, xiv
+
+
+def aux_dofs(vertex_ids):
+    return np.array([5 * v + c for v in vertex_ids for c in range(5)])
+
+
+def _coo(acc, key, shape):
+    r, c, v = acc[key]
+    if not r:
+        return sps.csr_matrix(shape)
+    return sps.coo_matrix((np.concatenate(v),
+                           (np.concatenate(r), np.concatenate(c))),
+                          shape=shape).tocsr()
+
+
+def _sides(asm, ed):
+    """DOFs, signed traces (jumps) and strains (averaged on interior edges)
+    of an edge, with the edge's flags as in the forms."""
+    layout = asm.layout
+    if ed.right < 0:
+        s = side_arrays(asm, ed.left, ed)
+        return (layout.element_dofs(ed.left), s.th, s.u, s.w,
+                s.rho, s.gamma, s.tau)
+    sL, sR = side_arrays(asm, ed.left, ed), side_arrays(asm, ed.right, ed)
+    dofs = np.concatenate([layout.element_dofs(ed.left),
+                           layout.element_dofs(ed.right)])
+    sign = np.concatenate([np.ones(layout.n_local(ed.left)),
+                           -np.ones(layout.n_local(ed.right))])
+    cat = [np.concatenate([getattr(sL, k), getattr(sR, k)], axis=1)
+           for k in ("th", "u", "w", "rho", "gamma", "tau")]
+    return (dofs, cat[0] * sign[None, :, None], cat[1] * sign[None, :, None],
+            cat[2] * sign[None, :], 0.5 * cat[3], 0.5 * cat[4], 0.5 * cat[5])
+
+
+def reference_forms(asm):
+    """The forms element by element and edge by edge, each local matrix
+    scattered as COO triplets."""
+    layout, mesh = asm.layout, asm.mesh
+    mu, kappa = asm.material.mu, asm.material.kappa
+    n, n3 = layout.n_primal, layout.n_block3
+    acc = {key: ([], [], []) for key in
+           ("R", "Rp", "G", "Gp", "T", "Tp", "B", "C")}
+
+    def add(key, rows, cols, vals):
+        r, c, v = acc[key]
+        r.append(np.broadcast_to(rows, vals.shape).ravel())
+        c.append(np.broadcast_to(cols, vals.shape).ravel())
+        v.append(vals.ravel())
+
+    e = asm._elem_data()
+    for t in range(mesh.n_triangles):
+        st = element_strains(asm, t)
+        wfac = e.areas[t] * e.wq * e.geom.sqrt_a[t]
+        A = e.elastic.elastic[t]
+        dofs = layout.element_dofs(t)
+        rc = dofs[:, None], dofs[None, :]
+        arho = np.einsum("qabcd,qkcd->qkab", A, st.rho)
+        add("R", *rc, (1.0 / 3.0) * np.einsum("q,qkab,qlab->kl", wfac, arho,
+                                               st.rho))
+        agam = np.einsum("qabcd,qkcd->qkab", A, st.gamma)
+        add("G", *rc, np.einsum("q,qkab,qlab->kl", wfac, agam, st.gamma))
+        add("T", *rc, kappa * mu * np.einsum("q,qab,qka,qlb->kl", wfac,
+                                             e.geom.a_con[t], st.tau, st.tau))
+        if layout.with_aux:
+            Mten, xiv = aux_tensors(e.bary)
+            adofs = aux_dofs(mesh.triangles[t])
+            add("B", adofs[:, None], dofs[None, :],
+                np.einsum("q,qmab,qkab->mk", wfac, Mten, st.gamma)
+                + np.einsum("q,qma,qka->mk", wfac, xiv, st.tau))
+            add("C", adofs[:, None], adofs[None, :],
+                np.einsum("q,qabcd,qmcd,qnab->mn", wfac,
+                          e.elastic.compliance[t], Mten, Mten)
+                + (1.0 / (kappa * mu))
+                * np.einsum("q,qab,qmb,qna->mn", wfac, e.geom.a_cov[t],
+                            xiv, xiv))
+
+    for ed in [ed for edges in edge_list(asm) for ed in edges]:
+        if ed.tag == "F":
+            continue
+        dofs, jth, ju, jw, rho, gam, tau = _sides(asm, ed)
+        theta = ed.tag != "S"
+        g, A, nbar = ed.geom, ed.elastic, ed.nbar
+        wsa = ed.h * ed.we * g.sqrt_a
+        rc = dofs[:, None], dofs[None, :]
+        arho = np.einsum("qabcd,qkcd,b->qka", A, rho, nbar)
+        if theta:
+            X = np.einsum("q,qja,qia->ij", wsa, arho, jth)
+            add("R", *rc, -(1.0 / 3.0) * (X + X.T))
+        bju = np.einsum("qda,qid->qia", g.b_mix, ju)
+        X = np.einsum("q,qja,qia->ij", wsa, arho, bju)
+        add("R", *rc, (1.0 / 3.0) * (X + X.T))
+        agam = np.einsum("qdbag,qkag,b->qkd", A, gam, nbar)
+        X = np.einsum("q,qjd,qid->ij", wsa, agam, ju)
+        add("G", *rc, -(X + X.T))
+        atau = kappa * mu * np.einsum("qab,qkb,a->qk", g.a_con, tau, nbar)
+        X = np.einsum("q,qj,qi->ij", wsa, atau, jw)
+        add("T", *rc, -(X + X.T))
+        if theta:
+            add("Rp", *rc, np.einsum("q,qia,qja->ij", ed.we, jth, jth))
+        add("Gp", *rc, np.einsum("q,qia,qja->ij", ed.we, ju, ju))
+        P = np.einsum("q,qi,qj->ij", ed.we, jw, jw)
+        add("Gp", *rc, P)
+        add("Tp", *rc, P)
+        if layout.with_aux:
+            Mten, xiv = aux_tensors(np.stack([1 - ed.te, ed.te], axis=1))
+            add("B", aux_dofs(ed.verts)[:, None], dofs[None, :],
+                -(np.einsum("q,qmab,qia,b->mi", wsa, Mten, ju, nbar)
+                  + np.einsum("q,qma,qi,a->mi", wsa, xiv, jw, nbar)))
+
+    return {"R": _coo(acc, "R", (n, n)), "R_pen": _coo(acc, "Rp", (n, n)),
+            "G": _coo(acc, "G", (n, n)), "G_pen": _coo(acc, "Gp", (n, n)),
+            "T": _coo(acc, "T", (n, n)), "T_pen": _coo(acc, "Tp", (n, n)),
+            "B": _coo(acc, "B", (n3, n)), "C": _coo(acc, "C", (n3, n3))}
+
+
+def reference_grams(eng):
+    """The Gram matrices element by element and edge by edge."""
+    asm, layout = eng.asm, eng.layout
+    n, n3 = layout.n_primal, layout.n_block3
+    acc = {k: ([], [], []) for k in ("rho", "gamma", "tau", "H", "V")}
+
+    def add(key, dofs, vals):
+        r, c, v = acc[key]
+        r.append(np.broadcast_to(dofs[:, None], vals.shape).ravel())
+        c.append(np.broadcast_to(dofs[None, :], vals.shape).ravel())
+        v.append(vals.ravel())
+
+    e = asm._elem_data()
+    for t in range(asm.mesh.n_triangles):
+        st = element_strains(asm, t)
+        w = e.areas[t] * e.wq
+        dofs = layout.element_dofs(t)
+        add("rho", dofs, np.einsum("q,qkab,qlab->kl", w, st.rho, st.rho))
+        add("gamma", dofs, np.einsum("q,qkab,qlab->kl", w, st.gamma,
+                                     st.gamma))
+        add("tau", dofs, np.einsum("q,qka,qla->kl", w, st.tau, st.tau))
+        th, thg, u, ug, wv, wg = st.fields
+        add("H", dofs, np.einsum("q,qka,qla->kl", w, th, th)
+            + np.einsum("q,qkab,qlab->kl", w, thg, thg)
+            + np.einsum("q,qka,qla->kl", w, u, u)
+            + np.einsum("q,qkab,qlab->kl", w, ug, ug)
+            + np.einsum("q,qk,ql->kl", w, wv, wv)
+            + np.einsum("q,qka,qla->kl", w, wg, wg))
+        if layout.with_aux:
+            Mten, xiv = aux_tensors(e.bary)
+            add("V", aux_dofs(asm.mesh.triangles[t]),
+                np.einsum("q,qmab,qnab->mn", w, Mten, Mten)
+                + np.einsum("q,qma,qna->mn", w, xiv, xiv))
+
+    for ed in [ed for edges in edge_list(asm) for ed in edges]:
+        if ed.tag == "F":
+            continue
+        dofs, jth, ju, jw = _sides(asm, ed)[:4]
+        if ed.tag != "S":
+            P = np.einsum("q,qia,qja->ij", ed.we, jth, jth)
+            add("rho", dofs, P)
+            add("H", dofs, P)
+        P = np.einsum("q,qia,qja->ij", ed.we, ju, ju)
+        add("gamma", dofs, P)
+        add("H", dofs, P)
+        P = np.einsum("q,qi,qj->ij", ed.we, jw, jw)
+        add("tau", dofs, P)
+        add("H", dofs, P)
+
+    grams = {k: _coo(acc, k, (n, n)) for k in ("rho", "gamma", "tau", "H")}
+    grams["a"] = grams["rho"] + grams["gamma"] + grams["tau"]
+    if layout.with_aux:
+        grams["V"] = _coo(acc, "V", (n3, n3))
+    return grams
 
 
 # ------------------------------------------------------------------ loads
@@ -240,6 +463,31 @@ def test_discrete_field_batch_matches_point_by_point():
         assert_close(grads[k], one.grads(p)[0])
 
 
+@pytest.mark.parametrize("chart,tags,enrichment,sizes", [
+    (make_chart("cylinder"), ("D", "F", "F", "F"), True, {15, 21, 27}),
+    (make_chart("cylinder"), ("D", "S", "F", "S"), True, {15, 21}),
+    (bump_chart(), ("D", "D", "D", "D"), True, {15}),
+    (make_chart("cylinder"), FREE_AND_SOFT, False, {15})],
+    ids=["cylinder-DFFF", "cylinder-DSFS", "bump-clamped", "dg"])
+def test_grouped_forms_and_grams_match_reference_loops(chart, tags,
+                                                       enrichment, sizes):
+    mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 4, 4, tags=tags)
+    layout = build_dof_layout(mesh, chart, enrichment=enrichment)
+    asm = FormAssembler(mesh, chart, layout, Material(),
+                        AssemblyConfig(penalty_C=20.0))
+    assert {layout.n_local(t) for t in range(mesh.n_triangles)} == sizes
+    eng = NormEngine(asm)
+    for got, want in ((asm.forms(), reference_forms(asm)),
+                      (eng.grams(), reference_grams(eng))):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].shape == want[key].shape
+            if want[key].nnz:
+                assert_close(got[key].toarray(), want[key].toarray())
+            else:
+                assert got[key].nnz == 0
+
+
 # ------------------------------------------------------- mesh and layout
 
 
@@ -298,6 +546,34 @@ def test_solve_chart_evaluations_do_not_grow_with_mesh(chart_evaluations,
         chart_evaluations.clear()
         problem.solve(method)
         counts.append(len(chart_evaluations))
+    assert counts[0] == counts[1]
+
+
+def test_kernel_einsum_calls_do_not_grow_with_mesh(monkeypatch):
+    """forms, grams, loads and error norms contract group by group, so the
+    number of einsum calls is the same on a mesh with four times as many
+    elements."""
+    calls = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+    monkeypatch.setattr(np, "einsum", counting)
+    exact = SimpleNamespace(values=lambda p: np.zeros((len(p), 5)),
+                            grads=lambda p: np.zeros((len(p), 5, 2)))
+    counts = []
+    for n in (4, 8):
+        asm = make_asm(make_chart("cylinder"), n, ("D", "F", "F", "F"))
+        eng = NormEngine(asm)
+        primal = np.ones(asm.layout.n_primal)
+        calls.clear()
+        asm.forms()
+        eng.grams()
+        asm.load_vector(LoadSpec(p3=lambda p: np.ones(len(p)),
+                                 q3=lambda p: np.ones(len(p))))
+        eng.error_norms(primal, exact)
+        counts.append(len(calls))
     assert counts[0] == counts[1]
 
 

@@ -130,8 +130,8 @@ def test_projection_reproduces_linears_exactly():
     worst = 0.0
     for t in range(mesh.n_triangles):
         pts = e.qpts[t]
-        vals, grads = e.vals[t], e.grads[t]
-        th, _, u, _, w, _ = asm._field_arrays(t, vals, grads)
+        c = np.moveaxis(asm._local(np.array([t]))[1][0][0], 0, 1)
+        th, u, w = c[..., 0:2], c[..., 2:4], c[..., 4]
         xt = x[layout.element_dofs(t)]
         got = np.concatenate([
             np.einsum("qka,k->qa", th, xt),
@@ -157,7 +157,7 @@ def test_projection_error_decays_quadratically():
         err2 = 0.0
         for t in range(mesh.n_triangles):
             w_q = e.areas[t] * e.wq
-            wfield = asm._field_arrays(t, e.vals[t], e.grads[t])[4]
+            wfield = asm._local(np.array([t]))[1][0][0, :, :, 4].T
             got = np.einsum("qk,k->q", wfield, x[layout.element_dofs(t)])
             want = fields["w"](e.qpts[t])
             err2 += w_q @ (got - want) ** 2
