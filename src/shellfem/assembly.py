@@ -11,7 +11,9 @@ is one batched matmul.  The primal matrices share one CSR pattern (element
 blocks and interior-edge pair blocks); each is one bincount of its local
 entries into that pattern.  Penalty contributions are kept in separate
 matrices so the penalty constant can be recalibrated without reassembling
-anything.
+anything.  The same kernel evaluates fields at points (`field_values`),
+which is all the norms of norms.py need; its one Gram matrix, Q_H, goes
+into the primal pattern too.
 
 All square matrices are over the primal DOFs (blocks 1+2 of the layout);
 the stress coupling block has shape (n_block3, n_primal).
@@ -236,13 +238,6 @@ class FormAssembler:
             yield (s,) + self._local(owners[s], None if pts is None
                                      else pts[s])
 
-    def _element_batches(self):
-        """(t, dofs, (c, cg), (rho, gamma, tau)) per slice t of elements of
-        one local size, at the volume quadrature points."""
-        geom = self._elem_data().geom
-        for t, dofs, f in self._point_batches(np.arange(self.mesh.n_triangles)):
-            yield t, dofs, f, strain.field_strains(*f, geom[t, None])
-
     def field_values(self, primal, owners, pts=None):
         """Values (E, q, 5) and gradients (E, q, 5, 2) of theta1, theta2, u1,
         u2, w of the primal vector on the elements owners (E,) at parameter
@@ -350,7 +345,8 @@ class FormAssembler:
         e = self._elem_data()
         S = _aux_basis(e.bary)[None]                        # (1,15,nq,6)
         M, xi = S[..., :4].reshape(S.shape[:3] + (2, 2)), S[..., 4:]
-        for t, dofs, _, (rho, gam, tau) in self._element_batches():
+        for t, dofs, f in self._point_batches(np.arange(self.mesh.n_triangles)):
+            rho, gam, tau = strain.field_strains(*f, e.geom[t, None])
             wfac = e.areas[t, None] * e.wq * e.geom.sqrt_a[t]
             A = e.elastic.elastic[t]
             slots = primal.slots(dofs, dofs)

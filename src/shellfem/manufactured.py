@@ -14,8 +14,7 @@ model whose energy multiplies the membrane/shear part by theta_total.
 All derivatives are exact: field derivatives are symbolic, and stress
 divergences use covariant derivatives of the strains (the metric contraction
 commutes with covariant differentiation) together with the stored derivative
-fields of the curvature tensor and Christoffel symbols.  A finite-difference
-variant is kept for cross-checking.
+fields of the curvature tensor and Christoffel symbols.
 """
 
 from __future__ import annotations
@@ -30,12 +29,10 @@ FIELDS = ("theta1", "theta2", "u1", "u2", "w")
 
 
 class ManufacturedSolution:
-    def __init__(self, field_exprs: dict, chart, material, theta_total: float,
-                 fd_step: float = 1e-5):
+    def __init__(self, field_exprs: dict, chart, material, theta_total: float):
         self.chart = chart
         self.material = material
         self.theta_total = float(theta_total)
-        self.fd_step = fd_step
         self.asts = {}
         self.dasts = {}
         self.ddasts = {}
@@ -210,53 +207,6 @@ class ManufacturedSolution:
                   + np.einsum("...ga,...a->...g", bm, div_m))
         couple = -div_m + t
         force = div_bm - div_n + np.einsum("...a,...ga->...g", t, bm)
-        p3 = (np.einsum("...ab,...ab->...", m, geom.c_cov)
-              - np.einsum("...ab,...ab->...", nmem, geom.b_cov)
-              - div_t)
-        return {"c1": couple[..., 0], "c2": couple[..., 1],
-                "p1": force[..., 0], "p2": force[..., 1], "p3": p3}
-
-    def _stress_partials(self, pts):
-        """Central differences d_d (m, nmem, t); cross-check only."""
-        h = self.fd_step
-        dm = np.empty(pts.shape[:-1] + (2, 2, 2))
-        dn = np.empty_like(dm)
-        dt = np.empty(pts.shape[:-1] + (2, 2))
-        for d in range(2):
-            step = np.zeros(2)
-            step[d] = h
-            mp, np_, tp = self.stresses(pts + step)
-            mm, nm_, tm = self.stresses(pts - step)
-            dm[..., d] = (mp - mm) / (2 * h)
-            dn[..., d] = (np_ - nm_) / (2 * h)
-            dt[..., d] = (tp - tm) / (2 * h)
-        return dm, dn, dt
-
-    def volume_loads_fd(self, pts):
-        """Finite-difference variant of volume_loads; cross-check only."""
-        pts = np.asarray(pts, dtype=float)
-        geom = self.chart.evaluate(pts)
-        m, nmem, t = self.stresses(pts, geom)
-        dm, dn, dt = self._stress_partials(pts)
-        G = geom.christoffel
-
-        def div2(s, ds):
-            # s^{ab}|_b = d_b s^{ab} + G^a_{bl} s^{lb} + G^b_{bl} s^{al}
-            return (np.einsum("...abb->...a", ds)
-                    + np.einsum("...abl,...lb->...a", G, s)
-                    + np.einsum("...bbl,...al->...a", G, s))
-
-        div_m = div2(m, dm)
-        bmv = np.einsum("...ga,...ab->...gb", geom.b_mix, m)
-        dbmv = (np.einsum("...gad,...ab->...gbd", geom.d_b_mix, m)
-                + np.einsum("...ga,...abd->...gbd", geom.b_mix, dm))
-        div_bm = div2(bmv, dbmv)
-        div_n = div2(nmem, dn)
-        div_t = (np.einsum("...aa->...", dt)
-                 + np.einsum("...aal,...l->...", G, t))
-        couple = -div_m + t
-        force = (div_bm - div_n
-                 + np.einsum("...a,...ga->...g", t, geom.b_mix))
         p3 = (np.einsum("...ab,...ab->...", m, geom.c_cov)
               - np.einsum("...ab,...ab->...", nmem, geom.b_cov)
               - div_t)

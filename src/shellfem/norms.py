@@ -1,11 +1,13 @@
-"""Discrete norms, Korn-equivalence diagnostics, the weak stress norm, and
-form-level consistency residuals.
+"""Discrete norms, error norms and form-level consistency residuals.
 
 All Sobolev pieces are plain (unweighted) integrals over the parameter
-domain; edge pieces carry h_e^{-1} weights on the edge sets spelled out per
-seminorm.  Gram matrices are assembled once per layout and reused, by the
-assembler's grouped kernel into its primal CSR pattern (see assembly.py);
-error norms evaluate the discrete field with the same kernel.
+domain; edge pieces carry h_e^{-1} weights, which cancel against the edge
+length of plain ds, on the interior edges and the S/D boundary edges
+(rotation jumps on D edges only).  Every norm value comes from one pointwise
+pass: the discrete field, minus an exact field for errors, is evaluated at
+the volume and edge quadrature points by the assembler's grouped kernel and
+its squares are integrated.  The only Gram matrix is Q_H, the operator of
+the dual H_h norm of consistency residuals.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import strain
 from .assembly import FormAssembler, _aux_basis, _gram
@@ -29,12 +30,22 @@ class NormReport:
     a_norm: float
     H_h_norm: float
     V_h_norm: float = None
-    weak_V_norm: float = None
     energies: dict = field(default_factory=dict)
 
 
+# the squared pieces of each seminorm of `quad_norm`
+_SEMINORMS = {"rho": ("rho", "jump_theta"), "gamma": ("gamma", "jump_u"),
+              "tau": ("tau", "jump_w"),
+              "a": ("rho", "gamma", "tau", "jump_theta", "jump_u", "jump_w"),
+              "H": ("H", "jump_theta", "jump_u", "jump_w")}
+
+
+def _root(pieces, key):
+    return float(np.sqrt(sum(pieces[k] for k in _SEMINORMS[key])))
+
+
 class NormEngine:
-    """Gram matrices of the discrete (semi)norms over one assembler/layout."""
+    """Discrete (semi)norms and error norms over one assembler/layout."""
 
     def __init__(self, assembler: FormAssembler):
         self.asm = assembler
@@ -42,62 +53,79 @@ class NormEngine:
         self._grams = None
         self._qh_lu = None
 
-    def grams(self):
-        """Gram matrices of the seminorms, from the assembler's grouped
-        kernel, on its primal pattern (and, with aux, its stress pattern)."""
-        if self._grams is not None:
-            return self._grams
+    def _pieces(self, primal, exact=None, aux=None) -> dict:
+        """Squared pieces of the norms of the discrete field `primal` minus
+        `exact` (zero if None): the volume parts "H", "rho", "gamma", "tau"
+        and, of the auxiliary field `aux`, "V"; the edge-jump parts
+        "jump_theta", "jump_u", "jump_w".  `exact` provides values(pts)->(n,5)
+        and grads(pts)->(n,5,2), called on all element quadrature points,
+        then values on all S/D boundary-edge points."""
         asm = self.asm
-        primal, _, stress = asm._pattern()
-        pieces = {k: [] for k in ("rho", "gamma", "tau", "H", "V")}
         e = asm._elem_data()
-        S = _aux_basis(e.bary)[None]
-        for t, dofs, (c, cg), strains in asm._element_batches():
-            w = e.areas[t, None] * e.wq                 # plain area element
-            slots = primal.slots(dofs, dofs)
-            for key, x in zip(("rho", "gamma", "tau"), strains):
-                pieces[key].append((slots, _gram(w, x, x)))
-            pieces["H"].append((slots, _gram(w, c, c) + _gram(w, cg, cg)))
-            if self.layout.with_aux:
-                pieces["V"].append((stress.slots(e.aux[t], e.aux[t]),
-                                    _gram(w, S, S)))
-        # h_e^{-1} weight cancels against the edge length of plain ds
-        for d in asm._edge_data():
-            for k, dofs, jump, _ in asm._edge_batches(d):
-                slots = primal.slots(dofs, dofs)
-                if d.tag[k[0]] == "S":                   # rotations: not on S
-                    jump = jump * [0.0, 0.0, 1.0, 1.0, 1.0]
-                P = [_gram(d.we, j, j) for j in
-                     (jump[..., :2], jump[..., 2:4], jump[..., 4])]
-                for key, p in zip(("rho", "gamma", "tau"), P):
-                    pieces[key].append((slots, p))
-                pieces["H"].append((slots, P[0] + P[1] + P[2]))
+        w = e.areas[:, None] * e.wq                     # plain area element
 
-        data = {k: primal.data(pieces[k]) for k in ("rho", "gamma", "tau", "H")}
-        grams = {k: primal.csr(v) for k, v in data.items()}
-        grams["a"] = primal.csr(data["rho"] + data["gamma"] + data["tau"])
-        if self.layout.with_aux:
-            grams["V"] = stress.csr(stress.data(pieces["V"]))
-        self._grams = grams
-        return grams
+        def integral(x):
+            """Integral of the squares of x (nt, nq, ...)."""
+            return np.sum(w * np.sum(x.reshape(w.shape + (-1,)) ** 2, axis=-1))
+        v, g = asm.field_values(primal, np.arange(asm.mesh.n_triangles))
+        if exact is not None:
+            ev, eg = batched(lambda p: (exact.values(p), exact.grads(p)),
+                             e.qpts.reshape(-1, 2))
+            v, g = v - ev.reshape(v.shape), g - eg.reshape(g.shape)
+        r, gm, ta = strain.field_strains(v, g, e.geom)
+        out = {"H": integral(v) + integral(g), "rho": integral(r),
+               "gamma": integral(gm), "tau": integral(ta)}
+        if aux is not None:
+            S = _aux_basis(e.bary)                      # (15,nq,6)
+            out["V"] = integral(aux[e.aux] @ S.reshape(len(S), -1))
+        # edge jumps: exact fields are continuous, so jumps of the difference
+        # equal jumps of the discrete field; boundary traces subtract exact
+        interior, boundary = asm._edge_data()
+        fixed = np.flatnonzero(boundary.tag != "F")
+        pts = boundary.pts[fixed]
+        d = asm.field_values(primal, boundary.left[fixed], pts)[0]
+        if exact is not None:
+            d -= batched(exact.values, pts.reshape(-1, 2)).reshape(d.shape)
+        d[boundary.tag[fixed] == "S", :, :2] = 0.0      # rotations only on D
+        jump = np.concatenate(
+            [asm.field_values(primal, interior.left, interior.pts)[0]
+             - asm.field_values(primal, interior.right, interior.pts)[0], d])
+        j2 = np.einsum("q,eqc->c", interior.we, jump ** 2)    # one edge rule
+        out.update(jump_theta=j2[:2].sum(), jump_u=j2[2:4].sum(),
+                   jump_w=j2[4])
+        return out
+
+    def grams(self):
+        """{"H": Q_H}, the Gram matrix of the H_h norm on the assembler's
+        primal pattern: the operator of `dual_H_norm`.  Its edge part is the
+        forms' rotation and displacement jump penalties, R_pen + G_pen."""
+        if self._grams is None:
+            asm = self.asm
+            e, pattern = asm._elem_data(), asm._pattern()[0]
+            vol = []
+            for t, dofs, (c, cg) in asm._point_batches(
+                    np.arange(asm.mesh.n_triangles)):
+                w = e.areas[t, None] * e.wq
+                vol.append((pattern.slots(dofs, dofs),
+                            _gram(w, c, c) + _gram(w, cg, cg)))
+            f = asm.forms()
+            self._grams = {"H": pattern.csr(pattern.data(vol)) + f["R_pen"]
+                           + f["G_pen"]}
+        return self._grams
 
     # ------------------------------------------------------------- norm values
 
     def quad_norm(self, key: str, vec: np.ndarray) -> float:
-        Q = self.grams()[key]
-        return float(np.sqrt(max(vec @ (Q @ vec), 0.0)))
+        """The seminorm `key` (rho, gamma, tau, a or H) of `vec`, edge parts
+        included."""
+        return _root(self._pieces(vec), key)
 
     def discrete_norms(self, primal: np.ndarray, aux: np.ndarray = None, *,
                        epsilon: float) -> NormReport:
-        g = self.grams()
-        rho = self.quad_norm("rho", primal)
-        gam = self.quad_norm("gamma", primal)
-        tau = self.quad_norm("tau", primal)
-        a = float(np.sqrt(rho ** 2 + gam ** 2 + tau ** 2))
-        H = self.quad_norm("H", primal)
-        V = None
-        if aux is not None and "V" in g:
-            V = float(np.sqrt(max(aux @ (g["V"] @ aux), 0.0)))
+        p = self._pieces(primal, aux=aux if self.layout.with_aux else None)
+        rho, gam, tau, a, H = (_root(p, k)
+                               for k in ("rho", "gamma", "tau", "a", "H"))
+        V = float(np.sqrt(p["V"])) if "V" in p else None
         eb = float(primal @ (self.asm.rho_matrix() @ primal))
         em = float(primal @ (self.asm.gamma_matrix() @ primal))
         es = float(primal @ (self.asm.tau_matrix() @ primal))
@@ -108,70 +136,20 @@ class NormEngine:
         }
         return NormReport(rho, gam, tau, a, H, V_h_norm=V, energies=energies)
 
-    def korn_ratio(self, n_samples: int = 0) -> dict:
-        """Extreme generalized Rayleigh quotients of the strain-energy norm
-        against the broken H1 norm."""
-        g = self.grams()
-        Qa = g["a"].toarray()
-        QH = g["H"].toarray()
-        if n_samples:
-            rng = np.random.default_rng(0)
-            ratios = []
-            for _ in range(n_samples):
-                v = rng.standard_normal(len(Qa))
-                ratios.append((v @ Qa @ v) / (v @ QH @ v))
-            return {"min_ratio": float(min(ratios)),
-                    "max_ratio": float(max(ratios))}
-        vals = scipy.linalg.eigh(Qa, QH, eigvals_only=True)
-        return {"min_ratio": float(vals[0]), "max_ratio": float(vals[-1])}
-
-    def _qh_solve(self, r: np.ndarray) -> np.ndarray:
-        if self._qh_lu is None:
-            self._qh_lu = factor(self.grams()["H"])
-        return self._qh_lu.solve(r)
-
     def dual_H_norm(self, r: np.ndarray) -> float:
         """sup_x r.x / ||x||_H = sqrt(r^T Q_H^{-1} r)."""
-        return float(np.sqrt(max(r @ self._qh_solve(r), 0.0)))
-
-    def weak_Vbar_norm(self, aux_vec: np.ndarray) -> float:
-        B = self.asm.b_matrix()
-        r = aux_vec @ B
-        return self.dual_H_norm(r)
+        if self._qh_lu is None:
+            self._qh_lu = factor(self.grams()["H"])
+        return float(np.sqrt(max(r @ self._qh_lu.solve(r), 0.0)))
 
     def error_norms(self, primal: np.ndarray, exact) -> dict:
-        """H_h and strain norms of (discrete field - exact field); `exact`
-        provides values(pts)->(n,5) and grads(pts)->(n,5,2), called on all
-        element quadrature points, then values on all non-free boundary-edge
-        points."""
-        asm = self.asm
-        e = asm._elem_data()
-        ev, eg = batched(lambda p: (exact.values(p), exact.grads(p)),
-                         e.qpts.reshape(-1, 2))
-        v, g = asm.field_values(primal, np.arange(asm.mesh.n_triangles))
-        dv, dg = v - ev.reshape(v.shape), g - eg.reshape(g.shape)
-        w = e.areas[:, None] * e.wq
-        r, gm, ta = strain.field_strains(dv, dg, e.geom)
-        H2 = np.sum(w * (np.sum(dv ** 2, axis=-1)
-                         + np.sum(dg ** 2, axis=(-2, -1))))
-        rho2 = np.sum(w * np.sum(r ** 2, axis=(-2, -1)))
-        gam2 = np.sum(w * np.sum(gm ** 2, axis=(-2, -1)))
-        tau2 = np.sum(w * np.sum(ta ** 2, axis=-1))
-        # edge jumps: exact fields are continuous, so jumps of the difference
-        # equal jumps of the discrete field; boundary traces subtract exact
-        interior, boundary = asm._edge_data()
-        jump = (asm.field_values(primal, interior.left, interior.pts)[0]
-                - asm.field_values(primal, interior.right, interior.pts)[0])
-        H2 += np.sum(interior.we * np.sum(jump ** 2, axis=-1))
-        fixed = np.flatnonzero(boundary.tag != "F")
-        pts = boundary.pts[fixed]
-        d = (asm.field_values(primal, boundary.left[fixed], pts)[0]
-             - batched(exact.values, pts.reshape(-1, 2)).reshape(
-                 pts.shape[:2] + (5,)))
-        d[boundary.tag[fixed] == "S", :, :2] = 0.0      # rotations only on D
-        H2 += np.sum(boundary.we * np.sum(d ** 2, axis=-1))
-        return {"H_h": float(np.sqrt(H2)), "rho": float(np.sqrt(rho2)),
-                "gamma": float(np.sqrt(gam2)), "tau": float(np.sqrt(tau2))}
+        """H_h norm (edge jumps included) and volume strain norms of the
+        discrete field minus `exact` (see `_pieces`)."""
+        p = self._pieces(primal, exact)
+        return {"H_h": _root(p, "H"),
+                "rho": float(np.sqrt(p["rho"])),
+                "gamma": float(np.sqrt(p["gamma"])),
+                "tau": float(np.sqrt(p["tau"]))}
 
 
 def consistency_residual(manufactured, assembler: FormAssembler, method: str,
@@ -179,21 +157,14 @@ def consistency_residual(manufactured, assembler: FormAssembler, method: str,
     """Dual-norm residual of the discrete equations at the interpolant of an
     exact smooth solution whose loads are manufactured consistently."""
     from .fe_space import project_primal
-    layout = assembler.layout
-    engine = NormEngine(assembler)
+    if method not in ("mixed", "dg"):
+        raise ValueError(f"unknown method {method!r}")
     xi = project_primal(manufactured.fields_dict(), assembler.mesh,
-                        assembler.chart, layout)
-    f = assembler.load_vector(manufactured.load_spec())
-    if method == "dg":
-        K = (assembler.rho_matrix()
-             + epsilon ** -2 * (assembler.gamma_matrix()
-                                + assembler.tau_matrix()))
-        r = K @ xi - f
-        return engine.dual_H_norm(r)
-    if method == "mixed":
-        mi = manufactured.aux_interpolant(layout, epsilon ** -2)
-        A = assembler.a_theta(1.0)
-        B = assembler.b_matrix()
-        r = A @ xi + B.T @ mi - f
-        return engine.dual_H_norm(r)
-    raise ValueError(f"unknown method {method!r}")
+                        assembler.chart, assembler.layout)
+    r = assembler.load_vector(manufactured.load_spec())
+    if method == "dg":      # rho + eps^-2 (gamma + tau)
+        r = assembler.a_theta(epsilon ** -2) @ xi - r
+    else:
+        mi = manufactured.aux_interpolant(assembler.layout, epsilon ** -2)
+        r = assembler.a_theta(1.0) @ xi + assembler.b_matrix().T @ mi - r
+    return NormEngine(assembler).dual_H_norm(r)

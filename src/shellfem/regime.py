@@ -60,8 +60,8 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 
 def _element_H_map(engine, primal):
-    """Per-element plain H1 seminorm density of the displacement part, for
-    inspection alongside the global verdict."""
+    """Per-element plain L2 norm of all five fields (theta1, theta2, u1, u2,
+    w), for inspection alongside the global verdict."""
     asm = engine.asm
     e = asm._elem_data()
     vals, _ = asm.field_values(primal, np.arange(asm.mesh.n_triangles))

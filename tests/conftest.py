@@ -3,6 +3,7 @@ import pytest
 
 from shellfem.assembly import FormAssembler
 from shellfem.geometry import ExpressionChart, SymbolicChart
+from shellfem.norms import NormEngine
 
 
 @pytest.fixture
@@ -17,6 +18,21 @@ def form_builds(monkeypatch):
             builds.append("mixed" if self.layout.with_aux else "dg")
         return forms(self)
     monkeypatch.setattr(FormAssembler, "forms", counting_forms)
+    return builds
+
+
+@pytest.fixture
+def gram_builds(monkeypatch):
+    """List that records, in order, the method ("mixed" or "dg") of every
+    norm engine that builds its Gram matrix during the test."""
+    builds = []
+    grams = NormEngine.grams
+
+    def counting_grams(self):
+        if self._grams is None:
+            builds.append("mixed" if self.layout.with_aux else "dg")
+        return grams(self)
+    monkeypatch.setattr(NormEngine, "grams", counting_grams)
     return builds
 
 

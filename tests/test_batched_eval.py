@@ -1,24 +1,25 @@
-"""Mesh-wide batched evaluation of charts, loads and exact fields, and the
-grouped quadrature kernel of forms and Gram matrices, checked against
-per-element and per-edge reference loops written out here.  The loops take
-their basis traces from the kernel on one-element batches."""
+"""Mesh-wide batched evaluation of charts, loads and exact fields, the
+grouped quadrature kernel of forms and of Q_H, and the pointwise norms,
+checked against the per-element and per-edge reference loops of
+`oracles`."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sps
 
-from shellfem import strain
 from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec, Material
 from shellfem.cli import DiscreteField
 from shellfem.driver import ShellProblem
 from shellfem.fe_space import build_dof_layout, build_local_basis
 from shellfem.geometry import geometry_seminorms, make_chart
 from shellfem.manufactured import ManufacturedSolution
-from shellfem.mesh import edge_normal, generate_rect_mesh, mesh_condition_report
+from shellfem.mesh import (BoundaryEdge, Mesh, MeshError, generate_rect_mesh,
+                           mesh_condition_report)
 from shellfem.norms import NormEngine
-from shellfem.quadrature import interval_rule
+
+from oracles import (reference_error_norms, reference_forms, reference_grams,
+                     reference_load_vector)
 
 FIELDS = {"theta1": "sin(pi * x1) * sin(pi * x2)",
           "theta2": "x1 * (1 - x1) * x2 * (1 - x2)",
@@ -48,327 +49,6 @@ def assert_close(got, want):
     """Agreement to a relative tolerance of 1e-12 of the largest entry."""
     got, want = np.asarray(got), np.asarray(want)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def _at(f, pts):
-    return np.zeros(len(pts)) if f is None else f(pts)
-
-
-def local_fields(asm, t, pts=None):
-    """Field arrays (th, thg, u, ug, w, wg), each (q, nl, ...), of element t
-    alone at its volume quadrature points or at points pts (q, 2)."""
-    _, (c, cg) = asm._local(np.array([t]), None if pts is None else pts[None])
-    c, cg = np.moveaxis(c[0], 0, 1), np.moveaxis(cg[0], 0, 1)
-    return (c[..., 0:2], cg[..., 0:2, :], c[..., 2:4], cg[..., 2:4, :],
-            c[..., 4], cg[..., 4, :])
-
-
-def element_strains(asm, t):
-    """Fields and strains of element t at its volume quadrature points."""
-    fields = local_fields(asm, t)
-    rho, gam, tau = strain.strains(*fields, asm._elem_data().geom[t, :, None])
-    return SimpleNamespace(rho=rho, gamma=gam, tau=tau, fields=fields)
-
-
-def edge_list(asm):
-    """One namespace per interior and per boundary edge, from the stacked
-    edge data."""
-    return [[SimpleNamespace(left=d.left[k], right=d.right[k], tag=d.tag[k],
-                             pts=d.pts[k], geom=d.geom[k],
-                             elastic=d.elastic[k], h=d.h[k], nbar=d.nbar[k],
-                             verts=d.verts[k], te=d.te, we=d.we)
-             for k in range(len(d.left))] for d in asm._edge_data()]
-
-
-def side_arrays(asm, t, ed):
-    """Traces and per-DOF strains of element t on edge ed."""
-    th, thg, u, ug, w, wg = local_fields(asm, t, ed.pts)
-    rho, gam, tau = strain.strains(th, thg, u, ug, w, wg, ed.geom[:, None])
-    return SimpleNamespace(th=th, u=u, w=w, rho=rho, gamma=gam, tau=tau)
-
-
-def reference_load_vector(asm, loads):
-    """Every load on one element's or one edge's points at a time, with the
-    edge geometry evaluated edge by edge."""
-    layout, mesh = asm.layout, asm.mesh
-    rhs = np.zeros(layout.n_primal)
-    e = asm._elem_data()
-    vol = (loads.c1, loads.c2, loads.p1, loads.p2, loads.p3)
-    for t in range(mesh.n_triangles):
-        wfac = e.areas[t] * e.wq * e.geom.sqrt_a[t]
-        th, _, u, _, w, _ = local_fields(asm, t)
-        fv = [wfac * _at(f, e.qpts[t]) for f in vol]
-        rhs[layout.element_dofs(t)] += (
-            fv[0] @ th[:, :, 0] + fv[1] @ th[:, :, 1] + fv[2] @ u[:, :, 0]
-            + fv[3] @ u[:, :, 1] + fv[4] @ w)
-    te, we = interval_rule(asm.config.quad_edge_points)
-    for k, edge in enumerate(mesh.boundary_edges):
-        if edge.tag == "D":
-            continue
-        t = edge.triangle
-        p, q = mesh.vertices[list(edge.vertices)]
-        pts = np.outer(1 - te, p) + np.outer(te, q)
-        geom = asm.chart.evaluate(pts)
-        nbar = edge_normal(mesh, edge.vertices, t)
-        h = mesh.h_e_boundary[k]
-        th, _, u, _, w, _ = local_fields(asm, t, pts)
-        if loads.flux_provider is not None:
-            m, nmem, tsh = loads.flux_provider.boundary_fluxes(pts)
-            wsa = h * we * geom.sqrt_a
-            loc = np.einsum("q,qa,qia->i", wsa, m @ nbar, th)
-            if edge.tag == "F":
-                qf = (nmem - np.einsum("qga,qab->qgb", geom.b_mix, m)) @ nbar
-                loc += np.einsum("q,qg,qig->i", wsa, qf, u)
-                loc += (wsa * (tsh @ nbar)) @ w
-        else:
-            tang = (q - p) / h
-            warc = h * we * np.sqrt(np.einsum("qab,a,b->q", geom.a_cov,
-                                              tang, tang))
-            loc = ((warc * _at(loads.r1, pts)) @ th[:, :, 0]
-                   + (warc * _at(loads.r2, pts)) @ th[:, :, 1])
-            if edge.tag == "F":
-                loc += ((warc * _at(loads.q1, pts)) @ u[:, :, 0]
-                        + (warc * _at(loads.q2, pts)) @ u[:, :, 1]
-                        + (warc * _at(loads.q3, pts)) @ w)
-        rhs[layout.element_dofs(t)] += loc
-    return rhs
-
-
-def reference_error_norms(eng, primal, exact):
-    """`exact` asked for values and gradients one element or one edge at a
-    time."""
-    asm, layout = eng.asm, eng.layout
-    e = asm._elem_data()
-    H2 = rho2 = gam2 = tau2 = 0.0
-    for t in range(asm.mesh.n_triangles):
-        th, thg, u, ug, wv, wg = local_fields(asm, t)
-        x = primal[layout.element_dofs(t)]
-        ev, eg = exact.values(e.qpts[t]), exact.grads(e.qpts[t])
-        dth = np.einsum("qka,k->qa", th, x) - ev[:, 0:2]
-        dthg = np.einsum("qkab,k->qab", thg, x) - eg[:, 0:2]
-        du = np.einsum("qka,k->qa", u, x) - ev[:, 2:4]
-        dug = np.einsum("qkab,k->qab", ug, x) - eg[:, 2:4]
-        dw = wv @ x - ev[:, 4]
-        dwg = np.einsum("qka,k->qa", wg, x) - eg[:, 4]
-        w = e.areas[t] * e.wq
-        H2 += w @ (np.sum(dth ** 2 + du ** 2, axis=-1)
-                   + np.sum(dthg ** 2 + dug ** 2, axis=(-2, -1))
-                   + dw ** 2 + np.sum(dwg ** 2, axis=-1))
-        r, gm, ta = strain.strains(dth, dthg, du, dug, dw, dwg, e.geom[t])
-        rho2 += w @ np.sum(r ** 2, axis=(-2, -1))
-        gam2 += w @ np.sum(gm ** 2, axis=(-2, -1))
-        tau2 += w @ np.sum(ta ** 2, axis=-1)
-    interior, boundary = edge_list(asm)
-    for ed in interior:
-        sL = side_arrays(asm, ed.left, ed)
-        sR = side_arrays(asm, ed.right, ed)
-        xL = primal[layout.element_dofs(ed.left)]
-        xR = primal[layout.element_dofs(ed.right)]
-        jth = np.einsum("qka,k->qa", sL.th, xL) - np.einsum("qka,k->qa",
-                                                             sR.th, xR)
-        ju = np.einsum("qka,k->qa", sL.u, xL) - np.einsum("qka,k->qa",
-                                                           sR.u, xR)
-        jw = sL.w @ xL - sR.w @ xR
-        H2 += ed.we @ (np.sum(jth ** 2 + ju ** 2, axis=-1) + jw ** 2)
-    for ed in boundary:
-        if ed.tag == "F":
-            continue
-        s = side_arrays(asm, ed.left, ed)
-        x = primal[layout.element_dofs(ed.left)]
-        ev = exact.values(ed.pts)
-        du = np.einsum("qka,k->qa", s.u, x) - ev[:, 2:4]
-        dw = s.w @ x - ev[:, 4]
-        H2 += ed.we @ (np.sum(du ** 2, axis=-1) + dw ** 2)
-        if ed.tag == "D":
-            dth = np.einsum("qka,k->qa", s.th, x) - ev[:, 0:2]
-            H2 += ed.we @ np.sum(dth ** 2, axis=-1)
-    return {"H_h": np.sqrt(H2), "rho": np.sqrt(rho2),
-            "gamma": np.sqrt(gam2), "tau": np.sqrt(tau2)}
-
-
-def aux_tensors(pv):
-    """Membrane- and shear-stress basis tensors (q, 5 nv, 2, 2) and
-    (q, 5 nv, 2) of the auxiliary components from P1 vertex values pv."""
-    nq, nv = pv.shape
-    Mten = np.zeros((nq, 5 * nv, 2, 2))
-    xiv = np.zeros((nq, 5 * nv, 2))
-    for vi in range(nv):
-        Mten[:, 5 * vi + 0, 0, 0] = pv[:, vi]
-        Mten[:, 5 * vi + 1, 1, 1] = pv[:, vi]
-        Mten[:, 5 * vi + 2, 0, 1] = pv[:, vi]
-        Mten[:, 5 * vi + 2, 1, 0] = pv[:, vi]
-        xiv[:, 5 * vi + 3, 0] = pv[:, vi]
-        xiv[:, 5 * vi + 4, 1] = pv[:, vi]
-    return Mten, xiv
-
-
-def aux_dofs(vertex_ids):
-    return np.array([5 * v + c for v in vertex_ids for c in range(5)])
-
-
-def _coo(acc, key, shape):
-    r, c, v = acc[key]
-    if not r:
-        return sps.csr_matrix(shape)
-    return sps.coo_matrix((np.concatenate(v),
-                           (np.concatenate(r), np.concatenate(c))),
-                          shape=shape).tocsr()
-
-
-def _sides(asm, ed):
-    """DOFs, signed traces (jumps) and strains (averaged on interior edges)
-    of an edge, with the edge's flags as in the forms."""
-    layout = asm.layout
-    if ed.right < 0:
-        s = side_arrays(asm, ed.left, ed)
-        return (layout.element_dofs(ed.left), s.th, s.u, s.w,
-                s.rho, s.gamma, s.tau)
-    sL, sR = side_arrays(asm, ed.left, ed), side_arrays(asm, ed.right, ed)
-    dofs = np.concatenate([layout.element_dofs(ed.left),
-                           layout.element_dofs(ed.right)])
-    sign = np.concatenate([np.ones(layout.n_local(ed.left)),
-                           -np.ones(layout.n_local(ed.right))])
-    cat = [np.concatenate([getattr(sL, k), getattr(sR, k)], axis=1)
-           for k in ("th", "u", "w", "rho", "gamma", "tau")]
-    return (dofs, cat[0] * sign[None, :, None], cat[1] * sign[None, :, None],
-            cat[2] * sign[None, :], 0.5 * cat[3], 0.5 * cat[4], 0.5 * cat[5])
-
-
-def reference_forms(asm):
-    """The forms element by element and edge by edge, each local matrix
-    scattered as COO triplets."""
-    layout, mesh = asm.layout, asm.mesh
-    mu, kappa = asm.material.mu, asm.material.kappa
-    n, n3 = layout.n_primal, layout.n_block3
-    acc = {key: ([], [], []) for key in
-           ("R", "Rp", "G", "Gp", "T", "Tp", "B", "C")}
-
-    def add(key, rows, cols, vals):
-        r, c, v = acc[key]
-        r.append(np.broadcast_to(rows, vals.shape).ravel())
-        c.append(np.broadcast_to(cols, vals.shape).ravel())
-        v.append(vals.ravel())
-
-    e = asm._elem_data()
-    for t in range(mesh.n_triangles):
-        st = element_strains(asm, t)
-        wfac = e.areas[t] * e.wq * e.geom.sqrt_a[t]
-        A = e.elastic.elastic[t]
-        dofs = layout.element_dofs(t)
-        rc = dofs[:, None], dofs[None, :]
-        arho = np.einsum("qabcd,qkcd->qkab", A, st.rho)
-        add("R", *rc, (1.0 / 3.0) * np.einsum("q,qkab,qlab->kl", wfac, arho,
-                                               st.rho))
-        agam = np.einsum("qabcd,qkcd->qkab", A, st.gamma)
-        add("G", *rc, np.einsum("q,qkab,qlab->kl", wfac, agam, st.gamma))
-        add("T", *rc, kappa * mu * np.einsum("q,qab,qka,qlb->kl", wfac,
-                                             e.geom.a_con[t], st.tau, st.tau))
-        if layout.with_aux:
-            Mten, xiv = aux_tensors(e.bary)
-            adofs = aux_dofs(mesh.triangles[t])
-            add("B", adofs[:, None], dofs[None, :],
-                np.einsum("q,qmab,qkab->mk", wfac, Mten, st.gamma)
-                + np.einsum("q,qma,qka->mk", wfac, xiv, st.tau))
-            add("C", adofs[:, None], adofs[None, :],
-                np.einsum("q,qabcd,qmcd,qnab->mn", wfac,
-                          e.elastic.compliance[t], Mten, Mten)
-                + (1.0 / (kappa * mu))
-                * np.einsum("q,qab,qmb,qna->mn", wfac, e.geom.a_cov[t],
-                            xiv, xiv))
-
-    for ed in [ed for edges in edge_list(asm) for ed in edges]:
-        if ed.tag == "F":
-            continue
-        dofs, jth, ju, jw, rho, gam, tau = _sides(asm, ed)
-        theta = ed.tag != "S"
-        g, A, nbar = ed.geom, ed.elastic, ed.nbar
-        wsa = ed.h * ed.we * g.sqrt_a
-        rc = dofs[:, None], dofs[None, :]
-        arho = np.einsum("qabcd,qkcd,b->qka", A, rho, nbar)
-        if theta:
-            X = np.einsum("q,qja,qia->ij", wsa, arho, jth)
-            add("R", *rc, -(1.0 / 3.0) * (X + X.T))
-        bju = np.einsum("qda,qid->qia", g.b_mix, ju)
-        X = np.einsum("q,qja,qia->ij", wsa, arho, bju)
-        add("R", *rc, (1.0 / 3.0) * (X + X.T))
-        agam = np.einsum("qdbag,qkag,b->qkd", A, gam, nbar)
-        X = np.einsum("q,qjd,qid->ij", wsa, agam, ju)
-        add("G", *rc, -(X + X.T))
-        atau = kappa * mu * np.einsum("qab,qkb,a->qk", g.a_con, tau, nbar)
-        X = np.einsum("q,qj,qi->ij", wsa, atau, jw)
-        add("T", *rc, -(X + X.T))
-        if theta:
-            add("Rp", *rc, np.einsum("q,qia,qja->ij", ed.we, jth, jth))
-        add("Gp", *rc, np.einsum("q,qia,qja->ij", ed.we, ju, ju))
-        P = np.einsum("q,qi,qj->ij", ed.we, jw, jw)
-        add("Gp", *rc, P)
-        add("Tp", *rc, P)
-        if layout.with_aux:
-            Mten, xiv = aux_tensors(np.stack([1 - ed.te, ed.te], axis=1))
-            add("B", aux_dofs(ed.verts)[:, None], dofs[None, :],
-                -(np.einsum("q,qmab,qia,b->mi", wsa, Mten, ju, nbar)
-                  + np.einsum("q,qma,qi,a->mi", wsa, xiv, jw, nbar)))
-
-    return {"R": _coo(acc, "R", (n, n)), "R_pen": _coo(acc, "Rp", (n, n)),
-            "G": _coo(acc, "G", (n, n)), "G_pen": _coo(acc, "Gp", (n, n)),
-            "T": _coo(acc, "T", (n, n)), "T_pen": _coo(acc, "Tp", (n, n)),
-            "B": _coo(acc, "B", (n3, n)), "C": _coo(acc, "C", (n3, n3))}
-
-
-def reference_grams(eng):
-    """The Gram matrices element by element and edge by edge."""
-    asm, layout = eng.asm, eng.layout
-    n, n3 = layout.n_primal, layout.n_block3
-    acc = {k: ([], [], []) for k in ("rho", "gamma", "tau", "H", "V")}
-
-    def add(key, dofs, vals):
-        r, c, v = acc[key]
-        r.append(np.broadcast_to(dofs[:, None], vals.shape).ravel())
-        c.append(np.broadcast_to(dofs[None, :], vals.shape).ravel())
-        v.append(vals.ravel())
-
-    e = asm._elem_data()
-    for t in range(asm.mesh.n_triangles):
-        st = element_strains(asm, t)
-        w = e.areas[t] * e.wq
-        dofs = layout.element_dofs(t)
-        add("rho", dofs, np.einsum("q,qkab,qlab->kl", w, st.rho, st.rho))
-        add("gamma", dofs, np.einsum("q,qkab,qlab->kl", w, st.gamma,
-                                     st.gamma))
-        add("tau", dofs, np.einsum("q,qka,qla->kl", w, st.tau, st.tau))
-        th, thg, u, ug, wv, wg = st.fields
-        add("H", dofs, np.einsum("q,qka,qla->kl", w, th, th)
-            + np.einsum("q,qkab,qlab->kl", w, thg, thg)
-            + np.einsum("q,qka,qla->kl", w, u, u)
-            + np.einsum("q,qkab,qlab->kl", w, ug, ug)
-            + np.einsum("q,qk,ql->kl", w, wv, wv)
-            + np.einsum("q,qka,qla->kl", w, wg, wg))
-        if layout.with_aux:
-            Mten, xiv = aux_tensors(e.bary)
-            add("V", aux_dofs(asm.mesh.triangles[t]),
-                np.einsum("q,qmab,qnab->mn", w, Mten, Mten)
-                + np.einsum("q,qma,qna->mn", w, xiv, xiv))
-
-    for ed in [ed for edges in edge_list(asm) for ed in edges]:
-        if ed.tag == "F":
-            continue
-        dofs, jth, ju, jw = _sides(asm, ed)[:4]
-        if ed.tag != "S":
-            P = np.einsum("q,qia,qja->ij", ed.we, jth, jth)
-            add("rho", dofs, P)
-            add("H", dofs, P)
-        P = np.einsum("q,qia,qja->ij", ed.we, ju, ju)
-        add("gamma", dofs, P)
-        add("H", dofs, P)
-        P = np.einsum("q,qi,qj->ij", ed.we, jw, jw)
-        add("tau", dofs, P)
-        add("H", dofs, P)
-
-    grams = {k: _coo(acc, k, (n, n)) for k in ("rho", "gamma", "tau", "H")}
-    grams["a"] = grams["rho"] + grams["gamma"] + grams["tau"]
-    if layout.with_aux:
-        grams["V"] = _coo(acc, "V", (n3, n3))
-    return grams
 
 
 # ------------------------------------------------------------------ loads
@@ -463,29 +143,100 @@ def test_discrete_field_batch_matches_point_by_point():
         assert_close(grads[k], one.grads(p)[0])
 
 
-@pytest.mark.parametrize("chart,tags,enrichment,sizes", [
+def containing(asm, pts):
+    """(nt, n): whether each triangle contains each point to a barycentric
+    tolerance of 1e-10, tested by brute force."""
+    e = asm._elem_data()
+    lam12 = (np.einsum("tij,qj->tqi", e.Jinv, pts)
+             - np.einsum("tij,tj->ti", e.Jinv, e.coords[:, 2])[:, None])
+    lam3 = 1.0 - lam12.sum(axis=-1)
+    return (lam12 >= -1e-10).all(axis=-1) & (lam3 >= -1e-10)
+
+
+@pytest.mark.parametrize("n,grading", [
+    (3, None), (8, None), (6, {"ratio": 0.3, "toward": "left"})],
+    ids=["3x4", "8x9", "graded"])
+def test_bin_grid_locates_the_brute_force_owners(n, grading):
+    rng = np.random.default_rng(n)
+    base = generate_rect_mesh((0.0, 2.0, -1.0, 0.5), n, n + 1,
+                              tags=("D", "F", "F", "F"), grading=grading)
+    mesh = Mesh(vertices=base.vertices.copy(),
+                triangles=base.triangles[rng.permutation(
+                    base.n_triangles)].copy(),
+                boundary_edges=[BoundaryEdge(e.vertices, 0, 0, e.tag)
+                                for e in base.boundary_edges]).finalize()
+    problem = ShellProblem(chart=make_chart("plate"), mesh=mesh,
+                           penalty_C=20.0)
+    field = DiscreteField(problem, "dg", np.zeros(
+        problem.assembler("dg").layout.n_primal))
+    corners = mesh.vertices[mesh.triangles]
+    pts = np.concatenate([                  # vertices, edge points, inside
+        mesh.vertices,
+        (0.5 * (corners + np.roll(corners, 1, axis=1))).reshape(-1, 2),
+        (0.25 * corners + 0.75 * np.roll(corners, 1, axis=1)).reshape(-1, 2),
+        rng.uniform((0.0, -1.0), (2.0, 0.5), (200, 2))])
+    inside = containing(field.asm, pts)
+    assert inside.any(axis=0).all()
+    assert (inside.sum(axis=0) > 1).sum() > n * n    # on shared edges
+    # the lowest-index containing triangle, as brute force finds it
+    assert np.array_equal(field._locate(pts), inside.argmax(axis=0))
+    for outside in ([2.0 + 1e-6, 0.0], [1.0, -1.5]):
+        with pytest.raises(MeshError):
+            field._locate(np.array([[1.0, 0.0], outside]))
+
+
+ORACLE_MESHES = pytest.mark.parametrize("chart,tags,enrichment,sizes", [
     (make_chart("cylinder"), ("D", "F", "F", "F"), True, {15, 21, 27}),
     (make_chart("cylinder"), ("D", "S", "F", "S"), True, {15, 21}),
     (bump_chart(), ("D", "D", "D", "D"), True, {15}),
     (make_chart("cylinder"), FREE_AND_SOFT, False, {15})],
     ids=["cylinder-DFFF", "cylinder-DSFS", "bump-clamped", "dg"])
-def test_grouped_forms_and_grams_match_reference_loops(chart, tags,
-                                                       enrichment, sizes):
+
+
+def oracle_engine(chart, tags, enrichment, sizes):
     mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 4, 4, tags=tags)
     layout = build_dof_layout(mesh, chart, enrichment=enrichment)
     asm = FormAssembler(mesh, chart, layout, Material(),
                         AssemblyConfig(penalty_C=20.0))
     assert {layout.n_local(t) for t in range(mesh.n_triangles)} == sizes
-    eng = NormEngine(asm)
-    for got, want in ((asm.forms(), reference_forms(asm)),
-                      (eng.grams(), reference_grams(eng))):
-        assert got.keys() == want.keys()
-        for key in want:
-            assert got[key].shape == want[key].shape
-            if want[key].nnz:
-                assert_close(got[key].toarray(), want[key].toarray())
-            else:
-                assert got[key].nnz == 0
+    return NormEngine(asm)
+
+
+@ORACLE_MESHES
+def test_grouped_forms_and_grams_match_reference_loops(chart, tags,
+                                                       enrichment, sizes):
+    eng = oracle_engine(chart, tags, enrichment, sizes)
+    got, want = eng.asm.forms(), reference_forms(eng.asm)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].shape == want[key].shape
+        if want[key].nnz:
+            assert_close(got[key].toarray(), want[key].toarray())
+        else:
+            assert got[key].nnz == 0
+    assert eng.grams().keys() == {"H"}
+    assert_close(eng.grams()["H"].toarray(),
+                 reference_grams(eng)["H"].toarray())
+
+
+@ORACLE_MESHES
+def test_pointwise_norms_match_reference_grams(chart, tags, enrichment,
+                                               sizes):
+    """Every seminorm of `quad_norm`, edge parts included, and V_h equal
+    sqrt(v^T Q v) with the Gram matrices of the reference loops."""
+    eng = oracle_engine(chart, tags, enrichment, sizes)
+    grams = reference_grams(eng)
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(eng.layout.n_primal)
+    for key in ("rho", "gamma", "tau", "a", "H"):
+        assert_close(eng.quad_norm(key, v), np.sqrt(v @ grams[key] @ v))
+    aux = rng.standard_normal(eng.layout.n_block3)
+    report = eng.discrete_norms(v, aux, epsilon=0.1)
+    assert_close(report.H_h_norm, np.sqrt(v @ grams["H"] @ v))
+    if enrichment:
+        assert_close(report.V_h_norm, np.sqrt(aux @ grams["V"] @ aux))
+    else:
+        assert report.V_h_norm is None
 
 
 # ------------------------------------------------------- mesh and layout

@@ -274,3 +274,13 @@ def test_locking_builds_forms_once_per_method(tmp_path, form_builds,
     assert main(["locking", write(tmp_path, text), "--out", str(out)]) == 0
     assert len((out / "locking.csv").read_text().strip().splitlines()) == 7
     assert sorted(form_builds) == ["dg", "mixed"]
+
+
+def test_studies_build_no_gram_matrix(tmp_path, gram_builds):
+    """Every norm a study reports is evaluated pointwise."""
+    for study, text in (("solve", GOOD), ("regime", GOOD),
+                        ("locking", GOOD), ("converge", GOOD),
+                        ("converge", MANUFACTURED)):
+        out = tmp_path / f"{study}-{len(text)}"
+        assert main([study, write(tmp_path, text), "--out", str(out)]) == 0
+    assert gram_builds == []

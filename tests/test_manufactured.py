@@ -7,6 +7,8 @@ from shellfem.geometry import make_chart
 from shellfem.manufactured import FIELDS, ManufacturedSolution
 from shellfem.mesh import generate_rect_mesh
 
+from oracles import volume_loads_fd
+
 TRIG = {"theta1": "sin(pi * x1) * x2", "theta2": "cos(x2) * x1",
         "u1": "x1^2 * (1 - x2)", "u2": "sin(x1 + x2)",
         "w": "x1 * x2 * (1 - x1)"}
@@ -25,7 +27,7 @@ def test_analytic_loads_match_finite_differences(kind, lo, hi):
     rng = np.random.default_rng(0)
     pts = rng.uniform(lo, hi, (40, 2))
     exact = sol.volume_loads(pts)
-    fd = sol.volume_loads_fd(pts)
+    fd = volume_loads_fd(sol, pts)
     for key in exact:
         scale = max(np.abs(exact[key]).max(), 1.0)
         assert np.abs(exact[key] - fd[key]).max() < 1e-6 * scale, key
