@@ -252,72 +252,34 @@ def _manufactured_for(spec: ProblemSpec, method: str,
 
 # ----------------------------------------------------------------- field eval
 
-def _ranges(first, count):
-    """The index ranges first[i], ..., first[i] + count[i] - 1, joined."""
-    return (np.repeat(first - np.cumsum(count) + count, count)
-            + np.arange(count.sum()))
-
-
-def _bin_grid(coords):
-    """A uniform grid of about one bin per triangle over the triangles
-    coords (nt, 3, 2): (bin of points (n, 2), start of each bin's list, the
-    lists).  A bin lists in ascending order every triangle whose bounding
-    box, widened far beyond the barycentric tolerance of
-    `DiscreteField._locate`, meets it."""
-    lo, hi = coords.min(axis=(0, 1)), coords.max(axis=(0, 1))
-    nb = int(np.ceil(np.sqrt(len(coords))))
-
-    def ij(pts):
-        return np.floor(np.clip((pts - lo) * nb / (hi - lo), 0, nb - 1)
-                        ).astype(int)
-    pad = 1e-6 * (hi - lo).max()
-    first = ij(coords.min(axis=1) - pad)
-    span = ij(coords.max(axis=1) + pad) - first + 1
-    tri = np.repeat(np.arange(len(coords)), span.prod(axis=1))
-    k = _ranges(np.zeros(len(coords), dtype=int), span.prod(axis=1))
-    b = (first[tri, 0] + k // span[tri, 1]) * nb + first[tri, 1] \
-        + k % span[tri, 1]
-    order = np.argsort(b, kind="stable")        # triangles stay ascending
-    return (lambda pts: ij(pts) @ [nb, 1],
-            np.searchsorted(b[order], np.arange(nb * nb + 1)), tri[order])
-
-
 class DiscreteField:
     """Evaluate one discrete solution at arbitrary parameter points (used as
-    the reference in self-convergence mode).  Points are located through a
-    uniform bin grid over the parameter domain.  Values and gradients come
-    from one pass over a point batch: `grads` on the batch `values` just saw
-    (or the reverse) reuses it."""
+    the reference in self-convergence mode).  Point location is brute-force
+    over triangles, adequate at study scale.  Values and gradients come from
+    one pass over a point batch: `grads` on the batch `values` just saw (or
+    the reverse) reuses it."""
 
     def __init__(self, problem: ShellProblem, method: str,
                  primal: np.ndarray):
         self.asm = problem.assembler(method)
         self.primal = primal
         self._last = None          # (points, (values, grads)) of the last batch
-        self._grid = None
 
     def _locate(self, pts):
-        """Owner triangle of each point: the lowest-index triangle that
-        contains it to a barycentric tolerance of 1e-10, among the triangles
-        listed in its bin; about POINT_BUDGET (point, triangle) pairs at a
-        time."""
+        """Owner triangle of each point, over at most POINT_BUDGET
+        (triangle, point) pairs at a time."""
         e = self.asm._elem_data()
-        if self._grid is None:
-            self._grid = _bin_grid(e.coords)
-        bin_of, start, tris = self._grid
-        b = bin_of(pts)
-        n = start[b + 1] - start[b]
-        owner = np.full(len(pts), len(e.Jinv))
-        for s in np.split(np.arange(len(pts)), np.searchsorted(
-                np.cumsum(n), np.arange(POINT_BUDGET, n.sum(), POINT_BUDGET))):
-            q, t = np.repeat(s, n[s]), tris[_ranges(start[b[s]], n[s])]
-            lam12 = np.einsum("kij,kj->ki", e.Jinv[t], pts[q]) \
-                - np.einsum("kij,kj->ki", e.Jinv[t], e.coords[t, 2])
+        step = max(1, POINT_BUDGET // len(e.Jinv))
+        owner = np.empty(len(pts), dtype=int)
+        for i in range(0, len(pts), step):
+            lam12 = np.einsum("tij,qj->tqi", e.Jinv, pts[i:i + step]) \
+                - np.einsum("tij,tj->ti", e.Jinv, e.coords[:, 2])[:, None]
             lam3 = 1.0 - lam12.sum(axis=-1)
             inside = (lam12 >= -1e-10).all(axis=-1) & (lam3 >= -1e-10)
-            np.minimum.at(owner, q[inside], t[inside])
-        if (owner == len(e.Jinv)).any():
-            raise MeshError("reference-solution evaluation point outside mesh")
+            if not inside.any(axis=0).all():
+                raise MeshError("reference-solution evaluation point outside "
+                                "mesh")
+            owner[i:i + step] = inside.argmax(axis=0)
         return owner
 
     def _eval(self, pts):

@@ -270,38 +270,25 @@ def build_dof_layout(mesh, chart, enrichment: bool,
 def project_primal(fields: dict, mesh, chart, layout: DofLayout) -> np.ndarray:
     """Element-wise weighted-L2 projection of smooth fields onto the primal
     space.  Rotations always project onto P1; displacements use the element's
-    local space with edge-moment matching on free edges.  Each field is
-    called once on all element volume points and once on all free-edge
-    points; the local systems are solved in one batch per local size."""
-    bases = layout.bases
-    lamv = eval_monos(bases[0].vol_lam) @ LAM.T                  # (nq,3)
-    w = np.array([lb.vol_w for lb in bases])                     # (nt,nq)
-    vol = np.array([lb.vol_pts for lb in bases]).reshape(-1, 2)
-    fv = np.stack([batched(fields[name], vol).reshape(w.shape)
-                   for name in FIELDS], axis=1)                  # (nt,5,nq)
-    moments = np.einsum("tq,tfq,qi->tfi", w, fv, lamv)           # (nt,5,3)
-    # displacement moments against (1, t) on every free edge
-    edges = [ed for lb in bases for ed in lb.edge_data]
-    edge_moments = np.zeros((0, 3, 2))
-    if edges:
-        ew = np.array([(ed[1], ed[1] * ed[2]) for ed in edges])  # (ne,2,8)
-        epts = np.concatenate([ed[0] for ed in edges])
-        fe = np.stack([batched(fields[name], epts).reshape(len(edges), -1)
-                       for name in FIELDS[2:]], axis=1)          # (ne,3,8)
-        edge_moments = np.einsum("emq,efq->efm", ew, fe)
-    # local size 3 + 2k on elements with k free edges; the P1 block of the
-    # moment matrix is the rotations' mass matrix
-    n_free = np.array([len(lb.edge_data) for lb in bases])
-    first = np.cumsum(n_free) - n_free
+    local space with edge-moment matching on free edges."""
     out = np.zeros(layout.n_primal)
-    for k in np.unique(n_free):
-        t = np.flatnonzero(n_free == k)
-        mm = np.array([bases[i].moment_matrix for i in t])[:, None]
-        rot = np.linalg.solve(mm[..., :3, :3], moments[t, :2, :, None])
-        em = np.moveaxis(edge_moments[first[t, None] + np.arange(k)], 1, 2)
-        rhs = np.concatenate([moments[t, 2:], em.reshape(len(t), 3, 2 * k)],
-                             axis=-1)
-        disp = np.linalg.solve(mm, rhs[..., None])
-        out[np.array([layout.element_dofs(i) for i in t])] = np.concatenate(
-            [rot.reshape(len(t), -1), disp.reshape(len(t), -1)], axis=1)
+    for t in range(mesh.n_triangles):
+        lb = layout.bases[t]
+        lamv = eval_monos(lb.vol_lam) @ LAM.T
+        for f, name in enumerate(FIELDS):
+            fn = fields[name]
+            fvals = fn(lb.vol_pts)
+            if f < 2 or lb.kind == "P1":
+                M = np.einsum("q,qi,qj->ij", lb.vol_w, lamv, lamv)
+                rhs = np.einsum("q,qi->i", lb.vol_w * fvals, lamv)
+                coeffs = np.linalg.solve(M, rhs)
+                out[layout.field_dofs(t, f)[:3]] = coeffs
+                continue
+            rhs = list(np.einsum("q,qi->i", lb.vol_w * fvals, lamv))
+            for (pts, w, te, _lam12) in lb.edge_data:
+                fe = fn(pts)
+                rhs.append(w @ fe)
+                rhs.append(w @ (te * fe))
+            coeffs = np.linalg.solve(lb.moment_matrix, np.array(rhs))
+            out[layout.field_dofs(t, f)] = coeffs
     return out

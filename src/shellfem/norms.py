@@ -51,15 +51,15 @@ class NormEngine:
         self.asm = assembler
         self.layout = assembler.layout
         self._grams = None
-        self._qh_lu = None
 
-    def _pieces(self, primal, exact=None, aux=None) -> dict:
+    def _pieces(self, primal, exact=None, aux=None, strains=True) -> dict:
         """Squared pieces of the norms of the discrete field `primal` minus
         `exact` (zero if None): the volume parts "H", "rho", "gamma", "tau"
-        and, of the auxiliary field `aux`, "V"; the edge-jump parts
-        "jump_theta", "jump_u", "jump_w".  `exact` provides values(pts)->(n,5)
-        and grads(pts)->(n,5,2), called on all element quadrature points,
-        then values on all S/D boundary-edge points."""
+        (the strain parts only if `strains`) and, of the auxiliary field
+        `aux`, "V"; the edge-jump parts "jump_theta", "jump_u", "jump_w".
+        `exact` provides values(pts)->(n,5) and grads(pts)->(n,5,2), called
+        on all element quadrature points, then values on all S/D
+        boundary-edge points."""
         asm = self.asm
         e = asm._elem_data()
         w = e.areas[:, None] * e.wq                     # plain area element
@@ -72,9 +72,10 @@ class NormEngine:
             ev, eg = batched(lambda p: (exact.values(p), exact.grads(p)),
                              e.qpts.reshape(-1, 2))
             v, g = v - ev.reshape(v.shape), g - eg.reshape(g.shape)
-        r, gm, ta = strain.field_strains(v, g, e.geom)
-        out = {"H": integral(v) + integral(g), "rho": integral(r),
-               "gamma": integral(gm), "tau": integral(ta)}
+        out = {"H": integral(v) + integral(g)}
+        if strains:
+            r, gm, ta = strain.field_strains(v, g, e.geom)
+            out.update(rho=integral(r), gamma=integral(gm), tau=integral(ta))
         if aux is not None:
             S = _aux_basis(e.bary)                      # (15,nq,6)
             out["V"] = integral(aux[e.aux] @ S.reshape(len(S), -1))
@@ -96,8 +97,8 @@ class NormEngine:
         return out
 
     def grams(self):
-        """{"H": Q_H}, the Gram matrix of the H_h norm on the assembler's
-        primal pattern: the operator of `dual_H_norm`.  Its edge part is the
+        """Q_H, the Gram matrix of the H_h norm on the assembler's primal
+        pattern: the operator of `dual_H_norm`.  Its edge part is the
         forms' rotation and displacement jump penalties, R_pen + G_pen."""
         if self._grams is None:
             asm = self.asm
@@ -109,8 +110,8 @@ class NormEngine:
                 vol.append((pattern.slots(dofs, dofs),
                             _gram(w, c, c) + _gram(w, cg, cg)))
             f = asm.forms()
-            self._grams = {"H": pattern.csr(pattern.data(vol)) + f["R_pen"]
-                           + f["G_pen"]}
+            self._grams = pattern.csr(pattern.data(vol)) + f["R_pen"] \
+                + f["G_pen"]
         return self._grams
 
     # ------------------------------------------------------------- norm values
@@ -118,7 +119,7 @@ class NormEngine:
     def quad_norm(self, key: str, vec: np.ndarray) -> float:
         """The seminorm `key` (rho, gamma, tau, a or H) of `vec`, edge parts
         included."""
-        return _root(self._pieces(vec), key)
+        return _root(self._pieces(vec, strains=key != "H"), key)
 
     def discrete_norms(self, primal: np.ndarray, aux: np.ndarray = None, *,
                        epsilon: float) -> NormReport:
@@ -138,9 +139,7 @@ class NormEngine:
 
     def dual_H_norm(self, r: np.ndarray) -> float:
         """sup_x r.x / ||x||_H = sqrt(r^T Q_H^{-1} r)."""
-        if self._qh_lu is None:
-            self._qh_lu = factor(self.grams()["H"])
-        return float(np.sqrt(max(r @ self._qh_lu.solve(r), 0.0)))
+        return float(np.sqrt(max(r @ factor(self.grams()).solve(r), 0.0)))
 
     def error_norms(self, primal: np.ndarray, exact) -> dict:
         """H_h norm (edge jumps included) and volume strain norms of the
