@@ -24,7 +24,6 @@ from .geometry import POINT_BUDGET, GeometryError, batched, make_chart
 from .manufactured import ManufacturedSolution
 from .mesh import (MeshError, generate_rect_mesh, load_mesh,
                    mesh_condition_report)
-from .norms import NormEngine
 from .regime import detect_regime
 from .solve import SolverError
 
@@ -259,9 +258,8 @@ class DiscreteField:
     one pass over a point batch: `grads` on the batch `values` just saw (or
     the reverse) reuses it."""
 
-    def __init__(self, problem: ShellProblem, method: str,
-                 primal: np.ndarray):
-        self.asm = problem.assembler(method)
+    def __init__(self, problem: ShellProblem, primal: np.ndarray):
+        self.asm = problem.assembler()
         self.primal = primal
         self._last = None          # (points, (values, grads)) of the last batch
 
@@ -308,12 +306,11 @@ def write_csv(path: Path, rows: list, fieldnames: list):
             w.writerow(row)
 
 
-def write_vtk(path: Path, problem: ShellProblem, method: str,
-              primal: np.ndarray):
+def write_vtk(path: Path, problem: ShellProblem, primal: np.ndarray):
     """Legacy ASCII unstructured grid; per-corner point duplication so the
     discontinuous fields are represented faithfully."""
     mesh = problem.mesh
-    asm = problem.assembler(method)
+    asm = problem.assembler()
     corners = mesh.vertices[mesh.triangles]                      # (nt,3,2)
     pts3d = batched(problem.chart.position, corners).reshape(-1, 3)
     nt = mesh.n_triangles
@@ -357,9 +354,8 @@ def run_solve(spec: ProblemSpec, out: Path):
         if spec.manufactured_fields is not None:
             loads = _manufactured_for(spec, method, spec.epsilon).load_spec()
         sol = problem.solve(method, loads=loads)
-        eng = problem.norm_engine(method)
-        rep = eng.discrete_norms(sol.primal, aux=sol.aux,
-                                 epsilon=spec.epsilon)
+        rep = problem.norm_engine().discrete_norms(sol.primal, aux=sol.aux,
+                                                   epsilon=spec.epsilon)
         row = {"method": method, "epsilon": spec.epsilon,
                "rho_norm": rep.rho_norm, "gamma_norm": rep.gamma_norm,
                "tau_norm": rep.tau_norm, "a_norm": rep.a_norm,
@@ -370,7 +366,7 @@ def run_solve(spec: ProblemSpec, out: Path):
         rows.append(row)
         write_vtk(out / (f"fields.vtk" if len(_methods(spec)) == 1
                          else f"fields_{method}.vtk"),
-                  problem, method, sol.primal)
+                  problem, sol.primal)
     write_csv(out / "norms.csv", rows, list(rows[0].keys()))
     write_csv(out / "meshcond.csv", _meshcond_rows(spec, [spec.mesh]),
               ["level", "n_triangles", "h", "mixed_error_factor", "geometry_resolution",
@@ -386,7 +382,7 @@ def _convergence_errors(spec, method, problems):
     def solve_level(problem):
         if manufactured:
             sol = problem.solve(method, loads=mfd.load_spec())
-            eng = problem.norm_engine(method)
+            eng = problem.norm_engine()
             err = eng.error_norms(sol.primal, mfd)
             ref = eng.error_norms(np.zeros_like(sol.primal), mfd)
             return problem, sol, err["H_h"], err["H_h"] / ref["H_h"]
@@ -399,15 +395,17 @@ def _convergence_errors(spec, method, problems):
     for level, (problem, sol, err, rel) in enumerate(solved):
         if not manufactured and level + 1 < len(solved):
             fine_problem, fine_sol = solved[level + 1][0], solved[level + 1][1]
-            ref = DiscreteField(fine_problem, method, fine_sol.primal)
-            eng = problem.norm_engine(method)
+            ref = DiscreteField(fine_problem, fine_sol.primal)
+            eng = problem.norm_engine()
             err = eng.error_norms(sol.primal, ref)["H_h"]
             rel = err / max(eng.quad_norm("H", sol.primal), 1e-300)
         if err is None:
             continue
+        layout = problem.assembler().layout
         rows.append({"method": method, "level": level,
                      "h": max(problem.mesh.h_tau),
-                     "n_dofs": problem.assembler(method).layout.n_primal,
+                     "n_dofs": (layout.n_block1 if method == "dg"
+                                else layout.n_primal),
                      "err_H": err, "rel_err_H": rel,
                      "mode": ("manufactured" if manufactured
                               else "self-convergence")})
@@ -439,13 +437,14 @@ def run_convergence(spec: ProblemSpec, out: Path):
 
 
 def run_locking(spec: ProblemSpec, out: Path):
-    """Every thickness reuses the problem's one assembly per method; only
-    manufactured loads, which depend on epsilon, are integrated anew."""
+    """Every thickness and both methods reuse the problem's one assembly;
+    only manufactured loads, which depend on the method and epsilon, are
+    integrated anew."""
     problem = _make_problem(spec)
     manufactured = spec.manufactured_fields is not None
 
     def run_one(eps, method):
-        eng = problem.norm_engine(method)
+        eng = problem.norm_engine()
         if manufactured:
             mfd = _manufactured_for(spec, method, eps)
             sol = problem.solve(method, epsilon=eps, loads=mfd.load_spec())

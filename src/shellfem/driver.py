@@ -1,6 +1,7 @@
 """Problem bundle tying a chart, mesh, material, loads, and solver choices
-together, with penalty calibration shared across thicknesses and refinements
-of the same problem."""
+together.  One assembly per mesh serves both methods and every thickness:
+the penalized system is the leading unenriched block of the mixed one, and
+the penalty constant is calibrated once and shared across refinements."""
 
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ from .assembly import calibrate_assembler as calibrate_penalty
 from .fe_space import build_dof_layout
 from .mesh import Mesh, refine_uniform
 from .norms import NormEngine
-from .solve import ShellSolution, realize_via_theta, solve_dg, solve_mixed
+from .solve import ShellSolution, realize_via_theta
+# Unused here; perfbench/tracing.py wraps these names on this module.
+from .solve import solve_dg, solve_mixed  # noqa: F401
 
 
 @dataclass
@@ -29,67 +32,59 @@ class ShellProblem:
     penalty_C: float = None       # calibrated lazily if None
 
     def __post_init__(self):
-        self._cache = {}
+        self._asm = self._rhs = self._norms = None
 
     # ------------------------------------------------------------- components
-    # Nothing below depends on the thickness: one assembler, load vector and
-    # norm engine per method serve every epsilon.
+    # Nothing below depends on the thickness or the method: one assembler on
+    # the enriched layout, one load vector and one norm engine serve both.
 
-    def _assembler(self, method: str) -> FormAssembler:
-        key = ("asm", method)
-        if key not in self._cache:
-            layout = build_dof_layout(self.mesh, self.chart,
-                                      enrichment=method == "mixed")
-            self._cache[key] = FormAssembler(
+    def _assembler(self) -> FormAssembler:
+        if self._asm is None:
+            layout = build_dof_layout(self.mesh, self.chart, enrichment=True)
+            self._asm = FormAssembler(
                 self.mesh, self.chart, layout, self.material,
                 replace(self.config, penalty_C=self.penalty_C))
-        return self._cache[key]
+        return self._asm
 
     def calibrate(self) -> float:
         """The penalty constant: the given one, or one calibrated once on the
-        forms of the problem's own mixed assembler, which keeps it."""
+        problem's assembler, which keeps it."""
         if self.penalty_C is None:
-            self.penalty_C = calibrate_penalty(self._assembler("mixed"))
+            self.penalty_C = calibrate_penalty(self._assembler())
         return self.penalty_C
 
-    def assembler(self, method: str) -> FormAssembler:
+    def assembler(self) -> FormAssembler:
         self.calibrate()
-        return self._assembler(method)
+        return self._assembler()
 
-    def rhs(self, method: str) -> np.ndarray:
+    def rhs(self) -> np.ndarray:
         if self.loads is None:
             raise ValueError("problem has no loads")
-        key = ("rhs", method)
-        if key not in self._cache:
-            self._cache[key] = self.assembler(method).load_vector(self.loads)
-        return self._cache[key]
+        if self._rhs is None:
+            self._rhs = self.assembler().load_vector(self.loads)
+        return self._rhs
+
+    def norm_engine(self) -> NormEngine:
+        if self._norms is None:
+            self._norms = NormEngine(self.assembler())
+        return self._norms
 
     # ----------------------------------------------------------------- solving
 
     def solve(self, method: str, epsilon: float = None,
-              via_theta: bool = False, loads: LoadSpec = None) -> ShellSolution:
+              loads: LoadSpec = None) -> ShellSolution:
         """Solve with the mixed enriched method or the penalized one-field
-        method; `via_theta` routes both through the single parameterized
-        assembly.  `loads` replaces the problem's loads for this solve."""
+        method, both realized from the one parameterized assembly.  The
+        penalized solution is zero on the enrichment DOFs.  `loads` replaces
+        the problem's loads for this solve."""
         if epsilon is None:
             epsilon = self.epsilon
-        asm = self.assembler(method)
-        f = self.rhs(method) if loads is None else asm.load_vector(loads)
-        if via_theta or method == "mixed":
-            sol = realize_via_theta(asm, method, epsilon, loads_rhs=f)
-        elif method == "dg":
-            sol = solve_dg(asm.rho_matrix(), asm.gamma_matrix(),
-                           asm.tau_matrix(), f, epsilon)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        asm = self.assembler()
+        f = self.rhs() if loads is None else asm.load_vector(loads)
+        sol = realize_via_theta(asm, method, epsilon, loads_rhs=f)
+        sol.primal = np.pad(sol.primal, (0, len(f) - len(sol.primal)))
         sol.meta.setdefault("penalty_C", asm.config.penalty_C)
         return sol
-
-    def norm_engine(self, method: str) -> NormEngine:
-        key = ("norms", method)
-        if key not in self._cache:
-            self._cache[key] = NormEngine(self.assembler(method))
-        return self._cache[key]
 
     # --------------------------------------------------------------- refinement
 

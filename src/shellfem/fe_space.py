@@ -208,8 +208,7 @@ class DofLayout:
     continuous P1 auxiliary DOFs (M11,M22,M12,xi1,xi2 per vertex)."""
 
     mesh: object
-    enrichment: bool
-    with_aux: bool
+    with_aux: bool                 # enriched, with block3
     bases: list                    # per-element LocalBasis for displacements
     n_block1: int
     n_block2: int
@@ -245,10 +244,9 @@ class DofLayout:
         return 15 + 3 * self.extra_counts[t]
 
 
-def build_dof_layout(mesh, chart, enrichment: bool,
-                     with_aux: bool = None) -> DofLayout:
-    if with_aux is None:
-        with_aux = enrichment
+def build_dof_layout(mesh, chart, enrichment: bool) -> DofLayout:
+    """The enriched layout with its auxiliary block, or (`enrichment`
+    False) the plain P1 primal layout without one."""
     nt = mesh.n_triangles
     free = [mesh.free_local_edges(t) if enrichment else () for t in range(nt)]
     pts = [_basis_points(mesh.triangle_coords(t), free[t]) for t in range(nt)]
@@ -262,8 +260,8 @@ def build_dof_layout(mesh, chart, enrichment: bool,
     np.cumsum(3 * extra_counts[:-1], out=extra_offsets[1:])
     n_block1 = 15 * nt
     n_block2 = int(3 * extra_counts.sum())
-    n_block3 = 5 * mesh.n_vertices if with_aux else 0
-    return DofLayout(mesh, enrichment, with_aux, bases, n_block1, n_block2,
+    n_block3 = 5 * mesh.n_vertices if enrichment else 0
+    return DofLayout(mesh, enrichment, bases, n_block1, n_block2,
                      n_block3, extra_counts, extra_offsets)
 
 

@@ -127,9 +127,10 @@ class NormEngine:
         rho, gam, tau, a, H = (_root(p, k)
                                for k in ("rho", "gamma", "tau", "a", "H"))
         V = float(np.sqrt(p["V"])) if "V" in p else None
-        eb = float(primal @ (self.asm.rho_matrix() @ primal))
-        em = float(primal @ (self.asm.gamma_matrix() @ primal))
-        es = float(primal @ (self.asm.tau_matrix() @ primal))
+        f, C = self.asm.forms(), self.asm.config.penalty_C
+        eb, em, es = (float(primal @ (f[k] @ primal
+                                      + C * (f[k + "_pen"] @ primal)))
+                      for k in ("R", "G", "T"))
         energies = {
             "bending": eb, "membrane": em, "shear": es,
             "total_scaled": epsilon ** 2 * eb + em + es,

@@ -86,12 +86,11 @@ def detect_regime(problem: ShellProblem, thresholds: dict = None,
     sol_dg = problem.solve("dg", epsilon=eps)
     extrap = (4.0 * sol_half.primal - sol_eps.primal) / 3.0
 
-    eng_mixed = problem.norm_engine("mixed")
-    eng_dg = problem.norm_engine("dg")
-    n_eps = eng_mixed.quad_norm("H", sol_eps.primal)
-    n_half = eng_mixed.quad_norm("H", sol_half.primal)
-    n_ext = eng_mixed.quad_norm("H", extrap)
-    n_dg = eng_dg.quad_norm("H", sol_dg.primal)
+    eng = problem.norm_engine()
+    n_eps = eng.quad_norm("H", sol_eps.primal)
+    n_half = eng.quad_norm("H", sol_half.primal)
+    n_ext = eng.quad_norm("H", extrap)
+    n_dg = eng.quad_norm("H", sol_dg.primal)
 
     ratios = {
         "dg_over_mixed": n_dg / n_eps if n_eps else np.inf,
@@ -122,7 +121,7 @@ def detect_regime(problem: ShellProblem, thresholds: dict = None,
         norm_mixed_eps=n_eps, norm_mixed_half_eps=n_half, norm_extrap=n_ext,
         norm_dg=n_dg, ratios=ratios, verdict=verdict, thresholds=th,
         epsilon=eps, mesh_condition=cond,
-        per_element_norm=_element_H_map(eng_mixed, sol_eps.primal))
+        per_element_norm=_element_H_map(eng, sol_eps.primal))
     if keep_solutions is not None:
         keep_solutions.update({"mixed_eps": sol_eps, "mixed_half": sol_half,
                                "dg": sol_dg, "extrap": extrap})

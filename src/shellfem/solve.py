@@ -75,30 +75,18 @@ def solve_mixed(A, B, C, f, epsilon: float, meta=None) -> ShellSolution:
                           **(meta or {}))
 
 
-def solve_dg(R, G, T, f, epsilon: float, scaling: str = "auto",
-             meta=None) -> ShellSolution:
-    """Solve the penalized one-field system on the reduced layout.
-
-    scaling='original' solves [R + eps^-2 (G+T)] x = f; 'scaled' solves the
-    identical system multiplied by eps^2; 'auto' picks 'scaled' for
-    eps <= 1e-2 to limit the dynamic range of matrix entries."""
-    if scaling == "auto":
-        scaling = "scaled" if epsilon <= 1e-2 else "original"
-    if scaling == "original":
-        K, b = R + epsilon ** -2 * (G + T), f
-    elif scaling == "scaled":
-        K, b = epsilon ** 2 * R + G + T, epsilon ** 2 * f
-    else:
-        raise ValueError(f"unknown scaling {scaling!r}")
-    return _factor_refine(K, b, len(f), method="dg", epsilon=epsilon,
-                          scaling=scaling, **(meta or {}))
+def solve_dg(R, G, T, f, epsilon: float) -> ShellSolution:
+    """Solve the penalized one-field system [R + eps^-2 (G+T)] x = f."""
+    return _factor_refine(R + epsilon ** -2 * (G + T), f, len(f), method="dg",
+                          epsilon=epsilon)
 
 
 def realize_via_theta(assembler, mode: str, epsilon: float,
                       loads_rhs: np.ndarray = None) -> ShellSolution:
     """Single-program path: one assembled parameterized primal matrix yields
     the mixed method (theta=1, full saddle point) or the penalized method
-    (theta = eps^-2, leading unenriched-primal submatrix)."""
+    (theta = eps^-2, leading block-1 submatrix, so the solution has n_block1
+    entries; on an unenriched layout that is the whole primal matrix)."""
     layout = assembler.layout
     f = loads_rhs if loads_rhs is not None else np.zeros(layout.n_primal)
     if mode == "mixed":

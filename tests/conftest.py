@@ -8,8 +8,9 @@ from shellfem.norms import NormEngine
 
 @pytest.fixture
 def form_builds(monkeypatch):
-    """List that records, in order, the method ("mixed" or "dg") of every
-    assembler that builds its forms during the test."""
+    """List that records, in order, the layout ("mixed": enriched with the
+    auxiliary block, "dg": plain P1) of every assembler that builds its forms
+    during the test."""
     builds = []
     forms = FormAssembler.forms
 
@@ -23,8 +24,9 @@ def form_builds(monkeypatch):
 
 @pytest.fixture
 def gram_builds(monkeypatch):
-    """List that records, in order, the method ("mixed" or "dg") of every
-    norm engine that builds its Gram matrix during the test."""
+    """List that records, in order, the layout ("mixed" or "dg", as in
+    `form_builds`) of every norm engine that builds its Gram matrix during
+    the test."""
     builds = []
     grams = NormEngine.grams
 

@@ -196,7 +196,7 @@ def test_criterion_05_convergence_rates():
             prob = ShellProblem(chart=chart, mesh=mesh, epsilon=eps,
                                 loads=mfd.load_spec(), penalty_C=cal)
             sol = prob.solve(method)
-            eng = prob.norm_engine(method)
+            eng = prob.norm_engine()
             err = eng.error_norms(sol.primal, mfd)
             ref = eng.error_norms(np.zeros_like(sol.primal), mfd)
             if method == "dg":
@@ -227,7 +227,7 @@ def test_criterion_06_locking_contrast():
         for method in ("mixed", "dg"):
             sol = prob.solve(method)
             norms[method].append(
-                prob.norm_engine(method).quad_norm("H", sol.primal))
+                prob.norm_engine().quad_norm("H", sol.primal))
     mx = norms["mixed"]
     var = (max(mx) - min(mx)) / max(mx)
     ratio = norms["dg"][-1] / mx[-1]
@@ -321,7 +321,7 @@ def test_criterion_09_cross_path_equality():
                           AssemblyConfig(penalty_C=20.0))
     f_d = asm_d.load_vector(loads)
     dg_direct = solve_dg(asm_d.rho_matrix(), asm_d.gamma_matrix(),
-                         asm_d.tau_matrix(), f_d, eps, scaling="original")
+                         asm_d.tau_matrix(), f_d, eps)
     dg_via = realize_via_theta(asm_d, "dg", eps, f_d)
     dg_diff = (np.abs(dg_direct.primal - dg_via.primal).max()
                / np.abs(dg_direct.primal).max())
@@ -338,8 +338,8 @@ def test_criterion_09_cross_path_equality():
                           penalty_C=20.0)
         s1 = p1.solve(method)
         s2 = p2.solve(method)
-        v1 = DiscreteField(p1, method, s1.primal).values(sample)
-        v2 = DiscreteField(p2, method, s2.primal).values(sample)
+        v1 = DiscreteField(p1, s1.primal).values(sample)
+        v2 = DiscreteField(p2, s2.primal).values(sample)
         perm_diff = max(perm_diff,
                         np.abs(v1 - v2).max() / np.abs(v1).max())
 

@@ -121,10 +121,10 @@ def test_error_norms_discrete_field_exact_matches_reference_loop():
     fine = coarse.refined()
     ref = fine.solve("mixed").primal
     primal = coarse.solve("mixed").primal
-    eng = coarse.norm_engine("mixed")
-    got = eng.error_norms(primal, DiscreteField(fine, "mixed", ref))
+    eng = coarse.norm_engine()
+    got = eng.error_norms(primal, DiscreteField(fine, ref))
     want = reference_error_norms(eng, primal,
-                                 DiscreteField(fine, "mixed", ref))
+                                 DiscreteField(fine, ref))
     for key in want:
         assert_close(got[key], want[key])
 
@@ -134,11 +134,11 @@ def test_discrete_field_batch_matches_point_by_point():
     problem = ShellProblem(chart=make_chart("plate"), mesh=mesh,
                            penalty_C=20.0,
                            loads=LoadSpec(p3=lambda p: np.ones(len(p))))
-    field = DiscreteField(problem, "dg", problem.solve("dg").primal)
+    field = DiscreteField(problem, problem.solve("dg").primal)
     pts = np.random.default_rng(1).uniform(0.0, 1.0, (30, 2))
     vals, grads = field.values(pts), field.grads(pts)
     for k, p in enumerate(pts):
-        one = DiscreteField(problem, "dg", field.primal)
+        one = DiscreteField(problem, field.primal)
         assert_close(vals[k], one.values(p)[0])
         assert_close(grads[k], one.grads(p)[0])
 
@@ -167,8 +167,8 @@ def test_locate_returns_the_brute_force_owners(n, grading):
                                 for e in base.boundary_edges]).finalize()
     problem = ShellProblem(chart=make_chart("plate"), mesh=mesh,
                            penalty_C=20.0)
-    field = DiscreteField(problem, "dg", np.zeros(
-        problem.assembler("dg").layout.n_primal))
+    field = DiscreteField(problem, np.zeros(
+        problem.assembler().layout.n_primal))
     corners = mesh.vertices[mesh.triangles]
     pts = np.concatenate([                  # vertices, edge points, inside
         mesh.vertices,
@@ -338,9 +338,8 @@ def test_point_budget_slices_give_the_same_results(monkeypatch):
         primal = np.random.default_rng(2).standard_normal(
             asm.layout.n_primal)
         fine = ShellProblem(chart=chart, mesh=asm.mesh, penalty_C=20.0)
-        field = DiscreteField(fine, "dg",
-                              np.random.default_rng(3).standard_normal(
-                                  fine.assembler("dg").layout.n_primal))
+        field = DiscreteField(fine, np.random.default_rng(3).standard_normal(
+            fine.assembler().layout.n_primal))
         return [asm.load_vector(mms.load_spec()),
                 asm.layout.bases[0].vol_w, asm.layout.bases[3].moment_matrix,
                 asm.forms()["G"].toarray(),

@@ -7,6 +7,9 @@ import pytest
 from shellfem import assembly, cli
 from shellfem.cli import (ConfigError, STUDIES, build_spec, main,
                           parse_config)
+from shellfem.fe_space import build_dof_layout
+from shellfem.geometry import make_chart
+from shellfem.mesh import refine_uniform
 from shellfem.regime import VERDICT_BENDING
 
 GOOD = """
@@ -152,6 +155,26 @@ def test_convergence_study_manufactured(tmp_path):
         assert all(r["mode"] == "manufactured" for r in rows)
 
 
+def test_convergence_reports_each_methods_unknowns(tmp_path):
+    """On a mesh with free edges the one-field method solves 15 unknowns per
+    triangle and the mixed method the enriched primal count."""
+    text = GOOD.replace("tags = D, D, D, D", "tags = D, F, F, F")
+    out = tmp_path / "out"
+    assert main(["converge", write(tmp_path, text), "--out", str(out)]) == 0
+    lines = (out / "convergence.csv").read_text().strip().splitlines()
+    rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+    mesh = build_spec(parse_config(text)).mesh
+    chart = make_chart("cylinder", radius=1.0)
+    for level in (0, 1):
+        n_primal = build_dof_layout(mesh, chart, enrichment=True).n_primal
+        assert n_primal > 15 * mesh.n_triangles
+        want = {"dg": 15 * mesh.n_triangles, "mixed": n_primal}
+        got = {r["method"]: int(r["n_dofs"]) for r in rows
+               if int(r["level"]) == level}
+        assert got == want
+        mesh = refine_uniform(mesh)
+
+
 def test_locking_study(tmp_path):
     cfg = write(tmp_path, GOOD + "\n[study]\nmethod = mixed\nlevels = 2\n"
                 + "epsilons = 0.01, 0.001\n")
@@ -266,14 +289,13 @@ def test_readme_regime_study_exits_zero(tmp_path):
 
 
 @pytest.mark.parametrize("manufactured", [False, True])
-def test_locking_builds_forms_once_per_method(tmp_path, form_builds,
-                                              manufactured):
+def test_locking_builds_forms_once(tmp_path, form_builds, manufactured):
     text = (MANUFACTURED if manufactured else GOOD) \
         + "\n[study]\nepsilons = 0.1, 0.01, 0.001\n"
     out = tmp_path / "out"
     assert main(["locking", write(tmp_path, text), "--out", str(out)]) == 0
     assert len((out / "locking.csv").read_text().strip().splitlines()) == 7
-    assert sorted(form_builds) == ["dg", "mixed"]
+    assert form_builds == ["mixed"]
 
 
 def test_studies_build_no_gram_matrix(tmp_path, gram_builds):

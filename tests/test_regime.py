@@ -89,12 +89,12 @@ def test_custom_thresholds_can_force_inconclusive():
     assert rep.verdict == VERDICT_INCONCLUSIVE
 
 
-def test_forms_built_once_per_method(form_builds):
+def test_forms_built_once(form_builds):
     prob = cylinder_problem(epsilon=1e-2, tags=("D", "F", "F", "F"))
     detect_regime(prob)
-    # calibration, both thicknesses of the mixed method and the norms share
-    # one mixed assembly; the one-field method has its own
-    assert sorted(form_builds) == ["dg", "mixed"]
+    # calibration, both thicknesses of the mixed method, the one-field method
+    # and the norms share one assembly on the enriched layout
+    assert form_builds == ["mixed"]
 
 
 def test_mesh_condition_sweeps_the_chart_once(chart_evaluations):

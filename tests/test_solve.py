@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -7,6 +9,7 @@ from shellfem.driver import ShellProblem
 from shellfem.fe_space import build_dof_layout
 from shellfem.geometry import make_chart
 from shellfem.mesh import generate_rect_mesh
+from shellfem.norms import NormEngine
 from shellfem.solve import (BACKWARD_ERROR_MULTIPLE, ShellSolution,
                             SolverError, realize_via_theta, solve_dg,
                             solve_mixed)
@@ -50,22 +53,6 @@ def test_dg_matches_dense_oracle():
     assert np.allclose(sol.primal, ref, rtol=1e-8, atol=1e-12)
 
 
-def test_dg_scalings_agree():
-    asm, f = setup(enrichment=False)
-    fm = asm.forms()
-    Cp = asm.config.penalty_C
-    R = fm["R"] + Cp * fm["R_pen"]
-    G = fm["G"] + Cp * fm["G_pen"]
-    T = fm["T"] + Cp * fm["T_pen"]
-    a = solve_dg(R, G, T, f, 1e-2, scaling="original")
-    b = solve_dg(R, G, T, f, 1e-2, scaling="scaled")
-    scale = np.abs(a.primal).max()
-    assert np.abs(a.primal - b.primal).max() < 1e-8 * scale
-    auto = solve_dg(R, G, T, f, 1e-2, scaling="auto")
-    assert auto.meta["scaling"] == "scaled"
-    assert solve_dg(R, G, T, f, 0.5).meta["scaling"] == "original"
-
-
 def test_solution_linearity():
     asm, f = setup(enrichment=True)
     eps = 0.1
@@ -107,7 +94,7 @@ def test_via_theta_dg_matches_standalone():
     R = fm["R"] + Cp * fm["R_pen"]
     G = fm["G"] + Cp * fm["G_pen"]
     T = fm["T"] + Cp * fm["T_pen"]
-    direct = solve_dg(R, G, T, f, eps, scaling="original")
+    direct = solve_dg(R, G, T, f, eps)
     via = realize_via_theta(asm, "dg", eps, f)
     scale = np.abs(direct.primal).max()
     assert np.abs(direct.primal - via.primal).max() < 1e-10 * scale
@@ -133,6 +120,53 @@ def test_non_finite_solution_fails_the_backward_error_bound():
         solve_dg(sps.identity(n, format="csr"), zero, zero, b, 1.0)
 
 
+def reduced_oracle(problem):
+    """An assembler on the plain P1 layout of `problem`'s mesh with its
+    penalty constant: the penalized system assembled on its own."""
+    layout = build_dof_layout(problem.mesh, problem.chart, enrichment=False)
+    return FormAssembler(problem.mesh, problem.chart, layout,
+                         problem.material,
+                         replace(problem.config, penalty_C=problem.calibrate()))
+
+
+def oracle_solve(oracle, loads, epsilon):
+    return solve_dg(oracle.rho_matrix(), oracle.gamma_matrix(),
+                    oracle.tau_matrix(), oracle.load_vector(loads), epsilon)
+
+
+@pytest.mark.parametrize("tags", [("D", "F", "F", "F"), ("S", "F", "D", "F")],
+                         ids=["DFFF", "SFDF"])
+def test_penalized_solve_is_the_leading_block(tags):
+    """The problem's penalized solve on the enriched assembly is the
+    reduced-layout solve, zero-padded on the enrichment DOFs, and its norms
+    are the reduced engine's."""
+    mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, tags=tags)
+    loads = LoadSpec(p3=lambda p: np.cos(p[:, 0]) + p[:, 1],
+                     c1=lambda p: p[:, 0] * p[:, 1], q3=lambda p: p[:, 0])
+    problem = ShellProblem(chart=make_chart("cylinder"), mesh=mesh,
+                           epsilon=1e-2, loads=loads)
+    sol = problem.solve("dg")
+    oracle = reduced_oracle(problem)
+    want = oracle_solve(oracle, loads, problem.epsilon).primal
+    layout = problem.assembler().layout
+    n1 = layout.n_block1
+    assert layout.n_block2 > 0 and len(sol.primal) == layout.n_primal
+    assert np.all(sol.primal[n1:] == 0.0)
+    assert np.abs(sol.primal[:n1] - want).max() <= 1e-10 * np.abs(want).max()
+
+    def close(a, b):
+        assert abs(a - b) <= 1e-10 * abs(b)
+    eng, ref = problem.norm_engine(), NormEngine(oracle)
+    close(eng.quad_norm("H", sol.primal), ref.quad_norm("H", want))
+    got = eng.discrete_norms(sol.primal, sol.aux, epsilon=problem.epsilon)
+    exp = ref.discrete_norms(want, epsilon=problem.epsilon)
+    assert got.V_h_norm is None and exp.V_h_norm is None
+    for key in ("rho_norm", "gamma_norm", "tau_norm", "a_norm", "H_h_norm"):
+        close(getattr(got, key), getattr(exp, key))
+    for key, value in exp.energies.items():
+        close(got.energies[key], value)
+
+
 @pytest.fixture(scope="module")
 def readme_problem():
     """The README example: 8x8 cylinder, tags D,F,F,F, eps = 1e-3."""
@@ -142,21 +176,28 @@ def readme_problem():
                         loads=LoadSpec(p3=lambda p: np.ones(len(p))))
 
 
+@pytest.fixture(scope="module")
+def readme_oracle(readme_problem):
+    return reduced_oracle(readme_problem)
+
+
 def bound(n):
     return BACKWARD_ERROR_MULTIPLE * n * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("epsilon", [1e-2, 1e-3, 5e-4, 1e-4])
-def test_penalized_readme_solves_are_accepted(readme_problem, epsilon):
-    """Both penalized paths solve the README system at every thickness, with
-    a backward error below the bound and the same solution."""
-    direct = readme_problem.solve("dg", epsilon=epsilon)
-    via = readme_problem.solve("dg", epsilon=epsilon, via_theta=True)
+def test_penalized_readme_solves_are_accepted(readme_problem, readme_oracle,
+                                              epsilon):
+    """The problem's penalized solve and `solve_dg` on the reduced layout
+    solve the README system at every thickness, with a backward error below
+    the bound and the same solution."""
+    direct = oracle_solve(readme_oracle, readme_problem.loads, epsilon)
+    via = readme_problem.solve("dg", epsilon=epsilon)
     n = len(direct.primal)
     for sol in (direct, via):
         assert sol.meta["backward_error"] <= bound(n)
     scale = np.abs(direct.primal).max()
-    assert np.abs(direct.primal - via.primal).max() < 1e-8 * scale
+    assert np.abs(direct.primal - via.primal[:n]).max() < 1e-8 * scale
 
 
 def test_residual_above_old_guard_is_accepted_on_backward_error(
@@ -172,7 +213,8 @@ def test_residual_above_old_guard_is_accepted_on_backward_error(
 @pytest.mark.parametrize("method", ["mixed", "dg"])
 def test_meta_reports_the_solve(readme_problem, method):
     sol = readme_problem.solve(method)
-    n = len(sol.primal) + (0 if sol.aux is None else len(sol.aux))
+    layout = readme_problem.assembler().layout
+    n = layout.n_block1 if method == "dg" else layout.n_total
     for key in ("residual", "backward_error", "lu_fill", "cond_est"):
         assert np.isfinite(sol.meta[key]), key
     assert sol.meta["backward_error"] <= bound(n)
