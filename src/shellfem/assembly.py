@@ -5,15 +5,18 @@ quadrature points once.  Every sweep then runs one batched kernel over
 groups: elements grouped by local size (15, 21 or 27 DOFs), interior edges
 by the local sizes of their two sides, boundary edges by local size and tag,
 and arbitrary points by the local size of their element.  Each group is cut
-into slices of at most geometry.POINT_BUDGET points, on which basis traces,
-field arrays and strains carry a leading element axis and each local matrix
-is one batched matmul.  The primal matrices share one CSR pattern (element
-blocks and interior-edge pair blocks); each is one bincount of its local
-entries into that pattern.  Penalty contributions are kept in separate
-matrices so the penalty constant can be recalibrated without reassembling
-anything.  The same kernel evaluates fields at points (`field_values`),
-which is all the norms of norms.py need; its one Gram matrix, Q_H, goes
-into the primal pattern too.
+into slices of at most geometry.POINT_BUDGET points, on which the basis is
+traced once (value and physical partials of each function).  What a form
+integrates, the strains of strain.py or on edges their jumps and fluxes, is
+a per-point operator on the 15 values and partials of the five fields,
+built from the geometry alone; applied to the traces it gives that quantity
+for every local DOF ("B-matrix" assembly), and each local matrix is one
+batched matmul.  The primal matrices share one CSR pattern (element blocks
+and interior-edge pair blocks); each is one bincount of its local entries
+into that pattern.  Penalty contributions are kept in separate matrices so
+the penalty constant can be recalibrated without reassembling anything.
+The same traces evaluate fields at points (`field_values`), which is all
+the norms of norms.py need; its one Gram matrix, Q_H, shares the pattern.
 
 All square matrices are over the primal DOFs (blocks 1+2 of the layout);
 the stress coupling block has shape (n_block3, n_primal).
@@ -105,34 +108,58 @@ def _groups(keys, npts):
 
 
 def _gram(w, x, y):
-    """(E, k, l) sums over points q and trailing components of
-    w[e, q] x[e, k, q, ...] y[e, l, q, ...]; w may be (q,), and x or y may
+    """(E, k, l) sums over points q and components of
+    w[e, q] x[e, q, ..., k] y[e, q, ..., l]; w may be (q,), and x or y may
     have a leading axis of length 1."""
-    wx = x * np.reshape(w, np.shape(w)[:-1] + (1, -1) + (1,) * (x.ndim - 3))
-    wx = wx.reshape(wx.shape[:2] + (-1,))
-    return wx @ np.swapaxes(y.reshape(y.shape[:2] + (-1,)), 1, 2)
+    wx = x * np.reshape(w, np.shape(w) + (1,) * (x.ndim - 2))
+    wx = wx.reshape(wx.shape[:1] + (-1, wx.shape[-1]))
+    return np.swapaxes(wx, 1, 2) @ y.reshape(y.shape[:1] + (-1, y.shape[-1]))
 
 
-def _field_arrays(vals, grads):
-    """Values (E, nl, q, 5) and gradients (E, nl, q, 5, 2) of theta1, theta2,
-    u1, u2, w for every local DOF, from the displacement-basis values vals
-    (E, nf, q) and physical gradients grads (E, nf, q, 2).  Local DOF order:
-    theta1(3), theta2(3), u1(nf), u2(nf), w(nf); rotations are P1, the first
-    three basis functions."""
-    E, nf, nq = vals.shape
-    c = np.zeros((E, 6 + 3 * nf, nq, 5))
-    cg = np.zeros(c.shape + (2,))
-    for comp, start in enumerate((0, 3, 6, 6 + nf, 6 + 2 * nf)):
-        n = 3 if comp < 2 else nf
-        c[:, start:start + n, :, comp] = vals[:, :n]
-        cg[:, start:start + n, :, comp] = grads[:, :n]
-    return c, cg
+def _local_order(y):
+    """Per-component values (..., 5, nf) of theta1, theta2, u1, u2, w in
+    local DOF order (..., nl): theta1(3), theta2(3), u1(nf), u2(nf), w(nf);
+    rotations are P1, the first three basis functions."""
+    lead = y.shape[:-2]
+    return np.concatenate([y[..., :2, :3].reshape(lead + (6,)),
+                           y[..., 2:, :].reshape(lead + (-1,))], axis=-1)
+
+
+def _apply(L, phi):
+    """The per-point operator L (..., r, 15) on the value and partials of
+    the five fields (column 3c + d), applied to every local DOF of the
+    traces phi (..., 3, nf): (..., r, nl)."""
+    r = L.shape[-2]
+    y = L.reshape(L.shape[:-2] + (5 * r, 3)) @ phi
+    return _local_order(y.reshape(y.shape[:-2] + (r, 5, -1)))
+
+
+def _edge_operator(geom, A, nbar, theta):
+    """Per-point operator (E, q, 18, 15) on edges with normals nbar (E, 2):
+    rows 0-4 the values of the five fields, 5-6 b^d_a u_d - theta_a
+    (theta_a only if `theta`), 7-12 u_1 n_1, u_1 n_2, u_2 n_1, u_2 n_2,
+    w n_1, w n_2, then 13-14 (A rho)^{ab} n_b, 15-16 (A gamma)^{ab} n_b and
+    17 a^{ab} tau_b n_a."""
+    L = strain.operator(geom)
+    An = sum(A[..., :, b, :, :] * nbar[:, b, None, None, None, None]
+             for b in (0, 1)).reshape(L.shape[:-2] + (2, 4))
+    op = np.zeros(L.shape[:-2] + (13, 15))
+    op[..., :5, ::3] = np.eye(5)
+    op[..., 5:7, :6:3] = -np.eye(2) if theta else 0.0
+    op[..., 5:7, 6:12:3] = np.swapaxes(geom.b_mix, -1, -2)
+    for i, c in enumerate((2, 3, 4)):
+        op[..., 7 + 2 * i:9 + 2 * i, 3 * c] = nbar[:, None]
+    return np.concatenate([op, An @ L[..., 0:4, :], An @ L[..., 4:8, :],
+                           nbar[:, None, None] @ geom.a_con @ L[..., 8:10, :]],
+                          axis=-2)
 
 
 class _Pattern:
     """CSR pattern of a union of dense blocks, rows x cols for each pair of
     index arrays (E, m) and (E, l) in `blocks`.  Local block values are
-    summed into it with one bincount per matrix."""
+    summed into it with one bincount per matrix.  The CSR column indices
+    and row pointers are computed once, and every matrix built on the
+    pattern shares them: no code changes a form's structure in place."""
 
     def __init__(self, shape, blocks):
         self.shape = shape
@@ -141,6 +168,11 @@ class _Pattern:
                                        for r, c in blocks]
                                       + [np.zeros(0, dtype=int)]))
         self.keys = keys[np.diff(keys, prepend=-1) != 0]
+        rows, cols = np.divmod(self.keys, max(1, shape[1]))
+        index = np.int32 if max(shape + (len(cols),)) < 2 ** 31 else np.int64
+        self._cols = cols.astype(index)
+        self._indptr = np.searchsorted(
+            rows, np.arange(shape[0] + 1)).astype(index)
 
     def _keys(self, rows, cols):
         return rows[:, :, None] * self.shape[1] + cols[:, None, :]
@@ -158,9 +190,8 @@ class _Pattern:
                            minlength=len(self.keys))
 
     def csr(self, data):
-        rows, cols = np.divmod(self.keys, max(1, self.shape[1]))
-        indptr = np.searchsorted(rows, np.arange(self.shape[0] + 1))
-        return sps.csr_matrix((data, cols, indptr), shape=self.shape)
+        return sps.csr_matrix((data, self._cols, self._indptr),
+                              shape=self.shape)
 
 
 class FormAssembler:
@@ -212,43 +243,45 @@ class FormAssembler:
         e = self._elem_data()
         return e.dofs[t, :6 + 3 * e.nf[t[0]]]
 
-    def _local(self, t, pts=None):
-        """DOFs (E, nl) and the field arrays (c, cg) of `_field_arrays` of
-        the elements t (E,), all of one local size, at the volume quadrature
-        points or at parameter points pts (E, q, 2)."""
+    def _traces(self, t, pts=None):
+        """DOFs (E, nl) and basis traces phi (E, q, 3, nf) of the elements
+        t (E,), all of one local size: the value and the two physical
+        partials of each displacement basis function, at the volume
+        quadrature points or at parameter points pts (E, q, 2)."""
         e = self._elem_data()
         if pts is None:
             lam12 = np.broadcast_to(e.bary[:, :2], (len(t), len(e.wq), 2))
         else:
             lam12 = np.einsum("eij,eqj->eqi", e.Jinv[t],
                               pts - e.coords[t, None, 2])
-        cf = e.coeffs[t, :e.nf[t[0]]]                               # (E,nf,10)
-        vals = cf @ np.swapaxes(eval_monos(lam12), 1, 2)            # (E,nf,q)
-        gmonos = np.moveaxis(grad_monos(lam12), 2, 1)               # (E,10,q,2)
-        grads = ((cf @ gmonos.reshape(len(t), N_MONO, -1))
-                 .reshape(vals.shape + (2,)) @ e.Jinv[t, None])
-        return self._dofs(t), _field_arrays(vals, grads)
+        jet = np.concatenate([eval_monos(lam12)[..., None, :], np.swapaxes(
+            grad_monos(lam12) @ e.Jinv[t, None], -1, -2)], axis=-2)
+        cf = e.coeffs[t, :e.nf[t[0]]]                            # (E,nf,10)
+        phi = jet.reshape(len(t), -1, N_MONO) @ np.swapaxes(cf, 1, 2)
+        return self._dofs(t), phi.reshape(jet.shape[:-1] + (-1,))
 
     def _point_batches(self, owners, pts=None):
-        """(s, dofs, (c, cg)) per slice s of `owners` whose elements share a
-        local size: `_local` at pts[s], or at the volume points."""
+        """(s, dofs, phi) per slice s of `owners` whose elements share a
+        local size: `_traces` at pts[s], or at the volume points."""
         e = self._elem_data()
         nq = len(e.wq) if pts is None else pts.shape[1]
         for s in _groups(e.nf[owners, None], nq):
-            yield (s,) + self._local(owners[s], None if pts is None
-                                     else pts[s])
+            yield (s,) + self._traces(owners[s], None if pts is None
+                                      else pts[s])
 
     def field_values(self, primal, owners, pts=None):
         """Values (E, q, 5) and gradients (E, q, 5, 2) of theta1, theta2, u1,
         u2, w of the primal vector on the elements owners (E,) at parameter
         points pts (E, q, 2), or at the volume quadrature points."""
         nq = len(self._elem_data().wq) if pts is None else pts.shape[1]
-        vals = np.empty((len(owners), nq, 5))
-        grads = np.empty((len(owners), nq, 5, 2))
-        for s, dofs, (c, cg) in self._point_batches(owners, pts):
-            vals[s] = np.einsum("ekqc,ek->eqc", c, primal[dofs])
-            grads[s] = np.einsum("ekqcd,ek->eqcd", cg, primal[dofs])
-        return vals, grads
+        jet = np.empty((len(owners), nq, 3, 5))
+        for s, dofs, phi in self._point_batches(owners, pts):
+            x = primal[dofs][:, None]
+            jet[s, ..., :2] = phi[..., :3] @ np.swapaxes(
+                x[..., :6].reshape(len(s), 1, 2, 3), -1, -2)
+            jet[s, ..., 2:] = phi @ np.swapaxes(
+                x[..., 6:].reshape(len(s), 1, 3, -1), -1, -2)
+        return jet[..., 0, :], np.swapaxes(jet[..., 1:, :], -1, -2)
 
     # --------------------------------------------------------------- edge data
 
@@ -290,23 +323,25 @@ class FormAssembler:
 
     def _edge_batches(self, d):
         """Per slice k of the edges of `d` not tagged F that share the local
-        sizes of their sides and their tag: (k, dofs, jumps, strains).  The
-        jumps are the values (E, nl, q, 5) of left minus right (one-sided on
-        the boundary), the strains (rho, gamma, tau) the mean of the sides."""
+        sizes of their sides and their tag: (k, dofs, jumps, fluxes), rows
+        0-12 and 13-17 of `_edge_operator` applied to every local DOF.  The
+        jumps (E, q, 13, nl) are left minus right (one-sided on the
+        boundary), the fluxes (E, q, 5, nl) the mean of the sides."""
         e = self._elem_data()
         keys = np.stack([e.nf[d.left], np.where(d.right < 0, -1, e.nf[d.right]),
                          np.unique(d.tag, return_inverse=True)[1]], axis=1)
         rows = np.flatnonzero(d.tag != "F")
         for k in (rows[s] for s in _groups(keys[rows], len(d.we))):
+            op = _edge_operator(d.geom[k], d.elastic[k], d.nbar[k],
+                                d.tag[k[0]] != "S")
             owners = [d.left[k]] + ([d.right[k]] if d.right[k[0]] >= 0 else [])
-            sides = [self._local(t, d.pts[k]) for t in owners]
-            strains = [strain.field_strains(*f, d.geom[k, None])
-                       for _, f in sides]
+            sides = [self._traces(t, d.pts[k]) for t in owners]
+            y = [_apply(op, phi) for _, phi in sides]
             yield (k, np.concatenate([dofs for dofs, _ in sides], axis=1),
-                   np.concatenate([sign * c for sign, (_, (c, _)) in
-                                   zip((1.0, -1.0), sides)], axis=1),
-                   [np.concatenate(x, axis=1) / len(sides)
-                    for x in zip(*strains)])
+                   np.concatenate([sign * yi[:, :, :13] for sign, yi in
+                                   zip((1.0, -1.0), y)], axis=-1),
+                   np.concatenate([yi[:, :, 13:] for yi in y], axis=-1)
+                   / len(y))
 
     def _pattern(self):
         """CSR patterns of the primal matrices (element blocks and
@@ -343,62 +378,49 @@ class FormAssembler:
         pieces = {key: [] for key in
                   ("R", "R_pen", "G", "G_pen", "T", "T_pen", "B", "C")}
         e = self._elem_data()
-        S = _aux_basis(e.bary)[None]                        # (1,15,nq,6)
-        M, xi = S[..., :4].reshape(S.shape[:3] + (2, 2)), S[..., 4:]
-        for t, dofs, f in self._point_batches(np.arange(self.mesh.n_triangles)):
-            rho, gam, tau = strain.field_strains(*f, e.geom[t, None])
+        S = _aux_basis(e.bary)[None]                        # (1,nq,6,15)
+        for t, dofs, phi in self._point_batches(
+                np.arange(self.mesh.n_triangles)):
+            B = _apply(strain.operator(e.geom[t]), phi)     # (E,nq,10,nl)
+            rho, gam, tau = B[:, :, 0:4], B[:, :, 4:8], B[:, :, 8:10]
             wfac = e.areas[t, None] * e.wq * e.geom.sqrt_a[t]
-            A = e.elastic.elastic[t]
+            A = e.elastic.elastic[t].reshape(len(t), -1, 4, 4)
             slots = primal.slots(dofs, dofs)
-            arho = np.einsum("eqabcd,ekqcd->ekqab", A, rho)
-            agam = np.einsum("eqabcd,ekqcd->ekqab", A, gam)
-            atau = np.einsum("eqab,ekqa->ekqb", e.geom.a_con[t], tau)
-            pieces["R"].append((slots, _gram(wfac, arho, rho) / 3.0))
-            pieces["G"].append((slots, _gram(wfac, agam, gam)))
-            pieces["T"].append((slots, kappa * mu * _gram(wfac, atau, tau)))
+            pieces["R"].append((slots, _gram(wfac, A @ rho, rho) / 3.0))
+            pieces["G"].append((slots, _gram(wfac, A @ gam, gam)))
+            pieces["T"].append((slots, kappa * mu * _gram(
+                wfac, e.geom.a_con[t] @ tau, tau)))
             if aux:
-                gt = np.concatenate([gam.reshape(tau.shape[:3] + (4,)), tau],
-                                    axis=-1)
                 pieces["B"].append((coupling.slots(e.aux[t], dofs),
-                                    _gram(wfac, S, gt)))
-                cM = np.einsum("eqabcd,mqcd->emqab", e.elastic.compliance[t],
-                               M[0])
-                axi = np.einsum("eqab,mqb->emqa", e.geom.a_cov[t], xi[0])
-                pieces["C"].append((stress.slots(e.aux[t], e.aux[t]),
-                                    _gram(wfac, cM, M)
-                                    + _gram(wfac, axi, xi) / (kappa * mu)))
+                                    _gram(wfac, S, B[:, :, 4:10])))
+        if aux:
+            pieces["C"].append((stress.slots(e.aux, e.aux),
+                                self._stress_mass()))
 
         for d in self._edge_data():
             Se = _aux_basis(np.stack([1 - d.te, d.te], axis=1))[None]
-            for k, dofs, jump, (rho, gam, tau) in self._edge_batches(d):
-                jth, ju, jw = jump[..., :2], jump[..., 2:4], jump[..., 4]
-                g, A, nbar = d.geom[k], d.elastic[k], d.nbar[k]
-                wsa = d.h[k, None] * d.we * g.sqrt_a    # consistency weight
-                theta = d.tag[k[0]] != "S"              # rotations: not on S
+            for k, dofs, jump, flux in self._edge_batches(d):
+                wsa = d.h[k, None] * d.we * d.geom.sqrt_a[k]  # consistency
                 slots = primal.slots(dofs, dofs)
-                arho = np.einsum("eqabcd,ekqcd,eb->ekqa", A, rho, nbar)
-                bju = np.einsum("eqda,ekqd->ekqa", g.b_mix, ju)
-                agam = np.einsum("eqdbag,ekqag,eb->ekqd", A, gam, nbar)
-                atau = np.einsum("eqab,ekqb,ea->ekq", g.a_con, tau, nbar)
+                jth, ju, jw = jump[:, :, 0:2], jump[:, :, 2:4], jump[:, :, 4:5]
                 for key, fac, x, y in (
-                        ("R", 1.0 / 3.0, bju - jth if theta else bju, arho),
-                        ("G", -1.0, ju, agam), ("T", -kappa * mu, jw, atau)):
+                        ("R", 1.0 / 3.0, jump[:, :, 5:7], flux[:, :, 0:2]),
+                        ("G", -1.0, ju, flux[:, :, 2:4]),
+                        ("T", -kappa * mu, jw, flux[:, :, 4:5])):
                     X = _gram(wsa, x, y)
                     pieces[key].append((slots, fac * (X + np.swapaxes(X, 1, 2))))
-                # penalties: the h_e^{-1} weight cancels against h
-                if theta:
+                # penalties: the h_e^{-1} weight cancels against h; rotations
+                # not on S edges
+                if d.tag[k[0]] != "S":
                     pieces["R_pen"].append((slots, _gram(d.we, jth, jth)))
                 pen_w = _gram(d.we, jw, jw)
                 pieces["G_pen"].append((slots, _gram(d.we, ju, ju) + pen_w))
                 pieces["T_pen"].append((slots, pen_w))
-                if aux:
-                    # stress coupling -(M^{ab}[v_a]n_b + xi^a [z]n_a): the
-                    # products [u_a]n_b, [w]n_a match the components of Se
-                    un = jump[..., 2:, None] * nbar[:, None, None, None]
+                if aux:     # -(M^{ab}[v_a]n_b + xi^a [z]n_a), as in Se
                     rows = (5 * d.verts[k, :, None]
                             + np.arange(5)).reshape(len(k), 10)
                     pieces["B"].append((coupling.slots(rows, dofs),
-                                        -_gram(wsa, Se, un)))
+                                        -_gram(wsa, Se, jump[:, :, 7:13])))
 
         forms = {key: primal.csr(primal.data(pieces.pop(key))) for key in
                  ("R", "R_pen", "G", "G_pen", "T", "T_pen")}
@@ -406,6 +428,22 @@ class FormAssembler:
         forms["C"] = stress.csr(stress.data(pieces["C"]))
         self._forms = forms
         return forms
+
+    def _stress_mass(self):
+        """Local stress mass blocks (nt, 3, 5, 3, 5): sum_q w (pv pv^T) (x) K
+        with the P1 vertex values pv and K the compliance on M11, M22, M12
+        and a_ab / (kappa mu) on xi1, xi2.  Only w and K depend on the
+        element, so the point sum is one (nt, 25, q) @ (q, 9) product."""
+        e = self._elem_data()
+        nt, nq = e.qpts.shape[:2]
+        M = np.array([[1, 0, 0], [0, 0, 1], [0, 0, 1], [0, 1, 0]])
+        K = np.zeros((nt, nq, 5, 5))
+        K[..., :3, :3] = M.T @ e.elastic.compliance.reshape(nt, nq, 4, 4) @ M
+        K[..., 3:, 3:] = e.geom.a_cov / (self.material.kappa * self.material.mu)
+        wK = (e.areas[:, None] * e.wq * e.geom.sqrt_a)[..., None, None] * K
+        P = (e.bary[:, :, None] * e.bary[:, None, :]).reshape(nq, 9)
+        return (np.swapaxes(wK.reshape(nt, nq, 25), 1, 2) @ P).reshape(
+            nt, 5, 5, 3, 3).transpose(0, 3, 1, 4, 2)
 
     # ------------------------------------------------------------- public API
 
@@ -437,8 +475,8 @@ class FormAssembler:
         against theta1, theta2, u1, u2, w of every local DOF of owners (E,)
         at points pts (E, q, 2) (or the volume points)."""
         out = np.zeros(self.layout.n_primal)
-        for s, dofs, (c, _) in self._point_batches(owners, pts):
-            loc = np.einsum("ekqc,eqc->ek", c, f[s])
+        for s, dofs, phi in self._point_batches(owners, pts):
+            loc = _local_order(np.swapaxes(f[s], 1, 2) @ phi[:, :, 0])
             out += np.bincount(dofs.ravel(), loc.ravel(), minlength=len(out))
         return out
 
@@ -467,7 +505,7 @@ class FormAssembler:
                             batched(loads.flux_provider.boundary_fluxes,
                                     pts.reshape(-1, 2)))
             nbar, g = d.nbar[loaded], d.geom[loaded]
-            bm = np.einsum("eqga,eqab->eqgb", g.b_mix, m)
+            bm = g.b_mix @ m
             dens = np.concatenate([np.einsum("eqab,eb->aeq", m, nbar),
                                    np.einsum("eqgb,eb->geq", nmem - bm, nbar),
                                    np.einsum("eqa,ea->eq", tsh, nbar)[None]])
@@ -480,15 +518,15 @@ class FormAssembler:
 
 def _aux_basis(pv):
     """Membrane- and shear-stress basis values of the 5 auxiliary components
-    per vertex, (5 nv, q, 6) with value components M^11, M^12, M^21, M^22,
+    per vertex, (q, 6, 5 nv) with value components M^11, M^12, M^21, M^22,
     xi^1, xi^2, from P1 vertex values pv (q, nv).  Local DOF 5*vi + c is
     component c (M11, M22, M12, xi1, xi2) of vertex vi."""
     nq, nv = pv.shape
-    S = np.zeros((nv, 5, nq, 6))
+    S = np.zeros((nq, 6, nv, 5))
     for c, comps in enumerate(((0,), (3,), (1, 2), (4,), (5,))):
         for j in comps:
-            S[:, c, :, j] = pv.T
-    return S.reshape(5 * nv, nq, 6)
+            S[:, j, :, c] = pv
+    return S.reshape(nq, 6, 5 * nv)
 
 
 def green_identity_check(tri_coords, chart, f_exprs,

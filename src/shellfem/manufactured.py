@@ -90,13 +90,7 @@ class ManufacturedSolution:
     def strains_at(self, pts, geom=None):
         if geom is None:
             geom = self.chart.evaluate(np.asarray(pts, dtype=float))
-        v = self.values(pts)
-        g = self.grads(pts)
-        th, u, w = v[..., 0:2], v[..., 2:4], v[..., 4]
-        thg = g[..., 0:2, :]
-        ug = g[..., 2:4, :]
-        wg = g[..., 4, :]
-        return strain.strains(th, thg, u, ug, w, wg, geom)
+        return strain.field_strains(self.values(pts), self.grads(pts), geom)
 
     def stresses(self, pts, geom=None):
         """Stress resultants (m, nmem, t) at parameter points."""
@@ -138,7 +132,7 @@ class ManufacturedSolution:
         bm = geom.b_mix                           # [..., g, a] = b^g_a
         dbm = geom.d_b_mix                        # [..., g, a, d]
 
-        rho, gam, tau = strain.strains(th, dth, u, du, w, dw, geom)
+        rho, gam, tau = strain.field_strains(v, g, geom)
 
         # tau_a = d_a w + b^g_a u_g + theta_a
         dta = (ddw

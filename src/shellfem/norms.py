@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import strain
-from .assembly import FormAssembler, _aux_basis, _gram
+from .assembly import FormAssembler, _apply, _aux_basis, _gram
 from .geometry import batched
 from .solve import factor
 
@@ -77,8 +77,8 @@ class NormEngine:
             r, gm, ta = strain.field_strains(v, g, e.geom)
             out.update(rho=integral(r), gamma=integral(gm), tau=integral(ta))
         if aux is not None:
-            S = _aux_basis(e.bary)                      # (15,nq,6)
-            out["V"] = integral(aux[e.aux] @ S.reshape(len(S), -1))
+            S = _aux_basis(e.bary)                      # (nq,6,15)
+            out["V"] = integral(aux[e.aux] @ S.reshape(-1, S.shape[-1]).T)
         # edge jumps: exact fields are continuous, so jumps of the difference
         # equal jumps of the discrete field; boundary traces subtract exact
         interior, boundary = asm._edge_data()
@@ -104,11 +104,11 @@ class NormEngine:
             asm = self.asm
             e, pattern = asm._elem_data(), asm._pattern()[0]
             vol = []
-            for t, dofs, (c, cg) in asm._point_batches(
+            for t, dofs, phi in asm._point_batches(
                     np.arange(asm.mesh.n_triangles)):
-                w = e.areas[t, None] * e.wq
+                jet = _apply(np.eye(15), phi)   # all values and partials
                 vol.append((pattern.slots(dofs, dofs),
-                            _gram(w, c, c) + _gram(w, cg, cg)))
+                            _gram(e.areas[t, None] * e.wq, jet, jet)))
             f = asm.forms()
             self._grams = pattern.csr(pattern.data(vol)) + f["R_pen"] \
                 + f["G_pen"]

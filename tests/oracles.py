@@ -1,8 +1,10 @@
 """Reference oracles: the forms, Gram matrices, loads and error norms as
 per-element and per-edge loops, and diagnostics built on them that the
 package itself does not need (the Korn-type norm-equivalence probe, the weak
-stress norm, finite-difference manufactured loads).  The loops take their
-basis traces from the assembler's kernel on one-element batches."""
+stress norm, finite-difference manufactured loads).  The loops build their
+own dense per-DOF field arrays from each element's basis coefficients and
+take their strains from the closed-form formulas below, so they share no
+basis-trace or strain code with the package's kernel."""
 
 from types import SimpleNamespace
 
@@ -10,19 +12,94 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sps
 
-from shellfem import strain
+from shellfem.fe_space import eval_monos, grad_monos
 from shellfem.mesh import edge_normal
-from shellfem.quadrature import interval_rule
+from shellfem.quadrature import interval_rule, triangle_rule
 
 
 def _at(f, pts):
     return np.zeros(len(pts)) if f is None else f(pts)
 
 
+# ----------------------------------------------- closed-form strain formulas
+#
+# Field arrays carry arbitrary leading batch axes, and the geometry arrays
+# broadcast against them:
+#     theta: (..., 2)      grad_theta: (..., 2, 2) with [a, b] = d_b theta_a
+#     u:     (..., 2)      grad_u:     (..., 2, 2)
+#     w:     (...)         grad_w:     (..., 2)
+
+
+def covariant_derivative(vec, grad_vec, christoffel):
+    """v_{a|b} = d_b v_a - Gamma^g_{ab} v_g ; christoffel[g,a,b]."""
+    return grad_vec - sum(christoffel[..., g, :, :] * vec[..., g, None, None]
+                          for g in (0, 1))
+
+
+def bending_strain(theta, grad_theta, u, grad_u, w, geom):
+    """rho_ab = sym(theta_{a|b}) - sym(b^g_a u_{g|b}) + c_ab w."""
+    tcd = covariant_derivative(theta, grad_theta, geom.christoffel)
+    ucd = covariant_derivative(u, grad_u, geom.christoffel)
+    bu = sum(geom.b_mix[..., g, :, None] * ucd[..., g, None, :]
+             for g in (0, 1))
+    return (0.5 * (tcd + np.swapaxes(tcd, -1, -2))
+            - 0.5 * (bu + np.swapaxes(bu, -1, -2))
+            + geom.c_cov * w[..., None, None])
+
+
+def membrane_strain(u, grad_u, w, geom):
+    """gamma_ab = sym(u_{a|b}) - b_ab w."""
+    ucd = covariant_derivative(u, grad_u, geom.christoffel)
+    return (0.5 * (ucd + np.swapaxes(ucd, -1, -2))
+            - geom.b_cov * w[..., None, None])
+
+
+def shear_strain(theta, u, grad_w, geom):
+    """tau_a = d_a w + b^g_a u_g + theta_a."""
+    return (grad_w + sum(geom.b_mix[..., g, :] * u[..., g, None]
+                         for g in (0, 1)) + theta)
+
+
+def strains(theta, grad_theta, u, grad_u, w, grad_w, geom):
+    return (bending_strain(theta, grad_theta, u, grad_u, w, geom),
+            membrane_strain(u, grad_u, w, geom),
+            shear_strain(theta, u, grad_w, geom))
+
+
+# ------------------------------------------------------ per-DOF field arrays
+
+
+def field_arrays(vals, grads):
+    """Values (E, nl, q, 5) and gradients (E, nl, q, 5, 2) of theta1, theta2,
+    u1, u2, w for every local DOF, from the displacement-basis values vals
+    (E, nf, q) and physical gradients grads (E, nf, q, 2).  Local DOF order:
+    theta1(3), theta2(3), u1(nf), u2(nf), w(nf); rotations are P1, the first
+    three basis functions."""
+    E, nf, nq = vals.shape
+    c = np.zeros((E, 6 + 3 * nf, nq, 5))
+    cg = np.zeros(c.shape + (2,))
+    for comp, start in enumerate((0, 3, 6, 6 + nf, 6 + 2 * nf)):
+        n = 3 if comp < 2 else nf
+        c[:, start:start + n, :, comp] = vals[:, :n]
+        cg[:, start:start + n, :, comp] = grads[:, :n]
+    return c, cg
+
+
 def local_fields(asm, t, pts=None):
     """Field arrays (th, thg, u, ug, w, wg), each (q, nl, ...), of element t
-    alone at its volume quadrature points or at points pts (q, 2)."""
-    _, (c, cg) = asm._local(np.array([t]), None if pts is None else pts[None])
+    alone at its volume quadrature points or at points pts (q, 2), from the
+    element's vertices and basis coefficients."""
+    coords = asm.mesh.vertices[asm.mesh.triangles[t]]
+    Jinv = np.linalg.inv(np.stack([coords[0] - coords[2],
+                                   coords[1] - coords[2]], axis=-1))
+    if pts is None:
+        lam12 = triangle_rule(asm.config.quad_tri_degree)[0][:, :2]
+    else:
+        lam12 = (pts - coords[2]) @ Jinv.T
+    cf = asm.layout.bases[t].coeffs                             # (nf, 10)
+    vals = cf @ eval_monos(lam12).T                             # (nf, q)
+    grads = np.einsum("fm,qmi,ij->fqj", cf, grad_monos(lam12), Jinv)
+    c, cg = field_arrays(vals[None], grads[None])
     c, cg = np.moveaxis(c[0], 0, 1), np.moveaxis(cg[0], 0, 1)
     return (c[..., 0:2], cg[..., 0:2, :], c[..., 2:4], cg[..., 2:4, :],
             c[..., 4], cg[..., 4, :])
@@ -31,7 +108,7 @@ def local_fields(asm, t, pts=None):
 def element_strains(asm, t):
     """Fields and strains of element t at its volume quadrature points."""
     fields = local_fields(asm, t)
-    rho, gam, tau = strain.strains(*fields, asm._elem_data().geom[t, :, None])
+    rho, gam, tau = strains(*fields, asm._elem_data().geom[t, :, None])
     return SimpleNamespace(rho=rho, gamma=gam, tau=tau, fields=fields)
 
 
@@ -48,7 +125,7 @@ def edge_list(asm):
 def side_arrays(asm, t, ed):
     """Traces and per-DOF strains of element t on edge ed."""
     th, thg, u, ug, w, wg = local_fields(asm, t, ed.pts)
-    rho, gam, tau = strain.strains(th, thg, u, ug, w, wg, ed.geom[:, None])
+    rho, gam, tau = strains(th, thg, u, ug, w, wg, ed.geom[:, None])
     return SimpleNamespace(th=th, u=u, w=w, rho=rho, gamma=gam, tau=tau)
 
 
@@ -119,7 +196,7 @@ def reference_error_norms(eng, primal, exact):
         H2 += w @ (np.sum(dth ** 2 + du ** 2, axis=-1)
                    + np.sum(dthg ** 2 + dug ** 2, axis=(-2, -1))
                    + dw ** 2 + np.sum(dwg ** 2, axis=-1))
-        r, gm, ta = strain.strains(dth, dthg, du, dug, dw, dwg, e.geom[t])
+        r, gm, ta = strains(dth, dthg, du, dug, dw, dwg, e.geom[t])
         rho2 += w @ np.sum(r ** 2, axis=(-2, -1))
         gam2 += w @ np.sum(gm ** 2, axis=(-2, -1))
         tau2 += w @ np.sum(ta ** 2, axis=-1)

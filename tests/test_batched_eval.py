@@ -3,11 +3,13 @@ grouped quadrature kernel of forms and of Q_H, and the pointwise norms,
 checked against the per-element and per-edge reference loops of
 `oracles`."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from shellfem import strain
 from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec, Material
 from shellfem.cli import DiscreteField
 from shellfem.driver import ShellProblem
@@ -301,15 +303,20 @@ def test_solve_chart_evaluations_do_not_grow_with_mesh(chart_evaluations,
 
 def test_kernel_einsum_calls_do_not_grow_with_mesh(monkeypatch):
     """forms, grams, loads and error norms contract group by group, so the
-    number of einsum calls is the same on a mesh with four times as many
-    elements."""
+    number of einsum calls, of basis traces and of strain operators built is
+    the same on a mesh with four times as many elements."""
     calls = []
-    einsum = np.einsum
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return einsum(*args, **kwargs)
-    monkeypatch.setattr(np, "einsum", counting)
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def count(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, count)
+    counting(np, "einsum")
+    counting(FormAssembler, "_traces")
+    counting(strain, "operator")
     exact = SimpleNamespace(values=lambda p: np.zeros((len(p), 5)),
                             grads=lambda p: np.zeros((len(p), 5, 2)))
     counts = []
@@ -323,7 +330,8 @@ def test_kernel_einsum_calls_do_not_grow_with_mesh(monkeypatch):
         asm.load_vector(LoadSpec(p3=lambda p: np.ones(len(p)),
                                  q3=lambda p: np.ones(len(p))))
         eng.error_norms(primal, exact)
-        counts.append(len(calls))
+        counts.append(Counter(calls))
+    assert counts[0]["_traces"] > 0 and counts[0]["operator"] > 0
     assert counts[0] == counts[1]
 
 

@@ -6,6 +6,8 @@ from shellfem.fe_space import (FIELDS, SpaceError, build_dof_layout,
 from shellfem.geometry import make_chart
 from shellfem.mesh import generate_rect_mesh, refine_uniform
 
+from oracles import local_fields
+
 
 def random_ccw_triangle(rng, lo=0.1, hi=0.9, min_area=0.02):
     while True:
@@ -130,8 +132,7 @@ def test_projection_reproduces_linears_exactly():
     worst = 0.0
     for t in range(mesh.n_triangles):
         pts = e.qpts[t]
-        c = np.moveaxis(asm._local(np.array([t]))[1][0][0], 0, 1)
-        th, u, w = c[..., 0:2], c[..., 2:4], c[..., 4]
+        th, _, u, _, w, _ = local_fields(asm, t)
         xt = x[layout.element_dofs(t)]
         got = np.concatenate([
             np.einsum("qka,k->qa", th, xt),
@@ -157,7 +158,7 @@ def test_projection_error_decays_quadratically():
         err2 = 0.0
         for t in range(mesh.n_triangles):
             w_q = e.areas[t] * e.wq
-            wfield = asm._local(np.array([t]))[1][0][0, :, :, 4].T
+            wfield = local_fields(asm, t)[4]
             got = np.einsum("qk,k->q", wfield, x[layout.element_dofs(t)])
             want = fields["w"](e.qpts[t])
             err2 += w_q @ (got - want) ** 2
