@@ -102,102 +102,75 @@ def _edge_lam12(k: int, t: np.ndarray) -> np.ndarray:
     return lam[:, :2]
 
 
-def _moment_rows(basis_coeffs, vol_lam, vol_w, edge_data):
-    """Moment matrix: volume moments against P1 then (1, t) per free edge."""
-    nf = len(basis_coeffs)
-    vals = eval_monos(vol_lam) @ basis_coeffs.T           # (nq, nf)
-    lamv = eval_monos(vol_lam) @ LAM.T                    # (nq, 3)
-    rows = [vol_w @ (lamv[:, q, None] * vals) for q in range(3)]
-    for (_, w, t, lam12) in edge_data:
-        evals = eval_monos(lam12) @ basis_coeffs.T
-        rows.append(w @ evals)
-        rows.append(w @ (t[:, None] * evals))
-    assert len(rows) == nf
-    return np.array(rows)
+def _local_bases(coords, chart, free_edges: tuple) -> list:
+    """The local displacement bases of the elements with vertices `coords`
+    (E, 3, 2) that share the sorted tuple `free_edges` of local edges on the
+    free boundary, built together from one sqrt(a) evaluation.
 
-
-def _basis_points(tri_coords, free_edges) -> np.ndarray:
-    """Where a local basis needs sqrt(a): the dense-rule points, then the 8
-    Gauss points of each free edge in turn."""
-    t_e, _ = interval_rule(8)
-    return np.concatenate(
-        [triangle_rule_dense()[0] @ tri_coords]
-        + [np.outer(1.0 - t_e, tri_coords[_EDGE_VERTS[k][0]])
-           + np.outer(t_e, tri_coords[_EDGE_VERTS[k][1]]) for k in free_edges])
-
-
-def build_local_basis(tri_coords, chart, free_edges=(),
-                      sqrt_a=None) -> LocalBasis:
-    """Construct the local displacement basis for one element.
-
-    free_edges: sorted tuple of local edge indices lying on the free boundary.
     The added bubble functions are orthogonal to P1 in the sqrt(a)-weighted
-    L2 product over the (curved) element.  `sqrt_a` holds sqrt(a) at
-    `_basis_points(tri_coords, free_edges)` when the caller has evaluated
-    the chart there already.
+    L2 product over the (curved) element.
     """
-    tri_coords = np.asarray(tri_coords, dtype=float)
-    free_edges = tuple(sorted(free_edges))
     if len(free_edges) > 2:
         raise SpaceError("element with 3 free edges is unsupported")
-    d1 = tri_coords[1] - tri_coords[0]
-    d2 = tri_coords[2] - tri_coords[0]
-    area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
     bary, w = triangle_rule_dense()
-    pts = _basis_points(tri_coords, free_edges)
-    if sqrt_a is None:
-        sqrt_a = chart.evaluate(pts).sqrt_a
-    nq = len(w)
-    vol_lam = bary[:, :2]
-    vol_pts = pts[:nq]
-    vol_w = area * w * sqrt_a[:nq]
-
     t_e, w_e = interval_rule(8)
-    edge_data = []
-    for i, k in enumerate(free_edges):
-        s, e = _EDGE_VERTS[k]
-        length = np.linalg.norm(tri_coords[e] - tri_coords[s])
-        on_edge = slice(nq + 8 * i, nq + 8 * (i + 1))
-        edge_data.append((pts[on_edge], length * w_e * sqrt_a[on_edge], t_e,
-                          _edge_lam12(k, t_e)))
+    nq, ne = len(w), len(free_edges)
+    ends = [_EDGE_VERTS[k] for k in free_edges]
+    # the dense-rule points, then the 8 Gauss points of each free edge in turn
+    pts = np.concatenate([bary @ coords] + [
+        (1.0 - t_e)[:, None] * coords[:, s, None]
+        + t_e[:, None] * coords[:, e, None] for s, e in ends], axis=1)
+    d1, d2 = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
+    area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    weights = np.concatenate([area[:, None] * w] + [
+        np.linalg.norm(coords[:, e] - coords[:, s], axis=-1)[:, None] * w_e
+        for s, e in ends], axis=1) * batched(chart.sqrt_a, pts)
+    edge_lam = [_edge_lam12(k, t_e) for k in free_edges]
+    monos = eval_monos(np.concatenate([bary[:, :2]] + edge_lam))  # (P, 10)
+    lamv = monos[:nq] @ LAM.T                                     # (nq, 3)
 
     def p1_orthogonal(bubble, shift):
-        """Solve for p in P1 with integral (bubble*p + shift) q = 0, q in P1."""
-        lamv = eval_monos(vol_lam) @ LAM.T
-        bub = eval_monos(vol_lam) @ bubble
-        sh = eval_monos(vol_lam) @ shift
-        M = np.einsum("q,qi,qj->ij", vol_w * bub, lamv, lamv)
-        rhs = -np.einsum("q,qi->i", vol_w * sh, lamv)
-        c = np.linalg.solve(M, rhs)
-        return poly_mul(bubble, c @ LAM) + shift
+        """bubble * p + shift, with p in P1 such that the product with every
+        q in P1 integrates to 0 on each element; (E, N_MONO)."""
+        bw = weights[:, :nq] * (monos[:nq] @ bubble)
+        M = (lamv.T * bw[:, None]) @ lamv                         # (E, 3, 3)
+        rhs = -(weights[:, :nq] * (monos[:nq] @ shift)) @ lamv
+        c = np.linalg.solve(M, rhs[..., None])[..., 0]
+        return c @ np.array([poly_mul(bubble, lam) for lam in LAM]) + shift
 
-    if not free_edges:
-        kind, extra = "P1", []
-    elif len(free_edges) == 1:
-        kind = "Pe"
+    tails = []
+    if ne == 1:
         k = free_edges[0]
-        lam_k = LAM[k]
-        other = LAM[(k + 1) % 3]
-        extra = [p1_orthogonal(lam_k, ONE), p1_orthogonal(lam_k, other)]
-    else:
-        kind = "Pv"
-        i, j = free_edges
+        bubble, tails = LAM[k], [ONE, LAM[(k + 1) % 3]]
+    elif ne == 2:
         # paper convention: the two free edges carry the linear/quadratic tails
-        li, lj = LAM[i], LAM[j]
+        li, lj = LAM[free_edges[0]], LAM[free_edges[1]]
         bubble = poly_mul(li, lj)
         tails = [lj, poly_mul(lj, lj), li, poly_mul(li, li)]
-        extra = [p1_orthogonal(bubble, s) for s in tails]
-
-    coeffs = np.vstack([LAM] + [np.asarray(c)[None, :] for c in extra]) \
-        if extra else LAM.copy()
-    lb = LocalBasis(kind, coeffs, free_edges, vol_pts, vol_w, vol_lam, edge_data)
-    M = _moment_rows(coeffs, vol_lam, vol_w, edge_data)
-    if M.shape[0] != M.shape[1]:
-        raise SpaceError("moment system is not square")
-    if np.linalg.cond(M) > 1e10:
+    coeffs = np.concatenate([np.broadcast_to(LAM, (len(coords), 3, N_MONO))]
+                            + [p1_orthogonal(bubble, s)[:, None]
+                               for s in tails], axis=1)       # (E, nf, 10)
+    # moments: volume against P1, then against (1, t) on each free edge
+    on_edge = [slice(nq + 8 * i, nq + 8 * (i + 1)) for i in range(ne)]
+    tests = np.zeros((len(monos), 3 + 2 * ne))
+    tests[:nq, :3] = lamv
+    for i, on in enumerate(on_edge):
+        tests[on, 3 + 2 * i:5 + 2 * i] = np.stack([np.ones_like(t_e), t_e], 1)
+    vals = monos @ np.swapaxes(coeffs, 1, 2)                     # (E, P, nf)
+    moments = (tests.T * weights[:, None]) @ vals
+    if np.any(np.linalg.cond(moments) > 1e10):
         raise SpaceError("local moment matrix is ill conditioned")
-    lb.moment_matrix = M
-    return lb
+    return [LocalBasis(("P1", "Pe", "Pv")[ne], coeffs[j], free_edges,
+                       pts[j, :nq], weights[j, :nq], bary[:, :2],
+                       [(pts[j, on], weights[j, on], t_e, lam)
+                        for on, lam in zip(on_edge, edge_lam)], moments[j])
+            for j in range(len(coords))]
+
+
+def build_local_basis(tri_coords, chart, free_edges=()) -> LocalBasis:
+    """The local displacement basis of one element; see `_local_bases`."""
+    return _local_bases(np.asarray(tri_coords, dtype=float)[None], chart,
+                        tuple(sorted(free_edges)))[0]
 
 
 @dataclass
@@ -249,12 +222,12 @@ def build_dof_layout(mesh, chart, enrichment: bool) -> DofLayout:
     False) the plain P1 primal layout without one."""
     nt = mesh.n_triangles
     free = [mesh.free_local_edges(t) if enrichment else () for t in range(nt)]
-    pts = [_basis_points(mesh.triangle_coords(t), free[t]) for t in range(nt)]
-    # sqrt(a) at the basis points of all elements in one pass
-    sqrt_a = batched(lambda p: chart.evaluate(p).sqrt_a, np.concatenate(pts))
-    ends = np.cumsum([len(p) for p in pts])
-    bases = [build_local_basis(mesh.triangle_coords(t), chart, free[t], sa)
-             for t, sa in enumerate(np.split(sqrt_a, ends[:-1]))]
+    coords = mesh.vertices[mesh.triangles]
+    bases = [None] * nt
+    for group in sorted(set(free)):
+        t = [i for i, fe in enumerate(free) if fe == group]
+        for i, lb in zip(t, _local_bases(coords[t], chart, group)):
+            bases[i] = lb
     extra_counts = np.array([lb.n_funcs - 3 for lb in bases], dtype=int)
     extra_offsets = np.zeros(nt, dtype=int)
     np.cumsum(3 * extra_counts[:-1], out=extra_offsets[1:])

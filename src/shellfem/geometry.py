@@ -3,7 +3,10 @@
 Charts map parameter coordinates (x1, x2) to points of a surface in R^3.
 Built-in charts (plate, cylinder, sphere, hypar) are differentiated
 symbolically once and evaluated as vectorized numpy closures; user-expression
-charts fall back to central finite differences.
+charts fall back to central finite differences.  `Chart.evaluate` gives every
+coefficient field; `Chart.sqrt_a` gives the area element alone, which is all
+that the DOF layout asks for (once per group of elements that share their
+free edges).
 
 Index conventions used throughout the package:
     a_cov[a, b]        = a_{ab}
@@ -91,9 +94,7 @@ def _tensors_from_frame(a1, a2, da):
     a_cov[..., 1, 0] = a_cov[..., 0, 1]
     a_cov[..., 1, 1] = np.einsum("...i,...i->...", a2, a2)
     cross = np.cross(a1, a2)
-    sqrt_a = np.linalg.norm(cross, axis=-1)
-    if np.any(sqrt_a < _DEGEN_TOL):
-        raise DegenerateChartError("tangent vectors are (nearly) linearly dependent")
+    sqrt_a = _nondegenerate(np.linalg.norm(cross, axis=-1))
     a3 = cross / sqrt_a[..., None]
     det = a_cov[..., 0, 0] * a_cov[..., 1, 1] - a_cov[..., 0, 1] ** 2
     a_con = np.empty_like(a_cov)
@@ -110,6 +111,12 @@ def _tensors_from_frame(a1, a2, da):
     b_mix = np.einsum("...cg,...gb->...cb", a_con, b_cov)
     c_cov = np.einsum("...ga,...gb->...ab", b_mix, b_cov)
     return a_cov, a_con, sqrt_a, a3, b_cov, b_mix, c_cov, christoffel
+
+
+def _nondegenerate(sqrt_a):
+    if np.any(sqrt_a < _DEGEN_TOL):
+        raise DegenerateChartError("tangent vectors are (nearly) linearly dependent")
+    return sqrt_a
 
 
 def _join(parts):
@@ -135,7 +142,7 @@ def batched(fn, points):
 
 
 class Chart:
-    """Base chart; subclasses provide _frame/_position and derivative fields."""
+    """Base chart; subclasses provide `position`, `evaluate` and `_sqrt_a`."""
 
     name = "chart"
     domain = None  # ((x1min, x1max), (x2min, x2max)) or None
@@ -155,6 +162,13 @@ class Chart:
 
     def evaluate(self, points) -> GeometryEval:
         raise NotImplementedError
+
+    def sqrt_a(self, points) -> np.ndarray:
+        """The area element sqrt(a) alone, equal to `evaluate(points).sqrt_a`
+        and checked the same way."""
+        points = np.asarray(points, dtype=float)
+        self.check_domain(points)
+        return _nondegenerate(self._sqrt_a(points))
 
 
 _X1, _X2 = sp.symbols("x1 x2", real=True)
@@ -194,6 +208,7 @@ class SymbolicChart(Chart):
         flat += [sp.diff(f, x) for f in (*b_cov, *b_mix, *gammas)
                  for x in (_X1, _X2)]
         self._flat_fn = sp.lambdify((_X1, _X2), flat, modules="numpy")
+        self._sqrt_a_fn = sp.lambdify((_X1, _X2), sqrt_a, modules="numpy")
         self._pos_fn = sp.lambdify((_X1, _X2), [*phi], modules="numpy")
 
     def position(self, points):
@@ -209,9 +224,12 @@ class SymbolicChart(Chart):
         flat = _stack(self._flat_fn(points[..., 0], points[..., 1]), shape)
         g = GeometryEval(*(block.reshape(shape + tail) for block, tail in zip(
             np.split(flat, _FLAT_ENDS[:-1], axis=-1), _FIELD_TAILS)))
-        if np.any(g.sqrt_a < _DEGEN_TOL):
-            raise DegenerateChartError("tangent vectors are (nearly) linearly dependent")
+        _nondegenerate(g.sqrt_a)
         return g
+
+    def _sqrt_a(self, points):
+        return np.broadcast_to(self._sqrt_a_fn(points[..., 0], points[..., 1]),
+                               points.shape[:-1]).astype(float)
 
 
 def _stack(values, shape):
@@ -240,7 +258,7 @@ class ExpressionChart(Chart):
         x1, x2 = points[..., 0], points[..., 1]
         return np.stack([exprmod.evaluate(a, x1, x2) for a in self._asts], axis=-1)
 
-    def _frame(self, points):
+    def _tangents(self, points):
         h = self.h_fd
         e1 = np.array([h, 0.0])
         e2 = np.array([0.0, h])
@@ -248,6 +266,13 @@ class ExpressionChart(Chart):
               - self._position_unchecked(points - e1)) / (2 * h)
         a2 = (self._position_unchecked(points + e2)
               - self._position_unchecked(points - e2)) / (2 * h)
+        return a1, a2
+
+    def _sqrt_a(self, points):
+        return np.linalg.norm(np.cross(*self._tangents(points)), axis=-1)
+
+    def _frame(self, points):
+        a1, a2 = self._tangents(points)
         da = np.empty(points.shape[:-1] + (2, 2, 3))
         pc = self._position_unchecked(points)
         # second differences of the position give d_b a_a; roundoff in a

@@ -40,12 +40,14 @@ def gram_builds(monkeypatch):
 
 @pytest.fixture
 def chart_evaluations(monkeypatch):
-    """List that records, in order, the number of points of every
-    `Chart.evaluate` call (on either chart class) during the test."""
+    """List that records, in order, the method ("evaluate" or "sqrt_a") and
+    the number of points of every such chart call (on either chart class)
+    during the test."""
     calls = []
     for cls in (SymbolicChart, ExpressionChart):
-        def counting_evaluate(self, points, _evaluate=cls.evaluate):
-            calls.append(np.asarray(points).size // 2)
-            return _evaluate(self, points)
-        monkeypatch.setattr(cls, "evaluate", counting_evaluate)
+        for name in ("evaluate", "sqrt_a"):
+            def counting(self, points, _name=name, _fn=getattr(cls, name)):
+                calls.append((_name, np.asarray(points).size // 2))
+                return _fn(self, points)
+            monkeypatch.setattr(cls, name, counting)
     return calls

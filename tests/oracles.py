@@ -1,10 +1,12 @@
-"""Reference oracles: the forms, Gram matrices, loads and error norms as
-per-element and per-edge loops, and diagnostics built on them that the
-package itself does not need (the Korn-type norm-equivalence probe, the weak
-stress norm, finite-difference manufactured loads).  The loops build their
-own dense per-DOF field arrays from each element's basis coefficients and
-take their strains from the closed-form formulas below, so they share no
-basis-trace or strain code with the package's kernel."""
+"""Reference oracles: the local bases, forms, Gram matrices, loads and
+error norms as per-element and per-edge loops, and diagnostics built on them
+that the package itself does not need (the Korn-type norm-equivalence probe,
+the weak stress norm, finite-difference manufactured loads).  The loops
+build their own dense per-DOF field arrays from each element's basis
+coefficients and take their strains from the closed-form formulas below, so
+they share no basis-trace or strain code with the package's kernel.  The
+reference local basis takes sqrt(a) from the chart's full `evaluate` and
+solves for one element and one bubble at a time."""
 
 from types import SimpleNamespace
 
@@ -12,9 +14,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sps
 
-from shellfem.fe_space import eval_monos, grad_monos
+from shellfem.fe_space import (_EDGE_VERTS, LAM, ONE, LocalBasis, SpaceError,
+                               _edge_lam12, eval_monos, grad_monos, poly_mul)
 from shellfem.mesh import edge_normal
-from shellfem.quadrature import interval_rule, triangle_rule
+from shellfem.quadrature import (interval_rule, triangle_rule,
+                                 triangle_rule_dense)
 
 
 def _at(f, pts):
@@ -64,6 +68,93 @@ def strains(theta, grad_theta, u, grad_u, w, grad_w, geom):
     return (bending_strain(theta, grad_theta, u, grad_u, w, geom),
             membrane_strain(u, grad_u, w, geom),
             shear_strain(theta, u, grad_w, geom))
+
+
+# ------------------------------------------------------------- local bases
+
+
+def _moment_rows(basis_coeffs, vol_lam, vol_w, edge_data):
+    """Moment matrix: volume moments against P1 then (1, t) per free edge."""
+    nf = len(basis_coeffs)
+    vals = eval_monos(vol_lam) @ basis_coeffs.T           # (nq, nf)
+    lamv = eval_monos(vol_lam) @ LAM.T                    # (nq, 3)
+    rows = [vol_w @ (lamv[:, q, None] * vals) for q in range(3)]
+    for (_, w, t, lam12) in edge_data:
+        evals = eval_monos(lam12) @ basis_coeffs.T
+        rows.append(w @ evals)
+        rows.append(w @ (t[:, None] * evals))
+    assert len(rows) == nf
+    return np.array(rows)
+
+
+def reference_local_basis(tri_coords, chart, free_edges=()) -> LocalBasis:
+    """The local displacement basis of one element, built alone, with sqrt(a)
+    from the chart's full `evaluate` and one bubble solve at a time."""
+    tri_coords = np.asarray(tri_coords, dtype=float)
+    free_edges = tuple(sorted(free_edges))
+    if len(free_edges) > 2:
+        raise SpaceError("element with 3 free edges is unsupported")
+    d1 = tri_coords[1] - tri_coords[0]
+    d2 = tri_coords[2] - tri_coords[0]
+    area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
+    bary, w = triangle_rule_dense()
+    t_e, w_e = interval_rule(8)
+    pts = np.concatenate(
+        [bary @ tri_coords]
+        + [np.outer(1.0 - t_e, tri_coords[_EDGE_VERTS[k][0]])
+           + np.outer(t_e, tri_coords[_EDGE_VERTS[k][1]]) for k in free_edges])
+    sqrt_a = chart.evaluate(pts).sqrt_a
+    nq = len(w)
+    vol_lam = bary[:, :2]
+    vol_pts = pts[:nq]
+    vol_w = area * w * sqrt_a[:nq]
+
+    edge_data = []
+    for i, k in enumerate(free_edges):
+        s, e = _EDGE_VERTS[k]
+        length = np.linalg.norm(tri_coords[e] - tri_coords[s])
+        on_edge = slice(nq + 8 * i, nq + 8 * (i + 1))
+        edge_data.append((pts[on_edge], length * w_e * sqrt_a[on_edge], t_e,
+                          _edge_lam12(k, t_e)))
+
+    def p1_orthogonal(bubble, shift):
+        """Solve for p in P1 with integral (bubble*p + shift) q = 0, q in P1."""
+        lamv = eval_monos(vol_lam) @ LAM.T
+        bub = eval_monos(vol_lam) @ bubble
+        sh = eval_monos(vol_lam) @ shift
+        M = np.einsum("q,qi,qj->ij", vol_w * bub, lamv, lamv)
+        rhs = -np.einsum("q,qi->i", vol_w * sh, lamv)
+        c = np.linalg.solve(M, rhs)
+        return poly_mul(bubble, c @ LAM) + shift
+
+    if not free_edges:
+        kind, extra = "P1", []
+    elif len(free_edges) == 1:
+        kind = "Pe"
+        k = free_edges[0]
+        lam_k = LAM[k]
+        other = LAM[(k + 1) % 3]
+        extra = [p1_orthogonal(lam_k, ONE), p1_orthogonal(lam_k, other)]
+    else:
+        kind = "Pv"
+        i, j = free_edges
+        # paper convention: the two free edges carry the linear/quadratic tails
+        li, lj = LAM[i], LAM[j]
+        bubble = poly_mul(li, lj)
+        tails = [lj, poly_mul(lj, lj), li, poly_mul(li, li)]
+        extra = [p1_orthogonal(bubble, s) for s in tails]
+
+    coeffs = np.vstack([LAM] + [np.asarray(c)[None, :] for c in extra]) \
+        if extra else LAM.copy()
+    lb = LocalBasis(kind, coeffs, free_edges, vol_pts, vol_w, vol_lam,
+                    edge_data)
+    M = _moment_rows(coeffs, vol_lam, vol_w, edge_data)
+    if M.shape[0] != M.shape[1]:
+        raise SpaceError("moment system is not square")
+    if np.linalg.cond(M) > 1e10:
+        raise SpaceError("local moment matrix is ill conditioned")
+    lb.moment_matrix = M
+    return lb
 
 
 # ------------------------------------------------------ per-DOF field arrays

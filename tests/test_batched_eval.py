@@ -13,15 +13,15 @@ from shellfem import strain
 from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec, Material
 from shellfem.cli import DiscreteField
 from shellfem.driver import ShellProblem
-from shellfem.fe_space import build_dof_layout, build_local_basis
+from shellfem.fe_space import build_dof_layout
 from shellfem.geometry import geometry_seminorms, make_chart
 from shellfem.manufactured import ManufacturedSolution
 from shellfem.mesh import (BoundaryEdge, Mesh, MeshError, generate_rect_mesh,
-                           mesh_condition_report)
+                           mesh_condition_report, refine_uniform)
 from shellfem.norms import NormEngine
 
 from oracles import (reference_error_norms, reference_forms, reference_grams,
-                     reference_load_vector)
+                     reference_load_vector, reference_local_basis)
 
 FIELDS = {"theta1": "sin(pi * x1) * sin(pi * x2)",
           "theta2": "x1 * (1 - x1) * x2 * (1 - x2)",
@@ -264,24 +264,59 @@ def test_mesh_condition_report_matches_per_triangle_seminorms(chart):
             rep["geometry_resolution"] <= eps)
 
 
+def assert_layout_matches_reference(mesh, chart):
+    """Every field of every local basis of the enriched layout agrees with
+    the element built alone; returns the free-edge groups of the mesh."""
+    layout = build_dof_layout(mesh, chart, enrichment=True)
+    groups = set()
+    for t, lb in enumerate(layout.bases):
+        one = reference_local_basis(mesh.triangle_coords(t), chart,
+                                    mesh.free_local_edges(t))
+        groups.add(one.free_edges)
+        assert (lb.kind, lb.free_edges) == (one.kind, one.free_edges)
+        for name in ("coeffs", "vol_pts", "vol_w", "vol_lam",
+                     "moment_matrix"):
+            assert_close(getattr(lb, name), getattr(one, name))
+        for got, want in zip(lb.edge_data, one.edge_data, strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert_close(a, b)
+    return groups
+
+
+def every_group_mesh():
+    """A free triangle refined twice: its elements hold all seven free-edge
+    groups, (), (0,), (1,), (2,), (0, 1), (0, 2) and (1, 2)."""
+    return refine_uniform(refine_uniform(Mesh(
+        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        triangles=np.array([[0, 1, 2]]),
+        boundary_edges=[BoundaryEdge(e, -1, -1, "F")
+                        for e in ((0, 1), (1, 2), (0, 2))]).finalize()))
+
+
 @pytest.mark.parametrize("chart", [bump_chart(), make_chart("cylinder")],
                          ids=["bump", "cylinder"])
 def test_layout_bases_match_per_element_construction(chart):
     mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 3, 3,
                               tags=("D", "F", "F", "F"))
-    layout = build_dof_layout(mesh, chart, enrichment=True)
-    kinds = set()
-    for t, lb in enumerate(layout.bases):
-        one = build_local_basis(mesh.triangle_coords(t), chart,
-                                mesh.free_local_edges(t))
-        kinds.add(one.kind)
-        assert lb.kind == one.kind
-        for name in ("coeffs", "vol_pts", "vol_w", "moment_matrix"):
-            assert_close(getattr(lb, name), getattr(one, name))
-        for got, want in zip(lb.edge_data, one.edge_data, strict=True):
-            for a, b in zip(got, want):
-                assert_close(a, b)
-    assert kinds == {"P1", "Pe", "Pv"}
+    groups = assert_layout_matches_reference(mesh, chart)
+    assert {len(g) for g in groups} == {0, 1, 2}
+    groups = assert_layout_matches_reference(every_group_mesh(), chart)
+    assert groups == {(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)}
+
+
+def test_layout_asks_for_sqrt_a_once_per_free_edge_group(chart_evaluations):
+    chart = make_chart("cylinder")
+    calls = []
+    for n in (4, 8):
+        mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), n, n,
+                                  tags=("D", "F", "F", "F"))
+        chart_evaluations.clear()
+        build_dof_layout(mesh, chart, enrichment=True)
+        assert all(name == "sqrt_a" for name, _ in chart_evaluations)
+        groups = {mesh.free_local_edges(t) for t in range(mesh.n_triangles)}
+        assert len(chart_evaluations) == len(groups)
+        calls.append(len(chart_evaluations))
+    assert calls[0] == calls[1]
 
 
 @pytest.mark.parametrize("method,tags", [

@@ -188,3 +188,41 @@ def test_geometry_eval_indexing_slices_every_field():
     for name in GeometryEval.__dataclass_fields__:
         assert np.array_equal(getattr(part, name),
                               getattr(g, name)[1, :, None]), name
+
+
+SQRT_A_CHARTS = {
+    "plate": (("plate",), {}),
+    "cylinder": (("cylinder",), {"radius": 1.5}),
+    "sphere": (("sphere",), {}),
+    "hypar": (("hypar",), {"coeff": 0.7}),
+    "bump": (("expression",), {"components": (
+        "x1", "x2", "0.25 * sin(pi * x1) * sin(pi * x2)")}),
+}
+
+
+@pytest.mark.parametrize("kind", list(SQRT_A_CHARTS))
+def test_sqrt_a_is_bitwise_the_evaluated_area_element(kind):
+    args, kwargs = SQRT_A_CHARTS[kind]
+    domain = ((0.3, 1.2), (0.0, 1.0))     # away from the sphere's poles
+    chart = make_chart(*args, domain=domain, **kwargs)
+    pts = np.random.default_rng(11).uniform(
+        [domain[0][0], domain[1][0]], [domain[0][1], domain[1][1]], (1000, 2))
+    got = chart.sqrt_a(pts)
+    assert got.shape == (1000,) and got.dtype == float
+    assert np.array_equal(got, chart.evaluate(pts).sqrt_a)
+    grid = pts.reshape(10, 100, 2)
+    assert np.array_equal(chart.sqrt_a(grid), chart.evaluate(grid).sqrt_a)
+    with pytest.raises(DomainError):
+        chart.sqrt_a(np.array([[0.5, 0.5], [1.5, 0.5]]))
+
+
+def test_sqrt_a_rejects_a_degenerate_chart():
+    chart = make_chart("expression", components=("x1", "x1", "0"))
+    pts = np.array([[0.5, 0.5], [0.2, 0.7]])
+    with pytest.raises(DegenerateChartError):
+        chart.evaluate(pts)
+    with pytest.raises(DegenerateChartError):
+        chart.sqrt_a(pts)
+    # the sphere's pole, where the symbolic sqrt(a) vanishes
+    with pytest.raises(DegenerateChartError):
+        make_chart("sphere").sqrt_a(np.array([[0.5, 0.5], [0.0, 0.5]]))

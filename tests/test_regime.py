@@ -101,7 +101,8 @@ def test_mesh_condition_sweeps_the_chart_once(chart_evaluations):
     prob = cylinder_problem(tags=("D", "F", "F", "F"))
     rep = detect_regime(prob)
     # one evaluation at the 6 samples of every triangle serves both eps
-    assert chart_evaluations.count(6 * prob.mesh.n_triangles) == 1
+    assert chart_evaluations.count(
+        ("evaluate", 6 * prob.mesh.n_triangles)) == 1
     want = {}
     for label, eps in (("eps", prob.epsilon), ("half_eps", prob.epsilon / 2)):
         want[label] = mesh_condition_report(prob.mesh, prob.chart, eps)
