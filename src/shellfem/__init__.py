@@ -10,7 +10,7 @@ from .driver import ShellProblem
 from .expr import (EvalDomainError, ExprError, differentiate, evaluate,
                    parse, simplify, to_string)
 from .fe_space import (DofLayout, SpaceError, build_dof_layout,
-                       build_local_basis, project_primal)
+                       project_primal)
 from .geometry import (Chart, DegenerateChartError, DomainError,
                        ExpressionChart, GeometryError, SymbolicChart,
                        eval_elastic, geometry_seminorms, make_chart)

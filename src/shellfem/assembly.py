@@ -224,18 +224,12 @@ class FormAssembler:
         geom = batched(chart.evaluate, qpts)
         elastic = eval_elastic(geom, self.material.lam, self.material.mu,
                                self.material.kappa)
-        # basis coefficients and DOFs, padded to the largest local size
-        nf = np.array([lb.n_funcs for lb in layout.bases])
-        coeffs = np.zeros((nt, nf.max(), N_MONO))
-        dofs = np.full((nt, 6 + 3 * nf.max()), -1)
-        for t, lb in enumerate(layout.bases):
-            coeffs[t, :nf[t]] = lb.coeffs
-            dofs[t, :6 + 3 * nf[t]] = layout.element_dofs(t)
         aux = (5 * mesh.triangles[..., None] + np.arange(5)).reshape(nt, 15)
         self._elem = SimpleNamespace(bary=bary, wq=wq, coords=coords,
                                      areas=areas, Jinv=np.linalg.inv(J),
                                      qpts=qpts, geom=geom, elastic=elastic,
-                                     nf=nf, coeffs=coeffs, dofs=dofs, aux=aux)
+                                     nf=layout.nf, coeffs=layout.coeffs,
+                                     dofs=layout.dofs, aux=aux)
         return self._elem
 
     def _dofs(self, t):
@@ -310,8 +304,7 @@ class FormAssembler:
                 right=np.array(right, dtype=int), tag=np.array(tag, dtype=str),
                 elastic=eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic,
                 arc=np.sqrt(np.einsum("eqab,ea,eb->eq", geom.a_cov, tang, tang)),
-                nbar=np.array([edge_normal(mesh, v, t) for v, t in
-                               zip(verts, left)]).reshape(-1, 2))
+                nbar=edge_normal(mesh, verts, left))
 
         inner, outer = mesh.interior_edges, mesh.boundary_edges
         self._edges = (

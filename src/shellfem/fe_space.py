@@ -5,11 +5,19 @@ the global DOF ordering, and weighted local projections.
 Local polynomials are stored as coefficient vectors over barycentric
 monomials l1^i * l2^j of total degree <= 3 (l3 = 1 - l1 - l2 substituted).
 Local edge k is the edge opposite local vertex k.
+
+The DOF layout is three arrays over the elements: the displacement basis
+coefficients, the number of basis functions and the global DOFs of each
+element (see `DofLayout`).  Plain P1 elements take the barycentric
+coordinates LAM, which need no geometry.  Elements with free edges are
+built per free-edge group (the three single edges and the three pairs),
+each group from one sqrt(a) evaluation; `project_primal` runs per group in
+the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,23 +84,6 @@ def grad_monos(lam12: np.ndarray) -> np.ndarray:
 _EDGE_VERTS = ((1, 2), (2, 0), (0, 1))  # local edge k is opposite vertex k
 
 
-@dataclass
-class LocalBasis:
-    kind: str                      # P1 | Pe | Pv
-    coeffs: np.ndarray             # (nf, N_MONO)
-    free_edges: tuple = ()
-    # moment data for projection / unisolvence (physical, sqrt(a)-weighted)
-    vol_pts: np.ndarray = None     # (nq, 2) parameter coords
-    vol_w: np.ndarray = None       # includes area * sqrt(a)
-    vol_lam: np.ndarray = None     # (nq, 2) barycentric
-    edge_data: list = field(default_factory=list)  # (pts, w, t, lam12) per free edge
-    moment_matrix: np.ndarray = None
-
-    @property
-    def n_funcs(self):
-        return len(self.coeffs)
-
-
 def _edge_lam12(k: int, t: np.ndarray) -> np.ndarray:
     """Barycentric (l1, l2) along local edge k parameterized by t in [0,1]."""
     s, e = _EDGE_VERTS[k]
@@ -102,13 +93,18 @@ def _edge_lam12(k: int, t: np.ndarray) -> np.ndarray:
     return lam[:, :2]
 
 
-def _local_bases(coords, chart, free_edges: tuple) -> list:
+def _local_bases(coords, chart, free_edges: tuple):
     """The local displacement bases of the elements with vertices `coords`
     (E, 3, 2) that share the sorted tuple `free_edges` of local edges on the
     free boundary, built together from one sqrt(a) evaluation.
 
     The added bubble functions are orthogonal to P1 in the sqrt(a)-weighted
-    L2 product over the (curved) element.
+    L2 product over the (curved) element.  Returns the coefficients
+    (E, nf, N_MONO); the points (E, P, 2), the dense rule and then the 8
+    Gauss points of each free edge; the moment tests at those points
+    weighted by the quadrature weights and sqrt(a) (E, P, nf), P1 on the
+    volume and then (1, t) on each free edge; and the moment matrices
+    (E, nf, nf) of the tests against the basis.
     """
     if len(free_edges) > 2:
         raise SpaceError("element with 3 free edges is unsupported")
@@ -125,8 +121,8 @@ def _local_bases(coords, chart, free_edges: tuple) -> list:
     weights = np.concatenate([area[:, None] * w] + [
         np.linalg.norm(coords[:, e] - coords[:, s], axis=-1)[:, None] * w_e
         for s, e in ends], axis=1) * batched(chart.sqrt_a, pts)
-    edge_lam = [_edge_lam12(k, t_e) for k in free_edges]
-    monos = eval_monos(np.concatenate([bary[:, :2]] + edge_lam))  # (P, 10)
+    monos = eval_monos(np.concatenate([bary[:, :2]] + [
+        _edge_lam12(k, t_e) for k in free_edges]))              # (P, 10)
     lamv = monos[:nq] @ LAM.T                                     # (nq, 3)
 
     def p1_orthogonal(bubble, shift):
@@ -150,44 +146,56 @@ def _local_bases(coords, chart, free_edges: tuple) -> list:
     coeffs = np.concatenate([np.broadcast_to(LAM, (len(coords), 3, N_MONO))]
                             + [p1_orthogonal(bubble, s)[:, None]
                                for s in tails], axis=1)       # (E, nf, 10)
-    # moments: volume against P1, then against (1, t) on each free edge
-    on_edge = [slice(nq + 8 * i, nq + 8 * (i + 1)) for i in range(ne)]
     tests = np.zeros((len(monos), 3 + 2 * ne))
     tests[:nq, :3] = lamv
-    for i, on in enumerate(on_edge):
-        tests[on, 3 + 2 * i:5 + 2 * i] = np.stack([np.ones_like(t_e), t_e], 1)
-    vals = monos @ np.swapaxes(coeffs, 1, 2)                     # (E, P, nf)
-    moments = (tests.T * weights[:, None]) @ vals
+    for i in range(ne):
+        tests[nq + 8 * i:nq + 8 * (i + 1), 3 + 2 * i:5 + 2 * i] = np.stack(
+            [np.ones_like(t_e), t_e], 1)
+    wtests = weights[..., None] * tests
+    moments = np.swapaxes(wtests, 1, 2) @ (monos @ np.swapaxes(coeffs, 1, 2))
     if np.any(np.linalg.cond(moments) > 1e10):
         raise SpaceError("local moment matrix is ill conditioned")
-    return [LocalBasis(("P1", "Pe", "Pv")[ne], coeffs[j], free_edges,
-                       pts[j, :nq], weights[j, :nq], bary[:, :2],
-                       [(pts[j, on], weights[j, on], t_e, lam)
-                        for on, lam in zip(on_edge, edge_lam)], moments[j])
-            for j in range(len(coords))]
+    return coeffs, pts, wtests, moments
 
 
-def build_local_basis(tri_coords, chart, free_edges=()) -> LocalBasis:
-    """The local displacement basis of one element; see `_local_bases`."""
-    return _local_bases(np.asarray(tri_coords, dtype=float)[None], chart,
-                        tuple(sorted(free_edges)))[0]
+def _free_edge_groups(mesh, enrichment: bool):
+    """(free_edges, elements) of each group of elements that share their
+    sorted tuple of free local edges; all in group () without enrichment."""
+    free = [mesh.free_local_edges(t) if enrichment else ()
+            for t in range(mesh.n_triangles)]
+    for group in sorted(set(free)):
+        yield group, np.array([i for i, fe in enumerate(free) if fe == group])
 
 
 @dataclass
 class DofLayout:
     """Global DOF ordering: block1 = plain P1 primal DOFs (15 per element,
     field-major theta1,theta2,u1,u2,w with 3 vertex values each), block2 =
-    enrichment DOFs for (u1,u2,w) on free-boundary elements, block3 =
-    continuous P1 auxiliary DOFs (M11,M22,M12,xi1,xi2 per vertex)."""
+    enrichment DOFs for (u1,u2,w) on free-boundary elements, in element
+    order and field-major within an element, block3 = continuous P1
+    auxiliary DOFs (M11,M22,M12,xi1,xi2 per vertex).
+
+    Element t has the displacement basis coeffs[t, :nf[t]] and the DOFs
+    dofs[t, :6 + 3 nf[t]], in local order theta1(3), theta2(3), u1, u2, w
+    (nf[t] each); rotations use the first three (P1) functions."""
 
     mesh: object
     with_aux: bool                 # enriched, with block3
-    bases: list                    # per-element LocalBasis for displacements
-    n_block1: int
-    n_block2: int
-    n_block3: int
-    extra_counts: np.ndarray       # per-element enrichment functions per field
-    extra_offsets: np.ndarray
+    coeffs: np.ndarray             # (nt, nf_max, N_MONO), zero-padded
+    nf: np.ndarray                 # (nt,) basis functions, 3 on P1 elements
+    dofs: np.ndarray               # (nt, 6 + 3 nf_max), padded with -1
+
+    @property
+    def n_block1(self):
+        return 15 * len(self.nf)
+
+    @property
+    def n_block2(self):
+        return int(3 * (self.nf - 3).sum())
+
+    @property
+    def n_block3(self):
+        return 5 * self.mesh.n_vertices if self.with_aux else 0
 
     @property
     def n_primal(self):
@@ -197,69 +205,50 @@ class DofLayout:
     def n_total(self):
         return self.n_primal + self.n_block3
 
-    def field_dofs(self, t: int, f: int) -> np.ndarray:
-        """Global DOFs of field f on element t, local basis order."""
-        base = 15 * t + 3 * f
-        p1 = np.arange(base, base + 3)
-        if f < 2:
-            return p1
-        ne = self.extra_counts[t]
-        if ne == 0:
-            return p1
-        d = f - 2
-        start = self.n_block1 + self.extra_offsets[t] + ne * d
-        return np.concatenate([p1, np.arange(start, start + ne)])
-
-    def element_dofs(self, t: int) -> np.ndarray:
-        return np.concatenate([self.field_dofs(t, f) for f in range(5)])
-
-    def n_local(self, t: int) -> int:
-        return 15 + 3 * self.extra_counts[t]
-
 
 def build_dof_layout(mesh, chart, enrichment: bool) -> DofLayout:
     """The enriched layout with its auxiliary block, or (`enrichment`
-    False) the plain P1 primal layout without one."""
+    False) the plain P1 primal layout without one.  Plain P1 elements take
+    LAM; only the enriched free-edge groups ask the chart for sqrt(a)."""
     nt = mesh.n_triangles
-    free = [mesh.free_local_edges(t) if enrichment else () for t in range(nt)]
     coords = mesh.vertices[mesh.triangles]
-    bases = [None] * nt
-    for group in sorted(set(free)):
-        t = [i for i, fe in enumerate(free) if fe == group]
-        for i, lb in zip(t, _local_bases(coords[t], chart, group)):
-            bases[i] = lb
-    extra_counts = np.array([lb.n_funcs - 3 for lb in bases], dtype=int)
-    extra_offsets = np.zeros(nt, dtype=int)
-    np.cumsum(3 * extra_counts[:-1], out=extra_offsets[1:])
-    n_block1 = 15 * nt
-    n_block2 = int(3 * extra_counts.sum())
-    n_block3 = 5 * mesh.n_vertices if enrichment else 0
-    return DofLayout(mesh, enrichment, bases, n_block1, n_block2,
-                     n_block3, extra_counts, extra_offsets)
+    groups = [(g, t) for g, t in _free_edge_groups(mesh, enrichment) if g]
+    nf = np.full(nt, 3)
+    coeffs = np.zeros((nt, 3 + 2 * max((len(g) for g, _ in groups),
+                                       default=0), N_MONO))
+    coeffs[:, :3] = LAM
+    for group, t in groups:
+        nf[t] = 3 + 2 * len(group)
+        coeffs[t, :nf[t[0]]] = _local_bases(coords[t], chart, group)[0]
+    # function j of field f on element e: DOF 15 e + 3 f + j for the P1
+    # functions, then the element's block-2 offset + (nf - 3) (f - 2) + j - 3
+    extra = nf - 3
+    offset = 15 * nt + np.cumsum(3 * extra) - 3 * extra
+    e, f = np.arange(nt)[:, None, None], np.arange(5)[:, None]
+    j = np.arange(nf.max())
+    local = np.where(j < 3, 15 * e + 3 * f + j,
+                     offset[e] + extra[e] * (f - 2) + j - 3)
+    dofs = np.full((nt, 6 + 3 * nf.max()), -1)
+    dofs[np.arange(dofs.shape[1]) < 6 + 3 * nf[:, None]] = local[
+        j < np.where(f < 2, 3, nf[e])]
+    return DofLayout(mesh, enrichment, coeffs, nf, dofs)
 
 
 def project_primal(fields: dict, mesh, chart, layout: DofLayout) -> np.ndarray:
     """Element-wise weighted-L2 projection of smooth fields onto the primal
     space.  Rotations always project onto P1; displacements use the element's
-    local space with edge-moment matching on free edges."""
+    local space with edge-moment matching on free edges.  Each free-edge
+    group is projected at once: one batched call of each field at all its
+    points, and stacked solves."""
     out = np.zeros(layout.n_primal)
-    for t in range(mesh.n_triangles):
-        lb = layout.bases[t]
-        lamv = eval_monos(lb.vol_lam) @ LAM.T
+    coords = mesh.vertices[mesh.triangles]
+    for group, t in _free_edge_groups(mesh, layout.with_aux):
+        _, pts, wtests, moments = _local_bases(coords[t], chart, group)
+        nf = moments.shape[-1]
         for f, name in enumerate(FIELDS):
-            fn = fields[name]
-            fvals = fn(lb.vol_pts)
-            if f < 2 or lb.kind == "P1":
-                M = np.einsum("q,qi,qj->ij", lb.vol_w, lamv, lamv)
-                rhs = np.einsum("q,qi->i", lb.vol_w * fvals, lamv)
-                coeffs = np.linalg.solve(M, rhs)
-                out[layout.field_dofs(t, f)[:3]] = coeffs
-                continue
-            rhs = list(np.einsum("q,qi->i", lb.vol_w * fvals, lamv))
-            for (pts, w, te, _lam12) in lb.edge_data:
-                fe = fn(pts)
-                rhs.append(w @ fe)
-                rhs.append(w @ (te * fe))
-            coeffs = np.linalg.solve(lb.moment_matrix, np.array(rhs))
-            out[layout.field_dofs(t, f)] = coeffs
+            n, start = (3, 3 * f) if f < 2 else (nf, 6 + nf * (f - 2))
+            rhs = np.swapaxes(wtests[..., :n], 1, 2) @ batched(
+                fields[name], pts)[..., None]
+            out[layout.dofs[t, start:start + n]] = np.linalg.solve(
+                moments[:, :n, :n], rhs)[..., 0]
     return out

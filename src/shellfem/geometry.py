@@ -220,12 +220,13 @@ class SymbolicChart(Chart):
     def evaluate(self, points) -> GeometryEval:
         points = np.asarray(points, dtype=float)
         self.check_domain(points)
+        # before the fields, which divide by sqrt(a) at a degenerate point
+        _nondegenerate(self._sqrt_a(points))
         shape = points.shape[:-1]
         flat = _stack(self._flat_fn(points[..., 0], points[..., 1]), shape)
-        g = GeometryEval(*(block.reshape(shape + tail) for block, tail in zip(
-            np.split(flat, _FLAT_ENDS[:-1], axis=-1), _FIELD_TAILS)))
-        _nondegenerate(g.sqrt_a)
-        return g
+        return GeometryEval(*(block.reshape(shape + tail) for block, tail in
+                              zip(np.split(flat, _FLAT_ENDS[:-1], axis=-1),
+                                  _FIELD_TAILS)))
 
     def _sqrt_a(self, points):
         return np.broadcast_to(self._sqrt_a_fn(points[..., 0], points[..., 1]),

@@ -24,8 +24,8 @@ import numpy as np
 from . import expr as exprmod
 from . import strain
 from .assembly import LoadSpec
-
-FIELDS = ("theta1", "theta2", "u1", "u2", "w")
+from .fe_space import FIELDS
+from .geometry import eval_elastic
 
 
 class ManufacturedSolution:
@@ -97,7 +97,6 @@ class ManufacturedSolution:
         pts = np.asarray(pts, dtype=float)
         if geom is None:
             geom = self.chart.evaluate(pts)
-        from .geometry import eval_elastic
         mat = self.material
         el = eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic
         rho, gam, tau = self.strains_at(pts, geom)
@@ -179,7 +178,6 @@ class ManufacturedSolution:
         """Couples c^a and forces p^1,p^2,p^3 at parameter points (exact)."""
         pts = np.asarray(pts, dtype=float)
         geom = self.chart.evaluate(pts)
-        from .geometry import eval_elastic
         mat = self.material
         el = eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic
         m, nmem, t = self.stresses(pts, geom)
@@ -229,7 +227,6 @@ class ManufacturedSolution:
         mesh = layout.mesh
         pts = mesh.vertices
         geom = self.chart.evaluate(pts)
-        from .geometry import eval_elastic
         mat = self.material
         el = eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic
         _, gam, tau = self.strains_at(pts, geom)

@@ -121,16 +121,17 @@ def _signed_areas(v, tris):
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
-def edge_normal(mesh: Mesh, vertex_pair, owner_tri: int):
-    """Constant outward unit normal (in the parameter plane) of a straight
-    edge, pointing out of the owner triangle."""
-    p, q = mesh.vertices[list(vertex_pair)]
+def edge_normal(mesh: Mesh, vertex_pairs, owner_tris):
+    """Constant outward unit normals (n, 2), in the parameter plane, of the
+    straight edges with vertex pairs (n, 2), each pointing out of its owner
+    triangle in owner_tris (n,)."""
+    p, q = np.moveaxis(mesh.vertices[np.reshape(vertex_pairs, (-1, 2))], 1, 0)
     t = q - p
-    n = np.array([t[1], -t[0]]) / np.linalg.norm(t)
-    centroid = mesh.triangle_coords(owner_tri).mean(axis=0)
-    if np.dot(n, p - centroid) < 0:
-        n = -n
-    return n
+    n = np.stack([t[:, 1], -t[:, 0]], axis=1) / np.linalg.norm(
+        t, axis=1)[:, None]
+    centroid = mesh.vertices[mesh.triangles[owner_tris]].mean(axis=1)
+    inward = np.einsum("ei,ei->e", n, p - centroid) < 0
+    return np.where(inward[:, None], -n, n)
 
 
 def _graded_coords(lo: float, hi: float, n: int, ratio: float, toward_lo: bool):

@@ -6,7 +6,9 @@ build their own dense per-DOF field arrays from each element's basis
 coefficients and take their strains from the closed-form formulas below, so
 they share no basis-trace or strain code with the package's kernel.  The
 reference local basis takes sqrt(a) from the chart's full `evaluate` and
-solves for one element and one bubble at a time."""
+solves for one element and one bubble at a time; the reference element DOFs
+follow from the numbering formula, and the load vector takes its edge
+normals edge by edge from its own formula."""
 
 from types import SimpleNamespace
 
@@ -14,9 +16,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sps
 
-from shellfem.fe_space import (_EDGE_VERTS, LAM, ONE, LocalBasis, SpaceError,
-                               _edge_lam12, eval_monos, grad_monos, poly_mul)
-from shellfem.mesh import edge_normal
+from shellfem.fe_space import (_EDGE_VERTS, FIELDS, LAM, ONE, SpaceError,
+                               _edge_lam12, build_dof_layout, eval_monos,
+                               grad_monos, poly_mul)
+from shellfem.mesh import BoundaryEdge, Mesh
 from shellfem.quadrature import (interval_rule, triangle_rule,
                                  triangle_rule_dense)
 
@@ -87,9 +90,12 @@ def _moment_rows(basis_coeffs, vol_lam, vol_w, edge_data):
     return np.array(rows)
 
 
-def reference_local_basis(tri_coords, chart, free_edges=()) -> LocalBasis:
+def reference_local_basis(tri_coords, chart, free_edges=()):
     """The local displacement basis of one element, built alone, with sqrt(a)
-    from the chart's full `evaluate` and one bubble solve at a time."""
+    from the chart's full `evaluate` and one bubble solve at a time: its kind
+    (P1, Pe or Pv), coefficients (nf, 10), free edges, volume points,
+    weights (area and sqrt(a) included) and barycentric (l1, l2), the
+    (points, weights, t, lam12) of each free edge, and the moment matrix."""
     tri_coords = np.asarray(tri_coords, dtype=float)
     free_edges = tuple(sorted(free_edges))
     if len(free_edges) > 2:
@@ -146,15 +152,73 @@ def reference_local_basis(tri_coords, chart, free_edges=()) -> LocalBasis:
 
     coeffs = np.vstack([LAM] + [np.asarray(c)[None, :] for c in extra]) \
         if extra else LAM.copy()
-    lb = LocalBasis(kind, coeffs, free_edges, vol_pts, vol_w, vol_lam,
-                    edge_data)
     M = _moment_rows(coeffs, vol_lam, vol_w, edge_data)
     if M.shape[0] != M.shape[1]:
         raise SpaceError("moment system is not square")
     if np.linalg.cond(M) > 1e10:
         raise SpaceError("local moment matrix is ill conditioned")
-    lb.moment_matrix = M
-    return lb
+    return SimpleNamespace(kind=kind, coeffs=coeffs, free_edges=free_edges,
+                           vol_pts=vol_pts, vol_w=vol_w, vol_lam=vol_lam,
+                           edge_data=edge_data, moment_matrix=M)
+
+
+def layout_basis(tri_coords, chart, free_edges=()):
+    """The package's local basis coefficients (nf, 10) of a counterclockwise
+    triangle whose local edges `free_edges` are free: the one element of
+    the enriched layout of that triangle alone."""
+    mesh = Mesh(np.asarray(tri_coords, dtype=float), np.array([[0, 1, 2]]),
+                boundary_edges=[
+                    BoundaryEdge(tuple(sorted(_EDGE_VERTS[k])), -1, -1,
+                                 "F" if k in free_edges else "D")
+                    for k in range(3)]).finalize()
+    layout = build_dof_layout(mesh, chart, enrichment=True)
+    return layout.coeffs[0, :layout.nf[0]]
+
+
+def reference_element_dofs(layout, t):
+    """Global DOFs of element t in local order theta1(3), theta2(3), u1, u2,
+    w (nf each), from the numbering alone: block 1 holds DOF 15 t + 3 f + i
+    of P1 function i of field f, and block 2 the nf - 3 extra functions of
+    each element in element order, field-major within the element."""
+    nf = layout.nf
+    extra = int(nf[t]) - 3
+    start = 15 * len(nf) + 3 * int((nf[:t] - 3).sum())
+    dofs = []
+    for f in range(5):
+        dofs += [15 * t + 3 * f + i for i in range(3)]
+        if f >= 2:
+            dofs += [start + extra * (f - 2) + i for i in range(extra)]
+    return np.array(dofs)
+
+
+def reference_project_primal(fields, mesh, chart, layout):
+    """`fe_space.project_primal` one element and one field at a time, on the
+    reference local bases."""
+    out = np.zeros(layout.n_primal)
+    for t in range(mesh.n_triangles):
+        lb = reference_local_basis(
+            mesh.triangle_coords(t), chart,
+            mesh.free_local_edges(t) if layout.with_aux else ())
+        dofs = reference_element_dofs(layout, t)
+        nf = len(lb.coeffs)
+        lamv = eval_monos(lb.vol_lam) @ LAM.T
+        for f, name in enumerate(FIELDS):
+            fn = fields[name]
+            fvals = fn(lb.vol_pts)
+            start = 3 * f if f < 2 else 6 + nf * (f - 2)
+            if f < 2 or lb.kind == "P1":
+                M = np.einsum("q,qi,qj->ij", lb.vol_w, lamv, lamv)
+                rhs = np.einsum("q,qi->i", lb.vol_w * fvals, lamv)
+                out[dofs[start:start + 3]] = np.linalg.solve(M, rhs)
+                continue
+            rhs = list(np.einsum("q,qi->i", lb.vol_w * fvals, lamv))
+            for (pts, w, te, _lam12) in lb.edge_data:
+                fe = fn(pts)
+                rhs.append(w @ fe)
+                rhs.append(w @ (te * fe))
+            out[dofs[start:start + nf]] = np.linalg.solve(lb.moment_matrix,
+                                                          np.array(rhs))
+    return out
 
 
 # ------------------------------------------------------ per-DOF field arrays
@@ -187,7 +251,7 @@ def local_fields(asm, t, pts=None):
         lam12 = triangle_rule(asm.config.quad_tri_degree)[0][:, :2]
     else:
         lam12 = (pts - coords[2]) @ Jinv.T
-    cf = asm.layout.bases[t].coeffs                             # (nf, 10)
+    cf = asm.layout.coeffs[t, :asm.layout.nf[t]]                # (nf, 10)
     vals = cf @ eval_monos(lam12).T                             # (nf, q)
     grads = np.einsum("fm,qmi,ij->fqj", cf, grad_monos(lam12), Jinv)
     c, cg = field_arrays(vals[None], grads[None])
@@ -220,6 +284,18 @@ def side_arrays(asm, t, ed):
     return SimpleNamespace(th=th, u=u, w=w, rho=rho, gamma=gam, tau=tau)
 
 
+def edge_normal(mesh, vertex_pair, owner_tri):
+    """Outward unit normal (in the parameter plane) of one straight edge,
+    pointing out of the owner triangle."""
+    p, q = mesh.vertices[list(vertex_pair)]
+    t = q - p
+    n = np.array([t[1], -t[0]]) / np.linalg.norm(t)
+    centroid = mesh.triangle_coords(owner_tri).mean(axis=0)
+    if np.dot(n, p - centroid) < 0:
+        n = -n
+    return n
+
+
 def reference_load_vector(asm, loads):
     """Every load on one element's or one edge's points at a time, with the
     edge geometry evaluated edge by edge."""
@@ -231,7 +307,7 @@ def reference_load_vector(asm, loads):
         wfac = e.areas[t] * e.wq * e.geom.sqrt_a[t]
         th, _, u, _, w, _ = local_fields(asm, t)
         fv = [wfac * _at(f, e.qpts[t]) for f in vol]
-        rhs[layout.element_dofs(t)] += (
+        rhs[reference_element_dofs(layout, t)] += (
             fv[0] @ th[:, :, 0] + fv[1] @ th[:, :, 1] + fv[2] @ u[:, :, 0]
             + fv[3] @ u[:, :, 1] + fv[4] @ w)
     te, we = interval_rule(asm.config.quad_edge_points)
@@ -263,7 +339,7 @@ def reference_load_vector(asm, loads):
                 loc += ((warc * _at(loads.q1, pts)) @ u[:, :, 0]
                         + (warc * _at(loads.q2, pts)) @ u[:, :, 1]
                         + (warc * _at(loads.q3, pts)) @ w)
-        rhs[layout.element_dofs(t)] += loc
+        rhs[reference_element_dofs(layout, t)] += loc
     return rhs
 
 
@@ -275,7 +351,7 @@ def reference_error_norms(eng, primal, exact):
     H2 = rho2 = gam2 = tau2 = 0.0
     for t in range(asm.mesh.n_triangles):
         th, thg, u, ug, wv, wg = local_fields(asm, t)
-        x = primal[layout.element_dofs(t)]
+        x = primal[reference_element_dofs(layout, t)]
         ev, eg = exact.values(e.qpts[t]), exact.grads(e.qpts[t])
         dth = np.einsum("qka,k->qa", th, x) - ev[:, 0:2]
         dthg = np.einsum("qkab,k->qab", thg, x) - eg[:, 0:2]
@@ -295,8 +371,8 @@ def reference_error_norms(eng, primal, exact):
     for ed in interior:
         sL = side_arrays(asm, ed.left, ed)
         sR = side_arrays(asm, ed.right, ed)
-        xL = primal[layout.element_dofs(ed.left)]
-        xR = primal[layout.element_dofs(ed.right)]
+        xL = primal[reference_element_dofs(layout, ed.left)]
+        xR = primal[reference_element_dofs(layout, ed.right)]
         jth = np.einsum("qka,k->qa", sL.th, xL) - np.einsum("qka,k->qa",
                                                              sR.th, xR)
         ju = np.einsum("qka,k->qa", sL.u, xL) - np.einsum("qka,k->qa",
@@ -307,7 +383,7 @@ def reference_error_norms(eng, primal, exact):
         if ed.tag == "F":
             continue
         s = side_arrays(asm, ed.left, ed)
-        x = primal[layout.element_dofs(ed.left)]
+        x = primal[reference_element_dofs(layout, ed.left)]
         ev = exact.values(ed.pts)
         du = np.einsum("qka,k->qa", s.u, x) - ev[:, 2:4]
         dw = s.w @ x - ev[:, 4]
@@ -354,13 +430,13 @@ def _sides(asm, ed):
     layout = asm.layout
     if ed.right < 0:
         s = side_arrays(asm, ed.left, ed)
-        return (layout.element_dofs(ed.left), s.th, s.u, s.w,
+        return (reference_element_dofs(layout, ed.left), s.th, s.u, s.w,
                 s.rho, s.gamma, s.tau)
     sL, sR = side_arrays(asm, ed.left, ed), side_arrays(asm, ed.right, ed)
-    dofs = np.concatenate([layout.element_dofs(ed.left),
-                           layout.element_dofs(ed.right)])
-    sign = np.concatenate([np.ones(layout.n_local(ed.left)),
-                           -np.ones(layout.n_local(ed.right))])
+    left, right = (reference_element_dofs(layout, t)
+                   for t in (ed.left, ed.right))
+    dofs = np.concatenate([left, right])
+    sign = np.concatenate([np.ones(len(left)), -np.ones(len(right))])
     cat = [np.concatenate([getattr(sL, k), getattr(sR, k)], axis=1)
            for k in ("th", "u", "w", "rho", "gamma", "tau")]
     return (dofs, cat[0] * sign[None, :, None], cat[1] * sign[None, :, None],
@@ -387,7 +463,7 @@ def reference_forms(asm):
         st = element_strains(asm, t)
         wfac = e.areas[t] * e.wq * e.geom.sqrt_a[t]
         A = e.elastic.elastic[t]
-        dofs = layout.element_dofs(t)
+        dofs = reference_element_dofs(layout, t)
         rc = dofs[:, None], dofs[None, :]
         arho = np.einsum("qabcd,qkcd->qkab", A, st.rho)
         add("R", *rc, (1.0 / 3.0) * np.einsum("q,qkab,qlab->kl", wfac, arho,
@@ -464,7 +540,7 @@ def reference_grams(eng):
     for t in range(asm.mesh.n_triangles):
         st = element_strains(asm, t)
         w = e.areas[t] * e.wq
-        dofs = layout.element_dofs(t)
+        dofs = reference_element_dofs(layout, t)
         add("rho", dofs, np.einsum("q,qkab,qlab->kl", w, st.rho, st.rho))
         add("gamma", dofs, np.einsum("q,qkab,qlab->kl", w, st.gamma,
                                      st.gamma))

