@@ -17,7 +17,7 @@ from .geometry import (Chart, DegenerateChartError, DomainError,
 from .manufactured import ManufacturedSolution
 from .mesh import (Mesh, MeshError, generate_rect_mesh, load_mesh,
                    mesh_condition_report, refine_uniform, save_mesh)
-from .norms import NormEngine, NormReport, consistency_residual
+from .norms import NormEngine, NormReport
 from .regime import (RegimeReport, VERDICT_BENDING, VERDICT_INCONCLUSIVE,
                      VERDICT_NON_BENDING, detect_regime, recommend_solution)
 from .solve import (ShellSolution, SolverError, realize_via_theta, solve_dg,

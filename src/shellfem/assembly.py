@@ -34,8 +34,9 @@ from . import geometry, strain
 from .fe_space import N_MONO, eval_monos, grad_monos
 from .geometry import batched, eval_elastic
 from .mesh import edge_normal
+from .ordering import nested_dissection
 from .quadrature import interval_rule, triangle_rule
-from .solve import SolverError, factor
+from .solve import SolverError, factor, ordered
 
 
 class CalibrationError(SolverError):
@@ -206,6 +207,7 @@ class FormAssembler:
         self._edges = None
         self._patterns = None
         self._forms = None
+        self._order = None
 
     # ------------------------------------------------------------ element data
 
@@ -440,22 +442,41 @@ class FormAssembler:
 
     # ------------------------------------------------------------- public API
 
-    def rho_matrix(self):
+    def dof_order(self, n: int = None) -> np.ndarray:
+        """The fill-reducing order of the layout's unknowns, computed once
+        from the mesh (ordering.py), restricted to the leading n of them
+        (all by default): every system solved here is a leading block."""
+        if self._order is None:
+            self._order = nested_dissection(self.mesh, self.layout)
+        o = self._order
+        return o if n is None else o[o < n]
+
+    def _penalized(self, key):
+        """Data of the form `key` plus the penalty constant times its
+        penalty part, on the primal pattern that all six share."""
         f = self.forms()
-        return f["R"] + self.config.penalty_C * f["R_pen"]
+        return f[key].data + self.config.penalty_C * f[key + "_pen"].data
+
+    def _primal(self, data):
+        """The primal matrix with `data` on the shared pattern (built by
+        `forms`, so call this with data taken from it)."""
+        return self._pattern()[0].csr(data)
+
+    def rho_matrix(self):
+        return self._primal(self._penalized("R"))
 
     def gamma_matrix(self):
-        f = self.forms()
-        return f["G"] + self.config.penalty_C * f["G_pen"]
+        return self._primal(self._penalized("G"))
 
     def tau_matrix(self):
-        f = self.forms()
-        return f["T"] + self.config.penalty_C * f["T_pen"]
+        return self._primal(self._penalized("T"))
 
     def a_theta(self, theta_param):
-        """A(theta) = rho_h + theta*(gamma_h + tau_h)."""
-        return (self.rho_matrix()
-                + theta_param * (self.gamma_matrix() + self.tau_matrix()))
+        """A(theta) = rho_h + theta*(gamma_h + tau_h), summed entry by entry
+        on the primal pattern: an entry that cancels stays stored, so the
+        structure of every system does not depend on rounding."""
+        return self._primal(self._penalized("R") + theta_param * (
+            self._penalized("G") + self._penalized("T")))
 
     def b_matrix(self):
         return self.forms()["B"]
@@ -563,15 +584,17 @@ def green_identity_check(tri_coords, chart, f_exprs,
     return abs(volume - boundary)
 
 
-def _positive_definite(K) -> bool:
+def _positive_definite(K, order) -> bool:
     """Positive-definiteness of the symmetric matrix K, probed on
-    K + 1e-12 tr(K)/n I, by Sylvester's law of inertia: K = L D L^T is PD iff
-    every pivot in D is positive.  SuperLU in symmetric mode with diagonal
-    pivoting yields U = D L^T while it keeps the diagonal pivots; it leaves
-    the diagonal (or finds the factor singular) only at an exactly zero
-    pivot, a singular leading minor, so K is then not PD."""
+    K + 1e-12 tr(K)/n I factored in `order`, by Sylvester's law of inertia:
+    K = L D L^T is PD iff every pivot in D is positive.  SuperLU in
+    symmetric mode with diagonal pivoting yields U = D L^T while it keeps
+    the diagonal pivots; it leaves the diagonal (or finds the factor
+    singular) only at an exactly zero pivot, a singular leading minor, so K
+    is then not PD."""
     n = K.shape[0]
-    K = K + (1e-12 * K.diagonal().sum() / n) * sps.identity(n, format="csr")
+    K = ordered(K + (1e-12 * K.diagonal().sum() / n)
+                * sps.identity(n, format="csr"), order)
     try:
         lu = factor(K)
     except RuntimeError:                 # exactly singular
@@ -589,9 +612,10 @@ def calibrate_assembler(asm: FormAssembler, max_doublings: int = 10) -> float:
     bsup = float(np.abs(e.b_cov).max() + np.abs(e.b_mix).max()) / 2.0
     gsup = float(np.abs(e.christoffel).max())
     C = 10.0 * asm.material.mu * (1.0 + bsup ** 2 + gsup ** 2)
+    order = asm.dof_order(asm.layout.n_primal)
     for _ in range(max_doublings + 1):
         asm.config = replace(asm.config, penalty_C=C)
-        if _positive_definite(asm.a_theta(1.0)):
+        if _positive_definite(asm.a_theta(1.0), order):
             return C
         C *= 2.0
     raise CalibrationError("penalty calibration failed: matrix not positive "

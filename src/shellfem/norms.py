@@ -1,4 +1,4 @@
-"""Discrete norms, error norms and form-level consistency residuals.
+"""Discrete norms and error norms.
 
 All Sobolev pieces are plain (unweighted) integrals over the parameter
 domain; edge pieces carry h_e^{-1} weights, which cancel against the edge
@@ -6,8 +6,8 @@ length of plain ds, on the interior edges and the S/D boundary edges
 (rotation jumps on D edges only).  Every norm value comes from one pointwise
 pass: the discrete field, minus an exact field for errors, is evaluated at
 the volume and edge quadrature points by the assembler's grouped kernel and
-its squares are integrated.  The only Gram matrix is Q_H, the operator of
-the dual H_h norm of consistency residuals.
+its squares are integrated.  The only Gram matrix is Q_H, the Gram matrix
+of the H_h norm.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from . import strain
 from .assembly import FormAssembler, _apply, _aux_basis, _gram
 from .geometry import batched
-from .solve import factor
 
 
 @dataclass
@@ -98,8 +97,8 @@ class NormEngine:
 
     def grams(self):
         """Q_H, the Gram matrix of the H_h norm on the assembler's primal
-        pattern: the operator of `dual_H_norm`.  Its edge part is the
-        forms' rotation and displacement jump penalties, R_pen + G_pen."""
+        pattern.  Its edge part is the forms' rotation and displacement jump
+        penalties, R_pen + G_pen."""
         if self._grams is None:
             asm = self.asm
             e, pattern = asm._elem_data(), asm._pattern()[0]
@@ -138,10 +137,6 @@ class NormEngine:
         }
         return NormReport(rho, gam, tau, a, H, V_h_norm=V, energies=energies)
 
-    def dual_H_norm(self, r: np.ndarray) -> float:
-        """sup_x r.x / ||x||_H = sqrt(r^T Q_H^{-1} r)."""
-        return float(np.sqrt(max(r @ factor(self.grams()).solve(r), 0.0)))
-
     def error_norms(self, primal: np.ndarray, exact) -> dict:
         """H_h norm (edge jumps included) and volume strain norms of the
         discrete field minus `exact` (see `_pieces`)."""
@@ -151,20 +146,3 @@ class NormEngine:
                 "gamma": float(np.sqrt(p["gamma"])),
                 "tau": float(np.sqrt(p["tau"]))}
 
-
-def consistency_residual(manufactured, assembler: FormAssembler, method: str,
-                         epsilon: float) -> float:
-    """Dual-norm residual of the discrete equations at the interpolant of an
-    exact smooth solution whose loads are manufactured consistently."""
-    from .fe_space import project_primal
-    if method not in ("mixed", "dg"):
-        raise ValueError(f"unknown method {method!r}")
-    xi = project_primal(manufactured.fields_dict(), assembler.mesh,
-                        assembler.chart, assembler.layout)
-    r = assembler.load_vector(manufactured.load_spec())
-    if method == "dg":      # rho + eps^-2 (gamma + tau)
-        r = assembler.a_theta(epsilon ** -2) @ xi - r
-    else:
-        mi = manufactured.aux_interpolant(assembler.layout, epsilon ** -2)
-        r = assembler.a_theta(1.0) @ xi + assembler.b_matrix().T @ mi - r
-    return NormEngine(assembler).dual_H_norm(r)

@@ -22,11 +22,26 @@ class ShellSolution:
     meta: dict = field(default_factory=dict)
 
 
+def ordered(K, order):
+    """K[order][:, order] in CSC: the symmetric system K with its unknowns
+    in a fill-reducing order (see ordering.py; callers without a mesh pass
+    np.arange(n)).  The columns are gathered into one new matrix, whose row
+    indices are then renumbered and sorted in place."""
+    K = sps.csc_matrix(K)[:, order]
+    rows = np.empty(len(order), dtype=K.indices.dtype)
+    rows[order] = np.arange(len(order))
+    K.indices = rows[K.indices]
+    K.has_sorted_indices = False
+    K.sort_indices()
+    return K
+
+
 def factor(K):
-    """The package's one sparse LU spec, for symmetric K: minimum-degree order
-    of K + K^T, nonzero diagonal pivots.  RuntimeError if K is singular."""
-    return spla.splu(sps.csc_matrix(K), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    """The package's one sparse LU spec, for a symmetric K already in its
+    fill-reducing order (`ordered`): that order kept, nonzero diagonal
+    pivots.  RuntimeError if K is singular."""
+    return spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 # x is accepted when its normwise backward error ||b - Kx||_inf /
@@ -38,9 +53,12 @@ REFINE_STEPS = 2
 _U = np.finfo(float).eps
 
 
-def _factor_refine(K, b, n_primal: int, **meta) -> ShellSolution:
-    """Solve K x = b: factor once, refine up to REFINE_STEPS times until the
-    backward error reaches u, accept x on it and add the figures to meta."""
+def _factor_refine(K, b, n_primal: int, order, meta: dict) -> ShellSolution:
+    """Solve K x = b: factor once in `order`, refine up to REFINE_STEPS times
+    until the backward error reaches u, accept x on it and add the figures
+    to meta.  All of it runs on the ordered system, which replaces K: no
+    caller keeps a reference to K, so the unordered copy is freed."""
+    K, b = ordered(K, order), b[order]
     try:
         lu = factor(K)
     except RuntimeError as exc:
@@ -63,22 +81,28 @@ def _factor_refine(K, b, n_primal: int, **meta) -> ShellSolution:
     meta.update(residual=float(np.linalg.norm(r) / (np.linalg.norm(b) or 1)),
                 backward_error=float(berr), lu_fill=lu.nnz,
                 cond_est=float(spla.onenormest(inv, t=1) * spla.norm(K, 1)))
+    x[order] = x.copy()                # back to the numbering of the given K
     return ShellSolution(primal=x[:n_primal], meta=meta,
                          aux=x[n_primal:] if len(x) > n_primal else None)
 
 
-def solve_mixed(A, B, C, f, epsilon: float, meta=None) -> ShellSolution:
-    """Solve [[A, B^T], [B, -eps^2 C]] [x; m] = [f; 0]."""
-    K = sps.bmat([[A, B.T], [B, -epsilon ** 2 * C]], format="csc")
-    b = np.concatenate([f, np.zeros(C.shape[0])])
-    return _factor_refine(K, b, len(f), method="mixed", epsilon=epsilon,
-                          **(meta or {}))
+def _saddle_point(A, B, C, epsilon: float):
+    """[[A, B^T], [B, -eps^2 C]] in CSC."""
+    return sps.bmat([[A, B.T], [B, -epsilon ** 2 * C]], format="csc")
 
 
-def solve_dg(R, G, T, f, epsilon: float) -> ShellSolution:
-    """Solve the penalized one-field system [R + eps^-2 (G+T)] x = f."""
-    return _factor_refine(R + epsilon ** -2 * (G + T), f, len(f), method="dg",
-                          epsilon=epsilon)
+def solve_mixed(A, B, C, f, epsilon: float, order) -> ShellSolution:
+    """Solve [[A, B^T], [B, -eps^2 C]] [x; m] = [f; 0], factored in `order`."""
+    return _factor_refine(_saddle_point(A, B, C, epsilon),
+                          np.concatenate([f, np.zeros(C.shape[0])]), len(f),
+                          order, {"method": "mixed", "epsilon": epsilon})
+
+
+def solve_dg(R, G, T, f, epsilon: float, order) -> ShellSolution:
+    """Solve the penalized one-field system [R + eps^-2 (G+T)] x = f,
+    factored in `order`."""
+    return _factor_refine(R + epsilon ** -2 * (G + T), f, len(f), order,
+                          {"method": "dg", "epsilon": epsilon})
 
 
 def realize_via_theta(assembler, mode: str, epsilon: float,
@@ -86,15 +110,21 @@ def realize_via_theta(assembler, mode: str, epsilon: float,
     """Single-program path: one assembled parameterized primal matrix yields
     the mixed method (theta=1, full saddle point) or the penalized method
     (theta = eps^-2, leading block-1 submatrix, so the solution has n_block1
-    entries; on an unenriched layout that is the whole primal matrix)."""
+    entries; on an unenriched layout that is the whole primal matrix).  Each
+    system is factored in the assembler's mesh order, restricted to it."""
     layout = assembler.layout
     f = loads_rhs if loads_rhs is not None else np.zeros(layout.n_primal)
-    if mode == "mixed":
-        return solve_mixed(assembler.a_theta(1.0), assembler.b_matrix(),
-                           assembler.c_matrix(), f, epsilon, {"via": "theta"})
+    if mode == "mixed":     # as solve_mixed, but A(1) lives only in K
+        return _factor_refine(
+            _saddle_point(assembler.a_theta(1.0), assembler.b_matrix(),
+                          assembler.c_matrix(), epsilon),
+            np.concatenate([f, np.zeros(layout.n_block3)]), len(f),
+            assembler.dof_order(),
+            {"method": "mixed", "epsilon": epsilon, "via": "theta"})
     if mode == "dg":
         n1 = layout.n_block1
-        K = assembler.a_theta(epsilon ** -2).tocsr()[:n1, :n1]
-        return _factor_refine(K, f[:n1], n1, method="dg", epsilon=epsilon,
-                              via="theta")
+        return _factor_refine(
+            assembler.a_theta(epsilon ** -2).tocsr()[:n1, :n1], f[:n1], n1,
+            assembler.dof_order(n1),
+            {"method": "dg", "epsilon": epsilon, "via": "theta"})
     raise ValueError(f"unknown mode {mode!r}")

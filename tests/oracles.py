@@ -1,7 +1,8 @@
 """Reference oracles: the local bases, forms, Gram matrices, loads and
 error norms as per-element and per-edge loops, and diagnostics built on them
 that the package itself does not need (the Korn-type norm-equivalence probe,
-the weak stress norm, finite-difference manufactured loads).  The loops
+the dual H_h norm, the weak stress norm, consistency residuals,
+finite-difference manufactured loads).  The loops
 build their own dense per-DOF field arrays from each element's basis
 coefficients and take their strains from the closed-form formulas below, so
 they share no basis-trace or strain code with the package's kernel.  The
@@ -15,10 +16,12 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from shellfem.fe_space import (_EDGE_VERTS, FIELDS, LAM, ONE, SpaceError,
                                _edge_lam12, build_dof_layout, eval_monos,
-                               grad_monos, poly_mul)
+                               grad_monos, poly_mul, project_primal)
+from shellfem.norms import NormEngine
 from shellfem.mesh import BoundaryEdge, Mesh
 from shellfem.quadrature import (interval_rule, triangle_rule,
                                  triangle_rule_dense)
@@ -601,9 +604,31 @@ def korn_ratio(eng, n_samples: int = 0) -> dict:
     return {"min_ratio": float(vals[0]), "max_ratio": float(vals[-1])}
 
 
+def dual_H_norm(eng, r) -> float:
+    """sup_x r.x / ||x||_H = sqrt(r^T Q_H^{-1} r), with Q_H = eng.grams()."""
+    return float(np.sqrt(max(r @ spla.spsolve(eng.grams().tocsc(), r), 0.0)))
+
+
 def weak_Vbar_norm(eng, aux_vec) -> float:
     """Dual H_h norm of the functional x -> aux_vec . B x."""
-    return eng.dual_H_norm(aux_vec @ eng.asm.b_matrix())
+    return dual_H_norm(eng, aux_vec @ eng.asm.b_matrix())
+
+
+def consistency_residual(manufactured, assembler, method: str,
+                         epsilon: float) -> float:
+    """Dual-norm residual of the discrete equations at the interpolant of an
+    exact smooth solution whose loads are manufactured consistently."""
+    if method not in ("mixed", "dg"):
+        raise ValueError(f"unknown method {method!r}")
+    xi = project_primal(manufactured.fields_dict(), assembler.mesh,
+                        assembler.chart, assembler.layout)
+    r = assembler.load_vector(manufactured.load_spec())
+    if method == "dg":      # rho + eps^-2 (gamma + tau)
+        r = assembler.a_theta(epsilon ** -2) @ xi - r
+    else:
+        mi = manufactured.aux_interpolant(assembler.layout, epsilon ** -2)
+        r = assembler.a_theta(1.0) @ xi + assembler.b_matrix().T @ mi - r
+    return dual_H_norm(NormEngine(assembler), r)
 
 
 def stress_partials(sol, pts, h=1e-5):

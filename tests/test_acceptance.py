@@ -16,12 +16,13 @@ from shellfem.geometry import ExpressionChart, eval_elastic, make_chart
 from shellfem.manufactured import ManufacturedSolution
 from shellfem.mesh import (BoundaryEdge, Mesh, generate_rect_mesh,
                            mesh_condition_report, refine_uniform)
-from shellfem.norms import NormEngine, consistency_residual
+from shellfem.norms import NormEngine
 from shellfem.regime import (VERDICT_BENDING, VERDICT_NON_BENDING,
                              detect_regime)
 from shellfem.solve import realize_via_theta, solve_dg, solve_mixed
 
-from oracles import korn_ratio, layout_basis, reference_local_basis
+from oracles import (consistency_residual, korn_ratio, layout_basis,
+                     reference_local_basis)
 
 
 def _report(num, name, ok, detail=""):
@@ -311,7 +312,7 @@ def test_criterion_09_cross_path_equality():
                           AssemblyConfig(penalty_C=20.0))
     f_m = asm_m.load_vector(loads)
     direct = solve_mixed(asm_m.a_theta(1.0), asm_m.b_matrix(),
-                         asm_m.c_matrix(), f_m, eps)
+                         asm_m.c_matrix(), f_m, eps, asm_m.dof_order())
     via = realize_via_theta(asm_m, "mixed", eps, f_m)
     bitwise = (np.array_equal(direct.primal, via.primal)
                and np.array_equal(direct.aux, via.aux))
@@ -322,7 +323,7 @@ def test_criterion_09_cross_path_equality():
                           AssemblyConfig(penalty_C=20.0))
     f_d = asm_d.load_vector(loads)
     dg_direct = solve_dg(asm_d.rho_matrix(), asm_d.gamma_matrix(),
-                         asm_d.tau_matrix(), f_d, eps)
+                         asm_d.tau_matrix(), f_d, eps, asm_d.dof_order())
     dg_via = realize_via_theta(asm_d, "dg", eps, f_d)
     dg_diff = (np.abs(dg_direct.primal - dg_via.primal).max()
                / np.abs(dg_direct.primal).max())

@@ -212,11 +212,12 @@ def test_sparse_inertia_probe_agrees_with_dense(case):
     C = calibrate_assembler(asm)
     assert asm.config.penalty_C == C
     verdicts = []
+    order = asm.dof_order(layout.n_primal)
     for c in (C / 2, C, 0.05):
         asm.config = AssemblyConfig(penalty_C=c)
         K = asm.a_theta(1.0)
-        assert _positive_definite(K) == dense_pd(K)
-        verdicts.append(_positive_definite(K))
+        assert _positive_definite(K, order) == dense_pd(K)
+        verdicts.append(_positive_definite(K, order))
     assert verdicts == [False, True, False]
 
 
@@ -227,7 +228,7 @@ def test_sparse_inertia_probe_agrees_with_dense(case):
     ([[0.0, 0.0], [0.0, 0.0]], False),        # exactly singular
 ])
 def test_inertia_probe_small_matrices(K, pd):
-    assert _positive_definite(sps.csr_matrix(K)) is pd
+    assert _positive_definite(sps.csr_matrix(K), np.arange(2)) is pd
 
 
 @pytest.mark.parametrize("case", sorted(PROBE_CASES))

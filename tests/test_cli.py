@@ -216,7 +216,8 @@ def test_exit_code_unknown_key(tmp_path, capsys):
 
 
 def test_exit_code_calibration_failure(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(assembly, "_positive_definite", lambda K: False)
+    monkeypatch.setattr(assembly, "_positive_definite",
+                        lambda K, order: False)
     cfg = write(tmp_path, GOOD)
     assert main(["regime", cfg, "--out", str(tmp_path)]) == 4
     assert "penalty calibration failed" in capsys.readouterr().err

@@ -31,7 +31,7 @@ def test_mixed_matches_dense_oracle():
     A = asm.a_theta(1.0)
     B = asm.b_matrix()
     C = asm.c_matrix()
-    sol = solve_mixed(A, B, C, f, eps)
+    sol = solve_mixed(A, B, C, f, eps, asm.dof_order())
     K = sps.bmat([[A, B.T], [B, -eps ** 2 * C]]).toarray()
     ref = np.linalg.solve(K, np.concatenate([f, np.zeros(C.shape[0])]))
     n = A.shape[0]
@@ -47,7 +47,7 @@ def test_dg_matches_dense_oracle():
     R = fm["R"] + Cp * fm["R_pen"]
     G = fm["G"] + Cp * fm["G_pen"]
     T = fm["T"] + Cp * fm["T_pen"]
-    sol = solve_dg(R, G, T, f, eps)
+    sol = solve_dg(R, G, T, f, eps, asm.dof_order())
     K = (R + eps ** -2 * (G + T)).toarray()
     ref = np.linalg.solve(K, f)
     assert np.allclose(sol.primal, ref, rtol=1e-8, atol=1e-12)
@@ -57,8 +57,8 @@ def test_solution_linearity():
     asm, f = setup(enrichment=True)
     eps = 0.1
     A, B, C = asm.a_theta(1.0), asm.b_matrix(), asm.c_matrix()
-    s1 = solve_mixed(A, B, C, f, eps)
-    s2 = solve_mixed(A, B, C, 3.0 * f, eps)
+    s1 = solve_mixed(A, B, C, f, eps, asm.dof_order())
+    s2 = solve_mixed(A, B, C, 3.0 * f, eps, asm.dof_order())
     assert np.allclose(s2.primal, 3.0 * s1.primal, rtol=1e-9,
                        atol=1e-12 * np.abs(s1.primal).max())
     assert np.allclose(s2.aux, 3.0 * s1.aux, rtol=1e-9,
@@ -68,11 +68,13 @@ def test_solution_linearity():
 def test_zero_rhs_gives_zero_solution():
     asm, f = setup(enrichment=True)
     z = np.zeros_like(f)
-    sol = solve_mixed(asm.a_theta(1.0), asm.b_matrix(), asm.c_matrix(), z, 0.1)
+    sol = solve_mixed(asm.a_theta(1.0), asm.b_matrix(), asm.c_matrix(), z, 0.1,
+                      asm.dof_order())
     assert np.all(sol.primal == 0)
     assert np.all(sol.aux == 0)
     fm = asm.forms()
-    sol = solve_dg(fm["R"], fm["G"], fm["T"], z, 0.1)
+    sol = solve_dg(fm["R"], fm["G"], fm["T"], z, 0.1,
+                   asm.dof_order(len(z)))
     assert np.all(sol.primal == 0)
 
 
@@ -80,7 +82,7 @@ def test_via_theta_mixed_matches_standalone():
     asm, f = setup(enrichment=True)
     eps = 0.1
     direct = solve_mixed(asm.a_theta(1.0), asm.b_matrix(), asm.c_matrix(),
-                         f, eps)
+                         f, eps, asm.dof_order())
     via = realize_via_theta(asm, "mixed", eps, f)
     assert np.array_equal(direct.primal, via.primal)
     assert np.array_equal(direct.aux, via.aux)
@@ -94,7 +96,7 @@ def test_via_theta_dg_matches_standalone():
     R = fm["R"] + Cp * fm["R_pen"]
     G = fm["G"] + Cp * fm["G_pen"]
     T = fm["T"] + Cp * fm["T_pen"]
-    direct = solve_dg(R, G, T, f, eps)
+    direct = solve_dg(R, G, T, f, eps, asm.dof_order())
     via = realize_via_theta(asm, "dg", eps, f)
     scale = np.abs(direct.primal).max()
     assert np.abs(direct.primal - via.primal).max() < 1e-10 * scale
@@ -107,7 +109,7 @@ def test_residual_guard_raises():
     K[0, 0] = 0.0  # exactly singular row
     zero = sps.csr_matrix((n, n))
     with pytest.raises(SolverError, match="factorization failed"):
-        solve_dg(K.tocsr(), zero, zero, np.ones(n), 1.0)
+        solve_dg(K.tocsr(), zero, zero, np.ones(n), 1.0, np.arange(n))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -117,7 +119,8 @@ def test_non_finite_solution_fails_the_backward_error_bound():
     b = np.ones(n)
     b[1] = np.inf
     with pytest.raises(SolverError, match="backward error nan exceeds"):
-        solve_dg(sps.identity(n, format="csr"), zero, zero, b, 1.0)
+        solve_dg(sps.identity(n, format="csr"), zero, zero, b, 1.0,
+                 np.arange(n))
 
 
 def reduced_oracle(problem):
@@ -131,7 +134,8 @@ def reduced_oracle(problem):
 
 def oracle_solve(oracle, loads, epsilon):
     return solve_dg(oracle.rho_matrix(), oracle.gamma_matrix(),
-                    oracle.tau_matrix(), oracle.load_vector(loads), epsilon)
+                    oracle.tau_matrix(), oracle.load_vector(loads), epsilon,
+                    oracle.dof_order())
 
 
 @pytest.mark.parametrize("tags", [("D", "F", "F", "F"), ("S", "F", "D", "F")],
