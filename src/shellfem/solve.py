@@ -25,8 +25,9 @@ class ShellSolution:
 def ordered(K, order):
     """K[order][:, order] in CSC: the symmetric system K with its unknowns
     in a fill-reducing order (see ordering.py; callers without a mesh pass
-    np.arange(n)).  The columns are gathered into one new matrix, whose row
-    indices are then renumbered and sorted in place."""
+    np.arange(n)).  The columns are gathered into a new matrix whose row
+    indices are renumbered and sorted in place, so the rows are not
+    gathered into a second one."""
     K = sps.csc_matrix(K)[:, order]
     rows = np.empty(len(order), dtype=K.indices.dtype)
     rows[order] = np.arange(len(order))
