@@ -4,16 +4,14 @@ regime, a penalized one-field method for membrane/shear-dominated and
 intermediate shells, and an asymptotic-regime detector."""
 
 from .assembly import (AssemblyConfig, CalibrationError, FormAssembler,
-                       LoadSpec, Material, calibrate_penalty,
-                       green_identity_check)
+                       LoadSpec, Material, calibrate_penalty)
 from .driver import ShellProblem
 from .expr import (EvalDomainError, ExprError, differentiate, evaluate,
                    parse, simplify, to_string)
-from .fe_space import (DofLayout, SpaceError, build_dof_layout,
-                       project_primal)
+from .fe_space import DofLayout, SpaceError, build_dof_layout
 from .geometry import (Chart, DegenerateChartError, DomainError,
                        ExpressionChart, GeometryError, SymbolicChart,
-                       eval_elastic, geometry_seminorms, make_chart)
+                       eval_elastic, make_chart)
 from .manufactured import ManufacturedSolution
 from .mesh import (Mesh, MeshError, generate_rect_mesh, load_mesh,
                    mesh_condition_report, refine_uniform, save_mesh)

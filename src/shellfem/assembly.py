@@ -457,25 +457,11 @@ class FormAssembler:
         f = self.forms()
         return f[key].data + self.config.penalty_C * f[key + "_pen"].data
 
-    def _primal(self, data):
-        """The primal matrix with `data` on the shared pattern (built by
-        `forms`, so call this with data taken from it)."""
-        return self._pattern()[0].csr(data)
-
-    def rho_matrix(self):
-        return self._primal(self._penalized("R"))
-
-    def gamma_matrix(self):
-        return self._primal(self._penalized("G"))
-
-    def tau_matrix(self):
-        return self._primal(self._penalized("T"))
-
     def a_theta(self, theta_param):
         """A(theta) = rho_h + theta*(gamma_h + tau_h), summed entry by entry
         on the primal pattern: an entry that cancels stays stored, so the
         structure of every system does not depend on rounding."""
-        return self._primal(self._penalized("R") + theta_param * (
+        return self._pattern()[0].csr(self._penalized("R") + theta_param * (
             self._penalized("G") + self._penalized("T")))
 
     def b_matrix(self):
@@ -543,47 +529,6 @@ def _aux_basis(pv):
     return S.reshape(nq, 6, 5 * nv)
 
 
-def green_identity_check(tri_coords, chart, f_exprs,
-                         quad_tri_degree: int = 8,
-                         quad_edge_points: int = 5) -> float:
-    """Surface Green identity probe: | int_tri f^a|_a - int_bnd f^a nbar_a sqrt(a) |
-    for a vector field given by two expression ASTs (or strings)."""
-    from . import expr as exprmod
-    tri_coords = np.asarray(tri_coords, dtype=float)
-    fs = [exprmod.parse(c) if isinstance(c, str) else c for c in f_exprs]
-    dfs = [[exprmod.differentiate(f, v) for v in ("x1", "x2")] for f in fs]
-    bary, wq = triangle_rule(quad_tri_degree)
-    d1 = tri_coords[1] - tri_coords[0]
-    d2 = tri_coords[2] - tri_coords[0]
-    area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-    pts = bary @ tri_coords
-    g = chart.evaluate(pts)
-    x1, x2 = pts[:, 0], pts[:, 1]
-    fvals = np.stack([exprmod.evaluate(f, x1, x2) for f in fs], axis=-1)
-    # covariant divergence f^a|_a = d_a f^a + Gamma^a_{al} f^l
-    trace_gamma = np.einsum("qaal->ql", g.christoffel)
-    divf = (exprmod.evaluate(dfs[0][0], x1, x2)
-            + exprmod.evaluate(dfs[1][1], x1, x2)
-            + np.einsum("ql,ql->q", trace_gamma, fvals))
-    volume = area * np.sum(wq * g.sqrt_a * divf)
-    te, we = interval_rule(quad_edge_points)
-    boundary = 0.0
-    for k in range(3):
-        p, q = tri_coords[(k + 1) % 3], tri_coords[(k + 2) % 3]
-        epts = np.outer(1 - te, p) + np.outer(te, q)
-        h = np.linalg.norm(q - p)
-        tangent = (q - p) / h
-        nbar = np.array([tangent[1], -tangent[0]])
-        centroid = tri_coords.mean(axis=0)
-        if np.dot(nbar, p - centroid) < 0:
-            nbar = -nbar
-        ge = chart.evaluate(epts)
-        fe = np.stack([exprmod.evaluate(f, epts[:, 0], epts[:, 1])
-                       for f in fs], axis=-1)
-        boundary += h * np.sum(we * ge.sqrt_a * np.einsum("qa,a->q", fe, nbar))
-    return abs(volume - boundary)
-
-
 def _positive_definite(K, order) -> bool:
     """Positive-definiteness of the symmetric matrix K, probed on
     K + 1e-12 tr(K)/n I factored in `order`, by Sylvester's law of inertia:
@@ -603,7 +548,7 @@ def _positive_definite(K, order) -> bool:
                 and np.all(lu.U.diagonal() > 0))
 
 
-def calibrate_assembler(asm: FormAssembler, max_doublings: int = 10) -> float:
+def calibrate_penalty(asm: FormAssembler, max_doublings: int = 10) -> float:
     """Default penalty constant for the forms of `asm`: scale with the
     geometry magnitude, then double until A(1) is positive definite.  Each
     probe only rescales the penalty blocks of the assembled forms; `asm`'s
@@ -621,9 +566,3 @@ def calibrate_assembler(asm: FormAssembler, max_doublings: int = 10) -> float:
     raise CalibrationError("penalty calibration failed: matrix not positive "
                            "definite after doubling the penalty constant")
 
-
-def calibrate_penalty(mesh, chart, layout, material: Material,
-                      config: AssemblyConfig, max_doublings: int = 10) -> float:
-    """`calibrate_assembler` on a new assembler over `layout`."""
-    return calibrate_assembler(
-        FormAssembler(mesh, chart, layout, material, config), max_doublings)

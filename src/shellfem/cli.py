@@ -111,6 +111,16 @@ def _get_floats(sec, key, default=None):
         raise ConfigError(f"key {key!r}: expected comma-separated numbers")
 
 
+def _bounded(key, value, low, strict):
+    """`value`, a number or a tuple of them, each checked to be > low if
+    `strict`, else >= low."""
+    for v in np.atleast_1d(value):
+        if not (v > low if strict else v >= low):
+            raise ConfigError(f"key {key!r} must be {'>' if strict else '>='}"
+                              f" {low}, got {v:g}")
+    return value
+
+
 @dataclass
 class ProblemSpec:
     chart: object
@@ -192,9 +202,7 @@ def build_spec(sections: dict) -> ProblemSpec:
     material = Material(lam=_get_float(mat_sec, "lambda", 1.0),
                         mu=_get_float(mat_sec, "mu", 1.0),
                         kappa=_get_float(mat_sec, "kappa", 5.0 / 6.0))
-    epsilon = _get_float(mat_sec, "epsilon", 0.1)
-    if epsilon <= 0:
-        raise ConfigError("[material] epsilon must be > 0")
+    epsilon = _bounded("epsilon", _get_float(mat_sec, "epsilon", 0.1), 0, True)
     load_sec = sections.get("loads", {})
     try:
         loads = LoadSpec(**{k: _load_fn(load_sec, k) for k in LOAD_KEYS})
@@ -211,11 +219,13 @@ def build_spec(sections: dict) -> ProblemSpec:
         except exprmod.ExprError as exc:
             raise ConfigError(f"[manufactured]: {exc}")
     asm_sec = sections.get("assembly", {})
-    penalty_user = (_get_float(asm_sec, "penalty_c")
-                    if "penalty_c" in asm_sec else None)
+    penalty_user = (_bounded("penalty_c", _get_float(asm_sec, "penalty_c"),
+                             0, True) if "penalty_c" in asm_sec else None)
     config = AssemblyConfig(
-        quad_tri_degree=_get_int(asm_sec, "quad_degree", 8),
-        quad_edge_points=_get_int(asm_sec, "edge_points", 5))
+        quad_tri_degree=_bounded(
+            "quad_degree", _get_int(asm_sec, "quad_degree", 8), 1, False),
+        quad_edge_points=_bounded(
+            "edge_points", _get_int(asm_sec, "edge_points", 5), 1, False))
     study_sec = sections.get("study", {})
     method = study_sec.get("method", "both").lower()
     if method not in ("mixed", "dg", "both"):
@@ -223,8 +233,10 @@ def build_spec(sections: dict) -> ProblemSpec:
     return ProblemSpec(
         chart=chart, mesh=mesh, material=material, epsilon=epsilon,
         loads=loads, manufactured_fields=manufactured, method=method,
-        config=config, levels=_get_int(study_sec, "levels", 3),
-        epsilons=_get_floats(study_sec, "epsilons", (1e-2, 1e-3, 1e-4)),
+        config=config,
+        levels=_bounded("levels", _get_int(study_sec, "levels", 3), 1, False),
+        epsilons=_bounded("epsilons", _get_floats(
+            study_sec, "epsilons", (1e-2, 1e-3, 1e-4)), 0, True),
         penalty_user=penalty_user)
 
 

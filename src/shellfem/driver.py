@@ -9,10 +9,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import AssemblyConfig, FormAssembler, LoadSpec, Material
-# Bound as `calibrate_penalty`, the name perfbench/tracing.py times
-# calibration under.
-from .assembly import calibrate_assembler as calibrate_penalty
+from .assembly import (AssemblyConfig, FormAssembler, LoadSpec, Material,
+                       calibrate_penalty)
 from .fe_space import build_dof_layout
 from .mesh import Mesh, refine_uniform
 from .norms import NormEngine

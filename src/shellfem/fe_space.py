@@ -1,6 +1,6 @@
 """Discrete spaces: discontinuous P1 primal fields with edge/vertex bubble
 enrichment on free-boundary elements, continuous P1 auxiliary stress fields,
-the global DOF ordering, and weighted local projections.
+and the global DOF ordering.
 
 Local polynomials are stored as coefficient vectors over barycentric
 monomials l1^i * l2^j of total degree <= 3 (l3 = 1 - l1 - l2 substituted).
@@ -11,8 +11,7 @@ coefficients, the number of basis functions and the global DOFs of each
 element (see `DofLayout`).  Plain P1 elements take the barycentric
 coordinates LAM, which need no geometry.  Elements with free edges are
 built per free-edge group (the three single edges and the three pairs),
-each group from one sqrt(a) evaluation; `project_primal` runs per group in
-the same way.
+each group from one sqrt(a) evaluation.
 """
 
 from __future__ import annotations
@@ -100,11 +99,9 @@ def _local_bases(coords, chart, free_edges: tuple):
 
     The added bubble functions are orthogonal to P1 in the sqrt(a)-weighted
     L2 product over the (curved) element.  Returns the coefficients
-    (E, nf, N_MONO); the points (E, P, 2), the dense rule and then the 8
-    Gauss points of each free edge; the moment tests at those points
-    weighted by the quadrature weights and sqrt(a) (E, P, nf), P1 on the
-    volume and then (1, t) on each free edge; and the moment matrices
-    (E, nf, nf) of the tests against the basis.
+    (E, nf, N_MONO).  The moment matrix of each element, of its tests (P1
+    on the volume, then (1, t) on each free edge) against its basis, must
+    be well conditioned.
     """
     if len(free_edges) > 2:
         raise SpaceError("element with 3 free edges is unsupported")
@@ -151,11 +148,11 @@ def _local_bases(coords, chart, free_edges: tuple):
     for i in range(ne):
         tests[nq + 8 * i:nq + 8 * (i + 1), 3 + 2 * i:5 + 2 * i] = np.stack(
             [np.ones_like(t_e), t_e], 1)
-    wtests = weights[..., None] * tests
-    moments = np.swapaxes(wtests, 1, 2) @ (monos @ np.swapaxes(coeffs, 1, 2))
+    moments = (np.swapaxes(weights[..., None] * tests, 1, 2)
+               @ (monos @ np.swapaxes(coeffs, 1, 2)))
     if np.any(np.linalg.cond(moments) > 1e10):
         raise SpaceError("local moment matrix is ill conditioned")
-    return coeffs, pts, wtests, moments
+    return coeffs
 
 
 def _free_edge_groups(mesh, enrichment: bool):
@@ -219,7 +216,7 @@ def build_dof_layout(mesh, chart, enrichment: bool) -> DofLayout:
     coeffs[:, :3] = LAM
     for group, t in groups:
         nf[t] = 3 + 2 * len(group)
-        coeffs[t, :nf[t[0]]] = _local_bases(coords[t], chart, group)[0]
+        coeffs[t, :nf[t[0]]] = _local_bases(coords[t], chart, group)
     # function j of field f on element e: DOF 15 e + 3 f + j for the P1
     # functions, then the element's block-2 offset + (nf - 3) (f - 2) + j - 3
     extra = nf - 3
@@ -233,22 +230,3 @@ def build_dof_layout(mesh, chart, enrichment: bool) -> DofLayout:
         j < np.where(f < 2, 3, nf[e])]
     return DofLayout(mesh, enrichment, coeffs, nf, dofs)
 
-
-def project_primal(fields: dict, mesh, chart, layout: DofLayout) -> np.ndarray:
-    """Element-wise weighted-L2 projection of smooth fields onto the primal
-    space.  Rotations always project onto P1; displacements use the element's
-    local space with edge-moment matching on free edges.  Each free-edge
-    group is projected at once: one batched call of each field at all its
-    points, and stacked solves."""
-    out = np.zeros(layout.n_primal)
-    coords = mesh.vertices[mesh.triangles]
-    for group, t in _free_edge_groups(mesh, layout.with_aux):
-        _, pts, wtests, moments = _local_bases(coords[t], chart, group)
-        nf = moments.shape[-1]
-        for f, name in enumerate(FIELDS):
-            n, start = (3, 3 * f) if f < 2 else (nf, 6 + nf * (f - 2))
-            rhs = np.swapaxes(wtests[..., :n], 1, 2) @ batched(
-                fields[name], pts)[..., None]
-            out[layout.dofs[t, start:start + n]] = np.linalg.solve(
-                moments[:, :n, :n], rhs)[..., 0]
-    return out

@@ -28,6 +28,9 @@ import sympy as sp
 from . import expr as exprmod
 
 _DEGEN_TOL = 1e-12
+# Central-difference step of ExpressionChart's tangents; its second
+# differences and derivative fields take coarser steps derived from it.
+FD_STEP = 1e-6
 # The most points one batched evaluation takes; it bounds the transient
 # memory of evaluating charts, loads and exact fields over a whole mesh.
 POINT_BUDGET = 1 << 15
@@ -70,10 +73,11 @@ class GeometryEval:
 
 
 # Trailing shape of each GeometryEval field, in field order, and where each
-# field ends in SymbolicChart's flat list of coefficient values.
+# field ends in SymbolicChart's flat array of coefficient values.
 _FIELD_TAILS = ((3,), (3,), (3,), (3,), (2, 2), (2, 2), (), (2, 2), (2, 2),
                 (2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2, 2))
 _FLAT_ENDS = np.cumsum([int(np.prod(tail)) for tail in _FIELD_TAILS])
+_SQRT_A = int(_FLAT_ENDS[5])   # sqrt(a)'s column, filled from its own check
 
 
 @dataclass
@@ -200,11 +204,11 @@ class SymbolicChart(Chart):
         c_cov = sp.Matrix(2, 2, lambda a, b: sp.simplify(
             sum(b_mix[g, a] * b_cov[g, b] for g in range(2))))
 
-        # the GeometryEval fields in order, matrices row-major
+        # the GeometryEval fields but sqrt(a) in order, matrices row-major
         gammas = [gamma[c][a][b] for c in range(2) for a in range(2)
                   for b in range(2)]
-        flat = [*phi, *a1, *a2, *a3, *a_cov, *a_con, sqrt_a, *b_cov, *b_mix,
-                *c_cov, *gammas]
+        flat = [*phi, *a1, *a2, *a3, *a_cov, *a_con, *b_cov, *b_mix, *c_cov,
+                *gammas]
         flat += [sp.diff(f, x) for f in (*b_cov, *b_mix, *gammas)
                  for x in (_X1, _X2)]
         self._flat_fn = sp.lambdify((_X1, _X2), flat, modules="numpy")
@@ -221,9 +225,10 @@ class SymbolicChart(Chart):
         points = np.asarray(points, dtype=float)
         self.check_domain(points)
         # before the fields, which divide by sqrt(a) at a degenerate point
-        _nondegenerate(self._sqrt_a(points))
+        sqrt_a = _nondegenerate(self._sqrt_a(points))
         shape = points.shape[:-1]
-        flat = _stack(self._flat_fn(points[..., 0], points[..., 1]), shape)
+        values = self._flat_fn(points[..., 0], points[..., 1])
+        flat = _stack(values[:_SQRT_A] + [sqrt_a] + values[_SQRT_A:], shape)
         return GeometryEval(*(block.reshape(shape + tail) for block, tail in
                               zip(np.split(flat, _FLAT_ENDS[:-1], axis=-1),
                                   _FIELD_TAILS)))
@@ -240,13 +245,12 @@ def _stack(values, shape):
 
 class ExpressionChart(Chart):
     """Chart given by three coordinate expressions; differentiated by central
-    finite differences (step h_fd for the frame, a coarser step for the
-    derivative coefficient fields)."""
+    finite differences (step FD_STEP for the frame, coarser steps for the
+    second differences and the derivative coefficient fields)."""
 
-    def __init__(self, name: str, components, domain=None, h_fd: float = 1e-6):
+    def __init__(self, name: str, components, domain=None):
         self.name = name
         self.domain = domain
-        self.h_fd = h_fd
         self._asts = [exprmod.parse(c) if isinstance(c, str) else c
                       for c in components]
 
@@ -260,7 +264,7 @@ class ExpressionChart(Chart):
         return np.stack([exprmod.evaluate(a, x1, x2) for a in self._asts], axis=-1)
 
     def _tangents(self, points):
-        h = self.h_fd
+        h = FD_STEP
         e1 = np.array([h, 0.0])
         e2 = np.array([0.0, h])
         a1 = (self._position_unchecked(points + e1)
@@ -279,7 +283,7 @@ class ExpressionChart(Chart):
         # second differences of the position give d_b a_a; roundoff in a
         # second difference scales like eps/h^2, so use a coarser step than
         # for the first derivatives (optimal near eps^(1/4))
-        h = max(self.h_fd, 1.2e-4)
+        h = max(FD_STEP, 1.2e-4)
         e1 = np.array([h, 0.0])
         e2 = np.array([0.0, h])
         da[..., 0, 0, :] = (self._position_unchecked(points + e1) - 2 * pc
@@ -305,7 +309,7 @@ class ExpressionChart(Chart):
          christoffel) = _tensors_from_frame(a1, a2, da)
         # derivative fields by FD on the coefficient fields; larger step keeps
         # the inner second-difference noise from being amplified
-        h2 = max(self.h_fd ** 0.5, 1e-4)
+        h2 = max(FD_STEP ** 0.5, 1e-4)
         d_b_cov = np.empty(points.shape[:-1] + (2, 2, 2))
         d_b_mix = np.empty_like(d_b_cov)
         d_christoffel = np.empty(points.shape[:-1] + (2, 2, 2, 2))
@@ -323,7 +327,7 @@ class ExpressionChart(Chart):
 
 
 def make_chart(kind: str, *, radius: float = 1.0, coeff: float = 1.0,
-               components=None, domain=None, h_fd: float = 1e-6) -> Chart:
+               components=None, domain=None) -> Chart:
     """Factory for the built-in charts and user-expression charts."""
     if kind == "plate":
         return SymbolicChart("plate", [_X1, _X2, 0], domain)
@@ -345,7 +349,7 @@ def make_chart(kind: str, *, radius: float = 1.0, coeff: float = 1.0,
     if kind == "expression":
         if components is None or len(components) != 3:
             raise GeometryError("expression chart needs 3 coordinate expressions")
-        return ExpressionChart("expression", components, domain, h_fd)
+        return ExpressionChart("expression", components, domain)
     raise GeometryError(f"unknown chart kind {kind!r}")
 
 
@@ -376,17 +380,15 @@ def _triangle_samples(tri_vertices: np.ndarray, n: int) -> np.ndarray:
     return lam @ tri_vertices
 
 
-def triangle_seminorms(g: GeometryEval, order: int) -> dict:
-    """`geometry_seminorms` of a batch of triangles from the geometry `g` at
-    their sample points (..., points); each value is an array over `...`."""
+def triangle_seminorms(g: GeometryEval) -> dict:
+    """Sampled first-order L^inf seminorms of Gamma, b_cov and b_mix on a
+    batch of triangles, from the geometry `g` at their sample points
+    (..., points): per family, the sum over components of the max over the
+    points and the derivative directions, and (`<family>_sum_dirs`) of the
+    max over the points summed over the two directions.  Each value is an
+    array over `...`."""
     batch = g.sqrt_a.shape[:-1]
     out = {}
-    if order == 0:
-        for key, arr in (("christoffel", g.christoffel), ("b_cov", g.b_cov),
-                         ("b_mix", g.b_mix)):
-            flat = np.abs(arr.reshape(batch + (arr.shape[len(batch)], -1)))
-            out[key] = flat.max(axis=-2).sum(axis=-1)
-        return out
     for key, arr in (("christoffel", g.d_christoffel), ("b_cov", g.d_b_cov),
                      ("b_mix", g.d_b_mix)):
         # (..., pts, comps, dir)
@@ -394,17 +396,3 @@ def triangle_seminorms(g: GeometryEval, order: int) -> dict:
         out[key] = flat.max(axis=(-3, -1)).sum(axis=-1)   # max over pts, dirs
         out[key + "_sum_dirs"] = flat.max(axis=-3).sum(axis=(-2, -1))
     return out
-
-
-def geometry_seminorms(chart: Chart, tri_vertices, order: int,
-                       n_samples: int = 3) -> dict:
-    """Sampled L^inf (semi)norms of Gamma, b_cov, b_mix over a triangle.
-
-    order=0: per-family sum over components of max |component|.
-    order=1: sum over components of max over sample points and derivative
-    directions; 'sum_dirs' variants sum over the two directions instead.
-    n_samples=3 gives the default 6-point rule (vertices + edge midpoints).
-    """
-    pts = _triangle_samples(np.asarray(tri_vertices, dtype=float), n_samples)
-    return {key: float(v) for key, v in
-            triangle_seminorms(chart.evaluate(pts), order).items()}

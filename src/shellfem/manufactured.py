@@ -49,17 +49,6 @@ class ManufacturedSolution:
 
     # ------------------------------------------------------------- evaluation
 
-    def field(self, name: str):
-        ast = self.asts[name]
-
-        def fn(pts):
-            pts = np.asarray(pts, dtype=float)
-            return exprmod.evaluate(ast, pts[..., 0], pts[..., 1])
-        return fn
-
-    def fields_dict(self):
-        return {name: self.field(name) for name in FIELDS}
-
     def values(self, pts):
         pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[..., 0], pts[..., 1]
@@ -219,25 +208,3 @@ class ManufacturedSolution:
             return fn
         return LoadSpec(p1=vol("p1"), p2=vol("p2"), p3=vol("p3"),
                         c1=vol("c1"), c2=vol("c2"), flux_provider=self)
-
-    def aux_interpolant(self, layout, multiplier: float) -> np.ndarray:
-        """Continuous-P1 vertex interpolant of the auxiliary stresses
-        (M^{11}, M^{22}, M^{12}, xi^1, xi^2) scaled by `multiplier` relative
-        to the unit-coefficient membrane/shear stresses."""
-        mesh = layout.mesh
-        pts = mesh.vertices
-        geom = self.chart.evaluate(pts)
-        mat = self.material
-        el = eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic
-        _, gam, tau = self.strains_at(pts, geom)
-        nm = multiplier * np.einsum("...abcd,...cd->...ab", el, gam)
-        xi = (multiplier * mat.kappa * mat.mu
-              * np.einsum("...ab,...b->...a", geom.a_con, tau))
-        out = np.zeros(layout.n_block3)
-        base = 5 * np.arange(mesh.n_vertices)
-        out[base + 0] = nm[:, 0, 0]
-        out[base + 1] = nm[:, 1, 1]
-        out[base + 2] = nm[:, 0, 1]
-        out[base + 3] = xi[:, 0]
-        out[base + 4] = xi[:, 1]
-        return out

@@ -55,9 +55,6 @@ class Mesh:
     def n_triangles(self):
         return len(self.triangles)
 
-    def triangle_coords(self, t: int) -> np.ndarray:
-        return self.vertices[self.triangles[t]]
-
     def free_local_edges(self, t: int) -> tuple:
         return self._free_edges.get(t, ())
 
@@ -339,7 +336,7 @@ def geometry_resolution(mesh: Mesh, chart) -> tuple:
     at all 6 samples of every triangle at once."""
     from .geometry import _triangle_samples, batched, triangle_seminorms
     samples = _triangle_samples(mesh.vertices[mesh.triangles], 3)
-    semi = triangle_seminorms(batched(chart.evaluate, samples), order=1)
+    semi = triangle_seminorms(batched(chart.evaluate, samples))
     s = semi["christoffel"] + semi["b_cov"] + semi["b_mix"]
     s_sum = (semi["christoffel_sum_dirs"] + semi["b_cov_sum_dirs"]
              + semi["b_mix_sum_dirs"])

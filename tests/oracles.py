@@ -1,8 +1,11 @@
-"""Reference oracles: the local bases, forms, Gram matrices, loads and
-error norms as per-element and per-edge loops, and diagnostics built on them
-that the package itself does not need (the Korn-type norm-equivalence probe,
-the dual H_h norm, the weak stress norm, consistency residuals,
-finite-difference manufactured loads).  The loops
+"""Reference oracles: the local bases, the L2 projection, forms, Gram
+matrices, loads and error norms as per-element and per-edge loops, and
+diagnostics built on them that the package itself does not need (the
+surface Green-identity probe, per-triangle geometry seminorms, the
+penalized forms rho_h, gamma_h and tau_h, the Korn-type norm-equivalence
+probe, the dual H_h norm, the weak stress norm, the exact stress
+interpolant, consistency residuals, finite-difference manufactured
+loads).  The loops
 build their own dense per-DOF field arrays from each element's basis
 coefficients and take their strains from the closed-form formulas below, so
 they share no basis-trace or strain code with the package's kernel.  The
@@ -18,9 +21,12 @@ import scipy.linalg
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+from shellfem import expr as exprmod
 from shellfem.fe_space import (_EDGE_VERTS, FIELDS, LAM, ONE, SpaceError,
                                _edge_lam12, build_dof_layout, eval_monos,
-                               grad_monos, poly_mul, project_primal)
+                               grad_monos, poly_mul)
+from shellfem.geometry import (_triangle_samples, eval_elastic,
+                               triangle_seminorms)
 from shellfem.norms import NormEngine
 from shellfem.mesh import BoundaryEdge, Mesh
 from shellfem.quadrature import (interval_rule, triangle_rule,
@@ -195,12 +201,15 @@ def reference_element_dofs(layout, t):
 
 
 def reference_project_primal(fields, mesh, chart, layout):
-    """`fe_space.project_primal` one element and one field at a time, on the
-    reference local bases."""
+    """Element-wise weighted-L2 projection of the smooth fields (callables
+    of points, by name) onto the primal space of `layout`, one element and
+    one field at a time on the reference local bases.  Rotations project
+    onto P1; displacements onto the element's local space, with edge-moment
+    matching on free edges."""
     out = np.zeros(layout.n_primal)
     for t in range(mesh.n_triangles):
         lb = reference_local_basis(
-            mesh.triangle_coords(t), chart,
+            mesh.vertices[mesh.triangles[t]], chart,
             mesh.free_local_edges(t) if layout.with_aux else ())
         dofs = reference_element_dofs(layout, t)
         nf = len(lb.coeffs)
@@ -293,7 +302,7 @@ def edge_normal(mesh, vertex_pair, owner_tri):
     p, q = mesh.vertices[list(vertex_pair)]
     t = q - p
     n = np.array([t[1], -t[0]]) / np.linalg.norm(t)
-    centroid = mesh.triangle_coords(owner_tri).mean(axis=0)
+    centroid = mesh.vertices[mesh.triangles[owner_tri]].mean(axis=0)
     if np.dot(n, p - centroid) < 0:
         n = -n
     return n
@@ -620,15 +629,108 @@ def consistency_residual(manufactured, assembler, method: str,
     exact smooth solution whose loads are manufactured consistently."""
     if method not in ("mixed", "dg"):
         raise ValueError(f"unknown method {method!r}")
-    xi = project_primal(manufactured.fields_dict(), assembler.mesh,
-                        assembler.chart, assembler.layout)
+    xi = reference_project_primal(fields_dict(manufactured), assembler.mesh,
+                                  assembler.chart, assembler.layout)
     r = assembler.load_vector(manufactured.load_spec())
     if method == "dg":      # rho + eps^-2 (gamma + tau)
         r = assembler.a_theta(epsilon ** -2) @ xi - r
     else:
-        mi = manufactured.aux_interpolant(assembler.layout, epsilon ** -2)
+        mi = aux_interpolant(manufactured, assembler.layout, epsilon ** -2)
         r = assembler.a_theta(1.0) @ xi + assembler.b_matrix().T @ mi - r
     return dual_H_norm(NormEngine(assembler), r)
+
+
+def fields_dict(sol):
+    """The exact fields of the manufactured solution `sol` as callables of
+    parameter points, by name."""
+    def field(ast):
+        def fn(pts):
+            pts = np.asarray(pts, dtype=float)
+            return exprmod.evaluate(ast, pts[..., 0], pts[..., 1])
+        return fn
+    return {name: field(sol.asts[name]) for name in FIELDS}
+
+
+def aux_interpolant(sol, layout, multiplier: float) -> np.ndarray:
+    """Continuous-P1 vertex interpolant of the auxiliary stresses
+    (M^{11}, M^{22}, M^{12}, xi^1, xi^2) of the manufactured solution `sol`,
+    scaled by `multiplier` relative to the unit-coefficient membrane/shear
+    stresses."""
+    mesh = layout.mesh
+    pts = mesh.vertices
+    geom = sol.chart.evaluate(pts)
+    mat = sol.material
+    el = eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic
+    _, gam, tau = sol.strains_at(pts, geom)
+    nm = multiplier * np.einsum("...abcd,...cd->...ab", el, gam)
+    xi = (multiplier * mat.kappa * mat.mu
+          * np.einsum("...ab,...b->...a", geom.a_con, tau))
+    out = np.zeros(layout.n_block3)
+    base = 5 * np.arange(mesh.n_vertices)
+    out[base + 0] = nm[:, 0, 0]
+    out[base + 1] = nm[:, 1, 1]
+    out[base + 2] = nm[:, 0, 1]
+    out[base + 3] = xi[:, 0]
+    out[base + 4] = xi[:, 1]
+    return out
+
+
+def penalized_forms(asm):
+    """rho_h, gamma_h and tau_h: each consistency form of `asm.forms()` plus
+    `asm.config.penalty_C` times its penalty part, on the primal pattern
+    that they share."""
+    f, C = asm.forms(), asm.config.penalty_C
+    return [sps.csr_matrix((f[k].data + C * f[k + "_pen"].data,
+                            f[k].indices, f[k].indptr), shape=f[k].shape)
+            for k in ("R", "G", "T")]
+
+
+def green_identity_check(tri_coords, chart, f_exprs) -> float:
+    """Surface Green identity probe: | int_tri f^a|_a - int_bnd f^a nbar_a sqrt(a) |
+    for a vector field given by two expression ASTs (or strings), with the
+    default rules of the assembly (degree 8, 5 points an edge)."""
+    tri_coords = np.asarray(tri_coords, dtype=float)
+    fs = [exprmod.parse(c) if isinstance(c, str) else c for c in f_exprs]
+    dfs = [[exprmod.differentiate(f, v) for v in ("x1", "x2")] for f in fs]
+    bary, wq = triangle_rule(8)
+    d1 = tri_coords[1] - tri_coords[0]
+    d2 = tri_coords[2] - tri_coords[0]
+    area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
+    pts = bary @ tri_coords
+    g = chart.evaluate(pts)
+    x1, x2 = pts[:, 0], pts[:, 1]
+    fvals = np.stack([exprmod.evaluate(f, x1, x2) for f in fs], axis=-1)
+    # covariant divergence f^a|_a = d_a f^a + Gamma^a_{al} f^l
+    trace_gamma = np.einsum("qaal->ql", g.christoffel)
+    divf = (exprmod.evaluate(dfs[0][0], x1, x2)
+            + exprmod.evaluate(dfs[1][1], x1, x2)
+            + np.einsum("ql,ql->q", trace_gamma, fvals))
+    volume = area * np.sum(wq * g.sqrt_a * divf)
+    te, we = interval_rule(5)
+    boundary = 0.0
+    for k in range(3):
+        p, q = tri_coords[(k + 1) % 3], tri_coords[(k + 2) % 3]
+        epts = np.outer(1 - te, p) + np.outer(te, q)
+        h = np.linalg.norm(q - p)
+        tangent = (q - p) / h
+        nbar = np.array([tangent[1], -tangent[0]])
+        centroid = tri_coords.mean(axis=0)
+        if np.dot(nbar, p - centroid) < 0:
+            nbar = -nbar
+        ge = chart.evaluate(epts)
+        fe = np.stack([exprmod.evaluate(f, epts[:, 0], epts[:, 1])
+                       for f in fs], axis=-1)
+        boundary += h * np.sum(we * ge.sqrt_a * np.einsum("qa,a->q", fe, nbar))
+    return abs(volume - boundary)
+
+
+def geometry_seminorms(chart, tri_vertices, n_samples: int = 3) -> dict:
+    """`geometry.triangle_seminorms` of one triangle, sampled on the
+    barycentric lattice of n_samples points per edge (3: the vertices and
+    edge midpoints)."""
+    pts = _triangle_samples(np.asarray(tri_vertices, dtype=float), n_samples)
+    return {key: float(v) for key, v in
+            triangle_seminorms(chart.evaluate(pts)).items()}
 
 
 def stress_partials(sol, pts, h=1e-5):

@@ -4,12 +4,13 @@ import scipy.sparse as sps
 
 from shellfem.assembly import (AssemblyConfig, CalibrationError,
                                FormAssembler, LoadSpec, Material,
-                               _positive_definite, calibrate_assembler,
-                               calibrate_penalty, green_identity_check)
+                               _positive_definite, calibrate_penalty)
 from shellfem.fe_space import build_dof_layout
 from shellfem.geometry import make_chart
 from shellfem.mesh import generate_rect_mesh
 from shellfem.solve import SolverError
+
+from oracles import green_identity_check, penalized_forms
 
 
 def make_assembler(chart_kind="cylinder", nx=2, ny=2, enrichment=True,
@@ -53,7 +54,7 @@ def test_penalty_blocks_positive_semidefinite():
 
 def test_gamma_tau_blocks_positive_semidefinite():
     asm = make_assembler("cylinder")
-    for M in (asm.gamma_matrix(), asm.tau_matrix()):
+    for M in penalized_forms(asm)[1:]:
         scale = np.abs(M.toarray()).max()
         assert min_eig(M) > -1e-10 * scale
 
@@ -144,8 +145,8 @@ def test_calibrate_penalty_gives_positive_definite_system():
     chart = make_chart("sphere")
     mesh = generate_rect_mesh((0.6, 1.4, 0.0, 0.8), 2, 2)
     layout = build_dof_layout(mesh, chart, enrichment=True)
-    config = AssemblyConfig()
-    C = calibrate_penalty(mesh, chart, layout, Material(), config)
+    C = calibrate_penalty(FormAssembler(mesh, chart, layout, Material(),
+                                        AssemblyConfig()))
     assert C > 0
     asm = FormAssembler(mesh, chart, layout, Material(),
                         AssemblyConfig(penalty_C=C))
@@ -209,7 +210,7 @@ def dense_calibration(mesh, chart, layout, max_doublings=10):
 def test_sparse_inertia_probe_agrees_with_dense(case):
     mesh, chart, layout = probe_case(case)
     asm = FormAssembler(mesh, chart, layout, Material(), AssemblyConfig())
-    C = calibrate_assembler(asm)
+    C = calibrate_penalty(asm)
     assert asm.config.penalty_C == C
     verdicts = []
     order = asm.dof_order(layout.n_primal)
@@ -234,7 +235,8 @@ def test_inertia_probe_small_matrices(K, pd):
 @pytest.mark.parametrize("case", sorted(PROBE_CASES))
 def test_calibrated_penalty_equals_dense_path(case):
     mesh, chart, layout = probe_case(case)
-    C = calibrate_penalty(mesh, chart, layout, Material(), AssemblyConfig())
+    C = calibrate_penalty(FormAssembler(mesh, chart, layout, Material(),
+                                        AssemblyConfig()))
     assert C == dense_calibration(mesh, chart, layout)
     if case == "hypar-4x4":
         assert C == 45.0                   # 22.5, doubled once
@@ -243,6 +245,6 @@ def test_calibrated_penalty_equals_dense_path(case):
 def test_calibration_error_when_doublings_run_out():
     mesh, chart, layout = probe_case("hypar-4x4")
     with pytest.raises(CalibrationError):
-        calibrate_penalty(mesh, chart, layout, Material(), AssemblyConfig(),
-                          max_doublings=0)
+        calibrate_penalty(FormAssembler(mesh, chart, layout, Material(),
+                                        AssemblyConfig()), max_doublings=0)
     assert issubclass(CalibrationError, SolverError)

@@ -8,24 +8,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from shellfem import strain
 from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec, Material
 from shellfem.cli import DiscreteField
 from shellfem.driver import ShellProblem
-from shellfem.fe_space import (LAM, _local_bases, build_dof_layout,
-                               eval_monos, project_primal)
-from shellfem.geometry import geometry_seminorms, make_chart
+from shellfem.fe_space import build_dof_layout
+from shellfem.geometry import make_chart
 from shellfem.manufactured import ManufacturedSolution
 from shellfem.mesh import (BoundaryEdge, Mesh, MeshError, generate_rect_mesh,
                            mesh_condition_report, refine_uniform)
 from shellfem.norms import NormEngine
 
-from oracles import (edge_normal, reference_element_dofs,
+from oracles import (edge_normal, geometry_seminorms, reference_element_dofs,
                      reference_error_norms, reference_forms, reference_grams,
-                     reference_load_vector, reference_local_basis,
-                     reference_project_primal)
+                     reference_load_vector, reference_local_basis)
 
 FIELDS = {"theta1": "sin(pi * x1) * sin(pi * x2)",
           "theta2": "x1 * (1 - x1) * x2 * (1 - x2)",
@@ -253,7 +250,7 @@ def test_mesh_condition_report_matches_per_triangle_seminorms(chart):
     mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 3, 4)
     worst = worst_sum = 0.0
     for t in range(mesh.n_triangles):
-        semi = geometry_seminorms(chart, mesh.triangle_coords(t), order=1)
+        semi = geometry_seminorms(chart, mesh.vertices[mesh.triangles[t]])
         h2 = mesh.h_tau[t] ** 2
         worst = max(worst, h2 * (semi["christoffel"] + semi["b_cov"]
                                  + semi["b_mix"]))
@@ -269,32 +266,19 @@ def test_mesh_condition_report_matches_per_triangle_seminorms(chart):
 
 
 def assert_layout_matches_reference(mesh, chart):
-    """The basis coefficients of every element of the enriched layout, and
-    the points, weighted moment tests and moment matrices that each
-    free-edge group's batched build gives, agree with the element built
-    alone; returns the free-edge groups of the mesh."""
+    """The basis coefficients of every element of the enriched layout, built
+    per free-edge group, agree with the element built alone; returns the
+    free-edge groups of the mesh."""
     layout = build_dof_layout(mesh, chart, enrichment=True)
     coords = mesh.vertices[mesh.triangles]
-    groups = {}
+    groups = set()
     for t in range(mesh.n_triangles):
         one = reference_local_basis(coords[t], chart, mesh.free_local_edges(t))
-        groups.setdefault(one.free_edges, []).append((t, one))
+        groups.add(one.free_edges)
         assert layout.nf[t] == len(one.coeffs)
         assert_close(layout.coeffs[t, :layout.nf[t]], one.coeffs)
         assert not layout.coeffs[t, layout.nf[t]:].any()
-    for group, members in groups.items():
-        _, pts, wtests, moments = _local_bases(
-            coords[[t for t, _ in members]], chart, group)
-        for i, (_, one) in enumerate(members):
-            edges = [(p, w[:, None] * np.stack([np.ones_like(te), te], 1))
-                     for p, w, te, _ in one.edge_data]
-            assert_close(pts[i], np.concatenate(
-                [one.vol_pts] + [p for p, _ in edges]))
-            assert_close(wtests[i], scipy.linalg.block_diag(
-                one.vol_w[:, None] * (eval_monos(one.vol_lam) @ LAM.T),
-                *[tests for _, tests in edges]))
-            assert_close(moments[i], one.moment_matrix)
-    return set(groups)
+    return groups
 
 
 def every_group_mesh():
@@ -371,14 +355,6 @@ def test_layout_dofs_follow_the_numbering_formula(chart, mesh, enrichment):
     # every primal DOF belongs to exactly one element
     assert np.array_equal(np.sort(layout.dofs[layout.dofs >= 0]),
                           np.arange(layout.n_primal))
-
-
-@LAYOUT_MESHES
-def test_batched_projection_matches_reference_loop(chart, mesh, enrichment):
-    layout = build_dof_layout(mesh, chart, enrichment=enrichment)
-    fields = manufactured(chart).fields_dict()
-    assert_close(project_primal(fields, mesh, chart, layout),
-                 reference_project_primal(fields, mesh, chart, layout))
 
 
 @pytest.mark.parametrize("mesh", [every_group_mesh(), DFFF_3X3],
@@ -460,7 +436,6 @@ def test_point_budget_slices_give_the_same_results(monkeypatch):
         field = DiscreteField(fine, np.random.default_rng(3).standard_normal(
             fine.assembler().layout.n_primal))
         return [asm.load_vector(mms.load_spec()), asm.layout.coeffs,
-                project_primal(mms.fields_dict(), asm.mesh, chart, asm.layout),
                 asm.forms()["G"].toarray(),
                 *eng.error_norms(primal, mms).values(),
                 *eng.error_norms(primal, field).values(),

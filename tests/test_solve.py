@@ -14,6 +14,8 @@ from shellfem.solve import (BACKWARD_ERROR_MULTIPLE, ShellSolution,
                             SolverError, realize_via_theta, solve_dg,
                             solve_mixed)
 
+from oracles import penalized_forms
+
 
 def setup(enrichment, tags=("D", "D", "D", "D")):
     chart = make_chart("cylinder", radius=2.0)
@@ -133,9 +135,8 @@ def reduced_oracle(problem):
 
 
 def oracle_solve(oracle, loads, epsilon):
-    return solve_dg(oracle.rho_matrix(), oracle.gamma_matrix(),
-                    oracle.tau_matrix(), oracle.load_vector(loads), epsilon,
-                    oracle.dof_order())
+    return solve_dg(*penalized_forms(oracle), oracle.load_vector(loads),
+                    epsilon, oracle.dof_order())
 
 
 @pytest.mark.parametrize("tags", [("D", "F", "F", "F"), ("S", "F", "D", "F")],
