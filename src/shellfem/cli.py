@@ -148,7 +148,8 @@ def _build_chart(sec):
         domain = ((domain[0], domain[1]), (domain[2], domain[3]))
     kwargs = {"domain": domain}
     if "radius" in sec:
-        kwargs["radius"] = _get_float(sec, "radius")
+        kwargs["radius"] = _bounded("radius", _get_float(sec, "radius"), 0,
+                                    True)
     if "coeff" in sec:
         kwargs["coeff"] = _get_float(sec, "coeff")
     if kind == "expression":
@@ -199,9 +200,11 @@ def build_spec(sections: dict) -> ProblemSpec:
     chart = _build_chart(sections.get("chart", {}))
     mesh = _build_mesh(sections.get("mesh", {}))
     mat_sec = sections.get("material", {})
-    material = Material(lam=_get_float(mat_sec, "lambda", 1.0),
-                        mu=_get_float(mat_sec, "mu", 1.0),
-                        kappa=_get_float(mat_sec, "kappa", 5.0 / 6.0))
+    material = Material(
+        lam=_bounded("lambda", _get_float(mat_sec, "lambda", 1.0), 0, False),
+        mu=_bounded("mu", _get_float(mat_sec, "mu", 1.0), 0, True),
+        kappa=_bounded("kappa", _get_float(mat_sec, "kappa", 5.0 / 6.0), 0,
+                       True))
     epsilon = _bounded("epsilon", _get_float(mat_sec, "epsilon", 0.1), 0, True)
     load_sec = sections.get("loads", {})
     try:

@@ -1,12 +1,13 @@
 """Midsurface differential geometry.
 
 Charts map parameter coordinates (x1, x2) to points of a surface in R^3.
-Built-in charts (plate, cylinder, sphere, hypar) are differentiated
-symbolically once and evaluated as vectorized numpy closures; user-expression
-charts fall back to central finite differences.  `Chart.evaluate` gives every
-coefficient field; `Chart.sqrt_a` gives the area element alone, which is all
-that the DOF layout asks for (once per group of elements that share their
-free edges).
+Built-in charts (plate, cylinder, sphere, hypar) are coordinate expressions
+whose partials up to third order `expr.differentiate` takes exactly, once per
+chart; one routine maps that jet to every coefficient field by the Gauss and
+Weingarten formulas.  User-expression charts fall back to central finite
+differences.  `Chart.evaluate` gives every coefficient field; `Chart.sqrt_a`
+gives the area element alone, which is all that the DOF layout asks for (once
+per group of elements that share their free edges).
 
 Index conventions used throughout the package:
     a_cov[a, b]        = a_{ab}
@@ -20,10 +21,10 @@ Index conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
-import sympy as sp
 
 from . import expr as exprmod
 
@@ -70,14 +71,6 @@ class GeometryEval:
     def __getitem__(self, idx):
         """The bundle at batch index `idx`, applied to every field."""
         return GeometryEval(*(getattr(self, f.name)[idx] for f in fields(self)))
-
-
-# Trailing shape of each GeometryEval field, in field order, and where each
-# field ends in SymbolicChart's flat array of coefficient values.
-_FIELD_TAILS = ((3,), (3,), (3,), (3,), (2, 2), (2, 2), (), (2, 2), (2, 2),
-                (2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2, 2))
-_FLAT_ENDS = np.cumsum([int(np.prod(tail)) for tail in _FIELD_TAILS])
-_SQRT_A = int(_FLAT_ENDS[5])   # sqrt(a)'s column, filled from its own check
 
 
 @dataclass
@@ -175,72 +168,92 @@ class Chart:
         return _nondegenerate(self._sqrt_a(points))
 
 
-_X1, _X2 = sp.symbols("x1 x2", real=True)
+def _normal(tan):
+    """a_1 x a_2 and sqrt(a) = |a_1 x a_2| from the tangents (3, 2, ...)."""
+    cross = np.cross(tan[:, 0], tan[:, 1], axis=0)
+    return cross, np.sqrt(np.einsum("i...,i...->...", cross, cross))
 
 
 class SymbolicChart(Chart):
-    """Chart defined by a sympy position vector; all coefficient fields and
-    their first derivatives are produced by exact symbolic differentiation."""
+    """Chart given by three coordinate expressions and differentiated
+    exactly: `expr.differentiate` gives the partials of the position up to
+    third order once, and every coefficient field and its first derivatives
+    follow from that jet by the Gauss and Weingarten formulas."""
 
-    def __init__(self, name: str, phi, domain=None):
+    def __init__(self, name: str, components, domain=None):
         self.name = name
         self.domain = domain
-        phi = sp.Matrix(phi)
-        a1 = phi.diff(_X1)
-        a2 = phi.diff(_X2)
-        frame = [a1, a2]
-        a_cov = sp.Matrix(2, 2, lambda i, j: frame[i].dot(frame[j]))
-        det = sp.simplify(a_cov.det())
-        a_con = a_cov.inv().applyfunc(sp.simplify)
-        cross = a1.cross(a2)
-        sqrt_a = sp.sqrt(det)
-        a3 = cross / sp.sqrt(cross.dot(cross))
-        da = [[frame[a].diff(x) for x in (_X1, _X2)] for a in range(2)]
-        b_cov = sp.Matrix(2, 2, lambda a, b: sp.simplify(a3.dot(da[a][b])))
-        con_frame = [a_con[c, 0] * a1 + a_con[c, 1] * a2 for c in range(2)]
-        gamma = [[[sp.simplify(con_frame[c].dot(da[a][b])) for b in range(2)]
-                  for a in range(2)] for c in range(2)]
-        b_mix = sp.simplify(a_con * b_cov)
-        c_cov = sp.Matrix(2, 2, lambda a, b: sp.simplify(
-            sum(b_mix[g, a] * b_cov[g, b] for g in range(2))))
+        # partials keyed by the sorted tuple of differentiation indices
+        self._jet = {(): [exprmod.parse(c) if isinstance(c, str) else c
+                          for c in components]}
+        for order in (1, 2, 3):
+            for key in itertools.combinations_with_replacement((0, 1), order):
+                var = ("x1", "x2")[key[-1]]
+                self._jet[key] = [exprmod.differentiate(c, var)
+                                  for c in self._jet[key[:-1]]]
 
-        # the GeometryEval fields but sqrt(a) in order, matrices row-major
-        gammas = [gamma[c][a][b] for c in range(2) for a in range(2)
-                  for b in range(2)]
-        flat = [*phi, *a1, *a2, *a3, *a_cov, *a_con, *b_cov, *b_mix, *c_cov,
-                *gammas]
-        flat += [sp.diff(f, x) for f in (*b_cov, *b_mix, *gammas)
-                 for x in (_X1, _X2)]
-        self._flat_fn = sp.lambdify((_X1, _X2), flat, modules="numpy")
-        self._sqrt_a_fn = sp.lambdify((_X1, _X2), sqrt_a, modules="numpy")
-        self._pos_fn = sp.lambdify((_X1, _X2), [*phi], modules="numpy")
+    def _partials(self, points, order):
+        """The position's partials of one order at points (..., 2), as
+        (3, 2, .., 2, ...): the vector axis, one axis per index, the batch."""
+        keys = list(itertools.product((0, 1), repeat=order))
+        values = {key: [exprmod.evaluate(c, points[..., 0], points[..., 1])
+                        for c in self._jet[key]]
+                  for key in set(tuple(sorted(k)) for k in keys)}
+        out = np.array([values[tuple(sorted(k))] for k in keys])
+        return np.moveaxis(out.reshape((2,) * order + out.shape[1:]), order, 0)
+
+    def _sqrt_a(self, points):
+        return _normal(self._partials(points, 1))[1]
 
     def position(self, points):
         points = np.asarray(points, dtype=float)
         self.check_domain(points)
-        return _stack(self._pos_fn(points[..., 0], points[..., 1]),
-                      points.shape[:-1])
+        return np.moveaxis(self._partials(points, 0), 0, -1)
 
     def evaluate(self, points) -> GeometryEval:
         points = np.asarray(points, dtype=float)
         self.check_domain(points)
+        T = self._partials(points, 1)                # T[:, a] = a_a
+        cross, sqrt_a = _normal(T)
         # before the fields, which divide by sqrt(a) at a degenerate point
-        sqrt_a = _nondegenerate(self._sqrt_a(points))
-        shape = points.shape[:-1]
-        values = self._flat_fn(points[..., 0], points[..., 1])
-        flat = _stack(values[:_SQRT_A] + [sqrt_a] + values[_SQRT_A:], shape)
-        return GeometryEval(*(block.reshape(shape + tail) for block, tail in
-                              zip(np.split(flat, _FLAT_ENDS[:-1], axis=-1),
-                                  _FIELD_TAILS)))
-
-    def _sqrt_a(self, points):
-        return np.broadcast_to(self._sqrt_a_fn(points[..., 0], points[..., 1]),
-                               points.shape[:-1]).astype(float)
-
-
-def _stack(values, shape):
-    """Lambdified component values (arrays or constants) as (*shape, n)."""
-    return np.stack([np.broadcast_to(v, shape) for v in values], axis=-1)
+        _nondegenerate(sqrt_a)
+        X2, X3 = self._partials(points, 2), self._partials(points, 3)
+        # A dot product over the vector axis i is a sum of three products,
+        # so products that cancel in exact arithmetic cancel exactly: the
+        # derivative fields of constant-coefficient charts are exactly 0.
+        a_cov = np.einsum("ia...,ib...->ab...", T, T)
+        a_con = np.array([[a_cov[1, 1], -a_cov[0, 1]],
+                          [-a_cov[1, 0], a_cov[0, 0]]]) / (
+            a_cov[0, 0] * a_cov[1, 1] - a_cov[0, 1] * a_cov[1, 0])
+        # G[e, a, b] = a_e . x_ab, so that Gamma^c_ab = a^{ce} G_{e,ab}, and
+        # its partials dG[e, a, b, d] = x_ed . x_ab + a_e . x_abd
+        G = np.einsum("ie...,iab...->eab...", T, X2)
+        dG = np.einsum("ied...,iab...->eabd...", X2, X2)
+        dG += np.einsum("ie...,iabd...->eabd...", T, X3)
+        b_cov = np.einsum("i...,iab...->ab...", cross, X2) / sqrt_a
+        b_mix = np.einsum("ag...,gb...->ab...", a_con, b_cov)
+        gamma = np.einsum("ce...,eab...->cab...", a_con, G)
+        # d_d a^{ab} = -a^{ag} (d_d a_gh) a^{hb} = -(M[a,b,d] + M[b,a,d])
+        # with M[a,b,d] = a^{ag} Gamma^b_gd, as d_d a_gh = G_{h,gd} + G_{g,hd}
+        M = np.einsum("ag...,bgd...->abd...", a_con, gamma)
+        d_a_con = -(M + np.swapaxes(M, 0, 1))
+        d_christoffel = np.einsum("ce...,eabd...->cabd...", a_con, dG)
+        d_christoffel += np.einsum("ced...,eab...->cabd...", d_a_con, G)
+        # Weingarten: d_d b_ab = a3 . x_abd - b^g_d (a_g . x_ab)
+        d_b_cov = np.einsum("i...,iabd...->abd...", cross, X3) / sqrt_a
+        del dG, X3     # the largest temporaries, before the outputs grow
+        d_b_cov -= np.einsum("gd...,gab...->abd...", b_mix, G)
+        d_b_mix = np.einsum("agd...,gb...->abd...", d_a_con, b_cov)
+        d_b_mix += np.einsum("ag...,gbd...->abd...", a_con, d_b_cov)
+        fields = (self._partials(points, 0), T[:, 0], T[:, 1], cross / sqrt_a,
+                  a_cov, a_con, sqrt_a, b_cov, b_mix,
+                  np.einsum("ga...,gb...->ab...", b_mix, b_cov), gamma,
+                  d_b_cov, d_b_mix, d_christoffel)
+        # component axes last
+        k = sqrt_a.ndim
+        return GeometryEval(*(np.moveaxis(f, range(f.ndim - k),
+                                          range(k - f.ndim, 0))
+                              for f in fields))
 
 
 class ExpressionChart(Chart):
@@ -328,24 +341,20 @@ class ExpressionChart(Chart):
 
 def make_chart(kind: str, *, radius: float = 1.0, coeff: float = 1.0,
                components=None, domain=None) -> Chart:
-    """Factory for the built-in charts and user-expression charts."""
-    if kind == "plate":
-        return SymbolicChart("plate", [_X1, _X2, 0], domain)
-    if kind == "cylinder":
-        R = sp.nsimplify(radius, rational=True)
-        return SymbolicChart("cylinder",
-                             [R * sp.cos(_X1 / R), R * sp.sin(_X1 / R), _X2],
-                             domain)
-    if kind == "sphere":
-        R = sp.nsimplify(radius, rational=True)
-        dom = domain
-        return SymbolicChart("sphere",
-                             [R * sp.sin(_X1) * sp.cos(_X2),
-                              R * sp.sin(_X1) * sp.sin(_X2),
-                              R * sp.cos(_X1)], dom)
-    if kind == "hypar":
-        c = sp.nsimplify(coeff, rational=True)
-        return SymbolicChart("hypar", [_X1, _X2, c * _X1 * _X2], domain)
+    """Factory for the charts: the built-in plate, cylinder (radius R, in
+    arclength coordinates), sphere (radius R, polar angle x1) and hypar
+    (x3 = c x1 x2) as exact-jet charts of their coordinate expressions, and
+    user-expression charts."""
+    R, c = repr(float(radius)), repr(float(coeff))
+    built_in = {
+        "plate": ("x1", "x2", "0"),
+        "cylinder": (f"{R}*cos(x1/{R})", f"{R}*sin(x1/{R})", "x2"),
+        "sphere": (f"{R}*sin(x1)*cos(x2)", f"{R}*sin(x1)*sin(x2)",
+                   f"{R}*cos(x1)"),
+        "hypar": ("x1", "x2", f"{c}*x1*x2"),
+    }
+    if kind in built_in:
+        return SymbolicChart(kind, built_in[kind], domain)
     if kind == "expression":
         if components is None or len(components) != 3:
             raise GeometryError("expression chart needs 3 coordinate expressions")

@@ -5,14 +5,14 @@ surface Green-identity probe, per-triangle geometry seminorms, the
 penalized forms rho_h, gamma_h and tau_h, the Korn-type norm-equivalence
 probe, the dual H_h norm, the weak stress norm, the exact stress
 interpolant, consistency residuals, finite-difference manufactured
-loads).  The loops
-build their own dense per-DOF field arrays from each element's basis
-coefficients and take their strains from the closed-form formulas below, so
-they share no basis-trace or strain code with the package's kernel.  The
-reference local basis takes sqrt(a) from the chart's full `evaluate` and
-solves for one element and one bubble at a time; the reference element DOFs
-follow from the numbering formula, and the load vector takes its edge
-normals edge by edge from its own formula."""
+loads), and the built-in charts' coefficient fields derived with sympy.
+The loops build their own dense per-DOF field arrays from each element's
+basis coefficients and take their strains from the closed-form formulas
+below, so they share no basis-trace or strain code with the package's
+kernel.  The reference local basis takes sqrt(a) from the chart's full
+`evaluate` and solves for one element and one bubble at a time; the
+reference element DOFs follow from the numbering formula, and the load
+vector takes its edge normals edge by edge from its own formula."""
 
 from types import SimpleNamespace
 
@@ -20,12 +20,13 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
+import sympy as sp
 
 from shellfem import expr as exprmod
 from shellfem.fe_space import (_EDGE_VERTS, FIELDS, LAM, ONE, SpaceError,
                                _edge_lam12, build_dof_layout, eval_monos,
                                grad_monos, poly_mul)
-from shellfem.geometry import (_triangle_samples, eval_elastic,
+from shellfem.geometry import (GeometryEval, _triangle_samples, eval_elastic,
                                triangle_seminorms)
 from shellfem.norms import NormEngine
 from shellfem.mesh import BoundaryEdge, Mesh
@@ -781,3 +782,62 @@ def volume_loads_fd(sol, pts):
           - div_t)
     return {"c1": couple[..., 0], "c2": couple[..., 1],
             "p1": force[..., 0], "p2": force[..., 1], "p3": p3}
+
+
+# ------------------------------------------------ sympy chart-geometry oracle
+
+_X1, _X2 = sp.symbols("x1 x2", real=True)
+
+
+def sympy_chart_position(kind, radius=1.0, coeff=1.0):
+    """The position vector of the built-in chart `kind` in sympy, with its
+    parameters as exact rationals."""
+    R = sp.nsimplify(radius, rational=True)
+    c = sp.nsimplify(coeff, rational=True)
+    return {"plate": [_X1, _X2, 0],
+            "cylinder": [R * sp.cos(_X1 / R), R * sp.sin(_X1 / R), _X2],
+            "sphere": [R * sp.sin(_X1) * sp.cos(_X2),
+                       R * sp.sin(_X1) * sp.sin(_X2), R * sp.cos(_X1)],
+            "hypar": [_X1, _X2, c * _X1 * _X2]}[kind]
+
+
+def sympy_chart_geometry(phi):
+    """Every GeometryEval field of the surface with sympy position vector
+    `phi`, derived by exact symbolic differentiation and simplification and
+    lambdified: a function of points (..., 2)."""
+    phi = sp.Matrix(phi)
+    a1, a2 = phi.diff(_X1), phi.diff(_X2)
+    frame = [a1, a2]
+    a_cov = sp.Matrix(2, 2, lambda i, j: frame[i].dot(frame[j]))
+    a_con = a_cov.inv().applyfunc(sp.simplify)
+    cross = a1.cross(a2)
+    sqrt_a = sp.sqrt(sp.simplify(a_cov.det()))
+    a3 = cross / sp.sqrt(cross.dot(cross))
+    da = [[frame[a].diff(x) for x in (_X1, _X2)] for a in range(2)]
+    b_cov = sp.Matrix(2, 2, lambda a, b: sp.simplify(a3.dot(da[a][b])))
+    con_frame = [a_con[c, 0] * a1 + a_con[c, 1] * a2 for c in range(2)]
+    gammas = [sp.simplify(con_frame[c].dot(da[a][b])) for c in range(2)
+              for a in range(2) for b in range(2)]
+    b_mix = sp.simplify(a_con * b_cov)
+    c_cov = sp.Matrix(2, 2, lambda a, b: sp.simplify(
+        sum(b_mix[g, a] * b_cov[g, b] for g in range(2))))
+    # (tail shape, row-major components) of each field, in field order
+    blocks = [((3,), [*phi]), ((3,), [*a1]), ((3,), [*a2]), ((3,), [*a3]),
+              ((2, 2), [*a_cov]), ((2, 2), [*a_con]), ((), [sqrt_a]),
+              ((2, 2), [*b_cov]), ((2, 2), [*b_mix]), ((2, 2), [*c_cov]),
+              ((2, 2, 2), gammas)]
+    blocks += [(tail + (2,), [sp.diff(f, x) for f in comps
+                              for x in (_X1, _X2)])
+               for tail, comps in (blocks[7], blocks[8], blocks[10])]
+    fns = [(tail, sp.lambdify((_X1, _X2), comps, modules="numpy"))
+           for tail, comps in blocks]
+
+    def evaluate(points):
+        points = np.asarray(points, dtype=float)
+        shape = points.shape[:-1]
+        return GeometryEval(*(
+            np.stack([np.broadcast_to(v, shape).astype(float) for v in
+                      fn(points[..., 0], points[..., 1])],
+                     axis=-1).reshape(shape + tail)
+            for tail, fn in fns))
+    return evaluate

@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +229,30 @@ def test_exit_code_value_out_of_range(tmp_path, capsys, study, section, key,
     cfg = write(tmp_path, GOOD + f"\n[{section}]\n{key} = {value}\n")
     assert main([study, cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"key {key!r} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new", [
+    ("mu = 1.0", "mu = 0"),
+    ("lambda = 1.0", "lambda = -1"),
+    ("mu = 1.0", "mu = 1.0\nkappa = -1"),
+    ("kind = cylinder\nradius = 1.0", "kind = cylinder\nradius = -1.5"),
+    ("kind = cylinder\nradius = 1.0", "kind = sphere\nradius = 0"),
+])
+def test_exit_code_physical_value_out_of_range(tmp_path, capsys, old, new):
+    cfg = write(tmp_path, GOOD.replace(old, new))
+    assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 2
+    key = new.split()[-3]
+    assert f"key {key!r} must be" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_sympy_out():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+         "import shellfem.cli; print('sympy' in sys.modules)", src],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_exit_code_calibration_failure(tmp_path, capsys, monkeypatch):

@@ -4,8 +4,10 @@ import pytest
 from shellfem.geometry import (FD_STEP, DegenerateChartError, DomainError,
                                ExpressionChart, GeometryEval,
                                _tensors_from_frame, eval_elastic, make_chart)
+from shellfem.mesh import generate_rect_mesh, geometry_resolution
 
-from oracles import geometry_seminorms
+from oracles import (geometry_seminorms, sympy_chart_geometry,
+                     sympy_chart_position)
 
 
 def rand_pts(rng, n=50, lo=0.15, hi=0.85):
@@ -133,6 +135,50 @@ def test_domain_check():
         chart.evaluate(np.array([[1.5, 0.5]]))
 
 
+@pytest.mark.parametrize("kind", ["plate", "cylinder", "sphere", "hypar"])
+@pytest.mark.parametrize("method", ["evaluate", "sqrt_a", "position"])
+def test_builtin_charts_check_their_domain(kind, method):
+    chart = make_chart(kind, domain=((0.5, 1.0), (0.0, 1.0)))
+    getattr(chart, method)(np.array([[0.5, 0.5]]))
+    with pytest.raises(DomainError):
+        getattr(chart, method)(np.array([[0.7, 0.5], [1.5, 0.5]]))
+
+
+# The built-in charts and their parameters that the sympy oracle checks.
+ORACLE_CHARTS = [("plate", {}), ("cylinder", {"radius": 1.0}),
+                 ("cylinder", {"radius": 2.5}), ("sphere", {"radius": 1.0}),
+                 ("sphere", {"radius": 2.0}), ("hypar", {"coeff": 1.0}),
+                 ("hypar", {"coeff": 0.7})]
+
+
+@pytest.mark.parametrize("kind,params", ORACLE_CHARTS)
+def test_builtin_chart_matches_the_sympy_derivation(kind, params):
+    # every field, relative to the field's largest oracle value (absolute
+    # where the oracle field is zero); the sphere's samples avoid its poles
+    pts = rand_pts(np.random.default_rng(17), 60, 0.2, 1.3).reshape(12, 5, 2)
+    got = make_chart(kind, **params).evaluate(pts)
+    want = sympy_chart_geometry(sympy_chart_position(kind, **params))(pts)
+    for name in GeometryEval.__dataclass_fields__:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape, name
+        scale = np.abs(w).max() or 1.0
+        assert np.abs(g - w).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("kind,params", [("plate", {}),
+                                         ("cylinder", {"radius": 1.0})])
+def test_constant_coefficient_charts_have_exactly_zero_derivatives(kind,
+                                                                   params):
+    # a chart whose geometric coefficients are constant has exactly zero
+    # derivative fields, and so a geometry resolution of exactly 0.0
+    chart = make_chart(kind, **params)
+    g = chart.evaluate(rand_pts(np.random.default_rng(8), 200, -3.0, 3.0))
+    for name in ("d_b_cov", "d_b_mix", "d_christoffel"):
+        assert np.all(getattr(g, name) == 0.0), name
+    mesh = generate_rect_mesh((0, 1, 0, 1), 6, 6)
+    assert geometry_resolution(mesh, chart) == (0.0, 0.0)
+
+
 def test_seminorms_plate_vanish():
     chart = make_chart("plate")
     tri = np.array([[0.0, 0.0], [0.4, 0.0], [0.0, 0.4]])
@@ -194,6 +240,7 @@ def test_geometry_eval_indexing_slices_every_field():
 SQRT_A_CHARTS = {
     "plate": (("plate",), {}),
     "cylinder": (("cylinder",), {"radius": 1.5}),
+    "unit-cylinder": (("cylinder",), {"radius": 1.0}),
     "sphere": (("sphere",), {}),
     "hypar": (("hypar",), {"coeff": 0.7}),
     "bump": (("expression",), {"components": (
@@ -224,7 +271,7 @@ def test_sqrt_a_rejects_a_degenerate_chart():
         chart.evaluate(pts)
     with pytest.raises(DegenerateChartError):
         chart.sqrt_a(pts)
-    # the sphere's pole, where the symbolic sqrt(a) vanishes: `evaluate`
+    # the sphere's pole, where the exact sqrt(a) vanishes: `evaluate`
     # raises before any field that divides by it is evaluated
     pole = np.array([[0.5, 0.5], [0.0, 0.5]])
     for method in ("sqrt_a", "evaluate"):
