@@ -290,30 +290,27 @@ class FormAssembler:
         mesh, mat = self.mesh, self.material
         te, we = interval_rule(self.config.quad_edge_points)
 
-        def sweep(edges, h, left, right, tag):
+        def sweep(verts, h, left, right, tag):
             """The geometry of all edges evaluated at once."""
-            verts = np.array([e.vertices for e in edges],
-                             dtype=int).reshape(-1, 2)
             ends = mesh.vertices[verts]
             pts = (ends[:, None, 0] * (1 - te)[:, None]
                    + ends[:, None, 1] * te[:, None])          # (ne,nq,2)
             geom = batched(self.chart.evaluate, pts)
             tang = ends[:, 1] - ends[:, 0]
             tang /= np.linalg.norm(tang, axis=1)[:, None]
-            left = np.array(left, dtype=int)
             return SimpleNamespace(
                 pts=pts, geom=geom, te=te, we=we, h=h, verts=verts, left=left,
-                right=np.array(right, dtype=int), tag=np.array(tag, dtype=str),
+                right=right, tag=tag,
                 elastic=eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic,
                 arc=np.sqrt(np.einsum("eqab,ea,eb->eq", geom.a_cov, tang, tang)),
                 nbar=edge_normal(mesh, verts, left))
 
-        inner, outer = mesh.interior_edges, mesh.boundary_edges
+        inner, outer = mesh.interior, mesh.boundary
         self._edges = (
-            sweep(inner, mesh.h_e_interior, [e.left for e in inner],
-                  [e.right for e in inner], [""] * len(inner)),
-            sweep(outer, mesh.h_e_boundary, [e.triangle for e in outer],
-                  [-1] * len(outer), [e.tag for e in outer]))
+            sweep(inner.pairs, inner.h, inner.left, inner.right,
+                  np.full(len(inner.left), "")),
+            sweep(outer.pairs, outer.h, outer.triangle,
+                  np.full(len(outer.triangle), -1), outer.tag))
         return self._edges
 
     def _edge_batches(self, d):

@@ -165,6 +165,10 @@ def _build_chart(sec):
 
 def _build_mesh(sec):
     if "file" in sec:
+        extra = sorted(sec.keys() - {"file"})
+        if extra:
+            raise ConfigError(f"[mesh] key {extra[0]!r} cannot be combined "
+                              "with file")
         try:
             return load_mesh(Path(sec["file"]).read_text())
         except OSError as exc:
@@ -178,6 +182,8 @@ def _build_mesh(sec):
     if len(tags) != 4:
         raise ConfigError("[mesh] tags needs 4 entries (left,right,bottom,top)")
     grading = None
+    if "grading_toward" in sec and "grading_ratio" not in sec:
+        raise ConfigError("[mesh] key 'grading_toward' needs grading_ratio")
     if "grading_ratio" in sec:
         grading = {"ratio": _get_float(sec, "grading_ratio"),
                    "toward": sec.get("grading_toward", "left")}
@@ -347,16 +353,15 @@ def write_vtk(path: Path, problem: ShellProblem, primal: np.ndarray):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _meshcond_rows(spec: ProblemSpec, meshes):
+def write_meshcond(path: Path, spec: ProblemSpec, meshes):
+    """`meshcond.csv`: the size and the geometry resolution of each mesh."""
     rows = []
     for level, mesh in enumerate(meshes):
         rep = mesh_condition_report(mesh, spec.chart, spec.epsilon)
         rows.append({"level": level, "n_triangles": mesh.n_triangles,
-                     "h": max(mesh.h_tau),
-                     "mixed_error_factor": rep["mixed_error_factor"],
-                     "geometry_resolution": rep["geometry_resolution"],
-                     "geometry_resolved": rep["geometry_resolved"]})
-    return rows
+                     "h": max(mesh.h_tau), **rep})
+    write_csv(path, rows, ["level", "n_triangles", "h", "mixed_error_factor",
+                           "geometry_resolution", "geometry_resolved"])
 
 
 # -------------------------------------------------------------------- studies
@@ -383,9 +388,7 @@ def run_solve(spec: ProblemSpec, out: Path):
                          else f"fields_{method}.vtk"),
                   problem, sol.primal)
     write_csv(out / "norms.csv", rows, list(rows[0].keys()))
-    write_csv(out / "meshcond.csv", _meshcond_rows(spec, [spec.mesh]),
-              ["level", "n_triangles", "h", "mixed_error_factor", "geometry_resolution",
-               "geometry_resolved"])
+    write_meshcond(out / "meshcond.csv", spec, [spec.mesh])
 
 
 def _convergence_errors(spec, method, problems):
@@ -445,10 +448,8 @@ def run_convergence(spec: ProblemSpec, out: Path):
     write_csv(out / "convergence.csv", rows,
               ["method", "level", "h", "n_dofs", "err_H", "rel_err_H",
                "order", "mode"])
-    write_csv(out / "meshcond.csv",
-              _meshcond_rows(spec, [p.mesh for p in problems[:spec.levels]]),
-              ["level", "n_triangles", "h", "mixed_error_factor", "geometry_resolution",
-               "geometry_resolved"])
+    write_meshcond(out / "meshcond.csv", spec,
+                   [p.mesh for p in problems[:spec.levels]])
 
 
 def run_locking(spec: ProblemSpec, out: Path):

@@ -158,10 +158,14 @@ def _local_bases(coords, chart, free_edges: tuple):
 def _free_edge_groups(mesh, enrichment: bool):
     """(free_edges, elements) of each group of elements that share their
     sorted tuple of free local edges; all in group () without enrichment."""
-    free = [mesh.free_local_edges(t) if enrichment else ()
-            for t in range(mesh.n_triangles)]
-    for group in sorted(set(free)):
-        yield group, np.array([i for i, fe in enumerate(free) if fe == group])
+    free = np.zeros((mesh.n_triangles, 3), dtype=bool)
+    if enrichment:
+        bd = mesh.boundary
+        on = bd.tag == "F"
+        free[bd.triangle[on], bd.local[on]] = True
+    rows, group = np.unique(free, axis=0, return_inverse=True)
+    for g, row in enumerate(rows):
+        yield tuple(np.flatnonzero(row).tolist()), np.flatnonzero(group == g)
 
 
 @dataclass

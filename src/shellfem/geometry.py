@@ -381,14 +381,6 @@ def eval_elastic(geom: GeometryEval, lam: float, mu: float,
     return ElasticTensors(elastic, compliance, lam, mu, kappa)
 
 
-def _triangle_samples(tri_vertices: np.ndarray, n: int) -> np.ndarray:
-    """Barycentric lattice with n points per edge (n>=2 includes vertices) on
-    each triangle of tri_vertices (..., 3, 2); returns (..., points, 2)."""
-    lam = np.array([(i / (n - 1), j / (n - 1), 1.0 - i / (n - 1) - j / (n - 1))
-                    for i in range(n) for j in range(n - i)])
-    return lam @ tri_vertices
-
-
 def triangle_seminorms(g: GeometryEval) -> dict:
     """Sampled first-order L^inf seminorms of Gamma, b_cov and b_mix on a
     batch of triangles, from the geometry `g` at their sample points

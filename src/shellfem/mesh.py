@@ -1,16 +1,21 @@
 """Triangulations of the polygonal parameter domain.
 
 Vertices live in the parameter plane; boundary edges carry one of the tags
-D (clamped), S (soft simply supported), F (free).  Interior edges store both
-adjacent triangles; the "first" (owner) side is the lower triangle index and
-fixes the jump sign convention.
+D (clamped), S (soft simply supported), F (free).  A `Mesh` is validated
+when it is built, and it holds its edge table as arrays: interior edges with
+both adjacent triangles, the "first" (owner, `left`) one the lower triangle
+index, which fixes the jump sign convention; boundary edges with their
+triangle, local edge and tag.  Every module that runs over edges reads this
+one table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
+
+from .geometry import batched, triangle_seminorms
 
 TAGS = ("D", "S", "F")
 
@@ -19,33 +24,103 @@ class MeshError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class InteriorEdge:
-    vertices: tuple      # (i, j) with i < j
-    left: int            # owner triangle (lower index)
-    right: int
-    left_local: int      # local edge index within the owner
-    right_local: int
+def _pair(p) -> tuple:
+    return tuple(int(i) for i in p)
 
 
-@dataclass(frozen=True)
-class BoundaryEdge:
-    vertices: tuple
-    triangle: int
-    local: int
-    tag: str
-
-
-@dataclass
 class Mesh:
-    vertices: np.ndarray              # (nv, 2)
-    triangles: np.ndarray             # (nt, 3) CCW
-    interior_edges: list = field(default_factory=list)
-    boundary_edges: list = field(default_factory=list)
-    h_tau: np.ndarray = None          # (nt,) longest edge
-    h_e_interior: np.ndarray = None
-    h_e_boundary: np.ndarray = None
-    shape_regularity: float = 0.0
+    """Counterclockwise triangles (nt, 3) on vertices (nv, 2), with the
+    boundary edges given as vertex pairs (nb, 2), in any order, and their
+    tags (nb,) in D/S/F.
+
+    Local edge l of a triangle is the side opposite its local vertex l.
+    Both edge tables are sorted by (lower vertex, higher vertex):
+
+    - `interior`: `pairs` (ni, 2), lower vertex first; `left` and `right`
+      (ni,), the adjacent triangles, `left` the lower index; `h` (ni,)
+      lengths;
+    - `boundary`: `pairs` (nb, 2); `triangle`, `local` and `tag` (nb,);
+      `h` (nb,).
+
+    `side_edge` (nt, 3) numbers the edge on each side, all edges counted in
+    the order in which the triangles, and their local edges, first meet
+    them.  `h_tau` (nt,) is the longest side of each triangle and
+    `shape_regularity` the largest ratio of circumscribed to inscribed
+    diameter."""
+
+    def __init__(self, vertices, triangles, boundary_pairs, boundary_tags):
+        self.vertices = v = np.asarray(vertices, dtype=float)
+        self.triangles = tris = np.asarray(triangles, dtype=int)
+        areas = _signed_areas(v, tris)
+        bad = np.flatnonzero(areas <= 0)
+        if len(bad):
+            raise MeshError(f"triangle {bad[0]} is not counterclockwise or degenerate")
+        # the sides of all triangles, side 3 t + l the local edge l of t,
+        # grouped by edge in one stable sort, so that each edge's first side
+        # is the one of its lower triangle
+        sides = np.sort(tris[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
+        key = sides[:, 0] * len(v) + sides[:, 1]
+        by_key = np.argsort(key, kind="stable")
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = np.diff(key[by_key]) != 0
+        start = np.flatnonzero(new)
+        count = np.diff(np.append(start, len(key)))
+        if np.any(count > 2):
+            e = np.argmax(count > 2)
+            raise MeshError(f"edge {_pair(sides[by_key[start[e]]])} shared by "
+                            f"{count[e]} triangles")
+        first = by_key[start]
+        inner = count == 2
+        # each edge's number is the rank of its first side among the first
+        # sides
+        is_first = np.zeros(len(key), dtype=bool)
+        is_first[first] = True
+        side_edge = np.empty(len(key), dtype=int)
+        side_edge[by_key] = (np.cumsum(is_first) - 1)[first][np.cumsum(new) - 1]
+        self.side_edge = side_edge.reshape(-1, 3)
+        # the tags, matched to the sorted edge keys
+        tagged = np.sort(np.asarray(boundary_pairs, dtype=int).reshape(-1, 2),
+                         axis=1)
+        tags = np.asarray(boundary_tags, dtype=str).reshape(-1)
+        if len(tags) != len(tagged):
+            raise MeshError("need one tag per boundary edge")
+        unknown = ~np.isin(tags, TAGS)
+        if unknown.any():
+            raise MeshError(f"unknown boundary tag {str(tags[unknown][0])!r}")
+        pairs, ekey = sides[first], key[first]
+        at = np.minimum(np.searchsorted(
+            ekey, tagged[:, 0] * len(v) + tagged[:, 1]), len(ekey) - 1)
+        checks = (
+            ((pairs[at] != tagged).any(axis=1),
+             "tagged edge {} does not exist on the boundary"),
+            (inner[at], "edge {} is interior but tagged as boundary"),
+            (np.bincount(at, minlength=len(ekey))[at] > 1,
+             "boundary edge {} is tagged twice"))
+        for fails, message in checks:
+            if fails.any():
+                raise MeshError(message.format(_pair(tagged[fails][0])))
+        tag = np.full(len(ekey), "", dtype="<U1")
+        tag[at] = tags
+        untagged = ~inner & (tag == "")
+        if untagged.any():
+            raise MeshError(f"boundary edge {_pair(pairs[untagged][0])} has no tag")
+        lengths = np.linalg.norm(v[tris] - v[np.roll(tris, -1, axis=1)], axis=2)
+        # the norm of each edge vector, as np.linalg.norm takes it: one dot
+        d = np.diff(v[pairs], axis=1)[:, 0]
+        h = np.sqrt(np.vecdot(d, d))
+        self.interior = SimpleNamespace(
+            pairs=pairs[inner], left=first[inner] // 3,
+            right=by_key[start[inner] + 1] // 3, h=h[inner])
+        outer = ~inner
+        self.boundary = SimpleNamespace(
+            pairs=pairs[outer], triangle=first[outer] // 3,
+            local=first[outer] % 3, tag=tag[outer], h=h[outer])
+        self.h_tau = lengths.max(axis=1)
+        # circumscribed diameter / inscribed diameter; inscribed = 4 area / perimeter
+        a, b, c = lengths[:, 0], lengths[:, 1], lengths[:, 2]
+        circum = a * b * c / (2.0 * areas)
+        inscr = 4.0 * areas / (a + b + c)
+        self.shape_regularity = float((circum / inscr).max())
 
     @property
     def n_vertices(self):
@@ -54,62 +129,6 @@ class Mesh:
     @property
     def n_triangles(self):
         return len(self.triangles)
-
-    def free_local_edges(self, t: int) -> tuple:
-        return self._free_edges.get(t, ())
-
-    def finalize(self):
-        """Build edge adjacency and quality metrics; validate invariants."""
-        v = self.vertices
-        tris = self.triangles
-        areas = _signed_areas(v, tris)
-        bad = np.where(areas <= 0)[0]
-        if len(bad):
-            raise MeshError(f"triangle {bad[0]} is not counterclockwise or degenerate")
-        # local edge i is opposite local vertex i
-        edge_owner = {}
-        for t, (i, j, k) in enumerate(tris):
-            for loc, (p, q) in enumerate(((j, k), (k, i), (i, j))):
-                key = (min(p, q), max(p, q))
-                edge_owner.setdefault(key, []).append((t, loc))
-        tag_by_edge = {e.vertices: e for e in self.boundary_edges}
-        interior, boundary = [], []
-        for key, owners in sorted(edge_owner.items()):
-            if len(owners) == 2:
-                (t1, l1), (t2, l2) = sorted(owners)
-                interior.append(InteriorEdge(key, t1, t2, l1, l2))
-                if key in tag_by_edge:
-                    raise MeshError(f"edge {key} is interior but tagged as boundary")
-            elif len(owners) == 1:
-                t, loc = owners[0]
-                if key not in tag_by_edge:
-                    raise MeshError(f"boundary edge {key} has no tag")
-                boundary.append(BoundaryEdge(key, t, loc, tag_by_edge[key].tag))
-            else:
-                raise MeshError(f"edge {key} shared by {len(owners)} triangles")
-        for key in tag_by_edge:
-            if len(edge_owner.get(key, [])) != 1:
-                raise MeshError(f"tagged edge {key} does not exist on the boundary")
-        self.interior_edges = interior
-        self.boundary_edges = boundary
-        lengths = np.linalg.norm(v[tris] - v[np.roll(tris, -1, axis=1)], axis=2)
-        self.h_tau = lengths.max(axis=1)
-        self.h_e_interior = np.array([
-            np.linalg.norm(v[e.vertices[0]] - v[e.vertices[1]]) for e in interior])
-        self.h_e_boundary = np.array([
-            np.linalg.norm(v[e.vertices[0]] - v[e.vertices[1]]) for e in boundary])
-        # circumscribed diameter / inscribed diameter; inscribed = 4 area / perimeter
-        a, b, c = lengths[:, 0], lengths[:, 1], lengths[:, 2]
-        circum = a * b * c / (2.0 * areas)
-        inscr = 4.0 * areas / (a + b + c)
-        self.shape_regularity = float((circum / inscr).max())
-        self._free_edges = {}
-        for e in boundary:
-            if e.tag == "F":
-                self._free_edges.setdefault(e.triangle, [])
-                self._free_edges[e.triangle].append(e.local)
-        self._free_edges = {t: tuple(sorted(v)) for t, v in self._free_edges.items()}
-        return self
 
 
 def _signed_areas(v, tris):
@@ -173,64 +192,34 @@ def generate_rect_mesh(rect, nx: int, ny: int, tags=("D", "D", "D", "D"),
             raise MeshError("grading ratio must be in (0, 1]")
         xs = np.linspace(x1min, x1max, nx + 1)
         ys = np.linspace(x2min, x2max, ny + 1)
-    verts = np.array([(x, y) for y in ys for x in xs])
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    tris = np.array(tris, dtype=int)
-    left, right, bottom, top = tags
-    boundary = []
-    for j in range(ny):
-        boundary.append(((vid(0, j), vid(0, j + 1)), left))
-        boundary.append(((vid(nx, j), vid(nx, j + 1)), right))
-    for i in range(nx):
-        boundary.append(((vid(i, 0), vid(i + 1, 0)), bottom))
-        boundary.append(((vid(i, ny), vid(i + 1, ny)), top))
-    bedges = []
-    for (p, q), tag in boundary:
-        if tag not in TAGS:
-            raise MeshError(f"unknown boundary tag {tag!r}")
-        key = (min(p, q), max(p, q))
-        bedges.append(BoundaryEdge(key, -1, -1, tag))
-    mesh = Mesh(verts, tris, boundary_edges=bedges)
-    return mesh.finalize()
+    verts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    vid = np.arange(len(verts)).reshape(ny + 1, nx + 1)
+    a, b, c, d = vid[:-1, :-1], vid[:-1, 1:], vid[1:, 1:], vid[1:, :-1]
+    tris = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    # the vertices along the left, right, bottom and top sides
+    sides = (vid[:, 0], vid[:, -1], vid[0], vid[-1])
+    pairs = np.concatenate([np.stack([s[:-1], s[1:]], axis=1) for s in sides])
+    return Mesh(verts, tris, pairs, np.repeat(tags, [len(s) - 1 for s in sides]))
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
-    """Split every triangle into 4 by edge midpoints; boundary tags inherited."""
-    v = mesh.vertices
-    mid_index = {}
-    new_verts = list(map(tuple, v))
-
-    def midpoint(p, q):
-        key = (min(p, q), max(p, q))
-        if key not in mid_index:
-            mid_index[key] = len(new_verts)
-            new_verts.append(tuple(0.5 * (v[p] + v[q])))
-        return mid_index[key]
-
-    tris = []
-    for (i, j, k) in mesh.triangles:
-        a, b, c = midpoint(j, k), midpoint(k, i), midpoint(i, j)
-        tris.extend([(i, c, b), (c, j, a), (b, a, k), (a, b, c)])
-    bedges = []
-    for e in mesh.boundary_edges:
-        p, q = e.vertices
-        m = mid_index[(min(p, q), max(p, q))]
-        for pair in ((p, m), (m, q)):
-            key = (min(pair), max(pair))
-            bedges.append(BoundaryEdge(key, -1, -1, e.tag))
-    out = Mesh(np.array(new_verts), np.array(tris, dtype=int),
-               boundary_edges=bedges)
-    return out.finalize()
+    """Split every triangle into 4 by edge midpoints; boundary tags inherited.
+    The midpoints follow the old vertices, one per edge in `side_edge`
+    order."""
+    v, tris, bd = mesh.vertices, mesh.triangles, mesh.boundary
+    n_edges = len(mesh.interior.pairs) + len(bd.pairs)
+    mids = np.empty((n_edges, 2))
+    # local edge l of (i, j, k) runs between the other two vertices
+    mids[mesh.side_edge] = 0.5 * (v[tris[:, [1, 2, 0]]] + v[tris[:, [2, 0, 1]]])
+    i, j, k = tris.T
+    a, b, c = (mesh.n_vertices + mesh.side_edge).T
+    m = mesh.n_vertices + mesh.side_edge[bd.triangle, bd.local]
+    return Mesh(np.concatenate([v, mids]),
+                np.stack([i, c, b, c, j, a, b, a, k, a, b, c],
+                         axis=1).reshape(-1, 3),
+                np.stack([bd.pairs[:, 0], m, m, bd.pairs[:, 1]],
+                         axis=1).reshape(-1, 2),
+                np.repeat(bd.tag, 2))
 
 
 # ----------------------------------------------------------------- file I/O
@@ -291,7 +280,7 @@ def load_mesh(text: str) -> Mesh:
             raise MeshError(f"line {ln}: vertex index out of range")
         tris.append(ijk)
     brows = section("boundary")
-    bedges = []
+    listed = {}        # vertex pair -> (line, tag)
     for ln, s in brows:
         parts = s.split()
         if len(parts) != 3 or parts[2] not in TAGS:
@@ -302,7 +291,11 @@ def load_mesh(text: str) -> Mesh:
             raise MeshError(f"line {ln}: bad vertex index")
         if any(k < 0 or k >= len(verts) for k in (i, j)):
             raise MeshError(f"line {ln}: vertex index out of range")
-        bedges.append(BoundaryEdge((min(i, j), max(i, j)), -1, -1, parts[2]))
+        key = (min(i, j), max(i, j))
+        if key in listed:
+            raise MeshError(f"line {ln}: boundary edge {key} already listed on "
+                            f"line {listed[key][0]}")
+        listed[key] = (ln, parts[2])
     if pos != len(lines):
         raise MeshError(f"line {lines[pos][0]}: trailing content")
     verts = np.array(verts)
@@ -312,7 +305,7 @@ def load_mesh(text: str) -> Mesh:
     flipped = areas < 0
     if np.any(flipped):
         tris[flipped] = tris[flipped][:, ::-1]
-    return Mesh(verts, tris, boundary_edges=bedges).finalize()
+    return Mesh(verts, tris, list(listed), [tag for _, tag in listed.values()])
 
 
 def save_mesh(mesh: Mesh) -> str:
@@ -323,10 +316,18 @@ def save_mesh(mesh: Mesh) -> str:
     out.append(f"triangles {mesh.n_triangles}")
     for i, j, k in mesh.triangles:
         out.append(f"{i} {j} {k}")
-    out.append(f"boundary {len(mesh.boundary_edges)}")
-    for e in mesh.boundary_edges:
-        out.append(f"{e.vertices[0]} {e.vertices[1]} {e.tag}")
+    out.append(f"boundary {len(mesh.boundary.pairs)}")
+    for (p, q), tag in zip(mesh.boundary.pairs, mesh.boundary.tag):
+        out.append(f"{p} {q} {tag}")
     return "\n".join(out) + "\n"
+
+
+def _triangle_samples(tri_vertices: np.ndarray, n: int) -> np.ndarray:
+    """Barycentric lattice with n points per edge (n>=2 includes vertices) on
+    each triangle of tri_vertices (..., 3, 2); returns (..., points, 2)."""
+    lam = np.array([(i / (n - 1), j / (n - 1), 1.0 - i / (n - 1) - j / (n - 1))
+                    for i in range(n) for j in range(n - i)])
+    return lam @ tri_vertices
 
 
 def geometry_resolution(mesh: Mesh, chart) -> tuple:
@@ -334,7 +335,6 @@ def geometry_resolution(mesh: Mesh, chart) -> tuple:
     h_tau^2-scaled first-order geometry seminorm over the triangles, with the
     derivative directions maxed and with them summed.  The chart is evaluated
     at all 6 samples of every triangle at once."""
-    from .geometry import _triangle_samples, batched, triangle_seminorms
     samples = _triangle_samples(mesh.vertices[mesh.triangles], 3)
     semi = triangle_seminorms(batched(chart.evaluate, samples))
     s = semi["christoffel"] + semi["b_cov"] + semi["b_mix"]

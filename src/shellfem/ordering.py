@@ -5,11 +5,12 @@ Rose & Tarjan, SIAM J. Numer. Anal. 16, 1979).
 The graph has a few thousand nodes where the matrix has millions of
 entries: one node per element, at its centroid, and, with the stress block,
 one node per vertex.  An element is joined to the elements across its
-interior edges (the jump terms) and to its three vertices (the stress
-coupling B); a vertex to the other vertices of its triangles (the stress
-mass C).  Each part is split at the median of the longer side of its
-bounding box, and whichever one-sided separator holds fewer DOFs is
-numbered after both halves.  All parts of one level are split together.
+interior edges (the jump terms; the `left`/`right` pairs of the mesh's
+interior edge table) and to its three vertices (the stress coupling B); a
+vertex to the other vertices of its triangles (the stress mass C).  Each
+part is split at the median of the longer side of its bounding box, and
+whichever one-sided separator holds fewer DOFs is numbered after both
+halves.  All parts of one level are split together.
 Splits, leaves and separators go by coordinates, never by numbering, so a
 renumbered mesh gives the same ordered matrix.
 """
@@ -27,11 +28,7 @@ def _graph(mesh, layout):
     tris, nt, nv = mesh.triangles, mesh.n_triangles, mesh.n_vertices
     # centroids summed in sorted order: independent of the local vertex order
     pts = np.sort(mesh.vertices[tris], axis=1).sum(axis=1) / 3.0
-    sides = np.sort(tris[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
-    key = sides[:, 0] * nv + sides[:, 1]
-    by_key = np.argsort(key, kind="stable")
-    shared = np.flatnonzero(np.diff(key[by_key]) == 0)
-    ends = [(by_key[shared] // 3, by_key[shared + 1] // 3)]
+    ends = [(mesh.interior.left, mesh.interior.right)]
     table = layout.dofs
     if layout.with_aux:
         verts = nt + tris

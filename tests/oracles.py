@@ -26,10 +26,9 @@ from shellfem import expr as exprmod
 from shellfem.fe_space import (_EDGE_VERTS, FIELDS, LAM, ONE, SpaceError,
                                _edge_lam12, build_dof_layout, eval_monos,
                                grad_monos, poly_mul)
-from shellfem.geometry import (GeometryEval, _triangle_samples, eval_elastic,
-                               triangle_seminorms)
+from shellfem.geometry import GeometryEval, eval_elastic, triangle_seminorms
 from shellfem.norms import NormEngine
-from shellfem.mesh import BoundaryEdge, Mesh
+from shellfem.mesh import Mesh, _triangle_samples
 from shellfem.quadrature import (interval_rule, triangle_rule,
                                  triangle_rule_dense)
 
@@ -177,10 +176,8 @@ def layout_basis(tri_coords, chart, free_edges=()):
     triangle whose local edges `free_edges` are free: the one element of
     the enriched layout of that triangle alone."""
     mesh = Mesh(np.asarray(tri_coords, dtype=float), np.array([[0, 1, 2]]),
-                boundary_edges=[
-                    BoundaryEdge(tuple(sorted(_EDGE_VERTS[k])), -1, -1,
-                                 "F" if k in free_edges else "D")
-                    for k in range(3)]).finalize()
+                [_EDGE_VERTS[k] for k in range(3)],
+                ["F" if k in free_edges else "D" for k in range(3)])
     layout = build_dof_layout(mesh, chart, enrichment=True)
     return layout.coeffs[0, :layout.nf[0]]
 
@@ -211,7 +208,7 @@ def reference_project_primal(fields, mesh, chart, layout):
     for t in range(mesh.n_triangles):
         lb = reference_local_basis(
             mesh.vertices[mesh.triangles[t]], chart,
-            mesh.free_local_edges(t) if layout.with_aux else ())
+            free_local_edges(mesh, t) if layout.with_aux else ())
         dofs = reference_element_dofs(layout, t)
         nf = len(lb.coeffs)
         lamv = eval_monos(lb.vol_lam) @ LAM.T
@@ -232,6 +229,70 @@ def reference_project_primal(fields, mesh, chart, layout):
             out[dofs[start:start + nf]] = np.linalg.solve(lb.moment_matrix,
                                                           np.array(rhs))
     return out
+
+
+# ------------------------------------------------------ mesh edge discovery
+
+
+def reference_edge_table(vertices, triangles, boundary_pairs, boundary_tags):
+    """The edge table of a valid mesh from a dict of the triangle sides:
+    interior pairs, left, right and lengths; boundary pairs, triangle, local
+    edge, tag and lengths, each sorted by vertex pair."""
+    owners = {}
+    for t, (i, j, k) in enumerate(triangles):
+        for loc, (p, q) in enumerate(((j, k), (k, i), (i, j))):
+            owners.setdefault((min(p, q), max(p, q)), []).append((t, loc))
+    tag_of = {tuple(sorted(pair)): tag
+              for pair, tag in zip(boundary_pairs, boundary_tags)}
+    inner, outer = [], []
+    for key, sides in sorted(owners.items()):
+        length = np.linalg.norm(vertices[key[0]] - vertices[key[1]])
+        if len(sides) == 2:
+            (t1, _), (t2, _) = sorted(sides)
+            inner.append((key, t1, t2, length))
+        else:
+            (t, loc), = sides
+            outer.append((key, t, loc, tag_of[key], length))
+    cols = [np.array(c) for c in zip(*inner)] + [np.array(c)
+                                                 for c in zip(*outer)]
+    names = ("interior_pairs", "left", "right", "interior_h",
+             "boundary_pairs", "triangle", "local", "tag", "boundary_h")
+    return dict(zip(names, cols))
+
+
+def reference_refine(mesh):
+    """Vertices, triangles, boundary pairs and tags of the uniform
+    refinement, numbering each edge midpoint when a triangle first meets
+    it."""
+    v = mesh.vertices
+    mid_index = {}
+    new_verts = list(map(tuple, v))
+
+    def midpoint(p, q):
+        key = (min(p, q), max(p, q))
+        if key not in mid_index:
+            mid_index[key] = len(new_verts)
+            new_verts.append(tuple(0.5 * (v[p] + v[q])))
+        return mid_index[key]
+
+    tris = []
+    for i, j, k in mesh.triangles:
+        a, b, c = midpoint(j, k), midpoint(k, i), midpoint(i, j)
+        tris.extend([(i, c, b), (c, j, a), (b, a, k), (a, b, c)])
+    pairs, tags = [], []
+    for (p, q), tag in zip(mesh.boundary.pairs, mesh.boundary.tag):
+        m = mid_index[(p, q)]
+        pairs += [(p, m), (m, q)]
+        tags += [tag, tag]
+    return np.array(new_verts), np.array(tris), pairs, tags
+
+
+def free_local_edges(mesh, t):
+    """The sorted local edges of triangle t tagged F."""
+    bd = mesh.boundary
+    return tuple(sorted(int(loc) for tri, loc, tag in
+                        zip(bd.triangle, bd.local, bd.tag)
+                        if tri == t and tag == "F"))
 
 
 # ------------------------------------------------------ per-DOF field arrays
@@ -324,21 +385,20 @@ def reference_load_vector(asm, loads):
             fv[0] @ th[:, :, 0] + fv[1] @ th[:, :, 1] + fv[2] @ u[:, :, 0]
             + fv[3] @ u[:, :, 1] + fv[4] @ w)
     te, we = interval_rule(asm.config.quad_edge_points)
-    for k, edge in enumerate(mesh.boundary_edges):
-        if edge.tag == "D":
+    bd = mesh.boundary
+    for pair, t, tag, h in zip(bd.pairs, bd.triangle, bd.tag, bd.h):
+        if tag == "D":
             continue
-        t = edge.triangle
-        p, q = mesh.vertices[list(edge.vertices)]
+        p, q = mesh.vertices[pair]
         pts = np.outer(1 - te, p) + np.outer(te, q)
         geom = asm.chart.evaluate(pts)
-        nbar = edge_normal(mesh, edge.vertices, t)
-        h = mesh.h_e_boundary[k]
+        nbar = edge_normal(mesh, pair, t)
         th, _, u, _, w, _ = local_fields(asm, t, pts)
         if loads.flux_provider is not None:
             m, nmem, tsh = loads.flux_provider.boundary_fluxes(pts)
             wsa = h * we * geom.sqrt_a
             loc = np.einsum("q,qa,qia->i", wsa, m @ nbar, th)
-            if edge.tag == "F":
+            if tag == "F":
                 qf = (nmem - np.einsum("qga,qab->qgb", geom.b_mix, m)) @ nbar
                 loc += np.einsum("q,qg,qig->i", wsa, qf, u)
                 loc += (wsa * (tsh @ nbar)) @ w
@@ -348,7 +408,7 @@ def reference_load_vector(asm, loads):
                                               tang, tang))
             loc = ((warc * _at(loads.r1, pts)) @ th[:, :, 0]
                    + (warc * _at(loads.r2, pts)) @ th[:, :, 1])
-            if edge.tag == "F":
+            if tag == "F":
                 loc += ((warc * _at(loads.q1, pts)) @ u[:, :, 0]
                         + (warc * _at(loads.q2, pts)) @ u[:, :, 1]
                         + (warc * _at(loads.q3, pts)) @ w)

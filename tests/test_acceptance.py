@@ -13,8 +13,8 @@ from shellfem.expr import (Bin, Call, Const, Num, Unary, Var, evaluate, parse,
 from shellfem.fe_space import build_dof_layout, eval_monos
 from shellfem.geometry import ExpressionChart, eval_elastic, make_chart
 from shellfem.manufactured import ManufacturedSolution
-from shellfem.mesh import (BoundaryEdge, Mesh, generate_rect_mesh,
-                           mesh_condition_report, refine_uniform)
+from shellfem.mesh import (Mesh, generate_rect_mesh, mesh_condition_report,
+                           refine_uniform)
 from shellfem.norms import NormEngine
 from shellfem.regime import (VERDICT_BENDING, VERDICT_NON_BENDING,
                              detect_regime)
@@ -291,10 +291,8 @@ def test_criterion_08_strain_energy_norm_equivalence():
 
 def _permuted_mesh(mesh, rng):
     perm = rng.permutation(mesh.n_triangles)
-    return Mesh(vertices=mesh.vertices.copy(),
-                triangles=mesh.triangles[perm].copy(),
-                boundary_edges=[BoundaryEdge(e.vertices, 0, 0, e.tag)
-                                for e in mesh.boundary_edges]).finalize()
+    return Mesh(mesh.vertices.copy(), mesh.triangles[perm].copy(),
+                mesh.boundary.pairs, mesh.boundary.tag)
 
 
 def test_criterion_09_cross_path_equality():

@@ -16,13 +16,14 @@ from shellfem.driver import ShellProblem
 from shellfem.fe_space import build_dof_layout
 from shellfem.geometry import make_chart
 from shellfem.manufactured import ManufacturedSolution
-from shellfem.mesh import (BoundaryEdge, Mesh, MeshError, generate_rect_mesh,
+from shellfem.mesh import (Mesh, MeshError, generate_rect_mesh,
                            mesh_condition_report, refine_uniform)
 from shellfem.norms import NormEngine
 
-from oracles import (edge_normal, geometry_seminorms, reference_element_dofs,
-                     reference_error_norms, reference_forms, reference_grams,
-                     reference_load_vector, reference_local_basis)
+from oracles import (edge_normal, free_local_edges, geometry_seminorms,
+                     reference_element_dofs, reference_error_norms,
+                     reference_forms, reference_grams, reference_load_vector,
+                     reference_local_basis)
 
 FIELDS = {"theta1": "sin(pi * x1) * sin(pi * x2)",
           "theta2": "x1 * (1 - x1) * x2 * (1 - x2)",
@@ -163,11 +164,9 @@ def test_locate_returns_the_brute_force_owners(n, grading):
     rng = np.random.default_rng(n)
     base = generate_rect_mesh((0.0, 2.0, -1.0, 0.5), n, n + 1,
                               tags=("D", "F", "F", "F"), grading=grading)
-    mesh = Mesh(vertices=base.vertices.copy(),
-                triangles=base.triangles[rng.permutation(
-                    base.n_triangles)].copy(),
-                boundary_edges=[BoundaryEdge(e.vertices, 0, 0, e.tag)
-                                for e in base.boundary_edges]).finalize()
+    mesh = Mesh(base.vertices.copy(),
+                base.triangles[rng.permutation(base.n_triangles)].copy(),
+                base.boundary.pairs, base.boundary.tag)
     problem = ShellProblem(chart=make_chart("plate"), mesh=mesh,
                            penalty_C=20.0)
     field = DiscreteField(problem, np.zeros(
@@ -273,7 +272,7 @@ def assert_layout_matches_reference(mesh, chart):
     coords = mesh.vertices[mesh.triangles]
     groups = set()
     for t in range(mesh.n_triangles):
-        one = reference_local_basis(coords[t], chart, mesh.free_local_edges(t))
+        one = reference_local_basis(coords[t], chart, free_local_edges(mesh, t))
         groups.add(one.free_edges)
         assert layout.nf[t] == len(one.coeffs)
         assert_close(layout.coeffs[t, :layout.nf[t]], one.coeffs)
@@ -285,10 +284,8 @@ def every_group_mesh():
     """A free triangle refined twice: its elements hold all seven free-edge
     groups, (), (0,), (1,), (2,), (0, 1), (0, 2) and (1, 2)."""
     return refine_uniform(refine_uniform(Mesh(
-        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        triangles=np.array([[0, 1, 2]]),
-        boundary_edges=[BoundaryEdge(e, -1, -1, "F")
-                        for e in ((0, 1), (1, 2), (0, 2))]).finalize()))
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]),
+        [(0, 1), (1, 2), (0, 2)], ["F"] * 3)))
 
 
 @pytest.mark.parametrize("chart", [bump_chart(), make_chart("cylinder")],
@@ -311,7 +308,7 @@ def test_layout_asks_for_sqrt_a_once_per_free_edge_group(chart_evaluations):
         chart_evaluations.clear()
         build_dof_layout(mesh, chart, enrichment=True)
         assert all(name == "sqrt_a" for name, _ in chart_evaluations)
-        enriched = {mesh.free_local_edges(t)
+        enriched = {free_local_edges(mesh, t)
                     for t in range(mesh.n_triangles)} - {()}
         assert len(chart_evaluations) == len(enriched)
         calls.append(len(chart_evaluations))
@@ -345,7 +342,7 @@ LAYOUT_MESHES = pytest.mark.parametrize("chart,mesh,enrichment", [
 def test_layout_dofs_follow_the_numbering_formula(chart, mesh, enrichment):
     layout = build_dof_layout(mesh, chart, enrichment=enrichment)
     for t in range(mesh.n_triangles):
-        free = mesh.free_local_edges(t) if enrichment else ()
+        free = free_local_edges(mesh, t) if enrichment else ()
         assert layout.nf[t] == 3 + 2 * len(free)
         n = 6 + 3 * layout.nf[t]
         assert np.array_equal(layout.dofs[t, :n],
@@ -364,11 +361,12 @@ def test_edge_normals_match_per_edge_formula(mesh):
     asm = FormAssembler(mesh, chart, build_dof_layout(mesh, chart, False),
                         Material(), AssemblyConfig())
     interior, boundary = asm._edge_data()
-    for d, edges, owner in ((interior, mesh.interior_edges, "left"),
-                            (boundary, mesh.boundary_edges, "triangle")):
-        assert d.nbar.shape == (len(edges), 2)
-        assert_close(d.nbar, [edge_normal(mesh, e.vertices, getattr(e, owner))
-                              for e in edges])
+    for d, pairs, owners in (
+            (interior, mesh.interior.pairs, mesh.interior.left),
+            (boundary, mesh.boundary.pairs, mesh.boundary.triangle)):
+        assert d.nbar.shape == (len(pairs), 2)
+        assert_close(d.nbar, [edge_normal(mesh, p, t)
+                              for p, t in zip(pairs, owners)])
 
 
 @pytest.mark.parametrize("method,tags", [

@@ -11,7 +11,7 @@ from shellfem.cli import (ConfigError, STUDIES, build_spec, main,
                           parse_config)
 from shellfem.fe_space import build_dof_layout
 from shellfem.geometry import make_chart
-from shellfem.mesh import refine_uniform
+from shellfem.mesh import generate_rect_mesh, refine_uniform, save_mesh
 from shellfem.regime import VERDICT_BENDING
 
 GOOD = """
@@ -109,6 +109,46 @@ def test_exit_code_mesh_error(tmp_path, capsys):
         "nx = 2\nny = 2\ntags = D, D, D, D", ""))
     assert main(["solve", cfg, "--out", str(tmp_path)]) == 3
     assert "mesh" in capsys.readouterr().err
+
+
+def file_mesh_config(tmp_path, mesh_text, extra=""):
+    """GOOD with its [mesh] section replaced by `file =` (and `extra`)."""
+    mesh_file = tmp_path / "case.mesh"
+    mesh_file.write_text(mesh_text)
+    return write(tmp_path, GOOD.replace(
+        "rect = 0, 1, 0, 1\nnx = 2\nny = 2\ntags = D, D, D, D",
+        f"file = {mesh_file}{extra}"))
+
+
+def test_exit_code_boundary_edge_listed_twice(tmp_path, capsys):
+    lines = save_mesh(generate_rect_mesh((0, 1, 0, 1), 2, 2)).splitlines()
+    at = lines.index("boundary 8")
+    i, j, _ = lines[at + 1].split()
+    lines[at] = "boundary 9"
+    lines.append(f"{j} {i} F")
+    cfg = file_mesh_config(tmp_path, "\n".join(lines) + "\n")
+    assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert (f"line {len(lines)}: boundary edge ({i}, {j}) already listed on "
+            f"line {at + 2}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "rect = 0, 1, 0, 1", "nx = 2", "ny = 3", "tags = D, F, F, F",
+    "grading_ratio = 0.5", "grading_toward = left"])
+def test_exit_code_mesh_keys_beside_file(tmp_path, capsys, line):
+    text = save_mesh(generate_rect_mesh((0, 1, 0, 1), 2, 2))
+    cfg = file_mesh_config(tmp_path, text, "\n" + line)
+    assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 2
+    key = line.split()[0]
+    assert (f"[mesh] key {key!r} cannot be combined with file"
+            in capsys.readouterr().err)
+
+
+def test_exit_code_grading_side_without_ratio(tmp_path, capsys):
+    cfg = write(tmp_path, GOOD.replace("nx = 2", "nx = 2\ngrading_toward = top"))
+    assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert ("[mesh] key 'grading_toward' needs grading_ratio"
+            in capsys.readouterr().err)
 
 
 def test_solve_study_artifacts(tmp_path):
@@ -299,6 +339,16 @@ def test_readme_python_example_runs_as_written(capsys):
     exec(block, scope)
     assert scope["verdict"].verdict == VERDICT_BENDING
     assert scope["best"] is scope["sols"]["mixed_eps"]
+    assert capsys.readouterr().out
+
+
+def test_readme_mesh_example_runs_as_written(capsys):
+    """The README example that builds a Mesh from arrays."""
+    block = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)[1]
+    scope = {}
+    exec(block, scope)
+    assert scope["square"].interior.pairs.tolist() == [[0, 3]]
+    assert scope["fine"].n_triangles == 8
     assert capsys.readouterr().out
 
 

@@ -5,7 +5,7 @@ from shellfem.fe_space import FIELDS, SpaceError, build_dof_layout, eval_monos
 from shellfem.geometry import make_chart
 from shellfem.mesh import generate_rect_mesh, refine_uniform
 
-from oracles import (_moment_rows, layout_basis, local_fields,
+from oracles import (_moment_rows, free_local_edges, layout_basis, local_fields,
                      reference_local_basis, reference_project_primal)
 
 
@@ -96,7 +96,7 @@ def test_dof_counts_with_free_edges():
     mesh, layout = layout_for(("D", "F", "D", "D"), nx=1, ny=2)
     # two triangles each own one free edge: 2 extras x 3 fields = 6 apiece
     n_free = sum(1 for t in range(mesh.n_triangles)
-                 if mesh.free_local_edges(t))
+                 if free_local_edges(mesh, t))
     assert n_free == 2
     assert layout.n_block2 == 6 * n_free
 
@@ -105,7 +105,7 @@ def test_dof_counts_two_free_edges_per_element():
     # a 1x1 rect splits into two triangles; with three sides free one
     # triangle holds two free edges (4 extras x 3 fields = 12)
     mesh, layout = layout_for(("D", "F", "F", "F"), nx=1, ny=1)
-    per_elem = [len(mesh.free_local_edges(t)) for t in range(2)]
+    per_elem = [len(free_local_edges(mesh, t)) for t in range(2)]
     assert sorted(per_elem) == [1, 2]
     assert layout.n_block2 == 6 + 12
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from shellfem.geometry import make_chart
-from shellfem.mesh import (Mesh, MeshError, generate_rect_mesh, load_mesh,
+from shellfem.mesh import (MeshError, generate_rect_mesh, load_mesh,
                            mesh_condition_report, refine_uniform, save_mesh)
+
+from oracles import reference_edge_table, reference_refine
 
 
 def test_rect_mesh_counts_and_euler():
@@ -13,9 +15,9 @@ def test_rect_mesh_counts_and_euler():
         nt = 2 * nx * ny
         assert m.n_vertices == nv
         assert m.n_triangles == nt
-        ne = len(m.interior_edges) + len(m.boundary_edges)
+        ne = len(m.interior.pairs) + len(m.boundary.pairs)
         assert nv - ne + nt == 1                      # Euler, one hole-free patch
-        assert len(m.boundary_edges) == 2 * (nx + ny)
+        assert len(m.boundary.pairs) == 2 * (nx + ny)
 
 
 def test_triangles_ccw_and_area():
@@ -30,17 +32,17 @@ def test_triangles_ccw_and_area():
 
 def test_boundary_tags_assigned_per_side():
     m = generate_rect_mesh((0, 1, 0, 1), 2, 2, tags=("D", "S", "F", "D"))
-    for e in m.boundary_edges:
-        p, q = m.vertices[list(e.vertices)]
+    for pair, tag in zip(m.boundary.pairs, m.boundary.tag):
+        p, q = m.vertices[pair]
         mid = 0.5 * (p + q)
         if np.isclose(mid[0], 0):
-            assert e.tag == "D"
+            assert tag == "D"
         elif np.isclose(mid[0], 1):
-            assert e.tag == "S"
+            assert tag == "S"
         elif np.isclose(mid[1], 0):
-            assert e.tag == "F"
+            assert tag == "F"
         else:
-            assert e.tag == "D"
+            assert tag == "D"
 
 
 def test_grading_example():
@@ -62,9 +64,8 @@ def test_refine_uniform():
         assert (0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])).sum() \
             == pytest.approx(want)
     # boundary tags survive refinement, each side split in two
-    assert len(r.boundary_edges) == 2 * len(m.boundary_edges)
-    assert ({e.tag for e in r.boundary_edges}
-            == {e.tag for e in m.boundary_edges})
+    assert len(r.boundary.pairs) == 2 * len(m.boundary.pairs)
+    assert set(r.boundary.tag) == set(m.boundary.tag)
     assert max(r.h_tau) == pytest.approx(0.5 * max(m.h_tau))
 
 
@@ -74,8 +75,10 @@ def test_save_load_round_trip():
     m2 = load_mesh(text)
     assert np.allclose(m.vertices, m2.vertices)
     assert np.array_equal(m.triangles, m2.triangles)
-    tags1 = sorted((tuple(sorted(e.vertices)), e.tag) for e in m.boundary_edges)
-    tags2 = sorted((tuple(sorted(e.vertices)), e.tag) for e in m2.boundary_edges)
+    tags1 = sorted((tuple(sorted(p)), t) for p, t in zip(m.boundary.pairs,
+                                                         m.boundary.tag))
+    tags2 = sorted((tuple(sorted(p)), t) for p, t in zip(m2.boundary.pairs,
+                                                         m2.boundary.tag))
     assert tags1 == tags2
 
 
@@ -127,3 +130,96 @@ def test_mesh_condition_sphere_scales_with_h():
     r2 = mesh_condition_report(refine_uniform(m), chart, epsilon=0.1)
     assert 0 < r2["geometry_resolution"] < r1["geometry_resolution"]
     assert r2["mixed_error_factor"] < r1["mixed_error_factor"]
+
+
+def mesh_text(vertices, triangles, boundary):
+    """The `naghdi-mesh 1` text of the given vertices, triangles and
+    (i, j, tag) boundary lines."""
+    return "\n".join(
+        ["naghdi-mesh 1", f"vertices {len(vertices)}"]
+        + [f"{x} {y}" for x, y in vertices]
+        + [f"triangles {len(triangles)}"]
+        + [f"{i} {j} {k}" for i, j, k in triangles]
+        + [f"boundary {len(boundary)}"]
+        + [f"{i} {j} {tag}" for i, j, tag in boundary]) + "\n"
+
+
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+SQUARE_TRIS = [(0, 1, 3), (0, 3, 2)]
+SQUARE_SIDES = [(0, 1, "D"), (1, 3, "S"), (2, 3, "F"), (0, 2, "D")]
+
+
+@pytest.mark.parametrize("vertices,triangles,boundary,fragment", [
+    (SQUARE + [(0.5, -1.0), (0.5, 2.0)], [(0, 1, 2), (0, 1, 4), (1, 0, 3)],
+     [], "edge \\(0, 1\\) shared by 3 triangles"),
+    (SQUARE, SQUARE_TRIS, SQUARE_SIDES + [(0, 3, "D")],
+     "edge \\(0, 3\\) is interior"),
+    (SQUARE, SQUARE_TRIS, SQUARE_SIDES[1:], "edge \\(0, 1\\) has no tag"),
+    (SQUARE, SQUARE_TRIS, SQUARE_SIDES + [(1, 2, "F")],
+     "edge \\(1, 2\\) does not exist"),
+    (SQUARE + [(2.0, 0.0)], SQUARE_TRIS + [(0, 1, 4)], SQUARE_SIDES,
+     "triangle 2 is not counterclockwise or degenerate"),
+], ids=["three-triangles", "tagged-interior", "untagged-boundary",
+        "tagged-absent", "zero-area"])
+def test_invalid_meshes_are_rejected(vertices, triangles, boundary, fragment):
+    with pytest.raises(MeshError, match=fragment):
+        load_mesh(mesh_text(vertices, triangles, boundary))
+
+
+def test_boundary_edge_listed_twice_names_the_second_line():
+    text = mesh_text(SQUARE, SQUARE_TRIS, SQUARE_SIDES + [(1, 0, "F")])
+    with pytest.raises(MeshError, match="line 15: boundary edge \\(0, 1\\) "
+                                        "already listed on line 11"):
+        load_mesh(text)
+
+
+def assert_matches_reference(mesh, boundary_pairs, boundary_tags):
+    """Every array of the mesh's edge table equals the dict-based one."""
+    ref = reference_edge_table(mesh.vertices, mesh.triangles, boundary_pairs,
+                               boundary_tags)
+    inner, outer = mesh.interior, mesh.boundary
+    got = {"interior_pairs": inner.pairs, "left": inner.left,
+           "right": inner.right, "interior_h": inner.h,
+           "boundary_pairs": outer.pairs, "triangle": outer.triangle,
+           "local": outer.local, "tag": outer.tag, "boundary_h": outer.h}
+    for name, want in ref.items():
+        assert np.array_equal(got[name], want), name
+
+
+RECTS = {
+    "1x1": (1, None),
+    "3x3-graded": (3, {"ratio": 0.4, "toward": "top"}),
+    "12x12": (12, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECTS))
+def test_edge_table_matches_dict_discovery(name):
+    n, grading = RECTS[name]
+    mesh = generate_rect_mesh((0.0, 1.0, -0.5, 1.5), n, n,
+                              tags=("D", "S", "F", "F"), grading=grading)
+    assert_matches_reference(mesh, mesh.boundary.pairs, mesh.boundary.tag)
+    # two levels of refinement: the same vertices, triangles and tagged
+    # edges as the midpoint dict, and again the same table
+    for _ in range(2):
+        vertices, triangles, pairs, tags = reference_refine(mesh)
+        mesh = refine_uniform(mesh)
+        assert np.array_equal(mesh.vertices, vertices)
+        assert np.array_equal(mesh.triangles, triangles)
+        assert_matches_reference(mesh, pairs, tags)
+
+
+def test_edge_table_of_a_renumbered_file_matches_dict_discovery():
+    rng = np.random.default_rng(7)
+    base = generate_rect_mesh((0.0, 2.0, 0.0, 1.0), 6, 4,
+                              tags=("F", "D", "S", "F"))
+    new_id = rng.permutation(base.n_vertices)
+    vertices = np.empty_like(base.vertices)
+    vertices[new_id] = base.vertices
+    triangles = new_id[base.triangles[rng.permutation(base.n_triangles)]]
+    pairs = new_id[base.boundary.pairs][rng.permutation(len(base.boundary.pairs))]
+    tags = dict(zip(map(tuple, new_id[base.boundary.pairs]), base.boundary.tag))
+    boundary = [(i, j, tags[(i, j)]) for i, j in pairs]
+    mesh = load_mesh(mesh_text(vertices, triangles, boundary))
+    assert_matches_reference(mesh, [(i, j) for i, j, _ in boundary],
+                             [t for _, _, t in boundary])

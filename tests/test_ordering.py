@@ -6,7 +6,7 @@ import pytest
 from shellfem.assembly import AssemblyConfig, FormAssembler, Material
 from shellfem.fe_space import build_dof_layout
 from shellfem.geometry import make_chart
-from shellfem.mesh import BoundaryEdge, Mesh, generate_rect_mesh
+from shellfem.mesh import Mesh, generate_rect_mesh
 from shellfem.solve import _saddle_point, ordered, realize_via_theta
 
 CASES = {
@@ -39,9 +39,7 @@ def renumbered(mesh, rng):
     verts = np.empty_like(mesh.vertices)
     verts[new_id] = mesh.vertices
     tris = new_id[mesh.triangles[rng.permutation(mesh.n_triangles)]]
-    edges = [BoundaryEdge(tuple(sorted(new_id[list(e.vertices)])), -1, -1,
-                          e.tag) for e in mesh.boundary_edges]
-    return Mesh(verts, tris, boundary_edges=edges).finalize()
+    return Mesh(verts, tris, new_id[mesh.boundary.pairs], mesh.boundary.tag)
 
 
 def systems(asm):
