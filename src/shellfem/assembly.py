@@ -24,6 +24,8 @@ the stress coupling block has shape (n_block3, n_primal).
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -37,6 +39,11 @@ from .mesh import edge_normal
 from .ordering import nested_dissection
 from .quadrature import interval_rule, triangle_rule
 from .solve import SolverError, factor, ordered
+
+# glibc keeps the heap pages that the forms' temporaries freed resident;
+# `forms` hands them back once it is built, which keeps them out of the
+# later peaks, the factor's above all
+_LIBC = ctypes.CDLL(None) if os.name == "posix" else None
 
 
 class CalibrationError(SolverError):
@@ -419,6 +426,8 @@ class FormAssembler:
         forms["B"] = coupling.csr(coupling.data(pieces["B"]))
         forms["C"] = stress.csr(stress.data(pieces["C"]))
         self._forms = forms
+        if hasattr(_LIBC, "malloc_trim"):
+            _LIBC.malloc_trim(0)
         return forms
 
     def _stress_mass(self):

@@ -71,8 +71,7 @@ class Mesh:
                             f"{count[e]} triangles")
         first = by_key[start]
         inner = count == 2
-        # each edge's number is the rank of its first side among the first
-        # sides
+        # each edge's number: the rank of its first side among first sides
         is_first = np.zeros(len(key), dtype=bool)
         is_first[first] = True
         side_edge = np.empty(len(key), dtype=int)
@@ -105,9 +104,9 @@ class Mesh:
         if untagged.any():
             raise MeshError(f"boundary edge {_pair(pairs[untagged][0])} has no tag")
         lengths = np.linalg.norm(v[tris] - v[np.roll(tris, -1, axis=1)], axis=2)
-        # the norm of each edge vector, as np.linalg.norm takes it: one dot
+        # lengths as np.linalg.norm takes them: a (1,2)@(2,1) matmul is one dot
         d = np.diff(v[pairs], axis=1)[:, 0]
-        h = np.sqrt(np.vecdot(d, d))
+        h = np.sqrt((d[:, None] @ d[..., None])[:, 0, 0])
         self.interior = SimpleNamespace(
             pairs=pairs[inner], left=first[inner] // 3,
             right=by_key[start[inner] + 1] // 3, h=h[inner])

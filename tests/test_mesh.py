@@ -223,3 +223,19 @@ def test_edge_table_of_a_renumbered_file_matches_dict_discovery():
     mesh = load_mesh(mesh_text(vertices, triangles, boundary))
     assert_matches_reference(mesh, [(i, j) for i, j, _ in boundary],
                              [t for _, _, t in boundary])
+
+
+NUMPY_2_ONLY = ("vecdot", "matvec", "vecmat", "concat", "astype",
+                "permute_dims", "unique_inverse", "unique_counts",
+                "cumulative_sum")
+
+
+def test_mesh_is_built_without_numpy_2_only_functions(monkeypatch):
+    # pyproject.toml accepts numpy >= 1.24, which lacks these functions
+    for name in NUMPY_2_ONLY:
+        monkeypatch.delattr(np, name, raising=False)
+    for name in ("vecdot", "vector_norm", "matrix_norm"):
+        monkeypatch.delattr(np.linalg, name, raising=False)
+    mesh = refine_uniform(generate_rect_mesh(
+        (0.0, 1.0, 0.0, 1.0), 3, 3, tags=("D", "S", "F", "F")))
+    assert_matches_reference(mesh, mesh.boundary.pairs, mesh.boundary.tag)
