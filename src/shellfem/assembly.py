@@ -355,12 +355,10 @@ class FormAssembler:
                 pair = np.concatenate([self._dofs(d.left[k]),
                                        self._dofs(d.right[k])], axis=1)
                 blocks.append((pair, pair))
-            aux = self.layout.with_aux
             self._patterns = (
                 _Pattern((n, n), blocks),
-                _Pattern((n3, n), [(e.aux[t], self._dofs(t)) for t in groups]
-                         if aux else []),
-                _Pattern((n3, n3), [(e.aux, e.aux)] if aux else []))
+                _Pattern((n3, n), [(e.aux[t], self._dofs(t)) for t in groups]),
+                _Pattern((n3, n3), [(e.aux, e.aux)]))
         return self._patterns
 
     # ----------------------------------------------------------- global forms
@@ -372,7 +370,6 @@ class FormAssembler:
         if self._forms is not None:
             return self._forms
         mu, kappa = self.material.mu, self.material.kappa
-        aux = self.layout.with_aux
         primal, coupling, stress = self._pattern()
         pieces = {key: [] for key in
                   ("R", "R_pen", "G", "G_pen", "T", "T_pen", "B", "C")}
@@ -389,12 +386,9 @@ class FormAssembler:
             pieces["G"].append((slots, _gram(wfac, A @ gam, gam)))
             pieces["T"].append((slots, kappa * mu * _gram(
                 wfac, e.geom.a_con[t] @ tau, tau)))
-            if aux:
-                pieces["B"].append((coupling.slots(e.aux[t], dofs),
-                                    _gram(wfac, S, B[:, :, 4:10])))
-        if aux:
-            pieces["C"].append((stress.slots(e.aux, e.aux),
-                                self._stress_mass()))
+            pieces["B"].append((coupling.slots(e.aux[t], dofs),
+                                _gram(wfac, S, B[:, :, 4:10])))
+        pieces["C"].append((stress.slots(e.aux, e.aux), self._stress_mass()))
 
         for d in self._edge_data():
             Se = _aux_basis(np.stack([1 - d.te, d.te], axis=1))[None]
@@ -415,11 +409,11 @@ class FormAssembler:
                 pen_w = _gram(d.we, jw, jw)
                 pieces["G_pen"].append((slots, _gram(d.we, ju, ju) + pen_w))
                 pieces["T_pen"].append((slots, pen_w))
-                if aux:     # -(M^{ab}[v_a]n_b + xi^a [z]n_a), as in Se
-                    rows = (5 * d.verts[k, :, None]
-                            + np.arange(5)).reshape(len(k), 10)
-                    pieces["B"].append((coupling.slots(rows, dofs),
-                                        -_gram(wsa, Se, jump[:, :, 7:13])))
+                # -(M^{ab}[v_a]n_b + xi^a [z]n_a), as in Se
+                rows = (5 * d.verts[k, :, None]
+                        + np.arange(5)).reshape(len(k), 10)
+                pieces["B"].append((coupling.slots(rows, dofs),
+                                    -_gram(wsa, Se, jump[:, :, 7:13])))
 
         forms = {key: primal.csr(primal.data(pieces.pop(key))) for key in
                  ("R", "R_pen", "G", "G_pen", "T", "T_pen")}

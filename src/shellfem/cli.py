@@ -51,8 +51,8 @@ SCHEMA = {
 
 def parse_config(text: str) -> dict:
     """Parse `[section]` / `key = value` text into nested dicts, rejecting
-    sections and keys outside SCHEMA."""
-    sections = {}
+    sections and keys outside SCHEMA and keys given twice in a section."""
+    sections, lines = {}, {}
     current = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -76,6 +76,10 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {ln}: empty key")
         if key not in SCHEMA[current]:
             raise ConfigError(f"line {ln}: unknown key {key!r} in [{current}]")
+        if (current, key) in lines:
+            raise ConfigError(f"line {ln}: key {key!r} in [{current}] already "
+                              f"given on line {lines[current, key]}")
+        lines[current, key] = ln
         sections[current][key] = value.strip()
     return sections
 

@@ -1,7 +1,8 @@
 """Problem bundle tying a chart, mesh, material, loads, and solver choices
-together.  One assembly per mesh serves both methods and every thickness:
-the penalized system is the leading unenriched block of the mixed one, and
-the penalty constant is calibrated once and shared across refinements."""
+together.  One assembly per mesh, on the one (enriched) layout, serves both
+methods and every thickness: the penalized system is the leading plain P1
+block of the mixed one, and the penalty constant is calibrated once and
+shared across refinements."""
 
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ class ShellProblem:
 
     def _assembler(self) -> FormAssembler:
         if self._asm is None:
-            layout = build_dof_layout(self.mesh, self.chart, enrichment=True)
+            layout = build_dof_layout(self.mesh, self.chart)
             self._asm = FormAssembler(
                 self.mesh, self.chart, layout, self.material,
                 replace(self.config, penalty_C=self.penalty_C))

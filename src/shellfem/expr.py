@@ -10,10 +10,16 @@ than unary minus):
     atom   := NUMBER | 'x1' | 'x2' | 'pi' | 'e' | FUNC '(' expr ')' | '(' expr ')'
 
 Supported functions: sin cos tan exp log sqrt abs.
+
+`differentiate` takes exact partials.  `jet` takes those of a list of
+expressions up to an order, each mixed partial once, and `partials`
+evaluates one order of them; the built-in charts and the manufactured
+solutions read their derivatives through this pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -306,6 +312,30 @@ def differentiate(node: Node, var: str) -> Node:
     """Symbolic partial derivative with respect to 'x1' or 'x2'."""
     d = _diff(node, var)
     return simplify(d)
+
+
+def jet(components, order: int) -> dict:
+    """The partials of the expressions `components` (ASTs or strings) up to
+    `order`, keyed by the sorted tuple of differentiation indices (0 for x1,
+    1 for x2): each mixed partial is taken once."""
+    out = {(): [parse(c) if isinstance(c, str) else c for c in components]}
+    for k in range(1, order + 1):
+        for key in itertools.combinations_with_replacement((0, 1), k):
+            out[key] = [differentiate(c, ("x1", "x2")[key[-1]])
+                        for c in out[key[:-1]]]
+    return out
+
+
+def partials(jet, points, order: int) -> np.ndarray:
+    """The partials of one order of the components of `jet` at points
+    (..., 2), as (n, 2, .., 2, ...): the component axis, one axis per index,
+    the batch axes."""
+    keys = list(itertools.product((0, 1), repeat=order))
+    values = {key: [evaluate(c, points[..., 0], points[..., 1])
+                    for c in jet[key]]
+              for key in set(tuple(sorted(k)) for k in keys)}
+    out = np.array([values[tuple(sorted(k))] for k in keys])
+    return np.moveaxis(out.reshape((2,) * order + out.shape[1:]), order, 0)
 
 
 def _diff(node: Node, var: str) -> Node:

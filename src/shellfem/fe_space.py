@@ -6,12 +6,14 @@ Local polynomials are stored as coefficient vectors over barycentric
 monomials l1^i * l2^j of total degree <= 3 (l3 = 1 - l1 - l2 substituted).
 Local edge k is the edge opposite local vertex k.
 
-The DOF layout is three arrays over the elements: the displacement basis
-coefficients, the number of basis functions and the global DOFs of each
-element (see `DofLayout`).  Plain P1 elements take the barycentric
-coordinates LAM, which need no geometry.  Elements with free edges are
-built per free-edge group (the three single edges and the three pairs),
-each group from one sqrt(a) evaluation.
+There is one DOF layout, the enriched one with its stress block; both
+methods read it, the penalized one through its leading P1 block.  It is
+three arrays over the elements: the displacement basis coefficients, the
+number of basis functions and the global DOFs of each element (see
+`DofLayout`).  Plain P1 elements take the barycentric coordinates LAM,
+which need no geometry.  Elements with free edges are built per free-edge
+group (the three single edges and the three pairs), each group from one
+sqrt(a) evaluation.
 """
 
 from __future__ import annotations
@@ -155,14 +157,13 @@ def _local_bases(coords, chart, free_edges: tuple):
     return coeffs
 
 
-def _free_edge_groups(mesh, enrichment: bool):
+def _free_edge_groups(mesh):
     """(free_edges, elements) of each group of elements that share their
-    sorted tuple of free local edges; all in group () without enrichment."""
+    sorted tuple of free local edges."""
     free = np.zeros((mesh.n_triangles, 3), dtype=bool)
-    if enrichment:
-        bd = mesh.boundary
-        on = bd.tag == "F"
-        free[bd.triangle[on], bd.local[on]] = True
+    bd = mesh.boundary
+    on = bd.tag == "F"
+    free[bd.triangle[on], bd.local[on]] = True
     rows, group = np.unique(free, axis=0, return_inverse=True)
     for g, row in enumerate(rows):
         yield tuple(np.flatnonzero(row).tolist()), np.flatnonzero(group == g)
@@ -181,7 +182,6 @@ class DofLayout:
     (nf[t] each); rotations use the first three (P1) functions."""
 
     mesh: object
-    with_aux: bool                 # enriched, with block3
     coeffs: np.ndarray             # (nt, nf_max, N_MONO), zero-padded
     nf: np.ndarray                 # (nt,) basis functions, 3 on P1 elements
     dofs: np.ndarray               # (nt, 6 + 3 nf_max), padded with -1
@@ -196,7 +196,7 @@ class DofLayout:
 
     @property
     def n_block3(self):
-        return 5 * self.mesh.n_vertices if self.with_aux else 0
+        return 5 * self.mesh.n_vertices
 
     @property
     def n_primal(self):
@@ -207,13 +207,12 @@ class DofLayout:
         return self.n_primal + self.n_block3
 
 
-def build_dof_layout(mesh, chart, enrichment: bool) -> DofLayout:
-    """The enriched layout with its auxiliary block, or (`enrichment`
-    False) the plain P1 primal layout without one.  Plain P1 elements take
-    LAM; only the enriched free-edge groups ask the chart for sqrt(a)."""
+def build_dof_layout(mesh, chart) -> DofLayout:
+    """The enriched layout with its auxiliary block.  Plain P1 elements take
+    LAM; only the free-edge groups ask the chart for sqrt(a)."""
     nt = mesh.n_triangles
     coords = mesh.vertices[mesh.triangles]
-    groups = [(g, t) for g, t in _free_edge_groups(mesh, enrichment) if g]
+    groups = [(g, t) for g, t in _free_edge_groups(mesh) if g]
     nf = np.full(nt, 3)
     coeffs = np.zeros((nt, 3 + 2 * max((len(g) for g, _ in groups),
                                        default=0), N_MONO))
@@ -232,5 +231,5 @@ def build_dof_layout(mesh, chart, enrichment: bool) -> DofLayout:
     dofs = np.full((nt, 6 + 3 * nf.max()), -1)
     dofs[np.arange(dofs.shape[1]) < 6 + 3 * nf[:, None]] = local[
         j < np.where(f < 2, 3, nf[e])]
-    return DofLayout(mesh, enrichment, coeffs, nf, dofs)
+    return DofLayout(mesh, coeffs, nf, dofs)
 

@@ -2,12 +2,13 @@
 
 Charts map parameter coordinates (x1, x2) to points of a surface in R^3.
 Built-in charts (plate, cylinder, sphere, hypar) are coordinate expressions
-whose partials up to third order `expr.differentiate` takes exactly, once per
-chart; one routine maps that jet to every coefficient field by the Gauss and
-Weingarten formulas.  User-expression charts fall back to central finite
-differences.  `Chart.evaluate` gives every coefficient field; `Chart.sqrt_a`
-gives the area element alone, which is all that the DOF layout asks for (once
-per group of elements that share their free edges).
+whose partials up to third order `expr.jet` takes exactly, once per chart,
+and `expr.partials` evaluates; one routine maps that jet to every
+coefficient field by the Gauss and Weingarten formulas.  User-expression
+charts fall back to central finite differences.  `Chart.evaluate` gives
+every coefficient field; `Chart.sqrt_a` gives the area element alone, which
+is all that the DOF layout asks for (once per group of elements that share
+their free edges).
 
 Index conventions used throughout the package:
     a_cov[a, b]        = a_{ab}
@@ -21,7 +22,6 @@ Index conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -176,48 +176,32 @@ def _normal(tan):
 
 class SymbolicChart(Chart):
     """Chart given by three coordinate expressions and differentiated
-    exactly: `expr.differentiate` gives the partials of the position up to
-    third order once, and every coefficient field and its first derivatives
+    exactly: `expr.jet` gives the partials of the position up to third
+    order once, and every coefficient field and its first derivatives
     follow from that jet by the Gauss and Weingarten formulas."""
 
     def __init__(self, name: str, components, domain=None):
         self.name = name
         self.domain = domain
-        # partials keyed by the sorted tuple of differentiation indices
-        self._jet = {(): [exprmod.parse(c) if isinstance(c, str) else c
-                          for c in components]}
-        for order in (1, 2, 3):
-            for key in itertools.combinations_with_replacement((0, 1), order):
-                var = ("x1", "x2")[key[-1]]
-                self._jet[key] = [exprmod.differentiate(c, var)
-                                  for c in self._jet[key[:-1]]]
-
-    def _partials(self, points, order):
-        """The position's partials of one order at points (..., 2), as
-        (3, 2, .., 2, ...): the vector axis, one axis per index, the batch."""
-        keys = list(itertools.product((0, 1), repeat=order))
-        values = {key: [exprmod.evaluate(c, points[..., 0], points[..., 1])
-                        for c in self._jet[key]]
-                  for key in set(tuple(sorted(k)) for k in keys)}
-        out = np.array([values[tuple(sorted(k))] for k in keys])
-        return np.moveaxis(out.reshape((2,) * order + out.shape[1:]), order, 0)
+        self._jet = exprmod.jet(components, 3)
 
     def _sqrt_a(self, points):
-        return _normal(self._partials(points, 1))[1]
+        return _normal(exprmod.partials(self._jet, points, 1))[1]
 
     def position(self, points):
         points = np.asarray(points, dtype=float)
         self.check_domain(points)
-        return np.moveaxis(self._partials(points, 0), 0, -1)
+        return np.moveaxis(exprmod.partials(self._jet, points, 0), 0, -1)
 
     def evaluate(self, points) -> GeometryEval:
         points = np.asarray(points, dtype=float)
         self.check_domain(points)
-        T = self._partials(points, 1)                # T[:, a] = a_a
+        T = exprmod.partials(self._jet, points, 1)   # T[:, a] = a_a
         cross, sqrt_a = _normal(T)
         # before the fields, which divide by sqrt(a) at a degenerate point
         _nondegenerate(sqrt_a)
-        X2, X3 = self._partials(points, 2), self._partials(points, 3)
+        X0, X2, X3 = (exprmod.partials(self._jet, points, k)
+                      for k in (0, 2, 3))
         # A dot product over the vector axis i is a sum of three products,
         # so products that cancel in exact arithmetic cancel exactly: the
         # derivative fields of constant-coefficient charts are exactly 0.
@@ -245,7 +229,7 @@ class SymbolicChart(Chart):
         d_b_cov -= np.einsum("gd...,gab...->abd...", b_mix, G)
         d_b_mix = np.einsum("agd...,gb...->abd...", d_a_con, b_cov)
         d_b_mix += np.einsum("ag...,gbd...->abd...", a_con, d_b_cov)
-        fields = (self._partials(points, 0), T[:, 0], T[:, 1], cross / sqrt_a,
+        fields = (X0, T[:, 0], T[:, 1], cross / sqrt_a,
                   a_cov, a_con, sqrt_a, b_cov, b_mix,
                   np.einsum("ga...,gb...->ab...", b_mix, b_cov), gamma,
                   d_b_cov, d_b_mix, d_christoffel)

@@ -11,10 +11,12 @@ and derives volume loads (forces and couples) and boundary fluxes from the
 covariant divergence formulas, so that the exact fields solve the continuous
 model whose energy multiplies the membrane/shear part by theta_total.
 
-All derivatives are exact: field derivatives are symbolic, and stress
-divergences use covariant derivatives of the strains (the metric contraction
-commutes with covariant differentiation) together with the stored derivative
-fields of the curvature tensor and Christoffel symbols.
+All derivatives are exact: the fields' partials up to second order are one
+exact jet (`expr.jet`), and stress divergences use covariant derivatives of
+the strains (the metric contraction commutes with covariant
+differentiation) together with the stored derivative fields of the
+curvature tensor and Christoffel symbols.  `volume_loads` evaluates the
+geometry, the elastic tensor, the field partials and the strains once each.
 """
 
 from __future__ import annotations
@@ -33,67 +35,51 @@ class ManufacturedSolution:
         self.chart = chart
         self.material = material
         self.theta_total = float(theta_total)
-        self.asts = {}
-        self.dasts = {}
-        self.ddasts = {}
-        for name in FIELDS:
-            ast = field_exprs[name]
-            if isinstance(ast, str):
-                ast = exprmod.parse(ast)
-            self.asts[name] = ast
-            d = [exprmod.differentiate(ast, "x1"),
-                 exprmod.differentiate(ast, "x2")]
-            self.dasts[name] = d
-            self.ddasts[name] = [[exprmod.differentiate(di, v)
-                                  for v in ("x1", "x2")] for di in d]
+        self._jet = exprmod.jet([field_exprs[n] for n in FIELDS], 2)
 
     # ------------------------------------------------------------- evaluation
 
+    def _partials(self, pts, order):
+        """The fields' partials of one order at pts (..., 2), as
+        (..., 5, 2, .., 2): the field axis, then one axis per index."""
+        d = exprmod.partials(self._jet, np.asarray(pts, dtype=float), order)
+        return np.moveaxis(d, range(order + 1), range(-order - 1, 0))
+
     def values(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        x1, x2 = pts[..., 0], pts[..., 1]
-        return np.stack([exprmod.evaluate(self.asts[n], x1, x2)
-                         for n in FIELDS], axis=-1)
+        return self._partials(pts, 0)
 
     def grads(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        x1, x2 = pts[..., 0], pts[..., 1]
-        return np.stack([
-            np.stack([exprmod.evaluate(self.dasts[n][0], x1, x2),
-                      exprmod.evaluate(self.dasts[n][1], x1, x2)], axis=-1)
-            for n in FIELDS], axis=-2)
+        return self._partials(pts, 1)
 
     def hessians(self, pts):
         """(..., 5, 2, 2) with [..., f, i, j] = d_j d_i field_f."""
-        pts = np.asarray(pts, dtype=float)
-        x1, x2 = pts[..., 0], pts[..., 1]
-        shape = np.broadcast(x1, x2).shape
-        out = np.empty(shape + (5, 2, 2))
-        for f, n in enumerate(FIELDS):
-            for i in range(2):
-                for j in range(2):
-                    out[..., f, i, j] = exprmod.evaluate(
-                        self.ddasts[n][i][j], x1, x2)
-        return out
+        return self._partials(pts, 2)
 
     def strains_at(self, pts, geom=None):
         if geom is None:
-            geom = self.chart.evaluate(np.asarray(pts, dtype=float))
+            geom = self.chart.evaluate(pts)
         return strain.field_strains(self.values(pts), self.grads(pts), geom)
+
+    def _elastic(self, geom):
+        mat = self.material
+        return eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic
+
+    def _stresses(self, geom, el, strains):
+        """Stress resultants (m, nmem, t) from the elastic tensor `el` and
+        the strains (rho, gamma, tau) at the points of `geom`."""
+        rho, gam, tau = strains
+        m = (1.0 / 3.0) * np.einsum("...abcd,...cd->...ab", el, rho)
+        nmem = self.theta_total * np.einsum("...abcd,...cd->...ab", el, gam)
+        t = (self.theta_total * self.material.kappa * self.material.mu
+             * np.einsum("...ab,...b->...a", geom.a_con, tau))
+        return m, nmem, t
 
     def stresses(self, pts, geom=None):
         """Stress resultants (m, nmem, t) at parameter points."""
-        pts = np.asarray(pts, dtype=float)
         if geom is None:
             geom = self.chart.evaluate(pts)
-        mat = self.material
-        el = eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic
-        rho, gam, tau = self.strains_at(pts, geom)
-        m = (1.0 / 3.0) * np.einsum("...abcd,...cd->...ab", el, rho)
-        nmem = self.theta_total * np.einsum("...abcd,...cd->...ab", el, gam)
-        t = (self.theta_total * mat.kappa * mat.mu
-             * np.einsum("...ab,...b->...a", geom.a_con, tau))
-        return m, nmem, t
+        return self._stresses(geom, self._elastic(geom),
+                              self.strains_at(pts, geom))
 
     # flux provider protocol used by the load assembler on S/F boundaries
     def boundary_fluxes(self, pts):
@@ -101,15 +87,11 @@ class ManufacturedSolution:
 
     # ------------------------------------------------------------ volume loads
 
-    def strain_covariant_partials(self, pts, geom=None):
+    @staticmethod
+    def _strain_covariant_partials(geom, v, g, hh, strains):
         """Exact covariant derivatives rho_{ab|c}, gamma_{ab|c}, tau_{a|c}
-        (last axis is the differentiation index)."""
-        pts = np.asarray(pts, dtype=float)
-        if geom is None:
-            geom = self.chart.evaluate(pts)
-        v = self.values(pts)
-        g = self.grads(pts)
-        hh = self.hessians(pts)
+        (last axis is the differentiation index) of the fields with values
+        v, gradients g, Hessians hh and strains (rho, gamma, tau)."""
         th, u, w = v[..., 0:2], v[..., 2:4], v[..., 4]
         dth, du, dw = g[..., 0:2, :], g[..., 2:4, :], g[..., 4, :]
         ddth, ddu, ddw = hh[..., 0:2, :, :], hh[..., 2:4, :, :], hh[..., 4, :, :]
@@ -119,8 +101,7 @@ class ManufacturedSolution:
         db = geom.d_b_cov
         bm = geom.b_mix                           # [..., g, a] = b^g_a
         dbm = geom.d_b_mix                        # [..., g, a, d]
-
-        rho, gam, tau = strain.field_strains(v, g, geom)
+        rho, gam, tau = strains
 
         # tau_a = d_a w + b^g_a u_g + theta_a
         dta = (ddw
@@ -165,13 +146,13 @@ class ManufacturedSolution:
 
     def volume_loads(self, pts):
         """Couples c^a and forces p^1,p^2,p^3 at parameter points (exact)."""
-        pts = np.asarray(pts, dtype=float)
         geom = self.chart.evaluate(pts)
-        mat = self.material
-        el = eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic
-        m, nmem, t = self.stresses(pts, geom)
-        drho_cov, dgam_cov, dtau_cov = self.strain_covariant_partials(pts,
-                                                                      geom)
+        mat, el = self.material, self._elastic(geom)
+        v, g, hh = (self._partials(pts, k) for k in range(3))
+        strains = strain.field_strains(v, g, geom)
+        m, nmem, t = self._stresses(geom, el, strains)
+        drho_cov, dgam_cov, dtau_cov = self._strain_covariant_partials(
+            geom, v, g, hh, strains)
         # metric contractions commute with covariant differentiation
         div_m = (1.0 / 3.0) * np.einsum("...abcd,...cdb->...a", el, drho_cov)
         div_n = self.theta_total * np.einsum("...abcd,...cdb->...a", el,

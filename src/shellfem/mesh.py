@@ -168,29 +168,22 @@ def generate_rect_mesh(rect, nx: int, ny: int, tags=("D", "D", "D", "D"),
     SW-NE diagonal.
 
     rect: (x1min, x1max, x2min, x2max); tags: (left, right, bottom, top);
-    grading: optional dict {'ratio': r, 'toward': side in left/right/bottom/top}.
+    grading: optional dict {'ratio': r, 'toward': side in left/right/bottom/top};
+    a grading without a known side is an error.
     """
     x1min, x1max, x2min, x2max = rect
     if nx < 1 or ny < 1:
         raise MeshError("nx, ny must be >= 1")
-    ratio = 1.0
-    toward = None
+    xs = np.linspace(x1min, x1max, nx + 1)
+    ys = np.linspace(x2min, x2max, ny + 1)
     if grading:
-        ratio = float(grading.get("ratio", 1.0))
-        toward = grading.get("toward")
-    if toward in ("left", "right"):
-        xs = _graded_coords(x1min, x1max, nx, ratio, toward == "left")
-        ys = np.linspace(x2min, x2max, ny + 1)
-    elif toward in ("bottom", "top"):
-        xs = np.linspace(x1min, x1max, nx + 1)
-        ys = _graded_coords(x2min, x2max, ny, ratio, toward == "bottom")
-    else:
-        if grading and toward is not None:
+        ratio, toward = float(grading.get("ratio", 1.0)), grading.get("toward")
+        if toward in ("left", "right"):
+            xs = _graded_coords(x1min, x1max, nx, ratio, toward == "left")
+        elif toward in ("bottom", "top"):
+            ys = _graded_coords(x2min, x2max, ny, ratio, toward == "bottom")
+        else:
             raise MeshError(f"unknown grading side {toward!r}")
-        if not (0 < ratio <= 1):
-            raise MeshError("grading ratio must be in (0, 1]")
-        xs = np.linspace(x1min, x1max, nx + 1)
-        ys = np.linspace(x2min, x2max, ny + 1)
     verts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
     vid = np.arange(len(verts)).reshape(ny + 1, nx + 1)
     a, b, c, d = vid[:-1, :-1], vid[:-1, 1:], vid[1:, 1:], vid[1:, :-1]

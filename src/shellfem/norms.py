@@ -122,7 +122,7 @@ class NormEngine:
 
     def discrete_norms(self, primal: np.ndarray, aux: np.ndarray = None, *,
                        epsilon: float) -> NormReport:
-        p = self._pieces(primal, aux=aux if self.layout.with_aux else None)
+        p = self._pieces(primal, aux=aux)
         rho, gam, tau, a, H = (_root(p, k)
                                for k in ("rho", "gamma", "tau", "a", "H"))
         V = float(np.sqrt(p["V"])) if "V" in p else None

@@ -3,8 +3,8 @@ geometric nested dissection (George, SIAM J. Numer. Anal. 10, 1973; Lipton,
 Rose & Tarjan, SIAM J. Numer. Anal. 16, 1979).
 
 The graph has a few thousand nodes where the matrix has millions of
-entries: one node per element, at its centroid, and, with the stress block,
-one node per vertex.  An element is joined to the elements across its
+entries: one node per element, at its centroid, and one node per vertex
+(the stress block).  An element is joined to the elements across its
 interior edges (the jump terms; the `left`/`right` pairs of the mesh's
 interior edge table) and to its three vertices (the stress coupling B); a
 vertex to the other vertices of its triangles (the stress mass C).  Each
@@ -28,19 +28,15 @@ def _graph(mesh, layout):
     tris, nt, nv = mesh.triangles, mesh.n_triangles, mesh.n_vertices
     # centroids summed in sorted order: independent of the local vertex order
     pts = np.sort(mesh.vertices[tris], axis=1).sum(axis=1) / 3.0
-    ends = [(mesh.interior.left, mesh.interior.right)]
-    table = layout.dofs
-    if layout.with_aux:
-        verts = nt + tris
-        ends += [(np.repeat(np.arange(nt), 3), verts.ravel()),
-                 (verts.ravel(), np.roll(verts, 1, axis=1).ravel())]
-        pts = np.concatenate([pts, mesh.vertices])
-        table = np.full((nt + nv, table.shape[1]), -1)
-        table[:nt] = layout.dofs
-        table[nt:, :5] = (layout.n_primal + 5 * np.arange(nv)[:, None]
-                          + np.arange(5))
-    i, j = (np.concatenate(e) for e in zip(*ends))
-    return pts, table, i, j
+    verts = nt + tris
+    i, j = (np.concatenate(e) for e in zip(
+        (mesh.interior.left, mesh.interior.right),
+        (np.repeat(np.arange(nt), 3), verts.ravel()),
+        (verts.ravel(), np.roll(verts, 1, axis=1).ravel())))
+    table = np.full((nt + nv, layout.dofs.shape[1]), -1)
+    table[:nt] = layout.dofs
+    table[nt:, :5] = layout.n_primal + 5 * np.arange(nv)[:, None] + np.arange(5)
+    return np.concatenate([pts, mesh.vertices]), table, i, j
 
 
 def nested_dissection(mesh, layout) -> np.ndarray:

@@ -24,7 +24,6 @@ class RegimeReport:
     thresholds: dict
     epsilon: float = None
     mesh_condition: dict = field(default_factory=dict)
-    per_element_norm: np.ndarray = None
 
     def to_text(self) -> str:
         lines = [
@@ -57,16 +56,6 @@ class RegimeReport:
 VERDICT_BENDING = "bending-dominated"
 VERDICT_NON_BENDING = "non-bending (membrane/shear or intermediate)"
 VERDICT_INCONCLUSIVE = "inconclusive"
-
-
-def _element_H_map(engine, primal):
-    """Per-element plain L2 norm of all five fields (theta1, theta2, u1, u2,
-    w), for inspection alongside the global verdict."""
-    asm = engine.asm
-    e = asm._elem_data()
-    vals, _ = asm.field_values(primal, np.arange(asm.mesh.n_triangles))
-    return np.sqrt(np.sum(e.areas[:, None] * e.wq * np.sum(vals ** 2, axis=-1),
-                          axis=1))
 
 
 def detect_regime(problem: ShellProblem, thresholds: dict = None,
@@ -120,8 +109,7 @@ def detect_regime(problem: ShellProblem, thresholds: dict = None,
     report = RegimeReport(
         norm_mixed_eps=n_eps, norm_mixed_half_eps=n_half, norm_extrap=n_ext,
         norm_dg=n_dg, ratios=ratios, verdict=verdict, thresholds=th,
-        epsilon=eps, mesh_condition=cond,
-        per_element_norm=_element_H_map(eng, sol_eps.primal))
+        epsilon=eps, mesh_condition=cond)
     if keep_solutions is not None:
         keep_solutions.update({"mixed_eps": sol_eps, "mixed_half": sol_half,
                                "dg": sol_dg, "extrap": extrap})

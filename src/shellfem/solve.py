@@ -111,7 +111,7 @@ def realize_via_theta(assembler, mode: str, epsilon: float,
     """Single-program path: one assembled parameterized primal matrix yields
     the mixed method (theta=1, full saddle point) or the penalized method
     (theta = eps^-2, leading block-1 submatrix, so the solution has n_block1
-    entries; on an unenriched layout that is the whole primal matrix).  Each
+    entries; without free edges that is the whole primal matrix).  Each
     system is factored in the assembler's mesh order, restricted to it."""
     layout = assembler.layout
     f = loads_rhs if loads_rhs is not None else np.zeros(layout.n_primal)

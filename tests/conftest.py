@@ -5,18 +5,26 @@ from shellfem.assembly import FormAssembler
 from shellfem.geometry import ExpressionChart, SymbolicChart
 from shellfem.norms import NormEngine
 
+from oracles import PlainLayout
+
+
+def _origin(layout):
+    """The label of `layout`: "dg" for the oracles' plain P1 layout,
+    "mixed" for the package's enriched one."""
+    return "dg" if isinstance(layout, PlainLayout) else "mixed"
+
 
 @pytest.fixture
 def form_builds(monkeypatch):
-    """List that records, in order, the layout ("mixed": enriched with the
-    auxiliary block, "dg": plain P1) of every assembler that builds its forms
-    during the test."""
+    """List that records, in order, the layout ("mixed": the package's
+    enriched one, "dg": the oracles' plain P1 one) of every assembler that
+    builds its forms during the test."""
     builds = []
     forms = FormAssembler.forms
 
     def counting_forms(self):
         if self._forms is None:
-            builds.append("mixed" if self.layout.with_aux else "dg")
+            builds.append(_origin(self.layout))
         return forms(self)
     monkeypatch.setattr(FormAssembler, "forms", counting_forms)
     return builds
@@ -32,7 +40,7 @@ def gram_builds(monkeypatch):
 
     def counting_grams(self):
         if self._grams is None:
-            builds.append("mixed" if self.layout.with_aux else "dg")
+            builds.append(_origin(self.layout))
         return grams(self)
     monkeypatch.setattr(NormEngine, "grams", counting_grams)
     return builds

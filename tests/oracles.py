@@ -23,9 +23,9 @@ import scipy.sparse.linalg as spla
 import sympy as sp
 
 from shellfem import expr as exprmod
-from shellfem.fe_space import (_EDGE_VERTS, FIELDS, LAM, ONE, SpaceError,
-                               _edge_lam12, build_dof_layout, eval_monos,
-                               grad_monos, poly_mul)
+from shellfem.fe_space import (_EDGE_VERTS, FIELDS, LAM, ONE, DofLayout,
+                               SpaceError, _edge_lam12, build_dof_layout,
+                               eval_monos, grad_monos, poly_mul)
 from shellfem.geometry import GeometryEval, eval_elastic, triangle_seminorms
 from shellfem.norms import NormEngine
 from shellfem.mesh import Mesh, _triangle_samples
@@ -178,7 +178,7 @@ def layout_basis(tri_coords, chart, free_edges=()):
     mesh = Mesh(np.asarray(tri_coords, dtype=float), np.array([[0, 1, 2]]),
                 [_EDGE_VERTS[k] for k in range(3)],
                 ["F" if k in free_edges else "D" for k in range(3)])
-    layout = build_dof_layout(mesh, chart, enrichment=True)
+    layout = build_dof_layout(mesh, chart)
     return layout.coeffs[0, :layout.nf[0]]
 
 
@@ -198,6 +198,21 @@ def reference_element_dofs(layout, t):
     return np.array(dofs)
 
 
+class PlainLayout(DofLayout):
+    """The plain P1 layout: no element enriched, whatever its edges."""
+
+
+def plain_layout(mesh):
+    """The plain P1 primal layout of `mesh`, numbered by
+    `reference_element_dofs`, with the stress block of the package's
+    layout: the reference space of the penalized method."""
+    nt = mesh.n_triangles
+    layout = PlainLayout(mesh, np.tile(LAM, (nt, 1, 1)), np.full(nt, 3), None)
+    layout.dofs = np.array([reference_element_dofs(layout, t)
+                            for t in range(nt)])
+    return layout
+
+
 def reference_project_primal(fields, mesh, chart, layout):
     """Element-wise weighted-L2 projection of the smooth fields (callables
     of points, by name) onto the primal space of `layout`, one element and
@@ -208,7 +223,7 @@ def reference_project_primal(fields, mesh, chart, layout):
     for t in range(mesh.n_triangles):
         lb = reference_local_basis(
             mesh.vertices[mesh.triangles[t]], chart,
-            free_local_edges(mesh, t) if layout.with_aux else ())
+            free_local_edges(mesh, t) if layout.nf[t] > 3 else ())
         dofs = reference_element_dofs(layout, t)
         nf = len(lb.coeffs)
         lamv = eval_monos(lb.vol_lam) @ LAM.T
@@ -545,18 +560,17 @@ def reference_forms(asm):
         add("G", *rc, np.einsum("q,qkab,qlab->kl", wfac, agam, st.gamma))
         add("T", *rc, kappa * mu * np.einsum("q,qab,qka,qlb->kl", wfac,
                                              e.geom.a_con[t], st.tau, st.tau))
-        if layout.with_aux:
-            Mten, xiv = aux_tensors(e.bary)
-            adofs = aux_dofs(mesh.triangles[t])
-            add("B", adofs[:, None], dofs[None, :],
-                np.einsum("q,qmab,qkab->mk", wfac, Mten, st.gamma)
-                + np.einsum("q,qma,qka->mk", wfac, xiv, st.tau))
-            add("C", adofs[:, None], adofs[None, :],
-                np.einsum("q,qabcd,qmcd,qnab->mn", wfac,
-                          e.elastic.compliance[t], Mten, Mten)
-                + (1.0 / (kappa * mu))
-                * np.einsum("q,qab,qmb,qna->mn", wfac, e.geom.a_cov[t],
-                            xiv, xiv))
+        Mten, xiv = aux_tensors(e.bary)
+        adofs = aux_dofs(mesh.triangles[t])
+        add("B", adofs[:, None], dofs[None, :],
+            np.einsum("q,qmab,qkab->mk", wfac, Mten, st.gamma)
+            + np.einsum("q,qma,qka->mk", wfac, xiv, st.tau))
+        add("C", adofs[:, None], adofs[None, :],
+            np.einsum("q,qabcd,qmcd,qnab->mn", wfac,
+                      e.elastic.compliance[t], Mten, Mten)
+            + (1.0 / (kappa * mu))
+            * np.einsum("q,qab,qmb,qna->mn", wfac, e.geom.a_cov[t],
+                        xiv, xiv))
 
     for ed in [ed for edges in edge_list(asm) for ed in edges]:
         if ed.tag == "F":
@@ -585,11 +599,10 @@ def reference_forms(asm):
         P = np.einsum("q,qi,qj->ij", ed.we, jw, jw)
         add("Gp", *rc, P)
         add("Tp", *rc, P)
-        if layout.with_aux:
-            Mten, xiv = aux_tensors(np.stack([1 - ed.te, ed.te], axis=1))
-            add("B", aux_dofs(ed.verts)[:, None], dofs[None, :],
-                -(np.einsum("q,qmab,qia,b->mi", wsa, Mten, ju, nbar)
-                  + np.einsum("q,qma,qi,a->mi", wsa, xiv, jw, nbar)))
+        Mten, xiv = aux_tensors(np.stack([1 - ed.te, ed.te], axis=1))
+        add("B", aux_dofs(ed.verts)[:, None], dofs[None, :],
+            -(np.einsum("q,qmab,qia,b->mi", wsa, Mten, ju, nbar)
+              + np.einsum("q,qma,qi,a->mi", wsa, xiv, jw, nbar)))
 
     return {"R": _coo(acc, "R", (n, n)), "R_pen": _coo(acc, "Rp", (n, n)),
             "G": _coo(acc, "G", (n, n)), "G_pen": _coo(acc, "Gp", (n, n)),
@@ -625,11 +638,10 @@ def reference_grams(eng):
             + np.einsum("q,qkab,qlab->kl", w, ug, ug)
             + np.einsum("q,qk,ql->kl", w, wv, wv)
             + np.einsum("q,qka,qla->kl", w, wg, wg))
-        if layout.with_aux:
-            Mten, xiv = aux_tensors(e.bary)
-            add("V", aux_dofs(asm.mesh.triangles[t]),
-                np.einsum("q,qmab,qnab->mn", w, Mten, Mten)
-                + np.einsum("q,qma,qna->mn", w, xiv, xiv))
+        Mten, xiv = aux_tensors(e.bary)
+        add("V", aux_dofs(asm.mesh.triangles[t]),
+            np.einsum("q,qmab,qnab->mn", w, Mten, Mten)
+            + np.einsum("q,qma,qna->mn", w, xiv, xiv))
 
     for ed in [ed for edges in edge_list(asm) for ed in edges]:
         if ed.tag == "F":
@@ -648,8 +660,7 @@ def reference_grams(eng):
 
     grams = {k: _coo(acc, k, (n, n)) for k in ("rho", "gamma", "tau", "H")}
     grams["a"] = grams["rho"] + grams["gamma"] + grams["tau"]
-    if layout.with_aux:
-        grams["V"] = _coo(acc, "V", (n3, n3))
+    grams["V"] = _coo(acc, "V", (n3, n3))
     return grams
 
 
@@ -704,12 +715,9 @@ def consistency_residual(manufactured, assembler, method: str,
 def fields_dict(sol):
     """The exact fields of the manufactured solution `sol` as callables of
     parameter points, by name."""
-    def field(ast):
-        def fn(pts):
-            pts = np.asarray(pts, dtype=float)
-            return exprmod.evaluate(ast, pts[..., 0], pts[..., 1])
-        return fn
-    return {name: field(sol.asts[name]) for name in FIELDS}
+    def field(f):
+        return lambda pts: sol.values(pts)[..., f]
+    return {name: field(f) for f, name in enumerate(FIELDS)}
 
 
 def aux_interpolant(sol, layout, multiplier: float) -> np.ndarray:

@@ -21,7 +21,8 @@ from shellfem.regime import (VERDICT_BENDING, VERDICT_NON_BENDING,
 from shellfem.solve import realize_via_theta, solve_dg, solve_mixed
 
 from oracles import (consistency_residual, green_identity_check, korn_ratio,
-                     layout_basis, penalized_forms, reference_local_basis)
+                     layout_basis, penalized_forms, plain_layout,
+                     reference_local_basis)
 
 
 def _report(num, name, ok, detail=""):
@@ -136,11 +137,11 @@ def test_criterion_04_consistency():
     fields = {"theta1": "0.3 - x2", "theta2": "x1 + 0.1 * x2",
               "u1": "x1 - x2", "u2": "0.5 + x2", "w": "2 * x1 + x2"}
     worst = 0.0
-    lay_mixed = build_dof_layout(mesh, chart, enrichment=True)
+    lay_mixed = build_dof_layout(mesh, chart)
     cal = calibrate_penalty(FormAssembler(mesh, chart, lay_mixed, Material(),
                                           AssemblyConfig()))
     for method in ("mixed", "dg"):
-        layout = build_dof_layout(mesh, chart, enrichment=(method == "mixed"))
+        layout = lay_mixed if method == "mixed" else plain_layout(mesh)
         total = eps ** -2 + (1.0 if method == "mixed" else 0.0)
         mfd = ManufacturedSolution(fields, chart, Material(), total)
         for C in (1.0, 10.0, cal):
@@ -160,8 +161,8 @@ def test_criterion_04_consistency():
         mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 2, 2,
                                   tags=("F", "F", "F", "F"))
         for _ in range(3):
-            layout = build_dof_layout(mesh, chart,
-                                      enrichment=(method == "mixed"))
+            layout = (build_dof_layout(mesh, chart) if method == "mixed"
+                      else plain_layout(mesh))
             asm = FormAssembler(mesh, chart, layout, Material(),
                                 AssemblyConfig(penalty_C=20.0))
             res.append(consistency_residual(mfd, asm, method, eps))
@@ -185,7 +186,7 @@ def test_criterion_05_convergence_rates():
     cond_ok = all(mesh_condition_report(m, chart, eps)["geometry_resolved"]
                   for m in meshes)
 
-    lay0 = build_dof_layout(mesh0, chart, enrichment=True)
+    lay0 = build_dof_layout(mesh0, chart)
     cal = calibrate_penalty(FormAssembler(mesh0, chart, lay0, Material(),
                                           AssemblyConfig()))
     orders = {}
@@ -275,8 +276,7 @@ def test_criterion_08_strain_energy_norm_equivalence():
                               tags=("D", "D", "D", "D"))
     mins, maxs = [], []
     for _ in range(3):
-        layout = build_dof_layout(mesh, chart, enrichment=False)
-        asm = FormAssembler(mesh, chart, layout, Material(),
+        asm = FormAssembler(mesh, chart, plain_layout(mesh), Material(),
                             AssemblyConfig(penalty_C=20.0))
         ext = korn_ratio(NormEngine(asm))
         mins.append(ext["min_ratio"])
@@ -304,7 +304,7 @@ def test_criterion_09_cross_path_equality():
                      c1=lambda p: p[:, 0] * p[:, 1])
 
     # mixed: the two construction paths are the same code path -> bitwise
-    lay_m = build_dof_layout(mesh, chart, enrichment=True)
+    lay_m = build_dof_layout(mesh, chart)
     asm_m = FormAssembler(mesh, chart, lay_m, Material(),
                           AssemblyConfig(penalty_C=20.0))
     f_m = asm_m.load_vector(loads)
@@ -315,12 +315,12 @@ def test_criterion_09_cross_path_equality():
                and np.array_equal(direct.aux, via.aux))
 
     # one-field: parameterized assembly vs standalone penalized system
-    lay_d = build_dof_layout(mesh, chart, enrichment=False)
+    lay_d = plain_layout(mesh)
     asm_d = FormAssembler(mesh, chart, lay_d, Material(),
                           AssemblyConfig(penalty_C=20.0))
     f_d = asm_d.load_vector(loads)
     dg_direct = solve_dg(*penalized_forms(asm_d), f_d, eps,
-                         asm_d.dof_order())
+                         asm_d.dof_order(lay_d.n_primal))
     dg_via = realize_via_theta(asm_d, "dg", eps, f_d)
     dg_diff = (np.abs(dg_direct.primal - dg_via.primal).max()
                / np.abs(dg_direct.primal).max())

@@ -13,7 +13,7 @@ from shellfem.solve import SolverError
 from oracles import green_identity_check, penalized_forms
 
 
-def make_assembler(chart_kind="cylinder", nx=2, ny=2, enrichment=True,
+def make_assembler(chart_kind="cylinder", nx=2, ny=2,
                    tags=("D", "D", "D", "D"), penalty_C=10.0, rect=None,
                    **chart_kw):
     chart = make_chart(chart_kind, **chart_kw)
@@ -21,7 +21,7 @@ def make_assembler(chart_kind="cylinder", nx=2, ny=2, enrichment=True,
         rect = (0.6, 1.4, 0.0, 0.8) if chart_kind == "sphere" \
             else (0.0, 1.0, 0.0, 1.0)
     mesh = generate_rect_mesh(rect, nx, ny, tags=tags)
-    layout = build_dof_layout(mesh, chart, enrichment=enrichment)
+    layout = build_dof_layout(mesh, chart)
     config = AssemblyConfig(penalty_C=penalty_C)
     return FormAssembler(mesh, chart, layout, Material(), config)
 
@@ -144,7 +144,7 @@ def test_load_vector_linear():
 def test_calibrate_penalty_gives_positive_definite_system():
     chart = make_chart("sphere")
     mesh = generate_rect_mesh((0.6, 1.4, 0.0, 0.8), 2, 2)
-    layout = build_dof_layout(mesh, chart, enrichment=True)
+    layout = build_dof_layout(mesh, chart)
     C = calibrate_penalty(FormAssembler(mesh, chart, layout, Material(),
                                         AssemblyConfig()))
     assert C > 0
@@ -177,7 +177,7 @@ def probe_case(name):
     kind, rect, n, tags = PROBE_CASES[name]
     chart = make_chart(kind)
     mesh = generate_rect_mesh(rect, n, n, tags=tags)
-    layout = build_dof_layout(mesh, chart, enrichment=True)
+    layout = build_dof_layout(mesh, chart)
     return mesh, chart, layout
 
 

@@ -22,8 +22,8 @@ from shellfem.norms import NormEngine
 
 from oracles import (edge_normal, free_local_edges, geometry_seminorms,
                      reference_element_dofs, reference_error_norms,
-                     reference_forms, reference_grams, reference_load_vector,
-                     reference_local_basis)
+                     plain_layout, reference_forms, reference_grams,
+                     reference_load_vector, reference_local_basis)
 
 FIELDS = {"theta1": "sin(pi * x1) * sin(pi * x2)",
           "theta2": "x1 * (1 - x1) * x2 * (1 - x2)",
@@ -40,7 +40,7 @@ def bump_chart():
 
 def make_asm(chart, n=4, tags=("D", "D", "D", "D")):
     mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), n, n, tags=tags)
-    layout = build_dof_layout(mesh, chart, enrichment=True)
+    layout = build_dof_layout(mesh, chart)
     return FormAssembler(mesh, chart, layout, Material(),
                          AssemblyConfig(penalty_C=20.0))
 
@@ -187,17 +187,17 @@ def test_locate_returns_the_brute_force_owners(n, grading):
             field._locate(np.array([[1.0, 0.0], outside]))
 
 
-ORACLE_MESHES = pytest.mark.parametrize("chart,tags,enrichment,sizes", [
-    (make_chart("cylinder"), ("D", "F", "F", "F"), True, {15, 21, 27}),
-    (make_chart("cylinder"), ("D", "S", "F", "S"), True, {15, 21}),
-    (bump_chart(), ("D", "D", "D", "D"), True, {15}),
-    (make_chart("cylinder"), FREE_AND_SOFT, False, {15})],
+ORACLE_MESHES = pytest.mark.parametrize("chart,tags,plain,sizes", [
+    (make_chart("cylinder"), ("D", "F", "F", "F"), False, {15, 21, 27}),
+    (make_chart("cylinder"), ("D", "S", "F", "S"), False, {15, 21}),
+    (bump_chart(), ("D", "D", "D", "D"), False, {15}),
+    (make_chart("cylinder"), FREE_AND_SOFT, True, {15})],
     ids=["cylinder-DFFF", "cylinder-DSFS", "bump-clamped", "dg"])
 
 
-def oracle_engine(chart, tags, enrichment, sizes):
+def oracle_engine(chart, tags, plain, sizes):
     mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 4, 4, tags=tags)
-    layout = build_dof_layout(mesh, chart, enrichment=enrichment)
+    layout = plain_layout(mesh) if plain else build_dof_layout(mesh, chart)
     asm = FormAssembler(mesh, chart, layout, Material(),
                         AssemblyConfig(penalty_C=20.0))
     assert set(6 + 3 * layout.nf) == sizes
@@ -205,9 +205,9 @@ def oracle_engine(chart, tags, enrichment, sizes):
 
 
 @ORACLE_MESHES
-def test_grouped_forms_and_grams_match_reference_loops(chart, tags,
-                                                       enrichment, sizes):
-    eng = oracle_engine(chart, tags, enrichment, sizes)
+def test_grouped_forms_and_grams_match_reference_loops(chart, tags, plain,
+                                                       sizes):
+    eng = oracle_engine(chart, tags, plain, sizes)
     got, want = eng.asm.forms(), reference_forms(eng.asm)
     assert got.keys() == want.keys()
     for key in want:
@@ -221,11 +221,10 @@ def test_grouped_forms_and_grams_match_reference_loops(chart, tags,
 
 
 @ORACLE_MESHES
-def test_pointwise_norms_match_reference_grams(chart, tags, enrichment,
-                                               sizes):
+def test_pointwise_norms_match_reference_grams(chart, tags, plain, sizes):
     """Every seminorm of `quad_norm`, edge parts included, and V_h equal
     sqrt(v^T Q v) with the Gram matrices of the reference loops."""
-    eng = oracle_engine(chart, tags, enrichment, sizes)
+    eng = oracle_engine(chart, tags, plain, sizes)
     grams = reference_grams(eng)
     rng = np.random.default_rng(5)
     v = rng.standard_normal(eng.layout.n_primal)
@@ -234,10 +233,7 @@ def test_pointwise_norms_match_reference_grams(chart, tags, enrichment,
     aux = rng.standard_normal(eng.layout.n_block3)
     report = eng.discrete_norms(v, aux, epsilon=0.1)
     assert_close(report.H_h_norm, np.sqrt(v @ grams["H"] @ v))
-    if enrichment:
-        assert_close(report.V_h_norm, np.sqrt(aux @ grams["V"] @ aux))
-    else:
-        assert report.V_h_norm is None
+    assert_close(report.V_h_norm, np.sqrt(aux @ grams["V"] @ aux))
 
 
 # ------------------------------------------------------- mesh and layout
@@ -268,7 +264,7 @@ def assert_layout_matches_reference(mesh, chart):
     """The basis coefficients of every element of the enriched layout, built
     per free-edge group, agree with the element built alone; returns the
     free-edge groups of the mesh."""
-    layout = build_dof_layout(mesh, chart, enrichment=True)
+    layout = build_dof_layout(mesh, chart)
     coords = mesh.vertices[mesh.triangles]
     groups = set()
     for t in range(mesh.n_triangles):
@@ -306,7 +302,7 @@ def test_layout_asks_for_sqrt_a_once_per_free_edge_group(chart_evaluations):
         mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), n, n,
                                   tags=("D", "F", "F", "F"))
         chart_evaluations.clear()
-        build_dof_layout(mesh, chart, enrichment=True)
+        build_dof_layout(mesh, chart)
         assert all(name == "sqrt_a" for name, _ in chart_evaluations)
         enriched = {free_local_edges(mesh, t)
                     for t in range(mesh.n_triangles)} - {()}
@@ -317,32 +313,29 @@ def test_layout_asks_for_sqrt_a_once_per_free_edge_group(chart_evaluations):
 
 def test_plain_p1_layouts_make_no_chart_call(chart_evaluations):
     """Plain P1 elements take the barycentric basis, which needs no
-    geometry: neither a layout without free edges nor one without
-    enrichment asks the chart for anything."""
+    geometry: a layout without free edges asks the chart for nothing."""
     chart = make_chart("cylinder")
-    for tags, enrichment in ((("D", "D", "D", "D"), True),
-                             (("D", "F", "F", "F"), False)):
-        mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 4, 4, tags=tags)
-        layout = build_dof_layout(mesh, chart, enrichment=enrichment)
-        assert (layout.nf == 3).all()
+    mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 4, 4,
+                              tags=("D", "D", "D", "D"))
+    assert (build_dof_layout(mesh, chart).nf == 3).all()
     assert chart_evaluations == []
 
 
 DFFF_3X3 = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 3, 3,
                               tags=("D", "F", "F", "F"))
-LAYOUT_MESHES = pytest.mark.parametrize("chart,mesh,enrichment", [
-    (make_chart("cylinder"), every_group_mesh(), True),
-    (bump_chart(), DFFF_3X3, True),
-    (make_chart("cylinder"), DFFF_3X3, True),
-    (make_chart("cylinder"), DFFF_3X3, False)],
+LAYOUT_MESHES = pytest.mark.parametrize("chart,mesh,plain", [
+    (make_chart("cylinder"), every_group_mesh(), False),
+    (bump_chart(), DFFF_3X3, False),
+    (make_chart("cylinder"), DFFF_3X3, False),
+    (make_chart("cylinder"), DFFF_3X3, True)],
     ids=["every-group", "bump-DFFF", "cylinder-DFFF", "plain-P1"])
 
 
 @LAYOUT_MESHES
-def test_layout_dofs_follow_the_numbering_formula(chart, mesh, enrichment):
-    layout = build_dof_layout(mesh, chart, enrichment=enrichment)
+def test_layout_dofs_follow_the_numbering_formula(chart, mesh, plain):
+    layout = plain_layout(mesh) if plain else build_dof_layout(mesh, chart)
     for t in range(mesh.n_triangles):
-        free = free_local_edges(mesh, t) if enrichment else ()
+        free = () if plain else free_local_edges(mesh, t)
         assert layout.nf[t] == 3 + 2 * len(free)
         n = 6 + 3 * layout.nf[t]
         assert np.array_equal(layout.dofs[t, :n],
@@ -358,7 +351,7 @@ def test_layout_dofs_follow_the_numbering_formula(chart, mesh, enrichment):
                          ids=["every-group", "DFFF"])
 def test_edge_normals_match_per_edge_formula(mesh):
     chart = make_chart("cylinder")
-    asm = FormAssembler(mesh, chart, build_dof_layout(mesh, chart, False),
+    asm = FormAssembler(mesh, chart, plain_layout(mesh),
                         Material(), AssemblyConfig())
     interior, boundary = asm._edge_data()
     for d, pairs, owners in (

@@ -67,6 +67,8 @@ def test_parse_config_sections_and_comments():
      "line 5: unknown key 'epsilson' in [material]"),
     ("[assembly]\ntheta_param = 1.0", "line 2: unknown key 'theta_param'"),
     ("[chart]\nkind = plate\n[solver]\ntol = 1", "line 3: unknown section"),
+    ("[material]\nepsilon = 1e-2\nepsilon = 5",
+     "line 3: key 'epsilon' in [material] already given on line 2"),
 ])
 def test_parse_config_errors_carry_line_info(text, fragment):
     with pytest.raises(ConfigError) as exc:
@@ -208,7 +210,7 @@ def test_convergence_reports_each_methods_unknowns(tmp_path):
     mesh = build_spec(parse_config(text)).mesh
     chart = make_chart("cylinder", radius=1.0)
     for level in (0, 1):
-        n_primal = build_dof_layout(mesh, chart, enrichment=True).n_primal
+        n_primal = build_dof_layout(mesh, chart).n_primal
         assert n_primal > 15 * mesh.n_triangles
         want = {"dg": 15 * mesh.n_triangles, "mixed": n_primal}
         got = {r["method"]: int(r["n_dofs"]) for r in rows
@@ -218,7 +220,7 @@ def test_convergence_reports_each_methods_unknowns(tmp_path):
 
 
 def test_locking_study(tmp_path):
-    cfg = write(tmp_path, GOOD + "\n[study]\nmethod = mixed\nlevels = 2\n"
+    cfg = write(tmp_path, GOOD.replace("method = both", "method = mixed")
                 + "epsilons = 0.01, 0.001\n")
     out = tmp_path / "out"
     assert main(["locking", cfg, "--out", str(out)]) == 0
@@ -266,7 +268,9 @@ def test_exit_code_unknown_key(tmp_path, capsys):
 ])
 def test_exit_code_value_out_of_range(tmp_path, capsys, study, section, key,
                                       value):
-    cfg = write(tmp_path, GOOD + f"\n[{section}]\n{key} = {value}\n")
+    # the key once, in its own section: a key given twice is its own error
+    text = re.sub(rf"^{key} = .*\n", "", GOOD, flags=re.M)
+    cfg = write(tmp_path, text + f"\n[{section}]\n{key} = {value}\n")
     assert main([study, cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"key {key!r} must be" in capsys.readouterr().err
 

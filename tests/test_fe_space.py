@@ -77,10 +77,10 @@ def test_unisolvence_of_moment_matrix():
             assert np.linalg.cond(moments) < 1e10
 
 
-def layout_for(tags, enrichment=True, nx=2, ny=2):
+def layout_for(tags, nx=2, ny=2):
     chart = make_chart("plate")
     mesh = generate_rect_mesh((0, 1, 0, 1), nx, ny, tags=tags)
-    return mesh, build_dof_layout(mesh, chart, enrichment=enrichment)
+    return mesh, build_dof_layout(mesh, chart)
 
 
 def test_dof_counts_no_free_boundary():
@@ -110,17 +110,10 @@ def test_dof_counts_two_free_edges_per_element():
     assert layout.n_block2 == 6 + 12
 
 
-def test_dg_layout_has_no_aux_block():
-    mesh, layout = layout_for(("D", "D", "D", "D"), enrichment=False)
-    assert layout.n_block2 == 0
-    assert layout.n_block3 == 0
-    assert not layout.with_aux
-
-
 def test_projection_reproduces_linears_exactly():
     chart = make_chart("cylinder")
     mesh = generate_rect_mesh((0, 1, 0, 1), 3, 3, tags=("D", "F", "F", "F"))
-    layout = build_dof_layout(mesh, chart, enrichment=True)
+    layout = build_dof_layout(mesh, chart)
     fields = {"theta1": lambda p: 1 + 2 * p[..., 0] - p[..., 1],
               "theta2": lambda p: p[..., 0],
               "u1": lambda p: 3 * p[..., 1],
@@ -153,7 +146,7 @@ def test_projection_error_decays_quadratically():
     mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2)
     from shellfem.assembly import AssemblyConfig, FormAssembler, Material
     for _ in range(3):
-        layout = build_dof_layout(mesh, chart, enrichment=False)
+        layout = build_dof_layout(mesh, chart)
         x = reference_project_primal(fields, mesh, chart, layout)
         asm = FormAssembler(mesh, chart, layout, Material(), AssemblyConfig())
         e = asm._elem_data()

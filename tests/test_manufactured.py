@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shellfem import manufactured, strain
 from shellfem.assembly import Material
 from shellfem.fe_space import build_dof_layout
 from shellfem.geometry import make_chart
@@ -119,10 +120,27 @@ def test_stresses_scale_with_theta_total():
     assert np.allclose(100.0 * ta, tb)
 
 
+def test_volume_loads_evaluate_each_stage_once(monkeypatch,
+                                               chart_evaluations):
+    """One `volume_loads` call evaluates the geometry, the elastic tensor
+    and the strains of the fields once each."""
+    calls = []
+    for module, name in ((manufactured, "eval_elastic"),
+                         (strain, "field_strains")):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kw):
+            calls.append(_name)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(module, name, counting)
+    make_sol("cylinder").volume_loads(
+        np.random.default_rng(6).uniform(0, 1, (8, 2)))
+    assert [name for name, _ in chart_evaluations] == ["evaluate"]
+    assert sorted(calls) == ["eval_elastic", "field_strains"]
+
+
 def test_aux_interpolant_layout():
     chart = make_chart("cylinder")
     mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 2, 2)
-    layout = build_dof_layout(mesh, chart, enrichment=True)
+    layout = build_dof_layout(mesh, chart)
     sol = ManufacturedSolution(TRIG, chart, Material(), theta_total=1.0)
     out = aux_interpolant(sol, layout, 2.0)
     assert out.shape == (layout.n_block3,)

@@ -52,6 +52,15 @@ def test_grading_example():
     assert np.allclose(xs, [0.0, 1.0 / 7.0, 3.0 / 7.0, 1.0])
 
 
+@pytest.mark.parametrize("grading", [{"ratio": 0.5},
+                                     {"ratio": 0.5, "toward": "middle"}],
+                         ids=["no-side", "unknown-side"])
+def test_grading_without_a_known_side_is_rejected(grading):
+    """A grading request is never dropped in favour of a uniform mesh."""
+    with pytest.raises(MeshError, match="grading side"):
+        generate_rect_mesh((0, 1, 0, 1), 4, 1, grading=grading)
+
+
 def test_refine_uniform():
     m = generate_rect_mesh((0, 1, 0, 1), 2, 2, tags=("D", "S", "F", "D"))
     r = refine_uniform(m)

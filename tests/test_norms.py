@@ -9,15 +9,14 @@ from shellfem.mesh import generate_rect_mesh
 from shellfem.norms import NormEngine
 
 from oracles import (consistency_residual, dual_H_norm, fields_dict,
-                     korn_ratio, reference_grams, reference_project_primal,
-                     weak_Vbar_norm)
+                     korn_ratio, plain_layout, reference_grams,
+                     reference_project_primal, weak_Vbar_norm)
 
 
-def make_engine(chart_kind="cylinder", tags=("D", "D", "D", "D"), nx=2, ny=2,
-                enrichment=True):
+def make_engine(chart_kind="cylinder", tags=("D", "D", "D", "D"), nx=2, ny=2):
     chart = make_chart(chart_kind)
     mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), nx, ny, tags=tags)
-    layout = build_dof_layout(mesh, chart, enrichment=enrichment)
+    layout = build_dof_layout(mesh, chart)
     asm = FormAssembler(mesh, chart, layout, Material(),
                         AssemblyConfig(penalty_C=20.0))
     return NormEngine(asm)
@@ -123,7 +122,8 @@ def test_consistency_residual_degree_one_plate(method):
     chart = make_chart("plate")
     mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 2, 2,
                               tags=("F", "F", "F", "F"))
-    layout = build_dof_layout(mesh, chart, enrichment=(method == "mixed"))
+    layout = (build_dof_layout(mesh, chart) if method == "mixed"
+              else plain_layout(mesh))
     asm = FormAssembler(mesh, chart, layout, Material(),
                         AssemblyConfig(penalty_C=10.0))
     mfd = ManufacturedSolution(

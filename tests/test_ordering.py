@@ -27,7 +27,7 @@ def case_mesh(name):
 
 
 def assembler(chart, mesh):
-    layout = build_dof_layout(mesh, chart, enrichment=True)
+    layout = build_dof_layout(mesh, chart)
     return FormAssembler(mesh, chart, layout, Material(),
                          AssemblyConfig(penalty_C=20.0))
 

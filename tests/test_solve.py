@@ -14,13 +14,13 @@ from shellfem.solve import (BACKWARD_ERROR_MULTIPLE, ShellSolution,
                             SolverError, realize_via_theta, solve_dg,
                             solve_mixed)
 
-from oracles import penalized_forms
+from oracles import penalized_forms, plain_layout
 
 
-def setup(enrichment, tags=("D", "D", "D", "D")):
+def setup(tags=("D", "D", "D", "D")):
     chart = make_chart("cylinder", radius=2.0)
     mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 2, 2, tags=tags)
-    layout = build_dof_layout(mesh, chart, enrichment=enrichment)
+    layout = build_dof_layout(mesh, chart)
     config = AssemblyConfig(penalty_C=20.0)
     asm = FormAssembler(mesh, chart, layout, Material(), config)
     f = asm.load_vector(LoadSpec(p3=lambda p: np.cos(p[:, 0]) + p[:, 1]))
@@ -28,7 +28,7 @@ def setup(enrichment, tags=("D", "D", "D", "D")):
 
 
 def test_mixed_matches_dense_oracle():
-    asm, f = setup(enrichment=True)
+    asm, f = setup()
     eps = 0.1
     A = asm.a_theta(1.0)
     B = asm.b_matrix()
@@ -42,21 +42,21 @@ def test_mixed_matches_dense_oracle():
 
 
 def test_dg_matches_dense_oracle():
-    asm, f = setup(enrichment=False)
+    asm, f = setup()
     eps = 0.05
     fm = asm.forms()
     Cp = asm.config.penalty_C
     R = fm["R"] + Cp * fm["R_pen"]
     G = fm["G"] + Cp * fm["G_pen"]
     T = fm["T"] + Cp * fm["T_pen"]
-    sol = solve_dg(R, G, T, f, eps, asm.dof_order())
+    sol = solve_dg(R, G, T, f, eps, asm.dof_order(len(f)))
     K = (R + eps ** -2 * (G + T)).toarray()
     ref = np.linalg.solve(K, f)
     assert np.allclose(sol.primal, ref, rtol=1e-8, atol=1e-12)
 
 
 def test_solution_linearity():
-    asm, f = setup(enrichment=True)
+    asm, f = setup()
     eps = 0.1
     A, B, C = asm.a_theta(1.0), asm.b_matrix(), asm.c_matrix()
     s1 = solve_mixed(A, B, C, f, eps, asm.dof_order())
@@ -68,7 +68,7 @@ def test_solution_linearity():
 
 
 def test_zero_rhs_gives_zero_solution():
-    asm, f = setup(enrichment=True)
+    asm, f = setup()
     z = np.zeros_like(f)
     sol = solve_mixed(asm.a_theta(1.0), asm.b_matrix(), asm.c_matrix(), z, 0.1,
                       asm.dof_order())
@@ -81,7 +81,7 @@ def test_zero_rhs_gives_zero_solution():
 
 
 def test_via_theta_mixed_matches_standalone():
-    asm, f = setup(enrichment=True)
+    asm, f = setup()
     eps = 0.1
     direct = solve_mixed(asm.a_theta(1.0), asm.b_matrix(), asm.c_matrix(),
                          f, eps, asm.dof_order())
@@ -91,14 +91,14 @@ def test_via_theta_mixed_matches_standalone():
 
 
 def test_via_theta_dg_matches_standalone():
-    asm, f = setup(enrichment=False)
+    asm, f = setup()
     eps = 0.1
     fm = asm.forms()
     Cp = asm.config.penalty_C
     R = fm["R"] + Cp * fm["R_pen"]
     G = fm["G"] + Cp * fm["G_pen"]
     T = fm["T"] + Cp * fm["T_pen"]
-    direct = solve_dg(R, G, T, f, eps, asm.dof_order())
+    direct = solve_dg(R, G, T, f, eps, asm.dof_order(len(f)))
     via = realize_via_theta(asm, "dg", eps, f)
     scale = np.abs(direct.primal).max()
     assert np.abs(direct.primal - via.primal).max() < 1e-10 * scale
@@ -128,15 +128,15 @@ def test_non_finite_solution_fails_the_backward_error_bound():
 def reduced_oracle(problem):
     """An assembler on the plain P1 layout of `problem`'s mesh with its
     penalty constant: the penalized system assembled on its own."""
-    layout = build_dof_layout(problem.mesh, problem.chart, enrichment=False)
-    return FormAssembler(problem.mesh, problem.chart, layout,
+    return FormAssembler(problem.mesh, problem.chart,
+                         plain_layout(problem.mesh),
                          problem.material,
                          replace(problem.config, penalty_C=problem.calibrate()))
 
 
 def oracle_solve(oracle, loads, epsilon):
     return solve_dg(*penalized_forms(oracle), oracle.load_vector(loads),
-                    epsilon, oracle.dof_order())
+                    epsilon, oracle.dof_order(oracle.layout.n_primal))
 
 
 @pytest.mark.parametrize("tags", [("D", "F", "F", "F"), ("S", "F", "D", "F")],
