@@ -68,14 +68,14 @@ class AssemblyConfig:
 class LoadSpec:
     """Right-hand-side description.
 
-    Volume loads p1,p2,p3 (forces) and c1,c2 (couples) are callables of
-    parameter points (n,2) -> (n,).  Boundary loads are either arc-length
-    densities r1,r2 (moments on S and F) and q1,q2,q3 (forces on F), or a
-    flux provider whose boundary_fluxes(points) returns the stress tensors
-    (m (n,2,2), nmem (n,2,2), t (n,2)) to be contracted with the edge normal.
-    Each callable is called once per mesh, on all its quadrature points
-    (volume or S/F edge) as one (n,2) array; beyond geometry.POINT_BUDGET
-    points, once per slice of at most that many.
+    Callables of parameter points (n,2) -> (n,) give volume loads p1,p2,p3
+    (forces) and c1,c2 (couples) and arc-length densities r1,r2 (moments on
+    S and F) and q1,q2,q3 (forces on F).  Or a provider gives all loads from
+    points and their geometry: volume_loads(points, geom) a dict of the five
+    volume loads, boundary_fluxes(points, geom) the stress tensors m (n,2,2),
+    nmem (n,2,2), t (n,2) to be contracted with the edge normal.  Each is
+    called once per mesh, on all its quadrature points (volume or S/F edge);
+    beyond geometry.POINT_BUDGET points, once per slice of at most that many.
     """
     p1: object = None
     p2: object = None
@@ -87,17 +87,18 @@ class LoadSpec:
     q1: object = None
     q2: object = None
     q3: object = None
-    flux_provider: object = None
+    provider: object = None
 
 
-def _load_values(fns, pts):
-    """The load callables `fns` (None reads zero) at all points pts (..., 2):
-    an array (len(fns),) + pts.shape[:-1]."""
-    def at(p):
-        return np.stack([np.zeros(len(p)) if f is None else f(p) for f in fns],
-                        axis=1)
-    return batched(at, pts.reshape(-1, 2)).T.reshape((len(fns),)
-                                                    + pts.shape[:-1])
+def _load_values(loads, names, pts, geom):
+    """The loads `names` (None reads zero) at all points pts (..., 2) with
+    their geometry geom: an array (len(names),) + pts.shape[:-1]."""
+    def at(p, g):
+        got = loads.provider.volume_loads(p, g) if loads.provider else {
+            k: getattr(loads, k)(p) for k in names if getattr(loads, k)}
+        return np.stack([got.get(k, np.zeros(len(p))) for k in names], axis=1)
+    return batched(at, pts.reshape(-1, 2), geom.reshape(-1)).T.reshape(
+        (len(names),) + pts.shape[:-1])
 
 
 def _groups(keys, npts):
@@ -485,26 +486,26 @@ class FormAssembler:
         quadrature points; the grouped kernel only contracts."""
         rhs = np.zeros(self.layout.n_primal)
         e = self._elem_data()
-        vol = (loads.c1, loads.c2, loads.p1, loads.p2, loads.p3)
-        if any(f is not None for f in vol):
+        vol = ("c1", "c2", "p1", "p2", "p3")
+        if loads.provider or any(getattr(loads, k) is not None for k in vol):
             fv = (e.areas[:, None] * e.wq * e.geom.sqrt_a
-                  * _load_values(vol, e.qpts))               # (5,nt,nq)
+                  * _load_values(loads, vol, e.qpts, e.geom))  # (5,nt,nq)
             rhs += self._scatter(np.arange(self.mesh.n_triangles), None,
                                  np.moveaxis(fv, 0, -1))
         d = self._edge_data()[1]
         loaded = np.flatnonzero(d.tag != "D")
         if not len(loaded):
             return rhs
-        pts = d.pts[loaded]                                      # (ne,nq,2)
-        if loads.flux_provider is None:       # densities per arc length
-            dens = _load_values((loads.r1, loads.r2, loads.q1, loads.q2,
-                                 loads.q3), pts)                 # (5,ne,nq)
+        pts, g = d.pts[loaded], d.geom[loaded]                   # (ne,nq,2)
+        if loads.provider is None:            # densities per arc length
+            dens = _load_values(loads, ("r1", "r2", "q1", "q2", "q3"), pts,
+                                g)                               # (5,ne,nq)
             weight = d.arc[loaded]
         else:   # r^a = m^ab n_b, q^g = (n^gb - b^g_a m^ab) n_b, q3 = t^a n_a
             m, nmem, tsh = (f.reshape(pts.shape[:2] + f.shape[1:]) for f in
-                            batched(loads.flux_provider.boundary_fluxes,
-                                    pts.reshape(-1, 2)))
-            nbar, g = d.nbar[loaded], d.geom[loaded]
+                            batched(loads.provider.boundary_fluxes,
+                                    pts.reshape(-1, 2), g.reshape(-1)))
+            nbar = d.nbar[loaded]
             bm = g.b_mix @ m
             dens = np.concatenate([np.einsum("eqab,eb->aeq", m, nbar),
                                    np.einsum("eqgb,eb->geq", nmem - bm, nbar),

@@ -276,33 +276,62 @@ def _manufactured_for(spec: ProblemSpec, method: str,
 
 # ----------------------------------------------------------------- field eval
 
+def _ranges(first, count):
+    """The index ranges first[i], ..., first[i] + count[i] - 1, joined."""
+    return (np.repeat(first - np.cumsum(count) + count, count)
+            + np.arange(count.sum()))
+
+
+def _bin_grid(coords):
+    """A uniform grid of about one bin per triangle over the triangles
+    coords (nt, 3, 2): the bin of points (n, 2), where each bin's list
+    starts, and the lists.  A bin lists in ascending order every triangle
+    whose bounding box, padded by 1e-6 of the mesh's extent, meets it."""
+    lo, hi = coords.min(axis=(0, 1)), coords.max(axis=(0, 1))
+    nb, pad = int(np.ceil(np.sqrt(len(coords)))), 1e-6 * (hi - lo).max()
+
+    def ij(pts):
+        return np.clip(((pts - lo) * (nb / (hi - lo))).astype(int), 0, nb - 1)
+    first = ij(coords.min(axis=1) - pad)
+    span = ij(coords.max(axis=1) + pad) - first + 1
+    tri = np.repeat(np.arange(len(coords)), span.prod(axis=1))
+    k = _ranges(np.zeros(len(coords), dtype=int), span.prod(axis=1))
+    b = (first[tri] + np.stack(np.divmod(k, span[tri, 1]), -1)) @ [nb, 1]
+    order = np.argsort(b, kind="stable")        # triangles stay ascending
+    return (lambda pts: ij(pts) @ [nb, 1],
+            np.searchsorted(b[order], np.arange(nb * nb + 1)), tri[order])
+
+
 class DiscreteField:
     """Evaluate one discrete solution at arbitrary parameter points (used as
-    the reference in self-convergence mode).  Point location is brute-force
-    over triangles, adequate at study scale.  Values and gradients come from
-    one pass over a point batch: `grads` on the batch `values` just saw (or
-    the reverse) reuses it."""
+    the reference in self-convergence mode), located through a bin grid over
+    the mesh.  Values and gradients come from one pass over a point batch:
+    `grads` on the batch `values` just saw (or the reverse) reuses it."""
 
     def __init__(self, problem: ShellProblem, primal: np.ndarray):
         self.asm = problem.assembler()
         self.primal = primal
         self._last = None          # (points, (values, grads)) of the last batch
+        self._grid = _bin_grid(self.asm._elem_data().coords)
 
     def _locate(self, pts):
-        """Owner triangle of each point, over at most POINT_BUDGET
-        (triangle, point) pairs at a time."""
-        e = self.asm._elem_data()
-        step = max(1, POINT_BUDGET // len(e.Jinv))
-        owner = np.empty(len(pts), dtype=int)
-        for i in range(0, len(pts), step):
-            lam12 = np.einsum("tij,qj->tqi", e.Jinv, pts[i:i + step]) \
-                - np.einsum("tij,tj->ti", e.Jinv, e.coords[:, 2])[:, None]
+        """Owner triangle of each point: the lowest-index triangle of its bin
+        that contains it to a barycentric tolerance of 1e-10, over at most
+        POINT_BUDGET (point, triangle) pairs at a time."""
+        e, (bin_of, start, tris) = self.asm._elem_data(), self._grid
+        b = bin_of(pts)
+        n = start[b + 1] - start[b]
+        step = max(1, POINT_BUDGET - n.max(initial=0))
+        owner = np.full(len(pts), len(e.Jinv))
+        for s in np.split(np.arange(len(pts)), np.searchsorted(
+                np.cumsum(n) - n, np.arange(step, n.sum(), step))):
+            q, t = np.repeat(s, n[s]), tris[_ranges(start[b[s]], n[s])]
+            lam12 = np.einsum("kij,kj->ki", e.Jinv[t], pts[q] - e.coords[t, 2])
             lam3 = 1.0 - lam12.sum(axis=-1)
             inside = (lam12 >= -1e-10).all(axis=-1) & (lam3 >= -1e-10)
-            if not inside.any(axis=0).all():
-                raise MeshError("reference-solution evaluation point outside "
-                                "mesh")
-            owner[i:i + step] = inside.argmax(axis=0)
+            np.minimum.at(owner, q[inside], t[inside])
+        if (owner == len(e.Jinv)).any():
+            raise MeshError("reference-solution evaluation point outside mesh")
         return owner
 
     def _eval(self, pts):
@@ -395,23 +424,25 @@ def run_solve(spec: ProblemSpec, out: Path):
     write_meshcond(out / "meshcond.csv", spec, [spec.mesh])
 
 
-def _convergence_errors(spec, method, problems):
+def _convergence_errors(spec, method, problems, exact_H):
     """Per-level H_h errors for one method; returns rows without orders."""
     manufactured = spec.manufactured_fields is not None
     if manufactured:
         mfd = _manufactured_for(spec, method, spec.epsilon)
 
-    def solve_level(problem):
+    def solve_level(level, problem):
         if manufactured:
             sol = problem.solve(method, loads=mfd.load_spec())
             eng = problem.norm_engine()
             err = eng.error_norms(sol.primal, mfd)
-            ref = eng.error_norms(np.zeros_like(sol.primal), mfd)
-            return problem, sol, err["H_h"], err["H_h"] / ref["H_h"]
+            if level not in exact_H:   # for every method: no theta_total
+                zero = np.zeros_like(sol.primal)
+                exact_H[level] = eng.error_norms(zero, mfd)["H_h"]
+            return problem, sol, err["H_h"], err["H_h"] / exact_H[level]
         sol = problem.solve(method)
         return problem, sol, None, None
 
-    solved = [solve_level(p) for p in problems]
+    solved = [solve_level(*lp) for lp in enumerate(problems)]
 
     rows = []
     for level, (problem, sol, err, rel) in enumerate(solved):
@@ -445,10 +476,11 @@ def run_convergence(spec: ProblemSpec, out: Path):
     extra = 0 if spec.manufactured_fields is not None else 1
     for _ in range(spec.levels - 1 + extra):
         problems.append(problems[-1].refined())
-    rows = []
+    rows, exact_H = [], {}
     for method in _methods(spec):
         rows.extend(_convergence_errors(spec, method,
-                                        problems[:spec.levels + extra]))
+                                        problems[:spec.levels + extra],
+                                        exact_H))
     write_csv(out / "convergence.csv", rows,
               ["method", "level", "h", "n_dofs", "err_H", "rel_err_H",
                "order", "mode"])

@@ -72,6 +72,12 @@ class GeometryEval:
         """The bundle at batch index `idx`, applied to every field."""
         return GeometryEval(*(getattr(self, f.name)[idx] for f in fields(self)))
 
+    def reshape(self, *shape):
+        """The bundle with its batch axes reshaped to `shape`."""
+        n = self.sqrt_a.ndim
+        return GeometryEval(*(a.reshape(shape + a.shape[n:]) for a in
+                              (getattr(self, f.name) for f in fields(self))))
+
 
 @dataclass
 class ElasticTensors:
@@ -128,13 +134,13 @@ def _join(parts):
     return np.concatenate(parts)
 
 
-def batched(fn, points):
-    """fn(points) over slices of the leading axis of `points` (..., 2) that
-    hold at most POINT_BUDGET points each (at least one row); the results,
-    arrays or tuples or dataclasses of arrays led by that axis, are joined."""
+def batched(fn, points, *more):
+    """fn(points, *more) over slices of the leading axis of `points` (..., 2)
+    and of `more` of at most POINT_BUDGET points each (at least one row);
+    the results, arrays or tuples or dataclasses of arrays, are joined."""
     points = np.asarray(points, dtype=float)
     step = max(1, POINT_BUDGET // max(1, int(np.prod(points.shape[1:-1]))))
-    return _join([fn(points[i:i + step])
+    return _join([fn(points[i:i + step], *(m[i:i + step] for m in more))
                   for i in range(0, max(len(points), 1), step)])
 
 

@@ -15,8 +15,10 @@ All derivatives are exact: the fields' partials up to second order are one
 exact jet (`expr.jet`), and stress divergences use covariant derivatives of
 the strains (the metric contraction commutes with covariant
 differentiation) together with the stored derivative fields of the
-curvature tensor and Christoffel symbols.  `volume_loads` evaluates the
-geometry, the elastic tensor, the field partials and the strains once each.
+curvature tensor and Christoffel symbols.  As the load provider of
+`LoadSpec`, the solution is handed the geometry the assembler holds at its
+quadrature points, and `volume_loads` evaluates the elastic tensor, the
+field partials and the strains once each.
 """
 
 from __future__ import annotations
@@ -81,9 +83,7 @@ class ManufacturedSolution:
         return self._stresses(geom, self._elastic(geom),
                               self.strains_at(pts, geom))
 
-    # flux provider protocol used by the load assembler on S/F boundaries
-    def boundary_fluxes(self, pts):
-        return self.stresses(pts)
+    boundary_fluxes = stresses      # the load provider protocol of LoadSpec
 
     # ------------------------------------------------------------ volume loads
 
@@ -144,9 +144,10 @@ class ManufacturedSolution:
                     - np.einsum("...lbc,...al->...abc", G, rho))
         return drho_cov, dgam_cov, dtau_cov
 
-    def volume_loads(self, pts):
-        """Couples c^a and forces p^1,p^2,p^3 at parameter points (exact)."""
-        geom = self.chart.evaluate(pts)
+    def volume_loads(self, pts, geom=None):
+        """Couples c^a and forces p^1,p^2,p^3 at parameter points (exact),
+        whose geometry is `geom` (evaluated if None)."""
+        geom = self.chart.evaluate(pts) if geom is None else geom
         mat, el = self.material, self._elastic(geom)
         v, g, hh = (self._partials(pts, k) for k in range(3))
         strains = strain.field_strains(v, g, geom)
@@ -176,16 +177,6 @@ class ManufacturedSolution:
                 "p1": force[..., 0], "p2": force[..., 1], "p3": p3}
 
     def load_spec(self) -> LoadSpec:
-        """Loads whose five volume callables share one `volume_loads`
-        evaluation per point array."""
-        last = {}
-
-        def vol(name):
-            def fn(pts):
-                if "pts" not in last or not np.array_equal(last["pts"], pts):
-                    last["pts"] = np.array(pts, dtype=float)
-                    last["loads"] = self.volume_loads(pts)
-                return last["loads"][name]
-            return fn
-        return LoadSpec(p1=vol("p1"), p2=vol("p2"), p3=vol("p3"),
-                        c1=vol("c1"), c2=vol("c2"), flux_provider=self)
+        """Loads with this solution as their provider: `load_vector` hands
+        it the geometry it holds at the volume and S/F edge points."""
+        return LoadSpec(provider=self)

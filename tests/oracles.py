@@ -385,17 +385,32 @@ def edge_normal(mesh, vertex_pair, owner_tri):
     return n
 
 
+def containing(asm, pts):
+    """(nt, n): whether each triangle contains each point to a barycentric
+    tolerance of 1e-10, tested by brute force."""
+    e = asm._elem_data()
+    lam12 = (np.einsum("tij,qj->tqi", e.Jinv, pts)
+             - np.einsum("tij,tj->ti", e.Jinv, e.coords[:, 2])[:, None])
+    lam3 = 1.0 - lam12.sum(axis=-1)
+    return (lam12 >= -1e-10).all(axis=-1) & (lam3 >= -1e-10)
+
+
 def reference_load_vector(asm, loads):
     """Every load on one element's or one edge's points at a time, with the
-    edge geometry evaluated edge by edge."""
+    edge geometry evaluated edge by edge.  A provider is called with no
+    geometry (geom=None), so it evaluates the chart itself."""
     layout, mesh = asm.layout, asm.mesh
     rhs = np.zeros(layout.n_primal)
     e = asm._elem_data()
-    vol = (loads.c1, loads.c2, loads.p1, loads.p2, loads.p3)
+    names = ("c1", "c2", "p1", "p2", "p3")
     for t in range(mesh.n_triangles):
         wfac = e.areas[t] * e.wq * e.geom.sqrt_a[t]
         th, _, u, _, w, _ = local_fields(asm, t)
-        fv = [wfac * _at(f, e.qpts[t]) for f in vol]
+        if loads.provider is not None:
+            got = loads.provider.volume_loads(e.qpts[t], None)
+            fv = [wfac * got[k] for k in names]
+        else:
+            fv = [wfac * _at(getattr(loads, k), e.qpts[t]) for k in names]
         rhs[reference_element_dofs(layout, t)] += (
             fv[0] @ th[:, :, 0] + fv[1] @ th[:, :, 1] + fv[2] @ u[:, :, 0]
             + fv[3] @ u[:, :, 1] + fv[4] @ w)
@@ -409,8 +424,8 @@ def reference_load_vector(asm, loads):
         geom = asm.chart.evaluate(pts)
         nbar = edge_normal(mesh, pair, t)
         th, _, u, _, w, _ = local_fields(asm, t, pts)
-        if loads.flux_provider is not None:
-            m, nmem, tsh = loads.flux_provider.boundary_fluxes(pts)
+        if loads.provider is not None:
+            m, nmem, tsh = loads.provider.boundary_fluxes(pts, None)
             wsa = h * we * geom.sqrt_a
             loc = np.einsum("q,qa,qia->i", wsa, m @ nbar, th)
             if tag == "F":

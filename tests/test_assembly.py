@@ -83,7 +83,11 @@ def test_flux_provider_matches_density_loads_on_plate():
     # on a flat chart with constant stresses, the flux contraction with the
     # outward normal equals constant arc-length densities on each side
     class Fluxes:
-        def boundary_fluxes(self, pts):
+        def volume_loads(self, pts, geom):
+            return dict.fromkeys(("c1", "c2", "p1", "p2", "p3"),
+                                 np.zeros(len(pts)))
+
+        def boundary_fluxes(self, pts, geom):
             n = len(pts)
             m = np.tile(np.array([[0.3, 0.1], [0.1, -0.2]]), (n, 1, 1))
             nm = np.tile(np.array([[1.0, 0.4], [0.4, 0.7]]), (n, 1, 1))
@@ -91,7 +95,7 @@ def test_flux_provider_matches_density_loads_on_plate():
             return m, nm, t
 
     asm = make_assembler("plate", tags=("F", "F", "F", "F"))
-    f1 = asm.load_vector(LoadSpec(flux_provider=Fluxes()))
+    f1 = asm.load_vector(LoadSpec(provider=Fluxes()))
 
     m = np.array([[0.3, 0.1], [0.1, -0.2]])
     nm = np.array([[1.0, 0.4], [0.4, 0.7]])

@@ -20,10 +20,11 @@ from shellfem.mesh import (Mesh, MeshError, generate_rect_mesh,
                            mesh_condition_report, refine_uniform)
 from shellfem.norms import NormEngine
 
-from oracles import (edge_normal, free_local_edges, geometry_seminorms,
-                     reference_element_dofs, reference_error_norms,
-                     plain_layout, reference_forms, reference_grams,
-                     reference_load_vector, reference_local_basis)
+from oracles import (containing, edge_normal, free_local_edges,
+                     geometry_seminorms, reference_element_dofs,
+                     reference_error_norms, plain_layout, reference_forms,
+                     reference_grams, reference_load_vector,
+                     reference_local_basis)
 
 FIELDS = {"theta1": "sin(pi * x1) * sin(pi * x2)",
           "theta2": "x1 * (1 - x1) * x2 * (1 - x2)",
@@ -92,14 +93,28 @@ def test_manufactured_load_vector_evaluates_loads_once(monkeypatch):
     calls = []
     volume_loads = ManufacturedSolution.volume_loads
 
-    def counting(self, pts):
+    def counting(self, pts, geom=None):
         calls.append(len(pts))
-        return volume_loads(self, pts)
+        return volume_loads(self, pts, geom)
     monkeypatch.setattr(ManufacturedSolution, "volume_loads", counting)
     chart = bump_chart()
     asm = make_asm(chart, 4)
     asm.load_vector(manufactured(chart).load_spec())
     assert calls == [asm.mesh.n_triangles * len(asm._elem_data().wq)]
+
+
+@pytest.mark.parametrize("tags", [("D", "D", "D", "D"), FREE_AND_SOFT],
+                         ids=["clamped", "free-and-soft-fluxes"])
+def test_manufactured_loads_evaluate_no_geometry_of_their_own(
+        tags, chart_evaluations):
+    """The provider gets the geometry the assembler holds at the volume and
+    S/F edge points."""
+    chart = bump_chart()
+    asm = make_asm(chart, 4, tags)
+    asm._elem_data(), asm._edge_data()
+    chart_evaluations.clear()
+    asm.load_vector(manufactured(chart).load_spec())
+    assert chart_evaluations == []
 
 
 # ------------------------------------------------------------------ norms
@@ -147,16 +162,6 @@ def test_discrete_field_batch_matches_point_by_point():
         assert_close(grads[k], one.grads(p)[0])
 
 
-def containing(asm, pts):
-    """(nt, n): whether each triangle contains each point to a barycentric
-    tolerance of 1e-10, tested by brute force."""
-    e = asm._elem_data()
-    lam12 = (np.einsum("tij,qj->tqi", e.Jinv, pts)
-             - np.einsum("tij,tj->ti", e.Jinv, e.coords[:, 2])[:, None])
-    lam3 = 1.0 - lam12.sum(axis=-1)
-    return (lam12 >= -1e-10).all(axis=-1) & (lam3 >= -1e-10)
-
-
 @pytest.mark.parametrize("n,grading", [
     (3, None), (8, None), (6, {"ratio": 0.3, "toward": "left"})],
     ids=["3x4", "8x9", "graded"])
@@ -185,6 +190,30 @@ def test_locate_returns_the_brute_force_owners(n, grading):
     for outside in ([2.0 + 1e-6, 0.0], [1.0, -1.5]):
         with pytest.raises(MeshError):
             field._locate(np.array([[1.0, 0.0], outside]))
+
+
+def test_locate_finds_the_owners_of_the_self_convergence_points():
+    """The points self-convergence evaluates its reference at: a coarse
+    level's volume and S/D boundary-edge quadrature points, located in the
+    refined mesh, on a permuted cylinder mesh."""
+    rng = np.random.default_rng(5)
+    base = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 4, 4,
+                              tags=("D", "S", "F", "S"))
+    mesh = Mesh(base.vertices.copy(),
+                base.triangles[rng.permutation(base.n_triangles)].copy(),
+                base.boundary.pairs, base.boundary.tag)
+    coarse = ShellProblem(chart=make_chart("cylinder"), mesh=mesh,
+                          penalty_C=20.0)
+    fine = coarse.refined()
+    field = DiscreteField(fine, np.zeros(fine.assembler().layout.n_primal))
+    asm = coarse.assembler()
+    bd = asm._edge_data()[1]
+    pts = np.concatenate([asm._elem_data().qpts.reshape(-1, 2),
+                          bd.pts[bd.tag != "F"].reshape(-1, 2)])
+    inside = containing(field.asm, pts)
+    assert inside.any(axis=0).all()
+    assert np.array_equal(field._locate(pts), inside.argmax(axis=0))
+    assert field._locate(np.empty((0, 2))).shape == (0,)
 
 
 ORACLE_MESHES = pytest.mark.parametrize("chart,tags,plain,sizes", [
@@ -437,9 +466,9 @@ def test_point_budget_slices_give_the_same_results(monkeypatch):
     calls = []
     volume_loads = ManufacturedSolution.volume_loads
 
-    def counting(self, pts):
+    def counting(self, pts, geom=None):
         calls.append(len(pts))
-        return volume_loads(self, pts)
+        return volume_loads(self, pts, geom)
     monkeypatch.setattr(ManufacturedSolution, "volume_loads", counting)
     monkeypatch.setattr("shellfem.geometry.POINT_BUDGET", 40)
     monkeypatch.setattr("shellfem.cli.POINT_BUDGET", 40)

@@ -159,9 +159,11 @@ def test_load_spec_has_all_pieces():
     sol = make_sol("plate")
     spec = sol.load_spec()
     pts = np.array([[0.25, 0.75], [0.5, 0.5]])
-    for fn in (spec.p1, spec.p2, spec.p3, spec.c1, spec.c2):
-        assert fn(pts).shape == (2,)
-    assert spec.flux_provider is sol
+    loads = spec.provider.volume_loads(pts, sol.chart.evaluate(pts))
+    for name in ("p1", "p2", "p3", "c1", "c2"):
+        assert loads[name].shape == (2,)
+        assert np.array_equal(loads[name], sol.volume_loads(pts)[name])
+    assert spec.provider is sol
     assert spec.r1 is None and spec.q3 is None
 
 
