@@ -11,12 +11,14 @@ integrates, the strains of strain.py or on edges their jumps and fluxes, is
 a per-point operator on the 15 values and partials of the five fields,
 built from the geometry alone; applied to the traces it gives that quantity
 for every local DOF ("B-matrix" assembly), and each local matrix is one
-batched matmul.  The primal matrices share one CSR pattern (element blocks
-and interior-edge pair blocks); each is one bincount of its local entries
-into that pattern.  Penalty contributions are kept in separate matrices so
-the penalty constant can be recalibrated without reassembling anything.
-The same traces evaluate fields at points (`field_values`), which is all
-the norms of norms.py need; its one Gram matrix, Q_H, shares the pattern.
+batched matmul.  `forms` records the DOFs of each slice once as a dense
+block; one sort of the entries of all blocks gives the CSR structure that
+the primal matrices share and the slot of every local entry, and each
+matrix is one bincount of its local entries (`_csr_sums`).  Penalty
+contributions are kept in separate matrices so the penalty constant can be
+recalibrated without reassembling anything.  The same traces evaluate
+fields at points (`field_values`), which is all the norms of norms.py need;
+its one Gram matrix, Q_H, is summed the same way on the element blocks.
 
 All square matrices are over the primal DOFs (blocks 1+2 of the layout);
 the stress coupling block has shape (n_block3, n_primal).
@@ -163,44 +165,39 @@ def _edge_operator(geom, A, nbar, theta):
                           axis=-2)
 
 
-class _Pattern:
-    """CSR pattern of a union of dense blocks, rows x cols for each pair of
-    index arrays (E, m) and (E, l) in `blocks`.  Local block values are
-    summed into it with one bincount per matrix.  The CSR column indices
-    and row pointers are computed once, and every matrix built on the
-    pattern shares them: no code changes a form's structure in place."""
-
-    def __init__(self, shape, blocks):
-        self.shape = shape
-        # sorted unique keys (np.unique hashes, which is far slower here)
-        keys = np.sort(np.concatenate([self._keys(r, c).ravel()
-                                       for r, c in blocks]
-                                      + [np.zeros(0, dtype=int)]))
-        self.keys = keys[np.diff(keys, prepend=-1) != 0]
-        rows, cols = np.divmod(self.keys, max(1, shape[1]))
-        index = np.int32 if max(shape + (len(cols),)) < 2 ** 31 else np.int64
-        self._cols = cols.astype(index)
-        self._indptr = np.searchsorted(
-            rows, np.arange(shape[0] + 1)).astype(index)
-
-    def _keys(self, rows, cols):
-        return rows[:, :, None] * self.shape[1] + cols[:, None, :]
-
-    def slots(self, rows, cols):
-        """Data slot of every entry of the blocks rows x cols."""
-        return np.searchsorted(self.keys, self._keys(rows, cols))
-
-    def data(self, pieces):
-        """Sum of the local values of pieces [(slots, values), ...]."""
-        if not pieces:
-            return np.zeros(len(self.keys))
-        return np.bincount(np.concatenate([s.ravel() for s, _ in pieces]),
-                           np.concatenate([v.ravel() for _, v in pieces]),
-                           minlength=len(self.keys))
-
-    def csr(self, data):
-        return sps.csr_matrix((data, self._cols, self._indptr),
-                              shape=self.shape)
+def _csr_sums(shape, blocks, pieces):
+    """Sparse matrices of shape `shape` on one CSR structure, the union of
+    the dense blocks rows x cols of the index arrays (E, m) and (E, l) in
+    `blocks`: for each key of the dict `pieces`, the sum of its values
+    (E, m, l) on block b, [(b, values), ...], popped as it is summed.  One
+    sort of the blocks' entries gives the structure and, through its
+    inverse, the slot of every entry; each matrix is one bincount, which
+    adds a slot's terms in piece order.  Every matrix shares the structure's
+    arrays and stores an entry even where its terms cancel."""
+    keys = np.concatenate([(r[:, :, None] * shape[1] + c[:, None, :]).ravel()
+                           for r, c in blocks])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) != 0
+    keys = keys[first]
+    index = np.int32 if max(shape + (len(keys),)) < 2 ** 31 else np.int64
+    slot = np.empty(len(order), dtype=index)
+    slot[order] = np.cumsum(first, dtype=index) - 1
+    del order, first
+    rows, cols = np.divmod(keys, max(1, shape[1]))
+    indices = cols.astype(index)
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(index)
+    start = np.cumsum([0] + [r.size * c.shape[1] for r, c in blocks])
+    out = {}
+    for key in list(pieces):
+        at = pieces.pop(key)
+        data = np.bincount(
+            np.concatenate([slot[start[b]:start[b + 1]] for b, _ in at]
+                           + [np.zeros(0, dtype=index)]),
+            np.concatenate([v.ravel() for _, v in at] + [np.zeros(0)]),
+            minlength=len(keys))
+        out[key] = sps.csr_matrix((data, indices, indptr), shape=shape)
+    return out
 
 
 class FormAssembler:
@@ -213,7 +210,6 @@ class FormAssembler:
         self.config = config
         self._elem = None
         self._edges = None
-        self._patterns = None
         self._forms = None
         self._order = None
 
@@ -343,25 +339,6 @@ class FormAssembler:
                    np.concatenate([yi[:, :, 13:] for yi in y], axis=-1)
                    / len(y))
 
-    def _pattern(self):
-        """CSR patterns of the primal matrices (element blocks and
-        interior-edge pair blocks), of B and of C (element blocks)."""
-        if self._patterns is None:
-            e = self._elem_data()
-            d = self._edge_data()[0]
-            n, n3 = self.layout.n_primal, self.layout.n_block3
-            groups = list(_groups(e.nf[:, None], 1))
-            blocks = [(self._dofs(t),) * 2 for t in groups]
-            for k in _groups(np.stack([e.nf[d.left], e.nf[d.right]], 1), 1):
-                pair = np.concatenate([self._dofs(d.left[k]),
-                                       self._dofs(d.right[k])], axis=1)
-                blocks.append((pair, pair))
-            self._patterns = (
-                _Pattern((n, n), blocks),
-                _Pattern((n3, n), [(e.aux[t], self._dofs(t)) for t in groups]),
-                _Pattern((n3, n3), [(e.aux, e.aux)]))
-        return self._patterns
-
     # ----------------------------------------------------------- global forms
 
     def forms(self):
@@ -371,9 +348,12 @@ class FormAssembler:
         if self._forms is not None:
             return self._forms
         mu, kappa = self.material.mu, self.material.kappa
-        primal, coupling, stress = self._pattern()
+        # the dense blocks (rows, cols) of the primal matrices and of B, and
+        # each matrix's values on them, [(block, values), ...]
+        square, coupling = [], []
         pieces = {key: [] for key in
-                  ("R", "R_pen", "G", "G_pen", "T", "T_pen", "B", "C")}
+                  ("R", "R_pen", "G", "G_pen", "T", "T_pen")}
+        coupled = []
         e = self._elem_data()
         S = _aux_basis(e.bary)[None]                        # (1,nq,6,15)
         for t, dofs, phi in self._point_batches(
@@ -382,44 +362,47 @@ class FormAssembler:
             rho, gam, tau = B[:, :, 0:4], B[:, :, 4:8], B[:, :, 8:10]
             wfac = e.areas[t, None] * e.wq * e.geom.sqrt_a[t]
             A = e.elastic.elastic[t].reshape(len(t), -1, 4, 4)
-            slots = primal.slots(dofs, dofs)
-            pieces["R"].append((slots, _gram(wfac, A @ rho, rho) / 3.0))
-            pieces["G"].append((slots, _gram(wfac, A @ gam, gam)))
-            pieces["T"].append((slots, kappa * mu * _gram(
+            b = len(square)
+            square.append((dofs, dofs))
+            pieces["R"].append((b, _gram(wfac, A @ rho, rho) / 3.0))
+            pieces["G"].append((b, _gram(wfac, A @ gam, gam)))
+            pieces["T"].append((b, kappa * mu * _gram(
                 wfac, e.geom.a_con[t] @ tau, tau)))
-            pieces["B"].append((coupling.slots(e.aux[t], dofs),
-                                _gram(wfac, S, B[:, :, 4:10])))
-        pieces["C"].append((stress.slots(e.aux, e.aux), self._stress_mass()))
+            coupled.append((len(coupling), _gram(wfac, S, B[:, :, 4:10])))
+            coupling.append((e.aux[t], dofs))
 
         for d in self._edge_data():
             Se = _aux_basis(np.stack([1 - d.te, d.te], axis=1))[None]
             for k, dofs, jump, flux in self._edge_batches(d):
                 wsa = d.h[k, None] * d.we * d.geom.sqrt_a[k]  # consistency
-                slots = primal.slots(dofs, dofs)
+                b = len(square)
+                square.append((dofs, dofs))
                 jth, ju, jw = jump[:, :, 0:2], jump[:, :, 2:4], jump[:, :, 4:5]
                 for key, fac, x, y in (
                         ("R", 1.0 / 3.0, jump[:, :, 5:7], flux[:, :, 0:2]),
                         ("G", -1.0, ju, flux[:, :, 2:4]),
                         ("T", -kappa * mu, jw, flux[:, :, 4:5])):
                     X = _gram(wsa, x, y)
-                    pieces[key].append((slots, fac * (X + np.swapaxes(X, 1, 2))))
+                    pieces[key].append((b, fac * (X + np.swapaxes(X, 1, 2))))
                 # penalties: the h_e^{-1} weight cancels against h; rotations
                 # not on S edges
                 if d.tag[k[0]] != "S":
-                    pieces["R_pen"].append((slots, _gram(d.we, jth, jth)))
+                    pieces["R_pen"].append((b, _gram(d.we, jth, jth)))
                 pen_w = _gram(d.we, jw, jw)
-                pieces["G_pen"].append((slots, _gram(d.we, ju, ju) + pen_w))
-                pieces["T_pen"].append((slots, pen_w))
+                pieces["G_pen"].append((b, _gram(d.we, ju, ju) + pen_w))
+                pieces["T_pen"].append((b, pen_w))
                 # -(M^{ab}[v_a]n_b + xi^a [z]n_a), as in Se
                 rows = (5 * d.verts[k, :, None]
                         + np.arange(5)).reshape(len(k), 10)
-                pieces["B"].append((coupling.slots(rows, dofs),
-                                    -_gram(wsa, Se, jump[:, :, 7:13])))
+                coupled.append((len(coupling),
+                                -_gram(wsa, Se, jump[:, :, 7:13])))
+                coupling.append((rows, dofs))
 
-        forms = {key: primal.csr(primal.data(pieces.pop(key))) for key in
-                 ("R", "R_pen", "G", "G_pen", "T", "T_pen")}
-        forms["B"] = coupling.csr(coupling.data(pieces["B"]))
-        forms["C"] = stress.csr(stress.data(pieces["C"]))
+        n, n3 = self.layout.n_primal, self.layout.n_block3
+        forms = _csr_sums((n, n), square, pieces)
+        forms.update(_csr_sums((n3, n), coupling, {"B": coupled}))
+        forms.update(_csr_sums((n3, n3), [(e.aux, e.aux)],
+                               {"C": [(0, self._stress_mass())]}))
         self._forms = forms
         if hasattr(_LIBC, "malloc_trim"):
             _LIBC.malloc_trim(0)
@@ -454,16 +437,18 @@ class FormAssembler:
 
     def _penalized(self, key):
         """Data of the form `key` plus the penalty constant times its
-        penalty part, on the primal pattern that all six share."""
+        penalty part, on the CSR structure that all six share."""
         f = self.forms()
         return f[key].data + self.config.penalty_C * f[key + "_pen"].data
 
     def a_theta(self, theta_param):
         """A(theta) = rho_h + theta*(gamma_h + tau_h), summed entry by entry
-        on the primal pattern: an entry that cancels stays stored, so the
+        on the forms' structure: an entry that cancels stays stored, so the
         structure of every system does not depend on rounding."""
-        return self._pattern()[0].csr(self._penalized("R") + theta_param * (
-            self._penalized("G") + self._penalized("T")))
+        R = self.forms()["R"]
+        return sps.csr_matrix((self._penalized("R") + theta_param * (
+            self._penalized("G") + self._penalized("T")), R.indices, R.indptr),
+            shape=R.shape)
 
     def b_matrix(self):
         return self.forms()["B"]

@@ -549,7 +549,7 @@ def main(argv=None) -> int:
     try:
         spec = build_spec(parse_config(text))
         STUDIES[args.study](spec, out)
-    except (ConfigError, exprmod.ExprError) as exc:
+    except (ConfigError, exprmod.ExprError, exprmod.EvalDomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (MeshError, GeometryError) as exc:

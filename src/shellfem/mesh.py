@@ -51,6 +51,12 @@ class Mesh:
     def __init__(self, vertices, triangles, boundary_pairs, boundary_tags):
         self.vertices = v = np.asarray(vertices, dtype=float)
         self.triangles = tris = np.asarray(triangles, dtype=int)
+        if v.ndim != 2 or v.shape[1] != 2 or not np.isfinite(v).all():
+            raise MeshError("vertices must be finite coordinates (nv, 2)")
+        if tris.ndim != 2 or tris.shape[1] != 3 or not len(tris):
+            raise MeshError("triangles must be vertex indices (nt, 3), nt > 0")
+        if tris.min() < 0 or tris.max() >= len(v):
+            raise MeshError("a triangle has a vertex index out of range")
         areas = _signed_areas(v, tris)
         bad = np.flatnonzero(areas <= 0)
         if len(bad):
@@ -235,10 +241,9 @@ def load_mesh(text: str) -> Mesh:
         parts = s.split()
         if len(parts) != 2 or parts[0] != name:
             raise MeshError(f"line {ln}: expected '{name} N', got {s!r}")
-        try:
-            n = int(parts[1])
-        except ValueError:
+        if not parts[1].isdecimal():
             raise MeshError(f"line {ln}: bad count {parts[1]!r}")
+        n = int(parts[1])
         pos += 1
         rows = []
         for _ in range(n):
@@ -255,9 +260,12 @@ def load_mesh(text: str) -> Mesh:
         if len(parts) != 2:
             raise MeshError(f"line {ln}: expected 'x1 x2'")
         try:
-            verts.append((float(parts[0]), float(parts[1])))
+            xy = (float(parts[0]), float(parts[1]))
         except ValueError:
+            xy = (np.nan,)
+        if not np.isfinite(xy).all():
             raise MeshError(f"line {ln}: bad coordinate")
+        verts.append(xy)
     trows = section("triangles")
     tris = []
     for ln, s in trows:
@@ -291,7 +299,7 @@ def load_mesh(text: str) -> Mesh:
     if pos != len(lines):
         raise MeshError(f"line {lines[pos][0]}: trailing content")
     verts = np.array(verts)
-    tris = np.array(tris, dtype=int)
+    tris = np.array(tris, dtype=int).reshape(-1, 3)
     # auto-fix orientation
     areas = _signed_areas(verts, tris)
     flipped = areas < 0

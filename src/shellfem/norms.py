@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import strain
-from .assembly import FormAssembler, _apply, _aux_basis, _gram
+from .assembly import FormAssembler, _apply, _aux_basis, _csr_sums, _gram
 from .geometry import batched
 
 
@@ -96,21 +96,24 @@ class NormEngine:
         return out
 
     def grams(self):
-        """Q_H, the Gram matrix of the H_h norm on the assembler's primal
-        pattern.  Its edge part is the forms' rotation and displacement jump
-        penalties, R_pen + G_pen."""
+        """Q_H, the Gram matrix of the H_h norm: its volume part summed on
+        the element blocks as the forms are, plus its edge part, the forms'
+        rotation and displacement jump penalties R_pen + G_pen.  The sum
+        keeps only the nonzero entries, so Q_H does not store the forms'
+        structure: it has no entries between fields on the elements."""
         if self._grams is None:
             asm = self.asm
-            e, pattern = asm._elem_data(), asm._pattern()[0]
-            vol = []
+            e, n = asm._elem_data(), self.layout.n_primal
+            blocks, vol = [], []
             for t, dofs, phi in asm._point_batches(
                     np.arange(asm.mesh.n_triangles)):
                 jet = _apply(np.eye(15), phi)   # all values and partials
-                vol.append((pattern.slots(dofs, dofs),
+                vol.append((len(blocks),
                             _gram(e.areas[t, None] * e.wq, jet, jet)))
+                blocks.append((dofs, dofs))
             f = asm.forms()
-            self._grams = pattern.csr(pattern.data(vol)) + f["R_pen"] \
-                + f["G_pen"]
+            self._grams = _csr_sums((n, n), blocks, {"Q": vol})["Q"] \
+                + f["R_pen"] + f["G_pen"]
         return self._grams
 
     # ------------------------------------------------------------- norm values

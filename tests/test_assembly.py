@@ -157,6 +157,37 @@ def test_calibrate_penalty_gives_positive_definite_system():
     assert np.linalg.eigvalsh(asm.a_theta(1.0).toarray()).min() > 0
 
 
+def test_primal_forms_share_the_union_of_their_blocks():
+    asm = make_assembler("cylinder", nx=3, ny=3, tags=("D", "F", "S", "F"))
+    lay, mesh = asm.layout, asm.mesh
+    n = lay.n_primal
+
+    def block(*tris):
+        dofs = lay.dofs[list(tris)].ravel()
+        dofs = dofs[dofs >= 0]
+        return (dofs[:, None] * n + dofs).ravel()
+    want = np.unique(np.concatenate(
+        [block(t) for t in range(mesh.n_triangles)]
+        + [block(l, r) for l, r in zip(mesh.interior.left,
+                                       mesh.interior.right)]))
+    forms = asm.forms()
+    R = forms["R"]
+    rows = np.repeat(np.arange(n), np.diff(R.indptr))
+    assert np.array_equal(rows * n + R.indices, want)
+    Rp = asm._penalized("R")
+    GTp = asm._penalized("G") + asm._penalized("T")
+    # an entry of A(theta) that cancels exactly at a positive theta
+    theta = next(t for t in -Rp / np.where(GTp == 0, np.inf, GTp)
+                 if t > 0 and np.any((Rp + t * GTp == 0) & (Rp != 0)))
+    A = asm.a_theta(theta)
+    assert np.any((A.data == 0) & (Rp != 0))
+    for M in [A] + [forms[k] for k in ("R", "R_pen", "G", "G_pen", "T",
+                                       "T_pen")]:
+        assert M.nnz == len(want)
+        assert np.shares_memory(M.indices, R.indices)
+        assert np.shares_memory(M.indptr, R.indptr)
+
+
 def test_b_and_c_shapes():
     asm = make_assembler("cylinder")
     B = asm.b_matrix()

@@ -96,10 +96,16 @@ def write(tmp_path, text, name="case.cfg"):
     return str(p)
 
 
-def test_exit_code_config_error(tmp_path, capsys):
-    cfg = write(tmp_path, "[chart]\nkind = nosuchchart")
+@pytest.mark.parametrize("text", [
+    "[chart]\nkind = nosuchchart",
+    GOOD.replace("p3 = sin(pi * x1) * x2", "p3 = log(x1 - 2)"),
+    GOOD.replace("kind = cylinder\nradius = 1.0",
+                 "kind = expression\nx = x1\ny = x2\nz = sqrt(x1 - 2)"),
+], ids=["unknown-chart", "non-finite-load", "non-finite-chart"])
+def test_exit_code_config_error(tmp_path, capsys, text):
+    cfg = write(tmp_path, text)
     assert main(["solve", cfg, "--out", str(tmp_path)]) == 2
-    assert "error" in capsys.readouterr().err
+    assert "config error:" in capsys.readouterr().err
     assert main(["solve", str(tmp_path / "missing.cfg")]) == 2
 
 

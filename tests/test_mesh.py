@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
+from shellfem.assembly import LoadSpec
+from shellfem.driver import ShellProblem
 from shellfem.geometry import make_chart
-from shellfem.mesh import (MeshError, generate_rect_mesh, load_mesh,
+from shellfem.mesh import (Mesh, MeshError, generate_rect_mesh, load_mesh,
                            mesh_condition_report, refine_uniform, save_mesh)
 
 from oracles import reference_edge_table, reference_refine
@@ -168,11 +172,45 @@ SQUARE_SIDES = [(0, 1, "D"), (1, 3, "S"), (2, 3, "F"), (0, 2, "D")]
      "edge \\(1, 2\\) does not exist"),
     (SQUARE + [(2.0, 0.0)], SQUARE_TRIS + [(0, 1, 4)], SQUARE_SIDES,
      "triangle 2 is not counterclockwise or degenerate"),
+    (SQUARE, [], [], "triangles must be vertex indices \\(nt, 3\\), nt > 0"),
+    ([(float("nan"), 0.0)] + SQUARE[1:], SQUARE_TRIS, SQUARE_SIDES,
+     "line 3: bad coordinate"),
 ], ids=["three-triangles", "tagged-interior", "untagged-boundary",
-        "tagged-absent", "zero-area"])
+        "tagged-absent", "zero-area", "no-triangles", "nan-coordinate"])
 def test_invalid_meshes_are_rejected(vertices, triangles, boundary, fragment):
     with pytest.raises(MeshError, match=fragment):
         load_mesh(mesh_text(vertices, triangles, boundary))
+
+
+@pytest.mark.parametrize("section", ["vertices", "triangles", "boundary"])
+def test_negative_section_count_is_rejected(section):
+    text = mesh_text(SQUARE, SQUARE_TRIS, SQUARE_SIDES)
+    line = next(i for i, s in enumerate(text.splitlines(), start=1)
+                if s.startswith(section))
+    text = re.sub(rf"^{section} \d+$", f"{section} -1", text, flags=re.M)
+    with pytest.raises(MeshError, match=f"line {line}: bad count '-1'"):
+        load_mesh(text)
+
+
+SQUARE_PAIRS = [(i, j) for i, j, _ in SQUARE_SIDES]
+SQUARE_TAGS = [tag for _, _, tag in SQUARE_SIDES]
+
+
+@pytest.mark.parametrize("vertices,triangles,fragment", [
+    (SQUARE, np.zeros((0, 3), dtype=int), "triangles must be vertex indices"),
+    (SQUARE, [(0, 1, 3), (0, 3, 4)], "vertex index out of range"),
+    (SQUARE, [(0, 1, 3), (0, 3, -2)], "vertex index out of range"),
+    (SQUARE, [0, 1, 3, 0, 3, 2], "triangles must be vertex indices"),
+    (SQUARE, [(0, 1, 3, 2)], "triangles must be vertex indices"),
+    ([(0.0, np.nan)] + SQUARE[1:], SQUARE_TRIS, "vertices must be finite"),
+    ([(np.inf, 0.0)] + SQUARE[1:], SQUARE_TRIS, "vertices must be finite"),
+    ([(x, y, 0.0) for x, y in SQUARE], SQUARE_TRIS, "vertices must be finite"),
+], ids=["no-triangles", "index-too-large", "negative-index", "flat-triangles",
+        "four-vertex-triangle", "nan-coordinate", "inf-coordinate",
+        "three-coordinates"])
+def test_invalid_mesh_arrays_are_rejected(vertices, triangles, fragment):
+    with pytest.raises(MeshError, match=fragment):
+        Mesh(vertices, triangles, SQUARE_PAIRS, SQUARE_TAGS)
 
 
 def test_boundary_edge_listed_twice_names_the_second_line():
@@ -239,12 +277,31 @@ NUMPY_2_ONLY = ("vecdot", "matvec", "vecmat", "concat", "astype",
                 "cumulative_sum")
 
 
-def test_mesh_is_built_without_numpy_2_only_functions(monkeypatch):
+def hide_numpy_2_only_functions(monkeypatch):
     # pyproject.toml accepts numpy >= 1.24, which lacks these functions
     for name in NUMPY_2_ONLY:
         monkeypatch.delattr(np, name, raising=False)
     for name in ("vecdot", "vector_norm", "matrix_norm"):
         monkeypatch.delattr(np.linalg, name, raising=False)
+
+
+def test_mesh_is_built_without_numpy_2_only_functions(monkeypatch):
+    hide_numpy_2_only_functions(monkeypatch)
     mesh = refine_uniform(generate_rect_mesh(
         (0.0, 1.0, 0.0, 1.0), 3, 3, tags=("D", "S", "F", "F")))
     assert_matches_reference(mesh, mesh.boundary.pairs, mesh.boundary.tag)
+
+
+def test_problem_is_solved_without_numpy_2_only_functions(monkeypatch):
+    hide_numpy_2_only_functions(monkeypatch)
+    problem = ShellProblem(
+        make_chart("cylinder"), generate_rect_mesh(
+            (0.0, 1.0, 0.0, 1.0), 3, 3, tags=("D", "S", "F", "F")),
+        loads=LoadSpec(p3=lambda p: np.ones(len(p))), penalty_C=100.0)
+    asm = problem.assembler()
+    forms = asm.forms()
+    A = asm.a_theta(problem.epsilon ** -2)
+    assert A.nnz == forms["R"].nnz and forms["B"].nnz and forms["C"].nnz
+    assert problem.norm_engine().grams().nnz
+    sol = problem.solve("mixed")
+    assert np.isfinite(sol.primal).all() and np.abs(sol.primal).max() > 0
