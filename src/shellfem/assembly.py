@@ -272,15 +272,19 @@ class FormAssembler:
     def field_values(self, primal, owners, pts=None):
         """Values (E, q, 5) and gradients (E, q, 5, 2) of theta1, theta2, u1,
         u2, w of the primal vector on the elements owners (E,) at parameter
-        points pts (E, q, 2), or at the volume quadrature points."""
+        points pts (E, q, 2), or at the volume quadrature points; for a stack
+        (k, n), with a leading axis k, all from one trace of each slice."""
         nq = len(self._elem_data().wq) if pts is None else pts.shape[1]
-        jet = np.empty((len(owners), nq, 3, 5))
+        X = np.reshape(primal, (-1, np.shape(primal)[-1]))
+        jet = np.empty((len(X), len(owners), nq, 3, 5))
         for s, dofs, phi in self._point_batches(owners, pts):
-            x = primal[dofs][:, None]
-            jet[s, ..., :2] = phi[..., :3] @ np.swapaxes(
-                x[..., :6].reshape(len(s), 1, 2, 3), -1, -2)
-            jet[s, ..., 2:] = phi @ np.swapaxes(
-                x[..., 6:].reshape(len(s), 1, 3, -1), -1, -2)
+            c = np.zeros((len(X), len(s), 5, phi.shape[-1]))  # rotations P1
+            c[:, :, :2, :3] = X[:, dofs[:, :6]].reshape(len(X), len(s), 2, 3)
+            c[:, :, 2:] = X[:, dofs[:, 6:]].reshape(len(X), len(s), 3, -1)
+            c = c.transpose(1, 3, 0, 2).reshape(len(s), c.shape[-1], -1)
+            jet[:, s] = np.moveaxis((phi.reshape(len(s), -1, c.shape[1]) @ c)
+                                    .reshape(len(s), nq, 3, len(X), 5), 3, 0)
+        jet = jet.reshape(np.shape(primal)[:-1] + jet.shape[1:])
         return jet[..., 0, :], np.swapaxes(jet[..., 1:, :], -1, -2)
 
     # --------------------------------------------------------------- edge data
@@ -522,10 +526,12 @@ def _positive_definite(K, order) -> bool:
     symmetric mode with diagonal pivoting yields U = D L^T while it keeps
     the diagonal pivots; it leaves the diagonal (or finds the factor
     singular) only at an exactly zero pivot, a singular leading minor, so K
-    is then not PD."""
-    n = K.shape[0]
-    K = ordered(K + (1e-12 * K.diagonal().sum() / n)
-                * sps.identity(n, format="csr"), order)
+    is then not PD.  The shift goes onto the stored diagonal of the ordered
+    copy, so the probe factors K's pattern; an unstored diagonal stays 0."""
+    shift = 1e-12 * K.diagonal().sum() / K.shape[0]
+    K = ordered(K, order)
+    K.data[K.indices == np.repeat(np.arange(K.shape[1]),
+                                  np.diff(K.indptr))] += shift
     try:
         lu = factor(K)
     except RuntimeError:                 # exactly singular

@@ -84,26 +84,16 @@ def parse_config(text: str) -> dict:
     return sections
 
 
-def _get_float(sec, key, default=None):
+def _get(sec, key, default=None, cast=float):
     if key not in sec:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return float(sec[key])
+        return cast(sec[key])
     except ValueError:
-        raise ConfigError(f"key {key!r}: {sec[key]!r} is not a number")
-
-
-def _get_int(sec, key, default=None):
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return int(sec[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: {sec[key]!r} is not an integer")
+        raise ConfigError(f"key {key!r}: {sec[key]!r} is not "
+                          + ("a number" if cast is float else "an integer"))
 
 
 def _get_floats(sec, key, default=None):
@@ -152,10 +142,10 @@ def _build_chart(sec):
         domain = ((domain[0], domain[1]), (domain[2], domain[3]))
     kwargs = {"domain": domain}
     if "radius" in sec:
-        kwargs["radius"] = _bounded("radius", _get_float(sec, "radius"), 0,
+        kwargs["radius"] = _bounded("radius", _get(sec, "radius"), 0,
                                     True)
     if "coeff" in sec:
-        kwargs["coeff"] = _get_float(sec, "coeff")
+        kwargs["coeff"] = _get(sec, "coeff")
     if kind == "expression":
         try:
             kwargs["components"] = [sec["x"], sec["y"], sec["z"]]
@@ -180,8 +170,8 @@ def _build_mesh(sec):
     rect = _get_floats(sec, "rect")
     if rect is None or len(rect) != 4:
         raise ConfigError("[mesh] needs file = path or rect = a,b,c,d")
-    nx = _get_int(sec, "nx", 4)
-    ny = _get_int(sec, "ny", 4)
+    nx = _get(sec, "nx", 4, int)
+    ny = _get(sec, "ny", 4, int)
     tags = tuple(t.strip().upper() for t in sec.get("tags", "D,D,D,D").split(","))
     if len(tags) != 4:
         raise ConfigError("[mesh] tags needs 4 entries (left,right,bottom,top)")
@@ -189,7 +179,7 @@ def _build_mesh(sec):
     if "grading_toward" in sec and "grading_ratio" not in sec:
         raise ConfigError("[mesh] key 'grading_toward' needs grading_ratio")
     if "grading_ratio" in sec:
-        grading = {"ratio": _get_float(sec, "grading_ratio"),
+        grading = {"ratio": _get(sec, "grading_ratio"),
                    "toward": sec.get("grading_toward", "left")}
     return generate_rect_mesh(rect, nx, ny, tags=tags, grading=grading)
 
@@ -211,11 +201,11 @@ def build_spec(sections: dict) -> ProblemSpec:
     mesh = _build_mesh(sections.get("mesh", {}))
     mat_sec = sections.get("material", {})
     material = Material(
-        lam=_bounded("lambda", _get_float(mat_sec, "lambda", 1.0), 0, False),
-        mu=_bounded("mu", _get_float(mat_sec, "mu", 1.0), 0, True),
-        kappa=_bounded("kappa", _get_float(mat_sec, "kappa", 5.0 / 6.0), 0,
+        lam=_bounded("lambda", _get(mat_sec, "lambda", 1.0), 0, False),
+        mu=_bounded("mu", _get(mat_sec, "mu", 1.0), 0, True),
+        kappa=_bounded("kappa", _get(mat_sec, "kappa", 5.0 / 6.0), 0,
                        True))
-    epsilon = _bounded("epsilon", _get_float(mat_sec, "epsilon", 0.1), 0, True)
+    epsilon = _bounded("epsilon", _get(mat_sec, "epsilon", 0.1), 0, True)
     load_sec = sections.get("loads", {})
     try:
         loads = LoadSpec(**{k: _load_fn(load_sec, k) for k in LOAD_KEYS})
@@ -232,13 +222,13 @@ def build_spec(sections: dict) -> ProblemSpec:
         except exprmod.ExprError as exc:
             raise ConfigError(f"[manufactured]: {exc}")
     asm_sec = sections.get("assembly", {})
-    penalty_user = (_bounded("penalty_c", _get_float(asm_sec, "penalty_c"),
+    penalty_user = (_bounded("penalty_c", _get(asm_sec, "penalty_c"),
                              0, True) if "penalty_c" in asm_sec else None)
     config = AssemblyConfig(
         quad_tri_degree=_bounded(
-            "quad_degree", _get_int(asm_sec, "quad_degree", 8), 1, False),
+            "quad_degree", _get(asm_sec, "quad_degree", 8, int), 1, False),
         quad_edge_points=_bounded(
-            "edge_points", _get_int(asm_sec, "edge_points", 5), 1, False))
+            "edge_points", _get(asm_sec, "edge_points", 5, int), 1, False))
     study_sec = sections.get("study", {})
     method = study_sec.get("method", "both").lower()
     if method not in ("mixed", "dg", "both"):
@@ -247,7 +237,7 @@ def build_spec(sections: dict) -> ProblemSpec:
         chart=chart, mesh=mesh, material=material, epsilon=epsilon,
         loads=loads, manufactured_fields=manufactured, method=method,
         config=config,
-        levels=_bounded("levels", _get_int(study_sec, "levels", 3), 1, False),
+        levels=_bounded("levels", _get(study_sec, "levels", 3, int), 1, False),
         epsilons=_bounded("epsilons", _get_floats(
             study_sec, "epsilons", (1e-2, 1e-3, 1e-4)), 0, True),
         penalty_user=penalty_user)

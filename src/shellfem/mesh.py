@@ -51,6 +51,8 @@ class Mesh:
     def __init__(self, vertices, triangles, boundary_pairs, boundary_tags):
         self.vertices = v = np.asarray(vertices, dtype=float)
         self.triangles = tris = np.asarray(triangles, dtype=int)
+        if not np.array_equal(tris, triangles):     # not cast silently
+            raise MeshError("triangles must be integer vertex indices")
         if v.ndim != 2 or v.shape[1] != 2 or not np.isfinite(v).all():
             raise MeshError("vertices must be finite coordinates (nv, 2)")
         if tris.ndim != 2 or tris.shape[1] != 3 or not len(tris):
@@ -84,8 +86,12 @@ class Mesh:
         side_edge[by_key] = (np.cumsum(is_first) - 1)[first][np.cumsum(new) - 1]
         self.side_edge = side_edge.reshape(-1, 3)
         # the tags, matched to the sorted edge keys
-        tagged = np.sort(np.asarray(boundary_pairs, dtype=int).reshape(-1, 2),
-                         axis=1)
+        tagged = np.asarray(boundary_pairs, dtype=int)
+        if not np.array_equal(tagged, boundary_pairs):
+            raise MeshError("boundary pairs must be integer vertex indices")
+        tagged = np.sort(tagged.reshape(-1, 2), axis=1)
+        if isinstance(boundary_tags, str):
+            raise MeshError(f"tags must be a sequence, not {boundary_tags!r}")
         tags = np.asarray(boundary_tags, dtype=str).reshape(-1)
         if len(tags) != len(tagged):
             raise MeshError("need one tag per boundary edge")

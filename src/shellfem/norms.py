@@ -40,7 +40,8 @@ _SEMINORMS = {"rho": ("rho", "jump_theta"), "gamma": ("gamma", "jump_u"),
 
 
 def _root(pieces, key):
-    return float(np.sqrt(sum(pieces[k] for k in _SEMINORMS[key])))
+    r = np.sqrt(sum(pieces[k] for k in _SEMINORMS[key]))
+    return float(r) if np.ndim(r) == 0 else r
 
 
 class NormEngine:
@@ -58,14 +59,15 @@ class NormEngine:
         `aux`, "V"; the edge-jump parts "jump_theta", "jump_u", "jump_w".
         `exact` provides values(pts)->(n,5) and grads(pts)->(n,5,2), called
         on all element quadrature points, then values on all S/D
-        boundary-edge points."""
+        boundary-edge points.  A stack primal (k, n) gives pieces (k,)."""
         asm = self.asm
         e = asm._elem_data()
         w = e.areas[:, None] * e.wq                     # plain area element
 
         def integral(x):
-            """Integral of the squares of x (nt, nq, ...)."""
-            return np.sum(w * np.sum(x.reshape(w.shape + (-1,)) ** 2, axis=-1))
+            """Integral of the squares of x (k..., nt, nq, ...)."""
+            x = x.reshape(np.shape(primal)[:-1] + w.shape + (-1,))
+            return np.sum(w * np.sum(x ** 2, axis=-1), axis=(-2, -1))
         v, g = asm.field_values(primal, np.arange(asm.mesh.n_triangles))
         if exact is not None:
             ev, eg = batched(lambda p: (exact.values(p), exact.grads(p)),
@@ -75,7 +77,7 @@ class NormEngine:
         if strains:
             r, gm, ta = strain.field_strains(v, g, e.geom)
             out.update(rho=integral(r), gamma=integral(gm), tau=integral(ta))
-        if aux is not None:
+        if aux is not None:                             # with one primal
             S = _aux_basis(e.bary)                      # (nq,6,15)
             out["V"] = integral(aux[e.aux] @ S.reshape(-1, S.shape[-1]).T)
         # edge jumps: exact fields are continuous, so jumps of the difference
@@ -86,13 +88,14 @@ class NormEngine:
         d = asm.field_values(primal, boundary.left[fixed], pts)[0]
         if exact is not None:
             d -= batched(exact.values, pts.reshape(-1, 2)).reshape(d.shape)
-        d[boundary.tag[fixed] == "S", :, :2] = 0.0      # rotations only on D
+        d[..., boundary.tag[fixed] == "S", :, :2] = 0.0  # rotations only on D
         jump = np.concatenate(
             [asm.field_values(primal, interior.left, interior.pts)[0]
-             - asm.field_values(primal, interior.right, interior.pts)[0], d])
-        j2 = np.einsum("q,eqc->c", interior.we, jump ** 2)    # one edge rule
-        out.update(jump_theta=j2[:2].sum(), jump_u=j2[2:4].sum(),
-                   jump_w=j2[4])
+             - asm.field_values(primal, interior.right, interior.pts)[0], d],
+            axis=-3)
+        j2 = np.einsum("q,...eqc->...c", interior.we, jump ** 2)  # one rule
+        out.update(jump_theta=j2[..., :2].sum(-1), jump_u=j2[..., 2:4].sum(-1),
+                   jump_w=j2[..., 4])
         return out
 
     def grams(self):
@@ -118,9 +121,9 @@ class NormEngine:
 
     # ------------------------------------------------------------- norm values
 
-    def quad_norm(self, key: str, vec: np.ndarray) -> float:
+    def quad_norm(self, key: str, vec: np.ndarray):
         """The seminorm `key` (rho, gamma, tau, a or H) of `vec`, edge parts
-        included."""
+        included; of a stack (k, n), the k values from one pass."""
         return _root(self._pieces(vec, strains=key != "H"), key)
 
     def discrete_norms(self, primal: np.ndarray, aux: np.ndarray = None, *,

@@ -75,11 +75,9 @@ def detect_regime(problem: ShellProblem, thresholds: dict = None,
     sol_dg = problem.solve("dg", epsilon=eps)
     extrap = (4.0 * sol_half.primal - sol_eps.primal) / 3.0
 
-    eng = problem.norm_engine()
-    n_eps = eng.quad_norm("H", sol_eps.primal)
-    n_half = eng.quad_norm("H", sol_half.primal)
-    n_ext = eng.quad_norm("H", extrap)
-    n_dg = eng.quad_norm("H", sol_dg.primal)
+    n_eps, n_half, n_ext, n_dg = map(float, problem.norm_engine().quad_norm(
+        "H", np.stack([sol_eps.primal, sol_half.primal, extrap,
+                       sol_dg.primal])))
 
     ratios = {
         "dg_over_mixed": n_dg / n_eps if n_eps else np.inf,

@@ -54,17 +54,28 @@ REFINE_STEPS = 2
 _U = np.finfo(float).eps
 
 
+def inf_one_norms(K):
+    """||K||_inf and ||K||_1 of the CSC matrix K from one pass over its
+    stored entries: row sums by bincount, column sums by indptr segments."""
+    a = np.append(np.abs(K.data), 0.0)
+    cols = np.add.reduceat(a, K.indptr[:-1])[np.diff(K.indptr) > 0]
+    return (np.bincount(K.indices, a[:-1], minlength=K.shape[0]).max(
+        initial=0), cols.max(initial=0))
+
+
 def _factor_refine(K, b, n_primal: int, order, meta: dict) -> ShellSolution:
-    """Solve K x = b: factor once in `order`, refine up to REFINE_STEPS times
-    until the backward error reaches u, accept x on it and add the figures
-    to meta.  All of it runs on the ordered system, which replaces K: no
-    caller keeps a reference to K, so the unordered copy is freed."""
+    """Solve K x = b: take K's norms before L and U exist, factor once in
+    `order`, refine up to REFINE_STEPS times until the backward error
+    reaches u, accept x on it and add the figures to meta.  All of it runs
+    on the ordered system, which replaces K: no caller keeps K, so the
+    unordered copy is freed."""
     K, b = ordered(K, order), b[order]
+    k_inf, k_one = inf_one_norms(K)
     try:
         lu = factor(K)
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
-    k_inf, b_inf = spla.norm(K, np.inf), np.abs(b).max(initial=0)
+    b_inf = np.abs(b).max(initial=0)
     x, r = np.zeros_like(b), b
     for _ in range(REFINE_STEPS + 1):
         x = x + lu.solve(r)
@@ -81,7 +92,7 @@ def _factor_refine(K, b, n_primal: int, order, meta: dict) -> ShellSolution:
                               rmatvec=lambda y: lu.solve(y, trans="T"))
     meta.update(residual=float(np.linalg.norm(r) / (np.linalg.norm(b) or 1)),
                 backward_error=float(berr), lu_fill=lu.nnz,
-                cond_est=float(spla.onenormest(inv, t=1) * spla.norm(K, 1)))
+                cond_est=float(spla.onenormest(inv, t=1) * k_one))
     x[order] = x.copy()                # back to the numbering of the given K
     return ShellSolution(primal=x[:n_primal], meta=meta,
                          aux=x[n_primal:] if len(x) > n_primal else None)

@@ -52,11 +52,12 @@ def operator(geom):
 def field_strains(values, grads, geom):
     """(rho (..., 2, 2), gamma (..., 2, 2), tau (..., 2)) of fields given as
     values (..., 5) and gradients (..., 5, 2) of theta1, theta2, u1, u2, w;
-    the geometry broadcasts against their leading axes.  The operator is
+    the geometry matches the last of their leading axes.  The operator is
     applied with the points on the last axes, as `_entries` builds it."""
     jet = np.concatenate([values[..., None], grads], axis=-1)   # (..., 5, 3)
     jet = np.moveaxis(jet.reshape(jet.shape[:-2] + (15,)), -1, 0).copy()
     L = _entries(geom)
+    L = L.reshape(L.shape[:2] + (1,) * (jet.ndim - L.ndim + 1) + L.shape[2:])
     s = np.moveaxis(sum(L[:, j] * jet[j] for j in range(15)), 0, -1)
     lead = s.shape[:-1]
     return (s[..., 0:4].reshape(lead + (2, 2)),

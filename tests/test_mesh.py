@@ -213,6 +213,26 @@ def test_invalid_mesh_arrays_are_rejected(vertices, triangles, fragment):
         Mesh(vertices, triangles, SQUARE_PAIRS, SQUARE_TAGS)
 
 
+@pytest.mark.parametrize("triangles, pairs, fragment", [
+    ([(0, 1.7, 3), (0, 3, 2)], SQUARE_PAIRS,
+     "triangles must be integer vertex indices"),
+    (SQUARE_TRIS, SQUARE_PAIRS[:2] + [(2, 3.5), (0, 2)],
+     "boundary pairs must be integer vertex indices"),
+], ids=["triangle", "boundary-pair"])
+def test_non_integral_indices_are_rejected(triangles, pairs, fragment):
+    # truncated, (0, 1.7, 3) would be the valid triangle (0, 1, 3)
+    with pytest.raises(MeshError, match=fragment):
+        Mesh(SQUARE, triangles, pairs, SQUARE_TAGS)
+    mesh = Mesh(SQUARE, np.asarray(SQUARE_TRIS, dtype=float),
+                np.asarray(SQUARE_PAIRS, dtype=float), SQUARE_TAGS)
+    assert mesh.triangles.dtype.kind == "i"
+
+
+def test_tags_given_as_one_string_are_rejected():
+    with pytest.raises(MeshError, match="tags must be a sequence, not 'DSFD'"):
+        Mesh(SQUARE, SQUARE_TRIS, SQUARE_PAIRS, "".join(SQUARE_TAGS))
+
+
 def test_boundary_edge_listed_twice_names_the_second_line():
     text = mesh_text(SQUARE, SQUARE_TRIS, SQUARE_SIDES + [(1, 0, "F")])
     with pytest.raises(MeshError, match="line 15: boundary edge \\(0, 1\\) "

@@ -133,3 +133,23 @@ def test_consistency_residual_degree_one_plate(method):
         theta_total=(1.0 if method == "mixed" else 0.0) + 1.0 / 0.1 ** 2)
     res = consistency_residual(mfd, asm, method, epsilon=0.1)
     assert res < 1e-9
+
+
+@pytest.mark.parametrize("chart_kind, tags, local_sizes", [
+    ("cylinder", ("D", "S", "F", "F"), 2),
+    ("hypar", ("F", "F", "D", "F"), 3),     # corners with two free edges
+    ("plate", ("D", "D", "S", "S"), 1),
+], ids=["cylinder-DSFF", "hypar-free", "plate-DDSS"])
+def test_stacked_norms_equal_per_vector_norms(chart_kind, tags, local_sizes):
+    """One quad_norm call on a stack (k, n) gives each vector's seminorm,
+    edge parts included, on meshes with and without enriched elements."""
+    eng = make_engine(chart_kind, tags, nx=3, ny=3)
+    assert len(np.unique(eng.asm.layout.nf)) == local_sizes
+    X = np.random.default_rng(5).standard_normal((4, eng.layout.n_primal))
+    X[2] = 0.0
+    for key in ("rho", "gamma", "tau", "a", "H"):
+        got = eng.quad_norm(key, X)
+        assert got.shape == (4,) and got[2] == 0.0
+        want = [eng.quad_norm(key, x) for x in X]
+        assert all(type(v) is float for v in want)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)

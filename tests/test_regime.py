@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from shellfem.assembly import LoadSpec
+from shellfem import assembly, solve
+from shellfem.assembly import FormAssembler, LoadSpec
 from shellfem.driver import ShellProblem
 from shellfem.geometry import make_chart
 from shellfem.mesh import generate_rect_mesh, mesh_condition_report
@@ -104,3 +105,40 @@ def test_mesh_condition_sweeps_the_chart_once(chart_evaluations):
         if not want[label]["geometry_resolved"]:
             want[f"{label}_warning"] = "mesh condition violated"
     assert rep.mesh_condition == want
+
+
+def test_norms_trace_each_point_set_once(monkeypatch):
+    """The four H norms of a detection are one pass: each point set's
+    basis traces are built once for all four fields."""
+    prob = cylinder_problem(tags=("D", "F", "F", "F"))
+    prob.solve("mixed")            # calibration, forms and loads trace too
+    calls = []
+    traces = FormAssembler._traces
+
+    def counting(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return traces(self, *args, **kwargs)
+    monkeypatch.setattr(FormAssembler, "_traces", counting)
+    prob.norm_engine().quad_norm("H", prob.rhs())
+    one_pass = list(calls)
+    calls.clear()
+    detect_regime(prob)
+    assert one_pass and calls == one_pass
+
+
+def test_calibrated_detection_factors_three_systems(monkeypatch):
+    """Mixed at eps and eps/2 and penalized at eps: a detection on a
+    calibrated problem factors these three systems and nothing else."""
+    prob = cylinder_problem(tags=("D", "F", "F", "F"))
+    prob.calibrate()
+    shapes, factor = [], solve.factor
+
+    def counting(K):
+        shapes.append(K.shape)
+        return factor(K)
+    for owner in (solve, assembly):
+        monkeypatch.setattr(owner, "factor", counting)
+    detect_regime(prob)
+    layout = prob.assembler().layout
+    n = layout.n_primal + layout.n_block3
+    assert shapes == [(n, n), (n, n), (layout.n_block1, layout.n_block1)]

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec, Material
 from shellfem.driver import ShellProblem
@@ -11,8 +12,8 @@ from shellfem.geometry import make_chart
 from shellfem.mesh import generate_rect_mesh
 from shellfem.norms import NormEngine
 from shellfem.solve import (BACKWARD_ERROR_MULTIPLE, ShellSolution,
-                            SolverError, realize_via_theta, solve_dg,
-                            solve_mixed)
+                            SolverError, inf_one_norms, ordered,
+                            realize_via_theta, solve_dg, solve_mixed)
 
 from oracles import penalized_forms, plain_layout
 
@@ -232,3 +233,21 @@ def test_solution_dataclass_meta():
     sol = ShellSolution(primal=np.zeros(3))
     assert sol.aux is None
     assert sol.meta == {}
+
+
+def test_one_pass_matrix_norms_equal_scipy_norms():
+    """||K||_inf and ||K||_1 from the stored entries of the ordered mixed
+    and penalized systems and of 2x2 matrices, one with an empty column."""
+    asm, f = setup(tags=("D", "F", "F", "F"))
+    eps, n1 = 0.1, asm.layout.n_block1
+    A, B, C = asm.a_theta(1.0), asm.b_matrix(), asm.c_matrix()
+    systems = [
+        ordered(sps.bmat([[A, B.T], [B, -eps ** 2 * C]]), asm.dof_order()),
+        ordered(asm.a_theta(eps ** -2).tocsr()[:n1, :n1], asm.dof_order(n1)),
+        sps.csc_matrix([[2.0, -1.0], [-3.0, 0.5]]),
+        sps.csc_matrix([[1.0, 0.0], [-2.0, 0.0]])]
+    for K in systems:
+        k_inf, k_one = inf_one_norms(K)
+        assert k_inf == pytest.approx(spla.norm(K, np.inf), rel=1e-15, abs=0)
+        assert k_one == pytest.approx(spla.norm(K, 1), rel=1e-15, abs=0)
+    assert inf_one_norms(systems[-1]) == (2.0, 3.0)
