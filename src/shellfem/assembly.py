@@ -61,7 +61,7 @@ class Material:
 
 @dataclass
 class AssemblyConfig:
-    penalty_C: float = 100.0
+    penalty_C: float = None       # None: calibrated on first use
     quad_tri_degree: int = 8
     quad_edge_points: int = 5
 
@@ -439,11 +439,18 @@ class FormAssembler:
         o = self._order
         return o if n is None else o[o < n]
 
+    def penalty(self) -> float:
+        """The penalty constant: the config's, or calibrated on first use
+        (`calibrate_penalty`, which sets the config's) if it gives none."""
+        if self.config.penalty_C is None:
+            calibrate_penalty(self)
+        return self.config.penalty_C
+
     def _penalized(self, key):
         """Data of the form `key` plus the penalty constant times its
         penalty part, on the CSR structure that all six share."""
         f = self.forms()
-        return f[key].data + self.config.penalty_C * f[key + "_pen"].data
+        return f[key].data + self.penalty() * f[key + "_pen"].data
 
     def a_theta(self, theta_param):
         """A(theta) = rho_h + theta*(gamma_h + tau_h), summed entry by entry

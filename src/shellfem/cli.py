@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -85,24 +85,27 @@ def parse_config(text: str) -> dict:
 
 
 def _get(sec, key, default=None, cast=float):
+    """The finite number (a float, or an int if `cast` is int) at `key`."""
     if key not in sec:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return cast(sec[key])
+        value = cast(sec[key])
     except ValueError:
-        raise ConfigError(f"key {key!r}: {sec[key]!r} is not "
-                          + ("a number" if cast is float else "an integer"))
+        value = np.nan
+    if not np.isfinite(value):
+        raise ConfigError(f"key {key!r} must be "
+                          + ("a finite number" if cast is float
+                             else "an integer") + f", got {sec[key]!r}")
+    return value
 
 
 def _get_floats(sec, key, default=None):
+    """The comma-separated finite numbers at `key`, as a tuple."""
     if key not in sec:
         return default
-    try:
-        return tuple(float(p) for p in sec[key].split(","))
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected comma-separated numbers")
+    return tuple(_get({key: p.strip()}, key) for p in sec[key].split(","))
 
 
 def _bounded(key, value, low, strict):
@@ -117,17 +120,14 @@ def _bounded(key, value, low, strict):
 
 @dataclass
 class ProblemSpec:
-    chart: object
-    mesh: object
-    material: Material
-    epsilon: float
-    loads: LoadSpec
+    """A study's problem on the base mesh, which calibrates the penalty on
+    first use unless the config gives one (every thickness and refinement of
+    the study shares that constant), and what the studies add to it."""
+    problem: ShellProblem
     manufactured_fields: dict = None
-    method: str = "both"
-    config: AssemblyConfig = field(default_factory=AssemblyConfig)
+    methods: tuple = ("mixed", "dg")
     levels: int = 3
     epsilons: tuple = (1e-2, 1e-3, 1e-4)
-    penalty_user: float = None
 
 
 def _build_chart(sec):
@@ -222,9 +222,9 @@ def build_spec(sections: dict) -> ProblemSpec:
         except exprmod.ExprError as exc:
             raise ConfigError(f"[manufactured]: {exc}")
     asm_sec = sections.get("assembly", {})
-    penalty_user = (_bounded("penalty_c", _get(asm_sec, "penalty_c"),
-                             0, True) if "penalty_c" in asm_sec else None)
     config = AssemblyConfig(
+        penalty_C=(_bounded("penalty_c", _get(asm_sec, "penalty_c"), 0, True)
+                   if "penalty_c" in asm_sec else None),
         quad_tri_degree=_bounded(
             "quad_degree", _get(asm_sec, "quad_degree", 8, int), 1, False),
         quad_edge_points=_bounded(
@@ -234,34 +234,13 @@ def build_spec(sections: dict) -> ProblemSpec:
     if method not in ("mixed", "dg", "both"):
         raise ConfigError(f"[study] method must be mixed|dg|both, got {method!r}")
     return ProblemSpec(
-        chart=chart, mesh=mesh, material=material, epsilon=epsilon,
-        loads=loads, manufactured_fields=manufactured, method=method,
-        config=config,
+        problem=ShellProblem(chart=chart, mesh=mesh, material=material,
+                             epsilon=epsilon, loads=loads, config=config),
+        manufactured_fields=manufactured,
+        methods=("mixed", "dg") if method == "both" else (method,),
         levels=_bounded("levels", _get(study_sec, "levels", 3, int), 1, False),
         epsilons=_bounded("epsilons", _get_floats(
-            study_sec, "epsilons", (1e-2, 1e-3, 1e-4)), 0, True),
-        penalty_user=penalty_user)
-
-
-def _methods(spec: ProblemSpec):
-    return ("mixed", "dg") if spec.method == "both" else (spec.method,)
-
-
-def _make_problem(spec: ProblemSpec) -> ShellProblem:
-    """The study's problem on the base mesh; it calibrates the penalty on
-    first use unless the config gives one, and every thickness and
-    refinement of the study shares that constant."""
-    return ShellProblem(chart=spec.chart, mesh=spec.mesh,
-                        material=spec.material, epsilon=spec.epsilon,
-                        loads=spec.loads, config=spec.config,
-                        penalty_C=spec.penalty_user)
-
-
-def _manufactured_for(spec: ProblemSpec, method: str,
-                      epsilon: float) -> ManufacturedSolution:
-    total = epsilon ** -2 + (1.0 if method == "mixed" else 0.0)
-    return ManufacturedSolution(spec.manufactured_fields, spec.chart,
-                                spec.material, theta_total=total)
+            study_sec, "epsilons", (1e-2, 1e-3, 1e-4)), 0, True))
 
 
 # ----------------------------------------------------------------- field eval
@@ -376,11 +355,11 @@ def write_vtk(path: Path, problem: ShellProblem, primal: np.ndarray):
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_meshcond(path: Path, spec: ProblemSpec, meshes):
+def write_meshcond(path: Path, problem: ShellProblem, meshes):
     """`meshcond.csv`: the size and the geometry resolution of each mesh."""
     rows = []
     for level, mesh in enumerate(meshes):
-        rep = mesh_condition_report(mesh, spec.chart, spec.epsilon)
+        rep = mesh_condition_report(mesh, problem.chart, problem.epsilon)
         rows.append({"level": level, "n_triangles": mesh.n_triangles,
                      "h": max(mesh.h_tau), **rep})
     write_csv(path, rows, ["level", "n_triangles", "h", "mixed_error_factor",
@@ -389,92 +368,88 @@ def write_meshcond(path: Path, spec: ProblemSpec, meshes):
 
 # -------------------------------------------------------------------- studies
 
+def _ratio(num, den):
+    """num / den as a CSV cell: empty where den is zero."""
+    return float(num / den) if den else ""
+
+
+def _solve(spec: ProblemSpec, problem: ShellProblem, method: str,
+           epsilon: float, measure: bool = False):
+    """The solution u_h of `problem` by `method` at thickness `epsilon`,
+    under the problem's loads or, if the study has a manufactured solution
+    u, under u's loads for that pair.  With `measure` and u, also its errors:
+    err_H = |u_h - u|_H, rel_err_H = err_H / |u|_H and rel_energy_err, the
+    same ratio of the strain norms (rho, gamma, tau together), the norms of
+    u_h - u and of u from one error pass on the stack [u_h, 0]."""
+    if spec.manufactured_fields is None:
+        return problem.solve(method, epsilon=epsilon), None
+    mfd = ManufacturedSolution(
+        spec.manufactured_fields, problem.chart, problem.material,
+        theta_total=epsilon ** -2 + (1.0 if method == "mixed" else 0.0))
+    sol = problem.solve(method, epsilon=epsilon, loads=mfd.load_spec())
+    if not measure:
+        return sol, None
+    n = problem.norm_engine().error_norms(
+        np.stack([sol.primal, np.zeros_like(sol.primal)]), mfd)
+    strain = np.sqrt(n["rho"] ** 2 + n["gamma"] ** 2 + n["tau"] ** 2)
+    return sol, {"err_H": float(n["H_h"][0]), "rel_err_H": _ratio(*n["H_h"]),
+                 "rel_energy_err": _ratio(*strain)}
+
+
 def run_solve(spec: ProblemSpec, out: Path):
-    problem = _make_problem(spec)
-    rows = []
-    for method in _methods(spec):
-        loads = None
-        if spec.manufactured_fields is not None:
-            loads = _manufactured_for(spec, method, spec.epsilon).load_spec()
-        sol = problem.solve(method, loads=loads)
+    problem, rows = spec.problem, []
+    for method in spec.methods:
+        sol = _solve(spec, problem, method, problem.epsilon)[0]
         rep = problem.norm_engine().discrete_norms(sol.primal, aux=sol.aux,
-                                                   epsilon=spec.epsilon)
-        row = {"method": method, "epsilon": spec.epsilon,
-               "rho_norm": rep.rho_norm, "gamma_norm": rep.gamma_norm,
-               "tau_norm": rep.tau_norm, "a_norm": rep.a_norm,
-               "H_h_norm": rep.H_h_norm, "V_h_norm": rep.V_h_norm,
-               "energy_bending": rep.energies["bending"],
-               "energy_membrane": rep.energies["membrane"],
-               "energy_shear": rep.energies["shear"]}
-        rows.append(row)
-        write_vtk(out / (f"fields.vtk" if len(_methods(spec)) == 1
-                         else f"fields_{method}.vtk"),
-                  problem, sol.primal)
+                                                   epsilon=problem.epsilon)
+        rows.append({"method": method, "epsilon": problem.epsilon,
+                     "rho_norm": rep.rho_norm, "gamma_norm": rep.gamma_norm,
+                     "tau_norm": rep.tau_norm, "a_norm": rep.a_norm,
+                     "H_h_norm": rep.H_h_norm, "V_h_norm": rep.V_h_norm,
+                     "energy_bending": rep.energies["bending"],
+                     "energy_membrane": rep.energies["membrane"],
+                     "energy_shear": rep.energies["shear"]})
+        write_vtk(out / ("fields.vtk" if len(spec.methods) == 1
+                         else f"fields_{method}.vtk"), problem, sol.primal)
     write_csv(out / "norms.csv", rows, list(rows[0].keys()))
-    write_meshcond(out / "meshcond.csv", spec, [spec.mesh])
-
-
-def _convergence_errors(spec, method, problems, exact_H):
-    """Per-level H_h errors for one method; returns rows without orders."""
-    manufactured = spec.manufactured_fields is not None
-    if manufactured:
-        mfd = _manufactured_for(spec, method, spec.epsilon)
-
-    def solve_level(level, problem):
-        if manufactured:
-            sol = problem.solve(method, loads=mfd.load_spec())
-            eng = problem.norm_engine()
-            err = eng.error_norms(sol.primal, mfd)
-            if level not in exact_H:   # for every method: no theta_total
-                zero = np.zeros_like(sol.primal)
-                exact_H[level] = eng.error_norms(zero, mfd)["H_h"]
-            return problem, sol, err["H_h"], err["H_h"] / exact_H[level]
-        sol = problem.solve(method)
-        return problem, sol, None, None
-
-    solved = [solve_level(*lp) for lp in enumerate(problems)]
-
-    rows = []
-    for level, (problem, sol, err, rel) in enumerate(solved):
-        if not manufactured and level + 1 < len(solved):
-            fine_problem, fine_sol = solved[level + 1][0], solved[level + 1][1]
-            ref = DiscreteField(fine_problem, fine_sol.primal)
-            eng = problem.norm_engine()
-            err = eng.error_norms(sol.primal, ref)["H_h"]
-            rel = err / max(eng.quad_norm("H", sol.primal), 1e-300)
-        if err is None:
-            continue
-        layout = problem.assembler().layout
-        rows.append({"method": method, "level": level,
-                     "h": max(problem.mesh.h_tau),
-                     "n_dofs": (layout.n_block1 if method == "dg"
-                                else layout.n_primal),
-                     "err_H": err, "rel_err_H": rel,
-                     "mode": ("manufactured" if manufactured
-                              else "self-convergence")})
-    for k in range(1, len(rows)):
-        r0, r1 = rows[k - 1], rows[k]
-        r1["order"] = float(np.log(r0["err_H"] / r1["err_H"])
-                            / np.log(r0["h"] / r1["h"]))
-    if rows:
-        rows[0]["order"] = ""
-    return rows
+    write_meshcond(out / "meshcond.csv", problem, [problem.mesh])
 
 
 def run_convergence(spec: ProblemSpec, out: Path):
-    problems = [_make_problem(spec)]
-    extra = 0 if spec.manufactured_fields is not None else 1
-    for _ in range(spec.levels - 1 + extra):
+    """H_h errors over `levels` uniform refinements, against the
+    manufactured solution or, without one, against the next level's
+    solution (self-convergence, which solves one level more)."""
+    manufactured = spec.manufactured_fields is not None
+    problems = [spec.problem]
+    for _ in range(spec.levels - manufactured):
         problems.append(problems[-1].refined())
-    rows, exact_H = [], {}
-    for method in _methods(spec):
-        rows.extend(_convergence_errors(spec, method,
-                                        problems[:spec.levels + extra],
-                                        exact_H))
+    rows = []
+    for method in spec.methods:
+        solved = [_solve(spec, p, method, p.epsilon, measure=True)
+                  for p in problems]
+        for level, problem in enumerate(problems[:spec.levels]):
+            sol, errs = solved[level]
+            if errs is None:
+                eng = problem.norm_engine()
+                err = eng.error_norms(sol.primal, DiscreteField(
+                    problems[level + 1], solved[level + 1][0].primal))["H_h"]
+                errs = {"err_H": err, "rel_err_H": _ratio(
+                    err, eng.quad_norm("H", sol.primal))}
+            layout, h = problem.assembler().layout, max(problem.mesh.h_tau)
+            q = _ratio(rows[-1]["err_H"], errs["err_H"]) if level else ""
+            rows.append({"method": method, "level": level, "h": h,
+                         "n_dofs": (layout.n_block1 if method == "dg"
+                                    else layout.n_primal),
+                         "err_H": errs["err_H"],
+                         "rel_err_H": errs["rel_err_H"],
+                         "order": (float(np.log(q) / np.log(rows[-1]["h"] / h))
+                                   if q else ""),
+                         "mode": ("manufactured" if manufactured
+                                  else "self-convergence")})
     write_csv(out / "convergence.csv", rows,
               ["method", "level", "h", "n_dofs", "err_H", "rel_err_H",
                "order", "mode"])
-    write_meshcond(out / "meshcond.csv", spec,
+    write_meshcond(out / "meshcond.csv", spec.problem,
                    [p.mesh for p in problems[:spec.levels]])
 
 
@@ -482,35 +457,22 @@ def run_locking(spec: ProblemSpec, out: Path):
     """Every thickness and both methods reuse the problem's one assembly;
     only manufactured loads, which depend on the method and epsilon, are
     integrated anew."""
-    problem = _make_problem(spec)
-    manufactured = spec.manufactured_fields is not None
-
-    def run_one(eps, method):
-        eng = problem.norm_engine()
-        if manufactured:
-            mfd = _manufactured_for(spec, method, eps)
-            sol = problem.solve(method, epsilon=eps, loads=mfd.load_spec())
-            err = eng.error_norms(sol.primal, mfd)
-            ref = eng.error_norms(np.zeros_like(sol.primal), mfd)
-            rel = np.sqrt((err["rho"] ** 2 + err["gamma"] ** 2
-                           + err["tau"] ** 2)
-                          / (ref["rho"] ** 2 + ref["gamma"] ** 2
-                             + ref["tau"] ** 2))
-        else:
-            sol = problem.solve(method, epsilon=eps)
-            rel = ""
-        rep = eng.discrete_norms(sol.primal, aux=sol.aux, epsilon=eps)
-        return {"epsilon": eps, "method": method, "H_h_norm": rep.H_h_norm,
-                "a_norm": rep.a_norm, "rel_energy_err": rel}
-
-    rows = [run_one(eps, method) for eps in spec.epsilons
-            for method in _methods(spec)]
+    problem, rows = spec.problem, []
+    for eps in spec.epsilons:
+        for method in spec.methods:
+            sol, errs = _solve(spec, problem, method, eps, measure=True)
+            rep = problem.norm_engine().discrete_norms(
+                sol.primal, aux=sol.aux, epsilon=eps)
+            rows.append({"epsilon": eps, "method": method,
+                         "H_h_norm": rep.H_h_norm, "a_norm": rep.a_norm,
+                         "rel_energy_err": errs["rel_energy_err"] if errs
+                         else ""})
     write_csv(out / "locking.csv", rows,
               ["epsilon", "method", "H_h_norm", "a_norm", "rel_energy_err"])
 
 
 def run_regime(spec: ProblemSpec, out: Path):
-    report = detect_regime(_make_problem(spec))
+    report = detect_regime(spec.problem)
     (out / "regime.txt").write_text(report.to_text() + "\n")
     row = report.to_csv_row()
     write_csv(out / "regime.csv", [row], list(row.keys()))

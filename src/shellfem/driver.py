@@ -28,7 +28,6 @@ class ShellProblem:
     epsilon: float = 0.1
     loads: LoadSpec = None
     config: AssemblyConfig = field(default_factory=AssemblyConfig)
-    penalty_C: float = None       # calibrated lazily if None
 
     def __post_init__(self):
         self._asm = self._rhs = self._norms = None
@@ -40,17 +39,17 @@ class ShellProblem:
     def _assembler(self) -> FormAssembler:
         if self._asm is None:
             layout = build_dof_layout(self.mesh, self.chart)
-            self._asm = FormAssembler(
-                self.mesh, self.chart, layout, self.material,
-                replace(self.config, penalty_C=self.penalty_C))
+            self._asm = FormAssembler(self.mesh, self.chart, layout,
+                                      self.material, self.config)
         return self._asm
 
     def calibrate(self) -> float:
-        """The penalty constant: the given one, or one calibrated once on the
-        problem's assembler, which keeps it."""
-        if self.penalty_C is None:
-            self.penalty_C = calibrate_penalty(self._assembler())
-        return self.penalty_C
+        """The penalty constant: the config's, or one calibrated once on the
+        problem's assembler, which the config then keeps."""
+        if self.config.penalty_C is None:
+            self.config = replace(self.config, penalty_C=calibrate_penalty(
+                self._assembler()))
+        return self.config.penalty_C
 
     def assembler(self) -> FormAssembler:
         self.calibrate()
@@ -89,7 +88,5 @@ class ShellProblem:
 
     def refined(self) -> "ShellProblem":
         """Uniform refinement sharing the calibrated penalty constant."""
-        return ShellProblem(chart=self.chart, mesh=refine_uniform(self.mesh),
-                            material=self.material, epsilon=self.epsilon,
-                            loads=self.loads, config=self.config,
-                            penalty_C=self.calibrate())
+        self.calibrate()
+        return replace(self, mesh=refine_uniform(self.mesh))

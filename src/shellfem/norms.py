@@ -39,8 +39,8 @@ _SEMINORMS = {"rho": ("rho", "jump_theta"), "gamma": ("gamma", "jump_u"),
               "H": ("H", "jump_theta", "jump_u", "jump_w")}
 
 
-def _root(pieces, key):
-    r = np.sqrt(sum(pieces[k] for k in _SEMINORMS[key]))
+def _root(pieces, keys):
+    r = np.sqrt(sum(pieces[k] for k in keys))
     return float(r) if np.ndim(r) == 0 else r
 
 
@@ -59,7 +59,8 @@ class NormEngine:
         `aux`, "V"; the edge-jump parts "jump_theta", "jump_u", "jump_w".
         `exact` provides values(pts)->(n,5) and grads(pts)->(n,5,2), called
         on all element quadrature points, then values on all S/D
-        boundary-edge points.  A stack primal (k, n) gives pieces (k,)."""
+        boundary-edge points.  A stack primal (k, n) gives pieces (k,), of
+        each of its vectors minus `exact`."""
         asm = self.asm
         e = asm._elem_data()
         w = e.areas[:, None] * e.wq                     # plain area element
@@ -72,7 +73,7 @@ class NormEngine:
         if exact is not None:
             ev, eg = batched(lambda p: (exact.values(p), exact.grads(p)),
                              e.qpts.reshape(-1, 2))
-            v, g = v - ev.reshape(v.shape), g - eg.reshape(g.shape)
+            v, g = v - ev.reshape(v.shape[-3:]), g - eg.reshape(g.shape[-4:])
         out = {"H": integral(v) + integral(g)}
         if strains:
             r, gm, ta = strain.field_strains(v, g, e.geom)
@@ -87,7 +88,8 @@ class NormEngine:
         pts = boundary.pts[fixed]
         d = asm.field_values(primal, boundary.left[fixed], pts)[0]
         if exact is not None:
-            d -= batched(exact.values, pts.reshape(-1, 2)).reshape(d.shape)
+            d -= batched(exact.values, pts.reshape(-1, 2)).reshape(
+                d.shape[-3:])
         d[..., boundary.tag[fixed] == "S", :, :2] = 0.0  # rotations only on D
         jump = np.concatenate(
             [asm.field_values(primal, interior.left, interior.pts)[0]
@@ -124,15 +126,15 @@ class NormEngine:
     def quad_norm(self, key: str, vec: np.ndarray):
         """The seminorm `key` (rho, gamma, tau, a or H) of `vec`, edge parts
         included; of a stack (k, n), the k values from one pass."""
-        return _root(self._pieces(vec, strains=key != "H"), key)
+        return _root(self._pieces(vec, strains=key != "H"), _SEMINORMS[key])
 
     def discrete_norms(self, primal: np.ndarray, aux: np.ndarray = None, *,
                        epsilon: float) -> NormReport:
         p = self._pieces(primal, aux=aux)
-        rho, gam, tau, a, H = (_root(p, k)
+        rho, gam, tau, a, H = (_root(p, _SEMINORMS[k])
                                for k in ("rho", "gamma", "tau", "a", "H"))
         V = float(np.sqrt(p["V"])) if "V" in p else None
-        f, C = self.asm.forms(), self.asm.config.penalty_C
+        f, C = self.asm.forms(), self.asm.penalty()
         eb, em, es = (float(primal @ (f[k] @ primal
                                       + C * (f[k + "_pen"] @ primal)))
                       for k in ("R", "G", "T"))
@@ -145,10 +147,9 @@ class NormEngine:
 
     def error_norms(self, primal: np.ndarray, exact) -> dict:
         """H_h norm (edge jumps included) and volume strain norms of the
-        discrete field minus `exact` (see `_pieces`)."""
+        discrete field minus `exact` (see `_pieces`); of a stack (k, n), the
+        k values of each from one pass."""
         p = self._pieces(primal, exact)
-        return {"H_h": _root(p, "H"),
-                "rho": float(np.sqrt(p["rho"])),
-                "gamma": float(np.sqrt(p["gamma"])),
-                "tau": float(np.sqrt(p["tau"]))}
+        return {"H_h": _root(p, _SEMINORMS["H"]),
+                **{k: _root(p, (k,)) for k in ("rho", "gamma", "tau")}}
 

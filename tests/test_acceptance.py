@@ -196,7 +196,8 @@ def test_criterion_05_convergence_rates():
         errs, hs = [], []
         for mesh in meshes:
             prob = ShellProblem(chart=chart, mesh=mesh, epsilon=eps,
-                                loads=mfd.load_spec(), penalty_C=cal)
+                                loads=mfd.load_spec(),
+                                config=AssemblyConfig(penalty_C=cal))
             sol = prob.solve(method)
             eng = prob.norm_engine()
             err = eng.error_norms(sol.primal, mfd)
@@ -332,9 +333,9 @@ def test_criterion_09_cross_path_equality():
     perm_diff = 0.0
     for method in ("mixed", "dg"):
         p1 = ShellProblem(chart=chart, mesh=mesh, epsilon=eps, loads=loads,
-                          penalty_C=20.0)
+                          config=AssemblyConfig(penalty_C=20.0))
         p2 = ShellProblem(chart=chart, mesh=pmesh, epsilon=eps, loads=loads,
-                          penalty_C=20.0)
+                          config=AssemblyConfig(penalty_C=20.0))
         s1 = p1.solve(method)
         s2 = p2.solve(method)
         v1 = DiscreteField(p1, s1.primal).values(sample)

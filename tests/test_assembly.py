@@ -155,6 +155,11 @@ def test_calibrate_penalty_gives_positive_definite_system():
     asm = FormAssembler(mesh, chart, layout, Material(),
                         AssemblyConfig(penalty_C=C))
     assert np.linalg.eigvalsh(asm.a_theta(1.0).toarray()).min() > 0
+    # without a constant, the first use calibrates
+    lazy = FormAssembler(mesh, chart, layout, Material(), AssemblyConfig())
+    assert np.array_equal(lazy.a_theta(1.0).toarray(),
+                          asm.a_theta(1.0).toarray())
+    assert lazy.config.penalty_C == C
 
 
 def test_primal_forms_share_the_union_of_their_blocks():

@@ -135,7 +135,7 @@ def test_error_norms_discrete_field_exact_matches_reference_loop():
     mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 2, 2,
                               tags=("D", "F", "F", "F"))
     coarse = ShellProblem(chart=make_chart("cylinder"), mesh=mesh,
-                          epsilon=1e-2, penalty_C=20.0,
+                          epsilon=1e-2, config=AssemblyConfig(penalty_C=20.0),
                           loads=LoadSpec(p3=lambda p: np.ones(len(p))))
     fine = coarse.refined()
     ref = fine.solve("mixed").primal
@@ -151,7 +151,7 @@ def test_error_norms_discrete_field_exact_matches_reference_loop():
 def test_discrete_field_batch_matches_point_by_point():
     mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 2, 2)
     problem = ShellProblem(chart=make_chart("plate"), mesh=mesh,
-                           penalty_C=20.0,
+                           config=AssemblyConfig(penalty_C=20.0),
                            loads=LoadSpec(p3=lambda p: np.ones(len(p))))
     field = DiscreteField(problem, problem.solve("dg").primal)
     pts = np.random.default_rng(1).uniform(0.0, 1.0, (30, 2))
@@ -173,7 +173,7 @@ def test_locate_returns_the_brute_force_owners(n, grading):
                 base.triangles[rng.permutation(base.n_triangles)].copy(),
                 base.boundary.pairs, base.boundary.tag)
     problem = ShellProblem(chart=make_chart("plate"), mesh=mesh,
-                           penalty_C=20.0)
+                           config=AssemblyConfig(penalty_C=20.0))
     field = DiscreteField(problem, np.zeros(
         problem.assembler().layout.n_primal))
     corners = mesh.vertices[mesh.triangles]
@@ -203,7 +203,7 @@ def test_locate_finds_the_owners_of_the_self_convergence_points():
                 base.triangles[rng.permutation(base.n_triangles)].copy(),
                 base.boundary.pairs, base.boundary.tag)
     coarse = ShellProblem(chart=make_chart("cylinder"), mesh=mesh,
-                          penalty_C=20.0)
+                          config=AssemblyConfig(penalty_C=20.0))
     fine = coarse.refined()
     field = DiscreteField(fine, np.zeros(fine.assembler().layout.n_primal))
     asm = coarse.assembler()
@@ -452,7 +452,8 @@ def test_point_budget_slices_give_the_same_results(monkeypatch):
         eng = NormEngine(asm)
         primal = np.random.default_rng(2).standard_normal(
             asm.layout.n_primal)
-        fine = ShellProblem(chart=chart, mesh=asm.mesh, penalty_C=20.0)
+        fine = ShellProblem(chart=chart, mesh=asm.mesh,
+                            config=AssemblyConfig(penalty_C=20.0))
         field = DiscreteField(fine, np.random.default_rng(3).standard_normal(
             fine.assembler().layout.n_primal))
         return [asm.load_vector(mms.load_spec()), asm.layout.coeffs,

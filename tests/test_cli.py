@@ -1,3 +1,4 @@
+import csv
 import re
 import subprocess
 import sys
@@ -9,9 +10,11 @@ import pytest
 from shellfem import assembly, cli
 from shellfem.cli import (ConfigError, STUDIES, build_spec, main,
                           parse_config)
-from shellfem.fe_space import build_dof_layout
+from shellfem.fe_space import FIELDS, build_dof_layout
 from shellfem.geometry import make_chart
+from shellfem.manufactured import ManufacturedSolution
 from shellfem.mesh import generate_rect_mesh, refine_uniform, save_mesh
+from shellfem.norms import NormEngine
 from shellfem.regime import VERDICT_BENDING
 
 GOOD = """
@@ -213,7 +216,7 @@ def test_convergence_reports_each_methods_unknowns(tmp_path):
     assert main(["converge", write(tmp_path, text), "--out", str(out)]) == 0
     lines = (out / "convergence.csv").read_text().strip().splitlines()
     rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
-    mesh = build_spec(parse_config(text)).mesh
+    mesh = build_spec(parse_config(text)).problem.mesh
     chart = make_chart("cylinder", radius=1.0)
     for level in (0, 1):
         n_primal = build_dof_layout(mesh, chart).n_primal
@@ -271,6 +274,12 @@ def test_exit_code_unknown_key(tmp_path, capsys):
     ("solve", "assembly", "quad_degree", "-3"),
     ("solve", "assembly", "edge_points", "0"),
     ("solve", "assembly", "penalty_c", "-20"),
+    ("solve", "material", "epsilon", "inf"),
+    ("solve", "material", "mu", "inf"),
+    ("solve", "material", "kappa", "1e400"),
+    ("solve", "assembly", "penalty_c", "inf"),
+    ("solve", "chart", "coeff", "inf"),
+    ("locking", "study", "epsilons", "1e-2, inf"),
 ])
 def test_exit_code_value_out_of_range(tmp_path, capsys, study, section, key,
                                       value):
@@ -407,3 +416,89 @@ def test_studies_build_no_gram_matrix(tmp_path, gram_builds):
         out = tmp_path / f"{study}-{len(text)}"
         assert main([study, write(tmp_path, text), "--out", str(out)]) == 0
     assert gram_builds == []
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+# a plate whose manufactured solution, and so its every solution, is zero
+ZERO_PLATE = GOOD.replace("kind = cylinder\nradius = 1.0", "kind = plate") \
+    + "\n[manufactured]\n" + "".join(f"{n} = 0\n" for n in FIELDS)
+
+
+@pytest.mark.parametrize("study,text,empty", [
+    ("converge", GOOD.replace("tags = D, D, D, D", "tags = D, F, F, F")
+     .replace("p3 = sin(pi * x1) * x2", ""), ("rel_err_H", "order")),
+    ("converge", ZERO_PLATE, ("rel_err_H", "order")),
+    ("locking", ZERO_PLATE, ("rel_energy_err",)),
+], ids=["converge-no-loads", "converge-zero-manufactured",
+        "locking-zero-manufactured"])
+def test_zero_denominators_give_empty_cells(tmp_path, study, text, empty):
+    """A relative error or an order whose denominator is zero is written as
+    an empty cell."""
+    out = tmp_path / "out"
+    assert main([study, write(tmp_path, text), "--out", str(out)]) == 0
+    name = "convergence.csv" if study == "converge" else "locking.csv"
+    rows = read_rows(out / name)
+    assert len(rows) == (4 if study == "converge" else 6)
+    for row in rows:
+        assert all(row[col] == "" for col in empty), row
+        assert float(row.get("err_H", 0.0)) == 0.0
+
+
+@pytest.mark.parametrize("study,passes", [("locking", 12), ("converge", 4)])
+def test_manufactured_studies_make_one_norm_pass_per_solve(
+        tmp_path, monkeypatch, study, passes):
+    """A solve's errors and its exact solution's norms come from one stacked
+    pass: 6 locking solves, each with one more pass for its discrete norms,
+    and 2 levels of 2 converge solves."""
+    calls = []
+    pieces = NormEngine._pieces
+
+    def counting(self, *args, **kwargs):
+        calls.append(study)
+        return pieces(self, *args, **kwargs)
+    monkeypatch.setattr(NormEngine, "_pieces", counting)
+    text = MANUFACTURED + "\n[study]\nepsilons = 0.1, 0.01, 0.001\n"
+    assert main([study, write(tmp_path, text), "--out", str(tmp_path)]) == 0
+    assert len(calls) == passes
+
+
+def test_relative_errors_equal_the_per_vector_formula(tmp_path):
+    """rel_err_H and rel_energy_err equal the ratios of one error pass on the
+    solution and one on the zero vector."""
+    text = MANUFACTURED + "\n[study]\nepsilons = 0.1, 0.001\n"
+    for study in ("converge", "locking"):
+        assert main([study, write(tmp_path, text), "--out",
+                     str(tmp_path)]) == 0
+    spec = build_spec(parse_config(text))
+    problems = [spec.problem, spec.problem.refined()]
+
+    def per_vector(problem, method, eps):
+        mfd = ManufacturedSolution(
+            spec.manufactured_fields, problem.chart, problem.material,
+            theta_total=eps ** -2 + (1.0 if method == "mixed" else 0.0))
+        sol = problem.solve(method, epsilon=eps, loads=mfd.load_spec())
+        eng = problem.norm_engine()
+        return (eng.error_norms(sol.primal, mfd),
+                eng.error_norms(np.zeros_like(sol.primal), mfd))
+
+    def strain2(n):
+        return n["rho"] ** 2 + n["gamma"] ** 2 + n["tau"] ** 2
+    rows = read_rows(tmp_path / "convergence.csv")
+    assert len(rows) == 4
+    for row in rows:
+        err, ref = per_vector(problems[int(row["level"])], row["method"],
+                              spec.problem.epsilon)
+        np.testing.assert_allclose(float(row["rel_err_H"]),
+                                   err["H_h"] / ref["H_h"], rtol=1e-12)
+    rows = read_rows(tmp_path / "locking.csv")
+    assert len(rows) == 4
+    for row in rows:
+        err, ref = per_vector(spec.problem, row["method"],
+                              float(row["epsilon"]))
+        np.testing.assert_allclose(float(row["rel_energy_err"]),
+                                   np.sqrt(strain2(err) / strain2(ref)),
+                                   rtol=1e-12)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from shellfem.assembly import LoadSpec
+from shellfem.assembly import AssemblyConfig, LoadSpec
 from shellfem.driver import ShellProblem
 from shellfem.geometry import make_chart
 from shellfem.mesh import (Mesh, MeshError, generate_rect_mesh, load_mesh,
@@ -317,7 +317,8 @@ def test_problem_is_solved_without_numpy_2_only_functions(monkeypatch):
     problem = ShellProblem(
         make_chart("cylinder"), generate_rect_mesh(
             (0.0, 1.0, 0.0, 1.0), 3, 3, tags=("D", "S", "F", "F")),
-        loads=LoadSpec(p3=lambda p: np.ones(len(p))), penalty_C=100.0)
+        loads=LoadSpec(p3=lambda p: np.ones(len(p))),
+        config=AssemblyConfig(penalty_C=100.0))
     asm = problem.assembler()
     forms = asm.forms()
     A = asm.a_theta(problem.epsilon ** -2)

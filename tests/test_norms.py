@@ -142,7 +142,9 @@ def test_consistency_residual_degree_one_plate(method):
 ], ids=["cylinder-DSFF", "hypar-free", "plate-DDSS"])
 def test_stacked_norms_equal_per_vector_norms(chart_kind, tags, local_sizes):
     """One quad_norm call on a stack (k, n) gives each vector's seminorm,
-    edge parts included, on meshes with and without enriched elements."""
+    edge parts included, on meshes with and without enriched elements; one
+    error_norms call gives each vector's error norms against an exact
+    field."""
     eng = make_engine(chart_kind, tags, nx=3, ny=3)
     assert len(np.unique(eng.asm.layout.nf)) == local_sizes
     X = np.random.default_rng(5).standard_normal((4, eng.layout.n_primal))
@@ -153,3 +155,15 @@ def test_stacked_norms_equal_per_vector_norms(chart_kind, tags, local_sizes):
         want = [eng.quad_norm(key, x) for x in X]
         assert all(type(v) is float for v in want)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    mfd = ManufacturedSolution(
+        {"theta1": "sin(x1)", "theta2": "x2^2", "u1": "cos(x2)",
+         "u2": "x1 * x2", "w": "exp(x1) - 1"},
+        eng.asm.chart, eng.asm.material, theta_total=1.0)
+    got = eng.error_norms(X, mfd)
+    want = [eng.error_norms(x, mfd) for x in X]
+    assert got.keys() == want[0].keys()
+    for key in got:
+        assert got[key].shape == (4,) and got[key][2] > 0.0
+        assert all(type(w[key]) is float for w in want)
+        np.testing.assert_allclose(got[key], [w[key] for w in want],
+                                   rtol=1e-13, atol=0)

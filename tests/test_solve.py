@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+from shellfem import driver
 from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec, Material
 from shellfem.driver import ShellProblem
 from shellfem.fe_space import build_dof_layout
@@ -251,3 +252,18 @@ def test_one_pass_matrix_norms_equal_scipy_norms():
         assert k_inf == pytest.approx(spla.norm(K, np.inf), rel=1e-15, abs=0)
         assert k_one == pytest.approx(spla.norm(K, 1), rel=1e-15, abs=0)
     assert inf_one_norms(systems[-1]) == (2.0, 3.0)
+
+
+def test_given_penalty_constant_is_used(monkeypatch):
+    """The config's constant is the one every solve and refinement uses;
+    nothing is calibrated."""
+    def no_calibration(asm):
+        raise AssertionError("calibrated despite a given constant")
+    monkeypatch.setattr(driver, "calibrate_penalty", no_calibration)
+    mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, tags=("D", "F", "F", "F"))
+    problem = ShellProblem(chart=make_chart("cylinder"), mesh=mesh,
+                           loads=LoadSpec(p3=lambda p: np.ones(len(p))),
+                           config=AssemblyConfig(penalty_C=50.0))
+    for p in (problem, problem.refined()):
+        assert p.solve("mixed").meta["penalty_C"] == 50.0
+        assert p.assembler().config.penalty_C == 50.0
