@@ -5,16 +5,20 @@ quadrature points once.  Every sweep then runs one batched kernel over
 groups: elements grouped by local size (15, 21 or 27 DOFs), interior edges
 by the local sizes of their two sides, boundary edges by local size and tag,
 and arbitrary points by the local size of their element.  Each group is cut
-into slices of at most geometry.POINT_BUDGET points, on which the basis is
-traced once (value and physical partials of each function).  What a form
-integrates, the strains of strain.py or on edges their jumps and fluxes, is
-a per-point operator on the 15 values and partials of the five fields,
-built from the geometry alone; applied to the traces it gives that quantity
-for every local DOF ("B-matrix" assembly), and each local matrix is one
-batched matmul.  `forms` records the DOFs of each slice once as a dense
-block; one sort of the entries of all blocks gives the CSR structure that
-the primal matrices share and the slot of every local entry, and each
-matrix is one bincount of its local entries (`_csr_sums`).  Penalty
+into slices of at most SLICE_BUDGET (point, local DOF) pairs, on which the
+basis is traced once (value and physical partials of each function); the
+cap is on what a slice materialises, so a slice of 54-DOF edge blocks holds
+fewer points than one of 15-DOF elements.  What a form integrates, the
+strains of strain.py or on edges their jumps and fluxes, is a per-point
+operator on the 15 values and partials of the five fields, built from the
+geometry alone; applied to the traces it gives that quantity for every
+local DOF ("B-matrix" assembly), and each local matrix is one batched
+matmul.  The structure comes first: `forms` lists the slices and the DOFs
+of each, a dense block, before it computes any value, and one sort of the
+entries of all blocks gives the CSR structure that the primal matrices
+share and the slot of every local entry (`_Sums`).  Each slice's values
+are then scattered into the matrices' data arrays as they are made, and
+freed, so no more than one slice of values is held at a time.  Penalty
 contributions are kept in separate matrices so the penalty constant can be
 recalibrated without reassembling anything.  The same traces evaluate
 fields at points (`field_values`), which is all the norms of norms.py need;
@@ -26,15 +30,13 @@ the stress coupling block has shape (n_block3, n_primal).
 
 from __future__ import annotations
 
-import ctypes
-import os
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sps
 
-from . import geometry, strain
+from . import strain
 from .fe_space import N_MONO, eval_monos, grad_monos
 from .geometry import batched, eval_elastic
 from .mesh import edge_normal
@@ -42,10 +44,10 @@ from .ordering import nested_dissection
 from .quadrature import interval_rule, triangle_rule
 from .solve import SolverError, factor, ordered
 
-# glibc keeps the heap pages that the forms' temporaries freed resident;
-# `forms` hands them back once it is built, which keeps them out of the
-# later peaks, the factor's above all
-_LIBC = ctypes.CDLL(None) if os.name == "posix" else None
+# (point, local DOF) pairs in one slice of the grouped kernel, which bounds
+# what a slice materialises: the edge operator's 18 rows of jumps and
+# fluxes take 9.4 MB at this budget
+SLICE_BUDGET = 1 << 16
 
 
 class CalibrationError(SolverError):
@@ -103,17 +105,17 @@ def _load_values(loads, names, pts, geom):
         (len(names),) + pts.shape[:-1])
 
 
-def _groups(keys, npts):
+def _groups(keys, npts, nl):
     """Row indices of the integer array `keys` (N, m) grouped by equal rows,
-    each group cut into slices of at most POINT_BUDGET points at `npts`
-    points a row."""
+    each group cut into slices of at most SLICE_BUDGET (point, local DOF)
+    pairs at `npts` points a row and nl (N,) local DOFs, equal in a group."""
     if not len(keys):
         return
-    step = max(1, geometry.POINT_BUDGET // npts)
     _, inv = np.unique(keys, axis=0, return_inverse=True)
     inv = inv.ravel()
     for g in range(inv.max() + 1):
         rows = np.flatnonzero(inv == g)
+        step = max(1, SLICE_BUDGET // (npts * nl[rows[0]]))
         for i in range(0, len(rows), step):
             yield rows[i:i + step]
 
@@ -165,39 +167,48 @@ def _edge_operator(geom, A, nbar, theta):
                           axis=-2)
 
 
-def _csr_sums(shape, blocks, pieces):
-    """Sparse matrices of shape `shape` on one CSR structure, the union of
-    the dense blocks rows x cols of the index arrays (E, m) and (E, l) in
-    `blocks`: for each key of the dict `pieces`, the sum of its values
-    (E, m, l) on block b, [(b, values), ...], popped as it is summed.  One
-    sort of the blocks' entries gives the structure and, through its
-    inverse, the slot of every entry; each matrix is one bincount, which
-    adds a slot's terms in piece order.  Every matrix shares the structure's
-    arrays and stores an entry even where its terms cancel."""
-    keys = np.concatenate([(r[:, :, None] * shape[1] + c[:, None, :]).ravel()
-                           for r, c in blocks])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.diff(keys, prepend=-1) != 0
-    keys = keys[first]
-    index = np.int32 if max(shape + (len(keys),)) < 2 ** 31 else np.int64
-    slot = np.empty(len(order), dtype=index)
-    slot[order] = np.cumsum(first, dtype=index) - 1
-    del order, first
-    rows, cols = np.divmod(keys, max(1, shape[1]))
-    indices = cols.astype(index)
-    indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(index)
-    start = np.cumsum([0] + [r.size * c.shape[1] for r, c in blocks])
-    out = {}
-    for key in list(pieces):
-        at = pieces.pop(key)
-        data = np.bincount(
-            np.concatenate([slot[start[b]:start[b + 1]] for b, _ in at]
-                           + [np.zeros(0, dtype=index)]),
-            np.concatenate([v.ravel() for _, v in at] + [np.zeros(0)]),
-            minlength=len(keys))
-        out[key] = sps.csr_matrix((data, indices, indptr), shape=shape)
-    return out
+class _Sums:
+    """Sparse matrices `names` of shape `shape` on one CSR structure, the
+    union of the dense blocks rows x cols of the index arrays (E, m) and
+    (E, l) in `blocks`, known before any value is.  One sort of the blocks'
+    entries gives the structure and, through its inverse, the slot of every
+    entry; `add` scatters the values of a block into their slots as they
+    are made.  A slot's terms add up in call order, the order in which one
+    bincount of all of them at the end would add them, so the sums do not
+    depend on how the values were sliced.  Every matrix shares the
+    structure's arrays and stores an entry even where its terms cancel."""
+
+    def __init__(self, shape, blocks, names):
+        self.shape = shape
+        self.start = np.cumsum([0] + [r.size * c.shape[1] for r, c in blocks])
+        keys = np.empty(self.start[-1], dtype=np.int64)
+        for (r, c), a, b in zip(blocks, self.start, self.start[1:]):
+            keys[a:b] = (r[:, :, None] * shape[1] + c[:, None, :]).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        index = np.int32 if max(shape + (len(keys),)) < 2 ** 31 else np.int64
+        self.slot = np.empty(len(order), dtype=index)
+        self.slot[order] = np.cumsum(first, dtype=index) - 1
+        del order, first
+        rows, cols = np.divmod(keys, max(1, shape[1]))
+        self.indices = cols.astype(index)
+        self.indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(
+            index)
+        del keys, rows, cols                  # before the values' arrays
+        self.data = {name: np.zeros(len(self.indices)) for name in names}
+
+    def add(self, name, b, values):
+        """Add the values (E, m, l) on block b to the matrix `name`."""
+        np.add.at(self.data[name], self.slot[self.start[b]:self.start[b + 1]],
+                  values.ravel())
+
+    def matrices(self):
+        return {name: sps.csr_matrix((data, self.indices, self.indptr),
+                                     shape=self.shape)
+                for name, data in self.data.items()}
 
 
 class FormAssembler:
@@ -260,12 +271,17 @@ class FormAssembler:
         phi = jet.reshape(len(t), -1, N_MONO) @ np.swapaxes(cf, 1, 2)
         return self._dofs(t), phi.reshape(jet.shape[:-1] + (-1,))
 
+    def _slices(self, owners, npts):
+        """The slices s of `owners` whose elements share a local size, at
+        npts points an element (`_groups`)."""
+        e = self._elem_data()
+        return _groups(e.nf[owners, None], npts, 6 + 3 * e.nf[owners])
+
     def _point_batches(self, owners, pts=None):
         """(s, dofs, phi) per slice s of `owners` whose elements share a
         local size: `_traces` at pts[s], or at the volume points."""
-        e = self._elem_data()
-        nq = len(e.wq) if pts is None else pts.shape[1]
-        for s in _groups(e.nf[owners, None], nq):
+        nq = len(self._elem_data().wq) if pts is None else pts.shape[1]
+        for s in self._slices(owners, nq):
             yield (s,) + self._traces(owners[s], None if pts is None
                                       else pts[s])
 
@@ -321,96 +337,108 @@ class FormAssembler:
                   np.full(len(outer.triangle), -1), outer.tag))
         return self._edges
 
-    def _edge_batches(self, d):
-        """Per slice k of the edges of `d` not tagged F that share the local
-        sizes of their sides and their tag: (k, dofs, jumps, fluxes), rows
-        0-12 and 13-17 of `_edge_operator` applied to every local DOF.  The
-        jumps (E, q, 13, nl) are left minus right (one-sided on the
-        boundary), the fluxes (E, q, 5, nl) the mean of the sides."""
+    def _edge_slices(self, d):
+        """Slices k of the edges of `d` not tagged F that share the local
+        sizes of their sides and their tag, each with its owners: the left
+        elements, then the right ones off the boundary."""
         e = self._elem_data()
-        keys = np.stack([e.nf[d.left], np.where(d.right < 0, -1, e.nf[d.right]),
+        inner = d.right >= 0
+        keys = np.stack([e.nf[d.left], np.where(inner, e.nf[d.right], -1),
                          np.unique(d.tag, return_inverse=True)[1]], axis=1)
+        nl = 6 + 3 * e.nf[d.left] + np.where(inner, 6 + 3 * e.nf[d.right], 0)
         rows = np.flatnonzero(d.tag != "F")
-        for k in (rows[s] for s in _groups(keys[rows], len(d.we))):
-            op = _edge_operator(d.geom[k], d.elastic[k], d.nbar[k],
-                                d.tag[k[0]] != "S")
-            owners = [d.left[k]] + ([d.right[k]] if d.right[k[0]] >= 0 else [])
-            sides = [self._traces(t, d.pts[k]) for t in owners]
-            y = [_apply(op, phi) for _, phi in sides]
-            yield (k, np.concatenate([dofs for dofs, _ in sides], axis=1),
-                   np.concatenate([sign * yi[:, :, :13] for sign, yi in
-                                   zip((1.0, -1.0), y)], axis=-1),
-                   np.concatenate([yi[:, :, 13:] for yi in y], axis=-1)
-                   / len(y))
+        for k in (rows[s] for s in _groups(keys[rows], len(d.we), nl[rows])):
+            yield k, [d.left[k]] + ([d.right[k]] if inner[k[0]] else [])
+
+    def _edge_values(self, d, k, owners):
+        """Rows 0-12 and 13-17 of `_edge_operator` applied to every local
+        DOF of the edge slice k: the jumps (E, q, 13, nl), left minus right
+        (one-sided on the boundary), and the fluxes (E, q, 5, nl), the mean
+        of the sides."""
+        op = _edge_operator(d.geom[k], d.elastic[k], d.nbar[k],
+                            d.tag[k[0]] != "S")
+        y = [_apply(op, self._traces(t, d.pts[k])[1]) for t in owners]
+        return (np.concatenate([sign * yi[:, :, :13] for sign, yi in
+                                zip((1.0, -1.0), y)], axis=-1),
+                np.concatenate([yi[:, :, 13:] for yi in y], axis=-1) / len(y))
 
     # ----------------------------------------------------------- global forms
 
     def forms(self):
         """Assemble all global matrices once: consistency parts and penalty
         parts of rho/gamma/tau, the stress coupling block, and the stress
-        mass block."""
+        mass block.  The slices and their DOFs come first, so the structure
+        of every matrix is known before any value; each slice's values are
+        then summed into it as they are made, in a call of their own, so a
+        slice's arrays are freed before the next slice is made."""
         if self._forms is not None:
             return self._forms
-        mu, kappa = self.material.mu, self.material.kappa
-        # the dense blocks (rows, cols) of the primal matrices and of B, and
-        # each matrix's values on them, [(block, values), ...]
-        square, coupling = [], []
-        pieces = {key: [] for key in
-                  ("R", "R_pen", "G", "G_pen", "T", "T_pen")}
-        coupled = []
         e = self._elem_data()
-        S = _aux_basis(e.bary)[None]                        # (1,nq,6,15)
-        for t, dofs, phi in self._point_batches(
-                np.arange(self.mesh.n_triangles)):
-            B = _apply(strain.operator(e.geom[t]), phi)     # (E,nq,10,nl)
-            rho, gam, tau = B[:, :, 0:4], B[:, :, 4:8], B[:, :, 8:10]
-            wfac = e.areas[t, None] * e.wq * e.geom.sqrt_a[t]
-            A = e.elastic.elastic[t].reshape(len(t), -1, 4, 4)
-            b = len(square)
-            square.append((dofs, dofs))
-            pieces["R"].append((b, _gram(wfac, A @ rho, rho) / 3.0))
-            pieces["G"].append((b, _gram(wfac, A @ gam, gam)))
-            pieces["T"].append((b, kappa * mu * _gram(
-                wfac, e.geom.a_con[t] @ tau, tau)))
-            coupled.append((len(coupling), _gram(wfac, S, B[:, :, 4:10])))
-            coupling.append((e.aux[t], dofs))
-
-        for d in self._edge_data():
-            Se = _aux_basis(np.stack([1 - d.te, d.te], axis=1))[None]
-            for k, dofs, jump, flux in self._edge_batches(d):
-                wsa = d.h[k, None] * d.we * d.geom.sqrt_a[k]  # consistency
-                b = len(square)
-                square.append((dofs, dofs))
-                jth, ju, jw = jump[:, :, 0:2], jump[:, :, 2:4], jump[:, :, 4:5]
-                for key, fac, x, y in (
-                        ("R", 1.0 / 3.0, jump[:, :, 5:7], flux[:, :, 0:2]),
-                        ("G", -1.0, ju, flux[:, :, 2:4]),
-                        ("T", -kappa * mu, jw, flux[:, :, 4:5])):
-                    X = _gram(wsa, x, y)
-                    pieces[key].append((b, fac * (X + np.swapaxes(X, 1, 2))))
-                # penalties: the h_e^{-1} weight cancels against h; rotations
-                # not on S edges
-                if d.tag[k[0]] != "S":
-                    pieces["R_pen"].append((b, _gram(d.we, jth, jth)))
-                pen_w = _gram(d.we, jw, jw)
-                pieces["G_pen"].append((b, _gram(d.we, ju, ju) + pen_w))
-                pieces["T_pen"].append((b, pen_w))
-                # -(M^{ab}[v_a]n_b + xi^a [z]n_a), as in Se
-                rows = (5 * d.verts[k, :, None]
-                        + np.arange(5)).reshape(len(k), 10)
-                coupled.append((len(coupling),
-                                -_gram(wsa, Se, jump[:, :, 7:13])))
-                coupling.append((rows, dofs))
-
+        elems = list(self._slices(np.arange(self.mesh.n_triangles),
+                                  len(e.wq)))
+        edges = [(d, k, owners) for d in self._edge_data()
+                 for k, owners in self._edge_slices(d)]
+        dofs = [self._dofs(t) for t in elems] + [
+            np.concatenate([self._dofs(t) for t in owners], axis=1)
+            for _, _, owners in edges]
+        # the stress DOFs of the elements' vertices and the edges' ends
+        rows = [e.aux[t] for t in elems] + [
+            (5 * d.verts[k, :, None] + np.arange(5)).reshape(len(k), 10)
+            for d, k, _ in edges]
         n, n3 = self.layout.n_primal, self.layout.n_block3
-        forms = _csr_sums((n, n), square, pieces)
-        forms.update(_csr_sums((n3, n), coupling, {"B": coupled}))
-        forms.update(_csr_sums((n3, n3), [(e.aux, e.aux)],
-                               {"C": [(0, self._stress_mass())]}))
-        self._forms = forms
-        if hasattr(_LIBC, "malloc_trim"):
-            _LIBC.malloc_trim(0)
-        return forms
+        coupling = _Sums((n3, n), list(zip(rows, dofs)), ("B",))
+        square = _Sums((n, n), list(zip(dofs, dofs)),
+                       ("R", "R_pen", "G", "G_pen", "T", "T_pen"))
+        for b, t in enumerate(elems):
+            self._element_forms(square, coupling, b, t)
+        for b, (d, k, owners) in enumerate(edges, len(elems)):
+            self._edge_forms(square, coupling, b, d, k, owners)
+        mass = _Sums((n3, n3), [(e.aux, e.aux)], ("C",))
+        mass.add("C", 0, self._stress_mass())
+        self._forms = {**square.matrices(), **coupling.matrices(),
+                       **mass.matrices()}
+        return self._forms
+
+    def _element_forms(self, square, coupling, b, t):
+        """Add the volume terms of the element slice t, block b of the
+        forms, to the primal forms and the stress coupling."""
+        e = self._elem_data()
+        B = _apply(strain.operator(e.geom[t]),
+                   self._traces(t)[1])                     # (E,nq,10,nl)
+        rho, gam, tau = B[:, :, 0:4], B[:, :, 4:8], B[:, :, 8:10]
+        wfac = e.areas[t, None] * e.wq * e.geom.sqrt_a[t]
+        A = e.elastic.elastic[t].reshape(len(t), -1, 4, 4)
+        square.add("R", b, _gram(wfac, A @ rho, rho) / 3.0)
+        square.add("G", b, _gram(wfac, A @ gam, gam))
+        square.add("T", b, self.material.kappa * self.material.mu * _gram(
+            wfac, e.geom.a_con[t] @ tau, tau))
+        coupling.add("B", b, _gram(wfac, _aux_basis(e.bary)[None],
+                                   B[:, :, 4:10]))
+
+    def _edge_forms(self, square, coupling, b, d, k, owners):
+        """Add the terms of the edge slice k of `d`, block b of the forms,
+        to the primal forms (consistency and penalties) and the stress
+        coupling."""
+        jump, flux = self._edge_values(d, k, owners)
+        wsa = d.h[k, None] * d.we * d.geom.sqrt_a[k]          # consistency
+        jth, ju, jw = jump[:, :, 0:2], jump[:, :, 2:4], jump[:, :, 4:5]
+        for key, fac, x, y in (
+                ("R", 1.0 / 3.0, jump[:, :, 5:7], flux[:, :, 0:2]),
+                ("G", -1.0, ju, flux[:, :, 2:4]),
+                ("T", -self.material.kappa * self.material.mu, jw,
+                 flux[:, :, 4:5])):
+            X = _gram(wsa, x, y)
+            square.add(key, b, fac * (X + np.swapaxes(X, 1, 2)))
+        # penalties: the h_e^{-1} weight cancels against h; rotations not on
+        # S edges
+        if d.tag[k[0]] != "S":
+            square.add("R_pen", b, _gram(d.we, jth, jth))
+        pen_w = _gram(d.we, jw, jw)
+        square.add("G_pen", b, _gram(d.we, ju, ju) + pen_w)
+        square.add("T_pen", b, pen_w)
+        # -(M^{ab}[v_a]n_b + xi^a [z]n_a), as in Se
+        Se = _aux_basis(np.stack([1 - d.te, d.te], axis=1))[None]
+        coupling.add("B", b, -_gram(wsa, Se, jump[:, :, 7:13]))
 
     def _stress_mass(self):
         """Local stress mass blocks (nt, 3, 5, 3, 5): sum_q w (pv pv^T) (x) K
@@ -446,20 +474,26 @@ class FormAssembler:
             calibrate_penalty(self)
         return self.config.penalty_C
 
-    def _penalized(self, key):
+    def _penalized(self, key, out=None):
         """Data of the form `key` plus the penalty constant times its
-        penalty part, on the CSR structure that all six share."""
+        penalty part, on the CSR structure that all six share; written
+        into `out` if given."""
         f = self.forms()
-        return f[key].data + self.penalty() * f[key + "_pen"].data
+        out = np.multiply(self.penalty(), f[key + "_pen"].data, out=out)
+        out += f[key].data
+        return out
 
     def a_theta(self, theta_param):
         """A(theta) = rho_h + theta*(gamma_h + tau_h), summed entry by entry
-        on the forms' structure: an entry that cancels stays stored, so the
-        structure of every system does not depend on rounding."""
+        on the forms' structure in one output array and one scratch array:
+        an entry that cancels stays stored, so the structure of every
+        system does not depend on rounding."""
         R = self.forms()["R"]
-        return sps.csr_matrix((self._penalized("R") + theta_param * (
-            self._penalized("G") + self._penalized("T")), R.indices, R.indptr),
-            shape=R.shape)
+        data, scratch = self._penalized("G"), self._penalized("T")
+        data += scratch
+        data *= theta_param
+        data += self._penalized("R", out=scratch)
+        return sps.csr_matrix((data, R.indices, R.indptr), shape=R.shape)
 
     def b_matrix(self):
         return self.forms()["B"]
@@ -551,7 +585,8 @@ def calibrate_penalty(asm: FormAssembler, max_doublings: int = 10) -> float:
     """Default penalty constant for the forms of `asm`: scale with the
     geometry magnitude, then double until A(1) is positive definite.  Each
     probe only rescales the penalty blocks of the assembled forms; `asm`'s
-    config keeps the constant returned."""
+    config keeps the constant returned, or its own if none is accepted."""
+    given = asm.config
     e = asm.chart.evaluate(asm.mesh.vertices)
     bsup = float(np.abs(e.b_cov).max() + np.abs(e.b_mix).max()) / 2.0
     gsup = float(np.abs(e.christoffel).max())
@@ -562,6 +597,7 @@ def calibrate_penalty(asm: FormAssembler, max_doublings: int = 10) -> float:
         if _positive_definite(asm.a_theta(1.0), order):
             return C
         C *= 2.0
+    asm.config = given
     raise CalibrationError("penalty calibration failed: matrix not positive "
                            "definite after doubling the penalty constant")
 

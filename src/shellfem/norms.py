@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import strain
-from .assembly import FormAssembler, _apply, _aux_basis, _csr_sums, _gram
+from .assembly import FormAssembler, _apply, _aux_basis, _gram, _Sums
 from .geometry import batched
 
 
@@ -109,16 +109,14 @@ class NormEngine:
         if self._grams is None:
             asm = self.asm
             e, n = asm._elem_data(), self.layout.n_primal
-            blocks, vol = [], []
-            for t, dofs, phi in asm._point_batches(
-                    np.arange(asm.mesh.n_triangles)):
-                jet = _apply(np.eye(15), phi)   # all values and partials
-                vol.append((len(blocks),
-                            _gram(e.areas[t, None] * e.wq, jet, jet)))
-                blocks.append((dofs, dofs))
+            elems = list(asm._slices(np.arange(asm.mesh.n_triangles),
+                                     len(e.wq)))
+            vol = _Sums((n, n), [(asm._dofs(t),) * 2 for t in elems], ("Q",))
+            for b, t in enumerate(elems):
+                jet = _apply(np.eye(15), asm._traces(t)[1])  # values, partials
+                vol.add("Q", b, _gram(e.areas[t, None] * e.wq, jet, jet))
             f = asm.forms()
-            self._grams = _csr_sums((n, n), blocks, {"Q": vol})["Q"] \
-                + f["R_pen"] + f["G_pen"]
+            self._grams = vol.matrices()["Q"] + f["R_pen"] + f["G_pen"]
         return self._grams
 
     # ------------------------------------------------------------- norm values

@@ -4,11 +4,21 @@ method from one assembled parameterized matrix, all on one solve core."""
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
+
+
+# glibc keeps the heap pages that freed temporaries leave resident, and the
+# LU does not reuse them; `_factor_refine` hands them back before it factors
+_LIBC = ctypes.CDLL(None) if os.name == "posix" else None
+if hasattr(_LIBC, "malloc_trim"):
+    _LIBC.malloc_trim.argtypes, _LIBC.malloc_trim.restype = [
+        ctypes.c_size_t], ctypes.c_int
 
 
 class SolverError(RuntimeError):
@@ -68,9 +78,12 @@ def _factor_refine(K, b, n_primal: int, order, meta: dict) -> ShellSolution:
     `order`, refine up to REFINE_STEPS times until the backward error
     reaches u, accept x on it and add the figures to meta.  All of it runs
     on the ordered system, which replaces K: no caller keeps K, so the
-    unordered copy is freed."""
+    unordered copy is freed, and its heap is handed back before the LU
+    is made."""
     K, b = ordered(K, order), b[order]
     k_inf, k_one = inf_one_norms(K)
+    if hasattr(_LIBC, "malloc_trim"):
+        _LIBC.malloc_trim(0)
     try:
         lu = factor(K)
     except RuntimeError as exc:

@@ -625,6 +625,56 @@ def reference_forms(asm):
             "B": _coo(acc, "B", (n3, n)), "C": _coo(acc, "C", (n3, n3))}
 
 
+def reference_csr_sums(shape, blocks, pieces):
+    """Sparse matrices of shape `shape` on one CSR structure, the union of
+    the dense blocks rows x cols of the index arrays (E, m) and (E, l) in
+    `blocks`: for each key of the dict `pieces`, the sum of its values
+    (E, m, l) on block b, [(b, values), ...], all kept until the end.  One
+    sort of the blocks' entries gives the structure and, through its
+    inverse, the slot of every entry; each matrix is one concatenation of
+    its values and one bincount, which adds a slot's terms in piece order.
+    A key without values gets float zeros (bincount alone would give
+    integers for an empty input, weights or not)."""
+    keys = np.concatenate([(r[:, :, None] * shape[1] + c[:, None, :]).ravel()
+                           for r, c in blocks])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) != 0
+    keys = keys[first]
+    index = np.int32 if max(shape + (len(keys),)) < 2 ** 31 else np.int64
+    slot = np.empty(len(order), dtype=index)
+    slot[order] = np.cumsum(first, dtype=index) - 1
+    rows, cols = np.divmod(keys, max(1, shape[1]))
+    indices = cols.astype(index)
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(index)
+    start = np.cumsum([0] + [r.size * c.shape[1] for r, c in blocks])
+    out = {}
+    for key, at in pieces.items():
+        data = np.bincount(
+            np.concatenate([slot[start[b]:start[b + 1]] for b, _ in at]
+                           + [np.zeros(0, dtype=index)]),
+            np.concatenate([v.ravel() for _, v in at] + [np.zeros(0)]),
+            minlength=len(keys)).astype(float, copy=False)
+        out[key] = sps.csr_matrix((data, indices, indptr), shape=shape)
+    return out
+
+
+class BincountSums:
+    """Stand-in for the package's streamed `assembly._Sums` with its
+    interface: it keeps the values of every block and sums each matrix at
+    the end by `reference_csr_sums`."""
+
+    def __init__(self, shape, blocks, names):
+        self.shape, self.blocks = shape, blocks
+        self.pieces = {name: [] for name in names}
+
+    def add(self, name, b, values):
+        self.pieces[name].append((b, values))
+
+    def matrices(self):
+        return reference_csr_sums(self.shape, self.blocks, self.pieces)
+
+
 def reference_grams(eng):
     """The Gram matrices element by element and edge by edge."""
     asm, layout = eng.asm, eng.layout

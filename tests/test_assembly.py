@@ -1,16 +1,21 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
+from shellfem import assembly, norms
 from shellfem.assembly import (AssemblyConfig, CalibrationError,
                                FormAssembler, LoadSpec, Material,
                                _positive_definite, calibrate_penalty)
 from shellfem.fe_space import build_dof_layout
 from shellfem.geometry import make_chart
-from shellfem.mesh import generate_rect_mesh
+from shellfem.mesh import Mesh, generate_rect_mesh
+from shellfem.norms import NormEngine
 from shellfem.solve import SolverError
 
-from oracles import green_identity_check, penalized_forms
+from oracles import BincountSums, green_identity_check, penalized_forms
 
 
 def make_assembler(chart_kind="cylinder", nx=2, ny=2,
@@ -284,7 +289,99 @@ def test_calibrated_penalty_equals_dense_path(case):
 
 def test_calibration_error_when_doublings_run_out():
     mesh, chart, layout = probe_case("hypar-4x4")
+    asm = FormAssembler(mesh, chart, layout, Material(), AssemblyConfig())
     with pytest.raises(CalibrationError):
-        calibrate_penalty(FormAssembler(mesh, chart, layout, Material(),
-                                        AssemblyConfig()), max_doublings=0)
+        calibrate_penalty(asm, max_doublings=0)
     assert issubclass(CalibrationError, SolverError)
+    # the rejected constant is not kept: the next use calibrates again
+    assert asm.config.penalty_C is None
+
+
+def one_triangle_assembler():
+    """One cylinder triangle with three S edges: no edge has a rotation
+    penalty, so R_pen has no piece at all."""
+    chart = make_chart("cylinder")
+    mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]],
+                [[1, 2], [2, 0], [0, 1]], ["S", "S", "S"])
+    return FormAssembler(mesh, chart, build_dof_layout(mesh, chart),
+                         Material(), AssemblyConfig(penalty_C=20.0))
+
+
+STREAM_CASES = {
+    "cylinder-12x12": lambda: make_assembler("cylinder", 12, 12,
+                                             ("D", "F", "S", "F")),
+    "hypar-6x6": lambda: make_assembler("hypar", 6, 6, ("D", "F", "D", "F")),
+    "triangle-SSS": one_triangle_assembler,
+}
+
+
+def forms_and_grams(asm):
+    return {**asm.forms(), "Q": NormEngine(asm).grams()}
+
+
+def slices_per_group(asm):
+    """Rows and slices of each group of the grouped kernel: elements by
+    local size, edges by side, tag and local sizes of their sides."""
+    rows, slices = Counter(), Counter()
+    e = asm._elem_data()
+    for t in asm._slices(np.arange(asm.mesh.n_triangles), len(e.wq)):
+        rows[e.nf[t[0]]] += len(t)
+        slices[e.nf[t[0]]] += 1
+    for i, d in enumerate(asm._edge_data()):
+        for k, owners in asm._edge_slices(d):
+            key = (i, d.tag[k[0]]) + tuple(e.nf[t[0]] for t in owners)
+            rows[key] += len(k)
+            slices[key] += 1
+    return rows, slices
+
+
+@pytest.mark.parametrize("case, budget", [
+    ("cylinder-12x12", None), ("hypar-6x6", None), ("triangle-SSS", None),
+    ("cylinder-12x12", 300)])
+def test_streamed_forms_equal_the_bincount_sums(case, budget, monkeypatch):
+    """All eight forms and Q_H, each slice's values scattered into the
+    structure as they are made, equal bitwise the reference sums, which
+    keep every value and add each matrix up in one bincount at the default
+    slices: data, indices, indptr, their dtypes and the shapes.  The small
+    budget cuts every group of more than one row into several slices."""
+    with monkeypatch.context() as m:
+        m.setattr(assembly, "_Sums", BincountSums)
+        m.setattr(norms, "_Sums", BincountSums)
+        want = forms_and_grams(STREAM_CASES[case]())
+    if budget is not None:
+        monkeypatch.setattr(assembly, "SLICE_BUDGET", budget)
+    asm = STREAM_CASES[case]()
+    got = forms_and_grams(asm)
+    assert sorted(got) == sorted(want) and len(got) == 9
+    for key, M in want.items():
+        assert got[key].shape == M.shape, key
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(got[key], attr), getattr(M, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (key, attr)
+    if case == "triangle-SSS":
+        assert not got["R_pen"].data.any() and got["R"].data.any()
+    if budget is not None:
+        rows, slices = slices_per_group(asm)
+        assert len(rows) == 10 and sum(slices.values()) > 400
+        assert all(slices[k] >= 2 for k, n in rows.items() if n > 1)
+
+
+def test_forms_transient_stays_within_twice_the_forms():
+    """With the element and edge data built, `forms` allocates at its peak
+    at most twice the bytes of the forms it returns (arrays shared by
+    several matrices counted once), as traced by tracemalloc, which sees
+    numpy's buffers: the values of each slice are summed as they are made
+    and a slice holds at most SLICE_BUDGET (point, local DOF) pairs."""
+    asm = make_assembler("cylinder", 24, 24, ("D", "F", "S", "F"))
+    asm._elem_data()
+    asm._edge_data()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        forms = asm.forms()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    arrays = {(a.ctypes.data, a.nbytes): a.nbytes for M in forms.values()
+              for a in (M.data, M.indices, M.indptr)}
+    assert peak <= 2 * sum(arrays.values())
