@@ -14,11 +14,14 @@ operator on the 15 values and partials of the five fields, built from the
 geometry alone; applied to the traces it gives that quantity for every
 local DOF ("B-matrix" assembly), and each local matrix is one batched
 matmul.  The structure comes first: `forms` lists the slices and the DOFs
-of each, a dense block, before it computes any value, and one sort of the
-entries of all blocks gives the CSR structure that the primal matrices
-share and the slot of every local entry (`_Sums`).  Each slice's values
-are then scattered into the matrices' data arrays as they are made, and
-freed, so no more than one slice of values is held at a time.  Penalty
+of each, a dense block, before it computes any value.  Each row has one
+owner whose rows share one column list, an element for the (discontinuous)
+primal DOFs and a vertex for its 5 stress DOFs, so one sort of the
+(owner, column) pairs of all blocks gives the CSR structure that the
+primal matrices share (`_Sums`); a block's slots are made when its values
+are added.  Each slice's values are scattered into the matrices' data
+arrays as they are made, and freed, so no more than one slice of values
+is held at a time; the elastic tensors too are made per slice.  Penalty
 contributions are kept in separate matrices so the penalty constant can be
 recalibrated without reassembling anything.  The same traces evaluate
 fields at points (`field_values`), which is all the norms of norms.py need;
@@ -168,42 +171,73 @@ def _edge_operator(geom, A, nbar, theta):
 
 
 class _Sums:
-    """Sparse matrices `names` of shape `shape` on one CSR structure, the
-    union of the dense blocks rows x cols of the index arrays (E, m) and
-    (E, l) in `blocks`, known before any value is.  One sort of the blocks'
-    entries gives the structure and, through its inverse, the slot of every
-    entry; `add` scatters the values of a block into their slots as they
+    """Sparse matrices `names` of shape `shape` on one CSR structure, known
+    before any value is.  Every row has one owner: row o of `table` lists
+    the rows of owner o, padded with -1.  Each of the dense `blocks`, a
+    pair of index arrays (E, k) and (E, l), has for its rows those of its k
+    owners, one owner after another, and for its columns the l given ones,
+    so all the rows of an owner share one column list, the union of the
+    columns of its blocks.  One sort of the (owner, column) pairs of all
+    blocks gives every owner's list and its place in it; the rows' lengths
+    give indptr, and one gather of the lists gives indices.  A block's
+    slots, the start of the row plus the place of the column in its
+    owner's list, are made on its first `add` and dropped at the next
+    block's, and `add` scatters the values of a block into them as they
     are made.  A slot's terms add up in call order, the order in which one
     bincount of all of them at the end would add them, so the sums do not
     depend on how the values were sliced.  Every matrix shares the
     structure's arrays and stores an entry even where its terms cancel."""
 
-    def __init__(self, shape, blocks, names):
-        self.shape = shape
-        self.start = np.cumsum([0] + [r.size * c.shape[1] for r, c in blocks])
+    def __init__(self, shape, table, blocks, names):
+        self.shape, self.table, self.blocks = shape, table, blocks
+        self.start = np.cumsum([0] + [o.size * c.shape[1] for o, c in blocks])
         keys = np.empty(self.start[-1], dtype=np.int64)
-        for (r, c), a, b in zip(blocks, self.start, self.start[1:]):
-            keys[a:b] = (r[:, :, None] * shape[1] + c[:, None, :]).ravel()
+        for (o, c), a, b in zip(blocks, self.start, self.start[1:]):
+            keys[a:b] = (o[:, :, None] * shape[1] + c[:, None, :]).ravel()
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         first = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
-        index = np.int32 if max(shape + (len(keys),)) < 2 ** 31 else np.int64
-        self.slot = np.empty(len(order), dtype=index)
-        self.slot[order] = np.cumsum(first, dtype=index) - 1
-        del order, first
-        rows, cols = np.divmod(keys, max(1, shape[1]))
-        self.indices = cols.astype(index)
-        self.indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(
-            index)
-        del keys, rows, cols                  # before the values' arrays
+        rank = np.cumsum(first) - 1
+        owner, cols = np.divmod(keys[first], max(1, shape[1]))
+        begin = np.searchsorted(owner, np.arange(len(table) + 1))
+        of_row = np.full(shape[0], len(table))
+        mine = table >= 0
+        of_row[table[mine]] = np.nonzero(mine)[0]
+        length = np.append(np.diff(begin), 0)[of_row]
+        nnz = int(length.sum())
+        index = np.int32 if max(shape + (nnz,)) < 2 ** 31 else np.int64
+        self.pos = np.empty(len(order), dtype=index)
+        self.pos[order] = rank - begin[owner][rank]
+        del keys, order, first, rank, owner
+        self.indptr = np.zeros(shape[0] + 1, dtype=index)
+        np.cumsum(length, out=self.indptr[1:])
+        at = np.repeat((begin[of_row] - self.indptr[:-1]).astype(index),
+                       length)
+        at += np.arange(nnz, dtype=index)
+        self.indices = cols.astype(index)[at]
+        del at, cols                          # before the values' arrays
         self.data = {name: np.zeros(len(self.indices)) for name in names}
+        self._block = self._slots = None
+
+    def _slot(self, b):
+        """The slots (E, m, l) of block b's entries."""
+        if self._block != b:
+            self._slots = None
+            o, c = self.blocks[b]
+            pos = self.pos[self.start[b]:self.start[b + 1]].reshape(
+                o.shape + c.shape[1:])
+            parts = []
+            for j in range(o.shape[1]):
+                rows = self.table[o[:, j]]
+                rows = rows[:, rows[0] >= 0]
+                parts.append(self.indptr[rows][:, :, None] + pos[:, j, None])
+            self._slots, self._block = np.concatenate(parts, axis=1), b
+        return self._slots
 
     def add(self, name, b, values):
         """Add the values (E, m, l) on block b to the matrix `name`."""
-        np.add.at(self.data[name], self.slot[self.start[b]:self.start[b + 1]],
-                  values.ravel())
+        np.add.at(self.data[name], self._slot(b).ravel(), values.ravel())
 
     def matrices(self):
         return {name: sps.csr_matrix((data, self.indices, self.indptr),
@@ -239,15 +273,19 @@ class FormAssembler:
         J = np.stack([v0 - v2, v1 - v2], axis=-1)                   # (nt,2,2)
         qpts = np.einsum("qi,tix->tqx", bary, coords)               # (nt,nq,2)
         geom = batched(chart.evaluate, qpts)
-        elastic = eval_elastic(geom, self.material.lam, self.material.mu,
-                               self.material.kappa)
         aux = (5 * mesh.triangles[..., None] + np.arange(5)).reshape(nt, 15)
         self._elem = SimpleNamespace(bary=bary, wq=wq, coords=coords,
                                      areas=areas, Jinv=np.linalg.inv(J),
-                                     qpts=qpts, geom=geom, elastic=elastic,
+                                     qpts=qpts, geom=geom,
                                      nf=layout.nf, coeffs=layout.coeffs,
                                      dofs=layout.dofs, aux=aux)
         return self._elem
+
+    def _elastic(self, geom):
+        """The elastic tensors at the points of `geom`, made for each slice
+        that reads them and not kept."""
+        m = self.material
+        return eval_elastic(geom, m.lam, m.mu, m.kappa)
 
     def _dofs(self, t):
         """DOFs (E, nl) of the elements t (E,), all of one local size."""
@@ -307,11 +345,11 @@ class FormAssembler:
 
     def _edge_data(self):
         """Stacked data of the interior and of the boundary edges: points,
-        geometry and elastic tensors, h, normals pointing out of `left`, the
-        owners `left` and `right` (-1 on the boundary) and tags ("" inside)."""
+        geometry, h, normals pointing out of `left`, the owners `left` and
+        `right` (-1 on the boundary) and tags ("" inside)."""
         if self._edges is not None:
             return self._edges
-        mesh, mat = self.mesh, self.material
+        mesh = self.mesh
         te, we = interval_rule(self.config.quad_edge_points)
 
         def sweep(verts, h, left, right, tag):
@@ -325,7 +363,6 @@ class FormAssembler:
             return SimpleNamespace(
                 pts=pts, geom=geom, te=te, we=we, h=h, verts=verts, left=left,
                 right=right, tag=tag,
-                elastic=eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic,
                 arc=np.sqrt(np.einsum("eqab,ea,eb->eq", geom.a_cov, tang, tang)),
                 nbar=edge_normal(mesh, verts, left))
 
@@ -355,7 +392,8 @@ class FormAssembler:
         DOF of the edge slice k: the jumps (E, q, 13, nl), left minus right
         (one-sided on the boundary), and the fluxes (E, q, 5, nl), the mean
         of the sides."""
-        op = _edge_operator(d.geom[k], d.elastic[k], d.nbar[k],
+        g = d.geom[k]
+        op = _edge_operator(g, self._elastic(g).elastic, d.nbar[k],
                             d.tag[k[0]] != "S")
         y = [_apply(op, self._traces(t, d.pts[k])[1]) for t in owners]
         return (np.concatenate([sign * yi[:, :, :13] for sign, yi in
@@ -378,25 +416,31 @@ class FormAssembler:
                                   len(e.wq)))
         edges = [(d, k, owners) for d in self._edge_data()
                  for k, owners in self._edge_slices(d)]
-        dofs = [self._dofs(t) for t in elems] + [
-            np.concatenate([self._dofs(t) for t in owners], axis=1)
-            for _, _, owners in edges]
-        # the stress DOFs of the elements' vertices and the edges' ends
-        rows = [e.aux[t] for t in elems] + [
-            (5 * d.verts[k, :, None] + np.arange(5)).reshape(len(k), 10)
-            for d, k, _ in edges]
+        tris = self.mesh.triangles
         n, n3 = self.layout.n_primal, self.layout.n_block3
-        coupling = _Sums((n3, n), list(zip(rows, dofs)), ("B",))
-        square = _Sums((n, n), list(zip(dofs, dofs)),
+        # C first: its compliance tensors at all points come and go before
+        # the primal forms' data arrays exist
+        stress = _Sums((n3, n3), _vertex_rows(n3), [(tris, e.aux)], ("C",))
+        stress.add("C", 0, self._stress_mass())
+        # the elements of each block, owning its primal rows, and its
+        # vertices, owning its stress rows; its columns, the DOFs of its
+        # elements
+        owners = [t[:, None] for t in elems] + [
+            np.stack(ts, axis=1) for _, _, ts in edges]
+        verts = [tris[t] for t in elems] + [d.verts[k] for d, k, _ in edges]
+        dofs = [self._dofs(t) for t in elems] + [
+            np.concatenate([self._dofs(t) for t in ts], axis=1)
+            for _, _, ts in edges]
+        coupling = _Sums((n3, n), _vertex_rows(n3), list(zip(verts, dofs)),
+                         ("B",))
+        square = _Sums((n, n), e.dofs, list(zip(owners, dofs)),
                        ("R", "R_pen", "G", "G_pen", "T", "T_pen"))
         for b, t in enumerate(elems):
             self._element_forms(square, coupling, b, t)
         for b, (d, k, owners) in enumerate(edges, len(elems)):
             self._edge_forms(square, coupling, b, d, k, owners)
-        mass = _Sums((n3, n3), [(e.aux, e.aux)], ("C",))
-        mass.add("C", 0, self._stress_mass())
         self._forms = {**square.matrices(), **coupling.matrices(),
-                       **mass.matrices()}
+                       **stress.matrices()}
         return self._forms
 
     def _element_forms(self, square, coupling, b, t):
@@ -407,7 +451,7 @@ class FormAssembler:
                    self._traces(t)[1])                     # (E,nq,10,nl)
         rho, gam, tau = B[:, :, 0:4], B[:, :, 4:8], B[:, :, 8:10]
         wfac = e.areas[t, None] * e.wq * e.geom.sqrt_a[t]
-        A = e.elastic.elastic[t].reshape(len(t), -1, 4, 4)
+        A = self._elastic(e.geom[t]).elastic.reshape(len(t), -1, 4, 4)
         square.add("R", b, _gram(wfac, A @ rho, rho) / 3.0)
         square.add("G", b, _gram(wfac, A @ gam, gam))
         square.add("T", b, self.material.kappa * self.material.mu * _gram(
@@ -449,7 +493,8 @@ class FormAssembler:
         nt, nq = e.qpts.shape[:2]
         M = np.array([[1, 0, 0], [0, 0, 1], [0, 0, 1], [0, 1, 0]])
         K = np.zeros((nt, nq, 5, 5))
-        K[..., :3, :3] = M.T @ e.elastic.compliance.reshape(nt, nq, 4, 4) @ M
+        comp = self._elastic(e.geom).compliance.reshape(nt, nq, 4, 4)
+        K[..., :3, :3] = M.T @ comp @ M
         K[..., 3:, 3:] = e.geom.a_cov / (self.material.kappa * self.material.mu)
         wK = (e.areas[:, None] * e.wq * e.geom.sqrt_a)[..., None, None] * K
         P = (e.bary[:, :, None] * e.bary[:, None, :]).reshape(nq, 9)
@@ -545,6 +590,11 @@ class FormAssembler:
         dens[2:, d.tag[loaded] == "S"] = 0.0
         f = d.h[loaded, None] * d.we * weight * dens
         return rhs + self._scatter(d.left[loaded], pts, np.moveaxis(f, 0, -1))
+
+
+def _vertex_rows(n3):
+    """The rows of each vertex in the stress block, its 5 components."""
+    return np.arange(n3).reshape(-1, 5)
 
 
 def _aux_basis(pv):

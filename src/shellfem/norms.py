@@ -52,7 +52,8 @@ class NormEngine:
         self.layout = assembler.layout
         self._grams = None
 
-    def _pieces(self, primal, exact=None, aux=None, strains=True) -> dict:
+    def _pieces(self, primal, exact=None, aux=None, strains=True,
+                scale=None) -> dict:
         """Squared pieces of the norms of the discrete field `primal` minus
         `exact` (zero if None): the volume parts "H", "rho", "gamma", "tau"
         (the strain parts only if `strains`) and, of the auxiliary field
@@ -60,7 +61,8 @@ class NormEngine:
         `exact` provides values(pts)->(n,5) and grads(pts)->(n,5,2), called
         on all element quadrature points, then values on all S/D
         boundary-edge points.  A stack primal (k, n) gives pieces (k,), of
-        each of its vectors minus `exact`."""
+        each of its vectors minus `exact`, or minus scale[i] times `exact`
+        for vector i if `scale` (k,) is given."""
         asm = self.asm
         e = asm._elem_data()
         w = e.areas[:, None] * e.wq                     # plain area element
@@ -71,9 +73,13 @@ class NormEngine:
             return np.sum(w * np.sum(x ** 2, axis=-1), axis=(-2, -1))
         v, g = asm.field_values(primal, np.arange(asm.mesh.n_triangles))
         if exact is not None:
+            lead = np.shape(primal)[:-1]
+            s = np.reshape(np.ones(lead) if scale is None else scale,
+                           lead + (1, 1, 1))
             ev, eg = batched(lambda p: (exact.values(p), exact.grads(p)),
                              e.qpts.reshape(-1, 2))
-            v, g = v - ev.reshape(v.shape[-3:]), g - eg.reshape(g.shape[-4:])
+            v = v - s * ev.reshape(v.shape[-3:])
+            g = g - s[..., None] * eg.reshape(g.shape[-4:])
         out = {"H": integral(v) + integral(g)}
         if strains:
             r, gm, ta = strain.field_strains(v, g, e.geom)
@@ -88,7 +94,7 @@ class NormEngine:
         pts = boundary.pts[fixed]
         d = asm.field_values(primal, boundary.left[fixed], pts)[0]
         if exact is not None:
-            d -= batched(exact.values, pts.reshape(-1, 2)).reshape(
+            d -= s * batched(exact.values, pts.reshape(-1, 2)).reshape(
                 d.shape[-3:])
         d[..., boundary.tag[fixed] == "S", :, :2] = 0.0  # rotations only on D
         jump = np.concatenate(
@@ -111,7 +117,8 @@ class NormEngine:
             e, n = asm._elem_data(), self.layout.n_primal
             elems = list(asm._slices(np.arange(asm.mesh.n_triangles),
                                      len(e.wq)))
-            vol = _Sums((n, n), [(asm._dofs(t),) * 2 for t in elems], ("Q",))
+            vol = _Sums((n, n), e.dofs,
+                        [(t[:, None], asm._dofs(t)) for t in elems], ("Q",))
             for b, t in enumerate(elems):
                 jet = _apply(np.eye(15), asm._traces(t)[1])  # values, partials
                 vol.add("Q", b, _gram(e.areas[t, None] * e.wq, jet, jet))
@@ -143,11 +150,13 @@ class NormEngine:
         }
         return NormReport(rho, gam, tau, a, H, V_h_norm=V, energies=energies)
 
-    def error_norms(self, primal: np.ndarray, exact) -> dict:
-        """H_h norm (edge jumps included) and volume strain norms of the
-        discrete field minus `exact` (see `_pieces`); of a stack (k, n), the
-        k values of each from one pass."""
-        p = self._pieces(primal, exact)
+    def error_norms(self, primal: np.ndarray, exact, scale=None) -> dict:
+        """H_h norm and a norm (edge jumps included) and volume strain norms
+        of the discrete field minus `exact`, or minus scale[i] times `exact`
+        for vector i of a stack (k, n) (see `_pieces`); of a stack, the k
+        values of each from one pass."""
+        p = self._pieces(primal, exact, scale=scale)
         return {"H_h": _root(p, _SEMINORMS["H"]),
+                "a": _root(p, _SEMINORMS["a"]),
                 **{k: _root(p, (k,)) for k in ("rho", "gamma", "tau")}}
 

@@ -358,10 +358,13 @@ def element_strains(asm, t):
 
 def edge_list(asm):
     """One namespace per interior and per boundary edge, from the stacked
-    edge data."""
+    edge data, with the elastic tensors at its points."""
+    m = asm.material
     return [[SimpleNamespace(left=d.left[k], right=d.right[k], tag=d.tag[k],
                              pts=d.pts[k], geom=d.geom[k],
-                             elastic=d.elastic[k], h=d.h[k], nbar=d.nbar[k],
+                             elastic=eval_elastic(d.geom[k], m.lam, m.mu,
+                                                  m.kappa).elastic,
+                             h=d.h[k], nbar=d.nbar[k],
                              verts=d.verts[k], te=d.te, we=d.we)
              for k in range(len(d.left))] for d in asm._edge_data()]
 
@@ -562,10 +565,11 @@ def reference_forms(asm):
         v.append(vals.ravel())
 
     e = asm._elem_data()
+    el = eval_elastic(e.geom, asm.material.lam, mu, kappa)
     for t in range(mesh.n_triangles):
         st = element_strains(asm, t)
         wfac = e.areas[t] * e.wq * e.geom.sqrt_a[t]
-        A = e.elastic.elastic[t]
+        A = el.elastic[t]
         dofs = reference_element_dofs(layout, t)
         rc = dofs[:, None], dofs[None, :]
         arho = np.einsum("qabcd,qkcd->qkab", A, st.rho)
@@ -582,7 +586,7 @@ def reference_forms(asm):
             + np.einsum("q,qma,qka->mk", wfac, xiv, st.tau))
         add("C", adofs[:, None], adofs[None, :],
             np.einsum("q,qabcd,qmcd,qnab->mn", wfac,
-                      e.elastic.compliance[t], Mten, Mten)
+                      el.compliance[t], Mten, Mten)
             + (1.0 / (kappa * mu))
             * np.einsum("q,qab,qmb,qna->mn", wfac, e.geom.a_cov[t],
                         xiv, xiv))
@@ -661,11 +665,15 @@ def reference_csr_sums(shape, blocks, pieces):
 
 class BincountSums:
     """Stand-in for the package's streamed `assembly._Sums` with its
-    interface: it keeps the values of every block and sums each matrix at
-    the end by `reference_csr_sums`."""
+    interface: it spells out each block's rows, those of its owners in the
+    owner table one owner after another, keeps the values of every block
+    and sums each matrix at the end by `reference_csr_sums`."""
 
-    def __init__(self, shape, blocks, names):
-        self.shape, self.blocks = shape, blocks
+    def __init__(self, shape, table, blocks, names):
+        self.shape = shape
+        self.blocks = [(np.concatenate([table[o][:, table[o[0]] >= 0]
+                                        for o in owners.T], axis=1), cols)
+                       for owners, cols in blocks]
         self.pieces = {name: [] for name in names}
 
     def add(self, name, b, values):

@@ -307,11 +307,33 @@ def one_triangle_assembler():
                          Material(), AssemblyConfig(penalty_C=20.0))
 
 
+def renumbered_assembler(seed):
+    """The 8x8 cylinder D,F,S,F with its vertex and triangle numbering
+    permuted by `seed`, each triangle keeping its local vertex order (as
+    the bench's seeded meshes), so no owner's rows or columns come in mesh
+    order."""
+    chart = make_chart("cylinder")
+    base = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 8, 8,
+                              tags=("D", "F", "S", "F"))
+    rng = np.random.default_rng(seed)
+    new_id = rng.permutation(base.n_vertices)
+    verts = np.empty_like(base.vertices)
+    verts[new_id] = base.vertices
+    tris = new_id[base.triangles[rng.permutation(base.n_triangles)]]
+    mesh = Mesh(verts, tris, new_id[base.boundary.pairs], base.boundary.tag)
+    return FormAssembler(mesh, chart, build_dof_layout(mesh, chart),
+                         Material(), AssemblyConfig(penalty_C=20.0))
+
+
 STREAM_CASES = {
     "cylinder-12x12": lambda: make_assembler("cylinder", 12, 12,
                                              ("D", "F", "S", "F")),
     "hypar-6x6": lambda: make_assembler("hypar", 6, 6, ("D", "F", "D", "F")),
     "triangle-SSS": one_triangle_assembler,
+    # corners with two free edges: elements of 15, 21 and 27 DOFs
+    "hypar-5x5-enriched": lambda: make_assembler("hypar", 5, 5,
+                                                 ("F", "F", "D", "F")),
+    "cylinder-8x8-renumbered": lambda: renumbered_assembler(11),
 }
 
 
@@ -337,13 +359,16 @@ def slices_per_group(asm):
 
 @pytest.mark.parametrize("case, budget", [
     ("cylinder-12x12", None), ("hypar-6x6", None), ("triangle-SSS", None),
+    ("hypar-5x5-enriched", None), ("cylinder-8x8-renumbered", None),
     ("cylinder-12x12", 300)])
 def test_streamed_forms_equal_the_bincount_sums(case, budget, monkeypatch):
-    """All eight forms and Q_H, each slice's values scattered into the
-    structure as they are made, equal bitwise the reference sums, which
-    keep every value and add each matrix up in one bincount at the default
-    slices: data, indices, indptr, their dtypes and the shapes.  The small
-    budget cuts every group of more than one row into several slices."""
+    """All eight forms and Q_H, their structure built from the owners of
+    each block's rows and each slice's values scattered into it as they are
+    made, equal bitwise the reference sums, which spell out every entry of
+    every block, sort them all and add each matrix up in one bincount at
+    the default slices: data, indices, indptr, their dtypes and the shapes.
+    The small budget cuts every group of more than one row into several
+    slices."""
     with monkeypatch.context() as m:
         m.setattr(assembly, "_Sums", BincountSums)
         m.setattr(norms, "_Sums", BincountSums)
@@ -360,10 +385,46 @@ def test_streamed_forms_equal_the_bincount_sums(case, budget, monkeypatch):
             assert a.dtype == b.dtype and np.array_equal(a, b), (key, attr)
     if case == "triangle-SSS":
         assert not got["R_pen"].data.any() and got["R"].data.any()
+    if case == "hypar-5x5-enriched":
+        assert set(asm.layout.nf) == {3, 5, 7}
     if budget is not None:
         rows, slices = slices_per_group(asm)
         assert len(rows) == 10 and sum(slices.values()) > 400
         assert all(slices[k] >= 2 for k, n in rows.items() if n > 1)
+
+
+def test_owner_structure_equals_the_entry_sort():
+    """`_Sums` on a made-up owner table, its rows ragged, permuted and
+    padded with -1, some rows owned by no owner and one owner in no block,
+    with blocks of one and of two owners whose column lists repeat columns,
+    gives bitwise the structure and the sums of the reference, which sorts
+    every entry of every block."""
+    rng = np.random.default_rng(3)
+    shape = (70, 40)
+    size = np.array([3, 5] * 6)
+    rows = rng.permutation(shape[0])[:size.sum()]
+    table = np.full((len(size), 5), -1)
+    table[np.arange(5) < size[:, None]] = rows
+    threes, fives = np.flatnonzero(size == 3), np.flatnonzero(size == 5)
+    blocks = [(threes[:, None], rng.integers(0, shape[1], (6, 7))),
+              (np.stack([threes[:4], fives[1:5]], axis=1),
+               rng.integers(0, shape[1], (4, 9))),
+              (fives[:2, None], rng.integers(0, shape[1], (2, 4)))]
+    names = ("X", "Y")
+    got = assembly._Sums(shape, table, blocks, names)
+    want = BincountSums(shape, table, blocks, names)
+    for b, (owners, cols) in enumerate(blocks):
+        m = size[owners[0]].sum()
+        for name in names:
+            values = rng.standard_normal((len(owners), m, cols.shape[1]))
+            got.add(name, b, values)
+            want.add(name, b, values)
+    got, want = got.matrices(), want.matrices()
+    for name in names:
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(got[name], attr), getattr(want[name], attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, attr)
+    assert np.diff(got["X"].indptr)[table[fives[5]]].sum() == 0
 
 
 def test_forms_transient_stays_within_twice_the_forms():

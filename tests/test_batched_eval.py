@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shellfem import strain
+from shellfem import assembly, strain
 from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec, Material
 from shellfem.cli import DiscreteField
 from shellfem.driver import ShellProblem
@@ -411,7 +411,9 @@ def test_solve_chart_evaluations_do_not_grow_with_mesh(chart_evaluations,
 def test_kernel_einsum_calls_do_not_grow_with_mesh(monkeypatch):
     """forms, grams, loads and error norms contract group by group, so the
     number of einsum calls, of basis traces and of strain operators built is
-    the same on a mesh with four times as many elements."""
+    the same on a mesh with four times as many elements, once no group is
+    cut into slices (a slice budget above every group's size)."""
+    monkeypatch.setattr(assembly, "SLICE_BUDGET", 1 << 62)
     calls = []
 
     def counting(owner, name):

@@ -448,12 +448,12 @@ def test_zero_denominators_give_empty_cells(tmp_path, study, text, empty):
         assert float(row.get("err_H", 0.0)) == 0.0
 
 
-@pytest.mark.parametrize("study,passes", [("locking", 12), ("converge", 4)])
+@pytest.mark.parametrize("study,passes", [("locking", 6), ("converge", 4)])
 def test_manufactured_studies_make_one_norm_pass_per_solve(
         tmp_path, monkeypatch, study, passes):
     """A solve's errors and its exact solution's norms come from one stacked
-    pass: 6 locking solves, each with one more pass for its discrete norms,
-    and 2 levels of 2 converge solves."""
+    pass: 6 locking solves, whose own norms come from the same pass, and 2
+    levels of 2 converge solves."""
     calls = []
     pieces = NormEngine._pieces
 
@@ -468,7 +468,8 @@ def test_manufactured_studies_make_one_norm_pass_per_solve(
 
 def test_relative_errors_equal_the_per_vector_formula(tmp_path):
     """rel_err_H and rel_energy_err equal the ratios of one error pass on the
-    solution and one on the zero vector."""
+    solution and one on the zero vector, and the locking study's H_h_norm
+    and a_norm the solution's own seminorms."""
     text = MANUFACTURED + "\n[study]\nepsilons = 0.1, 0.001\n"
     for study in ("converge", "locking"):
         assert main([study, write(tmp_path, text), "--out",
@@ -483,22 +484,27 @@ def test_relative_errors_equal_the_per_vector_formula(tmp_path):
         sol = problem.solve(method, epsilon=eps, loads=mfd.load_spec())
         eng = problem.norm_engine()
         return (eng.error_norms(sol.primal, mfd),
-                eng.error_norms(np.zeros_like(sol.primal), mfd))
+                eng.error_norms(np.zeros_like(sol.primal), mfd),
+                {k: eng.quad_norm(k, sol.primal) for k in ("H", "a")})
 
     def strain2(n):
         return n["rho"] ** 2 + n["gamma"] ** 2 + n["tau"] ** 2
     rows = read_rows(tmp_path / "convergence.csv")
     assert len(rows) == 4
     for row in rows:
-        err, ref = per_vector(problems[int(row["level"])], row["method"],
-                              spec.problem.epsilon)
+        err, ref, _ = per_vector(problems[int(row["level"])],
+                                 row["method"], spec.problem.epsilon)
         np.testing.assert_allclose(float(row["rel_err_H"]),
                                    err["H_h"] / ref["H_h"], rtol=1e-12)
     rows = read_rows(tmp_path / "locking.csv")
     assert len(rows) == 4
     for row in rows:
-        err, ref = per_vector(spec.problem, row["method"],
-                              float(row["epsilon"]))
+        err, ref, own = per_vector(spec.problem, row["method"],
+                                   float(row["epsilon"]))
         np.testing.assert_allclose(float(row["rel_energy_err"]),
                                    np.sqrt(strain2(err) / strain2(ref)),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(float(row["H_h_norm"]), own["H"],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(float(row["a_norm"]), own["a"],
                                    rtol=1e-12)

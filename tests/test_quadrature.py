@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shellfem.quadrature import (interval_rule, triangle_rule,
+from shellfem.quadrature import (interval_rule, jacobi10_rule, triangle_rule,
                                  triangle_rule_dense, triangle_rule_n)
 
 
@@ -54,3 +54,20 @@ def test_rules_are_cached():
     a1, w1 = triangle_rule(8)
     a2, w2 = triangle_rule(8)
     assert a1 is a2 and w1 is w2
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_rules_match_scipy_special(n):
+    """The Gauss-Legendre and Gauss-Jacobi(1,0) rules behind the interval
+    and triangle rules agree with scipy.special's to a few ulps."""
+    from scipy.special import roots_jacobi, roots_legendre
+    x, w = roots_legendre(n)
+    t, wt = interval_rule(n)
+    assert np.abs(t - (x + 1.0) / 2.0).max() <= 1e-15
+    assert np.abs(wt - w / 2.0).max() <= 5e-15
+    x, w = roots_jacobi(n, 1.0, 0.0)
+    xj, wj = jacobi10_rule(n)
+    assert np.abs(xj - x).max() <= 1e-15
+    assert np.abs(wj - w).max() <= 2e-14
+    bary = triangle_rule_n(n)[0]
+    assert np.abs(bary[::n, 0] - (x + 1.0) / 2.0).max() <= 1e-15
