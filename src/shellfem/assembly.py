@@ -21,11 +21,13 @@ primal DOFs and a vertex for its 5 stress DOFs, so one sort of the
 primal matrices share (`_Sums`); a block's slots are made when its values
 are added.  Each slice's values are scattered into the matrices' data
 arrays as they are made, and freed, so no more than one slice of values
-is held at a time; the elastic tensors too are made per slice.  Penalty
-contributions are kept in separate matrices so the penalty constant can be
-recalibrated without reassembling anything.  The same traces evaluate
-fields at points (`field_values`), which is all the norms of norms.py need;
-its one Gram matrix, Q_H, is summed the same way on the element blocks.
+is held at a time; the elastic tensors too are made per slice.  The primal
+forms are the four that the solves read: R, the bending form, and GT, the
+membrane and shear forms summed, each with its penalty part (R_pen, GT_pen)
+in a matrix of its own, so the penalty constant can be recalibrated
+without reassembling anything.  The same traces evaluate fields at points
+(`field_values`), which is all the norms of norms.py need; its one Gram
+matrix, Q_H, is summed the same way on the same blocks.
 
 All square matrices are over the primal DOFs (blocks 1+2 of the layout);
 the stress coupling block has shape (n_block3, n_primal).
@@ -402,39 +404,50 @@ class FormAssembler:
 
     # ----------------------------------------------------------- global forms
 
-    def forms(self):
-        """Assemble all global matrices once: consistency parts and penalty
-        parts of rho/gamma/tau, the stress coupling block, and the stress
-        mass block.  The slices and their DOFs come first, so the structure
-        of every matrix is known before any value; each slice's values are
-        then summed into it as they are made, in a call of their own, so a
-        slice's arrays are freed before the next slice is made."""
-        if self._forms is not None:
-            return self._forms
+    def _form_blocks(self):
+        """The slices of the primal forms, the element slices t and the edge
+        slices (d, k, owners), and the dense block of each: the elements
+        that own its rows, (E, 1) or (E, 2), and its columns, the DOFs of
+        those elements."""
         e = self._elem_data()
         elems = list(self._slices(np.arange(self.mesh.n_triangles),
                                   len(e.wq)))
         edges = [(d, k, owners) for d in self._edge_data()
                  for k, owners in self._edge_slices(d)]
+        blocks = [(t[:, None], self._dofs(t)) for t in elems] + [
+            (np.stack(ts, axis=1),
+             np.concatenate([self._dofs(t) for t in ts], axis=1))
+            for _, _, ts in edges]
+        return elems, edges, blocks
+
+    def forms(self):
+        """Assemble all global matrices once: the bending form R, the
+        membrane and shear forms summed, GT, each with its penalty part
+        (R_pen, GT_pen), the stress coupling block B and the stress mass
+        block C.  The slices and their DOFs come first, so the structure of
+        every matrix is known before any value; each slice's values are
+        then summed into it as they are made, in a call of their own, so a
+        slice's arrays are freed before the next slice is made."""
+        if self._forms is not None:
+            return self._forms
+        e = self._elem_data()
+        elems, edges, blocks = self._form_blocks()
         tris = self.mesh.triangles
         n, n3 = self.layout.n_primal, self.layout.n_block3
-        # C first: its compliance tensors at all points come and go before
-        # the primal forms' data arrays exist
-        stress = _Sums((n3, n3), _vertex_rows(n3), [(tris, e.aux)], ("C",))
-        stress.add("C", 0, self._stress_mass())
-        # the elements of each block, owning its primal rows, and its
-        # vertices, owning its stress rows; its columns, the DOFs of its
-        # elements
-        owners = [t[:, None] for t in elems] + [
-            np.stack(ts, axis=1) for _, _, ts in edges]
+        # C first, from runs of consecutive elements, so its compliance
+        # tensors come and go a run at a time before the primal forms' data
+        # arrays exist
+        step = max(1, SLICE_BUDGET // (15 * len(e.wq)))
+        runs = np.split(np.arange(len(tris)), np.arange(step, len(tris), step))
+        stress = _Sums((n3, n3), _vertex_rows(n3),
+                       [(tris[t], e.aux[t]) for t in runs], ("C",))
+        for b, t in enumerate(runs):
+            stress.add("C", b, self._stress_mass(t))
+        # the vertices of each block own its stress rows
         verts = [tris[t] for t in elems] + [d.verts[k] for d, k, _ in edges]
-        dofs = [self._dofs(t) for t in elems] + [
-            np.concatenate([self._dofs(t) for t in ts], axis=1)
-            for _, _, ts in edges]
-        coupling = _Sums((n3, n), _vertex_rows(n3), list(zip(verts, dofs)),
-                         ("B",))
-        square = _Sums((n, n), e.dofs, list(zip(owners, dofs)),
-                       ("R", "R_pen", "G", "G_pen", "T", "T_pen"))
+        coupling = _Sums((n3, n), _vertex_rows(n3),
+                         [(v, c) for v, (_, c) in zip(verts, blocks)], ("B",))
+        square = _Sums((n, n), e.dofs, blocks, ("R", "R_pen", "GT", "GT_pen"))
         for b, t in enumerate(elems):
             self._element_forms(square, coupling, b, t)
         for b, (d, k, owners) in enumerate(edges, len(elems)):
@@ -453,9 +466,9 @@ class FormAssembler:
         wfac = e.areas[t, None] * e.wq * e.geom.sqrt_a[t]
         A = self._elastic(e.geom[t]).elastic.reshape(len(t), -1, 4, 4)
         square.add("R", b, _gram(wfac, A @ rho, rho) / 3.0)
-        square.add("G", b, _gram(wfac, A @ gam, gam))
-        square.add("T", b, self.material.kappa * self.material.mu * _gram(
-            wfac, e.geom.a_con[t] @ tau, tau))
+        square.add("GT", b, _gram(wfac, A @ gam, gam)
+                   + self.material.kappa * self.material.mu * _gram(
+                       wfac, e.geom.a_con[t] @ tau, tau))
         coupling.add("B", b, _gram(wfac, _aux_basis(e.bary)[None],
                                    B[:, :, 4:10]))
 
@@ -465,41 +478,43 @@ class FormAssembler:
         coupling."""
         jump, flux = self._edge_values(d, k, owners)
         wsa = d.h[k, None] * d.we * d.geom.sqrt_a[k]          # consistency
-        jth, ju, jw = jump[:, :, 0:2], jump[:, :, 2:4], jump[:, :, 4:5]
+        flux[:, :, 4] *= self.material.kappa * self.material.mu
+        # R: the rotation fluxes; GT: the membrane and shear fluxes, against
+        # the u and w jumps in one product
         for key, fac, x, y in (
                 ("R", 1.0 / 3.0, jump[:, :, 5:7], flux[:, :, 0:2]),
-                ("G", -1.0, ju, flux[:, :, 2:4]),
-                ("T", -self.material.kappa * self.material.mu, jw,
-                 flux[:, :, 4:5])):
+                ("GT", -1.0, jump[:, :, 2:5], flux[:, :, 2:5])):
             X = _gram(wsa, x, y)
             square.add(key, b, fac * (X + np.swapaxes(X, 1, 2)))
         # penalties: the h_e^{-1} weight cancels against h; rotations not on
-        # S edges
+        # S edges; GT_pen is the membrane penalty on the u1, u2 and w jumps
+        # plus the shear penalty on the w jumps, so w's counts twice
         if d.tag[k[0]] != "S":
-            square.add("R_pen", b, _gram(d.we, jth, jth))
-        pen_w = _gram(d.we, jw, jw)
-        square.add("G_pen", b, _gram(d.we, ju, ju) + pen_w)
-        square.add("T_pen", b, pen_w)
+            square.add("R_pen", b, _gram(d.we, jump[:, :, 0:2],
+                                         jump[:, :, 0:2]))
+        juw = jump[:, :, 2:5]
+        square.add("GT_pen", b, _gram(d.we, juw * [[1.0], [1.0], [2.0]], juw))
         # -(M^{ab}[v_a]n_b + xi^a [z]n_a), as in Se
         Se = _aux_basis(np.stack([1 - d.te, d.te], axis=1))[None]
         coupling.add("B", b, -_gram(wsa, Se, jump[:, :, 7:13]))
 
-    def _stress_mass(self):
-        """Local stress mass blocks (nt, 3, 5, 3, 5): sum_q w (pv pv^T) (x) K
-        with the P1 vertex values pv and K the compliance on M11, M22, M12
-        and a_ab / (kappa mu) on xi1, xi2.  Only w and K depend on the
-        element, so the point sum is one (nt, 25, q) @ (q, 9) product."""
+    def _stress_mass(self, t):
+        """Local stress mass blocks (E, 3, 5, 3, 5) of the elements t (E,):
+        sum_q w (pv pv^T) (x) K with the P1 vertex values pv and K the
+        compliance on M11, M22, M12 and a_ab / (kappa mu) on xi1, xi2.  Only
+        w and K depend on the element, so the point sum is one
+        (E, 25, q) @ (q, 9) product."""
         e = self._elem_data()
-        nt, nq = e.qpts.shape[:2]
+        g, nq = e.geom[t], len(e.wq)
         M = np.array([[1, 0, 0], [0, 0, 1], [0, 0, 1], [0, 1, 0]])
-        K = np.zeros((nt, nq, 5, 5))
-        comp = self._elastic(e.geom).compliance.reshape(nt, nq, 4, 4)
+        K = np.zeros((len(t), nq, 5, 5))
+        comp = self._elastic(g).compliance.reshape(len(t), nq, 4, 4)
         K[..., :3, :3] = M.T @ comp @ M
-        K[..., 3:, 3:] = e.geom.a_cov / (self.material.kappa * self.material.mu)
-        wK = (e.areas[:, None] * e.wq * e.geom.sqrt_a)[..., None, None] * K
+        K[..., 3:, 3:] = g.a_cov / (self.material.kappa * self.material.mu)
+        wK = (e.areas[t, None] * e.wq * g.sqrt_a)[..., None, None] * K
         P = (e.bary[:, :, None] * e.bary[:, None, :]).reshape(nq, 9)
-        return (np.swapaxes(wK.reshape(nt, nq, 25), 1, 2) @ P).reshape(
-            nt, 5, 5, 3, 3).transpose(0, 3, 1, 4, 2)
+        return (np.swapaxes(wK.reshape(len(t), nq, 25), 1, 2) @ P).reshape(
+            len(t), 5, 5, 3, 3).transpose(0, 3, 1, 4, 2)
 
     # ------------------------------------------------------------- public API
 
@@ -519,12 +534,11 @@ class FormAssembler:
             calibrate_penalty(self)
         return self.config.penalty_C
 
-    def _penalized(self, key, out=None):
-        """Data of the form `key` plus the penalty constant times its
-        penalty part, on the CSR structure that all six share; written
-        into `out` if given."""
+    def _penalized(self, key):
+        """Data of the form `key` (R or GT) plus the penalty constant times
+        its penalty part, on the CSR structure that all four share."""
         f = self.forms()
-        out = np.multiply(self.penalty(), f[key + "_pen"].data, out=out)
+        out = self.penalty() * f[key + "_pen"].data
         out += f[key].data
         return out
 
@@ -534,10 +548,9 @@ class FormAssembler:
         an entry that cancels stays stored, so the structure of every
         system does not depend on rounding."""
         R = self.forms()["R"]
-        data, scratch = self._penalized("G"), self._penalized("T")
-        data += scratch
+        data = self._penalized("GT")
         data *= theta_param
-        data += self._penalized("R", out=scratch)
+        data += self._penalized("R")
         return sps.csr_matrix((data, R.indices, R.indptr), shape=R.shape)
 
     def b_matrix(self):

@@ -123,10 +123,10 @@ def solve_mixed(A, B, C, f, epsilon: float, order) -> ShellSolution:
                           order, {"method": "mixed", "epsilon": epsilon})
 
 
-def solve_dg(R, G, T, f, epsilon: float, order) -> ShellSolution:
-    """Solve the penalized one-field system [R + eps^-2 (G+T)] x = f,
-    factored in `order`."""
-    return _factor_refine(R + epsilon ** -2 * (G + T), f, len(f), order,
+def solve_dg(R, GT, f, epsilon: float, order) -> ShellSolution:
+    """Solve the penalized one-field system [R + eps^-2 GT] x = f, with GT
+    the membrane and shear forms summed, factored in `order`."""
+    return _factor_refine(R + epsilon ** -2 * GT, f, len(f), order,
                           {"method": "dg", "epsilon": epsilon})
 
 

@@ -629,6 +629,15 @@ def reference_forms(asm):
             "B": _coo(acc, "B", (n3, n)), "C": _coo(acc, "C", (n3, n3))}
 
 
+def summed_reference_forms(asm):
+    """The reference forms as the package stores them: R and R_pen, the
+    membrane and shear forms summed, GT = G + T, and their penalty parts
+    summed, GT_pen = G_pen + T_pen, then B and C."""
+    f = reference_forms(asm)
+    return {"R": f["R"], "R_pen": f["R_pen"], "GT": f["G"] + f["T"],
+            "GT_pen": f["G_pen"] + f["T_pen"], "B": f["B"], "C": f["C"]}
+
+
 def reference_csr_sums(shape, blocks, pieces):
     """Sparse matrices of shape `shape` on one CSR structure, the union of
     the dense blocks rows x cols of the index arrays (E, m) and (E, l) in
@@ -818,13 +827,13 @@ def aux_interpolant(sol, layout, multiplier: float) -> np.ndarray:
 
 
 def penalized_forms(asm):
-    """rho_h, gamma_h and tau_h: each consistency form of `asm.forms()` plus
-    `asm.config.penalty_C` times its penalty part, on the primal pattern
-    that they share."""
+    """rho_h and gamma_h + tau_h: the consistency forms R and GT of
+    `asm.forms()` plus `asm.config.penalty_C` times their penalty parts, on
+    the primal pattern that they share."""
     f, C = asm.forms(), asm.config.penalty_C
     return [sps.csr_matrix((f[k].data + C * f[k + "_pen"].data,
                             f[k].indices, f[k].indptr), shape=f[k].shape)
-            for k in ("R", "G", "T")]
+            for k in ("R", "GT")]
 
 
 def green_identity_check(tri_coords, chart, f_exprs) -> float:

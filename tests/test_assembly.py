@@ -44,14 +44,14 @@ def min_eig(M):
 def test_forms_symmetric(kind):
     asm = make_assembler(kind)
     f = asm.forms()
-    for key in ("R", "R_pen", "G", "G_pen", "T", "T_pen", "C"):
+    for key in ("R", "R_pen", "GT", "GT_pen", "C"):
         assert sym_err(f[key]) < 1e-12, key
 
 
 def test_penalty_blocks_positive_semidefinite():
     asm = make_assembler("cylinder")
     f = asm.forms()
-    for key in ("R_pen", "G_pen", "T_pen"):
+    for key in ("R_pen", "GT_pen"):
         lo = min_eig(f[key])
         scale = np.abs(f[key].toarray()).max()
         assert lo > -1e-12 * scale, key
@@ -184,15 +184,14 @@ def test_primal_forms_share_the_union_of_their_blocks():
     R = forms["R"]
     rows = np.repeat(np.arange(n), np.diff(R.indptr))
     assert np.array_equal(rows * n + R.indices, want)
-    Rp = asm._penalized("R")
-    GTp = asm._penalized("G") + asm._penalized("T")
+    Rp, GTp = asm._penalized("R"), asm._penalized("GT")
     # an entry of A(theta) that cancels exactly at a positive theta
     theta = next(t for t in -Rp / np.where(GTp == 0, np.inf, GTp)
                  if t > 0 and np.any((Rp + t * GTp == 0) & (Rp != 0)))
     A = asm.a_theta(theta)
     assert np.any((A.data == 0) & (Rp != 0))
-    for M in [A] + [forms[k] for k in ("R", "R_pen", "G", "G_pen", "T",
-                                       "T_pen")]:
+    assert set(forms) == {"R", "R_pen", "GT", "GT_pen", "B", "C"}
+    for M in [A] + [forms[k] for k in ("R", "R_pen", "GT", "GT_pen")]:
         assert M.nnz == len(want)
         assert np.shares_memory(M.indices, R.indices)
         assert np.shares_memory(M.indptr, R.indptr)
@@ -362,13 +361,14 @@ def slices_per_group(asm):
     ("hypar-5x5-enriched", None), ("cylinder-8x8-renumbered", None),
     ("cylinder-12x12", 300)])
 def test_streamed_forms_equal_the_bincount_sums(case, budget, monkeypatch):
-    """All eight forms and Q_H, their structure built from the owners of
+    """All six forms and Q_H, their structure built from the owners of
     each block's rows and each slice's values scattered into it as they are
     made, equal bitwise the reference sums, which spell out every entry of
     every block, sort them all and add each matrix up in one bincount at
     the default slices: data, indices, indptr, their dtypes and the shapes.
     The small budget cuts every group of more than one row into several
-    slices."""
+    slices, and C's elements into runs of one.  Q_H keeps the primal
+    forms' structure, entries that cancel included."""
     with monkeypatch.context() as m:
         m.setattr(assembly, "_Sums", BincountSums)
         m.setattr(norms, "_Sums", BincountSums)
@@ -377,12 +377,14 @@ def test_streamed_forms_equal_the_bincount_sums(case, budget, monkeypatch):
         monkeypatch.setattr(assembly, "SLICE_BUDGET", budget)
     asm = STREAM_CASES[case]()
     got = forms_and_grams(asm)
-    assert sorted(got) == sorted(want) and len(got) == 9
+    assert sorted(got) == sorted(want) and len(got) == 7
     for key, M in want.items():
         assert got[key].shape == M.shape, key
         for attr in ("data", "indices", "indptr"):
             a, b = getattr(got[key], attr), getattr(M, attr)
             assert a.dtype == b.dtype and np.array_equal(a, b), (key, attr)
+    for attr in ("indices", "indptr"):
+        assert np.array_equal(getattr(got["Q"], attr), getattr(got["R"], attr))
     if case == "triangle-SSS":
         assert not got["R_pen"].data.any() and got["R"].data.any()
     if case == "hypar-5x5-enriched":

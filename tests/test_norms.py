@@ -9,8 +9,9 @@ from shellfem.mesh import generate_rect_mesh
 from shellfem.norms import NormEngine
 
 from oracles import (consistency_residual, dual_H_norm, fields_dict,
-                     korn_ratio, plain_layout, reference_grams,
-                     reference_project_primal, weak_Vbar_norm)
+                     korn_ratio, plain_layout, reference_forms,
+                     reference_grams, reference_project_primal,
+                     weak_Vbar_norm)
 
 
 def make_engine(chart_kind="cylinder", tags=("D", "D", "D", "D"), nx=2, ny=2):
@@ -57,6 +58,27 @@ def test_energy_components_consistent():
     assert en["total"] == pytest.approx(
         en["bending"] + eps ** -2 * (en["membrane"] + en["shear"]))
     assert en["bending"] >= 0 and en["membrane"] >= 0 and en["shear"] >= 0
+
+
+@pytest.mark.parametrize("kind, n, tags", [
+    ("cylinder", 6, ("D", "F", "S", "F")),
+    ("hypar", 5, ("F", "F", "D", "F")),          # 15-, 21- and 27-DOF elements
+    ("hypar", 6, ("D", "F", "D", "F"))],
+    ids=["cylinder-DFSF", "hypar-5x5-enriched", "hypar-6x6-DFDF"])
+def test_pointwise_energies_equal_the_reference_forms(kind, n, tags):
+    """The energies of `discrete_norms`, the shear one pointwise and the
+    membrane one from the stored G + T, equal u^T F u with the oracle's
+    element-by-element forms F = R + C R_pen, G + C G_pen and T + C T_pen,
+    to 1e-12 relative."""
+    eng = make_engine(kind, tags, n, n)
+    if kind == "hypar" and tags[0] == "F":
+        assert set(eng.layout.nf) == {3, 5, 7}
+    f, C = reference_forms(eng.asm), eng.asm.penalty()
+    v = np.random.default_rng(4).standard_normal(eng.layout.n_primal)
+    got = eng.discrete_norms(v, epsilon=0.1).energies
+    for name, key in (("bending", "R"), ("membrane", "G"), ("shear", "T")):
+        want = v @ (f[key] + C * f[key + "_pen"]) @ v
+        assert abs(got[name] - want) <= 1e-12 * abs(want), name
 
 
 def test_error_norms_vanish_on_represented_fields():

@@ -46,13 +46,9 @@ def test_mixed_matches_dense_oracle():
 def test_dg_matches_dense_oracle():
     asm, f = setup()
     eps = 0.05
-    fm = asm.forms()
-    Cp = asm.config.penalty_C
-    R = fm["R"] + Cp * fm["R_pen"]
-    G = fm["G"] + Cp * fm["G_pen"]
-    T = fm["T"] + Cp * fm["T_pen"]
-    sol = solve_dg(R, G, T, f, eps, asm.dof_order(len(f)))
-    K = (R + eps ** -2 * (G + T)).toarray()
+    R, GT = penalized_forms(asm)
+    sol = solve_dg(R, GT, f, eps, asm.dof_order(len(f)))
+    K = (R + eps ** -2 * GT).toarray()
     ref = np.linalg.solve(K, f)
     assert np.allclose(sol.primal, ref, rtol=1e-8, atol=1e-12)
 
@@ -77,8 +73,7 @@ def test_zero_rhs_gives_zero_solution():
     assert np.all(sol.primal == 0)
     assert np.all(sol.aux == 0)
     fm = asm.forms()
-    sol = solve_dg(fm["R"], fm["G"], fm["T"], z, 0.1,
-                   asm.dof_order(len(z)))
+    sol = solve_dg(fm["R"], fm["GT"], z, 0.1, asm.dof_order(len(z)))
     assert np.all(sol.primal == 0)
 
 
@@ -95,12 +90,7 @@ def test_via_theta_mixed_matches_standalone():
 def test_via_theta_dg_matches_standalone():
     asm, f = setup()
     eps = 0.1
-    fm = asm.forms()
-    Cp = asm.config.penalty_C
-    R = fm["R"] + Cp * fm["R_pen"]
-    G = fm["G"] + Cp * fm["G_pen"]
-    T = fm["T"] + Cp * fm["T_pen"]
-    direct = solve_dg(R, G, T, f, eps, asm.dof_order(len(f)))
+    direct = solve_dg(*penalized_forms(asm), f, eps, asm.dof_order(len(f)))
     via = realize_via_theta(asm, "dg", eps, f)
     scale = np.abs(direct.primal).max()
     assert np.abs(direct.primal - via.primal).max() < 1e-10 * scale
@@ -113,7 +103,7 @@ def test_residual_guard_raises():
     K[0, 0] = 0.0  # exactly singular row
     zero = sps.csr_matrix((n, n))
     with pytest.raises(SolverError, match="factorization failed"):
-        solve_dg(K.tocsr(), zero, zero, np.ones(n), 1.0, np.arange(n))
+        solve_dg(K.tocsr(), zero, np.ones(n), 1.0, np.arange(n))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -123,8 +113,7 @@ def test_non_finite_solution_fails_the_backward_error_bound():
     b = np.ones(n)
     b[1] = np.inf
     with pytest.raises(SolverError, match="backward error nan exceeds"):
-        solve_dg(sps.identity(n, format="csr"), zero, zero, b, 1.0,
-                 np.arange(n))
+        solve_dg(sps.identity(n, format="csr"), zero, b, 1.0, np.arange(n))
 
 
 def reduced_oracle(problem):
