@@ -21,11 +21,14 @@ primal DOFs and a vertex for its 5 stress DOFs, so one sort of the
 primal matrices share (`_Sums`); a block's slots are made when its values
 are added.  Each slice's values are scattered into the matrices' data
 arrays as they are made, and freed, so no more than one slice of values
-is held at a time; the elastic tensors too are made per slice.  The primal
-forms are the four that the solves read: R, the bending form, and GT, the
-membrane and shear forms summed, each with its penalty part (R_pen, GT_pen)
-in a matrix of its own, so the penalty constant can be recalibrated
-without reassembling anything.  The same traces evaluate fields at points
+is held at a time.  The elastic tensors too are made per slice, once at
+each point: an element slice reads the tensor for R and GT and its
+inverse, the compliance, for the stress mass C, so every local matrix, C's
+too, is one `_gram` on a slice.  The primal forms are the four that the
+solves read: R, the bending form, and GT, the membrane and shear forms
+summed, each with its penalty part (R_pen, GT_pen) in a matrix of its own,
+so the penalty constant can be recalibrated without reassembling
+anything.  The same traces evaluate fields at points
 (`field_values`), which is all the norms of norms.py need; its one Gram
 matrix, Q_H, is summed the same way on the same blocks.
 
@@ -269,15 +272,13 @@ class FormAssembler:
         bary, wq = triangle_rule(self.config.quad_tri_degree)
         nt = mesh.n_triangles
         coords = mesh.vertices[mesh.triangles]                      # (nt,3,2)
-        v0, v1, v2 = coords[:, 0], coords[:, 1], coords[:, 2]
-        d1, d2 = v1 - v0, v2 - v0
-        areas = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        J = np.stack([v0 - v2, v1 - v2], axis=-1)                   # (nt,2,2)
+        J = np.stack([coords[:, 0] - coords[:, 2],
+                      coords[:, 1] - coords[:, 2]], axis=-1)        # (nt,2,2)
         qpts = np.einsum("qi,tix->tqx", bary, coords)               # (nt,nq,2)
         geom = batched(chart.evaluate, qpts)
         aux = (5 * mesh.triangles[..., None] + np.arange(5)).reshape(nt, 15)
         self._elem = SimpleNamespace(bary=bary, wq=wq, coords=coords,
-                                     areas=areas, Jinv=np.linalg.inv(J),
+                                     areas=mesh.areas, Jinv=np.linalg.inv(J),
                                      qpts=qpts, geom=geom,
                                      nf=layout.nf, coeffs=layout.coeffs,
                                      dofs=layout.dofs, aux=aux)
@@ -434,43 +435,43 @@ class FormAssembler:
         elems, edges, blocks = self._form_blocks()
         tris = self.mesh.triangles
         n, n3 = self.layout.n_primal, self.layout.n_block3
-        # C first, from runs of consecutive elements, so its compliance
-        # tensors come and go a run at a time before the primal forms' data
-        # arrays exist
-        step = max(1, SLICE_BUDGET // (15 * len(e.wq)))
-        runs = np.split(np.arange(len(tris)), np.arange(step, len(tris), step))
-        stress = _Sums((n3, n3), _vertex_rows(n3),
-                       [(tris[t], e.aux[t]) for t in runs], ("C",))
-        for b, t in enumerate(runs):
-            stress.add("C", b, self._stress_mass(t))
         # the vertices of each block own its stress rows
         verts = [tris[t] for t in elems] + [d.verts[k] for d, k, _ in edges]
+        stress = _Sums((n3, n3), _vertex_rows(n3),
+                       [(tris[t], e.aux[t]) for t in elems], ("C",))
         coupling = _Sums((n3, n), _vertex_rows(n3),
                          [(v, c) for v, (_, c) in zip(verts, blocks)], ("B",))
         square = _Sums((n, n), e.dofs, blocks, ("R", "R_pen", "GT", "GT_pen"))
         for b, t in enumerate(elems):
-            self._element_forms(square, coupling, b, t)
+            self._element_forms(square, coupling, stress, b, t)
         for b, (d, k, owners) in enumerate(edges, len(elems)):
             self._edge_forms(square, coupling, b, d, k, owners)
         self._forms = {**square.matrices(), **coupling.matrices(),
                        **stress.matrices()}
         return self._forms
 
-    def _element_forms(self, square, coupling, b, t):
+    def _element_forms(self, square, coupling, stress, b, t):
         """Add the volume terms of the element slice t, block b of the
-        forms, to the primal forms and the stress coupling."""
+        forms, to the primal forms, the stress coupling and the stress mass
+        C, whose per-point matrix K is the compliance on M^11, M^12, M^21,
+        M^22 and a_ab / (kappa mu) on xi^1, xi^2."""
         e = self._elem_data()
-        B = _apply(strain.operator(e.geom[t]),
-                   self._traces(t)[1])                     # (E,nq,10,nl)
+        g = e.geom[t]
+        B = _apply(strain.operator(g), self._traces(t)[1])  # (E,nq,10,nl)
         rho, gam, tau = B[:, :, 0:4], B[:, :, 4:8], B[:, :, 8:10]
-        wfac = e.areas[t, None] * e.wq * e.geom.sqrt_a[t]
-        A = self._elastic(e.geom[t]).elastic.reshape(len(t), -1, 4, 4)
+        wfac = e.areas[t, None] * e.wq * g.sqrt_a
+        km = self.material.kappa * self.material.mu
+        tensors = self._elastic(g)
+        A = tensors.elastic.reshape(len(t), -1, 4, 4)
         square.add("R", b, _gram(wfac, A @ rho, rho) / 3.0)
         square.add("GT", b, _gram(wfac, A @ gam, gam)
-                   + self.material.kappa * self.material.mu * _gram(
-                       wfac, e.geom.a_con[t] @ tau, tau))
-        coupling.add("B", b, _gram(wfac, _aux_basis(e.bary)[None],
-                                   B[:, :, 4:10]))
+                   + km * _gram(wfac, g.a_con @ tau, tau))
+        S = _aux_basis(e.bary)[None]
+        coupling.add("B", b, _gram(wfac, S, B[:, :, 4:10]))
+        K = np.zeros(wfac.shape + (6, 6))
+        K[..., :4, :4] = tensors.compliance.reshape(wfac.shape + (4, 4))
+        K[..., 4:, 4:] = g.a_cov / km
+        stress.add("C", b, _gram(wfac, K @ S, S))
 
     def _edge_forms(self, square, coupling, b, d, k, owners):
         """Add the terms of the edge slice k of `d`, block b of the forms,
@@ -497,24 +498,6 @@ class FormAssembler:
         # -(M^{ab}[v_a]n_b + xi^a [z]n_a), as in Se
         Se = _aux_basis(np.stack([1 - d.te, d.te], axis=1))[None]
         coupling.add("B", b, -_gram(wsa, Se, jump[:, :, 7:13]))
-
-    def _stress_mass(self, t):
-        """Local stress mass blocks (E, 3, 5, 3, 5) of the elements t (E,):
-        sum_q w (pv pv^T) (x) K with the P1 vertex values pv and K the
-        compliance on M11, M22, M12 and a_ab / (kappa mu) on xi1, xi2.  Only
-        w and K depend on the element, so the point sum is one
-        (E, 25, q) @ (q, 9) product."""
-        e = self._elem_data()
-        g, nq = e.geom[t], len(e.wq)
-        M = np.array([[1, 0, 0], [0, 0, 1], [0, 0, 1], [0, 1, 0]])
-        K = np.zeros((len(t), nq, 5, 5))
-        comp = self._elastic(g).compliance.reshape(len(t), nq, 4, 4)
-        K[..., :3, :3] = M.T @ comp @ M
-        K[..., 3:, 3:] = g.a_cov / (self.material.kappa * self.material.mu)
-        wK = (e.areas[t, None] * e.wq * g.sqrt_a)[..., None, None] * K
-        P = (e.bary[:, :, None] * e.bary[:, None, :]).reshape(nq, 9)
-        return (np.swapaxes(wK.reshape(len(t), nq, 25), 1, 2) @ P).reshape(
-            len(t), 5, 5, 3, 3).transpose(0, 3, 1, 4, 2)
 
     # ------------------------------------------------------------- public API
 

@@ -94,10 +94,11 @@ def _edge_lam12(k: int, t: np.ndarray) -> np.ndarray:
     return lam[:, :2]
 
 
-def _local_bases(coords, chart, free_edges: tuple):
+def _local_bases(coords, area, chart, free_edges: tuple):
     """The local displacement bases of the elements with vertices `coords`
-    (E, 3, 2) that share the sorted tuple `free_edges` of local edges on the
-    free boundary, built together from one sqrt(a) evaluation.
+    (E, 3, 2) and areas `area` (E,) that share the sorted tuple `free_edges`
+    of local edges on the free boundary, built together from one sqrt(a)
+    evaluation.
 
     The added bubble functions are orthogonal to P1 in the sqrt(a)-weighted
     L2 product over the (curved) element.  Returns the coefficients
@@ -115,8 +116,6 @@ def _local_bases(coords, chart, free_edges: tuple):
     pts = np.concatenate([bary @ coords] + [
         (1.0 - t_e)[:, None] * coords[:, s, None]
         + t_e[:, None] * coords[:, e, None] for s, e in ends], axis=1)
-    d1, d2 = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
-    area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
     weights = np.concatenate([area[:, None] * w] + [
         np.linalg.norm(coords[:, e] - coords[:, s], axis=-1)[:, None] * w_e
         for s, e in ends], axis=1) * batched(chart.sqrt_a, pts)
@@ -219,7 +218,8 @@ def build_dof_layout(mesh, chart) -> DofLayout:
     coeffs[:, :3] = LAM
     for group, t in groups:
         nf[t] = 3 + 2 * len(group)
-        coeffs[t, :nf[t[0]]] = _local_bases(coords[t], chart, group)
+        coeffs[t, :nf[t[0]]] = _local_bases(coords[t], mesh.areas[t], chart,
+                                               group)
     # function j of field f on element e: DOF 15 e + 3 f + j for the P1
     # functions, then the element's block-2 offset + (nf - 3) (f - 2) + j - 3
     extra = nf - 3

@@ -6,8 +6,10 @@ whose partials up to third order `expr.jet` takes exactly, once per chart,
 and `expr.partials` evaluates; one routine maps that jet to every
 coefficient field by the Gauss and Weingarten formulas.  User-expression
 charts fall back to central finite differences.  `Chart.evaluate` gives
-every coefficient field; `Chart.sqrt_a` gives the area element alone, which
-is all that the DOF layout asks for (once per group of elements that share
+the coefficient fields of `GeometryEval`, which is what assembly, loads and
+norms read; `Chart.position` gives the points of the surface, which only
+the VTK output reads, and `Chart.sqrt_a` the area element alone, which is
+all that the DOF layout asks for (once per group of elements that share
 their free edges).
 
 Index conventions used throughout the package:
@@ -53,10 +55,6 @@ class DomainError(GeometryError):
 class GeometryEval:
     """Geometric coefficient bundle at a batch of points (leading axes = batch)."""
 
-    position: np.ndarray      # (..., 3)
-    a1: np.ndarray            # (..., 3)
-    a2: np.ndarray            # (..., 3)
-    a3: np.ndarray            # (..., 3) unit normal (a1 x a2)/|a1 x a2|
     a_cov: np.ndarray         # (..., 2, 2)
     a_con: np.ndarray         # (..., 2, 2)
     sqrt_a: np.ndarray        # (...,)
@@ -83,9 +81,6 @@ class GeometryEval:
 class ElasticTensors:
     elastic: np.ndarray      # (..., 2, 2, 2, 2) a^{abgd}
     compliance: np.ndarray   # (..., 2, 2, 2, 2) a_{abgd}
-    lam: float
-    mu: float
-    kappa: float
 
 
 def _tensors_from_frame(a1, a2, da):
@@ -113,7 +108,7 @@ def _tensors_from_frame(a1, a2, da):
     christoffel = np.einsum("...ci,...abi->...cab", con_frame, da)
     b_mix = np.einsum("...cg,...gb->...cb", a_con, b_cov)
     c_cov = np.einsum("...ga,...gb->...ab", b_mix, b_cov)
-    return a_cov, a_con, sqrt_a, a3, b_cov, b_mix, c_cov, christoffel
+    return a_cov, a_con, sqrt_a, b_cov, b_mix, c_cov, christoffel
 
 
 def _nondegenerate(sqrt_a):
@@ -206,8 +201,7 @@ class SymbolicChart(Chart):
         cross, sqrt_a = _normal(T)
         # before the fields, which divide by sqrt(a) at a degenerate point
         _nondegenerate(sqrt_a)
-        X0, X2, X3 = (exprmod.partials(self._jet, points, k)
-                      for k in (0, 2, 3))
+        X2, X3 = (exprmod.partials(self._jet, points, k) for k in (2, 3))
         # A dot product over the vector axis i is a sum of three products,
         # so products that cancel in exact arithmetic cancel exactly: the
         # derivative fields of constant-coefficient charts are exactly 0.
@@ -235,8 +229,7 @@ class SymbolicChart(Chart):
         d_b_cov -= np.einsum("gd...,gab...->abd...", b_mix, G)
         d_b_mix = np.einsum("agd...,gb...->abd...", d_a_con, b_cov)
         d_b_mix += np.einsum("ag...,gbd...->abd...", a_con, d_b_cov)
-        fields = (X0, T[:, 0], T[:, 1], cross / sqrt_a,
-                  a_cov, a_con, sqrt_a, b_cov, b_mix,
+        fields = (a_cov, a_con, sqrt_a, b_cov, b_mix,
                   np.einsum("ga...,gb...->ab...", b_mix, b_cov), gamma,
                   d_b_cov, d_b_mix, d_christoffel)
         # component axes last
@@ -299,17 +292,15 @@ class ExpressionChart(Chart):
                  + self._position_unchecked(points - e1 - e2)) / (4 * h**2)
         da[..., 0, 1, :] = mixed
         da[..., 1, 0, :] = mixed
-        return pc, a1, a2, da
+        return a1, a2, da
 
     def _order0(self, points):
-        return _tensors_from_frame(*self._frame(points)[1:])
+        return _tensors_from_frame(*self._frame(points))
 
     def evaluate(self, points) -> GeometryEval:
         points = np.asarray(points, dtype=float)
         self.check_domain(points)
-        position, a1, a2, da = self._frame(points)
-        (a_cov, a_con, sqrt_a, a3, b_cov, b_mix, c_cov,
-         christoffel) = _tensors_from_frame(a1, a2, da)
+        order0 = self._order0(points)
         # derivative fields by FD on the coefficient fields; larger step keeps
         # the inner second-difference noise from being amplified
         h2 = max(FD_STEP ** 0.5, 1e-4)
@@ -321,12 +312,10 @@ class ExpressionChart(Chart):
             step[d] = h2
             plus = self._order0(points + step)
             minus = self._order0(points - step)
-            d_b_cov[..., d] = (plus[4] - minus[4]) / (2 * h2)
-            d_b_mix[..., d] = (plus[5] - minus[5]) / (2 * h2)
-            d_christoffel[..., d] = (plus[7] - minus[7]) / (2 * h2)
-        return GeometryEval(position, a1, a2, a3, a_cov, a_con, sqrt_a, b_cov,
-                            b_mix, c_cov, christoffel, d_b_cov, d_b_mix,
-                            d_christoffel)
+            d_b_cov[..., d] = (plus[3] - minus[3]) / (2 * h2)
+            d_b_mix[..., d] = (plus[4] - minus[4]) / (2 * h2)
+            d_christoffel[..., d] = (plus[6] - minus[6]) / (2 * h2)
+        return GeometryEval(*order0, d_b_cov, d_b_mix, d_christoffel)
 
 
 def make_chart(kind: str, *, radius: float = 1.0, coeff: float = 1.0,
@@ -368,7 +357,7 @@ def eval_elastic(geom: GeometryEval, lam: float, mu: float,
                             + np.einsum("...bd,...ag->...abgd", av, av))
                      - (lam / (2 * mu + 3 * lam))
                      * np.einsum("...ab,...gd->...abgd", av, av)))
-    return ElasticTensors(elastic, compliance, lam, mu, kappa)
+    return ElasticTensors(elastic, compliance)
 
 
 def triangle_seminorms(g: GeometryEval) -> dict:

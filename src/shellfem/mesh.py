@@ -44,9 +44,9 @@ class Mesh:
 
     `side_edge` (nt, 3) numbers the edge on each side, all edges counted in
     the order in which the triangles, and their local edges, first meet
-    them.  `h_tau` (nt,) is the longest side of each triangle and
-    `shape_regularity` the largest ratio of circumscribed to inscribed
-    diameter."""
+    them.  `areas` (nt,) are the triangles' areas, `h_tau` (nt,) their
+    longest sides and `shape_regularity` the largest ratio of circumscribed
+    to inscribed diameter."""
 
     def __init__(self, vertices, triangles, boundary_pairs, boundary_tags):
         self.vertices = v = np.asarray(vertices, dtype=float)
@@ -59,7 +59,7 @@ class Mesh:
             raise MeshError("triangles must be vertex indices (nt, 3), nt > 0")
         if tris.min() < 0 or tris.max() >= len(v):
             raise MeshError("a triangle has a vertex index out of range")
-        areas = _signed_areas(v, tris)
+        self.areas = areas = _signed_areas(v, tris)
         bad = np.flatnonzero(areas <= 0)
         if len(bad):
             raise MeshError(f"triangle {bad[0]} is not counterclockwise or degenerate")

@@ -972,13 +972,12 @@ def sympy_chart_geometry(phi):
     c_cov = sp.Matrix(2, 2, lambda a, b: sp.simplify(
         sum(b_mix[g, a] * b_cov[g, b] for g in range(2))))
     # (tail shape, row-major components) of each field, in field order
-    blocks = [((3,), [*phi]), ((3,), [*a1]), ((3,), [*a2]), ((3,), [*a3]),
-              ((2, 2), [*a_cov]), ((2, 2), [*a_con]), ((), [sqrt_a]),
+    blocks = [((2, 2), [*a_cov]), ((2, 2), [*a_con]), ((), [sqrt_a]),
               ((2, 2), [*b_cov]), ((2, 2), [*b_mix]), ((2, 2), [*c_cov]),
               ((2, 2, 2), gammas)]
     blocks += [(tail + (2,), [sp.diff(f, x) for f in comps
                               for x in (_X1, _X2)])
-               for tail, comps in (blocks[7], blocks[8], blocks[10])]
+               for tail, comps in (blocks[3], blocks[4], blocks[6])]
     fns = [(tail, sp.lambdify((_X1, _X2), comps, modules="numpy"))
            for tail, comps in blocks]
 

@@ -10,7 +10,7 @@ from shellfem.assembly import (AssemblyConfig, CalibrationError,
                                FormAssembler, LoadSpec, Material,
                                _positive_definite, calibrate_penalty)
 from shellfem.fe_space import build_dof_layout
-from shellfem.geometry import make_chart
+from shellfem.geometry import eval_elastic, make_chart
 from shellfem.mesh import Mesh, generate_rect_mesh
 from shellfem.norms import NormEngine
 from shellfem.solve import SolverError
@@ -367,8 +367,8 @@ def test_streamed_forms_equal_the_bincount_sums(case, budget, monkeypatch):
     every block, sort them all and add each matrix up in one bincount at
     the default slices: data, indices, indptr, their dtypes and the shapes.
     The small budget cuts every group of more than one row into several
-    slices, and C's elements into runs of one.  Q_H keeps the primal
-    forms' structure, entries that cancel included."""
+    slices, C's elements with the others.  Q_H keeps the primal forms'
+    structure, entries that cancel included."""
     with monkeypatch.context() as m:
         m.setattr(assembly, "_Sums", BincountSums)
         m.setattr(norms, "_Sums", BincountSums)
@@ -393,6 +393,25 @@ def test_streamed_forms_equal_the_bincount_sums(case, budget, monkeypatch):
         rows, slices = slices_per_group(asm)
         assert len(rows) == 10 and sum(slices.values()) > 400
         assert all(slices[k] >= 2 for k, n in rows.items() if n > 1)
+
+
+@pytest.mark.parametrize("case", ["cylinder-12x12", "hypar-5x5-enriched"])
+def test_forms_pass_each_point_to_eval_elastic_once(case, monkeypatch):
+    """One `forms()` call evaluates the elastic tensors once at each
+    element quadrature point, where C takes the compliance from the call
+    that gives R and GT the elastic tensor, and once at each quadrature
+    point of an edge not tagged F."""
+    asm = STREAM_CASES[case]()
+    e, edges = asm._elem_data(), asm._edge_data()
+    points = []
+
+    def counted(geom, *args):
+        points.append(geom.sqrt_a.size)
+        return eval_elastic(geom, *args)
+    monkeypatch.setattr(assembly, "eval_elastic", counted)
+    asm.forms()
+    assert sum(points) == e.geom.sqrt_a.size + sum(
+        d.geom.sqrt_a[d.tag != "F"].size for d in edges)
 
 
 def test_owner_structure_equals_the_entry_sort():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy as sp
 
 from shellfem.geometry import (FD_STEP, DegenerateChartError, DomainError,
                                ExpressionChart, GeometryEval,
@@ -153,13 +154,21 @@ ORACLE_CHARTS = [("plate", {}), ("cylinder", {"radius": 1.0}),
 
 @pytest.mark.parametrize("kind,params", ORACLE_CHARTS)
 def test_builtin_chart_matches_the_sympy_derivation(kind, params):
-    # every field, relative to the field's largest oracle value (absolute
-    # where the oracle field is zero); the sphere's samples avoid its poles
+    # every field and the position, relative to the largest oracle value
+    # (absolute where the oracle value is zero); the sphere's samples avoid
+    # its poles
     pts = rand_pts(np.random.default_rng(17), 60, 0.2, 1.3).reshape(12, 5, 2)
-    got = make_chart(kind, **params).evaluate(pts)
-    want = sympy_chart_geometry(sympy_chart_position(kind, **params))(pts)
-    for name in GeometryEval.__dataclass_fields__:
-        g, w = getattr(got, name), getattr(want, name)
+    chart = make_chart(kind, **params)
+    phi = sympy_chart_position(kind, **params)
+    want = sympy_chart_geometry(phi)(pts)
+    got = chart.evaluate(pts)
+    pairs = {name: (getattr(got, name), getattr(want, name))
+             for name in GeometryEval.__dataclass_fields__}
+    position = sp.lambdify(sp.symbols("x1 x2", real=True), phi, "numpy")
+    pairs["position"] = (chart.position(pts), np.stack(
+        [np.broadcast_to(c, pts.shape[:-1])
+         for c in position(pts[..., 0], pts[..., 1])], axis=-1))
+    for name, (g, w) in pairs.items():
         assert g.shape == w.shape, name
         scale = np.abs(w).max() or 1.0
         assert np.abs(g - w).max() <= 1e-12 * scale, name
@@ -195,12 +204,12 @@ def test_seminorms_positive_on_sphere():
 
 
 def _evaluate_twice_framed(chart, points):
-    """ExpressionChart.evaluate as it was before it reused its first pass:
-    the frame at `points` is built again for a1, a2 and the position is
-    evaluated again."""
+    """ExpressionChart.evaluate written out from `_frame` and
+    `_tensors_from_frame`: the order-0 fields at `points` and central
+    differences of them at the shifted points."""
     def order0(p):
-        return _tensors_from_frame(*chart._frame(p)[1:])
-    (a_cov, a_con, sqrt_a, a3, b_cov, b_mix, c_cov,
+        return _tensors_from_frame(*chart._frame(p))
+    (a_cov, a_con, sqrt_a, b_cov, b_mix, c_cov,
      christoffel) = order0(points)
     h2 = max(FD_STEP ** 0.5, 1e-4)
     d_b_cov = np.empty(points.shape[:-1] + (2, 2, 2))
@@ -210,13 +219,11 @@ def _evaluate_twice_framed(chart, points):
         step = np.zeros(2)
         step[d] = h2
         plus, minus = order0(points + step), order0(points - step)
-        d_b_cov[..., d] = (plus[4] - minus[4]) / (2 * h2)
-        d_b_mix[..., d] = (plus[5] - minus[5]) / (2 * h2)
-        d_christoffel[..., d] = (plus[7] - minus[7]) / (2 * h2)
-    return GeometryEval(chart._position_unchecked(points),
-                        *chart._frame(points)[1:3], a3, a_cov, a_con, sqrt_a,
-                        b_cov, b_mix, c_cov, christoffel, d_b_cov, d_b_mix,
-                        d_christoffel)
+        d_b_cov[..., d] = (plus[3] - minus[3]) / (2 * h2)
+        d_b_mix[..., d] = (plus[4] - minus[4]) / (2 * h2)
+        d_christoffel[..., d] = (plus[6] - minus[6]) / (2 * h2)
+    return GeometryEval(a_cov, a_con, sqrt_a, b_cov, b_mix, c_cov,
+                        christoffel, d_b_cov, d_b_mix, d_christoffel)
 
 
 def test_expression_evaluate_reuses_first_pass_bit_for_bit():
