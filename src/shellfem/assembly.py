@@ -9,11 +9,16 @@ into slices of at most SLICE_BUDGET (point, local DOF) pairs, on which the
 basis is traced once (value and physical partials of each function); the
 cap is on what a slice materialises, so a slice of 54-DOF edge blocks holds
 fewer points than one of 15-DOF elements.  What a form integrates, the
-strains of strain.py or on edges their jumps and fluxes, is a per-point
+strains of strain.py or on edges their normal fluxes, is a per-point
 operator on the 15 values and partials of the five fields, built from the
 geometry alone; applied to the traces it gives that quantity for every
 local DOF ("B-matrix" assembly), and each local matrix is one batched
-matmul.  The structure comes first: `forms` lists the slices and the DOFs
+matmul.  The edge jumps read the basis values alone, so each field's
+block of them is one scaled copy of the values, and the penalties, which
+are Gram matrices of the jumps of some fields, are summed on those
+fields' columns only.  On P1 elements the component-major order of an
+operator's result is already the local DOF order, so it is not copied.
+The structure comes first: `forms` lists the slices and the DOFs
 of each, a dense block, before it computes any value.  Each row has one
 owner whose rows share one column list, an element for the (discontinuous)
 primal DOFs and a vertex for its 5 stress DOFs, so one sort of the
@@ -53,8 +58,8 @@ from .quadrature import interval_rule, triangle_rule
 from .solve import SolverError, factor, ordered
 
 # (point, local DOF) pairs in one slice of the grouped kernel, which bounds
-# what a slice materialises: the edge operator's 18 rows of jumps and
-# fluxes take 9.4 MB at this budget
+# what a slice materialises: an edge slice's 13 rows of jumps take 6.8 MB
+# at this budget and its 5 rows of fluxes 2.6 MB
 SLICE_BUDGET = 1 << 16
 
 
@@ -140,10 +145,20 @@ def _gram(w, x, y):
 def _local_order(y):
     """Per-component values (..., 5, nf) of theta1, theta2, u1, u2, w in
     local DOF order (..., nl): theta1(3), theta2(3), u1(nf), u2(nf), w(nf);
-    rotations are P1, the first three basis functions."""
+    rotations are P1, the first three basis functions.  On P1 elements
+    (nf = 3) that is the component-major order, so a view when y is one."""
     lead = y.shape[:-2]
+    if y.shape[-1] == 3:
+        return y.reshape(lead + (15,))
     return np.concatenate([y[..., :2, :3].reshape(lead + (6,)),
                            y[..., 2:, :].reshape(lead + (-1,))], axis=-1)
+
+
+def _field_columns(nf):
+    """The local DOF columns of theta1, theta2, u1, u2 and w on an element
+    of nf displacement functions."""
+    return [slice(0, 3), slice(3, 6)] + [slice(6 + i * nf, 6 + (i + 1) * nf)
+                                         for i in range(3)]
 
 
 def _apply(L, phi):
@@ -155,22 +170,14 @@ def _apply(L, phi):
     return _local_order(y.reshape(y.shape[:-2] + (r, 5, -1)))
 
 
-def _edge_operator(geom, A, nbar, theta):
-    """Per-point operator (E, q, 18, 15) on edges with normals nbar (E, 2):
-    rows 0-4 the values of the five fields, 5-6 b^d_a u_d - theta_a
-    (theta_a only if `theta`), 7-12 u_1 n_1, u_1 n_2, u_2 n_1, u_2 n_2,
-    w n_1, w n_2, then 13-14 (A rho)^{ab} n_b, 15-16 (A gamma)^{ab} n_b and
-    17 a^{ab} tau_b n_a."""
+def _flux_operator(geom, A, nbar):
+    """Per-point operator (E, q, 5, 15) of the normal fluxes on edges with
+    normals nbar (E, 2): (A rho)^{ab} n_b, (A gamma)^{ab} n_b and
+    a^{ab} tau_b n_a."""
     L = strain.operator(geom)
     An = sum(A[..., :, b, :, :] * nbar[:, b, None, None, None, None]
              for b in (0, 1)).reshape(L.shape[:-2] + (2, 4))
-    op = np.zeros(L.shape[:-2] + (13, 15))
-    op[..., :5, ::3] = np.eye(5)
-    op[..., 5:7, :6:3] = -np.eye(2) if theta else 0.0
-    op[..., 5:7, 6:12:3] = np.swapaxes(geom.b_mix, -1, -2)
-    for i, c in enumerate((2, 3, 4)):
-        op[..., 7 + 2 * i:9 + 2 * i, 3 * c] = nbar[:, None]
-    return np.concatenate([op, An @ L[..., 0:4, :], An @ L[..., 4:8, :],
+    return np.concatenate([An @ L[..., 0:4, :], An @ L[..., 4:8, :],
                            nbar[:, None, None] @ geom.a_con @ L[..., 8:10, :]],
                           axis=-2)
 
@@ -188,7 +195,8 @@ class _Sums:
     slots, the start of the row plus the place of the column in its
     owner's list, are made on its first `add` and dropped at the next
     block's, and `add` scatters the values of a block into them as they
-    are made.  A slot's terms add up in call order, the order in which one
+    are made, into all of them or into those of the rows and columns it
+    selects.  A slot's terms add up in call order, the order in which one
     bincount of all of them at the end would add them, so the sums do not
     depend on how the values were sliced.  Every matrix shares the
     structure's arrays and stores an entry even where its terms cancel."""
@@ -240,9 +248,14 @@ class _Sums:
             self._slots, self._block = np.concatenate(parts, axis=1), b
         return self._slots
 
-    def add(self, name, b, values):
-        """Add the values (E, m, l) on block b to the matrix `name`."""
-        np.add.at(self.data[name], self._slot(b).ravel(), values.ravel())
+    def add(self, name, b, values, sel=None):
+        """Add the values (E, m, l) on block b to the matrix `name`, or on
+        its local rows and columns sel only, of a block whose rows are its
+        columns: the terms left out are exact zeros."""
+        slots = self._slot(b)
+        if sel is not None:
+            slots = slots[:, sel[:, None], sel]
+        np.add.at(self.data[name], slots.ravel(), values.ravel())
 
     def matrices(self):
         return {name: sps.csr_matrix((data, self.indices, self.indptr),
@@ -391,17 +404,38 @@ class FormAssembler:
             yield k, [d.left[k]] + ([d.right[k]] if inner[k[0]] else [])
 
     def _edge_values(self, d, k, owners):
-        """Rows 0-12 and 13-17 of `_edge_operator` applied to every local
-        DOF of the edge slice k: the jumps (E, q, 13, nl), left minus right
-        (one-sided on the boundary), and the fluxes (E, q, 5, nl), the mean
-        of the sides."""
+        """The jumps (E, q, 13, nl) and the fluxes (E, q, 5, nl) of every
+        local DOF of the edge slice k.  Jumps, left minus right (one-sided
+        on the boundary): rows 0-4 the values of the five fields, 5-6
+        b^d_a u_d - theta_a (theta_a only off S edges), 7-12 u_1 n_1,
+        u_1 n_2, u_2 n_1, u_2 n_2, w n_1, w n_2.  They read the basis values
+        alone, so each field's block is one scaled copy of them.  Fluxes,
+        the mean of the sides: `_flux_operator` applied to the traces."""
         g = d.geom[k]
-        op = _edge_operator(g, self._elastic(g).elastic, d.nbar[k],
-                            d.tag[k[0]] != "S")
-        y = [_apply(op, self._traces(t, d.pts[k])[1]) for t in owners]
-        return (np.concatenate([sign * yi[:, :, :13] for sign, yi in
-                                zip((1.0, -1.0), y)], axis=-1),
-                np.concatenate([yi[:, :, 13:] for yi in y], axis=-1) / len(y))
+        op = _flux_operator(g, self._elastic(g).elastic, d.nbar[k])
+        phis = [self._traces(t, d.pts[k])[1] for t in owners]
+        bt = np.swapaxes(g.b_mix, -1, -2)[..., None]      # b^d_a at [a, d]
+        nbar = d.nbar[k, None, :, None]
+        jump = np.zeros(g.sqrt_a.shape + (13, sum(6 + 3 * phi.shape[-1]
+                                                  for phi in phis)))
+        at = 0
+        for sign, phi in zip((1.0, -1.0), phis):
+            v = sign * phi[:, :, 0]                              # (E, q, nf)
+            cols = [slice(at + c.start, at + c.stop)
+                    for c in _field_columns(phi.shape[-1])]
+            for c, col in enumerate(cols):
+                jump[:, :, c, col] = v[..., :col.stop - col.start]
+            if d.tag[k[0]] != "S":
+                for a in (0, 1):
+                    jump[:, :, 5 + a, cols[a]] = -v[..., :3]
+            for i in (0, 1):
+                jump[:, :, 5:7, cols[2 + i]] = bt[..., i, :] * v[:, :, None]
+            for i in (0, 1, 2):
+                jump[:, :, 7 + 2 * i:9 + 2 * i, cols[2 + i]] = (
+                    nbar * v[:, :, None])
+            at = cols[-1].stop
+        return jump, np.concatenate([_apply(op, phi) for phi in phis],
+                                    axis=-1) / len(phis)
 
     # ----------------------------------------------------------- global forms
 
@@ -489,12 +523,19 @@ class FormAssembler:
             square.add(key, b, fac * (X + np.swapaxes(X, 1, 2)))
         # penalties: the h_e^{-1} weight cancels against h; rotations not on
         # S edges; GT_pen is the membrane penalty on the u1, u2 and w jumps
-        # plus the shear penalty on the w jumps, so w's counts twice
+        # plus the shear penalty on the w jumps, so w's counts twice.  Each
+        # is summed on the columns of its fields, where its jumps live
+        nfs = self._elem_data().nf
+        starts = np.cumsum([0] + [6 + 3 * nfs[t[0]] for t in owners])
+        rot = np.concatenate([np.arange(a, a + 6) for a in starts[:-1]])
+        disp = np.concatenate([np.arange(a + 6, z) for a, z in
+                               zip(starts[:-1], starts[1:])])
         if d.tag[k[0]] != "S":
-            square.add("R_pen", b, _gram(d.we, jump[:, :, 0:2],
-                                         jump[:, :, 0:2]))
-        juw = jump[:, :, 2:5]
-        square.add("GT_pen", b, _gram(d.we, juw * [[1.0], [1.0], [2.0]], juw))
+            jth = jump[:, :, 0:2, rot]
+            square.add("R_pen", b, _gram(d.we, jth, jth), rot)
+        juw = jump[:, :, 2:5, disp]
+        square.add("GT_pen", b, _gram(d.we, juw * [[1.0], [1.0], [2.0]], juw),
+                   disp)
         # -(M^{ab}[v_a]n_b + xi^a [z]n_a), as in Se
         Se = _aux_basis(np.stack([1 - d.te, d.te], axis=1))[None]
         coupling.add("B", b, -_gram(wsa, Se, jump[:, :, 7:13]))

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import strain
-from .assembly import FormAssembler, _apply, _aux_basis, _gram, _Sums
+from .assembly import (FormAssembler, _aux_basis, _field_columns, _gram,
+                       _Sums)
 from .geometry import batched
 
 
@@ -44,6 +45,16 @@ _SEMINORMS = {"rho": ("rho", "jump_theta"), "gamma": ("gamma", "jump_u"),
 def _root(pieces, keys):
     r = np.sqrt(sum(pieces[k] for k in keys))
     return float(r) if np.ndim(r) == 0 else r
+
+
+def _jet(phi):
+    """The values and partials (E, q, 15, nl) of the five fields for every
+    local DOF of the traces phi (E, q, 3, nf): row 3c + d holds partial d
+    (the value at d = 0) of field c, on that field's columns."""
+    jet = np.zeros(phi.shape[:2] + (15, 6 + 3 * phi.shape[-1]))
+    for c, col in enumerate(_field_columns(phi.shape[-1])):
+        jet[:, :, 3 * c:3 * c + 3, col] = phi[..., :col.stop - col.start]
+    return jet
 
 
 def _edge_flux(sides, d, rows=slice(None)):
@@ -145,7 +156,7 @@ class NormEngine:
             elems, edges, blocks = asm._form_blocks()
             Q = _Sums((n, n), e.dofs, blocks, ("Q",))
             for b, t in enumerate(elems):
-                jet = _apply(np.eye(15), asm._traces(t)[1])  # values, partials
+                jet = _jet(asm._traces(t)[1])
                 Q.add("Q", b, _gram(e.areas[t, None] * e.wq, jet, jet))
             for b, (d, k, owners) in enumerate(edges, len(elems)):
                 jump = asm._edge_values(d, k, owners)[0]

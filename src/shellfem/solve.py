@@ -64,24 +64,23 @@ REFINE_STEPS = 2
 _U = np.finfo(float).eps
 
 
-def inf_one_norms(K):
-    """||K||_inf and ||K||_1 of the CSC matrix K from one pass over its
-    stored entries: row sums by bincount, column sums by indptr segments."""
-    a = np.append(np.abs(K.data), 0.0)
-    cols = np.add.reduceat(a, K.indptr[:-1])[np.diff(K.indptr) > 0]
-    return (np.bincount(K.indices, a[:-1], minlength=K.shape[0]).max(
-        initial=0), cols.max(initial=0))
+def inf_norm(K):
+    """||K||_inf of the CSC matrix K from one pass over its stored entries,
+    row sums by bincount.  Every system solved here is symmetric to
+    rounding, so it is ||K||_1 too."""
+    return np.bincount(K.indices, np.abs(K.data), minlength=K.shape[0]).max(
+        initial=0)
 
 
 def _factor_refine(K, b, n_primal: int, order, meta: dict) -> ShellSolution:
-    """Solve K x = b: take K's norms before L and U exist, factor once in
+    """Solve K x = b: take K's norm before L and U exist, factor once in
     `order`, refine up to REFINE_STEPS times until the backward error
     reaches u, accept x on it and add the figures to meta.  All of it runs
     on the ordered system, which replaces K: no caller keeps K, so the
     unordered copy is freed, and its heap is handed back before the LU
     is made."""
     K, b = ordered(K, order), b[order]
-    k_inf, k_one = inf_one_norms(K)
+    k_inf = inf_norm(K)
     if hasattr(_LIBC, "malloc_trim"):
         _LIBC.malloc_trim(0)
     try:
@@ -101,11 +100,12 @@ def _factor_refine(K, b, n_primal: int, order, meta: dict) -> ShellSolution:
     if not berr <= bound:
         raise SolverError(f"backward error {berr:.3e} exceeds the bound "
                           f"{bound:.3e}: K is singular to working precision")
+    # K is symmetric, so its inverse is its own adjoint
     inv = spla.LinearOperator(K.shape, lu.solve, dtype=float,
-                              rmatvec=lambda y: lu.solve(y, trans="T"))
+                              rmatvec=lu.solve)
     meta.update(residual=float(np.linalg.norm(r) / (np.linalg.norm(b) or 1)),
                 backward_error=float(berr), lu_fill=lu.nnz,
-                cond_est=float(spla.onenormest(inv, t=1) * k_one))
+                cond_est=float(spla.onenormest(inv, t=1) * k_inf))
     x[order] = x.copy()                # back to the numbering of the given K
     return ShellSolution(primal=x[:n_primal], meta=meta,
                          aux=x[n_primal:] if len(x) > n_primal else None)

@@ -9,7 +9,9 @@ loads), and the built-in charts' coefficient fields derived with sympy.
 The loops build their own dense per-DOF field arrays from each element's
 basis coefficients and take their strains from the closed-form formulas
 below, so they share no basis-trace or strain code with the package's
-kernel.  The reference local basis takes sqrt(a) from the chart's full
+kernel.  The one exception is the reference edge kernel, which pins the
+package's kernel bitwise: it runs on the package's traces and strain
+operator but pushes every row through the operator.  The reference local basis takes sqrt(a) from the chart's full
 `evaluate` and solves for one element and one bubble at a time; the
 reference element DOFs follow from the numbering formula, and the load
 vector takes its edge normals edge by edge from its own formula."""
@@ -23,6 +25,8 @@ import scipy.sparse.linalg as spla
 import sympy as sp
 
 from shellfem import expr as exprmod
+from shellfem import strain
+from shellfem.assembly import _aux_basis, _gram
 from shellfem.fe_space import (_EDGE_VERTS, FIELDS, LAM, ONE, DofLayout,
                                SpaceError, _edge_lam12, build_dof_layout,
                                eval_monos, grad_monos, poly_mul)
@@ -685,11 +689,97 @@ class BincountSums:
                        for owners, cols in blocks]
         self.pieces = {name: [] for name in names}
 
-    def add(self, name, b, values):
+    def add(self, name, b, values, sel=None):
+        """As `_Sums.add`: values on the local rows and columns sel of the
+        square block b are spelled out on the whole block, zero elsewhere."""
+        if sel is not None:
+            cols = self.blocks[b][1]
+            full = np.zeros((len(cols),) + (cols.shape[1],) * 2)
+            full[:, sel[:, None], sel] = values
+            values = full
         self.pieces[name].append((b, values))
 
     def matrices(self):
         return reference_csr_sums(self.shape, self.blocks, self.pieces)
+
+
+# The edge kernel that pushes all 18 rows of jumps and fluxes through the
+# per-point operator, with every local order a copy and every penalty a
+# Gram of whole blocks: each entry of the package's kernel is one of its
+# products, the rest exact zeros, so the two agree bitwise.
+
+def reference_local_order(y):
+    """`assembly._local_order`, always as a copy."""
+    lead = y.shape[:-2]
+    return np.concatenate([y[..., :2, :3].reshape(lead + (6,)),
+                           y[..., 2:, :].reshape(lead + (-1,))], axis=-1)
+
+
+def reference_apply(L, phi):
+    """`assembly._apply` through `reference_local_order`."""
+    r = L.shape[-2]
+    y = L.reshape(L.shape[:-2] + (5 * r, 3)) @ phi
+    return reference_local_order(y.reshape(y.shape[:-2] + (r, 5, -1)))
+
+
+def reference_jet(phi):
+    """The values and partials of the five fields for every local DOF of
+    the traces phi, as the identity operator applied to them."""
+    return reference_apply(np.eye(15), phi)
+
+
+def reference_edge_operator(geom, A, nbar, theta):
+    """Per-point operator (E, q, 18, 15) on edges with normals nbar (E, 2):
+    rows 0-4 the values of the five fields, 5-6 b^d_a u_d - theta_a
+    (theta_a only if `theta`), 7-12 u_1 n_1, u_1 n_2, u_2 n_1, u_2 n_2,
+    w n_1, w n_2, then 13-14 (A rho)^{ab} n_b, 15-16 (A gamma)^{ab} n_b and
+    17 a^{ab} tau_b n_a."""
+    L = strain.operator(geom)
+    An = sum(A[..., :, b, :, :] * nbar[:, b, None, None, None, None]
+             for b in (0, 1)).reshape(L.shape[:-2] + (2, 4))
+    op = np.zeros(L.shape[:-2] + (13, 15))
+    op[..., :5, ::3] = np.eye(5)
+    op[..., 5:7, :6:3] = -np.eye(2) if theta else 0.0
+    op[..., 5:7, 6:12:3] = np.swapaxes(geom.b_mix, -1, -2)
+    for i, c in enumerate((2, 3, 4)):
+        op[..., 7 + 2 * i:9 + 2 * i, 3 * c] = nbar[:, None]
+    return np.concatenate([op, An @ L[..., 0:4, :], An @ L[..., 4:8, :],
+                           nbar[:, None, None] @ geom.a_con @ L[..., 8:10, :]],
+                          axis=-2)
+
+
+def reference_edge_values(asm, d, k, owners):
+    """`FormAssembler._edge_values` as rows 0-12 and 13-17 of
+    `reference_edge_operator` applied to every local DOF of the edge
+    slice k."""
+    g = d.geom[k]
+    m = asm.material
+    op = reference_edge_operator(
+        g, eval_elastic(g, m.lam, m.mu, m.kappa).elastic, d.nbar[k],
+        d.tag[k[0]] != "S")
+    y = [reference_apply(op, asm._traces(t, d.pts[k])[1]) for t in owners]
+    return (np.concatenate([sign * yi[:, :, :13] for sign, yi in
+                            zip((1.0, -1.0), y)], axis=-1),
+            np.concatenate([yi[:, :, 13:] for yi in y], axis=-1) / len(y))
+
+
+def reference_edge_forms(asm, square, coupling, b, d, k, owners):
+    """`FormAssembler._edge_forms` with each penalty a Gram of the whole
+    block, on `reference_edge_values`."""
+    jump, flux = reference_edge_values(asm, d, k, owners)
+    wsa = d.h[k, None] * d.we * d.geom.sqrt_a[k]
+    flux[:, :, 4] *= asm.material.kappa * asm.material.mu
+    for key, fac, x, y in (
+            ("R", 1.0 / 3.0, jump[:, :, 5:7], flux[:, :, 0:2]),
+            ("GT", -1.0, jump[:, :, 2:5], flux[:, :, 2:5])):
+        X = _gram(wsa, x, y)
+        square.add(key, b, fac * (X + np.swapaxes(X, 1, 2)))
+    if d.tag[k[0]] != "S":
+        square.add("R_pen", b, _gram(d.we, jump[:, :, 0:2], jump[:, :, 0:2]))
+    juw = jump[:, :, 2:5]
+    square.add("GT_pen", b, _gram(d.we, juw * [[1.0], [1.0], [2.0]], juw))
+    Se = _aux_basis(np.stack([1 - d.te, d.te], axis=1))[None]
+    coupling.add("B", b, -_gram(wsa, Se, jump[:, :, 7:13]))
 
 
 def reference_grams(eng):

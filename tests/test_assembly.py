@@ -15,7 +15,9 @@ from shellfem.mesh import Mesh, generate_rect_mesh
 from shellfem.norms import NormEngine
 from shellfem.solve import SolverError
 
-from oracles import BincountSums, green_identity_check, penalized_forms
+from oracles import (BincountSums, green_identity_check, penalized_forms,
+                     reference_apply, reference_edge_forms,
+                     reference_edge_values, reference_jet)
 
 
 def make_assembler(chart_kind="cylinder", nx=2, ny=2,
@@ -333,11 +335,22 @@ STREAM_CASES = {
     "hypar-5x5-enriched": lambda: make_assembler("hypar", 5, 5,
                                                  ("F", "F", "D", "F")),
     "cylinder-8x8-renumbered": lambda: renumbered_assembler(11),
+    "sphere-6x6": lambda: make_assembler("sphere", 6, 6, ("S", "D", "F", "D")),
 }
 
 
 def forms_and_grams(asm):
     return {**asm.forms(), "Q": NormEngine(asm).grams()}
+
+
+def assert_bitwise_equal(got, want):
+    """The same sparse matrices: data, indices, indptr, dtypes, shapes."""
+    assert sorted(got) == sorted(want)
+    for key, M in want.items():
+        assert got[key].shape == M.shape, key
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(got[key], attr), getattr(M, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (key, attr)
 
 
 def slices_per_group(asm):
@@ -377,12 +390,8 @@ def test_streamed_forms_equal_the_bincount_sums(case, budget, monkeypatch):
         monkeypatch.setattr(assembly, "SLICE_BUDGET", budget)
     asm = STREAM_CASES[case]()
     got = forms_and_grams(asm)
-    assert sorted(got) == sorted(want) and len(got) == 7
-    for key, M in want.items():
-        assert got[key].shape == M.shape, key
-        for attr in ("data", "indices", "indptr"):
-            a, b = getattr(got[key], attr), getattr(M, attr)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (key, attr)
+    assert len(got) == 7
+    assert_bitwise_equal(got, want)
     for attr in ("indices", "indptr"):
         assert np.array_equal(getattr(got["Q"], attr), getattr(got["R"], attr))
     if case == "triangle-SSS":
@@ -393,6 +402,31 @@ def test_streamed_forms_equal_the_bincount_sums(case, budget, monkeypatch):
         rows, slices = slices_per_group(asm)
         assert len(rows) == 10 and sum(slices.values()) > 400
         assert all(slices[k] >= 2 for k, n in rows.items() if n > 1)
+
+
+@pytest.mark.parametrize("case, budget", [
+    ("cylinder-12x12", None), ("hypar-5x5-enriched", None),
+    ("sphere-6x6", None), ("cylinder-12x12", 300),
+    ("hypar-5x5-enriched", 300), ("sphere-6x6", 300)])
+def test_edge_kernel_equals_the_full_operator(case, budget, monkeypatch):
+    """The forms and Q_H, whose edge jumps come straight from the basis
+    values, whose fluxes alone go through the strain operator, whose P1
+    local order is a view and whose penalties are summed on their fields'
+    columns, equal bitwise those of the reference kernel, which pushes all
+    18 rows of jumps and fluxes through the operator, copies every local
+    order and sums each penalty on the whole edge block.  The cases cover
+    edges of every tag, S on both sides and the 15-, 21- and 27-DOF
+    elements; the small budget cuts the groups into many slices."""
+    with monkeypatch.context() as m:
+        m.setattr(assembly, "_apply", reference_apply)
+        m.setattr(norms, "_jet", reference_jet)
+        m.setattr(FormAssembler, "_edge_values", reference_edge_values)
+        m.setattr(FormAssembler, "_edge_forms", reference_edge_forms)
+        want = forms_and_grams(STREAM_CASES[case]())
+    if budget is not None:
+        monkeypatch.setattr(assembly, "SLICE_BUDGET", budget)
+    asm = STREAM_CASES[case]()
+    assert_bitwise_equal(forms_and_grams(asm), want)
 
 
 @pytest.mark.parametrize("case", ["cylinder-12x12", "hypar-5x5-enriched"])

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from shellfem import driver
+from shellfem import driver, solve
 from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec, Material
 from shellfem.driver import ShellProblem
 from shellfem.fe_space import build_dof_layout
@@ -13,7 +13,7 @@ from shellfem.geometry import make_chart
 from shellfem.mesh import generate_rect_mesh
 from shellfem.norms import NormEngine
 from shellfem.solve import (BACKWARD_ERROR_MULTIPLE, ShellSolution,
-                            SolverError, inf_one_norms, ordered,
+                            SolverError, factor, inf_norm, ordered,
                             realize_via_theta, solve_dg, solve_mixed)
 
 from oracles import penalized_forms, plain_layout
@@ -226,8 +226,9 @@ def test_solution_dataclass_meta():
 
 
 def test_one_pass_matrix_norms_equal_scipy_norms():
-    """||K||_inf and ||K||_1 from the stored entries of the ordered mixed
-    and penalized systems and of 2x2 matrices, one with an empty column."""
+    """||K||_inf from the stored entries of the ordered mixed and penalized
+    systems and of 2x2 matrices, one with an empty column; on the two
+    systems, which are symmetric to rounding, it is ||K||_1 too."""
     asm, f = setup(tags=("D", "F", "F", "F"))
     eps, n1 = 0.1, asm.layout.n_block1
     A, B, C = asm.a_theta(1.0), asm.b_matrix(), asm.c_matrix()
@@ -237,10 +238,45 @@ def test_one_pass_matrix_norms_equal_scipy_norms():
         sps.csc_matrix([[2.0, -1.0], [-3.0, 0.5]]),
         sps.csc_matrix([[1.0, 0.0], [-2.0, 0.0]])]
     for K in systems:
-        k_inf, k_one = inf_one_norms(K)
-        assert k_inf == pytest.approx(spla.norm(K, np.inf), rel=1e-15, abs=0)
-        assert k_one == pytest.approx(spla.norm(K, 1), rel=1e-15, abs=0)
-    assert inf_one_norms(systems[-1]) == (2.0, 3.0)
+        assert inf_norm(K) == pytest.approx(spla.norm(K, np.inf), rel=1e-15,
+                                            abs=0)
+    for K in systems[:2]:
+        assert inf_norm(K) == pytest.approx(spla.norm(K, 1), rel=1e-12, abs=0)
+    assert inf_norm(systems[-1]) == 2.0
+
+
+@pytest.mark.parametrize("method", ["mixed", "dg"])
+def test_solve_figures_agree_with_the_transposed_definitions(
+        readme_problem, method, monkeypatch):
+    """`cond_est` takes ||K||_1 as ||K||_inf and the solve with the LU as
+    its own adjoint, since every system solved is symmetric to rounding.
+    On the README mixed and penalized systems it and `backward_error` agree
+    to 1e-12 relative with ||K||_1 from the column sums, the transposed
+    solve as the adjoint and ||K||_inf from scipy."""
+    seen = []
+
+    def spy(K):
+        seen.append((K, factor(K)))
+        return seen[-1][1]
+    asm = readme_problem.assembler()
+    monkeypatch.setattr(solve, "factor", spy)
+    sol = readme_problem.solve(method)
+    (K, lu), = seen
+    f, n1 = readme_problem.rhs(), asm.layout.n_block1
+    if method == "mixed":
+        x = np.concatenate([sol.primal, sol.aux])
+        b = np.concatenate([f, np.zeros(len(sol.aux))])
+        order = asm.dof_order()
+    else:
+        x, b, order = sol.primal[:n1], f[:n1], asm.dof_order(n1)
+    x, b = x[order], b[order]
+    inv = spla.LinearOperator(K.shape, lu.solve, dtype=float,
+                              rmatvec=lambda y: lu.solve(y, trans="T"))
+    cond = spla.onenormest(inv, t=1) * spla.norm(K, 1)
+    berr = np.abs(b - K @ x).max() / (spla.norm(K, np.inf) * np.abs(x).max()
+                                      + np.abs(b).max())
+    assert sol.meta["cond_est"] == pytest.approx(cond, rel=1e-12, abs=0)
+    assert sol.meta["backward_error"] == pytest.approx(berr, rel=1e-12, abs=0)
 
 
 def test_given_penalty_constant_is_used(monkeypatch):
