@@ -85,10 +85,9 @@ def parse_config(text: str) -> dict:
 
 
 def _get(sec, key, default=None, cast=float):
-    """The finite number (a float, or an int if `cast` is int) at `key`."""
+    """The finite number (a float, or an int if `cast` is int) at `key`, or
+    `default` where `sec` has no `key`."""
     if key not in sec:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
         return default
     try:
         value = cast(sec[key])

@@ -3,9 +3,11 @@
 Charts map parameter coordinates (x1, x2) to points of a surface in R^3.
 Built-in charts (plate, cylinder, sphere, hypar) are coordinate expressions
 whose partials up to third order `expr.jet` takes exactly, once per chart,
-and `expr.partials` evaluates; one routine maps that jet to every
-coefficient field by the Gauss and Weingarten formulas.  User-expression
-charts fall back to central finite differences.  `Chart.evaluate` gives
+and `expr.partials` evaluates; the Gauss and Weingarten formulas map that
+jet to every coefficient field.  User-expression charts take the tangents
+and second partials by central finite differences and feed them to the
+exact charts' routine for the zeroth-order fields (`_coefficients`); their
+derivative fields are central differences of those.  `Chart.evaluate` gives
 the coefficient fields of `GeometryEval`, which is what assembly, loads and
 norms read; `Chart.position` gives the points of the surface, which only
 the VTK output reads, and `Chart.sqrt_a` the area element alone, which is
@@ -83,34 +85,6 @@ class ElasticTensors:
     compliance: np.ndarray   # (..., 2, 2, 2, 2) a_{abgd}
 
 
-def _tensors_from_frame(a1, a2, da):
-    """Zeroth-order coefficient fields from tangents a_alpha (...,3) and their
-    partials da[..., a, b, :] = d_b a_a."""
-    a_cov = np.empty(a1.shape[:-1] + (2, 2))
-    a_cov[..., 0, 0] = np.einsum("...i,...i->...", a1, a1)
-    a_cov[..., 0, 1] = np.einsum("...i,...i->...", a1, a2)
-    a_cov[..., 1, 0] = a_cov[..., 0, 1]
-    a_cov[..., 1, 1] = np.einsum("...i,...i->...", a2, a2)
-    cross = np.cross(a1, a2)
-    sqrt_a = _nondegenerate(np.linalg.norm(cross, axis=-1))
-    a3 = cross / sqrt_a[..., None]
-    det = a_cov[..., 0, 0] * a_cov[..., 1, 1] - a_cov[..., 0, 1] ** 2
-    a_con = np.empty_like(a_cov)
-    a_con[..., 0, 0] = a_cov[..., 1, 1] / det
-    a_con[..., 1, 1] = a_cov[..., 0, 0] / det
-    a_con[..., 0, 1] = -a_cov[..., 0, 1] / det
-    a_con[..., 1, 0] = a_con[..., 0, 1]
-    b_cov = np.einsum("...i,...abi->...ab", a3, da)
-    b_cov = 0.5 * (b_cov + np.swapaxes(b_cov, -1, -2))
-    # contravariant tangent frame a^c = a^{cd} a_d
-    frame = np.stack([a1, a2], axis=-2)                        # (..., d, 3)
-    con_frame = np.einsum("...cd,...di->...ci", a_con, frame)  # (..., c, 3)
-    christoffel = np.einsum("...ci,...abi->...cab", con_frame, da)
-    b_mix = np.einsum("...cg,...gb->...cb", a_con, b_cov)
-    c_cov = np.einsum("...ga,...gb->...ab", b_mix, b_cov)
-    return a_cov, a_con, sqrt_a, b_cov, b_mix, c_cov, christoffel
-
-
 def _nondegenerate(sqrt_a):
     if np.any(sqrt_a < _DEGEN_TOL):
         raise DegenerateChartError("tangent vectors are (nearly) linearly dependent")
@@ -175,6 +149,41 @@ def _normal(tan):
     return cross, np.sqrt(np.einsum("i...,i...->...", cross, cross))
 
 
+def _coefficients(T, X2):
+    """The zeroth-order coefficient fields, component axes first, from the
+    tangents T[:, a] = a_a (3, 2, ...) and the second partials
+    X2[:, a, b] = x_ab (3, 2, 2, ...): (a_cov, a_con, sqrt_a, b_cov, b_mix,
+    christoffel), then a_1 x a_2 and G[e, a, b] = a_e . x_ab, which the
+    derivative fields of exact jets read.  Raises where sqrt(a) vanishes,
+    before any field divides by it."""
+    cross, sqrt_a = _normal(T)
+    _nondegenerate(sqrt_a)
+    a_cov = np.einsum("ia...,ib...->ab...", T, T)
+    a_con = np.array([[a_cov[1, 1], -a_cov[0, 1]],
+                      [-a_cov[1, 0], a_cov[0, 0]]])
+    a_con /= a_cov[0, 0] * a_cov[1, 1] - a_cov[0, 1] * a_cov[1, 0]
+    # Gamma^c_ab = a^{ce} G_{e,ab}
+    G = np.einsum("ie...,iab...->eab...", T, X2)
+    b_cov = np.einsum("i...,iab...->ab...", cross, X2)
+    b_cov /= sqrt_a
+    b_mix = np.einsum("ag...,gb...->ab...", a_con, b_cov)
+    gamma = np.einsum("ce...,eab...->cab...", a_con, G)
+    return (a_cov, a_con, sqrt_a, b_cov, b_mix, gamma), cross, G
+
+
+def _geometry_eval(a_cov, a_con, sqrt_a, b_cov, b_mix, christoffel,
+                   d_b_cov, d_b_mix, d_christoffel):
+    """The `GeometryEval` of the fields given component axes first, with
+    c_cov made from b_mix and b_cov."""
+    c_cov = np.einsum("ga...,gb...->ab...", b_mix, b_cov)
+    k = sqrt_a.ndim
+    return GeometryEval(*(np.moveaxis(f, range(f.ndim - k),
+                                      range(k - f.ndim, 0))
+                          for f in (a_cov, a_con, sqrt_a, b_cov, b_mix, c_cov,
+                                    christoffel, d_b_cov, d_b_mix,
+                                    d_christoffel)))
+
+
 class SymbolicChart(Chart):
     """Chart given by three coordinate expressions and differentiated
     exactly: `expr.jet` gives the partials of the position up to third
@@ -197,52 +206,39 @@ class SymbolicChart(Chart):
     def evaluate(self, points) -> GeometryEval:
         points = np.asarray(points, dtype=float)
         self.check_domain(points)
-        T = exprmod.partials(self._jet, points, 1)   # T[:, a] = a_a
-        cross, sqrt_a = _normal(T)
-        # before the fields, which divide by sqrt(a) at a degenerate point
-        _nondegenerate(sqrt_a)
-        X2, X3 = (exprmod.partials(self._jet, points, k) for k in (2, 3))
+        T, X2, X3 = (exprmod.partials(self._jet, points, k)
+                     for k in (1, 2, 3))
+        order0, cross, G = _coefficients(T, X2)
+        a_cov, a_con, sqrt_a, b_cov, b_mix, gamma = order0
         # A dot product over the vector axis i is a sum of three products,
         # so products that cancel in exact arithmetic cancel exactly: the
         # derivative fields of constant-coefficient charts are exactly 0.
-        a_cov = np.einsum("ia...,ib...->ab...", T, T)
-        a_con = np.array([[a_cov[1, 1], -a_cov[0, 1]],
-                          [-a_cov[1, 0], a_cov[0, 0]]]) / (
-            a_cov[0, 0] * a_cov[1, 1] - a_cov[0, 1] * a_cov[1, 0])
-        # G[e, a, b] = a_e . x_ab, so that Gamma^c_ab = a^{ce} G_{e,ab}, and
-        # its partials dG[e, a, b, d] = x_ed . x_ab + a_e . x_abd
-        G = np.einsum("ie...,iab...->eab...", T, X2)
+        # dG[e, a, b, d] = x_ed . x_ab + a_e . x_abd are the partials of G
         dG = np.einsum("ied...,iab...->eabd...", X2, X2)
         dG += np.einsum("ie...,iabd...->eabd...", T, X3)
-        b_cov = np.einsum("i...,iab...->ab...", cross, X2) / sqrt_a
-        b_mix = np.einsum("ag...,gb...->ab...", a_con, b_cov)
-        gamma = np.einsum("ce...,eab...->cab...", a_con, G)
         # d_d a^{ab} = -a^{ag} (d_d a_gh) a^{hb} = -(M[a,b,d] + M[b,a,d])
         # with M[a,b,d] = a^{ag} Gamma^b_gd, as d_d a_gh = G_{h,gd} + G_{g,hd}
         M = np.einsum("ag...,bgd...->abd...", a_con, gamma)
-        d_a_con = -(M + np.swapaxes(M, 0, 1))
+        d_a_con = M + np.swapaxes(M, 0, 1)
+        np.negative(d_a_con, out=d_a_con)
         d_christoffel = np.einsum("ce...,eabd...->cabd...", a_con, dG)
         d_christoffel += np.einsum("ced...,eab...->cabd...", d_a_con, G)
         # Weingarten: d_d b_ab = a3 . x_abd - b^g_d (a_g . x_ab)
-        d_b_cov = np.einsum("i...,iabd...->abd...", cross, X3) / sqrt_a
+        d_b_cov = np.einsum("i...,iabd...->abd...", cross, X3)
+        d_b_cov /= sqrt_a
         del dG, X3     # the largest temporaries, before the outputs grow
         d_b_cov -= np.einsum("gd...,gab...->abd...", b_mix, G)
         d_b_mix = np.einsum("agd...,gb...->abd...", d_a_con, b_cov)
         d_b_mix += np.einsum("ag...,gbd...->abd...", a_con, d_b_cov)
-        fields = (a_cov, a_con, sqrt_a, b_cov, b_mix,
-                  np.einsum("ga...,gb...->ab...", b_mix, b_cov), gamma,
-                  d_b_cov, d_b_mix, d_christoffel)
-        # component axes last
-        k = sqrt_a.ndim
-        return GeometryEval(*(np.moveaxis(f, range(f.ndim - k),
-                                          range(k - f.ndim, 0))
-                              for f in fields))
+        return _geometry_eval(*order0, d_b_cov, d_b_mix, d_christoffel)
 
 
 class ExpressionChart(Chart):
-    """Chart given by three coordinate expressions; differentiated by central
-    finite differences (step FD_STEP for the frame, coarser steps for the
-    second differences and the derivative coefficient fields)."""
+    """Chart given by three coordinate expressions and differentiated by
+    central finite differences: the tangents (step FD_STEP) and the second
+    partials (a coarser step) of the position feed `_coefficients`, as the
+    exact jets of `SymbolicChart` do, and the derivative fields are central
+    differences of its fields (a coarser step still)."""
 
     def __init__(self, name: str, components, domain=None):
         self.name = name
@@ -253,49 +249,43 @@ class ExpressionChart(Chart):
     def position(self, points):
         points = np.asarray(points, dtype=float)
         self.check_domain(points)
-        return self._position_unchecked(points)
+        return np.moveaxis(self._position(points), 0, -1)
 
-    def _position_unchecked(self, points):
+    def _position(self, points):
+        """The position (3, ...) at points (..., 2), unchecked."""
         x1, x2 = points[..., 0], points[..., 1]
-        return np.stack([exprmod.evaluate(a, x1, x2) for a in self._asts], axis=-1)
+        return np.stack([exprmod.evaluate(a, x1, x2) for a in self._asts])
 
     def _tangents(self, points):
+        """T[:, a] = a_a (3, 2, ...) by central differences."""
         h = FD_STEP
-        e1 = np.array([h, 0.0])
-        e2 = np.array([0.0, h])
-        a1 = (self._position_unchecked(points + e1)
-              - self._position_unchecked(points - e1)) / (2 * h)
-        a2 = (self._position_unchecked(points + e2)
-              - self._position_unchecked(points - e2)) / (2 * h)
-        return a1, a2
+        T = np.empty((3, 2) + points.shape[:-1])
+        for a, e in enumerate(np.eye(2) * h):
+            T[:, a] = (self._position(points + e)
+                       - self._position(points - e)) / (2 * h)
+        return T
 
     def _sqrt_a(self, points):
-        return np.linalg.norm(np.cross(*self._tangents(points)), axis=-1)
+        return _normal(self._tangents(points))[1]
 
-    def _frame(self, points):
-        a1, a2 = self._tangents(points)
-        da = np.empty(points.shape[:-1] + (2, 2, 3))
-        pc = self._position_unchecked(points)
-        # second differences of the position give d_b a_a; roundoff in a
+    def _order0(self, points):
+        """The zeroth-order fields of `_coefficients` at `points`."""
+        # second differences of the position give x_ab; roundoff in a
         # second difference scales like eps/h^2, so use a coarser step than
         # for the first derivatives (optimal near eps^(1/4))
         h = max(FD_STEP, 1.2e-4)
-        e1 = np.array([h, 0.0])
-        e2 = np.array([0.0, h])
-        da[..., 0, 0, :] = (self._position_unchecked(points + e1) - 2 * pc
-                            + self._position_unchecked(points - e1)) / h**2
-        da[..., 1, 1, :] = (self._position_unchecked(points + e2) - 2 * pc
-                            + self._position_unchecked(points - e2)) / h**2
-        mixed = (self._position_unchecked(points + e1 + e2)
-                 - self._position_unchecked(points + e1 - e2)
-                 - self._position_unchecked(points - e1 + e2)
-                 + self._position_unchecked(points - e1 - e2)) / (4 * h**2)
-        da[..., 0, 1, :] = mixed
-        da[..., 1, 0, :] = mixed
-        return a1, a2, da
-
-    def _order0(self, points):
-        return _tensors_from_frame(*self._frame(points))
+        e1, e2 = np.eye(2) * h
+        pc = self._position(points)
+        X2 = np.empty((3, 2, 2) + points.shape[:-1])
+        X2[:, 0, 0] = (self._position(points + e1) - 2 * pc
+                       + self._position(points - e1)) / h**2
+        X2[:, 1, 1] = (self._position(points + e2) - 2 * pc
+                       + self._position(points - e2)) / h**2
+        X2[:, 0, 1] = X2[:, 1, 0] = (
+            self._position(points + e1 + e2) - self._position(points + e1 - e2)
+            - self._position(points - e1 + e2)
+            + self._position(points - e1 - e2)) / (4 * h**2)
+        return _coefficients(self._tangents(points), X2)[0]
 
     def evaluate(self, points) -> GeometryEval:
         points = np.asarray(points, dtype=float)
@@ -304,18 +294,17 @@ class ExpressionChart(Chart):
         # derivative fields by FD on the coefficient fields; larger step keeps
         # the inner second-difference noise from being amplified
         h2 = max(FD_STEP ** 0.5, 1e-4)
-        d_b_cov = np.empty(points.shape[:-1] + (2, 2, 2))
+        batch = points.shape[:-1]
+        d_b_cov = np.empty((2, 2, 2) + batch)
         d_b_mix = np.empty_like(d_b_cov)
-        d_christoffel = np.empty(points.shape[:-1] + (2, 2, 2, 2))
-        for d in range(2):
-            step = np.zeros(2)
-            step[d] = h2
+        d_christoffel = np.empty((2, 2, 2, 2) + batch)
+        for d, step in enumerate(np.eye(2) * h2):
             plus = self._order0(points + step)
             minus = self._order0(points - step)
-            d_b_cov[..., d] = (plus[3] - minus[3]) / (2 * h2)
-            d_b_mix[..., d] = (plus[4] - minus[4]) / (2 * h2)
-            d_christoffel[..., d] = (plus[6] - minus[6]) / (2 * h2)
-        return GeometryEval(*order0, d_b_cov, d_b_mix, d_christoffel)
+            d_b_cov[:, :, d] = (plus[3] - minus[3]) / (2 * h2)
+            d_b_mix[:, :, d] = (plus[4] - minus[4]) / (2 * h2)
+            d_christoffel[:, :, :, d] = (plus[5] - minus[5]) / (2 * h2)
+        return _geometry_eval(*order0, d_b_cov, d_b_mix, d_christoffel)
 
 
 def make_chart(kind: str, *, radius: float = 1.0, coeff: float = 1.0,

@@ -53,10 +53,6 @@ class ManufacturedSolution:
     def grads(self, pts):
         return self._partials(pts, 1)
 
-    def hessians(self, pts):
-        """(..., 5, 2, 2) with [..., f, i, j] = d_j d_i field_f."""
-        return self._partials(pts, 2)
-
     def strains_at(self, pts, geom=None):
         if geom is None:
             geom = self.chart.evaluate(pts)

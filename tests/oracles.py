@@ -884,6 +884,12 @@ def consistency_residual(manufactured, assembler, method: str,
     return dual_H_norm(NormEngine(assembler), r)
 
 
+def manufactured_hessians(sol, pts):
+    """(..., 5, 2, 2) with [..., f, i, j] = d_j d_i field_f of the
+    manufactured solution `sol` at parameter points."""
+    return sol._partials(pts, 2)
+
+
 def fields_dict(sol):
     """The exact fields of the manufactured solution `sol` as callables of
     parameter points, by name."""

@@ -112,6 +112,33 @@ def test_exit_code_config_error(tmp_path, capsys, text):
     assert main(["solve", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("text,message", [
+    (GOOD.replace("radius = 1.0", "radius = 1.0\ndomain = 0, 1, 0"),
+     "[chart] domain needs 4 numbers"),
+    (GOOD.replace("kind = cylinder\nradius = 1.0",
+                  "kind = expression\nx = x1\ny = x2"),
+     "[chart] expression kind needs 'z' = ..."),
+    (GOOD.replace("rect = 0, 1, 0, 1\nnx = 2\nny = 2\ntags = D, D, D, D",
+                  "file = no-such-dir/case.mesh"), "[mesh] file: "),
+    (GOOD.replace("rect = 0, 1, 0, 1\n", ""),
+     "[mesh] needs file = path or rect = a,b,c,d"),
+    (GOOD.replace("tags = D, D, D, D", "tags = D, D, D"),
+     "[mesh] tags needs 4 entries (left,right,bottom,top)"),
+    (GOOD.replace("p3 = sin(pi * x1) * x2", "p3 = sin(pi * x1"),
+     "[loads]: expected ')'"),
+    (MANUFACTURED.replace("w = sin(pi * x1) * sin(pi * x2)", "w = x3"),
+     "[manufactured]: unknown identifier 'x3'"),
+    (MANUFACTURED.replace("w = sin(pi * x1) * sin(pi * x2)", ""),
+     "[manufactured] missing fields: ['w']"),
+], ids=["domain", "expression-without-z", "unreadable-mesh-file",
+        "no-mesh", "tags", "loads-expression", "manufactured-expression",
+        "manufactured-field"])
+def test_exit_code_spec_error(tmp_path, capsys, text, message):
+    cfg = write(tmp_path, text)
+    assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_exit_code_mesh_error(tmp_path, capsys):
     mesh_file = tmp_path / "broken.mesh"
     mesh_file.write_text("this is not a mesh\n")
@@ -180,6 +207,24 @@ def test_solve_study_artifacts(tmp_path):
         ncells = int([l for l in vtk if l.startswith("CELLS")][0].split()[1])
         assert npts == 3 * ncells
         assert sum(1 for l in vtk if l.startswith("SCALARS")) == 5
+
+
+def test_solve_on_an_expression_chart_writes_its_surface(tmp_path):
+    cfg = write(tmp_path, GOOD.replace(
+        "kind = cylinder\nradius = 1.0",
+        "kind = expression\nx = x1\ny = x2\nz = x1 * x2 + 0.5 * x1^2"
+    ).replace("method = both", "method = mixed"))
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--out", str(out)]) == 0
+    vtk = (out / "fields.vtk").read_text().splitlines()
+    at = next(i for i, l in enumerate(vtk) if l.startswith("POINTS"))
+    n = int(vtk[at].split()[1])
+    got = np.array([l.split() for l in vtk[at + 1:at + 1 + n]], dtype=float)
+    mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2)
+    x1, x2 = mesh.vertices[mesh.triangles].reshape(-1, 2).T
+    want = np.stack([x1, x2, x1 * x2 + 0.5 * x1 ** 2], axis=1)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-9
 
 
 def test_solve_zero_loads_zero_fields(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from shellfem.expr import (Bin, Call, Const, EvalDomainError, ExprError, Num,
                            Unary, Var, differentiate, evaluate, parse,
@@ -53,6 +54,8 @@ def test_round_trip_fuzz_1000():
     ("sqrt(x1^2)", -3.0, 0, 3.0),
     ("abs(-x1)", 2.5, 0, 2.5),
     ("exp(0)+log(e)", 0, 0, 2.0),
+    ("2.5e-1", 0, 0, 0.25),
+    ("1E+3*x1 - 2e2", 2.0, 0, 1800.0),
 ])
 def test_precedence_and_values(text, x1, x2, expect):
     assert evaluate(parse(text), x1, x2) == pytest.approx(expect, rel=1e-14)
@@ -62,6 +65,19 @@ def test_syntax_error_offset():
     with pytest.raises(ExprError) as exc:
         parse("x1 + * 2")
     assert "5" in str(exc.value)
+
+
+@pytest.mark.parametrize("text,message,pos", [
+    ("1.2.3", "bad number '1.2.3'", 0),
+    ("x1 $", "unexpected character '$'", 3),
+    ("sin x1", "expected '('", 4),
+    ("x1 x2", "unexpected trailing input 'x2'", 3),
+])
+def test_parse_errors_name_the_fault_and_its_offset(text, message, pos):
+    with pytest.raises(ExprError) as exc:
+        parse(text)
+    assert exc.value.pos == pos
+    assert str(exc.value) == f"{message} (at offset {pos})"
 
 
 def test_unknown_identifier():
@@ -102,6 +118,25 @@ def test_derivative_matches_finite_difference():
                   evaluate(ast, *(pts - step).T)) / (2 * h)
             an = evaluate(dast, pts[:, 0], pts[:, 1])
             assert np.allclose(an, fd, atol=1e-8), (text, var)
+
+
+@pytest.mark.parametrize("text", ["tan(x1 * x2)", "log(x1 + x2^2)",
+                                  "abs(x1 - x2)", "x1^x2", "x1^(2*pi)"])
+def test_derivative_matches_sympy(text):
+    # at points where each expression is differentiable: x1, x2 > 0,
+    # x1 != x2 and x1 x2 < pi / 2
+    x = sp.symbols("x1 x2", real=True)
+    want = sp.sympify(text.replace("^", "**"),
+                      locals={"x1": x[0], "x2": x[1], "abs": sp.Abs})
+    pts = np.random.default_rng(9).uniform(0.2, 1.2, (40, 2))
+    for var, sym in zip(("x1", "x2"), x):
+        got = differentiate(parse(text), var)
+        exact = sp.lambdify(x, sp.diff(want, sym), "numpy")
+        assert np.allclose(evaluate(got, *pts.T), exact(*pts.T),
+                           rtol=1e-12, atol=1e-12), (text, var)
+    if text == "x1^(2*pi)":
+        # a constant exponent is differentiated as one: no log(x1) factor
+        assert "log" not in to_string(differentiate(parse(text), "x1"))
 
 
 def test_simplify_preserves_value():

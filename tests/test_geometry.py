@@ -3,8 +3,9 @@ import pytest
 import sympy as sp
 
 from shellfem.geometry import (FD_STEP, DegenerateChartError, DomainError,
-                               ExpressionChart, GeometryEval,
-                               _tensors_from_frame, eval_elastic, make_chart)
+                               ExpressionChart, GeometryError, GeometryEval,
+                               _coefficients, _geometry_eval, eval_elastic,
+                               make_chart)
 from shellfem.mesh import generate_rect_mesh, geometry_resolution
 
 from oracles import (geometry_seminorms, sympy_chart_geometry,
@@ -129,6 +130,12 @@ def test_degenerate_chart_rejected():
         chart.evaluate(np.array([[0.5, 0.5]]))
 
 
+def test_expression_chart_needs_three_coordinates():
+    with pytest.raises(GeometryError) as exc:
+        make_chart("expression", components=("x1", "x2"))
+    assert str(exc.value) == "expression chart needs 3 coordinate expressions"
+
+
 def test_domain_check():
     chart = make_chart("plate", domain=((0.0, 1.0), (0.0, 1.0)))
     chart.evaluate(np.array([[0.5, 0.5]]))
@@ -203,34 +210,41 @@ def test_seminorms_positive_on_sphere():
     assert any(v > 0.01 for v in sems.values())
 
 
-def _evaluate_twice_framed(chart, points):
-    """ExpressionChart.evaluate written out from `_frame` and
-    `_tensors_from_frame`: the order-0 fields at `points` and central
-    differences of them at the shifted points."""
+def _evaluate_twice(chart, points):
+    """ExpressionChart.evaluate written out on `_coefficients`: the order-0
+    fields at `points` from central differences of the position, and
+    central differences of them at the shifted points."""
     def order0(p):
-        return _tensors_from_frame(*chart._frame(p))
-    (a_cov, a_con, sqrt_a, b_cov, b_mix, c_cov,
-     christoffel) = order0(points)
+        h = max(FD_STEP, 1.2e-4)
+        e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
+        x = chart._position
+        X2 = np.empty((3, 2, 2) + p.shape[:-1])
+        X2[:, 0, 0] = (x(p + e1) - 2 * x(p) + x(p - e1)) / h**2
+        X2[:, 1, 1] = (x(p + e2) - 2 * x(p) + x(p - e2)) / h**2
+        X2[:, 0, 1] = X2[:, 1, 0] = (x(p + e1 + e2) - x(p + e1 - e2)
+                                     - x(p - e1 + e2)
+                                     + x(p - e1 - e2)) / (4 * h**2)
+        return _coefficients(chart._tangents(p), X2)[0]
+    fields = order0(points)
     h2 = max(FD_STEP ** 0.5, 1e-4)
-    d_b_cov = np.empty(points.shape[:-1] + (2, 2, 2))
-    d_b_mix = np.empty_like(d_b_cov)
-    d_christoffel = np.empty(points.shape[:-1] + (2, 2, 2, 2))
+    shifted = []
     for d in range(2):
         step = np.zeros(2)
         step[d] = h2
-        plus, minus = order0(points + step), order0(points - step)
-        d_b_cov[..., d] = (plus[3] - minus[3]) / (2 * h2)
-        d_b_mix[..., d] = (plus[4] - minus[4]) / (2 * h2)
-        d_christoffel[..., d] = (plus[6] - minus[6]) / (2 * h2)
-    return GeometryEval(a_cov, a_con, sqrt_a, b_cov, b_mix, c_cov,
-                        christoffel, d_b_cov, d_b_mix, d_christoffel)
+        shifted.append((order0(points + step), order0(points - step)))
+    # b_cov, b_mix and christoffel, the direction axis after the components
+    derivatives = [np.stack([(plus[i] - minus[i]) / (2 * h2)
+                             for plus, minus in shifted],
+                            axis=fields[i].ndim - points.ndim + 1)
+                   for i in (3, 4, 5)]
+    return _geometry_eval(*fields, *derivatives)
 
 
 def test_expression_evaluate_reuses_first_pass_bit_for_bit():
     chart = make_chart("expression", components=(
         "x1", "x2", "0.25 * sin(pi * x1) * sin(pi * x2)"))
     pts = rand_pts(np.random.default_rng(3), 40).reshape(8, 5, 2)
-    got, want = chart.evaluate(pts), _evaluate_twice_framed(chart, pts)
+    got, want = chart.evaluate(pts), _evaluate_twice(chart, pts)
     for name in GeometryEval.__dataclass_fields__:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 

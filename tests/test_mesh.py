@@ -160,6 +160,8 @@ def mesh_text(vertices, triangles, boundary):
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 SQUARE_TRIS = [(0, 1, 3), (0, 3, 2)]
 SQUARE_SIDES = [(0, 1, "D"), (1, 3, "S"), (2, 3, "F"), (0, 2, "D")]
+SQUARE_PAIRS = [(i, j) for i, j, _ in SQUARE_SIDES]
+SQUARE_TAGS = [tag for _, _, tag in SQUARE_SIDES]
 
 
 @pytest.mark.parametrize("vertices,triangles,boundary,fragment", [
@@ -192,8 +194,71 @@ def test_negative_section_count_is_rejected(section):
         load_mesh(text)
 
 
-SQUARE_PAIRS = [(i, j) for i, j, _ in SQUARE_SIDES]
-SQUARE_TAGS = [tag for _, _, tag in SQUARE_SIDES]
+# The lines of the square's mesh text: 1 header, 2 'vertices 4', 3-6 the
+# vertices, 7 'triangles 2', 8-9 the triangles, 10 'boundary 4', 11-14 the
+# boundary edges.
+SQUARE_LINES = mesh_text(SQUARE, SQUARE_TRIS, SQUARE_SIDES).splitlines()
+
+
+def edited_square(line, new):
+    """The square's mesh text with line `line` (1-based) replaced by the
+    lines `new`."""
+    return "\n".join(SQUARE_LINES[:line - 1] + new + SQUARE_LINES[line:])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("\n".join(SQUARE_LINES[:9]),
+     "unexpected end of file, expected 'boundary N'"),
+    ("\n".join(SQUARE_LINES[:8]),
+     "unexpected end of file in section 'triangles'"),
+    (edited_square(7, ["triangles two"]), "line 7: bad count 'two'"),
+    (edited_square(7, ["faces 2"]),
+     "line 7: expected 'triangles N', got 'faces 2'"),
+    (edited_square(4, ["1.0 0.0 0.0"]), "line 4: expected 'x1 x2'"),
+    (edited_square(8, ["0 1"]), "line 8: expected 'i j k'"),
+    (edited_square(8, ["0 1 z"]), "line 8: bad vertex index"),
+    (edited_square(9, ["0 3 4"]), "line 9: vertex index out of range"),
+    (edited_square(11, ["0 1"]),
+     "line 11: expected 'i j TAG' with TAG in D/S/F"),
+    (edited_square(11, ["0 1 Q"]),
+     "line 11: expected 'i j TAG' with TAG in D/S/F"),
+    (edited_square(12, ["1 y S"]), "line 12: bad vertex index"),
+    (edited_square(12, ["1 -3 S"]), "line 12: vertex index out of range"),
+    (edited_square(14, [SQUARE_LINES[13], "0 2 D"]),
+     "line 15: trailing content"),
+], ids=["no-boundary-section", "truncated-triangles", "word-count",
+        "wrong-section-word", "vertex-fields", "triangle-fields",
+        "triangle-bad-index", "triangle-index-range", "boundary-fields",
+        "boundary-tag", "boundary-bad-index", "boundary-index-range",
+        "trailing-content"])
+def test_malformed_mesh_text_is_rejected(text, message):
+    with pytest.raises(MeshError) as exc:
+        load_mesh(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("tags,message", [
+    (SQUARE_TAGS[:3], "need one tag per boundary edge"),
+    (SQUARE_TAGS[:3] + ["X"], "unknown boundary tag 'X'"),
+], ids=["tag-count", "unknown-tag"])
+def test_bad_boundary_tags_are_rejected(tags, message):
+    with pytest.raises(MeshError) as exc:
+        Mesh(SQUARE, SQUARE_TRIS, SQUARE_PAIRS, tags)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("nx,ny,grading,message", [
+    (0, 2, None, "nx, ny must be >= 1"),
+    (2, 0, None, "nx, ny must be >= 1"),
+    (2, 2, {"ratio": 0.0, "toward": "left"},
+     "grading ratio must be in (0, 1]"),
+    (2, 2, {"ratio": 1.5, "toward": "top"},
+     "grading ratio must be in (0, 1]"),
+], ids=["nx", "ny", "ratio-zero", "ratio-above-one"])
+def test_bad_rect_mesh_requests_are_rejected(nx, ny, grading, message):
+    with pytest.raises(MeshError) as exc:
+        generate_rect_mesh((0, 1, 0, 1), nx, ny, grading=grading)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("vertices,triangles,fragment", [
