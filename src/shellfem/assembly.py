@@ -33,9 +33,9 @@ too, is one `_gram` on a slice.  The primal forms are the four that the
 solves read: R, the bending form, and GT, the membrane and shear forms
 summed, each with its penalty part (R_pen, GT_pen) in a matrix of its own,
 so the penalty constant can be recalibrated without reassembling
-anything.  The same traces evaluate fields at points
-(`field_values`), which is all the norms of norms.py need; its one Gram
-matrix, Q_H, is summed the same way on the same blocks.
+anything.  The same traces evaluate fields at points (`field_values`),
+which with `_flux_operator` is all the norms and energies of norms.py
+need; its one Gram matrix, Q_H, is summed the same way on the same blocks.
 
 All square matrices are over the primal DOFs (blocks 1+2 of the layout);
 the stress coupling block has shape (n_block3, n_primal).

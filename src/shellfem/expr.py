@@ -214,7 +214,8 @@ class _Parser:
             node = self.expr()
             self.expect_op(")")
             return node
-        raise ExprError(f"unexpected token {value!r}", pos)
+        raise ExprError("unexpected end of expression" if kind == "end"
+                        else f"unexpected token {value!r}", pos)
 
 
 def parse(src: str) -> Node:

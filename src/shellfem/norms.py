@@ -6,10 +6,10 @@ length of plain ds, on the interior edges and the S/D boundary edges
 (rotation jumps on D edges only).  Every norm value comes from one pointwise
 pass: the discrete field, minus an exact field for errors, is evaluated at
 the volume and edge quadrature points by the assembler's grouped kernel and
-its squares are integrated.  The same pass gives the shear energy u^T T u,
-with the rules and weights of the forms, so the membrane energy is the
-stored GT's minus it.  The only Gram matrix is Q_H, the Gram matrix of the
-H_h norm.
+its squares are integrated.  The same pass gives the bending, membrane and
+shear energies from the strains, edge fluxes and jumps, with the rules and
+weights of the forms, and reads no assembled form.  The only Gram matrix is
+Q_H, the Gram matrix of the H_h norm.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import strain
-from .assembly import (FormAssembler, _aux_basis, _field_columns, _gram,
-                       _Sums)
+from .assembly import (FormAssembler, _aux_basis, _field_columns,
+                       _flux_operator, _gram, _Sums)
 from .geometry import batched
 
 
@@ -57,14 +57,14 @@ def _jet(phi):
     return jet
 
 
-def _edge_flux(sides, d, rows=slice(None)):
-    """h sqrt(a) a^{ab} tau_b n_a (..., E, q) on the edges `rows` of the
-    edge data d, of the mean of the fields of `sides`, each (values,
-    gradients) from `FormAssembler.field_values` at the edges' points."""
+def _edge_flux(asm, sides, d, rows=slice(None)):
+    """h sqrt(a) times the fluxes (..., E, q, 5) of `_flux_operator` on the
+    edges `rows` of d, of the mean of the fields (values, grads) `sides`."""
     g = d.geom[rows]
-    tau = sum(strain.field_strains(*f, g)[2] for f in sides) / len(sides)
-    return d.h[rows, None] * g.sqrt_a * np.einsum(
-        "...eqb,eqab,ea->...eq", tau, g.a_con, d.nbar[rows])
+    op = _flux_operator(g, asm._elastic(g).elastic, d.nbar[rows])
+    jet = sum(np.concatenate([v[..., None], gr], -1) for v, gr in sides)
+    return (d.h[rows, None] * g.sqrt_a / len(sides))[..., None] * np.einsum(
+        "eqrj,...eqj->...eqr", op, jet.reshape(jet.shape[:-2] + (15,)))
 
 
 class NormEngine:
@@ -76,16 +76,17 @@ class NormEngine:
         self._grams = None
 
     def _pieces(self, primal, exact=None, aux=None, strains=True,
-                scale=None, shear=False) -> dict:
+                scale=None, energies=False) -> dict:
         """Squared pieces of the norms of the discrete field `primal` minus
         `exact` (zero if None): the volume parts "H", "rho", "gamma", "tau"
         (the strain parts only if `strains`) and, of the auxiliary field
         `aux`, "V"; the edge-jump parts "jump_theta", "jump_u", "jump_w".
-        With `shear` (and `strains`, and no `exact`), also "shear", the shear
-        energy u^T T u without its penalty, with the forms' rules: kappa mu
-        times the sum over elements of the integral of
-        sqrt(a) a^{ab} tau_a tau_b minus twice the sum over the S/D and
-        interior edges of the integral of h sqrt(a) [w] {a^{ab} tau_b n_a}.
+        With `energies` (and `strains`, and no `exact`), also "bending",
+        "membrane" and "shear", u^T F u for F = R, G and T without penalty,
+        by the forms' rules: sqrt(a) rho:A rho / 3, gamma:A gamma and
+        kappa mu a^{ab} tau_a tau_b on the elements; h sqrt(a) times
+        (2/3) (b^d_a [u_d] - [theta_a]) {(A rho) n}_a, -2 [u_a] {(A gamma) n}_a
+        and -2 kappa mu [w] {a^{ab} tau_b n_a} on the S/D and interior edges.
         `exact` provides values(pts)->(n,5) and grads(pts)->(n,5,2), called
         on all element quadrature points, then values on all S/D
         boundary-edge points.  A stack primal (k, n) gives pieces (k,), of
@@ -112,9 +113,6 @@ class NormEngine:
         if strains:
             r, gm, ta = strain.field_strains(v, g, e.geom)
             out.update(rho=integral(r), gamma=integral(gm), tau=integral(ta))
-        if shear:
-            out["shear"] = np.sum(w * e.geom.sqrt_a * np.einsum(
-                "...a,...ab,...b->...", ta, e.geom.a_con, ta), axis=(-2, -1))
         if aux is not None:                             # with one primal
             S = _aux_basis(e.bary)                      # (nq,6,15)
             out["V"] = integral(aux[e.aux] @ S.reshape(-1, S.shape[-1]).T)
@@ -127,9 +125,9 @@ class NormEngine:
                           in ((interior.left, interior.pts),
                               (interior.right, interior.pts),
                               (boundary.left[fixed], pts)))
-        if shear:       # before the rotations on S edges are zeroed
-            flux = np.concatenate([_edge_flux((left, right), interior),
-                                   _edge_flux((d,), boundary, fixed)], axis=-2)
+        if energies:    # before the rotations on S edges are zeroed
+            flux = np.concatenate([_edge_flux(asm, (left, right), interior),
+                                   _edge_flux(asm, (d,), boundary, fixed)], -3)
         d = d[0]
         if exact is not None:
             d -= s * batched(exact.values, pts.reshape(-1, 2)).reshape(
@@ -139,10 +137,22 @@ class NormEngine:
         j2 = np.einsum("q,...eqc->...c", interior.we, jump ** 2)  # one rule
         out.update(jump_theta=j2[..., :2].sum(-1), jump_u=j2[..., 2:4].sum(-1),
                    jump_w=j2[..., 4])
-        if shear:
-            edges = np.sum(interior.we * jump[..., 4] * flux, axis=(-2, -1))
-            mat = asm.material
-            out["shear"] = mat.kappa * mat.mu * (out["shear"] - 2 * edges)
+        if energies:    # the forms' volume and edge consistency terms
+            bm = np.concatenate([interior.geom.b_mix,
+                                 boundary.geom.b_mix[fixed]])
+            bend = np.einsum("eqda,...eqd->...eqa", bm, jump[..., 2:4])
+            x = np.concatenate([bend - jump[..., :2], jump[..., 2:]], -1)
+            ec = np.einsum("q,...eqc,...eqc->...c", interior.we, x, flux)
+            wa, A = w * e.geom.sqrt_a, asm._elastic(e.geom).elastic
+            km = asm.material.kappa * asm.material.mu
+            vol = "tq,...tqab,tqabcd,...tqcd->..."
+            out["bending"] = (np.einsum(vol, wa, r, A, r)
+                              + 2 * ec[..., :2].sum(-1)) / 3
+            out["membrane"] = (np.einsum(vol, wa, gm, A, gm)
+                               - 2 * ec[..., 2:4].sum(-1))
+            out["shear"] = km * (np.einsum(
+                "tq,...tqa,tqab,...tqb->...", wa, ta, e.geom.a_con, ta)
+                - 2 * ec[..., 4])
         return out
 
     def grams(self):
@@ -175,19 +185,16 @@ class NormEngine:
     def discrete_norms(self, primal: np.ndarray, aux: np.ndarray = None, *,
                        epsilon: float) -> NormReport:
         """Norms of the discrete field `primal` (and of `aux`, V_h) and its
-        energies: bending u^T (R + C R_pen) u, shear u^T (T + C T_pen) u from
-        the pointwise pass (T_pen's part is C times its "jump_w"), and
-        membrane, u^T (GT + C GT_pen) u minus the shear."""
-        p = self._pieces(primal, aux=aux, shear=True)
+        energies u^T (F + C F_pen) u, F = R, G, T, from `_pieces`: F_pen's
+        part is C times "jump_theta", "jump_u" + "jump_w" and "jump_w"."""
+        p = self._pieces(primal, aux=aux, energies=True)
         rho, gam, tau, a, H = (_root(p, _SEMINORMS[k])
                                for k in ("rho", "gamma", "tau", "a", "H"))
         V = float(np.sqrt(p["V"])) if "V" in p else None
-        f, C = self.asm.forms(), self.asm.penalty()
-        eb, egt = (float(primal @ (f[k] @ primal
-                                   + C * (f[k + "_pen"] @ primal)))
-                   for k in ("R", "GT"))
+        C = self.asm.penalty()
+        eb = float(p["bending"] + C * p["jump_theta"])
+        em = float(p["membrane"] + C * (p["jump_u"] + p["jump_w"]))
         es = float(p["shear"] + C * p["jump_w"])
-        em = egt - es
         energies = {
             "bending": eb, "membrane": em, "shear": es,
             "total_scaled": epsilon ** 2 * eb + em + es,

@@ -126,13 +126,15 @@ def test_exit_code_config_error(tmp_path, capsys, text):
      "[mesh] tags needs 4 entries (left,right,bottom,top)"),
     (GOOD.replace("p3 = sin(pi * x1) * x2", "p3 = sin(pi * x1"),
      "[loads]: expected ')'"),
+    (GOOD.replace("p3 = sin(pi * x1) * x2", "p3 = 2 +"),
+     "[loads]: unexpected end of expression"),
     (MANUFACTURED.replace("w = sin(pi * x1) * sin(pi * x2)", "w = x3"),
      "[manufactured]: unknown identifier 'x3'"),
     (MANUFACTURED.replace("w = sin(pi * x1) * sin(pi * x2)", ""),
      "[manufactured] missing fields: ['w']"),
 ], ids=["domain", "expression-without-z", "unreadable-mesh-file",
-        "no-mesh", "tags", "loads-expression", "manufactured-expression",
-        "manufactured-field"])
+        "no-mesh", "tags", "loads-expression", "loads-expression-cut-short",
+        "manufactured-expression", "manufactured-field"])
 def test_exit_code_spec_error(tmp_path, capsys, text, message):
     cfg = write(tmp_path, text)
     assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 2

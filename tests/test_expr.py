@@ -72,6 +72,9 @@ def test_syntax_error_offset():
     ("x1 $", "unexpected character '$'", 3),
     ("sin x1", "expected '('", 4),
     ("x1 x2", "unexpected trailing input 'x2'", 3),
+    ("2 +", "unexpected end of expression", 3),
+    ("sin(", "unexpected end of expression", 4),
+    ("", "unexpected end of expression", 0),
 ])
 def test_parse_errors_name_the_fault_and_its_offset(text, message, pos):
     with pytest.raises(ExprError) as exc:

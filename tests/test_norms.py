@@ -66,10 +66,9 @@ def test_energy_components_consistent():
     ("hypar", 6, ("D", "F", "D", "F"))],
     ids=["cylinder-DFSF", "hypar-5x5-enriched", "hypar-6x6-DFDF"])
 def test_pointwise_energies_equal_the_reference_forms(kind, n, tags):
-    """The energies of `discrete_norms`, the shear one pointwise and the
-    membrane one from the stored G + T, equal u^T F u with the oracle's
-    element-by-element forms F = R + C R_pen, G + C G_pen and T + C T_pen,
-    to 1e-12 relative."""
+    """The energies of `discrete_norms`, all three from its pointwise pass,
+    equal u^T F u with the oracle's element-by-element forms
+    F = R + C R_pen, G + C G_pen and T + C T_pen, to 1e-12 relative."""
     eng = make_engine(kind, tags, n, n)
     if kind == "hypar" and tags[0] == "F":
         assert set(eng.layout.nf) == {3, 5, 7}
@@ -79,6 +78,28 @@ def test_pointwise_energies_equal_the_reference_forms(kind, n, tags):
     for name, key in (("bending", "R"), ("membrane", "G"), ("shear", "T")):
         want = v @ (f[key] + C * f[key + "_pen"]) @ v
         assert abs(got[name] - want) <= 1e-12 * abs(want), name
+
+
+def test_membrane_energy_of_a_pure_plate_deflection_is_not_negative():
+    """A continuous deflection w of the plate, zero on its clamped edges,
+    with every other field zero, has no membrane strain, no membrane flux
+    and no jump: its membrane energy is zero up to rounding, never below."""
+    eng = make_engine("plate", nx=6, ny=6)
+    mesh, layout = eng.asm.mesh, eng.asm.layout
+    assert set(layout.nf) == {3}
+    x1, x2 = mesh.vertices[mesh.triangles].T              # (3, nt) each
+    v = np.zeros(layout.n_primal)
+    v[layout.dofs[:, 12:15]] = (x1 * (1 - x1) * x2 * (1 - x2)).T
+    en = eng.discrete_norms(v, epsilon=0.1).energies
+    assert en["shear"] > 0
+    assert 0 <= en["membrane"] <= 1e-14 * en["shear"]
+
+
+def test_norms_build_no_forms():
+    eng = make_engine()
+    v = np.random.default_rng(5).standard_normal(eng.layout.n_primal)
+    eng.discrete_norms(v, epsilon=0.1)
+    assert eng.asm._forms is None
 
 
 def test_error_norms_vanish_on_represented_fields():
