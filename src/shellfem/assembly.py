@@ -3,12 +3,13 @@
 The assembler precomputes geometry and basis data at all element and edge
 quadrature points once.  Every sweep then runs one batched kernel over
 groups: elements grouped by local size (15, 21 or 27 DOFs), interior edges
-by the local sizes of their two sides, boundary edges by local size and tag,
-and arbitrary points by the local size of their element.  Each group is cut
-into slices of at most SLICE_BUDGET (point, local DOF) pairs, on which the
-basis is traced once (value and physical partials of each function); the
-cap is on what a slice materialises, so a slice of 54-DOF edge blocks holds
-fewer points than one of 15-DOF elements.  What a form integrates, the
+by the local sizes of their two sides, boundary edges by local size and the
+fields they join (`fe_space.JOINS`), and arbitrary points by the local size
+of their element.  Each group is cut into slices of at most SLICE_BUDGET
+(point, local DOF) pairs, on which the basis is traced once (value and
+physical partials of each function); the cap is on what a slice
+materialises, so a slice of 54-DOF edge blocks holds fewer points than one
+of 15-DOF elements.  What a form integrates, the
 strains of strain.py or on edges their normal fluxes, is a per-point
 operator on the 15 values and partials of the five fields, built from the
 geometry alone; applied to the traces it gives that quantity for every
@@ -50,7 +51,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from . import strain
-from .fe_space import N_MONO, eval_monos, grad_monos
+from .fe_space import JOINS, N_MONO, eval_monos, grad_monos
 from .geometry import batched, eval_elastic
 from .mesh import edge_normal
 from .ordering import nested_dissection
@@ -86,13 +87,16 @@ class LoadSpec:
     """Right-hand-side description.
 
     Callables of parameter points (n,2) -> (n,) give volume loads p1,p2,p3
-    (forces) and c1,c2 (couples) and arc-length densities r1,r2 (moments on
-    S and F) and q1,q2,q3 (forces on F).  Or a provider gives all loads from
-    points and their geometry: volume_loads(points, geom) a dict of the five
-    volume loads, boundary_fluxes(points, geom) the stress tensors m (n,2,2),
-    nmem (n,2,2), t (n,2) to be contracted with the edge normal.  Each is
-    called once per mesh, on all its quadrature points (volume or S/F edge);
-    beyond geometry.POINT_BUDGET points, once per slice of at most that many.
+    (forces) and c1,c2 (couples) and arc-length densities r1,r2 (moments)
+    and q1,q2,q3 (forces) on the boundary; each density acts on its field,
+    theta1, theta2, u1, u2 or w, on the edges that leave that field free
+    (`fe_space.JOINS`).  Or a provider gives all loads from points and their
+    geometry: volume_loads(points, geom) a dict of the five volume loads,
+    boundary_fluxes(points, geom) the stress tensors m (n,2,2), nmem
+    (n,2,2), t (n,2) to be contracted with the edge normal.  Each is called
+    once per mesh, on all its quadrature points (volume, or of the boundary
+    edges that leave some field free); beyond geometry.POINT_BUDGET points,
+    once per slice of at most that many.
     """
     p1: object = None
     p2: object = None
@@ -289,7 +293,7 @@ class FormAssembler:
                       coords[:, 1] - coords[:, 2]], axis=-1)        # (nt,2,2)
         qpts = np.einsum("qi,tix->tqx", bary, coords)               # (nt,nq,2)
         geom = batched(chart.evaluate, qpts)
-        aux = (5 * mesh.triangles[..., None] + np.arange(5)).reshape(nt, 15)
+        aux = layout.stress_dofs[mesh.triangles].reshape(nt, 15)
         self._elem = SimpleNamespace(bary=bary, wq=wq, coords=coords,
                                      areas=mesh.areas, Jinv=np.linalg.inv(J),
                                      qpts=qpts, geom=geom,
@@ -362,7 +366,8 @@ class FormAssembler:
     def _edge_data(self):
         """Stacked data of the interior and of the boundary edges: points,
         geometry, h, normals pointing out of `left`, the owners `left` and
-        `right` (-1 on the boundary) and tags ("" inside)."""
+        `right` (-1 on the boundary), tags ("" inside) and their rows
+        `joins` (ne, 5) of JOINS."""
         if self._edges is not None:
             return self._edges
         mesh = self.mesh
@@ -379,6 +384,7 @@ class FormAssembler:
             return SimpleNamespace(
                 pts=pts, geom=geom, te=te, we=we, h=h, verts=verts, left=left,
                 right=right, tag=tag,
+                joins=np.array([JOINS[t] for t in tag], bool).reshape(-1, 5),
                 arc=np.sqrt(np.einsum("eqab,ea,eb->eq", geom.a_cov, tang, tang)),
                 nbar=edge_normal(mesh, verts, left))
 
@@ -391,15 +397,15 @@ class FormAssembler:
         return self._edges
 
     def _edge_slices(self, d):
-        """Slices k of the edges of `d` not tagged F that share the local
-        sizes of their sides and their tag, each with its owners: the left
-        elements, then the right ones off the boundary."""
+        """Slices k of the edges of `d` that join some field and share the
+        local sizes of their sides and the fields they leave free, each with
+        its owners: the left elements, then the right ones off the boundary."""
         e = self._elem_data()
         inner = d.right >= 0
-        keys = np.stack([e.nf[d.left], np.where(inner, e.nf[d.right], -1),
-                         np.unique(d.tag, return_inverse=True)[1]], axis=1)
+        keys = np.column_stack([e.nf[d.left],
+                                np.where(inner, e.nf[d.right], -1), ~d.joins])
         nl = 6 + 3 * e.nf[d.left] + np.where(inner, 6 + 3 * e.nf[d.right], 0)
-        rows = np.flatnonzero(d.tag != "F")
+        rows = np.flatnonzero(d.joins.any(axis=1))
         for k in (rows[s] for s in _groups(keys[rows], len(d.we), nl[rows])):
             yield k, [d.left[k]] + ([d.right[k]] if inner[k[0]] else [])
 
@@ -407,10 +413,11 @@ class FormAssembler:
         """The jumps (E, q, 13, nl) and the fluxes (E, q, 5, nl) of every
         local DOF of the edge slice k.  Jumps, left minus right (one-sided
         on the boundary): rows 0-4 the values of the five fields, 5-6
-        b^d_a u_d - theta_a (theta_a only off S edges), 7-12 u_1 n_1,
-        u_1 n_2, u_2 n_1, u_2 n_2, w n_1, w n_2.  They read the basis values
-        alone, so each field's block is one scaled copy of them.  Fluxes,
-        the mean of the sides: `_flux_operator` applied to the traces."""
+        b^d_a u_d - theta_a, 7-12 u_1 n_1, u_1 n_2, u_2 n_1, u_2 n_2, w n_1,
+        w n_2; a field that the edge does not join is zero in rows 0-4 and
+        adds no theta_a to rows 5-6.  They read the basis values alone, so
+        each field's block is one scaled copy of them.  Fluxes, the mean of
+        the sides: `_flux_operator` applied to the traces."""
         g = d.geom[k]
         op = _flux_operator(g, self._elastic(g).elastic, d.nbar[k])
         phis = [self._traces(t, d.pts[k])[1] for t in owners]
@@ -423,11 +430,10 @@ class FormAssembler:
             v = sign * phi[:, :, 0]                              # (E, q, nf)
             cols = [slice(at + c.start, at + c.stop)
                     for c in _field_columns(phi.shape[-1])]
-            for c, col in enumerate(cols):
-                jump[:, :, c, col] = v[..., :col.stop - col.start]
-            if d.tag[k[0]] != "S":
-                for a in (0, 1):
-                    jump[:, :, 5 + a, cols[a]] = -v[..., :3]
+            for c in np.flatnonzero(d.joins[k[0]]):
+                jump[:, :, c, cols[c]] = v[..., :cols[c].stop - cols[c].start]
+            for a in np.flatnonzero(d.joins[k[0], :2]):
+                jump[:, :, 5 + a, cols[a]] = -v[..., :3]
             for i in (0, 1):
                 jump[:, :, 5:7, cols[2 + i]] = bt[..., i, :] * v[:, :, None]
             for i in (0, 1, 2):
@@ -471,9 +477,10 @@ class FormAssembler:
         n, n3 = self.layout.n_primal, self.layout.n_block3
         # the vertices of each block own its stress rows
         verts = [tris[t] for t in elems] + [d.verts[k] for d, k, _ in edges]
-        stress = _Sums((n3, n3), _vertex_rows(n3),
-                       [(tris[t], e.aux[t]) for t in elems], ("C",))
-        coupling = _Sums((n3, n), _vertex_rows(n3),
+        rows = self.layout.stress_dofs
+        stress = _Sums((n3, n3), rows, [(tris[t], e.aux[t]) for t in elems],
+                       ("C",))
+        coupling = _Sums((n3, n), rows,
                          [(v, c) for v, (_, c) in zip(verts, blocks)], ("B",))
         square = _Sums((n, n), e.dofs, blocks, ("R", "R_pen", "GT", "GT_pen"))
         for b, t in enumerate(elems):
@@ -509,8 +516,8 @@ class FormAssembler:
 
     def _edge_forms(self, square, coupling, b, d, k, owners):
         """Add the terms of the edge slice k of `d`, block b of the forms,
-        to the primal forms (consistency and penalties) and the stress
-        coupling."""
+        to the primal forms (consistency and penalties, on the jumps of the
+        fields the edges join) and the stress coupling."""
         jump, flux = self._edge_values(d, k, owners)
         wsa = d.h[k, None] * d.we * d.geom.sqrt_a[k]          # consistency
         flux[:, :, 4] *= self.material.kappa * self.material.mu
@@ -521,21 +528,21 @@ class FormAssembler:
                 ("GT", -1.0, jump[:, :, 2:5], flux[:, :, 2:5])):
             X = _gram(wsa, x, y)
             square.add(key, b, fac * (X + np.swapaxes(X, 1, 2)))
-        # penalties: the h_e^{-1} weight cancels against h; rotations not on
-        # S edges; GT_pen is the membrane penalty on the u1, u2 and w jumps
-        # plus the shear penalty on the w jumps, so w's counts twice.  Each
-        # is summed on the columns of its fields, where its jumps live
-        nfs = self._elem_data().nf
-        starts = np.cumsum([0] + [6 + 3 * nfs[t[0]] for t in owners])
-        rot = np.concatenate([np.arange(a, a + 6) for a in starts[:-1]])
-        disp = np.concatenate([np.arange(a + 6, z) for a, z in
-                               zip(starts[:-1], starts[1:])])
-        if d.tag[k[0]] != "S":
-            jth = jump[:, :, 0:2, rot]
-            square.add("R_pen", b, _gram(d.we, jth, jth), rot)
-        juw = jump[:, :, 2:5, disp]
-        square.add("GT_pen", b, _gram(d.we, juw * [[1.0], [1.0], [2.0]], juw),
-                   disp)
+        # penalties on the jumps of the fields the edge joins, each summed on
+        # those fields' columns, where its jumps live: the h_e^{-1} weight
+        # cancels against h; GT_pen is the membrane penalty on the u1, u2 and
+        # w jumps plus the shear penalty on the w jumps, so w's counts twice
+        nfs = [self._elem_data().nf[t[0]] for t in owners]
+        starts = np.cumsum([0] + [6 + 3 * nf for nf in nfs])
+        weight = np.array([1.0, 1.0, 1.0, 1.0, 2.0])[:, None]
+        for key, fields in (("R_pen", (0, 1)), ("GT_pen", (2, 3, 4))):
+            f = [c for c in fields if d.joins[k[0], c]]
+            if f:
+                sel = np.concatenate([a + np.r_[tuple(_field_columns(nf)[c]
+                                                      for c in f)]
+                                      for a, nf in zip(starts, nfs)])
+                x = jump[:, :, f][..., sel]
+                square.add(key, b, _gram(d.we, weight[f] * x, x), sel)
         # -(M^{ab}[v_a]n_b + xi^a [z]n_a), as in Se
         Se = _aux_basis(np.stack([1 - d.te, d.te], axis=1))[None]
         coupling.add("B", b, -_gram(wsa, Se, jump[:, :, 7:13]))
@@ -594,8 +601,9 @@ class FormAssembler:
         return out
 
     def load_vector(self, loads: LoadSpec) -> np.ndarray:
-        """Each load is evaluated once, on all volume or all S/F-edge
-        quadrature points; the grouped kernel only contracts."""
+        """Each load is evaluated once, on all volume quadrature points or
+        on all those of the boundary edges that leave some field free; the
+        grouped kernel only contracts."""
         rhs = np.zeros(self.layout.n_primal)
         e = self._elem_data()
         vol = ("c1", "c2", "p1", "p2", "p3")
@@ -605,7 +613,7 @@ class FormAssembler:
             rhs += self._scatter(np.arange(self.mesh.n_triangles), None,
                                  np.moveaxis(fv, 0, -1))
         d = self._edge_data()[1]
-        loaded = np.flatnonzero(d.tag != "D")
+        loaded = np.flatnonzero(~d.joins.all(axis=1))
         if not len(loaded):
             return rhs
         pts, g = d.pts[loaded], d.geom[loaded]                   # (ne,nq,2)
@@ -623,15 +631,9 @@ class FormAssembler:
                                    np.einsum("eqgb,eb->geq", nmem - bm, nbar),
                                    np.einsum("eqa,ea->eq", tsh, nbar)[None]])
             weight = g.sqrt_a
-        # forces act on F edges only
-        dens[2:, d.tag[loaded] == "S"] = 0.0
+        dens[d.joins[loaded].T] = 0.0         # none where its field is joined
         f = d.h[loaded, None] * d.we * weight * dens
         return rhs + self._scatter(d.left[loaded], pts, np.moveaxis(f, 0, -1))
-
-
-def _vertex_rows(n3):
-    """The rows of each vertex in the stress block, its 5 components."""
-    return np.arange(n3).reshape(-1, 5)
 
 
 def _aux_basis(pv):

@@ -22,7 +22,7 @@ from .driver import ShellProblem
 from .fe_space import FIELDS
 from .geometry import POINT_BUDGET, GeometryError, batched, make_chart
 from .manufactured import ManufacturedSolution
-from .mesh import (MeshError, generate_rect_mesh, load_mesh,
+from .mesh import (TAGS, MeshError, generate_rect_mesh, load_mesh,
                    mesh_condition_report)
 from .regime import detect_regime
 from .solve import SolverError
@@ -169,17 +169,29 @@ def _build_mesh(sec):
     rect = _get_floats(sec, "rect")
     if rect is None or len(rect) != 4:
         raise ConfigError("[mesh] needs file = path or rect = a,b,c,d")
-    nx = _get(sec, "nx", 4, int)
-    ny = _get(sec, "ny", 4, int)
+    nx = _bounded("nx", _get(sec, "nx", 4, int), 1, False)
+    ny = _bounded("ny", _get(sec, "ny", 4, int), 1, False)
     tags = tuple(t.strip().upper() for t in sec.get("tags", "D,D,D,D").split(","))
     if len(tags) != 4:
         raise ConfigError("[mesh] tags needs 4 entries (left,right,bottom,top)")
+    for t in tags:
+        if t not in TAGS:
+            raise ConfigError(f"key 'tags' must be {'|'.join(TAGS)} each, "
+                              f"got {t!r}")
     grading = None
     if "grading_toward" in sec and "grading_ratio" not in sec:
         raise ConfigError("[mesh] key 'grading_toward' needs grading_ratio")
     if "grading_ratio" in sec:
-        grading = {"ratio": _get(sec, "grading_ratio"),
-                   "toward": sec.get("grading_toward", "left")}
+        ratio = _get(sec, "grading_ratio")
+        if not 0 < ratio <= 1:
+            raise ConfigError("key 'grading_ratio' must be in (0, 1], got "
+                              f"{ratio:g}")
+        toward = sec.get("grading_toward", "left")
+        sides = ("left", "right", "bottom", "top")
+        if toward not in sides:
+            raise ConfigError(f"key 'grading_toward' must be {'|'.join(sides)}"
+                              f", got {toward!r}")
+        grading = {"ratio": ratio, "toward": toward}
     return generate_rect_mesh(rect, nx, ny, tags=tags, grading=grading)
 
 

@@ -42,6 +42,10 @@ ONE = np.zeros(N_MONO)
 ONE[_MONO_INDEX[(0, 0)]] = 1.0
 
 FIELDS = ("theta1", "theta2", "u1", "u2", "w")
+# the fields whose jumps the edges of each tag join, "" the interior ones;
+# a boundary load acts on each field that its edge leaves free: the moments
+# r1, r2 on theta1, theta2 and the forces q1, q2, q3 on u1, u2, w
+JOINS = {"": (1,) * 5, "D": (1,) * 5, "S": (0, 0, 1, 1, 1), "F": (0,) * 5}
 
 
 class SpaceError(ValueError):
@@ -158,10 +162,10 @@ def _local_bases(coords, area, chart, free_edges: tuple):
 
 def _free_edge_groups(mesh):
     """(free_edges, elements) of each group of elements that share their
-    sorted tuple of free local edges."""
+    sorted tuple of free local edges, those that join no field."""
     free = np.zeros((mesh.n_triangles, 3), dtype=bool)
     bd = mesh.boundary
-    on = bd.tag == "F"
+    on = ~np.array([any(JOINS[t]) for t in bd.tag], dtype=bool)
     free[bd.triangle[on], bd.local[on]] = True
     rows, group = np.unique(free, axis=0, return_inverse=True)
     for g, row in enumerate(rows):
@@ -196,6 +200,12 @@ class DofLayout:
     @property
     def n_block3(self):
         return 5 * self.mesh.n_vertices
+
+    @property
+    def stress_dofs(self):
+        """The 5 stress DOFs (nv, 5) of each vertex, M11, M22, M12, xi1,
+        xi2, in vertex order, numbered from the start of block 3."""
+        return np.arange(self.n_block3).reshape(-1, 5)
 
     @property
     def n_primal(self):

@@ -174,5 +174,6 @@ class ManufacturedSolution:
 
     def load_spec(self) -> LoadSpec:
         """Loads with this solution as their provider: `load_vector` hands
-        it the geometry it holds at the volume and S/F edge points."""
+        it the geometry it holds at the volume points and at the points of
+        the boundary edges that leave some field free."""
         return LoadSpec(provider=self)

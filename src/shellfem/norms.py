@@ -2,8 +2,8 @@
 
 All Sobolev pieces are plain (unweighted) integrals over the parameter
 domain; edge pieces carry h_e^{-1} weights, which cancel against the edge
-length of plain ds, on the interior edges and the S/D boundary edges
-(rotation jumps on D edges only).  Every norm value comes from one pointwise
+length of plain ds, on the jumps of the fields each edge joins
+(`fe_space.JOINS`).  Every norm value comes from one pointwise
 pass: the discrete field, minus an exact field for errors, is evaluated at
 the volume and edge quadrature points by the assembler's grouped kernel and
 its squares are integrated.  The same pass gives the bending, membrane and
@@ -86,12 +86,13 @@ class NormEngine:
         by the forms' rules: sqrt(a) rho:A rho / 3, gamma:A gamma and
         kappa mu a^{ab} tau_a tau_b on the elements; h sqrt(a) times
         (2/3) (b^d_a [u_d] - [theta_a]) {(A rho) n}_a, -2 [u_a] {(A gamma) n}_a
-        and -2 kappa mu [w] {a^{ab} tau_b n_a} on the S/D and interior edges.
+        and -2 kappa mu [w] {a^{ab} tau_b n_a} on the edges that join some
+        field, a boundary edge's traces masked to the fields it joins.
         `exact` provides values(pts)->(n,5) and grads(pts)->(n,5,2), called
-        on all element quadrature points, then values on all S/D
-        boundary-edge points.  A stack primal (k, n) gives pieces (k,), of
-        each of its vectors minus `exact`, or minus scale[i] times `exact`
-        for vector i if `scale` (k,) is given."""
+        on all element quadrature points, then values on the points of all
+        boundary edges that join some field.  A stack primal (k, n) gives
+        pieces (k,), of each of its vectors minus `exact`, or minus scale[i]
+        times `exact` for vector i if `scale` (k,) is given."""
         asm = self.asm
         e = asm._elem_data()
         w = e.areas[:, None] * e.wq                     # plain area element
@@ -119,20 +120,20 @@ class NormEngine:
         # edge jumps: exact fields are continuous, so jumps of the difference
         # equal jumps of the discrete field; boundary traces subtract exact
         interior, boundary = asm._edge_data()
-        fixed = np.flatnonzero(boundary.tag != "F")
+        fixed = np.flatnonzero(boundary.joins.any(axis=1))
         pts = boundary.pts[fixed]
         left, right, d = (asm.field_values(primal, owners, at) for owners, at
                           in ((interior.left, interior.pts),
                               (interior.right, interior.pts),
                               (boundary.left[fixed], pts)))
-        if energies:    # before the rotations on S edges are zeroed
+        if energies:    # before the boundary traces are masked
             flux = np.concatenate([_edge_flux(asm, (left, right), interior),
                                    _edge_flux(asm, (d,), boundary, fixed)], -3)
         d = d[0]
         if exact is not None:
             d -= s * batched(exact.values, pts.reshape(-1, 2)).reshape(
                 d.shape[-3:])
-        d[..., boundary.tag[fixed] == "S", :, :2] = 0.0  # rotations only on D
+        d = np.where(boundary.joins[fixed, None], d, 0.0)  # the joined fields
         jump = np.concatenate([left[0] - right[0], d], axis=-3)
         j2 = np.einsum("q,...eqc->...c", interior.we, jump ** 2)  # one rule
         out.update(jump_theta=j2[..., :2].sum(-1), jump_u=j2[..., 2:4].sum(-1),
@@ -158,8 +159,8 @@ class NormEngine:
     def grams(self):
         """Q_H, the Gram matrix of the H_h norm, summed on the forms' blocks
         and structure: on each element block its volume part, on each edge
-        block its jumps of u and w, and of the rotations off S edges.  Like
-        the forms, it stores an entry even where its terms cancel."""
+        block the jumps of the fields the edges join.  Like the forms, it
+        stores an entry even where its terms cancel."""
         if self._grams is None:
             asm = self.asm
             e, n = asm._elem_data(), self.layout.n_primal
@@ -170,7 +171,7 @@ class NormEngine:
                 Q.add("Q", b, _gram(e.areas[t, None] * e.wq, jet, jet))
             for b, (d, k, owners) in enumerate(edges, len(elems)):
                 jump = asm._edge_values(d, k, owners)[0]
-                j = jump[:, :, 2 if d.tag[k[0]] == "S" else 0:5]
+                j = jump[:, :, np.flatnonzero(d.joins[k[0]])]
                 Q.add("Q", b, _gram(d.we, j, j))
             self._grams = Q.matrices()["Q"]
         return self._grams

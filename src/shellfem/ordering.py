@@ -35,7 +35,7 @@ def _graph(mesh, layout):
         (verts.ravel(), np.roll(verts, 1, axis=1).ravel())))
     table = np.full((nt + nv, layout.dofs.shape[1]), -1)
     table[:nt] = layout.dofs
-    table[nt:, :5] = layout.n_primal + 5 * np.arange(nv)[:, None] + np.arange(5)
+    table[nt:, :5] = layout.n_primal + layout.stress_dofs
     return np.concatenate([pts, mesh.vertices]), table, i, j
 
 

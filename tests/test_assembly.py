@@ -429,6 +429,23 @@ def test_edge_kernel_equals_the_full_operator(case, budget, monkeypatch):
     assert_bitwise_equal(forms_and_grams(asm), want)
 
 
+def test_s_edges_have_no_rotation_jumps():
+    """An S edge joins u1, u2 and w only: its jump rows 0-1 of the
+    rotations and the theta part of its rows 5-6 are zero, where a D
+    edge's are not, and both have the displacement jumps."""
+    asm = make_assembler("sphere", 6, 6, ("S", "D", "F", "D"))
+    d = asm._edge_data()[1]
+    tags = set()
+    for k, owners in asm._edge_slices(d):
+        jump = asm._edge_values(d, k, owners)[0]
+        rotation = (jump[:, :, 0:2].any(), jump[:, :, 5:7, :6].any())
+        assert rotation == ((False, False) if d.tag[k[0]] == "S"
+                            else (True, True))
+        assert jump[:, :, 2:5].any()
+        tags.add(d.tag[k[0]])
+    assert tags == {"D", "S"}
+
+
 @pytest.mark.parametrize("case", ["cylinder-12x12", "hypar-5x5-enriched"])
 def test_forms_pass_each_point_to_eval_elastic_once(case, monkeypatch):
     """One `forms()` call evaluates the elastic tensors once at each

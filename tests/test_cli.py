@@ -124,6 +124,11 @@ def test_exit_code_config_error(tmp_path, capsys, text):
      "[mesh] needs file = path or rect = a,b,c,d"),
     (GOOD.replace("tags = D, D, D, D", "tags = D, D, D"),
      "[mesh] tags needs 4 entries (left,right,bottom,top)"),
+    (GOOD.replace("tags = D, D, D, D", "tags = D, D, D, X"),
+     "key 'tags' must be D|S|F each, got 'X'"),
+    (GOOD.replace("ny = 2", "ny = 2\ngrading_ratio = 0.5\n"
+                  "grading_toward = middle"),
+     "key 'grading_toward' must be left|right|bottom|top, got 'middle'"),
     (GOOD.replace("p3 = sin(pi * x1) * x2", "p3 = sin(pi * x1"),
      "[loads]: expected ')'"),
     (GOOD.replace("p3 = sin(pi * x1) * x2", "p3 = 2 +"),
@@ -133,8 +138,9 @@ def test_exit_code_config_error(tmp_path, capsys, text):
     (MANUFACTURED.replace("w = sin(pi * x1) * sin(pi * x2)", ""),
      "[manufactured] missing fields: ['w']"),
 ], ids=["domain", "expression-without-z", "unreadable-mesh-file",
-        "no-mesh", "tags", "loads-expression", "loads-expression-cut-short",
-        "manufactured-expression", "manufactured-field"])
+        "no-mesh", "tags", "unknown-tag", "grading-side", "loads-expression",
+        "loads-expression-cut-short", "manufactured-expression",
+        "manufactured-field"])
 def test_exit_code_spec_error(tmp_path, capsys, text, message):
     cfg = write(tmp_path, text)
     assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -327,6 +333,9 @@ def test_exit_code_unknown_key(tmp_path, capsys):
     ("solve", "assembly", "penalty_c", "inf"),
     ("solve", "chart", "coeff", "inf"),
     ("locking", "study", "epsilons", "1e-2, inf"),
+    ("solve", "mesh", "nx", "0"),
+    ("solve", "mesh", "ny", "-3"),
+    ("solve", "mesh", "grading_ratio", "2"),
 ])
 def test_exit_code_value_out_of_range(tmp_path, capsys, study, section, key,
                                       value):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from shellfem.fe_space import FIELDS, SpaceError, build_dof_layout, eval_monos
+from shellfem.fe_space import (FIELDS, JOINS, SpaceError, _free_edge_groups,
+                               build_dof_layout, eval_monos)
 from shellfem.geometry import make_chart
-from shellfem.mesh import generate_rect_mesh, refine_uniform
+from shellfem.mesh import TAGS, generate_rect_mesh, refine_uniform
 
 from oracles import (_moment_rows, free_local_edges, layout_basis, local_fields,
                      reference_local_basis, reference_project_primal)
@@ -81,6 +82,25 @@ def layout_for(tags, nx=2, ny=2):
     chart = make_chart("plate")
     mesh = generate_rect_mesh((0, 1, 0, 1), nx, ny, tags=tags)
     return mesh, build_dof_layout(mesh, chart)
+
+
+def test_joins_table_has_a_row_per_tag_and_for_the_interior():
+    assert set(JOINS) == set(TAGS) | {""}
+    assert all(len(row) == len(FIELDS) for row in JOINS.values())
+
+
+def test_free_edge_groups_hold_exactly_the_F_edges():
+    """The free edges of the groups, those that join no field, are the
+    boundary edges tagged F, and every element is in one group."""
+    mesh = generate_rect_mesh((0, 1, 0, 1), 4, 3, tags=("S", "F", "D", "F"))
+    groups = list(_free_edge_groups(mesh))
+    got = {(t, k) for edges, ts in groups for t in ts for k in edges}
+    bd = mesh.boundary
+    want = {(t, k) for t, k, tag in zip(bd.triangle, bd.local, bd.tag)
+            if tag == "F"}
+    assert got == want and len(want) == 7
+    assert sorted(t for _, ts in groups for t in ts) == list(
+        range(mesh.n_triangles))
 
 
 def test_dof_counts_no_free_boundary():
