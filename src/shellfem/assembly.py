@@ -1,16 +1,17 @@
 """Global assembly of the shell bilinear forms and load functionals.
 
 The assembler precomputes geometry and basis data at all element and edge
-quadrature points once.  Every sweep then runs one batched kernel over
-groups: elements grouped by local size (15, 21 or 27 DOFs), interior edges
-by the local sizes of their two sides, boundary edges by local size and the
-fields they join (`fe_space.JOINS`), and arbitrary points by the local size
-of their element.  Each group is cut into slices of at most SLICE_BUDGET
-(point, local DOF) pairs, on which the basis is traced once (value and
-physical partials of each function); the cap is on what a slice
-materialises, so a slice of 54-DOF edge blocks holds fewer points than one
-of 15-DOF elements.  What a form integrates, the
-strains of strain.py or on edges their normal fluxes, is a per-point
+quadrature points once, until `release` drops them with the forms before
+a study's last factor; a later read rebuilds them.  Every sweep then runs
+one batched kernel over groups: elements grouped by local size (15, 21 or
+27 DOFs), interior edges by the local sizes of their two sides, boundary
+edges by local size and the fields they join (`fe_space.JOINS`), and
+arbitrary points by the local size of their element.  Each group is cut
+into slices of at most SLICE_BUDGET (point, local DOF) pairs, on which the
+basis is traced once (value and physical partials of each function); the
+cap is on what a slice materialises, so a slice of 54-DOF edge blocks
+holds fewer points than one of 15-DOF elements.  What a form integrates,
+the strains of strain.py or on edges their normal fluxes, is a per-point
 operator on the 15 values and partials of the five fields, built from the
 geometry alone; applied to the traces it gives that quantity for every
 local DOF ("B-matrix" assembly), and each local matrix is one batched
@@ -35,7 +36,7 @@ solves read: R, the bending form, and GT, the membrane and shear forms
 summed, each with its penalty part (R_pen, GT_pen) in a matrix of its own,
 so the penalty constant can be recalibrated without reassembling
 anything.  The same traces evaluate fields at points (`field_values`),
-which with `_flux_operator` is all the norms and energies of norms.py
+which with `_normal_flux` is all the norms and energies of norms.py
 need; its one Gram matrix, Q_H, is summed the same way on the same blocks.
 
 All square matrices are over the primal DOFs (blocks 1+2 of the layout);
@@ -174,15 +175,16 @@ def _apply(L, phi):
     return _local_order(y.reshape(y.shape[:-2] + (r, 5, -1)))
 
 
-def _flux_operator(geom, A, nbar):
-    """Per-point operator (E, q, 5, 15) of the normal fluxes on edges with
-    normals nbar (E, 2): (A rho)^{ab} n_b, (A gamma)^{ab} n_b and
+def _normal_flux(geom, A, nbar, s):
+    """The normal fluxes (..., E, q, 5, m) on edges with normals nbar (E, 2)
+    and elastic tensors A (E, q, 2, 2, 2, 2) of the strain rows s
+    (..., E, q, 10, m) of strain.py, be they the strain operator's (m = 15)
+    or a field's strains (m = 1): (A rho)^{ab} n_b, (A gamma)^{ab} n_b and
     a^{ab} tau_b n_a."""
-    L = strain.operator(geom)
     An = sum(A[..., :, b, :, :] * nbar[:, b, None, None, None, None]
-             for b in (0, 1)).reshape(L.shape[:-2] + (2, 4))
-    return np.concatenate([An @ L[..., 0:4, :], An @ L[..., 4:8, :],
-                           nbar[:, None, None] @ geom.a_con @ L[..., 8:10, :]],
+             for b in (0, 1)).reshape(A.shape[:-4] + (2, 4))
+    return np.concatenate([An @ s[..., 0:4, :], An @ s[..., 4:8, :],
+                           nbar[:, None, None] @ geom.a_con @ s[..., 8:10, :]],
                           axis=-2)
 
 
@@ -301,11 +303,11 @@ class FormAssembler:
                                      dofs=layout.dofs, aux=aux)
         return self._elem
 
-    def _elastic(self, geom):
-        """The elastic tensors at the points of `geom`, made for each slice
-        that reads them and not kept."""
+    def _elastic(self, geom, compliance=False):
+        """The elastic tensor at the points of `geom`, and the compliance if
+        `compliance`, made for each slice that reads them and not kept."""
         m = self.material
-        return eval_elastic(geom, m.lam, m.mu, m.kappa)
+        return eval_elastic(geom, m.lam, m.mu, m.kappa, compliance)
 
     def _dofs(self, t):
         """DOFs (E, nl) of the elements t (E,), all of one local size."""
@@ -366,8 +368,8 @@ class FormAssembler:
     def _edge_data(self):
         """Stacked data of the interior and of the boundary edges: points,
         geometry, h, normals pointing out of `left`, the owners `left` and
-        `right` (-1 on the boundary), tags ("" inside) and their rows
-        `joins` (ne, 5) of JOINS."""
+        `right` (-1 on the boundary) and the rows `joins` (ne, 5) of JOINS
+        of their tags ("" inside)."""
         if self._edges is not None:
             return self._edges
         mesh = self.mesh
@@ -383,7 +385,7 @@ class FormAssembler:
             tang /= np.linalg.norm(tang, axis=1)[:, None]
             return SimpleNamespace(
                 pts=pts, geom=geom, te=te, we=we, h=h, verts=verts, left=left,
-                right=right, tag=tag,
+                right=right,
                 joins=np.array([JOINS[t] for t in tag], bool).reshape(-1, 5),
                 arc=np.sqrt(np.einsum("eqab,ea,eb->eq", geom.a_cov, tang, tang)),
                 nbar=edge_normal(mesh, verts, left))
@@ -417,9 +419,11 @@ class FormAssembler:
         w n_2; a field that the edge does not join is zero in rows 0-4 and
         adds no theta_a to rows 5-6.  They read the basis values alone, so
         each field's block is one scaled copy of them.  Fluxes, the mean of
-        the sides: `_flux_operator` applied to the traces."""
+        the sides: the strain operator's `_normal_flux` applied to the
+        traces."""
         g = d.geom[k]
-        op = _flux_operator(g, self._elastic(g).elastic, d.nbar[k])
+        op = _normal_flux(g, self._elastic(g).elastic, d.nbar[k],
+                          strain.operator(g))
         phis = [self._traces(t, d.pts[k])[1] for t in owners]
         bt = np.swapaxes(g.b_mix, -1, -2)[..., None]      # b^d_a at [a, d]
         nbar = d.nbar[k, None, :, None]
@@ -491,6 +495,13 @@ class FormAssembler:
                        **stress.matrices()}
         return self._forms
 
+    def release(self):
+        """Drop the forms and the element and edge quadrature data, once the
+        last system that reads the forms is built.  What reads the data
+        later rebuilds it, bitwise the same (`_elem_data`, `_edge_data`);
+        a later `forms()` would assemble anew."""
+        self._forms = self._elem = self._edges = None
+
     def _element_forms(self, square, coupling, stress, b, t):
         """Add the volume terms of the element slice t, block b of the
         forms, to the primal forms, the stress coupling and the stress mass
@@ -502,7 +513,7 @@ class FormAssembler:
         rho, gam, tau = B[:, :, 0:4], B[:, :, 4:8], B[:, :, 8:10]
         wfac = e.areas[t, None] * e.wq * g.sqrt_a
         km = self.material.kappa * self.material.mu
-        tensors = self._elastic(g)
+        tensors = self._elastic(g, compliance=True)
         A = tensors.elastic.reshape(len(t), -1, 4, 4)
         square.add("R", b, _gram(wfac, A @ rho, rho) / 3.0)
         square.add("GT", b, _gram(wfac, A @ gam, gam)

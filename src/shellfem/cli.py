@@ -340,6 +340,13 @@ def write_csv(path: Path, rows: list, fieldnames: list):
             w.writerow(row)
 
 
+def _lines(fmt, rows) -> str:
+    """The rows (n, k) of numbers, one line of `fmt` each, formatted in one
+    pass ('%.9e' gives the digits of f"{v:.9e}")."""
+    rows = np.asarray(rows)
+    return "\n".join([fmt] * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_vtk(path: Path, problem: ShellProblem, primal: np.ndarray):
     """Legacy ASCII unstructured grid; per-corner point duplication so the
     discontinuous fields are represented faithfully."""
@@ -350,19 +357,14 @@ def write_vtk(path: Path, problem: ShellProblem, primal: np.ndarray):
     nt = mesh.n_triangles
     data = asm.field_values(primal, np.arange(nt), corners)[0].reshape(-1, 5)
     lines = ["# vtk DataFile Version 3.0", "shell midsurface fields", "ASCII",
-             "DATASET UNSTRUCTURED_GRID", f"POINTS {3 * nt} double"]
-    for p in pts3d:
-        lines.append(f"{p[0]:.9e} {p[1]:.9e} {p[2]:.9e}")
-    lines.append(f"CELLS {nt} {4 * nt}")
-    for t in range(nt):
-        lines.append(f"3 {3 * t} {3 * t + 1} {3 * t + 2}")
-    lines.append(f"CELL_TYPES {nt}")
-    lines.extend(["5"] * nt)
-    lines.append(f"POINT_DATA {3 * nt}")
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {3 * nt} double",
+             _lines("%.9e %.9e %.9e", pts3d), f"CELLS {nt} {4 * nt}",
+             _lines("3 %d %d %d", np.arange(3 * nt).reshape(nt, 3)),
+             f"CELL_TYPES {nt}", "\n".join(["5"] * nt),
+             f"POINT_DATA {3 * nt}"]
     for name, arr in zip(FIELDS, data.T):
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{v:.9e}" for v in arr)
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default",
+                  _lines("%.9e", arr[:, None])]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -385,7 +387,8 @@ def _ratio(num, den):
 
 
 def _solve(spec: ProblemSpec, problem: ShellProblem, method: str,
-           epsilon: float, measure: bool = False, own: bool = False):
+           epsilon: float, measure: bool = False, own: bool = False,
+           last: bool = False):
     """The solution u_h of `problem` by `method` at thickness `epsilon`,
     under the problem's loads or, if the study has a manufactured solution
     u, under u's loads for that pair.  With `measure` and u, also its errors:
@@ -393,13 +396,15 @@ def _solve(spec: ProblemSpec, problem: ShellProblem, method: str,
     same ratio of the strain norms (rho, gamma, tau together), the norms of
     u_h - u and of u from one error pass on the stack [u_h, 0]; with `own`
     as well, u_h's own H_h_norm and a_norm, from the same pass on the stack
-    [u_h, 0, u_h] with u subtracted from the first two."""
+    [u_h, 0, u_h] with u subtracted from the first two.  `last` is passed
+    to `ShellProblem.solve`."""
     if spec.manufactured_fields is None:
-        return problem.solve(method, epsilon=epsilon), None
+        return problem.solve(method, epsilon=epsilon, last=last), None
     mfd = ManufacturedSolution(
         spec.manufactured_fields, problem.chart, problem.material,
         theta_total=epsilon ** -2 + (1.0 if method == "mixed" else 0.0))
-    sol = problem.solve(method, epsilon=epsilon, loads=mfd.load_spec())
+    sol = problem.solve(method, epsilon=epsilon, loads=mfd.load_spec(),
+                        last=last)
     if not measure:
         return sol, None
     stack = [sol.primal, np.zeros_like(sol.primal)] + [sol.primal] * own
@@ -414,9 +419,13 @@ def _solve(spec: ProblemSpec, problem: ShellProblem, method: str,
 
 
 def run_solve(spec: ProblemSpec, out: Path):
+    """One solve per method.  The last one is factored with only its system
+    in memory (`ShellProblem.solve`'s `last`); its norms and VTK pass
+    rebuild the quadrature data they read."""
     problem, rows = spec.problem, []
     for method in spec.methods:
-        sol = _solve(spec, problem, method, problem.epsilon)[0]
+        sol = _solve(spec, problem, method, problem.epsilon,
+                     last=method == spec.methods[-1])[0]
         rep = problem.norm_engine().discrete_norms(sol.primal, aux=sol.aux,
                                                    epsilon=problem.epsilon)
         rows.append({"method": method, "epsilon": problem.epsilon,

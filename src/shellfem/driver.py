@@ -70,16 +70,22 @@ class ShellProblem:
     # ----------------------------------------------------------------- solving
 
     def solve(self, method: str, epsilon: float = None,
-              loads: LoadSpec = None) -> ShellSolution:
+              loads: LoadSpec = None, last: bool = False) -> ShellSolution:
         """Solve with the mixed enriched method or the penalized one-field
         method, both realized from the one parameterized assembly.  The
         penalized solution is zero on the enrichment DOFs.  `loads` replaces
-        the problem's loads for this solve."""
+        the problem's loads for this solve.  `last` says that this is the
+        study's last solve: once its load vector and its system are built,
+        the assembler drops its forms and its element and edge quadrature
+        data before the factor (`realize_via_theta`), and the norm engine
+        and the VTK pass rebuild the quadrature data they read.  A study
+        that solves again, or reads the forms, on this problem leaves it
+        False."""
         if epsilon is None:
             epsilon = self.epsilon
         asm = self.assembler()
         f = self.rhs() if loads is None else asm.load_vector(loads)
-        sol = realize_via_theta(asm, method, epsilon, loads_rhs=f)
+        sol = realize_via_theta(asm, method, epsilon, loads_rhs=f, last=last)
         sol.primal = np.pad(sol.primal, (0, len(f) - len(sol.primal)))
         sol.meta.setdefault("penalty_C", asm.config.penalty_C)
         return sol

@@ -331,22 +331,25 @@ def make_chart(kind: str, *, radius: float = 1.0, coeff: float = 1.0,
 
 
 def eval_elastic(geom: GeometryEval, lam: float, mu: float,
-                 kappa: float = 5.0 / 6.0) -> ElasticTensors:
-    """Plane-stress-reduced elastic tensor and its inverse (compliance)."""
+                 kappa: float = 5.0 / 6.0,
+                 compliance: bool = True) -> ElasticTensors:
+    """Plane-stress-reduced elastic tensor and its inverse (compliance),
+    which is None unless `compliance`."""
     if mu <= 0 or lam < 0 or kappa <= 0:
         raise ValueError("need mu > 0, lam >= 0, kappa > 0")
     ac = geom.a_con
-    av = geom.a_cov
     elastic = (mu * (np.einsum("...ag,...bd->...abgd", ac, ac)
                      + np.einsum("...bg,...ad->...abgd", ac, ac))
                + (2 * mu * lam / (2 * mu + lam))
                * np.einsum("...ab,...gd->...abgd", ac, ac))
-    compliance = ((1.0 / (2 * mu))
-                  * (0.5 * (np.einsum("...ad,...bg->...abgd", av, av)
-                            + np.einsum("...bd,...ag->...abgd", av, av))
-                     - (lam / (2 * mu + 3 * lam))
-                     * np.einsum("...ab,...gd->...abgd", av, av)))
-    return ElasticTensors(elastic, compliance)
+    if not compliance:
+        return ElasticTensors(elastic, None)
+    av = geom.a_cov
+    return ElasticTensors(elastic, (1.0 / (2 * mu)) * (
+        0.5 * (np.einsum("...ad,...bg->...abgd", av, av)
+               + np.einsum("...bd,...ag->...abgd", av, av))
+        - (lam / (2 * mu + 3 * lam))
+        * np.einsum("...ab,...gd->...abgd", av, av)))
 
 
 def triangle_seminorms(g: GeometryEval) -> dict:

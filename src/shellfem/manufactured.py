@@ -60,7 +60,8 @@ class ManufacturedSolution:
 
     def _elastic(self, geom):
         mat = self.material
-        return eval_elastic(geom, mat.lam, mat.mu, mat.kappa).elastic
+        return eval_elastic(geom, mat.lam, mat.mu, mat.kappa,
+                            compliance=False).elastic
 
     def _stresses(self, geom, el, strains):
         """Stress resultants (m, nmem, t) from the elastic tensor `el` and

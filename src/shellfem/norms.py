@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import strain
-from .assembly import (FormAssembler, _aux_basis, _field_columns,
-                       _flux_operator, _gram, _Sums)
+from .assembly import (FormAssembler, _aux_basis, _field_columns, _gram,
+                       _normal_flux, _Sums)
 from .geometry import batched
 
 
@@ -58,13 +58,14 @@ def _jet(phi):
 
 
 def _edge_flux(asm, sides, d, rows=slice(None)):
-    """h sqrt(a) times the fluxes (..., E, q, 5) of `_flux_operator` on the
-    edges `rows` of d, of the mean of the fields (values, grads) `sides`."""
+    """h sqrt(a) times the normal fluxes (..., E, q, 5) (`_normal_flux`) on
+    the edges `rows` of d of the mean of the fields (values, grads) `sides`:
+    of the strain rows of their sum, over their number."""
     g = d.geom[rows]
-    op = _flux_operator(g, asm._elastic(g).elastic, d.nbar[rows])
-    jet = sum(np.concatenate([v[..., None], gr], -1) for v, gr in sides)
-    return (d.h[rows, None] * g.sqrt_a / len(sides))[..., None] * np.einsum(
-        "eqrj,...eqj->...eqr", op, jet.reshape(jet.shape[:-2] + (15,)))
+    v, gr = (sum(x) for x in zip(*sides))
+    flux = _normal_flux(g, asm._elastic(g).elastic, d.nbar[rows],
+                        strain.field_rows(v, gr, g)[..., None])[..., 0]
+    return (d.h[rows, None] * g.sqrt_a / len(sides))[..., None] * flux
 
 
 class NormEngine:

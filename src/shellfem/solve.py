@@ -76,9 +76,12 @@ def _factor_refine(K, b, n_primal: int, order, meta: dict) -> ShellSolution:
     """Solve K x = b: take K's norm before L and U exist, factor once in
     `order`, refine up to REFINE_STEPS times until the backward error
     reaches u, accept x on it and add the figures to meta.  All of it runs
-    on the ordered system, which replaces K: no caller keeps K, so the
-    unordered copy is freed, and its heap is handed back before the LU
-    is made."""
+    on the ordered system, which replaces K: no caller keeps K (each passes
+    it straight from the call that makes it), so the unordered copy is
+    freed, and its heap is handed back before the LU is made.  Beside the
+    ordered K and its LU, only what the caller still holds stays resident:
+    after `realize_via_theta(..., last=True)` that is no form and no
+    quadrature data."""
     K, b = ordered(K, order), b[order]
     k_inf = inf_norm(K)
     if hasattr(_LIBC, "malloc_trim"):
@@ -130,26 +133,48 @@ def solve_dg(R, GT, f, epsilon: float, order) -> ShellSolution:
                           {"method": "dg", "epsilon": epsilon})
 
 
+def _theta_system(assembler, mode: str, epsilon: float, last: bool):
+    """The system of `realize_via_theta`, made from the assembler's forms
+    and returned, not kept.  With `last`, the assembler releases its forms
+    and quadrature data once A(theta) (B and C) are taken, and before the
+    saddle point is stacked, so they are gone before the stacking
+    transient is made."""
+    if mode == "mixed":
+        parts = (assembler.a_theta(1.0), assembler.b_matrix(),
+                 assembler.c_matrix())
+    else:
+        n1 = assembler.layout.n_block1
+        parts = (assembler.a_theta(epsilon ** -2)[:n1, :n1],)
+    if last:
+        assembler.release()
+    return _saddle_point(*parts, epsilon) if mode == "mixed" else parts[0]
+
+
 def realize_via_theta(assembler, mode: str, epsilon: float,
-                      loads_rhs: np.ndarray = None) -> ShellSolution:
+                      loads_rhs: np.ndarray = None,
+                      last: bool = False) -> ShellSolution:
     """Single-program path: one assembled parameterized primal matrix yields
     the mixed method (theta=1, full saddle point) or the penalized method
     (theta = eps^-2, leading block-1 submatrix, so the solution has n_block1
     entries; without free edges that is the whole primal matrix).  Each
-    system is factored in the assembler's mesh order, restricted to it."""
+    system is factored in the assembler's mesh order, restricted to it.
+    `last` says that no later step reads the forms: the assembler then
+    drops its forms and its element and edge quadrature data before the
+    system is stacked and factored (`_theta_system`), so only the system
+    is under the factor.  The norms and the VTK pass that follow rebuild
+    the quadrature data on their first read; a later solve on the same
+    assembler would assemble the forms anew."""
     layout = assembler.layout
     f = loads_rhs if loads_rhs is not None else np.zeros(layout.n_primal)
-    if mode == "mixed":     # as solve_mixed, but A(1) lives only in K
-        return _factor_refine(
-            _saddle_point(assembler.a_theta(1.0), assembler.b_matrix(),
-                          assembler.c_matrix(), epsilon),
-            np.concatenate([f, np.zeros(layout.n_block3)]), len(f),
-            assembler.dof_order(),
-            {"method": "mixed", "epsilon": epsilon, "via": "theta"})
-    if mode == "dg":
-        n1 = layout.n_block1
-        return _factor_refine(
-            assembler.a_theta(epsilon ** -2).tocsr()[:n1, :n1], f[:n1], n1,
-            assembler.dof_order(n1),
-            {"method": "dg", "epsilon": epsilon, "via": "theta"})
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode == "mixed":
+        n, order = layout.n_primal, assembler.dof_order()
+        rhs = np.concatenate([f, np.zeros(layout.n_block3)])
+    elif mode == "dg":
+        n = layout.n_block1
+        rhs, order = f[:n], assembler.dof_order(n)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    # K goes straight into the solve core, so no local here keeps it
+    return _factor_refine(_theta_system(assembler, mode, epsilon, last), rhs,
+                          n, order,
+                          {"method": mode, "epsilon": epsilon, "via": "theta"})

@@ -49,8 +49,8 @@ def operator(geom):
     return np.ascontiguousarray(np.moveaxis(_entries(geom), (0, 1), (-2, -1)))
 
 
-def field_strains(values, grads, geom):
-    """(rho (..., 2, 2), gamma (..., 2, 2), tau (..., 2)) of fields given as
+def field_rows(values, grads, geom):
+    """The strain rows (..., 10) of the operator's order of fields given as
     values (..., 5) and gradients (..., 5, 2) of theta1, theta2, u1, u2, w;
     the geometry matches the last of their leading axes.  The operator is
     applied with the points on the last axes, as `_entries` builds it."""
@@ -58,7 +58,14 @@ def field_strains(values, grads, geom):
     jet = np.moveaxis(jet.reshape(jet.shape[:-2] + (15,)), -1, 0).copy()
     L = _entries(geom)
     L = L.reshape(L.shape[:2] + (1,) * (jet.ndim - L.ndim + 1) + L.shape[2:])
-    s = np.moveaxis(sum(L[:, j] * jet[j] for j in range(15)), 0, -1)
+    return np.moveaxis(sum(L[:, j] * jet[j] for j in range(15)), 0, -1)
+
+
+def field_strains(values, grads, geom):
+    """(rho (..., 2, 2), gamma (..., 2, 2), tau (..., 2)) of fields given as
+    values (..., 5) and gradients (..., 5, 2) of theta1, theta2, u1, u2, w
+    (`field_rows`)."""
+    s = field_rows(values, grads, geom)
     lead = s.shape[:-1]
     return (s[..., 0:4].reshape(lead + (2, 2)),
             s[..., 4:8].reshape(lead + (2, 2)), s[..., 8:10])

@@ -360,11 +360,21 @@ def element_strains(asm, t):
     return SimpleNamespace(rho=rho, gamma=gam, tau=tau, fields=fields)
 
 
+def edge_tags(asm, d):
+    """The tag of each edge of d, the interior or the boundary edge data of
+    `asm._edge_data()`: "" inside, the mesh's boundary tags on the
+    boundary, whose edges the data keeps in the mesh's order."""
+    if d is asm._edge_data()[0]:
+        return np.full(len(d.left), "")
+    return asm.mesh.boundary.tag
+
+
 def edge_list(asm):
     """One namespace per interior and per boundary edge, from the stacked
-    edge data, with the elastic tensors at its points."""
+    edge data, with its tag and the elastic tensors at its points."""
     m = asm.material
-    return [[SimpleNamespace(left=d.left[k], right=d.right[k], tag=d.tag[k],
+    return [[SimpleNamespace(left=d.left[k], right=d.right[k],
+                             tag=edge_tags(asm, d)[k],
                              pts=d.pts[k], geom=d.geom[k],
                              elastic=eval_elastic(d.geom[k], m.lam, m.mu,
                                                   m.kappa).elastic,
@@ -756,7 +766,7 @@ def reference_edge_values(asm, d, k, owners):
     m = asm.material
     op = reference_edge_operator(
         g, eval_elastic(g, m.lam, m.mu, m.kappa).elastic, d.nbar[k],
-        d.tag[k[0]] != "S")
+        edge_tags(asm, d)[k[0]] != "S")
     y = [reference_apply(op, asm._traces(t, d.pts[k])[1]) for t in owners]
     return (np.concatenate([sign * yi[:, :, :13] for sign, yi in
                             zip((1.0, -1.0), y)], axis=-1),
@@ -774,7 +784,7 @@ def reference_edge_forms(asm, square, coupling, b, d, k, owners):
             ("GT", -1.0, jump[:, :, 2:5], flux[:, :, 2:5])):
         X = _gram(wsa, x, y)
         square.add(key, b, fac * (X + np.swapaxes(X, 1, 2)))
-    if d.tag[k[0]] != "S":
+    if edge_tags(asm, d)[k[0]] != "S":
         square.add("R_pen", b, _gram(d.we, jump[:, :, 0:2], jump[:, :, 0:2]))
     juw = jump[:, :, 2:5]
     square.add("GT_pen", b, _gram(d.we, juw * [[1.0], [1.0], [2.0]], juw))

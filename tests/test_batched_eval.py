@@ -209,7 +209,7 @@ def test_locate_finds_the_owners_of_the_self_convergence_points():
     asm = coarse.assembler()
     bd = asm._edge_data()[1]
     pts = np.concatenate([asm._elem_data().qpts.reshape(-1, 2),
-                          bd.pts[bd.tag != "F"].reshape(-1, 2)])
+                          bd.pts[mesh.boundary.tag != "F"].reshape(-1, 2)])
     inside = containing(field.asm, pts)
     assert inside.any(axis=0).all()
     assert np.array_equal(field._locate(pts), inside.argmax(axis=0))

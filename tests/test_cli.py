@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shellfem import assembly, cli
+from shellfem import assembly, cli, solve
+from shellfem.assembly import FormAssembler
 from shellfem.cli import (ConfigError, STUDIES, build_spec, main,
                           parse_config)
 from shellfem.fe_space import FIELDS, build_dof_layout
@@ -462,6 +463,78 @@ def test_locking_builds_forms_once(tmp_path, form_builds, manufactured):
     assert main(["locking", write(tmp_path, text), "--out", str(out)]) == 0
     assert len((out / "locking.csv").read_text().strip().splitlines()) == 7
     assert form_builds == ["mixed"]
+
+
+# a 10x10 cylinder with free edges, penalty calibrated, both methods
+LARGER = GOOD.replace("nx = 2\nny = 2", "nx = 10\nny = 10").replace(
+    "tags = D, D, D, D", "tags = D, F, F, F")
+
+
+def test_solve_study_factors_its_last_system_alone(tmp_path, monkeypatch,
+                                                   form_builds):
+    """The `solve` study with both methods factors the mixed system while
+    its assembler still holds the forms and the element and edge data,
+    which the one-field solve after it reads, and the last system once it
+    holds none of them; nothing is assembled twice."""
+    made, held = [], []
+    init, factor = FormAssembler.__init__, solve.factor
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    def recording_factor(K):
+        held.append([(a._forms is not None, a._elem is not None,
+                      a._edges is not None) for a in made])
+        return factor(K)
+    monkeypatch.setattr(FormAssembler, "__init__", recording_init)
+    monkeypatch.setattr(solve, "factor", recording_factor)
+    out = tmp_path / "out"
+    assert main(["solve", write(tmp_path, LARGER), "--out", str(out)]) == 0
+    assert held == [[(True, True, True)], [(False, False, False)]]
+    assert form_builds == ["mixed"]
+
+
+@pytest.mark.parametrize("method,files", [
+    ("mixed", ("norms.csv", "fields.vtk")),
+    ("both", ("norms.csv", "fields_mixed.vtk", "fields_dg.vtk"))])
+def test_solve_outputs_do_not_depend_on_the_release(tmp_path, monkeypatch,
+                                                    method, files):
+    """The norms and the VTK pass that rebuild the quadrature data after the
+    last solve released it write the same bytes as with the data kept."""
+    cfg = write(tmp_path, LARGER.replace("method = both",
+                                         f"method = {method}"))
+    released, release = [], FormAssembler.release
+
+    def recording_release(self):
+        released.append(self)
+        release(self)
+    monkeypatch.setattr(FormAssembler, "release", recording_release)
+    assert main(["solve", cfg, "--out", str(tmp_path / "released")]) == 0
+    assert len(released) == 1
+    monkeypatch.setattr(FormAssembler, "release", lambda self: None)
+    assert main(["solve", cfg, "--out", str(tmp_path / "kept")]) == 0
+    for name in files:
+        assert ((tmp_path / "released" / name).read_bytes()
+                == (tmp_path / "kept" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("study,text,problems", [
+    ("regime", LARGER, 1), ("converge", GOOD, 3),
+    ("converge", MANUFACTURED, 2)],
+    ids=["regime", "converge-self", "converge-manufactured"])
+def test_studies_that_solve_again_keep_their_forms(tmp_path, monkeypatch,
+                                                   form_builds, study, text,
+                                                   problems):
+    """A regime or a converge study, whose norms and error passes follow
+    every solve, releases nothing and builds the forms of each of its
+    problems once (self-convergence solves one level more)."""
+    released = []
+    monkeypatch.setattr(FormAssembler, "release", released.append)
+    out = tmp_path / "out"
+    assert main([study, write(tmp_path, text), "--out", str(out)]) == 0
+    assert released == []
+    assert form_builds == ["mixed"] * problems
 
 
 def test_studies_build_no_gram_matrix(tmp_path, gram_builds):

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -292,3 +293,39 @@ def test_given_penalty_constant_is_used(monkeypatch):
     for p in (problem, problem.refined()):
         assert p.solve("mixed").meta["penalty_C"] == 50.0
         assert p.assembler().config.penalty_C == 50.0
+
+
+@pytest.mark.parametrize("mode", ["mixed", "dg"])
+@pytest.mark.parametrize("last", [False, True])
+def test_only_the_ordered_system_is_under_the_factor(monkeypatch, mode,
+                                                     last):
+    """`realize_via_theta` hands K straight to the solve core, so the
+    unordered K is freed before the LU is made; with `last` the assembler
+    holds no form and no quadrature data by then, nor while the saddle
+    point is stacked, and the solution is the same bitwise."""
+    asm, f = setup(tags=("D", "F", "S", "F"))
+    want = realize_via_theta(asm, mode, 0.1, loads_rhs=f)
+    given, seen, stacked = [], [], []
+    order, lu, saddle = solve.ordered, solve.factor, solve._saddle_point
+
+    def recording_saddle_point(*args):
+        stacked.append(asm._forms is None)
+        return saddle(*args)
+
+    def recording_ordered(K, o):
+        given.append(weakref.ref(K))
+        return order(K, o)
+
+    def recording_factor(K):
+        seen.append((given[-1]() is None, asm._forms is None,
+                     asm._elem is None, asm._edges is None))
+        return lu(K)
+    monkeypatch.setattr(solve, "ordered", recording_ordered)
+    monkeypatch.setattr(solve, "factor", recording_factor)
+    monkeypatch.setattr(solve, "_saddle_point", recording_saddle_point)
+    got = realize_via_theta(asm, mode, 0.1, loads_rhs=f, last=last)
+    assert seen == [(True, last, last, last)]
+    assert stacked == ([last] if mode == "mixed" else [])
+    assert np.array_equal(got.primal, want.primal)
+    if mode == "mixed":
+        assert np.array_equal(got.aux, want.aux)
