@@ -47,6 +47,9 @@ SCHEMA = {
     "assembly": {"penalty_c", "quad_degree", "edge_points"},
     "study": {"method", "levels", "epsilons"},
 }
+# The [chart] keys each kind reads besides kind and domain.
+CHART_KEYS = {"plate": set(), "cylinder": {"radius"}, "sphere": {"radius"},
+              "hypar": {"coeff"}, "expression": {"x", "y", "z"}}
 
 
 def parse_config(text: str) -> dict:
@@ -145,6 +148,11 @@ def _build_chart(sec):
                                     True)
     if "coeff" in sec:
         kwargs["coeff"] = _get(sec, "coeff")
+    if kind in CHART_KEYS:
+        extra = sorted(sec.keys() - {"kind", "domain"} - CHART_KEYS[kind])
+        if extra:
+            raise ConfigError(f"[chart] key {extra[0]!r} is not read by "
+                              f"kind = {kind}")
     if kind == "expression":
         try:
             kwargs["components"] = [sec["x"], sec["y"], sec["z"]]

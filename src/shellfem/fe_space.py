@@ -13,7 +13,7 @@ number of basis functions and the global DOFs of each element (see
 `DofLayout`).  Plain P1 elements take the barycentric coordinates LAM,
 which need no geometry.  Elements with free edges are built per free-edge
 group (the three single edges and the three pairs), each group from one
-sqrt(a) evaluation.
+chart evaluation, of which it reads sqrt(a).
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _edge_lam12(k: int, t: np.ndarray) -> np.ndarray:
 def _local_bases(coords, area, chart, free_edges: tuple):
     """The local displacement bases of the elements with vertices `coords`
     (E, 3, 2) and areas `area` (E,) that share the sorted tuple `free_edges`
-    of local edges on the free boundary, built together from one sqrt(a)
+    of local edges on the free boundary, built together from one chart
     evaluation.
 
     The added bubble functions are orthogonal to P1 in the sqrt(a)-weighted
@@ -122,7 +122,7 @@ def _local_bases(coords, area, chart, free_edges: tuple):
         + t_e[:, None] * coords[:, e, None] for s, e in ends], axis=1)
     weights = np.concatenate([area[:, None] * w] + [
         np.linalg.norm(coords[:, e] - coords[:, s], axis=-1)[:, None] * w_e
-        for s, e in ends], axis=1) * batched(chart.sqrt_a, pts)
+        for s, e in ends], axis=1) * batched(chart.evaluate, pts).sqrt_a
     monos = eval_monos(np.concatenate([bary[:, :2]] + [
         _edge_lam12(k, t_e) for k in free_edges]))              # (P, 10)
     lamv = monos[:nq] @ LAM.T                                     # (nq, 3)

@@ -8,11 +8,11 @@ jet to every coefficient field.  User-expression charts take the tangents
 and second partials by central finite differences and feed them to the
 exact charts' routine for the zeroth-order fields (`_coefficients`); their
 derivative fields are central differences of those.  `Chart.evaluate` gives
-the coefficient fields of `GeometryEval`, which is what assembly, loads and
-norms read; `Chart.position` gives the points of the surface, which only
-the VTK output reads, and `Chart.sqrt_a` the area element alone, which is
-all that the DOF layout asks for (once per group of elements that share
-their free edges).
+the coefficient fields of `GeometryEval`, which is what the DOF layout,
+assembly, loads and norms read; `Chart.derivatives` their first partials
+(`GeometryDerivatives`), which only the exact manufactured loads and the
+mesh condition read; `Chart.position` gives the points of the surface,
+which only the VTK output reads.
 
 Index conventions used throughout the package:
     a_cov[a, b]        = a_{ab}
@@ -64,9 +64,6 @@ class GeometryEval:
     b_mix: np.ndarray         # (..., 2, 2)
     c_cov: np.ndarray         # (..., 2, 2)
     christoffel: np.ndarray   # (..., 2, 2, 2)
-    d_b_cov: np.ndarray       # (..., 2, 2, 2)
-    d_b_mix: np.ndarray       # (..., 2, 2, 2)
-    d_christoffel: np.ndarray  # (..., 2, 2, 2, 2)
 
     def __getitem__(self, idx):
         """The bundle at batch index `idx`, applied to every field."""
@@ -77,6 +74,16 @@ class GeometryEval:
         n = self.sqrt_a.ndim
         return GeometryEval(*(a.reshape(shape + a.shape[n:]) for a in
                               (getattr(self, f.name) for f in fields(self))))
+
+
+@dataclass
+class GeometryDerivatives:
+    """First partials of the curvature and connection fields at a batch of
+    points (leading axes = batch, last axis = direction)."""
+
+    d_b_cov: np.ndarray        # (..., 2, 2, 2)
+    d_b_mix: np.ndarray        # (..., 2, 2, 2)
+    d_christoffel: np.ndarray  # (..., 2, 2, 2, 2)
 
 
 @dataclass
@@ -114,33 +121,25 @@ def batched(fn, points, *more):
 
 
 class Chart:
-    """Base chart; subclasses provide `position`, `evaluate` and `_sqrt_a`."""
+    """Base chart: the domain check.  Subclasses provide `position`,
+    `evaluate` (a `GeometryEval`) and `derivatives` (a
+    `GeometryDerivatives`)."""
 
     name = "chart"
     domain = None  # ((x1min, x1max), (x2min, x2max)) or None
 
-    def check_domain(self, points: np.ndarray):
+    def check_domain(self, points) -> np.ndarray:
+        """`points` as a float array, once checked to lie in the domain."""
+        points = np.asarray(points, dtype=float)
         if self.domain is None:
-            return
+            return points
         tol = 1e-9
         (l1, u1), (l2, u2) = self.domain
         x1, x2 = points[..., 0], points[..., 1]
         if (np.any(x1 < l1 - tol) or np.any(x1 > u1 + tol)
                 or np.any(x2 < l2 - tol) or np.any(x2 > u2 + tol)):
             raise DomainError(f"point outside chart domain of {self.name}")
-
-    def position(self, points) -> np.ndarray:
-        raise NotImplementedError
-
-    def evaluate(self, points) -> GeometryEval:
-        raise NotImplementedError
-
-    def sqrt_a(self, points) -> np.ndarray:
-        """The area element sqrt(a) alone, equal to `evaluate(points).sqrt_a`
-        and checked the same way."""
-        points = np.asarray(points, dtype=float)
-        self.check_domain(points)
-        return _nondegenerate(self._sqrt_a(points))
+        return points
 
 
 def _normal(tan):
@@ -171,17 +170,18 @@ def _coefficients(T, X2):
     return (a_cov, a_con, sqrt_a, b_cov, b_mix, gamma), cross, G
 
 
-def _geometry_eval(a_cov, a_con, sqrt_a, b_cov, b_mix, christoffel,
-                   d_b_cov, d_b_mix, d_christoffel):
+def _components_last(cls, k, *fs):
+    """`cls` of the fields `fs`, given component axes first on k batch axes."""
+    return cls(*(np.moveaxis(f, range(f.ndim - k), range(k - f.ndim, 0))
+                 for f in fs))
+
+
+def _geometry_eval(a_cov, a_con, sqrt_a, b_cov, b_mix, christoffel):
     """The `GeometryEval` of the fields given component axes first, with
     c_cov made from b_mix and b_cov."""
     c_cov = np.einsum("ga...,gb...->ab...", b_mix, b_cov)
-    k = sqrt_a.ndim
-    return GeometryEval(*(np.moveaxis(f, range(f.ndim - k),
-                                      range(k - f.ndim, 0))
-                          for f in (a_cov, a_con, sqrt_a, b_cov, b_mix, c_cov,
-                                    christoffel, d_b_cov, d_b_mix,
-                                    d_christoffel)))
+    return _components_last(GeometryEval, sqrt_a.ndim, a_cov, a_con, sqrt_a,
+                            b_cov, b_mix, c_cov, christoffel)
 
 
 class SymbolicChart(Chart):
@@ -195,21 +195,20 @@ class SymbolicChart(Chart):
         self.domain = domain
         self._jet = exprmod.jet(components, 3)
 
-    def _sqrt_a(self, points):
-        return _normal(exprmod.partials(self._jet, points, 1))[1]
-
     def position(self, points):
-        points = np.asarray(points, dtype=float)
-        self.check_domain(points)
+        points = self.check_domain(points)
         return np.moveaxis(exprmod.partials(self._jet, points, 0), 0, -1)
 
     def evaluate(self, points) -> GeometryEval:
-        points = np.asarray(points, dtype=float)
-        self.check_domain(points)
-        T, X2, X3 = (exprmod.partials(self._jet, points, k)
-                     for k in (1, 2, 3))
+        points = self.check_domain(points)
+        T, X2 = (exprmod.partials(self._jet, points, k) for k in (1, 2))
+        return _geometry_eval(*_coefficients(T, X2)[0])
+
+    def derivatives(self, points) -> GeometryDerivatives:
+        points = self.check_domain(points)
+        T, X2, X3 = (exprmod.partials(self._jet, points, k) for k in (1, 2, 3))
         order0, cross, G = _coefficients(T, X2)
-        a_cov, a_con, sqrt_a, b_cov, b_mix, gamma = order0
+        _, a_con, sqrt_a, b_cov, b_mix, gamma = order0
         # A dot product over the vector axis i is a sum of three products,
         # so products that cancel in exact arithmetic cancel exactly: the
         # derivative fields of constant-coefficient charts are exactly 0.
@@ -230,7 +229,8 @@ class SymbolicChart(Chart):
         d_b_cov -= np.einsum("gd...,gab...->abd...", b_mix, G)
         d_b_mix = np.einsum("agd...,gb...->abd...", d_a_con, b_cov)
         d_b_mix += np.einsum("ag...,gbd...->abd...", a_con, d_b_cov)
-        return _geometry_eval(*order0, d_b_cov, d_b_mix, d_christoffel)
+        return _components_last(GeometryDerivatives, sqrt_a.ndim, d_b_cov,
+                                d_b_mix, d_christoffel)
 
 
 class ExpressionChart(Chart):
@@ -247,9 +247,7 @@ class ExpressionChart(Chart):
                       for c in components]
 
     def position(self, points):
-        points = np.asarray(points, dtype=float)
-        self.check_domain(points)
-        return np.moveaxis(self._position(points), 0, -1)
+        return np.moveaxis(self._position(self.check_domain(points)), 0, -1)
 
     def _position(self, points):
         """The position (3, ...) at points (..., 2), unchecked."""
@@ -264,9 +262,6 @@ class ExpressionChart(Chart):
             T[:, a] = (self._position(points + e)
                        - self._position(points - e)) / (2 * h)
         return T
-
-    def _sqrt_a(self, points):
-        return _normal(self._tangents(points))[1]
 
     def _order0(self, points):
         """The zeroth-order fields of `_coefficients` at `points`."""
@@ -288,23 +283,21 @@ class ExpressionChart(Chart):
         return _coefficients(self._tangents(points), X2)[0]
 
     def evaluate(self, points) -> GeometryEval:
-        points = np.asarray(points, dtype=float)
-        self.check_domain(points)
-        order0 = self._order0(points)
-        # derivative fields by FD on the coefficient fields; larger step keeps
-        # the inner second-difference noise from being amplified
+        return _geometry_eval(*self._order0(self.check_domain(points)))
+
+    def derivatives(self, points) -> GeometryDerivatives:
+        points = self.check_domain(points)
+        _nondegenerate(_normal(self._tangents(points))[1])
+        # FD of b_cov, b_mix and Gamma, the direction axis after their
+        # components; a larger step keeps the inner second-difference noise
+        # from being amplified
         h2 = max(FD_STEP ** 0.5, 1e-4)
-        batch = points.shape[:-1]
-        d_b_cov = np.empty((2, 2, 2) + batch)
-        d_b_mix = np.empty_like(d_b_cov)
-        d_christoffel = np.empty((2, 2, 2, 2) + batch)
-        for d, step in enumerate(np.eye(2) * h2):
-            plus = self._order0(points + step)
-            minus = self._order0(points - step)
-            d_b_cov[:, :, d] = (plus[3] - minus[3]) / (2 * h2)
-            d_b_mix[:, :, d] = (plus[4] - minus[4]) / (2 * h2)
-            d_christoffel[:, :, :, d] = (plus[5] - minus[5]) / (2 * h2)
-        return _geometry_eval(*order0, d_b_cov, d_b_mix, d_christoffel)
+        diffs = []
+        for step in np.eye(2) * h2:
+            plus, minus = (self._order0(points + s) for s in (step, -step))
+            diffs.append([(plus[i] - minus[i]) / (2 * h2) for i in (3, 4, 5)])
+        return _components_last(GeometryDerivatives, points.ndim - 1, *(
+            np.stack(d, axis=-points.ndim) for d in zip(*diffs)))
 
 
 def make_chart(kind: str, *, radius: float = 1.0, coeff: float = 1.0,
@@ -352,14 +345,14 @@ def eval_elastic(geom: GeometryEval, lam: float, mu: float,
         * np.einsum("...ab,...gd->...abgd", av, av)))
 
 
-def triangle_seminorms(g: GeometryEval) -> dict:
+def triangle_seminorms(g: GeometryDerivatives) -> dict:
     """Sampled first-order L^inf seminorms of Gamma, b_cov and b_mix on a
-    batch of triangles, from the geometry `g` at their sample points
+    batch of triangles, from their derivatives `g` at their sample points
     (..., points): per family, the sum over components of the max over the
     points and the derivative directions, and (`<family>_sum_dirs`) of the
     max over the points summed over the two directions.  Each value is an
     array over `...`."""
-    batch = g.sqrt_a.shape[:-1]
+    batch = g.d_b_cov.shape[:-4]
     out = {}
     for key, arr in (("christoffel", g.d_christoffel), ("b_cov", g.d_b_cov),
                      ("b_mix", g.d_b_mix)):

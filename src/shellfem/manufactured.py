@@ -14,11 +14,12 @@ model whose energy multiplies the membrane/shear part by theta_total.
 All derivatives are exact: the fields' partials up to second order are one
 exact jet (`expr.jet`), and stress divergences use covariant derivatives of
 the strains (the metric contraction commutes with covariant
-differentiation) together with the stored derivative fields of the
-curvature tensor and Christoffel symbols.  As the load provider of
-`LoadSpec`, the solution is handed the geometry the assembler holds at its
-quadrature points, and `volume_loads` evaluates the elastic tensor, the
-field partials and the strains once each.
+differentiation) together with the chart's derivative fields of the
+curvature tensor and Christoffel symbols (`Chart.derivatives`).  As the
+load provider of `LoadSpec`, the solution is handed the geometry the
+assembler holds at its quadrature points, and `volume_loads` makes the
+derivative fields, the elastic tensor, the field partials and the strains
+once each.
 """
 
 from __future__ import annotations
@@ -85,19 +86,20 @@ class ManufacturedSolution:
     # ------------------------------------------------------------ volume loads
 
     @staticmethod
-    def _strain_covariant_partials(geom, v, g, hh, strains):
+    def _strain_covariant_partials(geom, dgeom, v, g, hh, strains):
         """Exact covariant derivatives rho_{ab|c}, gamma_{ab|c}, tau_{a|c}
         (last axis is the differentiation index) of the fields with values
-        v, gradients g, Hessians hh and strains (rho, gamma, tau)."""
+        v, gradients g, Hessians hh and strains (rho, gamma, tau), at points
+        of geometry `geom` and its derivatives `dgeom`."""
         th, u, w = v[..., 0:2], v[..., 2:4], v[..., 4]
         dth, du, dw = g[..., 0:2, :], g[..., 2:4, :], g[..., 4, :]
         ddth, ddu, ddw = hh[..., 0:2, :, :], hh[..., 2:4, :, :], hh[..., 4, :, :]
         G = geom.christoffel                      # [..., g, a, b] = G^g_{ab}
-        dG = geom.d_christoffel                   # [..., g, a, b, d]
+        dG = dgeom.d_christoffel                  # [..., g, a, b, d]
         b = geom.b_cov
-        db = geom.d_b_cov
+        db = dgeom.d_b_cov
         bm = geom.b_mix                           # [..., g, a] = b^g_a
-        dbm = geom.d_b_mix                        # [..., g, a, d]
+        dbm = dgeom.d_b_mix                       # [..., g, a, d]
         rho, gam, tau = strains
 
         # tau_a = d_a w + b^g_a u_g + theta_a
@@ -145,12 +147,13 @@ class ManufacturedSolution:
         """Couples c^a and forces p^1,p^2,p^3 at parameter points (exact),
         whose geometry is `geom` (evaluated if None)."""
         geom = self.chart.evaluate(pts) if geom is None else geom
+        dgeom = self.chart.derivatives(pts)
         mat, el = self.material, self._elastic(geom)
         v, g, hh = (self._partials(pts, k) for k in range(3))
         strains = strain.field_strains(v, g, geom)
         m, nmem, t = self._stresses(geom, el, strains)
         drho_cov, dgam_cov, dtau_cov = self._strain_covariant_partials(
-            geom, v, g, hh, strains)
+            geom, dgeom, v, g, hh, strains)
         # metric contractions commute with covariant differentiation
         div_m = (1.0 / 3.0) * np.einsum("...abcd,...cdb->...a", el, drho_cov)
         div_n = self.theta_total * np.einsum("...abcd,...cdb->...a", el,
@@ -160,7 +163,7 @@ class ManufacturedSolution:
         G = geom.christoffel
         bm = geom.b_mix
         # b^g_{a|b} = d_b b^g_a + G^g_{bl} b^l_a - G^l_{ab} b^g_l
-        dbm_cov = (geom.d_b_mix
+        dbm_cov = (dgeom.d_b_mix
                    + np.einsum("...gbl,...la->...gab", G, bm)
                    - np.einsum("...lab,...gl->...gab", G, bm))
         div_bm = (np.einsum("...gab,...ab->...g", dbm_cov, m)

@@ -339,10 +339,10 @@ def _triangle_samples(tri_vertices: np.ndarray, n: int) -> np.ndarray:
 def geometry_resolution(mesh: Mesh, chart) -> tuple:
     """The epsilon-free part of `mesh_condition_report`: the largest
     h_tau^2-scaled first-order geometry seminorm over the triangles, with the
-    derivative directions maxed and with them summed.  The chart is evaluated
-    at all 6 samples of every triangle at once."""
+    derivative directions maxed and with them summed.  The chart's
+    derivative fields are made at all 6 samples of every triangle at once."""
     samples = _triangle_samples(mesh.vertices[mesh.triangles], 3)
-    semi = triangle_seminorms(batched(chart.evaluate, samples))
+    semi = triangle_seminorms(batched(chart.derivatives, samples))
     s = semi["christoffel"] + semi["b_cov"] + semi["b_mix"]
     s_sum = (semi["christoffel_sum_dirs"] + semi["b_cov_sum_dirs"]
              + semi["b_mix_sum_dirs"])

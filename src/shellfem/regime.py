@@ -64,10 +64,15 @@ def detect_regime(problem: ShellProblem, thresholds: dict = None,
 
     Runs the mixed method at eps and eps/2 and the one-field method at eps,
     forms the Richardson combination (4 u^{eps/2} - u^{eps}) / 3 on the shared
-    coefficient vector, and applies the magnitude-based decision rule."""
+    coefficient vector, and applies the magnitude-based decision rule; a
+    problem whose solutions all vanish gets no verdict.  `thresholds`
+    overrides any of T_big, T_zero and stabilize_rel."""
     th = {"T_big": 10.0, "T_zero": 0.1, "stabilize_rel": 0.05}
-    if thresholds:
-        th.update(thresholds)
+    unknown = sorted((thresholds or {}).keys() - th.keys())
+    if unknown:
+        raise ValueError(f"unknown regime thresholds {unknown}: the "
+                         f"thresholds are {sorted(th)}")
+    th.update(thresholds or {})
     eps = problem.epsilon
 
     sol_eps = problem.solve("mixed", epsilon=eps)
@@ -86,7 +91,9 @@ def detect_regime(problem: ShellProblem, thresholds: dict = None,
         "half_over_eps": n_half / n_eps if n_eps else np.inf,
     }
 
-    if n_dg > 0 and n_eps / n_dg >= th["T_big"]:
+    if not any((n_eps, n_half, n_ext, n_dg)):
+        verdict = VERDICT_INCONCLUSIVE
+    elif n_dg > 0 and n_eps / n_dg >= th["T_big"]:
         verdict = VERDICT_BENDING
     elif (n_eps >= n_half >= n_ext and n_ext <= th["T_zero"] * n_eps):
         verdict = VERDICT_NON_BENDING

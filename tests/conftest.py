@@ -48,12 +48,12 @@ def gram_builds(monkeypatch):
 
 @pytest.fixture
 def chart_evaluations(monkeypatch):
-    """List that records, in order, the method ("evaluate" or "sqrt_a") and
+    """List that records, in order, the method ("evaluate" or "derivatives") and
     the number of points of every such chart call (on either chart class)
     during the test."""
     calls = []
     for cls in (SymbolicChart, ExpressionChart):
-        for name in ("evaluate", "sqrt_a"):
+        for name in ("evaluate", "derivatives"):
             def counting(self, points, _name=name, _fn=getattr(cls, name)):
                 calls.append((_name, np.asarray(points).size // 2))
                 return _fn(self, points)

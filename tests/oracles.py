@@ -30,7 +30,8 @@ from shellfem.assembly import _aux_basis, _gram
 from shellfem.fe_space import (_EDGE_VERTS, FIELDS, LAM, ONE, DofLayout,
                                SpaceError, _edge_lam12, build_dof_layout,
                                eval_monos, grad_monos, poly_mul)
-from shellfem.geometry import GeometryEval, eval_elastic, triangle_seminorms
+from shellfem.geometry import (GeometryDerivatives, GeometryEval, eval_elastic,
+                               triangle_seminorms)
 from shellfem.norms import NormEngine
 from shellfem.mesh import Mesh, _triangle_samples
 from shellfem.quadrature import (interval_rule, triangle_rule,
@@ -987,7 +988,7 @@ def geometry_seminorms(chart, tri_vertices, n_samples: int = 3) -> dict:
     edge midpoints)."""
     pts = _triangle_samples(np.asarray(tri_vertices, dtype=float), n_samples)
     return {key: float(v) for key, v in
-            triangle_seminorms(chart.evaluate(pts)).items()}
+            triangle_seminorms(chart.derivatives(pts)).items()}
 
 
 def stress_partials(sol, pts, h=1e-5):
@@ -1024,7 +1025,8 @@ def volume_loads_fd(sol, pts):
 
     div_m = div2(m, dm)
     bmv = np.einsum("...ga,...ab->...gb", geom.b_mix, m)
-    dbmv = (np.einsum("...gad,...ab->...gbd", geom.d_b_mix, m)
+    dbmv = (np.einsum("...gad,...ab->...gbd",
+                      sol.chart.derivatives(pts).d_b_mix, m)
             + np.einsum("...ga,...abd->...gbd", geom.b_mix, dm))
     div_bm = div2(bmv, dbmv)
     div_n = div2(nmem, dn)
@@ -1058,9 +1060,10 @@ def sympy_chart_position(kind, radius=1.0, coeff=1.0):
 
 
 def sympy_chart_geometry(phi):
-    """Every GeometryEval field of the surface with sympy position vector
-    `phi`, derived by exact symbolic differentiation and simplification and
-    lambdified: a function of points (..., 2)."""
+    """Every GeometryEval and GeometryDerivatives field of the surface with
+    sympy position vector `phi`, derived by exact symbolic differentiation
+    and simplification and lambdified: a function of points (..., 2) that
+    returns them by name."""
     phi = sp.Matrix(phi)
     a1, a2 = phi.diff(_X1), phi.diff(_X2)
     frame = [a1, a2]
@@ -1084,15 +1087,16 @@ def sympy_chart_geometry(phi):
     blocks += [(tail + (2,), [sp.diff(f, x) for f in comps
                               for x in (_X1, _X2)])
                for tail, comps in (blocks[3], blocks[4], blocks[6])]
-    fns = [(tail, sp.lambdify((_X1, _X2), comps, modules="numpy"))
-           for tail, comps in blocks]
+    names = [*GeometryEval.__dataclass_fields__,
+             *GeometryDerivatives.__dataclass_fields__]
+    fns = [(name, tail, sp.lambdify((_X1, _X2), comps, modules="numpy"))
+           for name, (tail, comps) in zip(names, blocks)]
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
         shape = points.shape[:-1]
-        return GeometryEval(*(
-            np.stack([np.broadcast_to(v, shape).astype(float) for v in
-                      fn(points[..., 0], points[..., 1])],
-                     axis=-1).reshape(shape + tail)
-            for tail, fn in fns))
+        return {name: np.stack([np.broadcast_to(v, shape).astype(float)
+                                for v in fn(points[..., 0], points[..., 1])],
+                               axis=-1).reshape(shape + tail)
+                for name, tail, fn in fns}
     return evaluate

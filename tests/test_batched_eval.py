@@ -108,13 +108,15 @@ def test_manufactured_load_vector_evaluates_loads_once(monkeypatch):
 def test_manufactured_loads_evaluate_no_geometry_of_their_own(
         tags, chart_evaluations):
     """The provider gets the geometry the assembler holds at the volume and
-    S/F edge points."""
+    S/F edge points, and makes the derivative fields at the volume points
+    alone."""
     chart = bump_chart()
     asm = make_asm(chart, 4, tags)
     asm._elem_data(), asm._edge_data()
     chart_evaluations.clear()
     asm.load_vector(manufactured(chart).load_spec())
-    assert chart_evaluations == []
+    assert chart_evaluations == [
+        ("derivatives", asm.mesh.n_triangles * len(asm._elem_data().wq))]
 
 
 # ------------------------------------------------------------------ norms
@@ -332,7 +334,7 @@ def test_layout_asks_for_sqrt_a_once_per_free_edge_group(chart_evaluations):
                                   tags=("D", "F", "F", "F"))
         chart_evaluations.clear()
         build_dof_layout(mesh, chart)
-        assert all(name == "sqrt_a" for name, _ in chart_evaluations)
+        assert all(name == "evaluate" for name, _ in chart_evaluations)
         enriched = {free_local_edges(mesh, t)
                     for t in range(mesh.n_triangles)} - {()}
         assert len(chart_evaluations) == len(enriched)

@@ -119,6 +119,16 @@ def test_exit_code_config_error(tmp_path, capsys, text):
     (GOOD.replace("kind = cylinder\nradius = 1.0",
                   "kind = expression\nx = x1\ny = x2"),
      "[chart] expression kind needs 'z' = ..."),
+    (GOOD.replace("kind = cylinder", "kind = plate\ncoeff = 2\nx = x1"),
+     "[chart] key 'coeff' is not read by kind = plate"),
+    (GOOD.replace("radius = 1.0", "radius = 1.0\ncoeff = 2"),
+     "[chart] key 'coeff' is not read by kind = cylinder"),
+    (GOOD.replace("kind = cylinder\nradius = 1.0",
+                  "kind = hypar\ncoeff = 0.5\nradius = 1.0"),
+     "[chart] key 'radius' is not read by kind = hypar"),
+    (GOOD.replace("kind = cylinder\nradius = 1.0",
+                  "kind = expression\nx = x1\ny = x2\nz = 0\nradius = 2"),
+     "[chart] key 'radius' is not read by kind = expression"),
     (GOOD.replace("rect = 0, 1, 0, 1\nnx = 2\nny = 2\ntags = D, D, D, D",
                   "file = no-such-dir/case.mesh"), "[mesh] file: "),
     (GOOD.replace("rect = 0, 1, 0, 1\n", ""),
@@ -138,7 +148,9 @@ def test_exit_code_config_error(tmp_path, capsys, text):
      "[manufactured]: unknown identifier 'x3'"),
     (MANUFACTURED.replace("w = sin(pi * x1) * sin(pi * x2)", ""),
      "[manufactured] missing fields: ['w']"),
-], ids=["domain", "expression-without-z", "unreadable-mesh-file",
+], ids=["domain", "expression-without-z", "plate-reads-no-key",
+        "cylinder-reads-no-coeff", "hypar-reads-no-radius",
+        "expression-reads-no-radius", "unreadable-mesh-file",
         "no-mesh", "tags", "unknown-tag", "grading-side", "loads-expression",
         "loads-expression-cut-short", "manufactured-expression",
         "manufactured-field"])

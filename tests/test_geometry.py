@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from shellfem.expr import partials
 from shellfem.geometry import (FD_STEP, DegenerateChartError, DomainError,
-                               ExpressionChart, GeometryError, GeometryEval,
-                               _coefficients, _geometry_eval, eval_elastic,
+                               ExpressionChart, GeometryDerivatives,
+                               GeometryError, GeometryEval, SymbolicChart,
+                               _coefficients, _components_last,
+                               _geometry_eval, _normal, eval_elastic,
                                make_chart)
 from shellfem.mesh import generate_rect_mesh, geometry_resolution
 
@@ -144,7 +147,7 @@ def test_domain_check():
 
 
 @pytest.mark.parametrize("kind", ["plate", "cylinder", "sphere", "hypar"])
-@pytest.mark.parametrize("method", ["evaluate", "sqrt_a", "position"])
+@pytest.mark.parametrize("method", ["evaluate", "derivatives", "position"])
 def test_builtin_charts_check_their_domain(kind, method):
     chart = make_chart(kind, domain=((0.5, 1.0), (0.0, 1.0)))
     getattr(chart, method)(np.array([[0.5, 0.5]]))
@@ -168,9 +171,9 @@ def test_builtin_chart_matches_the_sympy_derivation(kind, params):
     chart = make_chart(kind, **params)
     phi = sympy_chart_position(kind, **params)
     want = sympy_chart_geometry(phi)(pts)
-    got = chart.evaluate(pts)
-    pairs = {name: (getattr(got, name), getattr(want, name))
-             for name in GeometryEval.__dataclass_fields__}
+    got = {**vars(chart.evaluate(pts)), **vars(chart.derivatives(pts))}
+    assert got.keys() == want.keys()
+    pairs = {name: (got[name], want[name]) for name in want}
     position = sp.lambdify(sp.symbols("x1 x2", real=True), phi, "numpy")
     pairs["position"] = (chart.position(pts), np.stack(
         [np.broadcast_to(c, pts.shape[:-1])
@@ -188,8 +191,8 @@ def test_constant_coefficient_charts_have_exactly_zero_derivatives(kind,
     # a chart whose geometric coefficients are constant has exactly zero
     # derivative fields, and so a geometry resolution of exactly 0.0
     chart = make_chart(kind, **params)
-    g = chart.evaluate(rand_pts(np.random.default_rng(8), 200, -3.0, 3.0))
-    for name in ("d_b_cov", "d_b_mix", "d_christoffel"):
+    g = chart.derivatives(rand_pts(np.random.default_rng(8), 200, -3.0, 3.0))
+    for name in GeometryDerivatives.__dataclass_fields__:
         assert np.all(getattr(g, name) == 0.0), name
     mesh = generate_rect_mesh((0, 1, 0, 1), 6, 6)
     assert geometry_resolution(mesh, chart) == (0.0, 0.0)
@@ -211,9 +214,10 @@ def test_seminorms_positive_on_sphere():
 
 
 def _evaluate_twice(chart, points):
-    """ExpressionChart.evaluate written out on `_coefficients`: the order-0
-    fields at `points` from central differences of the position, and
-    central differences of them at the shifted points."""
+    """ExpressionChart's `evaluate` and `derivatives` written out on
+    `_coefficients`: the order-0 fields at `points` from central differences
+    of the position, and central differences of them at the shifted
+    points."""
     def order0(p):
         h = max(FD_STEP, 1.2e-4)
         e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
@@ -237,16 +241,20 @@ def _evaluate_twice(chart, points):
                              for plus, minus in shifted],
                             axis=fields[i].ndim - points.ndim + 1)
                    for i in (3, 4, 5)]
-    return _geometry_eval(*fields, *derivatives)
+    return _geometry_eval(*fields), _components_last(
+        GeometryDerivatives, points.ndim - 1, *derivatives)
 
 
 def test_expression_evaluate_reuses_first_pass_bit_for_bit():
     chart = make_chart("expression", components=(
         "x1", "x2", "0.25 * sin(pi * x1) * sin(pi * x2)"))
     pts = rand_pts(np.random.default_rng(3), 40).reshape(8, 5, 2)
-    got, want = chart.evaluate(pts), _evaluate_twice(chart, pts)
-    for name in GeometryEval.__dataclass_fields__:
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    evaluated, derived = _evaluate_twice(chart, pts)
+    want = {**vars(evaluated), **vars(derived)}
+    got = {**vars(chart.evaluate(pts)), **vars(chart.derivatives(pts))}
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_geometry_eval_indexing_slices_every_field():
@@ -276,25 +284,41 @@ def test_sqrt_a_is_bitwise_the_evaluated_area_element(kind):
     chart = make_chart(*args, domain=domain, **kwargs)
     pts = np.random.default_rng(11).uniform(
         [domain[0][0], domain[1][0]], [domain[0][1], domain[1][1]], (1000, 2))
-    got = chart.sqrt_a(pts)
+    got = chart.evaluate(pts).sqrt_a
     assert got.shape == (1000,) and got.dtype == float
-    assert np.array_equal(got, chart.evaluate(pts).sqrt_a)
+    # |a_1 x a_2| of the chart's tangents alone, on any batch shape
+    tangents = (partials(chart._jet, pts, 1)
+                if isinstance(chart, SymbolicChart) else chart._tangents(pts))
+    assert np.array_equal(got, _normal(tangents)[1])
     grid = pts.reshape(10, 100, 2)
-    assert np.array_equal(chart.sqrt_a(grid), chart.evaluate(grid).sqrt_a)
-    with pytest.raises(DomainError):
-        chart.sqrt_a(np.array([[0.5, 0.5], [1.5, 0.5]]))
+    assert np.array_equal(chart.evaluate(grid).sqrt_a, got.reshape(10, 100))
+    flat, on_grid = chart.derivatives(pts), chart.derivatives(grid)
+    for field in GeometryDerivatives.__dataclass_fields__:
+        f = getattr(flat, field)
+        assert np.array_equal(getattr(on_grid, field),
+                              f.reshape((10, 100) + f.shape[1:])), field
+    for method in ("evaluate", "derivatives"):
+        with pytest.raises(DomainError):
+            getattr(chart, method)(np.array([[0.5, 0.5], [1.5, 0.5]]))
 
 
 def test_sqrt_a_rejects_a_degenerate_chart():
     chart = make_chart("expression", components=("x1", "x1", "0"))
     pts = np.array([[0.5, 0.5], [0.2, 0.7]])
-    with pytest.raises(DegenerateChartError):
-        chart.evaluate(pts)
-    with pytest.raises(DegenerateChartError):
-        chart.sqrt_a(pts)
-    # the sphere's pole, where the exact sqrt(a) vanishes: `evaluate`
+    for method in ("evaluate", "derivatives"):
+        with pytest.raises(DegenerateChartError):
+            getattr(chart, method)(pts)
+    # the sphere's pole, where the exact sqrt(a) vanishes: each method
     # raises before any field that divides by it is evaluated
     pole = np.array([[0.5, 0.5], [0.0, 0.5]])
-    for method in ("sqrt_a", "evaluate"):
+    for method in ("evaluate", "derivatives"):
         with pytest.raises(DegenerateChartError):
             getattr(make_chart("sphere"), method)(pole)
+    # a fold along x1 = x2: the differences of the derivative fields step
+    # off it along the axes, to points where the chart is regular, yet the
+    # fold point itself is refused
+    fold = ExpressionChart("fold", ("x1", "(x1 - x2)^5", "0"))
+    fold.derivatives(np.array([[0.5, 0.8]]))
+    for method in ("evaluate", "derivatives"):
+        with pytest.raises(DegenerateChartError):
+            getattr(fold, method)(np.array([[0.5, 0.5]]))

@@ -133,7 +133,8 @@ def test_volume_loads_evaluate_each_stage_once(monkeypatch,
         monkeypatch.setattr(module, name, counting)
     make_sol("cylinder").volume_loads(
         np.random.default_rng(6).uniform(0, 1, (8, 2)))
-    assert [name for name, _ in chart_evaluations] == ["evaluate"]
+    assert [name for name, _ in chart_evaluations] == ["evaluate",
+                                                       "derivatives"]
     assert sorted(calls) == ["eval_elastic", "field_strains"]
 
 

@@ -85,6 +85,25 @@ def test_custom_thresholds_can_force_inconclusive():
     assert rep.verdict == VERDICT_INCONCLUSIVE
 
 
+def test_zero_response_is_inconclusive():
+    # no loads: every solution and every norm is zero, which shows no regime
+    rep = detect_regime(ShellProblem(
+        chart=make_chart("cylinder"), loads=LoadSpec(), epsilon=1e-2,
+        mesh=generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 3, 3,
+                                tags=("D", "F", "F", "F"))))
+    assert (rep.norm_mixed_eps, rep.norm_mixed_half_eps, rep.norm_extrap,
+            rep.norm_dg) == (0.0, 0.0, 0.0, 0.0)
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+
+
+def test_misspelled_threshold_is_rejected(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the thresholds were checked")
+    monkeypatch.setattr(ShellProblem, "solve", no_solve)
+    with pytest.raises(ValueError, match="'Tbig'"):
+        detect_regime(cylinder_problem(), thresholds={"Tbig": 1.0})
+
+
 def test_forms_built_once(form_builds):
     prob = cylinder_problem(epsilon=1e-2, tags=("D", "F", "F", "F"))
     detect_regime(prob)
@@ -98,7 +117,7 @@ def test_mesh_condition_sweeps_the_chart_once(chart_evaluations):
     rep = detect_regime(prob)
     # one evaluation at the 6 samples of every triangle serves both eps
     assert chart_evaluations.count(
-        ("evaluate", 6 * prob.mesh.n_triangles)) == 1
+        ("derivatives", 6 * prob.mesh.n_triangles)) == 1
     want = {}
     for label, eps in (("eps", prob.epsilon), ("half_eps", prob.epsilon / 2)):
         want[label] = mesh_condition_report(prob.mesh, prob.chart, eps)
