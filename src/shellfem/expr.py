@@ -25,13 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _NP_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan,
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
 }
+FUNCTIONS = tuple(_NP_FUNCS)
+# the binary operators, which `_eval` applies and `simplify` folds
+_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+        "^": np.power}
 
 
 class ExprError(ValueError):
@@ -294,16 +297,7 @@ def _eval(node: Node, x1, x2):
     if isinstance(node, Call):
         return _NP_FUNCS[node.func](_eval(node.arg, x1, x2))
     if isinstance(node, Bin):
-        a, b = _eval(node.left, x1, x2), _eval(node.right, x1, x2)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return np.power(a, b)
+        return _OPS[node.op](_eval(node.left, x1, x2), _eval(node.right, x1, x2))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -358,8 +352,9 @@ def _diff(node: Node, var: str) -> Node:
         if node.op == "/":
             num = Bin("-", Bin("*", du, v), Bin("*", u, dv))
             return Bin("/", num, Bin("^", v, Num(2.0)))
-        # u^v: general form u^v * (dv*log(u) + v*du/u); constant exponent kept simple
-        if isinstance(v, Num) or _is_const(v):
+        # u^v: general form u^v * (dv*log(u) + v*du/u); an exponent constant
+        # in `var` takes the power rule
+        if simplify(dv) == Num(0.0):
             body = Bin("*", v, Bin("^", u, Bin("-", v, Num(1.0))))
             return Bin("*", body, du)
         inner = Bin("+", Bin("*", dv, Call("log", u)), Bin("/", Bin("*", v, du), u))
@@ -387,18 +382,6 @@ def _diff(node: Node, var: str) -> Node:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _is_const(node: Node) -> bool:
-    if isinstance(node, (Num, Const)):
-        return True
-    if isinstance(node, Unary):
-        return _is_const(node.arg)
-    if isinstance(node, Bin):
-        return _is_const(node.left) and _is_const(node.right)
-    if isinstance(node, Call):
-        return _is_const(node.arg)
-    return False
-
-
 def simplify(node: Node) -> Node:
     """Fold zeros/ones and constant subtrees; keeps derivative output readable
     and cheap to evaluate."""
@@ -416,13 +399,8 @@ def simplify(node: Node) -> Node:
     a, b = simplify(node.left), simplify(node.right)
     op = node.op
     if isinstance(a, Num) and isinstance(b, Num):
-        try:
-            val = {"+": a.value + b.value, "-": a.value - b.value,
-                   "*": a.value * b.value,
-                   "/": a.value / b.value if b.value != 0 else math.nan,
-                   "^": a.value ** b.value if not (a.value < 0 and b.value != int(b.value)) else math.nan}[op]
-        except (OverflowError, ZeroDivisionError):
-            val = math.nan
+        with np.errstate(all="ignore"):
+            val = float(_OPS[op](a.value, b.value))
         if math.isfinite(val):
             return Num(val)
     zero_a = isinstance(a, Num) and a.value == 0.0

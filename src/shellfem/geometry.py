@@ -32,7 +32,12 @@ import numpy as np
 
 from . import expr as exprmod
 
+# A chart is refused where sqrt(a) = |a_1 x a_2| is below _DEGEN_TOL, or
+# where its tangents are parallel to within _PARALLEL_TOL, as
+# sqrt(a) <= _PARALLEL_TOL |a_1| |a_2|: central-difference tangents carry
+# noise near FD_STEP^2 = _DEGEN_TOL, which the absolute test alone passes.
 _DEGEN_TOL = 1e-12
+_PARALLEL_TOL = 1e-8
 # Central-difference step of ExpressionChart's tangents; its second
 # differences and derivative fields take coarser steps derived from it.
 FD_STEP = 1e-6
@@ -92,12 +97,6 @@ class ElasticTensors:
     compliance: np.ndarray   # (..., 2, 2, 2, 2) a_{abgd}
 
 
-def _nondegenerate(sqrt_a):
-    if np.any(sqrt_a < _DEGEN_TOL):
-        raise DegenerateChartError("tangent vectors are (nearly) linearly dependent")
-    return sqrt_a
-
-
 def _join(parts):
     if len(parts) == 1:
         return parts[0]
@@ -143,9 +142,15 @@ class Chart:
 
 
 def _normal(tan):
-    """a_1 x a_2 and sqrt(a) = |a_1 x a_2| from the tangents (3, 2, ...)."""
+    """a_1 x a_2 and sqrt(a) = |a_1 x a_2| from the tangents (3, 2, ...);
+    raises where the chart is degenerate (see _PARALLEL_TOL)."""
     cross = np.cross(tan[:, 0], tan[:, 1], axis=0)
-    return cross, np.sqrt(np.einsum("i...,i...->...", cross, cross))
+    sqrt_a = np.sqrt(np.einsum("i...,i...->...", cross, cross))
+    length = np.sqrt(np.einsum("ia...,ia...->a...", tan, tan))
+    if (np.any(sqrt_a < _DEGEN_TOL)
+            or np.any(sqrt_a <= _PARALLEL_TOL * length[0] * length[1])):
+        raise DegenerateChartError("tangent vectors are (nearly) linearly dependent")
+    return cross, sqrt_a
 
 
 def _coefficients(T, X2):
@@ -153,10 +158,9 @@ def _coefficients(T, X2):
     tangents T[:, a] = a_a (3, 2, ...) and the second partials
     X2[:, a, b] = x_ab (3, 2, 2, ...): (a_cov, a_con, sqrt_a, b_cov, b_mix,
     christoffel), then a_1 x a_2 and G[e, a, b] = a_e . x_ab, which the
-    derivative fields of exact jets read.  Raises where sqrt(a) vanishes,
-    before any field divides by it."""
+    derivative fields of exact jets read.  Raises where the chart is
+    degenerate, before any field divides by sqrt(a) or det(a_cov)."""
     cross, sqrt_a = _normal(T)
-    _nondegenerate(sqrt_a)
     a_cov = np.einsum("ia...,ib...->ab...", T, T)
     a_con = np.array([[a_cov[1, 1], -a_cov[0, 1]],
                       [-a_cov[1, 0], a_cov[0, 0]]])
@@ -287,7 +291,7 @@ class ExpressionChart(Chart):
 
     def derivatives(self, points) -> GeometryDerivatives:
         points = self.check_domain(points)
-        _nondegenerate(_normal(self._tangents(points))[1])
+        _normal(self._tangents(points))
         # FD of b_cov, b_mix and Gamma, the direction axis after their
         # components; a larger step keeps the inner second-difference noise
         # from being amplified
@@ -344,20 +348,3 @@ def eval_elastic(geom: GeometryEval, lam: float, mu: float,
         - (lam / (2 * mu + 3 * lam))
         * np.einsum("...ab,...gd->...abgd", av, av)))
 
-
-def triangle_seminorms(g: GeometryDerivatives) -> dict:
-    """Sampled first-order L^inf seminorms of Gamma, b_cov and b_mix on a
-    batch of triangles, from their derivatives `g` at their sample points
-    (..., points): per family, the sum over components of the max over the
-    points and the derivative directions, and (`<family>_sum_dirs`) of the
-    max over the points summed over the two directions.  Each value is an
-    array over `...`."""
-    batch = g.d_b_cov.shape[:-4]
-    out = {}
-    for key, arr in (("christoffel", g.d_christoffel), ("b_cov", g.d_b_cov),
-                     ("b_mix", g.d_b_mix)):
-        # (..., pts, comps, dir)
-        flat = np.abs(arr.reshape(batch + (arr.shape[len(batch)], -1, 2)))
-        out[key] = flat.max(axis=(-3, -1)).sum(axis=-1)   # max over pts, dirs
-        out[key + "_sum_dirs"] = flat.max(axis=-3).sum(axis=(-2, -1))
-    return out

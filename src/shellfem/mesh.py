@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import batched, triangle_seminorms
+from .geometry import batched
 
 TAGS = ("D", "S", "F")
 
@@ -339,13 +339,18 @@ def _triangle_samples(tri_vertices: np.ndarray, n: int) -> np.ndarray:
 def geometry_resolution(mesh: Mesh, chart) -> tuple:
     """The epsilon-free part of `mesh_condition_report`: the largest
     h_tau^2-scaled first-order geometry seminorm over the triangles, with the
-    derivative directions maxed and with them summed.  The chart's
-    derivative fields are made at all 6 samples of every triangle at once."""
+    derivative directions maxed and with them summed.  The seminorm of a
+    triangle is sampled: per component of Gamma, b_cov and b_mix, the max
+    over its 6 samples of each partial, which the chart's derivative fields
+    give at all samples of every triangle at once."""
     samples = _triangle_samples(mesh.vertices[mesh.triangles], 3)
-    semi = triangle_seminorms(batched(chart.derivatives, samples))
-    s = semi["christoffel"] + semi["b_cov"] + semi["b_mix"]
-    s_sum = (semi["christoffel_sum_dirs"] + semi["b_cov_sum_dirs"]
-             + semi["b_mix_sum_dirs"])
+    g = batched(chart.derivatives, samples)
+    s = s_sum = 0.0
+    for arr in (g.d_christoffel, g.d_b_cov, g.d_b_mix):
+        # (triangles, components, directions)
+        m = np.abs(arr.reshape(arr.shape[:2] + (-1, 2))).max(axis=1)
+        s = s + m.max(axis=-1).sum(axis=-1)
+        s_sum = s_sum + m.sum(axis=(-2, -1))
     h2 = mesh.h_tau ** 2
     return float((h2 * s).max()), float((h2 * s_sum).max())
 

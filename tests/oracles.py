@@ -30,8 +30,7 @@ from shellfem.assembly import _aux_basis, _gram
 from shellfem.fe_space import (_EDGE_VERTS, FIELDS, LAM, ONE, DofLayout,
                                SpaceError, _edge_lam12, build_dof_layout,
                                eval_monos, grad_monos, poly_mul)
-from shellfem.geometry import (GeometryDerivatives, GeometryEval, eval_elastic,
-                               triangle_seminorms)
+from shellfem.geometry import GeometryDerivatives, GeometryEval, eval_elastic
 from shellfem.norms import NormEngine
 from shellfem.mesh import Mesh, _triangle_samples
 from shellfem.quadrature import (interval_rule, triangle_rule,
@@ -983,12 +982,26 @@ def green_identity_check(tri_coords, chart, f_exprs) -> float:
 
 
 def geometry_seminorms(chart, tri_vertices, n_samples: int = 3) -> dict:
-    """`geometry.triangle_seminorms` of one triangle, sampled on the
-    barycentric lattice of n_samples points per edge (3: the vertices and
-    edge midpoints)."""
+    """Sampled first-order L^inf seminorms of Gamma, b_cov and b_mix on one
+    triangle, on the barycentric lattice of n_samples points per edge (3:
+    the vertices and edge midpoints, as `mesh.geometry_resolution` samples).
+    Per family, the sum over components of the max over the points and the
+    two directions, and (`<family>_sum_dirs`) the sum over components and
+    directions of the max over the points."""
     pts = _triangle_samples(np.asarray(tri_vertices, dtype=float), n_samples)
-    return {key: float(v) for key, v in
-            triangle_seminorms(chart.derivatives(pts)).items()}
+    g = chart.derivatives(pts)
+    out = {}
+    for key, arr in (("christoffel", g.d_christoffel), ("b_cov", g.d_b_cov),
+                     ("b_mix", g.d_b_mix)):
+        per_dir = {}                    # (component, direction) -> max
+        for p in range(len(pts)):
+            for idx in np.ndindex(arr.shape[1:]):
+                per_dir[idx] = max(per_dir.get(idx, 0.0), abs(arr[(p,) + idx]))
+        comps = {idx[:-1] for idx in per_dir}
+        out[key] = float(sum(max(per_dir[c + (0,)], per_dir[c + (1,)])
+                             for c in comps))
+        out[key + "_sum_dirs"] = float(sum(per_dir.values()))
+    return out
 
 
 def stress_partials(sol, pts, h=1e-5):

@@ -294,6 +294,27 @@ def test_convergence_reports_each_methods_unknowns(tmp_path):
         mesh = refine_uniform(mesh)
 
 
+def test_convergence_order_is_taken_from_its_own_rows(tmp_path):
+    """Each row's order is log(err_H ratio) / log(h ratio) against the
+    previous level of its method; the first level has none."""
+    for text in (MANUFACTURED, GOOD.replace("method = both", "method = mixed")):
+        out = tmp_path / "out"
+        assert main(["converge", write(tmp_path, text), "--out",
+                     str(out)]) == 0
+        rows = read_rows(out / "convergence.csv")
+        orders = 0
+        for prev, row in zip(rows, rows[1:]):
+            if row["method"] != prev["method"]:
+                assert row["order"] == ""
+                continue
+            want = (np.log(float(prev["err_H"]) / float(row["err_H"]))
+                    / np.log(float(prev["h"]) / float(row["h"])))
+            assert float(row["order"]) == pytest.approx(want, rel=1e-12)
+            orders += 1
+        assert rows[0]["order"] == "" and orders == len(rows) - len(
+            {r["method"] for r in rows})
+
+
 def test_locking_study(tmp_path):
     cfg = write(tmp_path, GOOD.replace("method = both", "method = mixed")
                 + "epsilons = 0.01, 0.001\n")
@@ -373,14 +394,26 @@ def test_exit_code_physical_value_out_of_range(tmp_path, capsys, old, new):
     assert f"key {key!r} must be" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_sympy_out():
+def cli_import_loads(module: str) -> bool:
+    """Whether importing shellfem.cli in a fresh interpreter imports
+    `module`."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
-         "import shellfem.cli; print('sympy' in sys.modules)", src],
+         f"import shellfem.cli; print({module!r} in sys.modules)", src],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_sympy_out():
+    assert not cli_import_loads("sympy")
+
+
+def test_cli_import_leaves_scipy_special_out():
+    # importing scipy.special after shellfem.cli adds 2.3-2.4 MB of resident
+    # memory (Python 3.11, scipy 1.17)
+    assert not cli_import_loads("scipy.special")
 
 
 def test_exit_code_calibration_failure(tmp_path, capsys, monkeypatch):

@@ -142,6 +142,23 @@ def test_derivative_matches_sympy(text):
         assert "log" not in to_string(differentiate(parse(text), "x1"))
 
 
+def test_exponent_constant_in_the_variable_takes_the_power_rule():
+    # d/dx1 x1^x2 = x2 x1^(x2 - 1), finite at x1 = 0 where the general form
+    # x1^x2 (x2 / x1) is not
+    got = differentiate(parse("x1^x2"), "x1")
+    assert to_string(got) == "x2 * x1 ^ (x2 - 1)"
+    assert evaluate(got, 0.0, 3.0) == 0.0
+
+
+def test_simplify_folds_each_operator_alone():
+    # a constant pair is folded by its own operator, and only to a finite
+    # value: the sum is folded though the power of the same pair overflows
+    assert simplify(parse("2 + 1e308")) == Num(2 + 1e308)
+    assert simplify(parse("2 * 3 - 1 / 4")) == Num(5.75)
+    for text in ("2 ^ 1e308", "1 / 0", "(-8) ^ (1 / 3)", "0 ^ (-1)"):
+        assert isinstance(simplify(parse(text)), Bin), text
+
+
 def test_simplify_preserves_value():
     rng = np.random.default_rng(7)
     for _ in range(200):

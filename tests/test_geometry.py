@@ -322,3 +322,10 @@ def test_sqrt_a_rejects_a_degenerate_chart():
     for method in ("evaluate", "derivatives"):
         with pytest.raises(DegenerateChartError):
             getattr(fold, method)(np.array([[0.5, 0.5]]))
+    # a fold whose difference tangents are parallel but not small: sqrt(a)
+    # is finite-difference noise near 2e-12, above the absolute test
+    fold = ExpressionChart("fold", ("x1 + x2", "(x1 - x2)^3", "0"))
+    fold.derivatives(np.array([[0.5, 0.8]]))
+    for method in ("evaluate", "derivatives"):
+        with pytest.raises(DegenerateChartError):
+            getattr(fold, method)(np.array([[0.5, 0.8], [0.5, 0.5]]))

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from shellfem import assembly, solve
-from shellfem.assembly import FormAssembler, LoadSpec
+from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec
 from shellfem.driver import ShellProblem
 from shellfem.geometry import make_chart
 from shellfem.mesh import generate_rect_mesh, mesh_condition_report
+from shellfem.norms import NormEngine
 from shellfem.regime import (VERDICT_BENDING, VERDICT_INCONCLUSIVE,
                              VERDICT_NON_BENDING, RegimeReport, detect_regime,
                              recommend_solution)
+from shellfem.solve import ShellSolution
 
 
 def cylinder_problem(epsilon=1e-2, scale=1.0, nx=3, ny=3,
@@ -161,3 +163,38 @@ def test_calibrated_detection_factors_three_systems(monkeypatch):
     layout = prob.assembler().layout
     n = layout.n_primal + layout.n_block3
     assert shapes == [(n, n), (n, n), (layout.n_block1, layout.n_block1)]
+
+
+# The four H norms (mixed at eps, mixed at eps/2, extrapolated, one-field)
+# just inside and just outside each threshold of each rule of the verdict,
+# under the default thresholds T_big = 10, T_zero = 0.1, stabilize_rel = 0.05.
+VERDICT_EDGES = {
+    # mixed / one-field >= T_big; otherwise the norms fall to zero
+    "T_big inside": ((1.0, 0.5, 0.05, 0.099), VERDICT_BENDING),
+    "T_big outside": ((1.0, 0.5, 0.05, 0.101), VERDICT_NON_BENDING),
+    # decreasing norms whose extrapolation is at most T_zero of mixed at eps
+    "T_zero falls inside": ((1.0, 0.5, 0.099, 1.0), VERDICT_NON_BENDING),
+    "T_zero falls outside": ((1.0, 0.5, 0.101, 1.0), VERDICT_INCONCLUSIVE),
+    # stable norms whose extrapolation exceeds T_zero of mixed at eps
+    "T_zero stable inside": ((1.0, 0.1, 0.101, 1.0), VERDICT_BENDING),
+    "T_zero stable outside": ((1.0, 0.098, 0.099, 1.0), VERDICT_INCONCLUSIVE),
+    # |extrapolated - half| within stabilize_rel of half
+    "stabilize_rel inside": ((1.0, 1.2, 1.2 * 1.049, 1.0), VERDICT_BENDING),
+    "stabilize_rel outside": ((1.0, 1.2, 1.2 * 1.051, 1.0),
+                              VERDICT_INCONCLUSIVE),
+}
+
+
+@pytest.mark.parametrize("case", list(VERDICT_EDGES))
+def test_verdict_on_each_side_of_each_threshold(monkeypatch, case):
+    norms, verdict = VERDICT_EDGES[case]
+    prob = cylinder_problem(nx=1, ny=1)
+    prob.config = AssemblyConfig(penalty_C=20.0)    # no calibration
+    monkeypatch.setattr(ShellProblem, "solve", lambda self, method, epsilon:
+                        ShellSolution(primal=np.zeros(3)))
+    monkeypatch.setattr(NormEngine, "quad_norm",
+                        lambda self, key, vec: np.array(norms))
+    rep = detect_regime(prob)
+    assert (rep.norm_mixed_eps, rep.norm_mixed_half_eps, rep.norm_extrap,
+            rep.norm_dg) == norms
+    assert rep.verdict == verdict

@@ -1,5 +1,6 @@
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,6 +118,32 @@ def test_non_finite_solution_fails_the_backward_error_bound():
         solve_dg(sps.identity(n, format="csr"), zero, b, 1.0, np.arange(n))
 
 
+def test_backward_error_above_the_bound_is_refused(monkeypatch):
+    """A factor whose solve adds a fixed vector d gives x* + d at every
+    refinement step, so the backward error stays between the acceptance
+    bound, 10 n u, and 1e3 times it: the solve is refused."""
+    n = 50
+    K = sps.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
+                  [-1, 0, 1], format="csc")
+    b = np.linspace(1.0, 2.0, n)
+    x = np.linalg.solve(K.toarray(), b)
+    accept = 10 * n * np.finfo(float).eps
+    # ||K d|| = 30 accept (||K|| ||x|| + ||b||) to first order in d
+    d = np.ones(n)
+    d *= (30 * accept * (inf_norm(K) * np.abs(x).max() + np.abs(b).max())
+          / np.abs(K @ d).max())
+    berr = np.abs(K @ d).max() / (inf_norm(K) * np.abs(x + d).max()
+                                  + np.abs(b).max())
+    assert accept < berr < 1e3 * accept
+
+    def perturbed(K):
+        lu = factor(K)
+        return SimpleNamespace(solve=lambda r: lu.solve(r) + d, nnz=lu.nnz)
+    monkeypatch.setattr(solve, "factor", perturbed)
+    with pytest.raises(SolverError, match="backward error"):
+        solve_dg(K, sps.csc_matrix((n, n)), b, 1.0, np.arange(n))
+
+
 def reduced_oracle(problem):
     """An assembler on the plain P1 layout of `problem`'s mesh with its
     penalty constant: the penalized system assembled on its own."""
@@ -218,6 +245,30 @@ def test_meta_reports_the_solve(readme_problem, method):
     assert sol.meta["lu_fill"] >= n
     # the README system is ill-conditioned, and its condition estimate shows
     assert sol.meta["cond_est"] > 1e6
+
+
+def test_refinement_takes_the_backward_error_to_u(readme_problem,
+                                                 monkeypatch):
+    """The README mixed system's first solve has a backward error above u;
+    refinement brings it to at most u."""
+    first = []
+
+    def recording(K):
+        lu = factor(K)
+
+        def solve_once(r):
+            x = lu.solve(r)
+            if not first:
+                first.append(np.abs(r - K @ x).max()
+                             / (inf_norm(K) * np.abs(x).max()
+                                + np.abs(r).max()))
+            return x
+        return SimpleNamespace(solve=solve_once, nnz=lu.nnz)
+    monkeypatch.setattr(solve, "factor", recording)
+    sol = readme_problem.solve("mixed")
+    u = np.finfo(float).eps
+    assert first[0] > u
+    assert sol.meta["backward_error"] <= u
 
 
 def test_solution_dataclass_meta():
