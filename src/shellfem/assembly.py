@@ -175,6 +175,12 @@ def _apply(L, phi):
     return _local_order(y.reshape(y.shape[:-2] + (r, 5, -1)))
 
 
+def _consistency_jump(b_mix, jump):
+    """b^d_a [u_d] - [theta_a] (..., 2) of the jumps (..., 5) of the five
+    fields, at points of b_mix (..., 2, 2)."""
+    return np.einsum("...da,...d->...a", b_mix, jump[..., 2:4]) - jump[..., :2]
+
+
 def _normal_flux(geom, A, nbar, s):
     """The normal fluxes (..., E, q, 5, m) on edges with normals nbar (E, 2)
     and elastic tensors A (E, q, 2, 2, 2, 2) of the strain rows s
@@ -416,17 +422,15 @@ class FormAssembler:
         local DOF of the edge slice k.  Jumps, left minus right (one-sided
         on the boundary): rows 0-4 the values of the five fields, 5-6
         b^d_a u_d - theta_a, 7-12 u_1 n_1, u_1 n_2, u_2 n_1, u_2 n_2, w n_1,
-        w n_2; a field that the edge does not join is zero in rows 0-4 and
-        adds no theta_a to rows 5-6.  They read the basis values alone, so
-        each field's block is one scaled copy of them.  Fluxes, the mean of
-        the sides: the strain operator's `_normal_flux` applied to the
-        traces."""
+        w n_2; a field that the edge does not join is zero in rows 0-4, from
+        which rows 5-12 are made (`_consistency_jump`, the normal).  They
+        read the basis values alone, so each field's block is one scaled
+        copy of them.  Fluxes, the mean of the sides: the strain operator's
+        `_normal_flux` applied to the traces."""
         g = d.geom[k]
         op = _normal_flux(g, self._elastic(g).elastic, d.nbar[k],
                           strain.operator(g))
         phis = [self._traces(t, d.pts[k])[1] for t in owners]
-        bt = np.swapaxes(g.b_mix, -1, -2)[..., None]      # b^d_a at [a, d]
-        nbar = d.nbar[k, None, :, None]
         jump = np.zeros(g.sqrt_a.shape + (13, sum(6 + 3 * phi.shape[-1]
                                                   for phi in phis)))
         at = 0
@@ -436,14 +440,12 @@ class FormAssembler:
                     for c in _field_columns(phi.shape[-1])]
             for c in np.flatnonzero(d.joins[k[0]]):
                 jump[:, :, c, cols[c]] = v[..., :cols[c].stop - cols[c].start]
-            for a in np.flatnonzero(d.joins[k[0], :2]):
-                jump[:, :, 5 + a, cols[a]] = -v[..., :3]
-            for i in (0, 1):
-                jump[:, :, 5:7, cols[2 + i]] = bt[..., i, :] * v[:, :, None]
-            for i in (0, 1, 2):
-                jump[:, :, 7 + 2 * i:9 + 2 * i, cols[2 + i]] = (
-                    nbar * v[:, :, None])
             at = cols[-1].stop
+        jump[:, :, 5:7] = np.swapaxes(_consistency_jump(
+            g.b_mix[:, :, None], np.swapaxes(jump[:, :, :5], 2, 3)), 2, 3)
+        n = d.nbar[k, None, None, :, None]
+        jump[:, :, 7:13] = (jump[:, :, 2:5, None] * n).reshape(
+            jump.shape[:2] + (6, -1))
         return jump, np.concatenate([_apply(op, phi) for phi in phis],
                                     axis=-1) / len(phis)
 

@@ -234,8 +234,9 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 def _prec(node: Node) -> int:
     if isinstance(node, Bin):
         return _PREC[node.op]
-    if isinstance(node, Unary):
-        return 3
+    if isinstance(node, Unary) or (isinstance(node, Num)
+                                   and math.copysign(1.0, node.value) < 0):
+        return 3                        # a negative number prints its "-"
     return 5
 
 
@@ -243,7 +244,7 @@ def to_string(node: Node) -> str:
     if isinstance(node, Num):
         v = node.value
         if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-            return str(int(v))
+            return f"{v:.0f}"                     # -0.0 keeps its sign
         return repr(v)
     if isinstance(node, Var) or isinstance(node, Const):
         return node.name
@@ -382,9 +383,26 @@ def _diff(node: Node, var: str) -> Node:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _holds_var(node: Node) -> bool:
+    return isinstance(node, Var) or any(
+        _holds_var(getattr(node, f)) for f in ("arg", "left", "right")
+        if hasattr(node, f))
+
+
+def _zero_absorbs(op: str, node: Node) -> bool:
+    """Whether the product or quotient `op` of a zero and `node` folds to
+    zero: `node` holds x1 or x2, or 0 op its value is finite."""
+    if _holds_var(node):
+        return True
+    with np.errstate(all="ignore"):
+        return bool(np.isfinite(_OPS[op](0.0, _eval(node, 0.0, 0.0))))
+
+
 def simplify(node: Node) -> Node:
     """Fold zeros/ones and constant subtrees; keeps derivative output readable
-    and cheap to evaluate."""
+    and cheap to evaluate.  No fold is made to a value that is not finite,
+    so 0 / 0, 0 * (1 / 0) and 0 * log(0) stay; a zero still absorbs a
+    partner that holds x1 or x2, such as 0 * log(x1): derivatives need it."""
     if isinstance(node, (Num, Var, Const)):
         return node
     if isinstance(node, Unary):
@@ -401,8 +419,7 @@ def simplify(node: Node) -> Node:
     if isinstance(a, Num) and isinstance(b, Num):
         with np.errstate(all="ignore"):
             val = float(_OPS[op](a.value, b.value))
-        if math.isfinite(val):
-            return Num(val)
+        return Num(val) if math.isfinite(val) else Bin(op, a, b)
     zero_a = isinstance(a, Num) and a.value == 0.0
     zero_b = isinstance(b, Num) and b.value == 0.0
     one_a = isinstance(a, Num) and a.value == 1.0
@@ -418,14 +435,14 @@ def simplify(node: Node) -> Node:
         if zero_a:
             return simplify(Unary(b))
     elif op == "*":
-        if zero_a or zero_b:
+        if zero_a and _zero_absorbs(op, b) or zero_b and _zero_absorbs(op, a):
             return Num(0.0)
         if one_a:
             return b
         if one_b:
             return a
     elif op == "/":
-        if zero_a:
+        if zero_a and _zero_absorbs(op, b):
             return Num(0.0)
         if one_b:
             return a

@@ -14,8 +14,10 @@ model whose energy multiplies the membrane/shear part by theta_total.
 All derivatives are exact: the fields' partials up to second order are one
 exact jet (`expr.jet`), and stress divergences use covariant derivatives of
 the strains (the metric contraction commutes with covariant
-differentiation) together with the chart's derivative fields of the
-curvature tensor and Christoffel symbols (`Chart.derivatives`).  As the
+differentiation).  The strains' partials are the strain rule itself
+(`strain.field_rows`) on the fields' partials and on the geometry stepped
+by the chart's derivative fields of the curvature tensor and Christoffel
+symbols (`Chart.derivatives`); no partial is written out by hand.  As the
 load provider of `LoadSpec`, the solution is handed the geometry the
 assembler holds at its quadrature points, and `volume_loads` makes the
 derivative fields, the elastic tensor, the field partials and the strains
@@ -23,6 +25,8 @@ once each.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -90,58 +94,28 @@ class ManufacturedSolution:
         """Exact covariant derivatives rho_{ab|c}, gamma_{ab|c}, tau_{a|c}
         (last axis is the differentiation index) of the fields with values
         v, gradients g, Hessians hh and strains (rho, gamma, tau), at points
-        of geometry `geom` and its derivatives `dgeom`."""
-        th, u, w = v[..., 0:2], v[..., 2:4], v[..., 4]
-        dth, du, dw = g[..., 0:2, :], g[..., 2:4, :], g[..., 4, :]
-        ddth, ddu, ddw = hh[..., 0:2, :, :], hh[..., 2:4, :, :], hh[..., 4, :, :]
-        G = geom.christoffel                      # [..., g, a, b] = G^g_{ab}
-        dG = dgeom.d_christoffel                  # [..., g, a, b, d]
-        b = geom.b_cov
-        db = dgeom.d_b_cov
-        bm = geom.b_mix                           # [..., g, a] = b^g_a
-        dbm = dgeom.d_b_mix                       # [..., g, a, d]
-        rho, gam, tau = strains
-
-        # tau_a = d_a w + b^g_a u_g + theta_a
-        dta = (ddw
-               + np.einsum("...gac,...g->...ac", dbm, u)
-               + np.einsum("...ga,...gc->...ac", bm, du)
-               + dth)
-        dtau_cov = dta - np.einsum("...lac,...l->...ac", G, tau)
-
-        # gamma_ab = sym(d u)_ab - G^g_{ab} u_g - b_ab w
-        sym_ddu = 0.5 * (ddu + np.swapaxes(ddu, -3, -2)
-                         )  # [..., a, b, c] = sym in (a, b) of d_c d_b u_a
-        dgam = (sym_ddu
-                - np.einsum("...gabc,...g->...abc", dG, u)
-                - np.einsum("...gab,...gc->...abc", G, du)
-                - np.einsum("...abc,...->...abc", db, w)
-                - np.einsum("...ab,...c->...abc", b, dw))
-        dgam_cov = (dgam
-                    - np.einsum("...lac,...lb->...abc", G, gam)
-                    - np.einsum("...lbc,...al->...abc", G, gam))
-
-        # u_{g|b} and its partials
-        U = du - np.einsum("...lgb,...l->...gb", G, u)
-        dU = (ddu
-              - np.einsum("...lgbc,...l->...gbc", dG, u)
-              - np.einsum("...lgb,...lc->...gbc", G, du))
-        bU = np.einsum("...ga,...gb->...ab", bm, U)
-        dbU = (np.einsum("...gac,...gb->...abc", dbm, U)
-               + np.einsum("...ga,...gbc->...abc", bm, dU))
-        c_part = (np.einsum("...gac,...gb->...abc", dbm, b)
-                  + np.einsum("...ga,...gbc->...abc", bm, db))
-        sym_ddth = 0.5 * (ddth + np.swapaxes(ddth, -3, -2))
-        drho = (sym_ddth
-                - np.einsum("...gabc,...g->...abc", dG, th)
-                - np.einsum("...gab,...gc->...abc", G, dth)
-                - 0.5 * (dbU + np.swapaxes(dbU, -3, -2))
-                + np.einsum("...abc,...->...abc", c_part, w)
-                + np.einsum("...ab,...c->...abc", geom.c_cov, dw))
-        drho_cov = (drho
-                    - np.einsum("...lac,...lb->...abc", G, rho)
-                    - np.einsum("...lbc,...al->...abc", G, rho))
-        return drho_cov, dgam_cov, dtau_cov
+        of geometry `geom` and its derivatives `dgeom`.  d_c of the strain
+        rows is the rows of the fields' partials plus half the difference
+        of the rows on the geometry stepped by +-d_c: the rows are at most
+        quadratic in the geometry, so the central difference is exact."""
+        def step(s):                       # c on a first axis
+            b, bm, G = (getattr(geom, f) + s * np.moveaxis(
+                getattr(dgeom, "d_" + f), -1, 0)
+                for f in ("b_cov", "b_mix", "christoffel"))
+            return replace(geom, b_cov=b, b_mix=bm, christoffel=G,
+                           c_cov=np.einsum("...ga,...gb->...ab", bm, b))
+        rows = strain.field_rows
+        d = np.moveaxis(rows(np.moveaxis(g, -1, 0), np.moveaxis(hh, -1, 0),
+                             geom)
+                        + 0.5 * (rows(v, g, step(1.0))
+                                 - rows(v, g, step(-1.0))), 0, -1)
+        G = geom.christoffel
+        drho, dgam = (d[..., r:r + 4, :].reshape(d.shape[:-2] + (2, 2, 2))
+                      - np.einsum("...lac,...lb->...abc", G, x)
+                      - np.einsum("...lbc,...al->...abc", G, x)
+                      for r, x in ((0, strains[0]), (4, strains[1])))
+        return drho, dgam, (d[..., 8:10, :]
+                            - np.einsum("...lac,...l->...ac", G, strains[2]))
 
     def volume_loads(self, pts, geom=None):
         """Couples c^a and forces p^1,p^2,p^3 at parameter points (exact),

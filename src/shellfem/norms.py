@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import strain
-from .assembly import (FormAssembler, _aux_basis, _field_columns, _gram,
-                       _normal_flux, _Sums)
+from .assembly import (FormAssembler, _aux_basis, _consistency_jump,
+                       _field_columns, _gram, _normal_flux, _Sums)
 from .geometry import batched
 
 
@@ -142,8 +142,8 @@ class NormEngine:
         if energies:    # the forms' volume and edge consistency terms
             bm = np.concatenate([interior.geom.b_mix,
                                  boundary.geom.b_mix[fixed]])
-            bend = np.einsum("eqda,...eqd->...eqa", bm, jump[..., 2:4])
-            x = np.concatenate([bend - jump[..., :2], jump[..., 2:]], -1)
+            x = np.concatenate([_consistency_jump(bm, jump), jump[..., 2:]],
+                               -1)
             ec = np.einsum("q,...eqc,...eqc->...c", interior.we, x, flux)
             wa, A = w * e.geom.sqrt_a, asm._elastic(e.geom).elastic
             km = asm.material.kappa * asm.material.mu

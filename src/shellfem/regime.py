@@ -56,6 +56,22 @@ class RegimeReport:
 VERDICT_BENDING = "bending-dominated"
 VERDICT_NON_BENDING = "non-bending (membrane/shear or intermediate)"
 VERDICT_INCONCLUSIVE = "inconclusive"
+THRESHOLDS = {"T_big": 10.0, "T_zero": 0.1, "stabilize_rel": 0.05}
+
+
+def _verdict(n_eps, n_half, n_ext, n_dg, th) -> str:
+    """The verdict of the H norms of mixed at eps, mixed at eps/2, their
+    extrapolation and one-field at eps under the thresholds `th`."""
+    if not any((n_eps, n_half, n_ext, n_dg)):
+        return VERDICT_INCONCLUSIVE
+    if n_dg > 0 and n_eps / n_dg >= th["T_big"]:
+        return VERDICT_BENDING
+    if n_eps >= n_half >= n_ext and n_ext <= th["T_zero"] * n_eps:
+        return VERDICT_NON_BENDING
+    if (abs(n_ext - n_half) <= th["stabilize_rel"] * n_half
+            and n_ext > th["T_zero"] * n_eps):
+        return VERDICT_BENDING
+    return VERDICT_INCONCLUSIVE
 
 
 def detect_regime(problem: ShellProblem, thresholds: dict = None,
@@ -66,8 +82,8 @@ def detect_regime(problem: ShellProblem, thresholds: dict = None,
     forms the Richardson combination (4 u^{eps/2} - u^{eps}) / 3 on the shared
     coefficient vector, and applies the magnitude-based decision rule; a
     problem whose solutions all vanish gets no verdict.  `thresholds`
-    overrides any of T_big, T_zero and stabilize_rel."""
-    th = {"T_big": 10.0, "T_zero": 0.1, "stabilize_rel": 0.05}
+    overrides any of the `THRESHOLDS`."""
+    th = dict(THRESHOLDS)
     unknown = sorted((thresholds or {}).keys() - th.keys())
     if unknown:
         raise ValueError(f"unknown regime thresholds {unknown}: the "
@@ -91,18 +107,6 @@ def detect_regime(problem: ShellProblem, thresholds: dict = None,
         "half_over_eps": n_half / n_eps if n_eps else np.inf,
     }
 
-    if not any((n_eps, n_half, n_ext, n_dg)):
-        verdict = VERDICT_INCONCLUSIVE
-    elif n_dg > 0 and n_eps / n_dg >= th["T_big"]:
-        verdict = VERDICT_BENDING
-    elif (n_eps >= n_half >= n_ext and n_ext <= th["T_zero"] * n_eps):
-        verdict = VERDICT_NON_BENDING
-    elif (abs(n_ext - n_half) <= th["stabilize_rel"] * n_half
-          and n_ext > th["T_zero"] * n_eps):
-        verdict = VERDICT_BENDING
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-
     cond = {}
     resolution = geometry_resolution(problem.mesh, problem.chart)
     for label, e in (("eps", eps), ("half_eps", eps / 2)):
@@ -113,7 +117,8 @@ def detect_regime(problem: ShellProblem, thresholds: dict = None,
 
     report = RegimeReport(
         norm_mixed_eps=n_eps, norm_mixed_half_eps=n_half, norm_extrap=n_ext,
-        norm_dg=n_dg, ratios=ratios, verdict=verdict, thresholds=th,
+        norm_dg=n_dg, ratios=ratios, thresholds=th,
+        verdict=_verdict(n_eps, n_half, n_ext, n_dg, th),
         epsilon=eps, mesh_condition=cond)
     if keep_solutions is not None:
         keep_solutions.update({"mixed_eps": sol_eps, "mixed_half": sol_half,

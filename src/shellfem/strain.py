@@ -1,13 +1,16 @@
-"""Bending, membrane, and shear strains as per-point linear operators.
+"""Bending, membrane, and shear strains of theta1, theta2, u1, u2, w.
 
-Every strain is linear in the value and the two partials of each of the
-fields theta1, theta2, u1, u2, w.  The operator L (..., 10, 15) maps these
-15 entries (column 3c + d for component c and d in value, d_1, d_2) to
-rho_ab = sym(theta_{a|b}) - sym(b^g_a u_{g|b}) + c_ab w (rows 0-3, in the
-order 11, 12, 21, 22), gamma_ab = sym(u_{a|b}) - b_ab w (rows 4-7) and
-tau_a = d_a w + b^g_a u_g + theta_a (rows 8-9), where
-v_{a|b} = d_b v_a - Gamma^g_{ab} v_g.  It depends on the geometry alone;
-the forms, the norms and the manufactured loads all use it.
+The rule (Chapelle & Bathe, The Finite Element Analysis of Shells, 2nd ed.,
+2011, ch. 4): rho_ab = sym(theta_{a|b}) - sym(b^g_a u_{g|b}) + c_ab w (rows
+0-3, in the order 11, 12, 21, 22), gamma_ab = sym(u_{a|b}) - b_ab w (rows
+4-7) and tau_a = d_a w + b^g_a u_g + theta_a (rows 8-9), where
+v_{a|b} = d_b v_a - Gamma^g_{ab} v_g.  The rows read the geometry fields
+b_cov, b_mix, c_cov and christoffel alone; they are linear in the fields
+and at most quadratic in these.  `field_rows` is the rule on field values
+and gradients, for the norms and the manufactured loads; `_entries` writes
+it per column for the forms, as the operator L (..., 10, 15) on the value
+and two partials of each field (column 3c + d for component c and d in
+value, d_1, d_2).
 """
 
 from __future__ import annotations
@@ -50,15 +53,20 @@ def operator(geom):
 
 
 def field_rows(values, grads, geom):
-    """The strain rows (..., 10) of the operator's order of fields given as
-    values (..., 5) and gradients (..., 5, 2) of theta1, theta2, u1, u2, w;
-    the geometry matches the last of their leading axes.  The operator is
-    applied with the points on the last axes, as `_entries` builds it."""
-    jet = np.concatenate([values[..., None], grads], axis=-1)   # (..., 5, 3)
-    jet = np.moveaxis(jet.reshape(jet.shape[:-2] + (15,)), -1, 0).copy()
-    L = _entries(geom)
-    L = L.reshape(L.shape[:2] + (1,) * (jet.ndim - L.ndim + 1) + L.shape[2:])
-    return np.moveaxis(sum(L[:, j] * jet[j] for j in range(15)), 0, -1)
+    """The strain rows (..., 10) of fields given as values (..., 5) and
+    gradients (..., 5, 2) of theta1, theta2, u1, u2, w, by the rule; the
+    geometry's leading axes broadcast against theirs."""
+    th, u, w = values[..., 0:2], values[..., 2:4], values[..., 4, None, None]
+    G, bm = geom.christoffel, geom.b_mix
+    dth, du = (grads[..., f, :] - np.einsum("...gab,...g->...ab", G, v)
+               for f, v in ((slice(0, 2), th), (slice(2, 4), u)))  # v_{a|b}
+    x = dth - np.einsum("...ga,...gb->...ab", bm, du)
+    rho = 0.5 * (x + np.swapaxes(x, -1, -2)) + geom.c_cov * w
+    gam = 0.5 * (du + np.swapaxes(du, -1, -2)) - geom.b_cov * w
+    tau = grads[..., 4, :] + np.einsum("...ga,...g->...a", bm, u) + th
+    lead = tau.shape[:-1]
+    return np.concatenate([rho.reshape(lead + (4,)), gam.reshape(lead + (4,)),
+                           tau], axis=-1)
 
 
 def field_strains(values, grads, geom):

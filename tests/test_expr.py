@@ -11,24 +11,26 @@ from shellfem.expr import (Bin, Call, Const, EvalDomainError, ExprError, Num,
 FUNCS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 
 
-def random_ast(rng, depth=0):
+def random_ast(rng, depth=0, lo=0.0):
+    """A random AST whose numbers are drawn from [lo, 10]."""
     r = rng.random()
     if depth > 5 or r < 0.25:
         choice = rng.integers(0, 4)
         if choice == 0:
-            return Num(float(np.round(rng.uniform(0, 10), 3)))
+            return Num(float(np.round(rng.uniform(lo, 10), 3)))
         if choice == 1:
             return Var("x1")
         if choice == 2:
             return Var("x2")
         return Const("pi" if rng.random() < 0.5 else "e")
     if r < 0.35:
-        return Unary(random_ast(rng, depth + 1))
+        return Unary(random_ast(rng, depth + 1, lo))
     if r < 0.5:
         return Call(FUNCS[rng.integers(0, len(FUNCS))],
-                    random_ast(rng, depth + 1))
+                    random_ast(rng, depth + 1, lo))
     op = "+-*/^"[rng.integers(0, 5)]
-    return Bin(op, random_ast(rng, depth + 1), random_ast(rng, depth + 1))
+    return Bin(op, random_ast(rng, depth + 1, lo),
+               random_ast(rng, depth + 1, lo))
 
 
 def test_round_trip_fuzz_1000():
@@ -40,6 +42,23 @@ def test_round_trip_fuzz_1000():
         if parse(text) != ast:
             failures += 1
     assert failures == 0
+
+
+def test_round_trip_keeps_the_value_of_negative_numbers():
+    # the parser reads "-2" as Unary(Num(2)), so a Num(-2), which simplify
+    # makes, cannot come back as the same AST; its text keeps its value,
+    # also for a negative zero: exp(1 / -0) is exp(-inf) = 0
+    for src, x1, want in (("(-2) ^ x1", 2.0, 4.0), ("exp(1 / -0)", 0.0, 0.0)):
+        text = to_string(simplify(parse(src)))
+        assert text == src and evaluate(parse(text), x1, 0.0) == want
+    rng = np.random.default_rng(20241021)
+    for _ in range(1000):
+        ast = random_ast(rng, lo=-10.0)
+        try:
+            want = evaluate(ast, 0.7, 1.3)
+        except EvalDomainError:
+            continue
+        assert evaluate(parse(to_string(ast)), 0.7, 1.3) == want, ast
 
 
 @pytest.mark.parametrize("text,x1,x2,expect", [
@@ -157,6 +176,17 @@ def test_simplify_folds_each_operator_alone():
     assert simplify(parse("2 * 3 - 1 / 4")) == Num(5.75)
     for text in ("2 ^ 1e308", "1 / 0", "(-8) ^ (1 / 3)", "0 ^ (-1)"):
         assert isinstance(simplify(parse(text)), Bin), text
+
+
+def test_simplify_folds_nothing_that_is_not_finite():
+    # a zero absorbs a constant partner only where the fold is finite, so the
+    # simplified text raises as the original does; it absorbs a partner that
+    # holds a variable, as derivatives need, though log(x1) is -inf at 0
+    for text in ("0 / 0", "0 * (1 / 0)", "0 * log(0)"):
+        for ast in (parse(text), simplify(parse(text))):
+            with pytest.raises(EvalDomainError):
+                evaluate(ast, 0.5, 0.5)
+    assert simplify(parse("0 * log(x1)")) == Num(0.0)
 
 
 def test_simplify_preserves_value():

@@ -22,9 +22,11 @@ def make_sol(chart_kind, exprs=TRIG, theta_total=1.0, **kw):
 
 @pytest.mark.parametrize("kind,lo,hi", [("plate", 0.0, 1.0),
                                         ("cylinder", 0.0, 1.0),
-                                        ("sphere", 0.5, 1.3)])
+                                        ("sphere", 0.5, 1.3),
+                                        ("hypar", 0.0, 1.0)])
 def test_analytic_loads_match_finite_differences(kind, lo, hi):
-    sol = make_sol(kind, theta_total=4.0)
+    sol = make_sol(kind, theta_total=4.0,
+                   **({"coeff": 0.8} if kind == "hypar" else {}))
     rng = np.random.default_rng(0)
     pts = rng.uniform(lo, hi, (40, 2))
     exact = sol.volume_loads(pts)

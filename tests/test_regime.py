@@ -7,8 +7,9 @@ from shellfem.driver import ShellProblem
 from shellfem.geometry import make_chart
 from shellfem.mesh import generate_rect_mesh, mesh_condition_report
 from shellfem.norms import NormEngine
-from shellfem.regime import (VERDICT_BENDING, VERDICT_INCONCLUSIVE,
-                             VERDICT_NON_BENDING, RegimeReport, detect_regime,
+from shellfem.regime import (THRESHOLDS, VERDICT_BENDING,
+                             VERDICT_INCONCLUSIVE, VERDICT_NON_BENDING,
+                             RegimeReport, _verdict, detect_regime,
                              recommend_solution)
 from shellfem.solve import ShellSolution
 
@@ -186,8 +187,15 @@ VERDICT_EDGES = {
 
 
 @pytest.mark.parametrize("case", list(VERDICT_EDGES))
-def test_verdict_on_each_side_of_each_threshold(monkeypatch, case):
+def test_verdict_on_each_side_of_each_threshold(case):
     norms, verdict = VERDICT_EDGES[case]
+    assert _verdict(*norms, THRESHOLDS) == verdict
+
+
+def test_detection_reports_the_verdict_of_its_norms(monkeypatch):
+    """`detect_regime` hands its four norms and the default thresholds to
+    the verdict rule: with stubbed solves and norms, one case of it."""
+    norms, verdict = VERDICT_EDGES["T_big outside"]
     prob = cylinder_problem(nx=1, ny=1)
     prob.config = AssemblyConfig(penalty_C=20.0)    # no calibration
     monkeypatch.setattr(ShellProblem, "solve", lambda self, method, epsilon:
@@ -197,4 +205,4 @@ def test_verdict_on_each_side_of_each_threshold(monkeypatch, case):
     rep = detect_regime(prob)
     assert (rep.norm_mixed_eps, rep.norm_mixed_half_eps, rep.norm_extrap,
             rep.norm_dg) == norms
-    assert rep.verdict == verdict
+    assert rep.verdict == verdict and rep.thresholds == THRESHOLDS

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shellfem.geometry import make_chart
-from shellfem.strain import field_strains
+from shellfem.strain import field_strains, operator
 
 from oracles import (bending_strain, covariant_derivative, membrane_strain,
                      shear_strain)
@@ -128,11 +128,20 @@ def test_individual_strain_functions_match_bundle():
         "x1", "x2", "0.25 * sin(pi * x1) * sin(pi * x2)")), (0.0, 1.0))],
     ids=["plate", "cylinder", "sphere", "hypar", "bump"])
 def test_operator_matches_closed_form_strains(chart, box):
-    """The per-point strain operator applied to random fields at 200 random
-    points gives the closed-form rho, gamma and tau."""
+    """Both statements of the strain rule, the formula on field values and
+    gradients and the per-point operator applied to their 15 entries, give
+    the closed-form rho, gamma and tau of random fields at 200 random
+    points."""
     rng = np.random.default_rng(11)
     g = chart.evaluate(rng.uniform(*box, (200, 2)))
-    fields = rand_fields(rng, 200)
-    for got, want in zip(strains(*fields, g), closed_form_strains(*fields, g),
-                         strict=True):
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    th, dth, u, du, w, dw = fields = rand_fields(rng, 200)
+    values = np.concatenate([th, u, w[:, None]], axis=-1)
+    grads = np.concatenate([dth, du, dw[:, None]], axis=-2)
+    jet = np.concatenate([values[..., None], grads], -1).reshape(200, 15)
+    rows = (operator(g) @ jet[..., None])[..., 0]
+    by_operator = (rows[:, 0:4].reshape(200, 2, 2),
+                   rows[:, 4:8].reshape(200, 2, 2), rows[:, 8:10])
+    want = closed_form_strains(*fields, g)
+    for got in (field_strains(values, grads, g), by_operator):
+        for x, y in zip(got, want, strict=True):
+            assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
