@@ -55,9 +55,9 @@ from . import strain
 from .fe_space import JOINS, N_MONO, eval_monos, grad_monos
 from .geometry import batched, eval_elastic
 from .mesh import edge_normal
-from .ordering import nested_dissection
+from .ordering import as_tree, nested_dissection
 from .quadrature import interval_rule, triangle_rule
-from .solve import SolverError, factor, ordered
+from .solve import SolverError, ordered, positive_definite
 
 # (point, local DOF) pairs in one slice of the grouped kernel, which bounds
 # what a slice materialises: an edge slice's 13 rows of jumps take 6.8 MB
@@ -286,7 +286,8 @@ class FormAssembler:
         self._elem = None
         self._edges = None
         self._forms = None
-        self._order = None
+        self._dissection = None
+        self._trees = {}
 
     # ------------------------------------------------------------ element data
 
@@ -562,14 +563,16 @@ class FormAssembler:
 
     # ------------------------------------------------------------- public API
 
-    def dof_order(self, n: int = None) -> np.ndarray:
-        """The fill-reducing order of the layout's unknowns, computed once
-        from the mesh (ordering.py), restricted to the leading n of them
-        (all by default): every system solved here is a leading block."""
-        if self._order is None:
-            self._order = nested_dissection(self.mesh, self.layout)
-        o = self._order
-        return o if n is None else o[o < n]
+    def factor_tree(self, n: int = None):
+        """The assembly tree of the layout's leading n unknowns (all by
+        default; every system solved here is a leading block), made once
+        per n from the mesh's one nested dissection (ordering.py)."""
+        n = self.layout.n_total if n is None else n
+        if n not in self._trees:
+            if self._dissection is None:
+                self._dissection = nested_dissection(self.mesh, self.layout)
+            self._trees[n] = self._dissection.tree(n)
+        return self._trees[n]
 
     def penalty(self) -> float:
         """The penalty constant: the config's, or calibrated on first use
@@ -662,25 +665,19 @@ def _aux_basis(pv):
     return S.reshape(nq, 6, 5 * nv)
 
 
-def _positive_definite(K, order) -> bool:
+def _positive_definite(K, tree) -> bool:
     """Positive-definiteness of the symmetric matrix K, probed on
-    K + 1e-12 tr(K)/n I factored in `order`, by Sylvester's law of inertia:
-    K = L D L^T is PD iff every pivot in D is positive.  SuperLU in
-    symmetric mode with diagonal pivoting yields U = D L^T while it keeps
-    the diagonal pivots; it leaves the diagonal (or finds the factor
-    singular) only at an exactly zero pivot, a singular leading minor, so K
-    is then not PD.  The shift goes onto the stored diagonal of the ordered
-    copy, so the probe factors K's pattern; an unstored diagonal stays 0."""
+    K + 1e-12 tr(K)/n I by a Cholesky factorization on `tree` (or in an
+    order, as one front), which succeeds exactly when every front's pivot
+    block is positive definite, and keeps no factor.  The shift goes onto
+    the stored diagonal of the ordered copy, so the probe factors K's
+    pattern; an unstored diagonal stays 0."""
+    tree = as_tree(tree)
     shift = 1e-12 * K.diagonal().sum() / K.shape[0]
-    K = ordered(K, order)
+    K = ordered(K, tree.order)
     K.data[K.indices == np.repeat(np.arange(K.shape[1]),
                                   np.diff(K.indptr))] += shift
-    try:
-        lu = factor(K)
-    except RuntimeError:                 # exactly singular
-        return False
-    return bool(np.array_equal(lu.perm_r, lu.perm_c)
-                and np.all(lu.U.diagonal() > 0))
+    return positive_definite(K, tree)
 
 
 def calibrate_penalty(asm: FormAssembler, max_doublings: int = 10) -> float:
@@ -693,10 +690,10 @@ def calibrate_penalty(asm: FormAssembler, max_doublings: int = 10) -> float:
     bsup = float(np.abs(e.b_cov).max() + np.abs(e.b_mix).max()) / 2.0
     gsup = float(np.abs(e.christoffel).max())
     C = 10.0 * asm.material.mu * (1.0 + bsup ** 2 + gsup ** 2)
-    order = asm.dof_order(asm.layout.n_primal)
+    tree = asm.factor_tree(asm.layout.n_primal)
     for _ in range(max_doublings + 1):
         asm.config = replace(asm.config, penalty_C=C)
-        if _positive_definite(asm.a_theta(1.0), order):
+        if _positive_definite(asm.a_theta(1.0), tree):
             return C
         C *= 2.0
     asm.config = given

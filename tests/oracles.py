@@ -5,7 +5,8 @@ surface Green-identity probe, per-triangle geometry seminorms, the
 penalized forms rho_h, gamma_h and tau_h, the Korn-type norm-equivalence
 probe, the dual H_h norm, the weak stress norm, the exact stress
 interpolant, consistency residuals, finite-difference manufactured
-loads), and the built-in charts' coefficient fields derived with sympy.
+loads, the reference sparse LU), and the built-in charts' coefficient
+fields derived with sympy.
 The loops build their own dense per-DOF field arrays from each element's
 basis coefficients and take their strains from the closed-form formulas
 below, so they share no basis-trace or strain code with the package's
@@ -940,6 +941,23 @@ def penalized_forms(asm):
     return [sps.csr_matrix((f[k].data + C * f[k + "_pen"].data,
                             f[k].indices, f[k].indptr), shape=f[k].shape)
             for k in ("R", "GT")]
+
+
+def reference_factor(K):
+    """The reference sparse LU of a symmetric K already in its fill-reducing
+    order: SuperLU in symmetric mode, that order kept, diagonal pivots (the
+    package's factor before its multifrontal one)."""
+    return spla.splu(sps.csc_matrix(K), permc_spec="NATURAL",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def reference_solve(K, b, steps=2):
+    """x with K x = b from `reference_factor`, refined `steps` times."""
+    lu = reference_factor(K)
+    x = lu.solve(b)
+    for _ in range(steps):
+        x = x + lu.solve(b - K @ x)
+    return x, lu
 
 
 def green_identity_check(tri_coords, chart, f_exprs) -> float:

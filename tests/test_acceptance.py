@@ -310,7 +310,7 @@ def test_criterion_09_cross_path_equality():
                           AssemblyConfig(penalty_C=20.0))
     f_m = asm_m.load_vector(loads)
     direct = solve_mixed(asm_m.a_theta(1.0), asm_m.b_matrix(),
-                         asm_m.c_matrix(), f_m, eps, asm_m.dof_order())
+                         asm_m.c_matrix(), f_m, eps, asm_m.factor_tree())
     via = realize_via_theta(asm_m, "mixed", eps, f_m)
     bitwise = (np.array_equal(direct.primal, via.primal)
                and np.array_equal(direct.aux, via.aux))
@@ -321,7 +321,7 @@ def test_criterion_09_cross_path_equality():
                           AssemblyConfig(penalty_C=20.0))
     f_d = asm_d.load_vector(loads)
     dg_direct = solve_dg(*penalized_forms(asm_d), f_d, eps,
-                         asm_d.dof_order(lay_d.n_primal))
+                         asm_d.factor_tree(lay_d.n_primal))
     dg_via = realize_via_theta(asm_d, "dg", eps, f_d)
     dg_diff = (np.abs(dg_direct.primal - dg_via.primal).max()
                / np.abs(dg_direct.primal).max())

@@ -259,12 +259,12 @@ def test_sparse_inertia_probe_agrees_with_dense(case):
     C = calibrate_penalty(asm)
     assert asm.config.penalty_C == C
     verdicts = []
-    order = asm.dof_order(layout.n_primal)
+    tree = asm.factor_tree(layout.n_primal)
     for c in (C / 2, C, 0.05):
         asm.config = AssemblyConfig(penalty_C=c)
         K = asm.a_theta(1.0)
-        assert _positive_definite(K, order) == dense_pd(K)
-        verdicts.append(_positive_definite(K, order))
+        assert _positive_definite(K, tree) == dense_pd(K)
+        verdicts.append(_positive_definite(K, tree))
     assert verdicts == [False, True, False]
 
 

@@ -418,7 +418,7 @@ def test_cli_import_leaves_scipy_special_out():
 
 def test_exit_code_calibration_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(assembly, "_positive_definite",
-                        lambda K, order: False)
+                        lambda K, tree: False)
     cfg = write(tmp_path, GOOD)
     assert main(["regime", cfg, "--out", str(tmp_path)]) == 4
     assert "penalty calibration failed" in capsys.readouterr().err
@@ -528,10 +528,10 @@ def test_solve_study_factors_its_last_system_alone(tmp_path, monkeypatch,
         init(self, *args, **kwargs)
         made.append(self)
 
-    def recording_factor(K):
+    def recording_factor(K, tree):
         held.append([(a._forms is not None, a._elem is not None,
                       a._edges is not None) for a in made])
-        return factor(K)
+        return factor(K, tree)
     monkeypatch.setattr(FormAssembler, "__init__", recording_init)
     monkeypatch.setattr(solve, "factor", recording_factor)
     out = tmp_path / "out"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shellfem import assembly, solve
+from shellfem import solve
 from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec
 from shellfem.driver import ShellProblem
 from shellfem.geometry import make_chart
@@ -155,11 +155,10 @@ def test_calibrated_detection_factors_three_systems(monkeypatch):
     prob.calibrate()
     shapes, factor = [], solve.factor
 
-    def counting(K):
+    def counting(K, tree):
         shapes.append(K.shape)
-        return factor(K)
-    for owner in (solve, assembly):
-        monkeypatch.setattr(owner, "factor", counting)
+        return factor(K, tree)
+    monkeypatch.setattr(solve, "factor", counting)
     detect_regime(prob)
     layout = prob.assembler().layout
     n = layout.n_primal + layout.n_block3

@@ -8,12 +8,14 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from shellfem import driver, solve
-from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec, Material
+from shellfem.assembly import (AssemblyConfig, FormAssembler, LoadSpec,
+                               Material, _positive_definite)
 from shellfem.driver import ShellProblem
 from shellfem.fe_space import build_dof_layout
 from shellfem.geometry import make_chart
 from shellfem.mesh import generate_rect_mesh
 from shellfem.norms import NormEngine
+from shellfem.ordering import Tree
 from shellfem.solve import (BACKWARD_ERROR_MULTIPLE, ShellSolution,
                             SolverError, factor, inf_norm, ordered,
                             realize_via_theta, solve_dg, solve_mixed)
@@ -37,7 +39,7 @@ def test_mixed_matches_dense_oracle():
     A = asm.a_theta(1.0)
     B = asm.b_matrix()
     C = asm.c_matrix()
-    sol = solve_mixed(A, B, C, f, eps, asm.dof_order())
+    sol = solve_mixed(A, B, C, f, eps, asm.factor_tree())
     K = sps.bmat([[A, B.T], [B, -eps ** 2 * C]]).toarray()
     ref = np.linalg.solve(K, np.concatenate([f, np.zeros(C.shape[0])]))
     n = A.shape[0]
@@ -49,7 +51,7 @@ def test_dg_matches_dense_oracle():
     asm, f = setup()
     eps = 0.05
     R, GT = penalized_forms(asm)
-    sol = solve_dg(R, GT, f, eps, asm.dof_order(len(f)))
+    sol = solve_dg(R, GT, f, eps, asm.factor_tree(len(f)))
     K = (R + eps ** -2 * GT).toarray()
     ref = np.linalg.solve(K, f)
     assert np.allclose(sol.primal, ref, rtol=1e-8, atol=1e-12)
@@ -59,8 +61,8 @@ def test_solution_linearity():
     asm, f = setup()
     eps = 0.1
     A, B, C = asm.a_theta(1.0), asm.b_matrix(), asm.c_matrix()
-    s1 = solve_mixed(A, B, C, f, eps, asm.dof_order())
-    s2 = solve_mixed(A, B, C, 3.0 * f, eps, asm.dof_order())
+    s1 = solve_mixed(A, B, C, f, eps, asm.factor_tree())
+    s2 = solve_mixed(A, B, C, 3.0 * f, eps, asm.factor_tree())
     assert np.allclose(s2.primal, 3.0 * s1.primal, rtol=1e-9,
                        atol=1e-12 * np.abs(s1.primal).max())
     assert np.allclose(s2.aux, 3.0 * s1.aux, rtol=1e-9,
@@ -71,11 +73,11 @@ def test_zero_rhs_gives_zero_solution():
     asm, f = setup()
     z = np.zeros_like(f)
     sol = solve_mixed(asm.a_theta(1.0), asm.b_matrix(), asm.c_matrix(), z, 0.1,
-                      asm.dof_order())
+                      asm.factor_tree())
     assert np.all(sol.primal == 0)
     assert np.all(sol.aux == 0)
     fm = asm.forms()
-    sol = solve_dg(fm["R"], fm["GT"], z, 0.1, asm.dof_order(len(z)))
+    sol = solve_dg(fm["R"], fm["GT"], z, 0.1, asm.factor_tree(len(z)))
     assert np.all(sol.primal == 0)
 
 
@@ -83,7 +85,7 @@ def test_via_theta_mixed_matches_standalone():
     asm, f = setup()
     eps = 0.1
     direct = solve_mixed(asm.a_theta(1.0), asm.b_matrix(), asm.c_matrix(),
-                         f, eps, asm.dof_order())
+                         f, eps, asm.factor_tree())
     via = realize_via_theta(asm, "mixed", eps, f)
     assert np.array_equal(direct.primal, via.primal)
     assert np.array_equal(direct.aux, via.aux)
@@ -92,7 +94,8 @@ def test_via_theta_mixed_matches_standalone():
 def test_via_theta_dg_matches_standalone():
     asm, f = setup()
     eps = 0.1
-    direct = solve_dg(*penalized_forms(asm), f, eps, asm.dof_order(len(f)))
+    direct = solve_dg(*penalized_forms(asm), f, eps,
+                      asm.factor_tree(len(f)))
     via = realize_via_theta(asm, "dg", eps, f)
     scale = np.abs(direct.primal).max()
     assert np.abs(direct.primal - via.primal).max() < 1e-10 * scale
@@ -136,8 +139,8 @@ def test_backward_error_above_the_bound_is_refused(monkeypatch):
                                   + np.abs(b).max())
     assert accept < berr < 1e3 * accept
 
-    def perturbed(K):
-        lu = factor(K)
+    def perturbed(K, tree):
+        lu = factor(K, tree)
         return SimpleNamespace(solve=lambda r: lu.solve(r) + d, nnz=lu.nnz)
     monkeypatch.setattr(solve, "factor", perturbed)
     with pytest.raises(SolverError, match="backward error"):
@@ -155,7 +158,7 @@ def reduced_oracle(problem):
 
 def oracle_solve(oracle, loads, epsilon):
     return solve_dg(*penalized_forms(oracle), oracle.load_vector(loads),
-                    epsilon, oracle.dof_order(oracle.layout.n_primal))
+                    epsilon, oracle.factor_tree(oracle.layout.n_primal))
 
 
 @pytest.mark.parametrize("tags", [("D", "F", "F", "F"), ("S", "F", "D", "F")],
@@ -247,14 +250,20 @@ def test_meta_reports_the_solve(readme_problem, method):
     assert sol.meta["cond_est"] > 1e6
 
 
-def test_refinement_takes_the_backward_error_to_u(readme_problem,
-                                                 monkeypatch):
-    """The README mixed system's first solve has a backward error above u;
-    refinement brings it to at most u."""
+def test_refinement_takes_the_backward_error_to_u(monkeypatch):
+    """A quasidefinite saddle point whose primal block is tiny (1e-4 I) has
+    a signed factor with a growth near 1e4: its first solve has a backward
+    error above u, and refinement brings it to at most u."""
+    m = 10
+    rng = np.random.default_rng(0)
+    A, B, C = 1e-4 * np.eye(m), rng.standard_normal((m, m)), np.eye(m)
+    f = rng.standard_normal(m)
+    tree = Tree(np.arange(2 * m), np.array([0, 2 * m]), np.array([m]),
+                np.array([-1]), [np.empty(0, dtype=int)])
     first = []
 
-    def recording(K):
-        lu = factor(K)
+    def recording(K, tree):
+        lu = factor(K, tree)
 
         def solve_once(r):
             x = lu.solve(r)
@@ -265,10 +274,53 @@ def test_refinement_takes_the_backward_error_to_u(readme_problem,
             return x
         return SimpleNamespace(solve=solve_once, nnz=lu.nnz)
     monkeypatch.setattr(solve, "factor", recording)
-    sol = readme_problem.solve("mixed")
+    sol = solve_mixed(*(sps.csr_matrix(M) for M in (A, B, C)), f, 1e-3, tree)
     u = np.finfo(float).eps
     assert first[0] > u
     assert sol.meta["backward_error"] <= u
+
+
+def test_mesh_free_matrix_is_one_front():
+    """A symmetric indefinite matrix given with an order and no tree is
+    factored as one front (by LU: it is not quasidefinite) and solved as
+    the dense solver does."""
+    n = 40
+    rng = np.random.default_rng(2)
+    M = rng.standard_normal((n, n))
+    K = M + M.T
+    b = rng.standard_normal(n)
+    order = rng.permutation(n)
+    sol = solve_dg(sps.csr_matrix(K), sps.csr_matrix((n, n)), b, 1.0, order)
+    want = np.linalg.solve(K, b)
+    assert sol.meta["lu_fill"] == n * n
+    assert np.abs(sol.primal - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_indefinite_primal_block_is_solved_by_lu_fronts(monkeypatch):
+    """With penalty_C = 10 on the 8x8 D,F,F,F cylinder, A(1) is indefinite
+    (the probe says so): some pivot blocks are not quasidefinite, the
+    factor takes them by LU, and the mixed and penalized systems are still
+    solved within the backward-error bound."""
+    mesh = generate_rect_mesh((0, 1, 0, 1), 8, 8, tags=("D", "F", "F", "F"))
+    problem = ShellProblem(chart=make_chart("cylinder"), mesh=mesh,
+                           epsilon=1e-3,
+                           loads=LoadSpec(p3=lambda p: np.ones(len(p))),
+                           config=AssemblyConfig(penalty_C=10.0))
+    asm = problem.assembler()
+    layout = asm.layout
+    assert not _positive_definite(asm.a_theta(1.0),
+                                  asm.factor_tree(layout.n_primal))
+    lu_fronts, lu_pivot = [], solve._lu_pivot
+
+    def counting(*args):
+        lu_fronts.append(args[0].shape[1])
+        return lu_pivot(*args)
+    monkeypatch.setattr(solve, "_lu_pivot", counting)
+    for method, n in (("mixed", layout.n_total), ("dg", layout.n_block1)):
+        lu_fronts.clear()
+        sol = problem.solve(method)
+        assert lu_fronts, method
+        assert sol.meta["backward_error"] <= bound(n), method
 
 
 def test_solution_dataclass_meta():
@@ -285,8 +337,8 @@ def test_one_pass_matrix_norms_equal_scipy_norms():
     eps, n1 = 0.1, asm.layout.n_block1
     A, B, C = asm.a_theta(1.0), asm.b_matrix(), asm.c_matrix()
     systems = [
-        ordered(sps.bmat([[A, B.T], [B, -eps ** 2 * C]]), asm.dof_order()),
-        ordered(asm.a_theta(eps ** -2).tocsr()[:n1, :n1], asm.dof_order(n1)),
+        ordered(sps.bmat([[A, B.T], [B, -eps ** 2 * C]]), asm.factor_tree().order),
+        ordered(asm.a_theta(eps ** -2).tocsr()[:n1, :n1], asm.factor_tree(n1).order),
         sps.csc_matrix([[2.0, -1.0], [-3.0, 0.5]]),
         sps.csc_matrix([[1.0, 0.0], [-2.0, 0.0]])]
     for K in systems:
@@ -307,8 +359,8 @@ def test_solve_figures_agree_with_the_transposed_definitions(
     solve as the adjoint and ||K||_inf from scipy."""
     seen = []
 
-    def spy(K):
-        seen.append((K, factor(K)))
+    def spy(K, tree):
+        seen.append((K, factor(K, tree)))
         return seen[-1][1]
     asm = readme_problem.assembler()
     monkeypatch.setattr(solve, "factor", spy)
@@ -318,9 +370,9 @@ def test_solve_figures_agree_with_the_transposed_definitions(
     if method == "mixed":
         x = np.concatenate([sol.primal, sol.aux])
         b = np.concatenate([f, np.zeros(len(sol.aux))])
-        order = asm.dof_order()
+        order = asm.factor_tree().order
     else:
-        x, b, order = sol.primal[:n1], f[:n1], asm.dof_order(n1)
+        x, b, order = sol.primal[:n1], f[:n1], asm.factor_tree(n1).order
     x, b = x[order], b[order]
     inv = spla.LinearOperator(K.shape, lu.solve, dtype=float,
                               rmatvec=lambda y: lu.solve(y, trans="T"))
@@ -367,10 +419,10 @@ def test_only_the_ordered_system_is_under_the_factor(monkeypatch, mode,
         given.append(weakref.ref(K))
         return order(K, o)
 
-    def recording_factor(K):
+    def recording_factor(K, tree):
         seen.append((given[-1]() is None, asm._forms is None,
                      asm._elem is None, asm._edges is None))
-        return lu(K)
+        return lu(K, tree)
     monkeypatch.setattr(solve, "ordered", recording_ordered)
     monkeypatch.setattr(solve, "factor", recording_factor)
     monkeypatch.setattr(solve, "_saddle_point", recording_saddle_point)
