@@ -97,35 +97,26 @@ class ElasticTensors:
     compliance: np.ndarray   # (..., 2, 2, 2, 2) a_{abgd}
 
 
-def _leaves(f, *trees):
-    """f applied to the arrays at the leaves of `trees`, arrays or tuples
-    or dataclasses of arrays of one structure, in that structure."""
-    first = trees[0]
+def _join(parts):
+    if len(parts) == 1:
+        return parts[0]
+    first = parts[0]
     if isinstance(first, tuple):
-        return tuple(_leaves(f, *t) for t in zip(*trees))
+        return tuple(_join(list(p)) for p in zip(*parts))
     if is_dataclass(first):
-        return type(first)(*(_leaves(f, *(getattr(t, g.name) for t in trees))
-                             for g in fields(first)))
-    return f(*trees)
+        return type(first)(*(_join([getattr(p, f.name) for p in parts])
+                             for f in fields(first)))
+    return np.concatenate(parts)
 
 
 def batched(fn, points, *more):
     """fn(points, *more) over slices of the leading axis of `points` (..., 2)
     and of `more` of at most POINT_BUDGET points each (at least one row);
-    the results, arrays or tuples or dataclasses of arrays, are written
-    into one preallocated result slice by slice."""
+    the results, arrays or tuples or dataclasses of arrays, are joined."""
     points = np.asarray(points, dtype=float)
     step = max(1, POINT_BUDGET // max(1, int(np.prod(points.shape[1:-1]))))
-    part = fn(points[:step], *(m[:step] for m in more))
-    if len(points) <= step:
-        return part
-    out = _leaves(lambda a: np.empty((len(points),) + a.shape[1:], a.dtype),
-                  part)
-    for i in range(0, len(points), step):
-        if i:
-            part = fn(points[i:i + step], *(m[i:i + step] for m in more))
-        _leaves(lambda o, p: o.__setitem__(slice(i, i + len(p)), p), out, part)
-    return out
+    return _join([fn(points[i:i + step], *(m[i:i + step] for m in more))
+                  for i in range(0, max(len(points), 1), step)])
 
 
 class Chart:

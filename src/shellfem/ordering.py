@@ -38,7 +38,7 @@ class Tree:
     stresses, its off-diagonal rows are the ascending positions rows[f],
     all after its own, and its update goes to front parent[f] (-1 at a
     root), which comes after it.  (A plain class: a dataclass would add
-    about 3 ms to importing the package.)"""
+    about 0.45 ms to importing the package.)"""
 
     def __init__(self, order, ends, split, parent, rows):
         self.order, self.ends, self.split = order, ends, split

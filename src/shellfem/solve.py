@@ -24,15 +24,6 @@ _LIBC = ctypes.CDLL(None) if os.name == "posix" else None
 if hasattr(_LIBC, "malloc_trim"):
     _LIBC.malloc_trim.argtypes, _LIBC.malloc_trim.restype = [
         ctypes.c_size_t], ctypes.c_int
-# glibc maps every block above its mmap threshold (128 KiB at start) afresh
-# and unmaps it when freed, so the assembly slices and the frontal matrices,
-# a few MB each, fault their pages in one by one each time.  glibc raises the
-# threshold only once it frees a larger mapped block, which nothing here
-# does early; fix it where that rule puts it after a 16 MiB block
-# (M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1 in malloc.h).
-if hasattr(_LIBC, "mallopt"):
-    _LIBC.mallopt(-3, 16 << 20)
-    _LIBC.mallopt(-1, 32 << 20)
 
 
 class SolverError(RuntimeError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shellfem import solve
+from shellfem import assembly, solve
 from shellfem.assembly import AssemblyConfig, FormAssembler, LoadSpec
 from shellfem.driver import ShellProblem
 from shellfem.geometry import make_chart
@@ -153,12 +153,17 @@ def test_calibrated_detection_factors_three_systems(monkeypatch):
     calibrated problem factors these three systems and nothing else."""
     prob = cylinder_problem(tags=("D", "F", "F", "F"))
     prob.calibrate()
-    shapes, factor = [], solve.factor
+    shapes, factor, probe = [], solve.factor, assembly.positive_definite
 
     def counting(K, tree):
         shapes.append(K.shape)
         return factor(K, tree)
+
+    def probing(K, tree):
+        shapes.append(K.shape)
+        return probe(K, tree)
     monkeypatch.setattr(solve, "factor", counting)
+    monkeypatch.setattr(assembly, "positive_definite", probing)
     detect_regime(prob)
     layout = prob.assembler().layout
     n = layout.n_primal + layout.n_block3
