@@ -280,27 +280,42 @@ def test_refinement_takes_the_backward_error_to_u(monkeypatch):
     assert sol.meta["backward_error"] <= u
 
 
-def test_mesh_free_matrix_is_one_front():
+def test_mesh_free_matrix_is_one_front(monkeypatch):
     """A symmetric indefinite matrix given with an order and no tree is
-    factored as one front (by LU: it is not quasidefinite) and solved as
-    the dense solver does."""
+    factored as one front (by LU: its diagonal is zero, so it has no
+    diagonal pivot) and solved as the dense solver does."""
     n = 40
     rng = np.random.default_rng(2)
     M = rng.standard_normal((n, n))
     K = M + M.T
+    np.fill_diagonal(K, 0.0)
     b = rng.standard_normal(n)
     order = rng.permutation(n)
+    kinds = _kinds_of_fronts(monkeypatch)
     sol = solve_dg(sps.csr_matrix(K), sps.csr_matrix((n, n)), b, 1.0, order)
     want = np.linalg.solve(K, b)
+    assert kinds == [["lu"]]
     assert sol.meta["lu_fill"] == n * n
     assert np.abs(sol.primal - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_indefinite_primal_block_is_solved_by_lu_fronts(monkeypatch):
+def _kinds_of_fronts(monkeypatch):
+    """The kinds of the fronts of every factor made, a list per factor."""
+    kinds, made = [], solve.factor
+
+    def recording(K, tree):
+        lu = made(K, tree)
+        kinds.append([f[3] for f in lu.fronts])
+        return lu
+    monkeypatch.setattr(solve, "factor", recording)
+    return kinds
+
+
+def test_indefinite_primal_block_is_solved_on_diagonal_pivots(monkeypatch):
     """With penalty_C = 10 on the 8x8 D,F,F,F cylinder, A(1) is indefinite
     (the probe says so): some pivot blocks are not quasidefinite, the
-    factor takes them by LU, and the mixed and penalized systems are still
-    solved within the backward-error bound."""
+    factor takes them on their diagonal pivots, and the mixed and
+    penalized systems are still solved within the backward-error bound."""
     mesh = generate_rect_mesh((0, 1, 0, 1), 8, 8, tags=("D", "F", "F", "F"))
     problem = ShellProblem(chart=make_chart("cylinder"), mesh=mesh,
                            epsilon=1e-3,
@@ -310,17 +325,29 @@ def test_indefinite_primal_block_is_solved_by_lu_fronts(monkeypatch):
     layout = asm.layout
     assert not _positive_definite(asm.a_theta(1.0),
                                   asm.factor_tree(layout.n_primal))
-    lu_fronts, lu_pivot = [], solve._lu_pivot
-
-    def counting(*args):
-        lu_fronts.append(args[0].shape[1])
-        return lu_pivot(*args)
-    monkeypatch.setattr(solve, "_lu_pivot", counting)
+    kinds = _kinds_of_fronts(monkeypatch)
     for method, n in (("mixed", layout.n_total), ("dg", layout.n_block1)):
-        lu_fronts.clear()
         sol = problem.solve(method)
-        assert lu_fronts, method
+        assert "ldl" in kinds[-1], method
         assert sol.meta["backward_error"] <= bound(n), method
+
+
+def test_badly_scaled_indefinite_system_is_solved(monkeypatch):
+    """On the 16x16 D,F,F,F cylinder graded 0.3 toward the left, with
+    penalty_C = 20, the penalized matrix is indefinite and its diagonal
+    spans 1 to 1e18.  Row interchanges in its pivot blocks left a backward
+    error of 1.8e-6 after refinement; on the diagonal pivots, as the
+    reference LU eliminates, it is solved within the bound."""
+    mesh = generate_rect_mesh((0, 1, 0, 1), 16, 16, tags=("D", "F", "F", "F"),
+                              grading={"ratio": 0.3, "toward": "left"})
+    problem = ShellProblem(chart=make_chart("cylinder"), mesh=mesh,
+                           epsilon=1e-3,
+                           loads=LoadSpec(p3=lambda p: np.ones(len(p))),
+                           config=AssemblyConfig(penalty_C=20.0))
+    kinds = _kinds_of_fronts(monkeypatch)
+    sol = problem.solve("dg")
+    assert "ldl" in kinds[-1]
+    assert sol.meta["backward_error"] <= bound(len(sol.primal))
 
 
 def test_solution_dataclass_meta():
