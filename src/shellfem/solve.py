@@ -348,11 +348,12 @@ def inf_norm(K):
 def _factor_refine(K, b, n_primal: int, tree, meta: dict) -> ShellSolution:
     """Solve K x = b: take K's norm before the factor exists, factor once on
     `tree` (or in an order, as one front; `ordering.as_tree`), refine up to
-    REFINE_STEPS times until the backward error reaches u, accept x on it
-    and add the figures to meta.  All of it runs on the ordered system,
-    which replaces K: no caller keeps K (each passes it straight from the
-    call that makes it), so the unordered copy is freed, and its heap is
-    handed back before the factor is made.  Beside the ordered K and its
+    REFINE_STEPS times until the backward error reaches u or a step fails
+    to lower it (that step is dropped, as LAPACK's dgerfs does), accept x
+    on its backward error and add the figures to meta.  All of it runs on
+    the ordered system, which replaces K: no caller keeps K (each passes
+    it straight from the call that makes it), so the unordered copy is
+    freed, and its heap is handed back before the factor is made.  Beside the ordered K and its
     factor, only what the caller still holds stays resident: after
     `realize_via_theta(..., last=True)` that is no form and no quadrature
     data."""
@@ -367,12 +368,15 @@ def _factor_refine(K, b, n_primal: int, tree, meta: dict) -> ShellSolution:
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
     b_inf = np.abs(b).max(initial=0)
-    x, r = np.zeros_like(b), b
+    x, r, berr = np.zeros_like(b), b, None
     for _ in range(REFINE_STEPS + 1):
-        x = x + lu.solve(r)
-        r = b - K @ x
-        scale = k_inf * np.abs(x).max(initial=0) + b_inf
-        berr = np.abs(r).max(initial=0) / (scale or 1.0)
+        y = x + lu.solve(r)
+        s = b - K @ y
+        e = np.abs(s).max(initial=0) / (
+            (k_inf * np.abs(y).max(initial=0) + b_inf) or 1.0)
+        if berr is not None and not e < berr:
+            break                  # a step that does not help: keep x
+        x, r, berr = y, s, e
         if berr <= _U:
             break
     bound = BACKWARD_ERROR_MULTIPLE * K.shape[0] * _U

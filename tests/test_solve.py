@@ -147,6 +147,38 @@ def test_backward_error_above_the_bound_is_refused(monkeypatch):
         solve_dg(K, sps.csc_matrix((n, n)), b, 1.0, np.arange(n))
 
 
+def test_refinement_keeps_a_step_that_helped(monkeypatch):
+    """A factor whose first solve is off by d, within the acceptance bound,
+    and whose later solves add 100 d, beyond it: refinement drops the step
+    that raised the backward error and accepts the first solution."""
+    n = 50
+    K = sps.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
+                  [-1, 0, 1], format="csc")
+    b = np.linspace(1.0, 2.0, n)
+    x = np.linalg.solve(K.toarray(), b)
+    accept = 10 * n * np.finfo(float).eps
+    # ||K d|| = accept / 10 (||K|| ||x|| + ||b||) to first order in d
+    d = np.ones(n)
+    d *= (accept / 10 * (inf_norm(K) * np.abs(x).max() + np.abs(b).max())
+          / np.abs(K @ d).max())
+    calls = []
+
+    def drifting(K, tree):
+        lu = factor(K, tree)
+
+        def solve_once(r):
+            if np.ndim(r) > 1:            # cond_est's estimator
+                return lu.solve(r)
+            calls.append(r)
+            return lu.solve(r) + (d if len(calls) == 1 else 100 * d)
+        return SimpleNamespace(solve=solve_once, nnz=lu.nnz)
+    monkeypatch.setattr(solve, "factor", drifting)
+    sol = solve_dg(K, sps.csc_matrix((n, n)), b, 1.0, np.arange(n))
+    assert len(calls) == 2
+    assert np.abs(sol.primal - x).max() <= 2 * np.abs(d).max()
+    assert np.finfo(float).eps < sol.meta["backward_error"] <= accept
+
+
 def reduced_oracle(problem):
     """An assembler on the plain P1 layout of `problem`'s mesh with its
     penalty constant: the penalized system assembled on its own."""
