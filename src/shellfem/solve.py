@@ -184,10 +184,10 @@ def _ldl(A):
 
 def _ldl_pivot(P, T, k1, L, Y):
     """L D L^T of the pivot block with its diagonal entries as pivots, in
-    order, whatever their signs: the elimination SuperLU made with
-    diagonal pivoting, and unlike row interchanges, not thrown off by
-    unknowns whose scales differ by up to 1e18, as in the penalized
-    systems of graded meshes.  With Z = L^-1 F21^T, the update is
+    order, whatever their signs: the elimination of a sparse LU with
+    diagonal pivoting, which, unlike row interchanges, unknowns whose
+    scales differ by up to 1e18 (penalized systems of graded meshes) do
+    not throw off.  With Z = L^-1 F21^T, the update is
     T - Z^T D^-1 Z.  L and D go into L, D^-1 Z into Y; returns ("ldl",
     D^-1) and the update.  ZeroPivot at a zero or overflowing pivot."""
     k = P.shape[1]

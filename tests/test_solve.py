@@ -367,8 +367,8 @@ def test_indefinite_primal_block_is_solved_on_diagonal_pivots(monkeypatch):
 def test_badly_scaled_indefinite_system_is_solved(monkeypatch):
     """On the 16x16 D,F,F,F cylinder graded 0.3 toward the left, with
     penalty_C = 20, the penalized matrix is indefinite and its diagonal
-    spans 1 to 1e18.  Row interchanges in its pivot blocks left a backward
-    error of 1.8e-6 after refinement; on the diagonal pivots, as the
+    spans 1 to 1e18.  LU with row interchanges in its pivot blocks stays
+    at a backward error near 1e-6; on the diagonal pivots, as the
     reference LU eliminates, it is solved within the bound."""
     mesh = generate_rect_mesh((0, 1, 0, 1), 16, 16, tags=("D", "F", "F", "F"),
                               grading={"ratio": 0.3, "toward": "left"})
