@@ -21,7 +21,7 @@ import numpy as np
 from . import expr as exprmod
 from .assembly import AssemblyConfig, LoadSpec, Material
 from .driver import ShellProblem
-from .fe_space import FIELDS
+from .fe_space import FIELDS, SpaceError
 from .geometry import POINT_BUDGET, GeometryError, batched, make_chart
 from .manufactured import ManufacturedSolution
 from .mesh import (TAGS, MeshError, generate_rect_mesh, load_mesh,
@@ -559,7 +559,7 @@ def main(argv=None) -> int:
     except (ConfigError, exprmod.ExprError, exprmod.EvalDomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (MeshError, GeometryError) as exc:
+    except (MeshError, GeometryError, SpaceError) as exc:
         print(f"mesh/geometry error: {exc}", file=sys.stderr)
         return 3
     except SolverError as exc:

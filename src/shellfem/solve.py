@@ -154,105 +154,51 @@ def _signed_pivot(P, T, k1, L, Y):
     return ("signed", J), T
 
 
-class ZeroPivot(RuntimeError):
-    pass
-
-
-def _ldl(A):
-    """A = L D L^T in place on the lower triangle of the Fortran-ordered
-    A, eliminating in the given order with no interchanges: the unit lower
-    triangular L goes below the diagonal and D onto it.  Recursive halves
-    (one dtrsm and one dgemm each) down to blocks of 16, which go column
-    by column.  ZeroPivot at a zero pivot."""
-    k = len(A)
-    if k <= 16:
-        for j in range(k):
-            if A[j, j] == 0.0:
-                raise ZeroPivot("zero pivot")
-            c = A[j + 1:, j] / A[j, j]
-            A[j + 1:, j + 1:] -= np.outer(c, A[j + 1:, j])
-            A[j + 1:, j] = c
-        return
-    h = k // 2
-    _ldl(A[:h, :h])
-    W = blas.dtrsm(1.0, A[:h, :h], A[h:, :h], side=1, lower=1, trans_a=1,
-                   diag=1)                       # W = L21 D1
-    A[h:, :h] = W / A[np.arange(h), np.arange(h)]
-    A[h:, h:] -= W @ A[h:, :h].T
-    _ldl(A[h:, h:])
-
-
-def _ldl_pivot(P, T, k1, L, Y):
-    """L D L^T of the pivot block with its diagonal entries as pivots, in
-    order, whatever their signs: the elimination of a sparse LU with
-    diagonal pivoting, which, unlike row interchanges, unknowns whose
-    scales differ by up to 1e18 (penalized systems of graded meshes) do
-    not throw off.  With Z = L^-1 F21^T, the update is
-    T - Z^T D^-1 Z.  L and D go into L, D^-1 Z into Y; returns ("ldl",
-    D^-1) and the update.  ZeroPivot at a zero or overflowing pivot."""
-    k = P.shape[1]
-    L[:] = P[:k]
-    _ldl(L)
-    d = L[np.arange(k), np.arange(k)]
-    if not np.isfinite(d).all():
-        raise ZeroPivot("pivot overflow")
-    if not len(T):
-        return ("ldl", 1.0 / d), None
-    Z = lapack.dtrtrs(L, P[k:].T, lower=1, unitdiag=1)[0]
-    Y[:] = Z / d[:, None]
-    T = blas.dgemm(-1.0, Z, Y, beta=1.0, c=T, trans_a=1, overwrite_c=True)
-    return ("ldl", 1.0 / d), T
-
-
-def _lu_pivot(P, T, k1, L, Y):
-    """LU with partial pivoting of the pivot block scaled to a unit
-    diagonal, s F11 s with s = |diag F11|^-1/2 (1 on a zero diagonal):
-    it takes any nonsingular block, and the scaling keeps the row
-    interchanges from comparing unknowns of scales up to 1e18 apart.  With
-    X = F11^-1 F21^T = s (s F11 s)^-1 s F21^T, the update is T - F21 X.
-    The LU goes into L and X into Y; returns ("lu", (pivots, s)) and the
-    update."""
+def _bk_pivot(P, T, k1, L, Y):
+    """Bunch-Kaufman L D L^T (symmetric interchanges, 1x1 and 2x2 pivots;
+    Math. Comp. 31, 1977) of the pivot block scaled to a unit diagonal,
+    s F11 s with s = |diag F11|^-1/2 (1 on a zero diagonal): it takes any
+    nonsingular block, and the scaling keeps the interchanges from
+    comparing unknowns of scales up to 1e18 apart.  One dsysv factors it
+    and solves for X = F11^-1 F21^T = s (s F11 s)^-1 s F21^T; the update
+    is T - F21 X.  The factor goes into L and X into Y; returns ("bk",
+    (pivots, s)) and the update.  RuntimeError if the block is singular."""
     k = P.shape[1]
     d = np.abs(P[np.arange(k), np.arange(k)])
     s = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
     L[:] = P[:k]
-    upper = np.triu_indices(k, 1)
-    L[upper] = L.T[upper]                   # the lower triangle mirrored
     L *= s
     L *= s[:, None]
-    piv, info = lapack.dgetrf(L, overwrite_a=True)[1:]
+    Y[:] = P[k:].T * s[:, None]
+    lwork = int(lapack.dsysv_lwork(k, lower=1)[0])
+    piv, info = lapack.dsysv(L, Y, lwork=lwork, lower=1, overwrite_a=True,
+                             overwrite_b=True)[1::2]
     if info:
         raise RuntimeError("singular pivot block" if info > 0 else
-                           f"dgetrf argument {-info} invalid")
+                           f"dsysv argument {-info} invalid")
     if not len(T):
-        return ("lu", (piv, s)), None
-    Y[:] = P[k:].T * s[:, None]
-    lapack.dgetrs(L, piv, Y, overwrite_b=True)
+        return ("bk", (piv, s)), None
     Y *= s[:, None]
     T = blas.dgemm(-1.0, P[k:], Y, beta=1.0, c=T, overwrite_c=True)
-    return ("lu", (piv, s)), T
+    return ("bk", (piv, s)), T
 
 
 def _pivot(P, T, k1, L, Y):
     """The signed factor of the pivot block where it exists, else its
-    L D L^T on diagonal pivots, else its LU."""
+    Bunch-Kaufman factor."""
     try:
         return _signed_pivot(P, T, k1, L, Y)
     except NotQuasidefinite:
-        pass
-    try:
-        return _ldl_pivot(P, T, k1, L, Y)
-    except ZeroPivot:
-        return _lu_pivot(P, T, k1, L, Y)
+        return _bk_pivot(P, T, k1, L, Y)
 
 
 class Factor:
     """The multifrontal factor K = L D L^T on the fronts of `tree`, all in
     one array of `nnz` entries: per front, its pivot block (Lc of a signed
-    front, with D = J; L and D of an ldl front; the LU of s F11 s of an lu
-    front) and the block under it (Y; see `_signed_pivot`, `_ldl_pivot`,
-    `_lu_pivot`).  `fronts` holds each front's kind and D^-1 (signed,
-    ldl) or pivots and scale (lu)."""
+    front, with D = J; the Bunch-Kaufman factor of s F11 s of a bk front)
+    and the block under it (Y; see `_signed_pivot`, `_bk_pivot`).
+    `fronts` holds each front's kind and D^-1 (signed) or pivots and scale
+    (bk)."""
 
     def __init__(self, K, tree):
         k = np.diff(tree.ends)
@@ -272,34 +218,27 @@ class Factor:
                        zip(tree.ends[:-1], tree.ends[1:], tree.rows,
                            _eliminate(K, tree, pivot), blocks)]
 
-    def solve(self, rhs, trans="N"):
-        """x with K x = rhs (K^T x = rhs with trans "T"): the forward sweep
-        over the fronts, then the backward sweep with the pivot blocks."""
+    def solve(self, rhs):
+        """x with K x = rhs: the forward sweep over the fronts, then the
+        backward sweep with the pivot blocks."""
         y = np.array(rhs, dtype=float)
         col = (slice(None),) + (None,) * (y.ndim - 1)   # a vector per row
-        trtrs, getrs = lapack.dtrtrs, lapack.dgetrs
+        trtrs, sytrs = lapack.dtrtrs, lapack.dsytrs
         for a, b, rows, kind, L, _, Y in self.fronts:
-            if kind == "lu":
-                v = y[a:b]
-            else:
-                y[a:b] = v = trtrs(L, y[a:b], lower=1,
-                                   unitdiag=kind == "ldl")[0]
+            v = y[a:b]
+            if kind == "signed":
+                y[a:b] = v = trtrs(L, v, lower=1)[0]
             if Y is not None:
                 y[rows] -= Y.T @ v
-        t = 1 if trans == "T" else 0
         for a, b, rows, kind, L, p, Y in reversed(self.fronts):
-            if kind == "lu":
+            if kind == "bk":
                 piv, s = p
-                v = getrs(L, piv, y[a:b] * s[col], trans=t)[0] * s[col]
-                if Y is not None:
-                    v -= Y @ y[rows]
-                y[a:b] = v
+                v = sytrs(L, piv, y[a:b] * s[col], lower=1)[0] * s[col]
             else:
                 v = y[a:b] * p[col]
-                if Y is not None:
-                    v -= Y @ y[rows]
-                y[a:b] = trtrs(L, v, lower=1, trans=1,
-                               unitdiag=kind == "ldl")[0]
+            if Y is not None:
+                v -= Y @ y[rows]
+            y[a:b] = v if kind == "bk" else trtrs(L, v, lower=1, trans=1)[0]
         return y
 
 
@@ -307,8 +246,7 @@ def factor(K, tree) -> Factor:
     """The package's one sparse factorization: the multifrontal LDL^T of
     the symmetric K, already in the order of `tree` (`ordered`), on that
     tree's fronts, each pivot block signed where it is quasidefinite,
-    else on its diagonal pivots, and by LU with partial pivoting where a
-    diagonal pivot is zero.  RuntimeError if a pivot block is singular."""
+    else by Bunch-Kaufman.  RuntimeError if a pivot block is singular."""
     return Factor(K, tree)
 
 

@@ -191,6 +191,17 @@ def test_exit_code_boundary_edge_listed_twice(tmp_path, capsys):
             f"line {at + 2}") in capsys.readouterr().err
 
 
+def test_exit_code_element_with_three_free_edges(tmp_path, capsys):
+    """A one-triangle mesh with all three edges free is refused by the DOF
+    layout (`fe_space.SpaceError`): a mesh error, exit 3, not a traceback."""
+    cfg = file_mesh_config(tmp_path, "naghdi-mesh 1\nvertices 3\n0 0\n1 0\n"
+                           "0 1\ntriangles 1\n0 1 2\nboundary 3\n0 1 F\n"
+                           "1 2 F\n0 2 F\n")
+    assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert ("mesh/geometry error: element with 3 free edges is unsupported"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("line", [
     "rect = 0, 1, 0, 1", "nx = 2", "ny = 3", "tags = D, F, F, F",
     "grading_ratio = 0.5", "grading_toward = left"])

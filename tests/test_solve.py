@@ -16,6 +16,7 @@ from shellfem.geometry import make_chart
 from shellfem.mesh import generate_rect_mesh
 from shellfem.norms import NormEngine
 from shellfem.ordering import Tree
+from shellfem.regime import detect_regime
 from shellfem.solve import (BACKWARD_ERROR_MULTIPLE, ShellSolution,
                             SolverError, factor, inf_norm, ordered,
                             realize_via_theta, solve_dg, solve_mixed)
@@ -314,8 +315,8 @@ def test_refinement_takes_the_backward_error_to_u(monkeypatch):
 
 def test_mesh_free_matrix_is_one_front(monkeypatch):
     """A symmetric indefinite matrix given with an order and no tree is
-    factored as one front (by LU: its diagonal is zero, so it has no
-    diagonal pivot) and solved as the dense solver does."""
+    factored as one front (by Bunch-Kaufman: its diagonal is zero, so it is
+    not quasidefinite) and solved as the dense solver does."""
     n = 40
     rng = np.random.default_rng(2)
     M = rng.standard_normal((n, n))
@@ -326,7 +327,7 @@ def test_mesh_free_matrix_is_one_front(monkeypatch):
     kinds = _kinds_of_fronts(monkeypatch)
     sol = solve_dg(sps.csr_matrix(K), sps.csr_matrix((n, n)), b, 1.0, order)
     want = np.linalg.solve(K, b)
-    assert kinds == [["lu"]]
+    assert kinds == [["bk"]]
     assert sol.meta["lu_fill"] == n * n
     assert np.abs(sol.primal - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -343,11 +344,30 @@ def _kinds_of_fronts(monkeypatch):
     return kinds
 
 
-def test_indefinite_primal_block_is_solved_on_diagonal_pivots(monkeypatch):
+def test_calibrated_systems_factor_on_signed_fronts_only(readme_problem,
+                                                        monkeypatch):
+    """A calibrated penalty makes A(1) positive definite, so every pivot
+    block of a mixed or penalized system is quasidefinite and no front
+    falls back to Bunch-Kaufman: the README 8x8 D,F,F,F system, mixed and
+    penalized, and the three systems a detection on the 12x12 D,D,F,F
+    cylinder solves factor on signed fronts only."""
+    mesh = generate_rect_mesh((0, 1, 0, 1), 12, 12, tags=("D", "D", "F", "F"))
+    cylinder = ShellProblem(chart=make_chart("cylinder"), mesh=mesh,
+                            epsilon=1e-2,
+                            loads=LoadSpec(p3=lambda p: np.ones(len(p))))
+    kinds = _kinds_of_fronts(monkeypatch)
+    for method in ("mixed", "dg"):
+        readme_problem.solve(method)
+    detect_regime(cylinder)
+    assert len(kinds) == 5
+    assert all(set(k) == {"signed"} for k in kinds), kinds
+
+
+def test_indefinite_primal_block_is_solved_on_indefinite_fronts(monkeypatch):
     """With penalty_C = 10 on the 8x8 D,F,F,F cylinder, A(1) is indefinite
     (the probe says so): some pivot blocks are not quasidefinite, the
-    factor takes them on their diagonal pivots, and the mixed and
-    penalized systems are still solved within the backward-error bound."""
+    factor takes them by Bunch-Kaufman, and the mixed and penalized
+    systems are still solved within the backward-error bound."""
     mesh = generate_rect_mesh((0, 1, 0, 1), 8, 8, tags=("D", "F", "F", "F"))
     problem = ShellProblem(chart=make_chart("cylinder"), mesh=mesh,
                            epsilon=1e-3,
@@ -360,16 +380,16 @@ def test_indefinite_primal_block_is_solved_on_diagonal_pivots(monkeypatch):
     kinds = _kinds_of_fronts(monkeypatch)
     for method, n in (("mixed", layout.n_total), ("dg", layout.n_block1)):
         sol = problem.solve(method)
-        assert "ldl" in kinds[-1], method
+        assert "bk" in kinds[-1], method
         assert sol.meta["backward_error"] <= bound(n), method
 
 
 def test_badly_scaled_indefinite_system_is_solved(monkeypatch):
     """On the 16x16 D,F,F,F cylinder graded 0.3 toward the left, with
     penalty_C = 20, the penalized matrix is indefinite and its diagonal
-    spans 1 to 1e18.  LU with row interchanges in its pivot blocks stays
-    at a backward error near 1e-6; on the diagonal pivots, as the
-    reference LU eliminates, it is solved within the bound."""
+    spans 1 to 1e18.  LU with row interchanges in its unscaled pivot
+    blocks stays at a backward error near 1e-6; by Bunch-Kaufman on pivot
+    blocks scaled to a unit diagonal it is solved within the bound."""
     mesh = generate_rect_mesh((0, 1, 0, 1), 16, 16, tags=("D", "F", "F", "F"),
                               grading={"ratio": 0.3, "toward": "left"})
     problem = ShellProblem(chart=make_chart("cylinder"), mesh=mesh,
@@ -378,7 +398,7 @@ def test_badly_scaled_indefinite_system_is_solved(monkeypatch):
                            config=AssemblyConfig(penalty_C=20.0))
     kinds = _kinds_of_fronts(monkeypatch)
     sol = problem.solve("dg")
-    assert "ldl" in kinds[-1]
+    assert "bk" in kinds[-1]
     assert sol.meta["backward_error"] <= bound(len(sol.primal))
 
 
@@ -411,11 +431,11 @@ def test_one_pass_matrix_norms_equal_scipy_norms():
 @pytest.mark.parametrize("method", ["mixed", "dg"])
 def test_solve_figures_agree_with_the_transposed_definitions(
         readme_problem, method, monkeypatch):
-    """`cond_est` takes ||K||_1 as ||K||_inf and the solve with the LU as
-    its own adjoint, since every system solved is symmetric to rounding.
-    On the README mixed and penalized systems it and `backward_error` agree
-    to 1e-12 relative with ||K||_1 from the column sums, the transposed
-    solve as the adjoint and ||K||_inf from scipy."""
+    """`cond_est` takes ||K||_1 as ||K||_inf, since every system solved is
+    symmetric to rounding.  On the README mixed and penalized systems it
+    and `backward_error` agree to 1e-12 relative with ||K||_1 from the
+    column sums and ||K||_inf from scipy.  The factor is symmetric, so its
+    solve is its own adjoint here as in the package."""
     seen = []
 
     def spy(K, tree):
@@ -434,7 +454,7 @@ def test_solve_figures_agree_with_the_transposed_definitions(
         x, b, order = sol.primal[:n1], f[:n1], asm.factor_tree(n1).order
     x, b = x[order], b[order]
     inv = spla.LinearOperator(K.shape, lu.solve, dtype=float,
-                              rmatvec=lambda y: lu.solve(y, trans="T"))
+                              rmatvec=lu.solve)
     cond = spla.onenormest(inv, t=1) * spla.norm(K, 1)
     berr = np.abs(b - K @ x).max() / (spla.norm(K, np.inf) * np.abs(x).max()
                                       + np.abs(b).max())
