@@ -55,9 +55,9 @@ from . import strain
 from .fe_space import JOINS, N_MONO, eval_monos, grad_monos
 from .geometry import batched, eval_elastic
 from .mesh import edge_normal
-from .ordering import as_tree, nested_dissection
+from .ordering import nested_dissection
 from .quadrature import interval_rule, triangle_rule
-from .solve import SolverError, ordered, positive_definite
+from .solve import SolverError, positive_definite
 
 # (point, local DOF) pairs in one slice of the grouped kernel, which bounds
 # what a slice materialises: an edge slice's 13 rows of jumps take 6.8 MB
@@ -665,21 +665,6 @@ def _aux_basis(pv):
     return S.reshape(nq, 6, 5 * nv)
 
 
-def _positive_definite(K, tree) -> bool:
-    """Positive-definiteness of the symmetric matrix K, probed on
-    K + 1e-12 tr(K)/n I by a Cholesky factorization on `tree` (or in an
-    order, as one front), which succeeds exactly when every front's pivot
-    block is positive definite, and keeps no factor.  The shift goes onto
-    the stored diagonal of the ordered copy, so the probe factors K's
-    pattern; an unstored diagonal stays 0."""
-    tree = as_tree(tree)
-    shift = 1e-12 * K.diagonal().sum() / K.shape[0]
-    K = ordered(K, tree.order)
-    K.data[K.indices == np.repeat(np.arange(K.shape[1]),
-                                  np.diff(K.indptr))] += shift
-    return positive_definite(K, tree)
-
-
 def calibrate_penalty(asm: FormAssembler, max_doublings: int = 10) -> float:
     """Default penalty constant for the forms of `asm`: scale with the
     geometry magnitude, then double until A(1) is positive definite.  Each
@@ -693,7 +678,7 @@ def calibrate_penalty(asm: FormAssembler, max_doublings: int = 10) -> float:
     tree = asm.factor_tree(asm.layout.n_primal)
     for _ in range(max_doublings + 1):
         asm.config = replace(asm.config, penalty_C=C)
-        if _positive_definite(asm.a_theta(1.0), tree):
+        if positive_definite(asm.a_theta(1.0), tree):
             return C
         C *= 2.0
     asm.config = given

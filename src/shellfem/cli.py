@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +25,7 @@ from .manufactured import ManufacturedSolution
 from .mesh import (TAGS, MeshError, generate_rect_mesh, load_mesh,
                    mesh_condition_report)
 from .regime import detect_regime
-from .solve import SolverError
+from .solve import SolverError, hold_freed_blocks
 
 
 class ConfigError(ValueError):
@@ -512,6 +510,8 @@ def run_locking(spec: ProblemSpec, out: Path):
 
 
 def run_regime(spec: ProblemSpec, out: Path):
+    if spec.manufactured_fields is not None:    # detection reads the loads
+        raise ConfigError("[manufactured] is not read by the regime study")
     report = detect_regime(spec.problem)
     (out / "regime.txt").write_text(report.to_text() + "\n")
     row = report.to_csv_row()
@@ -523,22 +523,8 @@ STUDIES = {"solve": run_solve, "converge": run_convergence,
            "locking": run_locking, "regime": run_regime}
 
 
-def _hold_freed_blocks():
-    """glibc maps every block above its mmap threshold (128 KiB at start)
-    afresh and unmaps it when freed, so the assembly slices and the frontal
-    matrices, a few MB each, fault their pages in one by one each time.
-    glibc raises the threshold only once it frees a larger mapped block,
-    which nothing here does early; the CLI fixes it where that rule puts it
-    after a 16 MiB block (M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1 in
-    malloc.h).  The solves hand the heap back before they factor."""
-    libc = ctypes.CDLL(None) if os.name == "posix" else None
-    if hasattr(libc, "mallopt"):
-        libc.mallopt(-3, 16 << 20)
-        libc.mallopt(-1, 32 << 20)
-
-
 def main(argv=None) -> int:
-    _hold_freed_blocks()
+    hold_freed_blocks()
     parser = argparse.ArgumentParser(
         prog="shellfem",
         description="Shell finite-element studies from a config file")

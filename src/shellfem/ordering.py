@@ -45,16 +45,6 @@ class Tree:
         self.parent, self.rows = parent, rows
 
 
-def as_tree(tree) -> Tree:
-    """`tree` itself, or an order of the unknowns (callers without a mesh)
-    as the tree of one front, all of it primal."""
-    if isinstance(tree, Tree):
-        return tree
-    order = np.asarray(tree)
-    return Tree(order, np.array([0, len(order)]), np.array([len(order)]),
-                np.array([-1]), [np.empty(0, dtype=np.int64)])
-
-
 def _graph(mesh, layout):
     """Node points (n, 2), DOF tables (n, w) padded with -1, and the two
     end arrays of the graph's edges."""

@@ -15,8 +15,6 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
-from .ordering import as_tree
-
 
 # glibc keeps the heap pages that freed temporaries leave resident, and the
 # factor does not reuse them; `_factor_refine` hands them back before it factors
@@ -24,6 +22,20 @@ _LIBC = ctypes.CDLL(None) if os.name == "posix" else None
 if hasattr(_LIBC, "malloc_trim"):
     _LIBC.malloc_trim.argtypes, _LIBC.malloc_trim.restype = [
         ctypes.c_size_t], ctypes.c_int
+
+
+def hold_freed_blocks():
+    """glibc maps every block above its mmap threshold (128 KiB at start)
+    afresh and unmaps it when freed, so the assembly slices and the frontal
+    matrices, a few MB each, fault their pages in one by one each time.
+    glibc raises the threshold only once it frees a larger mapped block,
+    which nothing here does early; this fixes it where that rule puts it
+    after a 16 MiB block (M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1 in
+    malloc.h).  The CLI calls it first, so importing the package changes no
+    allocator setting; the solves hand the heap back before they factor."""
+    if hasattr(_LIBC, "mallopt"):
+        _LIBC.mallopt(-3, 16 << 20)
+        _LIBC.mallopt(-1, 32 << 20)
 
 
 class SolverError(RuntimeError):
@@ -251,9 +263,17 @@ def factor(K, tree) -> Factor:
 
 
 def positive_definite(K, tree) -> bool:
-    """Whether the symmetric K, in the order of `tree`, is positive
-    definite: exactly when the Cholesky factor of every front's pivot block
-    exists (all of K's unknowns are taken as primal).  Keeps no factor."""
+    """Whether the symmetric K is positive definite, probed on
+    K + 1e-12 tr(K)/n I by the Cholesky elimination on `tree` (all of K's
+    unknowns taken as primal), which succeeds exactly when every front's
+    pivot block is positive definite, and keeps no factor.  The shift goes
+    onto the stored diagonal of the ordered copy, so the probe factors K's
+    pattern; an unstored diagonal stays 0."""
+    shift = 1e-12 * K.diagonal().sum() / K.shape[0]
+    K = ordered(K, tree.order)
+    K.data[K.indices == np.repeat(np.arange(K.shape[1]),
+                                  np.diff(K.indptr))] += shift
+
     def cholesky(f, P, T):
         k, m = P.shape[1], len(T)
         return _signed_pivot(P, T, k, np.empty((k, k), order="F"),
@@ -285,17 +305,16 @@ def inf_norm(K):
 
 def _factor_refine(K, b, n_primal: int, tree, meta: dict) -> ShellSolution:
     """Solve K x = b: take K's norm before the factor exists, factor once on
-    `tree` (or in an order, as one front; `ordering.as_tree`), refine up to
-    REFINE_STEPS times until the backward error reaches u or a step fails
-    to lower it (that step is dropped, as LAPACK's dgerfs does), accept x
-    on its backward error and add the figures to meta.  All of it runs on
-    the ordered system, which replaces K: no caller keeps K (each passes
-    it straight from the call that makes it), so the unordered copy is
-    freed, and its heap is handed back before the factor is made.  Beside the ordered K and its
-    factor, only what the caller still holds stays resident: after
-    `realize_via_theta(..., last=True)` that is no form and no quadrature
-    data."""
-    tree = as_tree(tree)
+    the assembly tree `tree` (an `ordering.Tree`), refine up to REFINE_STEPS
+    times until the backward error reaches u or a step fails to lower it
+    (that step is dropped, as LAPACK's dgerfs does), accept x on its
+    backward error and add the figures to meta.  All of it runs on the
+    ordered system, which replaces K: no caller keeps K (each passes it
+    straight from the call that makes it), so the unordered copy is freed,
+    and its heap is handed back before the factor is made.  Beside the
+    ordered K and its factor, only what the caller still holds stays
+    resident: after `realize_via_theta(..., last=True)` that is no form and
+    no quadrature data."""
     order = tree.order
     K, b = ordered(K, order), b[order]
     k_inf = inf_norm(K)

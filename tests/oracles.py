@@ -34,6 +34,7 @@ from shellfem.fe_space import (_EDGE_VERTS, FIELDS, LAM, ONE, DofLayout,
 from shellfem.geometry import GeometryDerivatives, GeometryEval, eval_elastic
 from shellfem.norms import NormEngine
 from shellfem.mesh import Mesh, _triangle_samples
+from shellfem.ordering import Tree
 from shellfem.quadrature import (interval_rule, triangle_rule,
                                  triangle_rule_dense)
 
@@ -733,12 +734,6 @@ def reference_apply(L, phi):
     return reference_local_order(y.reshape(y.shape[:-2] + (r, 5, -1)))
 
 
-def reference_jet(phi):
-    """The values and partials of the five fields for every local DOF of
-    the traces phi, as the identity operator applied to them."""
-    return reference_apply(np.eye(15), phi)
-
-
 def reference_edge_operator(geom, A, nbar, theta):
     """Per-point operator (E, q, 18, 15) on edges with normals nbar (E, 2):
     rows 0-4 the values of the five fields, 5-6 b^d_a u_d - theta_a
@@ -848,6 +843,14 @@ def reference_grams(eng):
 
 
 # -------------------------------------------------- diagnostics on the oracles
+
+
+def one_front(order):
+    """The assembly tree of one front over the unknowns in `order`, all of
+    them primal: a matrix without a mesh factored as one dense block."""
+    order = np.asarray(order)
+    return Tree(order, np.array([0, len(order)]), np.array([len(order)]),
+                np.array([-1]), [np.empty(0, dtype=np.int64)])
 
 
 def korn_ratio(eng, n_samples: int = 0) -> dict:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from shellfem import assembly, norms
+from shellfem import assembly, norms, solve
 from shellfem.assembly import (AssemblyConfig, CalibrationError,
                                FormAssembler, LoadSpec, Material,
-                               _positive_definite, calibrate_penalty)
+                               calibrate_penalty)
 from shellfem.fe_space import build_dof_layout
 from shellfem.geometry import eval_elastic, make_chart
 from shellfem.mesh import Mesh, generate_rect_mesh
@@ -16,8 +16,8 @@ from shellfem.norms import NormEngine
 from shellfem.solve import SolverError
 
 from oracles import (BincountSums, edge_tags, green_identity_check,
-                     penalized_forms, reference_apply, reference_edge_forms,
-                     reference_edge_values, reference_jet)
+                     one_front, penalized_forms, reference_apply,
+                     reference_edge_forms, reference_edge_values)
 
 
 def make_assembler(chart_kind="cylinder", nx=2, ny=2,
@@ -263,8 +263,8 @@ def test_sparse_inertia_probe_agrees_with_dense(case):
     for c in (C / 2, C, 0.05):
         asm.config = AssemblyConfig(penalty_C=c)
         K = asm.a_theta(1.0)
-        assert _positive_definite(K, tree) == dense_pd(K)
-        verdicts.append(_positive_definite(K, tree))
+        assert solve.positive_definite(K, tree) == dense_pd(K)
+        verdicts.append(solve.positive_definite(K, tree))
     assert verdicts == [False, True, False]
 
 
@@ -273,9 +273,13 @@ def test_sparse_inertia_probe_agrees_with_dense(case):
     ([[1.0, 0.0], [0.0, -1.0]], False),       # negative diagonal pivot
     ([[0.0, 1.0], [1.0, 0.0]], False),        # zero pivot: off the diagonal
     ([[0.0, 0.0], [0.0, 0.0]], False),        # exactly singular
+    # the probe shifts the diagonal by 1e-12 tr(K)/n, here about 5e-13
+    ([[1.0, 0.0], [0.0, -2.5e-13]], True),    # lifted above 0 by the shift
+    ([[1.0, 0.0], [0.0, -1e-12]], False),     # still below 0 after it
 ])
 def test_inertia_probe_small_matrices(K, pd):
-    assert _positive_definite(sps.csr_matrix(K), np.arange(2)) is pd
+    assert solve.positive_definite(sps.csr_matrix(K),
+                                   one_front(np.arange(2))) is pd
 
 
 @pytest.mark.parametrize("case", sorted(PROBE_CASES))
@@ -420,7 +424,7 @@ def test_edge_kernel_equals_the_full_operator(case, budget, monkeypatch):
     elements; the small budget cuts the groups into many slices."""
     with monkeypatch.context() as m:
         m.setattr(assembly, "_apply", reference_apply)
-        m.setattr(norms, "_jet", reference_jet)
+        m.setattr(norms, "_apply", reference_apply)
         m.setattr(FormAssembler, "_edge_values", reference_edge_values)
         m.setattr(FormAssembler, "_edge_forms", reference_edge_forms)
         want = forms_and_grams(STREAM_CASES[case]())

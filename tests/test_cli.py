@@ -346,6 +346,15 @@ def test_regime_study(tmp_path):
     assert (out / "regime.csv").exists()
 
 
+def test_regime_study_refuses_a_manufactured_solution(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["regime", write(tmp_path, MANUFACTURED), "--out",
+                 str(out)]) == 2
+    assert ("config error: [manufactured] is not read by the regime study"
+            in capsys.readouterr().err)
+    assert not (out / "regime.txt").exists()
+
+
 def test_csv_output_deterministic(tmp_path):
     cfg = write(tmp_path, GOOD)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -428,7 +437,7 @@ def test_cli_import_leaves_scipy_special_out():
 
 
 def test_exit_code_calibration_failure(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(assembly, "_positive_definite",
+    monkeypatch.setattr(assembly, "positive_definite",
                         lambda K, tree: False)
     cfg = write(tmp_path, GOOD)
     assert main(["regime", cfg, "--out", str(tmp_path)]) == 4

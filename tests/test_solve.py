@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 from shellfem import driver, solve
 from shellfem.assembly import (AssemblyConfig, FormAssembler, LoadSpec,
-                               Material, _positive_definite)
+                               Material)
 from shellfem.driver import ShellProblem
 from shellfem.fe_space import build_dof_layout
 from shellfem.geometry import make_chart
@@ -21,7 +21,7 @@ from shellfem.solve import (BACKWARD_ERROR_MULTIPLE, ShellSolution,
                             SolverError, factor, inf_norm, ordered,
                             realize_via_theta, solve_dg, solve_mixed)
 
-from oracles import penalized_forms, plain_layout
+from oracles import one_front, penalized_forms, plain_layout
 
 
 def setup(tags=("D", "D", "D", "D")):
@@ -109,7 +109,7 @@ def test_residual_guard_raises():
     K[0, 0] = 0.0  # exactly singular row
     zero = sps.csr_matrix((n, n))
     with pytest.raises(SolverError, match="factorization failed"):
-        solve_dg(K.tocsr(), zero, np.ones(n), 1.0, np.arange(n))
+        solve_dg(K.tocsr(), zero, np.ones(n), 1.0, one_front(np.arange(n)))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -119,7 +119,8 @@ def test_non_finite_solution_fails_the_backward_error_bound():
     b = np.ones(n)
     b[1] = np.inf
     with pytest.raises(SolverError, match="backward error nan exceeds"):
-        solve_dg(sps.identity(n, format="csr"), zero, b, 1.0, np.arange(n))
+        solve_dg(sps.identity(n, format="csr"), zero, b, 1.0,
+                 one_front(np.arange(n)))
 
 
 def test_backward_error_above_the_bound_is_refused(monkeypatch):
@@ -145,7 +146,7 @@ def test_backward_error_above_the_bound_is_refused(monkeypatch):
         return SimpleNamespace(solve=lambda r: lu.solve(r) + d, nnz=lu.nnz)
     monkeypatch.setattr(solve, "factor", perturbed)
     with pytest.raises(SolverError, match="backward error"):
-        solve_dg(K, sps.csc_matrix((n, n)), b, 1.0, np.arange(n))
+        solve_dg(K, sps.csc_matrix((n, n)), b, 1.0, one_front(np.arange(n)))
 
 
 def test_refinement_keeps_a_step_that_helped(monkeypatch):
@@ -174,7 +175,7 @@ def test_refinement_keeps_a_step_that_helped(monkeypatch):
             return lu.solve(r) + (d if len(calls) == 1 else 100 * d)
         return SimpleNamespace(solve=solve_once, nnz=lu.nnz)
     monkeypatch.setattr(solve, "factor", drifting)
-    sol = solve_dg(K, sps.csc_matrix((n, n)), b, 1.0, np.arange(n))
+    sol = solve_dg(K, sps.csc_matrix((n, n)), b, 1.0, one_front(np.arange(n)))
     assert len(calls) == 2
     assert np.abs(sol.primal - x).max() <= 2 * np.abs(d).max()
     assert np.finfo(float).eps < sol.meta["backward_error"] <= accept
@@ -314,9 +315,10 @@ def test_refinement_takes_the_backward_error_to_u(monkeypatch):
 
 
 def test_mesh_free_matrix_is_one_front(monkeypatch):
-    """A symmetric indefinite matrix given with an order and no tree is
-    factored as one front (by Bunch-Kaufman: its diagonal is zero, so it is
-    not quasidefinite) and solved as the dense solver does."""
+    """A symmetric indefinite matrix without a mesh, given as the tree of
+    one front in a random order, is factored as that front (by
+    Bunch-Kaufman: its diagonal is zero, so it is not quasidefinite) and
+    solved as the dense solver does."""
     n = 40
     rng = np.random.default_rng(2)
     M = rng.standard_normal((n, n))
@@ -325,7 +327,8 @@ def test_mesh_free_matrix_is_one_front(monkeypatch):
     b = rng.standard_normal(n)
     order = rng.permutation(n)
     kinds = _kinds_of_fronts(monkeypatch)
-    sol = solve_dg(sps.csr_matrix(K), sps.csr_matrix((n, n)), b, 1.0, order)
+    sol = solve_dg(sps.csr_matrix(K), sps.csr_matrix((n, n)), b, 1.0,
+                   one_front(order))
     want = np.linalg.solve(K, b)
     assert kinds == [["bk"]]
     assert sol.meta["lu_fill"] == n * n
@@ -375,8 +378,8 @@ def test_indefinite_primal_block_is_solved_on_indefinite_fronts(monkeypatch):
                            config=AssemblyConfig(penalty_C=10.0))
     asm = problem.assembler()
     layout = asm.layout
-    assert not _positive_definite(asm.a_theta(1.0),
-                                  asm.factor_tree(layout.n_primal))
+    assert not solve.positive_definite(asm.a_theta(1.0),
+                                       asm.factor_tree(layout.n_primal))
     kinds = _kinds_of_fronts(monkeypatch)
     for method, n in (("mixed", layout.n_total), ("dg", layout.n_block1)):
         sol = problem.solve(method)
